@@ -17,7 +17,7 @@ use ncl_core::apps::{
     allreduce_source, kvs_source, KvsClient, KvsOp, KvsServer, PsServer, PsWorker,
 };
 use ncl_core::control::ControlPlane;
-use ncl_core::deploy::{deploy, deploy_with, Deployment, SwitchBackend};
+use ncl_core::deploy::{deploy_opts, DeployOptions, Deployment, SwitchBackend};
 use ncl_core::nclc::{compile, CompileConfig, CompiledProgram};
 use ncl_core::runtime::{NclHost, OutInvocation, TypedArray};
 use netsim::{HostApp, LinkSpec, NetworkBuilder, SwitchCfg, Time};
@@ -72,13 +72,8 @@ pub fn run_allreduce_inc(nworkers: usize, elements: usize, win: usize) -> AllRed
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep: Deployment = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep: Deployment =
+        deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -154,8 +149,16 @@ pub fn run_allreduce_e2e(
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep: Deployment =
-        deploy_with(&program, apps, LinkSpec::default(), cfg.model, backend).expect("deploys");
+    let mut dep: Deployment = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            backend,
+            model: cfg.model,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     let nw = Value::u32(nworkers as u32);
@@ -302,8 +305,15 @@ pub fn run_allreduce_reliable(
         host.enable_reliability(rcfg);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep: Deployment =
-        deploy(&program, apps, link, pisa::ResourceModel::default()).expect("deploys");
+    let mut dep: Deployment = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            link_spec: link,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -453,12 +463,13 @@ pub fn run_kvs_on(
     if !with_cache {
         stripped.switches.clear();
     }
-    let mut dep = deploy_with(
+    let mut dep = deploy_opts(
         &stripped,
         apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-        backend,
+        DeployOptions {
+            backend,
+            ..Default::default()
+        },
     )
     .expect("deploys");
     if with_cache {
@@ -571,7 +582,15 @@ pub fn run_allreduce_telemetry(
         host.enable_telemetry(sampling, 65_536);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep: Deployment = deploy(&program, apps, LinkSpec::default(), *model).expect("deploys");
+    let mut dep: Deployment = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            model: *model,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(

@@ -194,10 +194,11 @@ impl WindowSpec {
             .sum()
     }
 
-    /// Splits `arrays` (one byte slice per array, elements in big-endian
-    /// wire order) into windows. Returns the windows in sequence order;
-    /// metadata fields other than `seq` are left for the runtime to fill.
-    pub fn split(&self, arrays: &[&[u8]]) -> Result<Vec<Window>, WindowError> {
+    /// How many windows `arrays` (the bytes of one array each, elements
+    /// in big-endian wire order) split into, after checking that they
+    /// match the spec's arity, hold whole elements, and all tile the
+    /// same number of times.
+    pub fn window_count<A: AsRef<[u8]>>(&self, arrays: &[A]) -> Result<usize, WindowError> {
         if arrays.len() != self.elem_types.len() {
             return Err(WindowError::MaskArity {
                 mask: self.mask.arity(),
@@ -206,6 +207,7 @@ impl WindowSpec {
         }
         let mut nwindows = None;
         for (i, a) in arrays.iter().enumerate() {
+            let a = a.as_ref();
             let elem = self.elem_types[i].size();
             if a.len() % elem != 0 {
                 return Err(WindowError::Ragged {
@@ -214,8 +216,7 @@ impl WindowSpec {
                     elem,
                 });
             }
-            let chunk = self.chunk_bytes(i);
-            let n = a.len().div_ceil(chunk);
+            let n = a.len().div_ceil(self.chunk_bytes(i));
             match nwindows {
                 None => nwindows = Some(n),
                 Some(expected) if expected != n => {
@@ -228,30 +229,53 @@ impl WindowSpec {
                 _ => {}
             }
         }
-        let nwindows = nwindows.unwrap_or(0);
-        let mut out = Vec::with_capacity(nwindows);
-        for w in 0..nwindows {
-            let mut chunks = Vec::with_capacity(arrays.len());
-            for (i, a) in arrays.iter().enumerate() {
+        Ok(nwindows.unwrap_or(0))
+    }
+
+    /// Cuts window `w` out of `arrays` without touching the rest of the
+    /// invocation. `None` past the last window, or when `arrays` do not
+    /// fit the spec ([`WindowSpec::window_count`] says why). Metadata
+    /// fields other than `seq` and `last` are left for the runtime to
+    /// fill.
+    pub fn window_at<A: AsRef<[u8]>>(&self, arrays: &[A], w: usize) -> Option<Window> {
+        let nwindows = self.window_count(arrays).ok()?;
+        (w < nwindows).then(|| self.cut(arrays, w, nwindows))
+    }
+
+    /// Window `w < nwindows` of arrays [`WindowSpec::window_count`]
+    /// accepted — the one place that knows how a window is cut.
+    fn cut<A: AsRef<[u8]>>(&self, arrays: &[A], w: usize, nwindows: usize) -> Window {
+        let chunks = arrays
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let a = a.as_ref();
                 let chunk = self.chunk_bytes(i);
                 let start = w * chunk;
                 let end = (start + chunk).min(a.len());
-                chunks.push(Chunk {
+                Chunk {
                     offset: start as u32,
                     data: a[start..end].to_vec(),
-                });
-            }
-            out.push(Window {
-                kernel: KernelId(0),
-                seq: w as u32,
-                sender: HostId(0),
-                from: NodeId::Host(HostId(0)),
-                last: w + 1 == nwindows,
-                chunks,
-                ext: Vec::new(),
-            });
+                }
+            })
+            .collect();
+        Window {
+            kernel: KernelId(0),
+            seq: w as u32,
+            sender: HostId(0),
+            from: NodeId::Host(HostId(0)),
+            last: w + 1 == nwindows,
+            chunks,
+            ext: Vec::new(),
         }
-        Ok(out)
+    }
+
+    /// Splits `arrays` into all their windows, in sequence order.
+    pub fn split<A: AsRef<[u8]>>(&self, arrays: &[A]) -> Result<Vec<Window>, WindowError> {
+        let nwindows = self.window_count(arrays)?;
+        Ok((0..nwindows)
+            .map(|w| self.cut(arrays, w, nwindows))
+            .collect())
     }
 
     /// Reassembles windows into full arrays (the inverse of

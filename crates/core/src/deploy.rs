@@ -4,18 +4,22 @@
 //! physical network and allocates network resources accordingly is
 //! assumed to be in place. This mechanism places application components
 //! to physical devices and ensures connectivity by populating routing
-//! tables appropriately."* — [`deploy`] is that mechanism for the
+//! tables appropriately."* — [`deploy_opts`] is that mechanism for the
 //! simulated testbed: the identity mapping (one physical node per
 //! overlay node, one link per overlay edge), each switch loaded with its
 //! compiled pipeline, `_bcast()` fan-out and `_pass(label)` targets
-//! resolved from the overlay.
+//! resolved from the overlay. [`crate::deploy_tenants`] places several
+//! programs on one fabric; both entry points go through the same lint
+//! gate (`lint_gate`), the same engine selection (`switch_engine`) and
+//! the same fabric builder (`build_fabric`).
 
 use crate::fastpath::FastPathSwitch;
 use crate::interp_switch::InterpSwitch;
 use crate::mc::{model_check_switch, McConfig, McReport};
 use crate::nclc::CompiledProgram;
 use c3::{HostId, Label, NodeId, SwitchId};
-use ncl_and::AndKind;
+use ncl_and::{AndKind, AndNode, Overlay};
+use ncl_ir::CompiledKernel;
 use nctel::{Registry, Scope, ScopeEvent, SnapshotReason, WindowKey};
 use netsim::{
     FastDatapath, HostApp, KernelTelemetry, LinkSpec, Network, NetworkBuilder, SwitchCfg,
@@ -25,8 +29,8 @@ use pisa::{Pipeline, ResourceModel};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Which switch engine [`deploy_with`] loads into the simulated
-/// switches.
+/// Which switch engine a deployment loads into the simulated switches
+/// ([`DeployOptions::backend`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SwitchBackend {
     /// The modeled PISA pipeline (resource-checked, recirculation-aware)
@@ -155,39 +159,12 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// Deploys a compiled program: `apps` supplies one application per AND
-/// host label; every link uses `link_spec`. Switches run the modeled
-/// PISA pipeline; see [`deploy_with`] to pick the backend.
-pub fn deploy(
-    program: &CompiledProgram,
-    apps: HashMap<String, Box<dyn HostApp>>,
-    link_spec: LinkSpec,
-    model: ResourceModel,
-) -> Result<Deployment, DeployError> {
-    deploy_with(program, apps, link_spec, model, SwitchBackend::Pisa)
-}
-
-/// [`deploy`] with an explicit switch engine.
-pub fn deploy_with(
-    program: &CompiledProgram,
-    apps: HashMap<String, Box<dyn HostApp>>,
-    link_spec: LinkSpec,
-    model: ResourceModel,
-    backend: SwitchBackend,
-) -> Result<Deployment, DeployError> {
-    deploy_full(
-        program,
-        apps,
-        link_spec,
-        model,
-        backend,
-        Arc::new(Registry::new()),
-    )
-}
-
-/// Full deployment configuration for [`deploy_opts`] — the options the
-/// positional [`deploy`]/[`deploy_with`]/[`deploy_full`] entry points
-/// fix at their defaults.
+/// Deployment configuration for [`deploy_opts`] and
+/// [`crate::deploy_tenants`]. The defaults are a clean fabric of
+/// [`LinkSpec::default`] links, the modeled PISA pipeline under
+/// [`ResourceModel::default`], a private registry, no scope and no
+/// model check — override fields with struct-update syntax:
+/// `DeployOptions { backend: SwitchBackend::Simd, ..Default::default() }`.
 pub struct DeployOptions {
     /// Link parameters applied to every overlay edge (unless
     /// overridden).
@@ -283,110 +260,255 @@ pub fn and_switch_path(program: &CompiledProgram, from: &str, to: &str) -> Vec<u
         .collect()
 }
 
+/// The version a single-program deployment gives the module at `label`:
+/// its 1-based index among the program's versioned modules (0 when the
+/// label has none).
+fn module_version(program: &CompiledProgram, label: &str) -> u16 {
+    program
+        .modules
+        .iter()
+        .position(|(l, _)| l.as_str() == label)
+        .map_or(0, |i| i as u16 + 1)
+}
+
 /// The kernel versions this program deploys, per `(switch wire id,
 /// kernel id)` — the diagnosis engine's reference for flagging stale
 /// hop records after a redeploy ([`nctel::scope::analysis`]).
 pub fn deployed_versions(program: &CompiledProgram) -> BTreeMap<(u16, u16), u16> {
     let mut out = BTreeMap::new();
-    for n in &program.overlay.nodes {
+    for (label, module) in &program.modules {
+        let Some(n) = program.overlay.node(label.as_str()) else {
+            continue;
+        };
         if n.kind != AndKind::Switch {
             continue;
         }
         let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-        let tel = switch_telemetry(program, n.label.as_str(), wire);
-        for (kernel, kt) in tel.kernels {
-            out.insert((wire, kernel), kt.version);
+        let version = module_version(program, label.as_str());
+        for k in &module.kernels {
+            if let Some(&id) = program.kernel_ids.get(&k.name) {
+                out.insert((wire, id), version);
+            }
         }
     }
     out
 }
 
-/// Deploy-time telemetry identity for one switch: the static hop-record
-/// fields every execution tier stamps identically — kernel `version`
-/// (the 1-based index of the location's versioned module), PISA
-/// `stages` from the backend's resource report, and the kernel's
-/// interpreter-equivalent step count (`uops`), all fixed at deploy
-/// time. `uops` deliberately counts interpreter steps, not physical
-/// micro-ops: fused vector runs cover many steps in one op and the
-/// ncvec SIMD tier covers them in a handful of lane iterations, so the
-/// step count is the only number every tier can report identically.
-fn switch_telemetry(program: &CompiledProgram, label: &str, wire: u16) -> SwitchTelemetry {
-    let version = program
-        .modules
-        .iter()
-        .position(|(l, _)| l.as_str() == label)
-        .map(|i| i as u16 + 1)
-        .unwrap_or(0);
-    SwitchTelemetry {
-        switch_id: wire,
-        kernels: kernel_telemetry(program, label, version)
-            .into_iter()
-            .collect(),
+/// The deploy-time lint gate for the module `program` places on switch
+/// `n`: a module carrying denied hazards never reaches a simulated
+/// switch, whichever engine runs it and whichever entry point deploys
+/// it. A denial counts `deploy.lint_denied`, emits a `LintDenied` scope
+/// event, snapshots the scope's flight recorder, and names the
+/// offending kernels and the refused `version`.
+pub(crate) fn lint_gate(
+    program: &CompiledProgram,
+    n: &AndNode,
+    version: u16,
+    registry: &Registry,
+    scope: Option<&Scope>,
+) -> Result<(), DeployError> {
+    let lint_denied = registry.counter("deploy.lint_denied");
+    let Some(module) = program.module(n.label.as_str()) else {
+        return Ok(());
+    };
+    let diags = ncl_ir::lint::lint_module(module, &program.lint_config);
+    let (deny, _) = ncl_ir::lint::partition(diags);
+    if deny.is_empty() {
+        return Ok(());
     }
+    lint_denied.inc();
+    if let Some(scope) = scope {
+        let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+        scope.emit(
+            0,
+            wire,
+            WindowKey::new(0, 0, 0),
+            ScopeEvent::LintDenied { switch: wire },
+        );
+        scope.flight_record(SnapshotReason::LintDenied, 0, Some(registry), &[]);
+    }
+    let mut kernels: Vec<String> = deny.iter().map(|d| d.kernel.clone()).collect();
+    kernels.sort();
+    kernels.dedup();
+    Err(DeployError::Lint {
+        label: n.label.to_string(),
+        kernels,
+        version,
+        diagnostics: deny,
+    })
 }
 
-/// The per-kernel static hop-record fields of one program's module at
-/// `label`, stamped with an explicit `version` — multi-tenant
-/// deployments use ncsched-assigned versions instead of the module
-/// index ([`crate::tenants`]).
-pub(crate) fn kernel_telemetry(
+/// Builds what `backend` runs for `program` at switch `label`, lowering
+/// each kernel of the location exactly once: the software datapath
+/// (`None` for [`SwitchBackend::Pisa`], whose engine is the loaded
+/// pipeline, and for labels without a module) plus the static hop-record
+/// fields every execution tier stamps identically — the given kernel
+/// `version`, PISA `stages` from the backend's resource report, and the
+/// kernel's interpreter-equivalent step count (`uops`). `uops`
+/// deliberately counts interpreter steps, not physical micro-ops: fused
+/// vector runs cover many steps in one op and the ncvec SIMD tier covers
+/// them in a handful of lane iterations, so the step count is the only
+/// number every tier can report identically.
+pub(crate) fn switch_engine(
+    backend: SwitchBackend,
     program: &CompiledProgram,
     label: &str,
     version: u16,
-) -> Vec<(u16, KernelTelemetry)> {
-    let mut kernels = Vec::new();
-    if let Some(module) = program.module(label) {
-        let stages = program
-            .switch(label)
-            .map(|c| c.report.stages_used as u16)
-            .unwrap_or(0);
-        for k in &module.kernels {
-            if let Some(&id) = program.kernel_ids.get(&k.name) {
-                kernels.push((
-                    id,
-                    KernelTelemetry {
-                        version,
-                        stages,
-                        uops: ncl_ir::CompiledKernel::compile_for(k, module).interp_steps() as u32,
-                    },
-                ));
+) -> (Option<Box<dyn FastDatapath>>, HashMap<u16, KernelTelemetry>) {
+    let mut steps = Vec::new();
+    let datapath = match backend {
+        SwitchBackend::FastPath | SwitchBackend::Simd => {
+            FastPathSwitch::from_program_with(program, label, backend == SwitchBackend::Simd).map(
+                |fp| {
+                    steps = fp.kernel_steps();
+                    Box::new(fp) as Box<dyn FastDatapath>
+                },
+            )
+        }
+        SwitchBackend::Interp => InterpSwitch::from_program(program, label).map(|it| {
+            steps = it.fastpath().kernel_steps();
+            Box::new(it) as Box<dyn FastDatapath>
+        }),
+        // The pipeline is the engine; lower only to count steps.
+        SwitchBackend::Pisa => {
+            if let Some(module) = program.module(label) {
+                steps.extend(module.kernels.iter().filter_map(|k| {
+                    let id = *program.kernel_ids.get(&k.name)?;
+                    Some((id, CompiledKernel::compile_for(k, module).interp_steps()))
+                }));
+            }
+            None
+        }
+    };
+    let stages = program
+        .switch(label)
+        .map_or(0, |c| c.report.stages_used as u16);
+    let telemetry = |(id, steps): (u16, usize)| {
+        (
+            id,
+            KernelTelemetry {
+                version,
+                stages,
+                uops: steps as u32,
+            },
+        )
+    };
+    (datapath, steps.into_iter().map(telemetry).collect())
+}
+
+/// What an entry point loads onto one switch of the fabric.
+pub(crate) struct SwitchLoad {
+    /// The loaded PISA pipeline, for [`SwitchBackend::Pisa`].
+    pub pipeline: Option<Pipeline>,
+    /// The software datapath, for every other backend.
+    pub fastpath: Option<Box<dyn FastDatapath>>,
+    /// Per-kernel static hop-record fields; `None` leaves the switch
+    /// passing telemetry sections through unstamped.
+    pub kernels: Option<HashMap<u16, KernelTelemetry>>,
+}
+
+/// The options of [`DeployOptions`] that shape the fabric itself,
+/// whatever runs on it.
+pub(crate) struct FabricOptions<'a> {
+    pub link_spec: LinkSpec,
+    pub link_overrides: &'a [(String, String, LinkSpec)],
+    pub registry: &'a Arc<Registry>,
+    pub scope: Option<&'a Scope>,
+}
+
+/// Maps `overlay` onto a simulated network, the identity mapping: one
+/// node per overlay node in AND declaration order (so netsim ids equal
+/// AND ids), one link per overlay edge. `host_app` supplies each host's
+/// application and `switch_load` each switch's engine; the first error
+/// either returns stops the build. `label_ids` resolves `_pass(label)`
+/// targets. Counts `deploy.hosts_loaded` / `deploy.switches_loaded` on
+/// the registry, which [`Network::metrics`] exposes after the build.
+pub(crate) fn build_fabric<E>(
+    overlay: &Overlay,
+    label_ids: &HashMap<Label, u16>,
+    opts: FabricOptions<'_>,
+    mut host_app: impl FnMut(&AndNode) -> Result<Box<dyn HostApp>, E>,
+    mut switch_load: impl FnMut(&AndNode) -> Result<SwitchLoad, E>,
+) -> Result<(Network, HashMap<Label, NodeId>), E> {
+    let FabricOptions {
+        link_spec,
+        link_overrides,
+        registry,
+        scope,
+    } = opts;
+    let hosts_loaded = registry.counter("deploy.hosts_loaded");
+    let switches_loaded = registry.counter("deploy.switches_loaded");
+    let mut b = NetworkBuilder::new();
+    b.with_metrics(registry.clone());
+    if let Some(scope) = scope {
+        b.with_scope(scope);
+    }
+    // `_pass(label)` targets: every labelled node.
+    let labels: HashMap<u16, NodeId> = label_ids
+        .values()
+        .map(|&wire| (wire, NodeId::from_wire(wire)))
+        .collect();
+    let mut nodes: HashMap<Label, NodeId> = HashMap::new();
+    for n in &overlay.nodes {
+        match n.kind {
+            AndKind::Host => {
+                let id = b.add_host(host_app(n)?);
+                hosts_loaded.inc();
+                debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
+                nodes.insert(n.label.clone(), NodeId::Host(id));
+            }
+            AndKind::Switch => {
+                let load = switch_load(n)?;
+                let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+                let id = b.add_switch(SwitchCfg {
+                    pipeline: load.pipeline,
+                    fastpath: load.fastpath,
+                    labels: labels.clone(),
+                    // `_bcast()`: overlay neighbours of this switch.
+                    bcast: overlay
+                        .neighbours(n.label.as_str())
+                        .iter()
+                        .map(|peer| match peer.kind {
+                            AndKind::Host => NodeId::Host(HostId(peer.id)),
+                            AndKind::Switch => NodeId::Switch(SwitchId(peer.id)),
+                        })
+                        .collect(),
+                    telemetry: load.kernels.map(|kernels| SwitchTelemetry {
+                        switch_id: wire,
+                        kernels,
+                    }),
+                    ..SwitchCfg::default()
+                });
+                switches_loaded.inc();
+                debug_assert_eq!(id, SwitchId(n.id), "AND/netsim switch id agreement");
+                nodes.insert(n.label.clone(), NodeId::Switch(id));
             }
         }
     }
-    kernels
+    for &(a, bidx) in &overlay.edges {
+        let (la, lb) = (&overlay.nodes[a].label, &overlay.nodes[bidx].label);
+        let spec = link_overrides
+            .iter()
+            .find(|(x, y, _)| {
+                (x == la.as_str() && y == lb.as_str()) || (x == lb.as_str() && y == la.as_str())
+            })
+            .map_or(link_spec, |(_, _, s)| *s);
+        b.link(nodes[la], nodes[lb], spec);
+    }
+    Ok((b.build(), nodes))
 }
 
-/// [`deploy_with`] sharing the caller's metrics registry: the
-/// simulator's counters and the deploy gate outcomes
-/// (`deploy.hosts_loaded`, `deploy.switches_loaded`,
-/// `deploy.lint_denied`) all land on `registry`, which
-/// [`Network::metrics`] exposes after the build.
-pub fn deploy_full(
-    program: &CompiledProgram,
-    apps: HashMap<String, Box<dyn HostApp>>,
-    link_spec: LinkSpec,
-    model: ResourceModel,
-    backend: SwitchBackend,
-    registry: Arc<Registry>,
-) -> Result<Deployment, DeployError> {
-    deploy_opts(
-        program,
-        apps,
-        DeployOptions {
-            link_spec,
-            backend,
-            registry,
-            model,
-            ..DeployOptions::default()
-        },
-    )
-}
-
-/// The fully-optioned deployment entry point: everything
-/// [`deploy_full`] does, plus per-link overrides and ncscope wiring
-/// (see [`DeployOptions`]). A lint denial emits a `LintDenied` event
-/// and snapshots the scope's flight recorder before returning the
-/// error, so the refusal is diagnosable from the artifact alone.
+/// Deploys a compiled program: `apps` supplies one application per AND
+/// host label; `opts` picks links, switch engine, registry, scope and
+/// the optional model-check gate (see [`DeployOptions`];
+/// `DeployOptions::default()` is a clean fabric on the modeled PISA
+/// pipeline). Each switch passes the lint gate, then the model-check
+/// gate, then loads. A lint denial emits a `LintDenied` event and
+/// snapshots the scope's flight recorder before returning the error, so
+/// the refusal is diagnosable from the artifact alone. The simulator's
+/// counters and the gate outcomes (`deploy.hosts_loaded`,
+/// `deploy.switches_loaded`, `deploy.lint_denied`, `deploy.mc_*`) land
+/// on `opts.registry`.
 pub fn deploy_opts(
     program: &CompiledProgram,
     mut apps: HashMap<String, Box<dyn HostApp>>,
@@ -401,173 +523,72 @@ pub fn deploy_opts(
         model,
         model_check,
     } = opts;
-    let hosts_loaded = registry.counter("deploy.hosts_loaded");
-    let switches_loaded = registry.counter("deploy.switches_loaded");
-    let lint_denied = registry.counter("deploy.lint_denied");
     let mc_checked = registry.counter("deploy.mc_checked");
     let mc_denied = registry.counter("deploy.mc_denied");
     let mut mc_reports = Vec::new();
-    let mut b = NetworkBuilder::new();
-    b.with_metrics(registry.clone());
-    if let Some(scope) = &scope {
-        b.with_scope(scope);
-    }
-    let mut nodes: HashMap<Label, NodeId> = HashMap::new();
-
-    // Nodes in AND declaration order so netsim ids equal AND ids.
-    for n in &program.overlay.nodes {
-        match n.kind {
-            AndKind::Host => {
-                let app = apps
-                    .remove(n.label.as_str())
-                    .ok_or_else(|| DeployError::MissingApp {
-                        label: n.label.to_string(),
-                    })?;
-                let id = b.add_host(app);
-                hosts_loaded.inc();
-                debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
-                nodes.insert(n.label.clone(), NodeId::Host(id));
-            }
-            AndKind::Switch => {
-                // Lint gate: a module carrying denied hazards never
-                // reaches a simulated switch, whichever engine runs it.
-                if let Some(module) = program.module(n.label.as_str()) {
-                    let diags = ncl_ir::lint::lint_module(module, &program.lint_config);
-                    let (deny, _) = ncl_ir::lint::partition(diags);
-                    if !deny.is_empty() {
-                        lint_denied.inc();
-                        if let Some(scope) = &scope {
-                            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-                            scope.emit(
-                                0,
-                                wire,
-                                WindowKey::new(0, 0, 0),
-                                ScopeEvent::LintDenied { switch: wire },
-                            );
-                            scope.flight_record(
-                                SnapshotReason::LintDenied,
-                                0,
-                                Some(&registry),
-                                &[],
-                            );
-                        }
-                        let mut kernels: Vec<String> =
-                            deny.iter().map(|d| d.kernel.clone()).collect();
-                        kernels.sort();
-                        kernels.dedup();
-                        let version = program
-                            .modules
-                            .iter()
-                            .position(|(l, _)| l.as_str() == n.label.as_str())
-                            .map(|i| i as u16 + 1)
-                            .unwrap_or(0);
-                        return Err(DeployError::Lint {
-                            label: n.label.to_string(),
-                            kernels,
-                            version,
-                            diagnostics: deny,
+    let (net, nodes) = build_fabric(
+        &program.overlay,
+        &program.label_ids,
+        FabricOptions {
+            link_spec,
+            link_overrides: &link_overrides,
+            registry: &registry,
+            scope: scope.as_ref(),
+        },
+        |n| {
+            apps.remove(n.label.as_str())
+                .ok_or_else(|| DeployError::MissingApp {
+                    label: n.label.to_string(),
+                })
+        },
+        |n| {
+            let label = n.label.as_str();
+            let load_error = |error: String| DeployError::Load {
+                label: label.to_string(),
+                error,
+            };
+            let version = module_version(program, label);
+            lint_gate(program, n, version, &registry, scope.as_ref())?;
+            // Model-check gate: adjudicate every schedule-checkable
+            // lint warning and the convergence obligation against
+            // the compiled pipeline. A convergence witness means a
+            // concrete fault schedule computes a wrong answer — the
+            // deployment is refused with the schedule in hand.
+            if let Some(mc_cfg) = &model_check {
+                let report = model_check_switch(program, label, mc_cfg)
+                    .map_err(|e| load_error(e.to_string()))?;
+                mc_checked.inc();
+                if let Some(conv) = report.convergence() {
+                    if let ncmc::Outcome::Witness(w) = &conv.result.outcome {
+                        mc_denied.inc();
+                        return Err(DeployError::ModelCheck {
+                            label: label.to_string(),
+                            kernel: conv.kernel.clone(),
+                            schedule: w.schedule.render(),
                         });
                     }
                 }
-                // Model-check gate: adjudicate every schedule-checkable
-                // lint warning and the convergence obligation against
-                // the compiled pipeline. A convergence witness means a
-                // concrete fault schedule computes a wrong answer — the
-                // deployment is refused with the schedule in hand.
-                if let Some(mc_cfg) = &model_check {
-                    let report =
-                        model_check_switch(program, n.label.as_str(), mc_cfg).map_err(|e| {
-                            DeployError::Load {
-                                label: n.label.to_string(),
-                                error: e.to_string(),
-                            }
-                        })?;
-                    mc_checked.inc();
-                    if let Some(conv) = report.convergence() {
-                        if let ncmc::Outcome::Witness(w) = &conv.result.outcome {
-                            mc_denied.inc();
-                            return Err(DeployError::ModelCheck {
-                                label: n.label.to_string(),
-                                kernel: conv.kernel.clone(),
-                                schedule: w.schedule.render(),
-                            });
-                        }
-                    }
-                    mc_reports.push(report);
-                }
-                let compiled = program.switch(n.label.as_str());
-                // The fast path replaces the pipeline wholesale: one
-                // engine per switch, never both.
-                let fastpath: Option<Box<dyn FastDatapath>> = match backend {
-                    SwitchBackend::FastPath => {
-                        FastPathSwitch::from_program_with(program, n.label.as_str(), false)
-                            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
-                    }
-                    SwitchBackend::Simd => {
-                        FastPathSwitch::from_program_with(program, n.label.as_str(), true)
-                            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
-                    }
-                    SwitchBackend::Interp => InterpSwitch::from_program(program, n.label.as_str())
-                        .map(|it| Box::new(it) as Box<dyn FastDatapath>),
-                    SwitchBackend::Pisa => None,
-                };
-                let pipeline = match (backend, compiled) {
-                    (SwitchBackend::Pisa, Some(c)) => {
-                        Some(Pipeline::load(c.pipeline.clone(), model).map_err(|e| {
-                            DeployError::Load {
-                                label: n.label.to_string(),
-                                error: e.to_string(),
-                            }
-                        })?)
-                    }
-                    _ => None,
-                };
-                // `_pass(label)` targets: every labelled node.
-                let labels: HashMap<u16, NodeId> = program
-                    .label_ids
-                    .iter()
-                    .map(|(_, &wire)| (wire, NodeId::from_wire(wire)))
-                    .collect();
-                // `_bcast()`: overlay neighbours of this switch.
-                let bcast: Vec<NodeId> = program
-                    .overlay
-                    .neighbours(n.label.as_str())
-                    .iter()
-                    .map(|peer| match peer.kind {
-                        AndKind::Host => NodeId::Host(HostId(peer.id)),
-                        AndKind::Switch => NodeId::Switch(SwitchId(peer.id)),
-                    })
-                    .collect();
-                let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-                let telemetry = Some(switch_telemetry(program, n.label.as_str(), wire));
-                let id = b.add_switch(SwitchCfg {
-                    pipeline,
-                    fastpath,
-                    labels,
-                    bcast,
-                    telemetry,
-                    ..SwitchCfg::default()
-                });
-                switches_loaded.inc();
-                debug_assert_eq!(id, SwitchId(n.id), "AND/netsim switch id agreement");
-                nodes.insert(n.label.clone(), NodeId::Switch(id));
+                mc_reports.push(report);
             }
-        }
-    }
-    for &(a, bidx) in &program.overlay.edges {
-        let la = program.overlay.nodes[a].label.as_str();
-        let lb = program.overlay.nodes[bidx].label.as_str();
-        let na = nodes[&program.overlay.nodes[a].label];
-        let nb = nodes[&program.overlay.nodes[bidx].label];
-        let spec = link_overrides
-            .iter()
-            .find(|(x, y, _)| (x == la && y == lb) || (x == lb && y == la))
-            .map(|(_, _, s)| *s)
-            .unwrap_or(link_spec);
-        b.link(na, nb, spec);
-    }
+            // A software engine replaces the pipeline wholesale: one
+            // engine per switch, never both.
+            let (fastpath, kernels) = switch_engine(backend, program, label, version);
+            let pipeline = match (backend, program.switch(label)) {
+                (SwitchBackend::Pisa, Some(c)) => Some(
+                    Pipeline::load(c.pipeline.clone(), model)
+                        .map_err(|e| load_error(e.to_string()))?,
+                ),
+                _ => None,
+            };
+            Ok(SwitchLoad {
+                pipeline,
+                fastpath,
+                kernels: Some(kernels),
+            })
+        },
+    )?;
     Ok(Deployment {
-        net: b.build(),
+        net,
         nodes,
         mc_reports,
     })
@@ -660,12 +681,13 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
             host.done_on_flag(kid, 1);
             apps.insert(format!("worker{w}"), Box::new(host));
         }
-        let mut dep = deploy_with(
+        let mut dep = deploy_opts(
             &program,
             apps,
-            LinkSpec::default(),
-            pisa::ResourceModel::default(),
-            backend,
+            DeployOptions {
+                backend,
+                ..Default::default()
+            },
         )
         .expect("deploys");
 
@@ -756,12 +778,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         for w in 1..=3u16 {
             apps.insert(format!("worker{w}"), Box::new(NclHost::new(&program)));
         }
-        match deploy(
-            &program,
-            apps,
-            LinkSpec::default(),
-            pisa::ResourceModel::default(),
-        ) {
+        match deploy_opts(&program, apps, DeployOptions::default()) {
             Err(DeployError::Lint {
                 label,
                 kernels,
@@ -791,12 +808,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         let program = compile(ALLREDUCE, AND, &cfg).unwrap();
         let apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
         assert!(matches!(
-            deploy(
-                &program,
-                apps,
-                LinkSpec::default(),
-                pisa::ResourceModel::default()
-            ),
+            deploy_opts(&program, apps, DeployOptions::default()),
             Err(DeployError::MissingApp { .. })
         ));
     }

@@ -19,7 +19,7 @@
 
 use crate::nclc::CompiledProgram;
 use c3::{Forward, Label, Value, Window};
-use ncl_ir::ir::{CtrlId, MapId, Module};
+use ncl_ir::ir::{CtrlId, MapId};
 use ncl_ir::{CompiledKernel, ExecScratch, SwitchState};
 use ncp::codec::{decode_window_into, encode_window_into};
 use ncp::{NcpPacket, FLAG_ACK, FLAG_FRAGMENT, FLAG_NACK};
@@ -59,58 +59,43 @@ pub struct FastPathSwitch {
 }
 
 impl FastPathSwitch {
-    /// Builds the datapath from a location's versioned module.
-    /// `location_id` is the AND node id (`location.id`), `kernel_ids`
-    /// the program-wide NCP ids, `label_wires` the `_pass(label)` wire
-    /// ids, and `ext_total` the program's window-extension size.
-    pub fn new(
-        module: &Module,
-        location_id: u16,
-        kernel_ids: &HashMap<String, u16>,
-        label_wires: &HashMap<Label, u16>,
-        ext_total: usize,
-    ) -> Self {
-        Self::new_with_simd(
-            module,
-            location_id,
-            kernel_ids,
-            label_wires,
-            ext_total,
-            true,
-        )
+    /// Builds the datapath for one switch label of a compiled program
+    /// on the default tier (ncvec SIMD offered); `None` when the label
+    /// has no module.
+    pub fn from_program(program: &CompiledProgram, label: &str) -> Option<Self> {
+        Self::from_program_with(program, label, true)
     }
 
-    /// [`FastPathSwitch::new`] with explicit tier selection: `simd`
-    /// offers fused element-wise runs to the ncvec SIMD tier (the
-    /// default — kernels with no fusible runs execute identically
-    /// either way), `false` pins the scalar micro-op fast path, the
-    /// A/B baseline [`crate::deploy::SwitchBackend::FastPath`] uses.
-    pub fn new_with_simd(
-        module: &Module,
-        location_id: u16,
-        kernel_ids: &HashMap<String, u16>,
-        label_wires: &HashMap<Label, u16>,
-        ext_total: usize,
-        simd: bool,
-    ) -> Self {
+    /// [`FastPathSwitch::from_program`] with explicit tier selection:
+    /// `simd` offers fused element-wise runs to the ncvec SIMD tier
+    /// (kernels with no fusible runs execute identically either way),
+    /// `false` pins the scalar micro-op fast path, the A/B baseline
+    /// [`crate::deploy::SwitchBackend::FastPath`] uses. Every outgoing
+    /// kernel of the location's versioned module is lowered here, once;
+    /// the backend's compiled control-register and lookup-table names
+    /// are aliased so deferred [`CtrlOp`]s emitted by
+    /// [`crate::control::ControlPlane`] resolve unchanged.
+    pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
+        let module = program.module(label)?;
         let mut state = SwitchState::from_module(module);
-        state.location_id = location_id;
+        state.location_id = program.overlay.node(label)?.id;
         let kernels = module
             .kernels
             .iter()
             .filter_map(|k| {
-                kernel_ids
+                program
+                    .kernel_ids
                     .get(&k.name)
                     .map(|&id| (id, CompiledKernel::compile_for(k, module).with_simd(simd)))
             })
             .collect();
-        let ctrl_by_name = module
+        let ctrl_by_name: HashMap<String, CtrlId> = module
             .ctrls
             .iter()
             .enumerate()
             .map(|(i, c)| (c.name.clone(), CtrlId(i as u32)))
             .collect();
-        let map_by_name = module
+        let map_by_name: HashMap<String, MapId> = module
             .maps
             .iter()
             .enumerate()
@@ -122,7 +107,21 @@ impl FastPathSwitch {
             .enumerate()
             .map(|(i, r)| (r.name.clone(), i))
             .collect();
-        FastPathSwitch {
+        let mut ctrl_by_copy = HashMap::new();
+        let mut map_by_table = HashMap::new();
+        if let Some(compiled) = program.switch(label) {
+            for (src, copies) in &compiled.ctrl_regs {
+                if let Some(&c) = ctrl_by_name.get(src) {
+                    ctrl_by_copy.extend(copies.iter().map(|copy| (copy.clone(), c)));
+                }
+            }
+            for (src, tables) in &compiled.map_tables {
+                if let Some(&m) = map_by_name.get(src) {
+                    map_by_table.extend(tables.iter().map(|t| (t.clone(), m)));
+                }
+            }
+        }
+        Some(FastPathSwitch {
             kernels,
             state,
             scratch: ExecScratch::new(),
@@ -135,57 +134,28 @@ impl FastPathSwitch {
                 chunks: Vec::new(),
                 ext: Vec::new(),
             },
-            ext_total,
+            ext_total: program.checked.window_ext.size(),
             ctrl_by_name,
-            ctrl_by_copy: HashMap::new(),
+            ctrl_by_copy,
             map_by_name,
-            map_by_table: HashMap::new(),
+            map_by_table,
             reg_by_name,
-            label_wires: label_wires.clone(),
+            label_wires: program.label_ids.clone(),
             windows: Counter::new(),
             misses: Counter::new(),
             errors: Counter::new(),
-        }
+        })
     }
 
-    /// Builds the datapath for one switch label of a compiled program,
-    /// aliasing the backend's compiled control-register and lookup-table
-    /// names so deferred [`CtrlOp`]s emitted by
-    /// [`crate::control::ControlPlane`] resolve unchanged.
-    pub fn from_program(program: &CompiledProgram, label: &str) -> Option<Self> {
-        Self::from_program_with(program, label, true)
-    }
-
-    /// [`FastPathSwitch::from_program`] with explicit tier selection
-    /// (see [`FastPathSwitch::new_with_simd`]).
-    pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
-        let module = program.module(label)?;
-        let id = program.overlay.node(label)?.id;
-        let mut fp = Self::new_with_simd(
-            module,
-            id,
-            &program.kernel_ids,
-            &program.label_ids,
-            program.checked.window_ext.size(),
-            simd,
-        );
-        if let Some(compiled) = program.switch(label) {
-            for (src, copies) in &compiled.ctrl_regs {
-                if let Some(&c) = fp.ctrl_by_name.get(src) {
-                    for copy in copies {
-                        fp.ctrl_by_copy.insert(copy.clone(), c);
-                    }
-                }
-            }
-            for (src, tables) in &compiled.map_tables {
-                if let Some(&m) = fp.map_by_name.get(src) {
-                    for t in tables {
-                        fp.map_by_table.insert(t.clone(), m);
-                    }
-                }
-            }
-        }
-        Some(fp)
+    /// NCP kernel id → interpreter-equivalent step count of each cached
+    /// kernel ([`CompiledKernel::interp_steps`]) — the `uops` every
+    /// execution tier stamps into hop records, read off the programs
+    /// this datapath already lowered.
+    pub fn kernel_steps(&self) -> Vec<(u16, usize)> {
+        self.kernels
+            .iter()
+            .map(|(&id, k)| (id, k.interp_steps()))
+            .collect()
     }
 
     /// Processes one payload: decode (buffer-reusing), execute the

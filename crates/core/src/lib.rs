@@ -61,8 +61,7 @@ pub mod watch;
 
 pub use control::ControlPlane;
 pub use deploy::{
-    and_switch_path, deploy, deploy_full, deploy_opts, deploy_with, deployed_versions,
-    DeployOptions, Deployment, SwitchBackend,
+    and_switch_path, deploy_opts, deployed_versions, DeployOptions, Deployment, SwitchBackend,
 };
 pub use fastpath::FastPathSwitch;
 pub use interp_switch::InterpSwitch;

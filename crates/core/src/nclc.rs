@@ -88,7 +88,8 @@ pub struct CompiledProgram {
     /// `--lint` cost report, computed before PISA mapping).
     pub estimates: Vec<(Label, ModuleEstimate)>,
     /// The effective lint configuration the program was compiled under.
-    /// [`crate::deploy()`] re-runs the gate with it, so a hazardous
+    /// Deployment ([`crate::deploy_opts`], [`crate::deploy_tenants`])
+    /// re-runs the gate with it, so a hazardous
     /// module cannot reach a simulated switch even when a
     /// `CompiledProgram` is assembled or altered by hand.
     pub lint_config: LintConfig,

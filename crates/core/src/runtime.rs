@@ -46,11 +46,11 @@ pub const EVICTION_STORM_THRESHOLD: u64 = 8;
 struct Reliability {
     sender: RelSender,
     receiver: RelReceiver,
-    /// `(kernel id, seq)` → `(invocation index, window index)`: where
-    /// to re-split a tracked window's bytes from. Retransmission
+    /// `(kernel id, seq)` → invocation index: whose arrays to cut a
+    /// tracked window from (`seq` is its window index). Retransmission
     /// re-encodes from the application arrays, so no per-window byte
     /// copies are retained.
-    wire_index: HashMap<(u16, u32), (usize, usize)>,
+    wire_index: HashMap<(u16, u32), usize>,
     /// Earliest armed RTO timer (suppresses redundant timer events).
     armed: Option<Time>,
     /// `(kernel id, seq)` → first wire transmission time, retired on
@@ -132,6 +132,13 @@ impl TypedArray {
     }
 }
 
+impl AsRef<[u8]> for TypedArray {
+    /// The element bytes — what [`WindowSpec`] cuts windows from.
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
 /// One `ncl::out(...)` call: kernel, input arrays, destination, start
 /// time.
 #[derive(Clone, Debug)]
@@ -155,6 +162,43 @@ pub struct KernelRuntime {
     pub id: u16,
     /// Window spec (element types + mask).
     pub spec: WindowSpec,
+}
+
+impl KernelRuntime {
+    /// Checks an invocation's arrays against the compiled window spec
+    /// (arity, element types, whole windows, one window count across
+    /// arrays) and returns how many windows they split into.
+    fn check_arrays(&self, arrays: &[TypedArray]) -> Result<usize, RuntimeError> {
+        if arrays.len() != self.spec.elem_types.len() {
+            return Err(RuntimeError::Window(c3::window::WindowError::MaskArity {
+                mask: self.spec.mask.arity(),
+                arrays: arrays.len(),
+            }));
+        }
+        for (i, a) in arrays.iter().enumerate() {
+            if a.elem != self.spec.elem_types[i] {
+                return Err(RuntimeError::ElemType {
+                    param: i,
+                    expected: self.spec.elem_types[i],
+                    got: a.elem,
+                });
+            }
+            if a.bytes.len() % self.spec.chunk_bytes(i) != 0 {
+                return Err(RuntimeError::PartialWindow { param: i });
+            }
+        }
+        self.spec.window_count(arrays).map_err(RuntimeError::Window)
+    }
+
+    /// Window `wi` of `arrays` as `sender` launches it: cut by the spec,
+    /// stamped with the kernel id, the sender and its first hop.
+    fn window(&self, arrays: &[TypedArray], wi: usize, sender: HostId) -> Option<Window> {
+        let mut w = self.spec.window_at(arrays, wi)?;
+        w.kernel = KernelId(self.id);
+        w.sender = sender;
+        w.from = NodeId::Host(sender);
+        Some(w)
+    }
 }
 
 /// Errors from runtime invocation setup.
@@ -231,6 +275,15 @@ pub fn kernel_runtimes(program: &CompiledProgram) -> HashMap<String, KernelRunti
     out
 }
 
+/// A queued `ncl::out` call with what [`NclHost::out`] resolved for it.
+struct QueuedOut {
+    inv: OutInvocation,
+    /// The kernel's NCP id and window spec.
+    rt: KernelRuntime,
+    /// How many windows the arrays split into.
+    windows: usize,
+}
+
 /// An incoming-kernel binding: the `_in_` kernel plus its host memory.
 pub struct IncomingBinding {
     /// The kernel IR (kept for inspection; execution uses `compiled`).
@@ -248,12 +301,12 @@ pub type DonePredicate = Box<dyn Fn(&HashMap<u16, IncomingBinding>) -> bool>;
 /// The libncrt host application.
 ///
 /// Configure with [`NclHost::new`], add invocations and incoming
-/// bindings, hand it to [`crate::deploy::deploy`], and inspect its state
+/// bindings, hand it to [`crate::deploy_opts`], and inspect its state
 /// afterwards through [`netsim::Network::host_app`].
 pub struct NclHost {
     runtimes: HashMap<String, KernelRuntime>,
     ext_total: usize,
-    outs: Vec<OutInvocation>,
+    outs: Vec<QueuedOut>,
     incoming: HashMap<u16, IncomingBinding>,
     done_when: Option<DonePredicate>,
     reliable: Option<Reliability>,
@@ -328,26 +381,10 @@ impl NclHost {
         let rt = self
             .runtimes
             .get(&inv.kernel)
-            .ok_or_else(|| RuntimeError::UnknownKernel(inv.kernel.clone()))?;
-        if inv.arrays.len() != rt.spec.elem_types.len() {
-            return Err(RuntimeError::Window(c3::window::WindowError::MaskArity {
-                mask: rt.spec.mask.arity(),
-                arrays: inv.arrays.len(),
-            }));
-        }
-        for (i, a) in inv.arrays.iter().enumerate() {
-            if a.elem != rt.spec.elem_types[i] {
-                return Err(RuntimeError::ElemType {
-                    param: i,
-                    expected: rt.spec.elem_types[i],
-                    got: a.elem,
-                });
-            }
-            if a.bytes.len() % rt.spec.chunk_bytes(i) != 0 {
-                return Err(RuntimeError::PartialWindow { param: i });
-            }
-        }
-        self.outs.push(inv);
+            .ok_or_else(|| RuntimeError::UnknownKernel(inv.kernel.clone()))?
+            .clone();
+        let windows = rt.check_arrays(&inv.arrays)?;
+        self.outs.push(QueuedOut { inv, rt, windows });
         Ok(self)
     }
 
@@ -642,40 +679,46 @@ impl NclHost {
     }
 
     fn launch(&mut self, ctx: &mut HostCtx, idx: usize) {
-        let inv = self.outs[idx].clone();
-        let rt = &self.runtimes[&inv.kernel];
-        let rid = rt.id;
-        let arrays: Vec<&[u8]> = inv.arrays.iter().map(|a| &a.bytes[..]).collect();
-        let windows = rt.spec.split(&arrays).expect("validated at out() time");
-        let me = NodeId::Host(ctx.host);
-        for (i, mut w) in windows.into_iter().enumerate() {
-            w.kernel = KernelId(rid);
-            w.sender = ctx.host;
-            w.from = me;
-            if inv.gap != 0 {
-                // Pace via timers: tokens encode (invocation, window).
-                // For simplicity the paced path re-splits on fire.
-                let token = ((idx as u64) << 32) | (i as u64 + 1);
-                ctx.set_timer(inv.gap * i as Time, token);
-                continue;
-            }
-            if let Some(r) = &mut self.reliable {
-                r.wire_index.insert((rid, w.seq), (idx, i));
-                if !r.sender.track(rid, w.seq, ctx.now) {
-                    continue; // queued until the congestion window opens
-                }
-            }
-            let seq = w.seq;
-            let bytes = self.encode_frame(&w);
-            self.note_sent(rid, seq, ctx.now);
-            self.emit_sent(ctx.host, rid, seq, ctx.now);
-            ctx.send(inv.dest, bytes);
-            self.windows_sent += 1;
-            self.m_windows_sent.inc();
+        for wi in 0..self.outs[idx].windows {
+            self.send_first(ctx, idx, wi as u32);
         }
         if self.reliable.is_some() {
             self.pump(ctx);
         }
+    }
+
+    /// First transmission of window `wi` of invocation `idx`. With
+    /// NCP-R on, the window is registered with the reliable sender
+    /// first, which may hold it queued until the congestion window
+    /// opens ([`NclHost::pump`] then releases it).
+    fn send_first(&mut self, ctx: &mut HostCtx, idx: usize, wi: u32) {
+        if let Some(r) = &mut self.reliable {
+            let rid = self.outs[idx].rt.id;
+            r.wire_index.insert((rid, wi), idx);
+            if !r.sender.track(rid, wi, ctx.now) {
+                return;
+            }
+        }
+        self.transmit(ctx, idx, wi);
+    }
+
+    /// Puts window `seq` of invocation `idx` on the wire — the one path
+    /// for first sends, congestion-window releases and RTO retransmits.
+    /// The window is cut from the application arrays on demand, and
+    /// every transmission goes through the telemetry sampler, so a
+    /// retransmitted window may carry a fresh section.
+    fn transmit(&mut self, ctx: &mut HostCtx, idx: usize, seq: u32) {
+        let out = &self.outs[idx];
+        let Some(w) = out.rt.window(&out.inv.arrays, seq as usize, ctx.host) else {
+            return;
+        };
+        let (rid, dest) = (out.rt.id, out.inv.dest);
+        let bytes = self.encode_frame(&w);
+        self.note_sent(rid, seq, ctx.now);
+        self.emit_sent(ctx.host, rid, seq, ctx.now);
+        ctx.send(dest, bytes);
+        self.windows_sent += 1;
+        self.m_windows_sent.inc();
     }
 
     /// Drives the NCP-R sender: retransmits due windows, releases
@@ -684,14 +727,9 @@ impl NclHost {
     fn pump(&mut self, ctx: &mut HostCtx) {
         let Some(r) = &mut self.reliable else { return };
         let (due, next) = r.sender.poll(ctx.now);
-        let sends: Vec<((u16, u32), (usize, usize))> = due
+        let sends: Vec<(usize, u32)> = due
             .iter()
-            .filter_map(|&(kernel, seq)| {
-                r.wire_index
-                    .get(&(kernel, seq))
-                    .copied()
-                    .map(|iw| ((kernel, seq), iw))
-            })
+            .filter_map(|key| r.wire_index.get(key).map(|&idx| (idx, key.1)))
             .collect();
         if let Some(deadline) = next {
             if r.armed.is_none_or(|t| deadline < t) {
@@ -699,32 +737,10 @@ impl NclHost {
                 ctx.set_timer(deadline.saturating_sub(ctx.now).max(1), RELIABLE_TIMER);
             }
         }
-        for ((kernel, seq), (idx, wi)) in sends {
-            if let Some((dest, bytes)) = self.window_bytes(ctx.host, idx, wi) {
-                self.note_sent(kernel, seq, ctx.now);
-                self.emit_sent(ctx.host, kernel, seq, ctx.now);
-                ctx.send(dest, bytes);
-                self.windows_sent += 1;
-                self.m_windows_sent.inc();
-            }
+        for (idx, seq) in sends {
+            self.transmit(ctx, idx, seq);
         }
         self.check_failure_triggers(ctx.host, ctx.now);
-    }
-
-    /// Re-encodes window `wi` of invocation `idx` (the NCP-R
-    /// retransmission path re-splits from the application arrays).
-    /// Retransmits go through the telemetry sampler like first
-    /// transmissions — a retransmitted window may carry a fresh section.
-    fn window_bytes(&mut self, host: HostId, idx: usize, wi: usize) -> Option<(NodeId, Vec<u8>)> {
-        let inv = self.outs.get(idx)?;
-        let rt = self.runtimes.get(&inv.kernel)?;
-        let arrays: Vec<&[u8]> = inv.arrays.iter().map(|a| &a.bytes[..]).collect();
-        let mut w = rt.spec.split(&arrays).ok()?.into_iter().nth(wi)?;
-        w.kernel = KernelId(rt.id);
-        w.sender = host;
-        w.from = NodeId::Host(host);
-        let dest = inv.dest;
-        Some((dest, self.encode_frame(&w)))
     }
 
     /// Encodes one outgoing window, appending an empty telemetry
@@ -815,18 +831,17 @@ impl HostApp for NclHost {
     fn on_start(&mut self, ctx: &mut HostCtx) {
         self.attach_scope_engines(ctx.host);
         for i in 0..self.outs.len() {
-            if self.outs[i].start == 0 && self.outs[i].gap == 0 {
+            let (start, gap) = (self.outs[i].inv.start, self.outs[i].inv.gap);
+            if start == 0 && gap == 0 {
                 self.launch(ctx, i);
-            } else if self.outs[i].gap == 0 {
-                ctx.set_timer(self.outs[i].start, (i as u64) << 32);
+            } else if gap == 0 {
+                ctx.set_timer(start, (i as u64) << 32);
             } else {
-                // Paced: schedule per-window timers from `start`.
-                let inv = &self.outs[i];
-                let rt = &self.runtimes[&inv.kernel];
-                let nwin = inv.arrays[0].bytes.len() / rt.spec.chunk_bytes(0);
-                for wi in 0..nwin {
+                // Paced: schedule per-window timers from `start`;
+                // tokens encode (invocation, window + 1).
+                for wi in 0..self.outs[i].windows {
                     let token = ((i as u64) << 32) | (wi as u64 + 1);
-                    ctx.set_timer(inv.start + inv.gap * wi as Time, token);
+                    ctx.set_timer(start + gap * wi as Time, token);
                 }
             }
         }
@@ -884,30 +899,7 @@ impl HostApp for NclHost {
             return;
         }
         // Paced single window.
-        let inv = self.outs[idx].clone();
-        let rt = &self.runtimes[&inv.kernel];
-        let rid = rt.id;
-        let arrays: Vec<&[u8]> = inv.arrays.iter().map(|a| &a.bytes[..]).collect();
-        let windows = rt.spec.split(&arrays).expect("validated");
-        if let Some(mut w) = windows.into_iter().nth(wi - 1) {
-            w.kernel = KernelId(rid);
-            w.sender = ctx.host;
-            w.from = NodeId::Host(ctx.host);
-            if let Some(r) = &mut self.reliable {
-                r.wire_index.insert((rid, w.seq), (idx, wi - 1));
-                if !r.sender.track(rid, w.seq, ctx.now) {
-                    self.pump(ctx);
-                    return; // queued until the congestion window opens
-                }
-            }
-            let seq = w.seq;
-            let bytes = self.encode_frame(&w);
-            self.note_sent(rid, seq, ctx.now);
-            self.emit_sent(ctx.host, rid, seq, ctx.now);
-            ctx.send(inv.dest, bytes);
-            self.windows_sent += 1;
-            self.m_windows_sent.inc();
-        }
+        self.send_first(ctx, idx, wi as u32 - 1);
         if self.reliable.is_some() {
             self.pump(ctx);
         }
@@ -938,35 +930,11 @@ pub fn invocation_packets(
     let rt = runtimes
         .get(kernel)
         .ok_or_else(|| RuntimeError::UnknownKernel(kernel.to_string()))?;
-    if arrays.len() != rt.spec.elem_types.len() {
-        return Err(RuntimeError::Window(c3::window::WindowError::MaskArity {
-            mask: rt.spec.mask.arity(),
-            arrays: arrays.len(),
-        }));
-    }
-    for (i, a) in arrays.iter().enumerate() {
-        if a.elem != rt.spec.elem_types[i] {
-            return Err(RuntimeError::ElemType {
-                param: i,
-                expected: rt.spec.elem_types[i],
-                got: a.elem,
-            });
-        }
-        if a.bytes.len() % rt.spec.chunk_bytes(i) != 0 {
-            return Err(RuntimeError::PartialWindow { param: i });
-        }
-    }
-    let slices: Vec<&[u8]> = arrays.iter().map(|a| &a.bytes[..]).collect();
-    let windows = rt.spec.split(&slices).map_err(RuntimeError::Window)?;
+    let nwindows = rt.check_arrays(arrays)?;
     let ext_total = program.checked.window_ext.size();
-    Ok(windows
-        .into_iter()
-        .map(|mut w| {
-            w.kernel = KernelId(rt.id);
-            w.sender = sender;
-            w.from = NodeId::Host(sender);
-            encode_window(&w, ext_total)
-        })
+    Ok((0..nwindows)
+        .filter_map(|wi| rt.window(arrays, wi, sender))
+        .map(|w| encode_window(&w, ext_total))
         .collect())
 }
 

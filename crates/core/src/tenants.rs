@@ -1,8 +1,10 @@
 //! Multi-tenant deployment: several compiled programs, one fabric.
 //!
 //! [`deploy_tenants`] is the shared-fabric counterpart of
-//! [`crate::deploy_opts`]: each tenant brings its own compiled program
-//! (with a private kernel-id range via
+//! [`crate::deploy_opts`], built from the same parts — one lint gate,
+//! one engine selection, one fabric builder ([`crate::deploy`]) — with
+//! admission in front and a mux on every switch: each tenant brings
+//! its own compiled program (with a private kernel-id range via
 //! [`crate::nclc::CompileConfig::kernel_id_base`]) and its own host
 //! applications; the fabric — the AND overlay, identical across
 //! tenants — is built **once**, with every shared switch running a
@@ -32,9 +34,10 @@
 //! independently compiled programs in one pipeline object, so
 //! [`SwitchBackend::Pisa`] is rejected up front.
 
-use crate::deploy::{kernel_telemetry, DeployError, DeployOptions, SwitchBackend};
-use crate::fastpath::FastPathSwitch;
-use crate::interp_switch::InterpSwitch;
+use crate::deploy::{
+    build_fabric, lint_gate, switch_engine, DeployError, DeployOptions, FabricOptions,
+    SwitchBackend, SwitchLoad,
+};
 use crate::mux::TenantMux;
 use crate::nclc::{CompiledProgram, ModuleEstimate};
 use crate::runtime::NclHost;
@@ -42,11 +45,10 @@ use crate::watch::{FabricWatch, FabricWatchParts};
 use c3::{HostId, Label, NodeId, SwitchId};
 use ncl_and::AndKind;
 use ncsched::{AdmissionController, AdmissionError, CostReport, TenantSpec, Upgrade};
-use nctel::{Registry, Scope, ScopeEvent, SnapshotReason, WindowKey};
-use netsim::{
-    FastDatapath, HostApp, HostCtx, Network, NetworkBuilder, Packet, SwitchCfg, SwitchTelemetry,
-};
+use nctel::{Registry, Scope};
+use netsim::{FastDatapath, HostApp, HostCtx, Network, Packet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
 
 /// One tenant's submission to [`deploy_tenants`].
 pub struct TenantDeploy {
@@ -243,6 +245,7 @@ pub fn deploy_tenants(
         return Err(MultiDeployError::UnsupportedBackend);
     }
     let overlay = tenants[0].program.overlay.clone();
+    let label_ids = tenants[0].program.label_ids.clone();
     for t in &tenants[1..] {
         if t.program.overlay != overlay {
             return Err(MultiDeployError::OverlayMismatch {
@@ -292,17 +295,17 @@ pub fn deploy_tenants(
         }
     }
 
-    let hosts_loaded = registry.counter("deploy.hosts_loaded");
-    let switches_loaded = registry.counter("deploy.switches_loaded");
     let admitted_ctr = registry.counter("deploy.tenants_admitted");
     let rejected_ctr = registry.counter("deploy.tenants_rejected");
 
     // Lint gate, per tenant, per switch module — with kernel + version
     // identity in the denial (the would-be first deployment is v1).
     for t in &tenants {
-        lint_gate(&t.program, 1, &registry, &scope).map_err(|source| MultiDeployError::Lint {
-            tenant: t.spec.name.clone(),
-            source,
+        lint_gate_all(&t.program, 1, &registry, scope.as_ref()).map_err(|source| {
+            MultiDeployError::Lint {
+                tenant: t.spec.name.clone(),
+                source,
+            }
         })?;
     }
 
@@ -311,12 +314,12 @@ pub fn deploy_tenants(
     // Rejection is not an error — the tenant just stays off the fabric.
     let mut controller = AdmissionController::new(model);
     let mut rejections = Vec::new();
-    let mut admitted_names: Vec<String> = Vec::new();
-    for t in &tenants {
+    let mut admitted: Vec<TenantDeploy> = Vec::new();
+    for t in tenants {
         match controller.admit(&t.spec, &switch_estimates(&t.program)) {
             Ok(_) => {
                 admitted_ctr.inc();
-                admitted_names.push(t.spec.name.clone());
+                admitted.push(t);
             }
             Err(AdmissionError::Rejected(report)) => {
                 rejected_ctr.inc();
@@ -330,126 +333,77 @@ pub fn deploy_tenants(
             }
         }
     }
-    // Every tenant shares the overlay, so `_pass(label)` targets agree;
-    // capture them before the submissions are consumed.
-    let labels_template: HashMap<u16, NodeId> = tenants[0]
-        .program
-        .label_ids
-        .iter()
-        .map(|(_, &w)| (w, NodeId::from_wire(w)))
-        .collect();
-    let mut admitted: Vec<TenantDeploy> = tenants
-        .into_iter()
-        .filter(|t| admitted_names.contains(&t.spec.name))
-        .collect();
 
     // Build the shared fabric once; muxes hold the admitted tenants.
-    let mut b = NetworkBuilder::new();
-    b.with_metrics(registry.clone());
-    if let Some(scope) = &scope {
-        b.with_scope(scope);
+    // Apps move out of the submissions as hosts are built.
+    let mut claims: HashMap<String, (usize, Box<dyn HostApp>)> = HashMap::new();
+    for (ti, t) in admitted.iter_mut().enumerate() {
+        claims.extend(t.apps.drain().map(|(label, app)| (label, (ti, app))));
     }
-    let mut nodes: HashMap<Label, NodeId> = HashMap::new();
-    let mut book: Vec<AdmittedTenant> = admitted
+    let mut hosts_of: Vec<Vec<(String, HostId)>> = vec![Vec::new(); admitted.len()];
+    let mut switches_of: Vec<Vec<String>> = vec![Vec::new(); admitted.len()];
+    let mut versions = BTreeMap::new();
+    let built = build_fabric::<Infallible>(
+        &overlay,
+        // Every tenant shares the overlay, so `_pass(label)` targets agree.
+        &label_ids,
+        FabricOptions {
+            link_spec,
+            link_overrides: &link_overrides,
+            registry: &registry,
+            scope: scope.as_ref(),
+        },
+        |n| {
+            let label = n.label.as_str();
+            Ok(match claims.remove(label) {
+                Some((ti, app)) => {
+                    hosts_of[ti].push((label.to_string(), HostId(n.id)));
+                    app
+                }
+                None => Box::new(IdleApp),
+            })
+        },
+        |n| {
+            let label = n.label.as_str();
+            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+            let mut mux = TenantMux::new();
+            let mut tel_kernels = HashMap::new();
+            for (ti, t) in admitted.iter().enumerate() {
+                let version = 1u16;
+                let (Some(dp), kernels) = switch_engine(backend, &t.program, label, version) else {
+                    continue;
+                };
+                let ids: BTreeSet<u16> = t.program.kernel_ids.values().copied().collect();
+                mux.add_tenant(&t.spec.name, ids, dp, version);
+                switches_of[ti].push(label.to_string());
+                versions.extend(kernels.keys().map(|&kid| ((wire, kid), version)));
+                tel_kernels.extend(kernels);
+            }
+            let occupied = !mux.tenants().is_empty();
+            Ok(SwitchLoad {
+                pipeline: None,
+                fastpath: occupied.then(|| Box::new(mux) as Box<dyn FastDatapath>),
+                kernels: occupied.then_some(tel_kernels),
+            })
+        },
+    );
+    let (net, nodes) = match built {
+        Ok(fabric) => fabric,
+        Err(never) => match never {},
+    };
+    let book = admitted
         .iter()
-        .map(|t| AdmittedTenant {
+        .zip(hosts_of)
+        .zip(switches_of)
+        .map(|((t, hosts), switches)| AdmittedTenant {
             name: t.spec.name.clone(),
             kernel_ids: t.program.kernel_ids.values().copied().collect(),
-            hosts: Vec::new(),
-            switches: Vec::new(),
+            hosts,
+            switches,
         })
         .collect();
-    let mut versions = BTreeMap::new();
-    let mut tenant_of_label: HashMap<String, usize> = HashMap::new();
-    for (i, t) in admitted.iter().enumerate() {
-        for label in t.apps.keys() {
-            tenant_of_label.insert(label.clone(), i);
-        }
-    }
-    // Apps move out of the submissions as hosts are built.
-    let mut taken: Vec<HashMap<String, Box<dyn HostApp>>> = admitted
-        .iter_mut()
-        .map(|t| std::mem::take(&mut t.apps))
-        .collect();
-
-    for n in &overlay.nodes {
-        match n.kind {
-            AndKind::Host => {
-                let app: Box<dyn HostApp> = match tenant_of_label.get(n.label.as_str()) {
-                    Some(&ti) => taken[ti]
-                        .remove(n.label.as_str())
-                        .expect("claim map built from these keys"),
-                    None => Box::new(IdleApp),
-                };
-                let id = b.add_host(app);
-                hosts_loaded.inc();
-                debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
-                nodes.insert(n.label.clone(), NodeId::Host(id));
-                if let Some(&ti) = tenant_of_label.get(n.label.as_str()) {
-                    book[ti].hosts.push((n.label.to_string(), id));
-                }
-            }
-            AndKind::Switch => {
-                let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-                let mut mux = TenantMux::new();
-                let mut tel_kernels = HashMap::new();
-                for (ti, t) in admitted.iter().enumerate() {
-                    let Some(dp) = backend_datapath(backend, &t.program, n.label.as_str()) else {
-                        continue;
-                    };
-                    let version = 1u16;
-                    let ids: BTreeSet<u16> = t.program.kernel_ids.values().copied().collect();
-                    mux.add_tenant(&t.spec.name, ids, dp, version);
-                    book[ti].switches.push(n.label.to_string());
-                    for (kid, kt) in kernel_telemetry(&t.program, n.label.as_str(), version) {
-                        versions.insert((wire, kid), version);
-                        tel_kernels.insert(kid, kt);
-                    }
-                }
-                let occupied = !mux.tenants().is_empty();
-                let fastpath: Option<Box<dyn FastDatapath>> =
-                    occupied.then(|| Box::new(mux) as Box<dyn FastDatapath>);
-                let telemetry = occupied.then_some(SwitchTelemetry {
-                    switch_id: wire,
-                    kernels: tel_kernels,
-                });
-                let labels = labels_template.clone();
-                let bcast: Vec<NodeId> = overlay
-                    .neighbours(n.label.as_str())
-                    .iter()
-                    .map(|peer| match peer.kind {
-                        AndKind::Host => NodeId::Host(HostId(peer.id)),
-                        AndKind::Switch => NodeId::Switch(SwitchId(peer.id)),
-                    })
-                    .collect();
-                let id = b.add_switch(SwitchCfg {
-                    pipeline: None,
-                    fastpath,
-                    labels,
-                    bcast,
-                    telemetry,
-                    ..SwitchCfg::default()
-                });
-                switches_loaded.inc();
-                debug_assert_eq!(id, SwitchId(n.id), "AND/netsim switch id agreement");
-                nodes.insert(n.label.clone(), NodeId::Switch(id));
-            }
-        }
-    }
-    for &(a, bidx) in &overlay.edges {
-        let la = overlay.nodes[a].label.as_str();
-        let lb = overlay.nodes[bidx].label.as_str();
-        let na = nodes[&overlay.nodes[a].label];
-        let nb = nodes[&overlay.nodes[bidx].label];
-        let spec = link_overrides
-            .iter()
-            .find(|(x, y, _)| (x == la && y == lb) || (x == lb && y == la))
-            .map(|(_, _, s)| *s)
-            .unwrap_or(link_spec);
-        b.link(na, nb, spec);
-    }
     Ok(MultiDeployment {
-        net: b.build(),
+        net,
         nodes,
         controller,
         rejections,
@@ -468,66 +422,20 @@ fn switch_estimates(program: &CompiledProgram) -> BTreeMap<String, ModuleEstimat
         .collect()
 }
 
-/// Builds one tenant's datapath for one switch label under a software
-/// tier. `None` when the label has no module in the program.
-fn backend_datapath(
-    backend: SwitchBackend,
-    program: &CompiledProgram,
-    label: &str,
-) -> Option<Box<dyn FastDatapath>> {
-    match backend {
-        SwitchBackend::FastPath => FastPathSwitch::from_program_with(program, label, false)
-            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
-        SwitchBackend::Simd => FastPathSwitch::from_program_with(program, label, true)
-            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
-        SwitchBackend::Interp => InterpSwitch::from_program(program, label)
-            .map(|it| Box::new(it) as Box<dyn FastDatapath>),
-        SwitchBackend::Pisa => None,
-    }
-}
-
-/// Re-runs the deploy-time lint gate over every switch module of
-/// `program`, reporting denials with kernel and version identity.
-fn lint_gate(
+/// Runs the deploy-time lint gate ([`lint_gate`]) over every switch
+/// module of `program`, which would deploy as `version`.
+fn lint_gate_all(
     program: &CompiledProgram,
     version: u16,
     registry: &Registry,
-    scope: &Option<Scope>,
+    scope: Option<&Scope>,
 ) -> Result<(), DeployError> {
-    for n in &program.overlay.nodes {
-        if n.kind != AndKind::Switch {
-            continue;
-        }
-        let Some(module) = program.module(n.label.as_str()) else {
-            continue;
-        };
-        let diags = ncl_ir::lint::lint_module(module, &program.lint_config);
-        let (deny, _) = ncl_ir::lint::partition(diags);
-        if deny.is_empty() {
-            continue;
-        }
-        registry.counter("deploy.lint_denied").inc();
-        if let Some(scope) = scope {
-            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
-            scope.emit(
-                0,
-                wire,
-                WindowKey::new(0, 0, 0),
-                ScopeEvent::LintDenied { switch: wire },
-            );
-            scope.flight_record(SnapshotReason::LintDenied, 0, Some(registry), &[]);
-        }
-        let mut kernels: Vec<String> = deny.iter().map(|d| d.kernel.clone()).collect();
-        kernels.sort();
-        kernels.dedup();
-        return Err(DeployError::Lint {
-            label: n.label.to_string(),
-            kernels,
-            version,
-            diagnostics: deny,
-        });
-    }
-    Ok(())
+    program
+        .overlay
+        .nodes
+        .iter()
+        .filter(|n| n.kind == AndKind::Switch)
+        .try_for_each(|n| lint_gate(program, n, version, registry, scope))
 }
 
 impl MultiDeployment {
@@ -682,7 +590,7 @@ impl MultiDeployment {
                 source,
             })?;
         let registry = self.net.metrics().clone();
-        if let Err(source) = lint_gate(new_program, upgrade.new_version, &registry, &None) {
+        if let Err(source) = lint_gate_all(new_program, upgrade.new_version, &registry, None) {
             self.controller
                 .abort_upgrade(tenant)
                 .expect("upgrade just began");
@@ -695,7 +603,8 @@ impl MultiDeployment {
         let new_version = upgrade.new_version;
         let switch_labels = self.tenants[ti].switches.clone();
         for label in &switch_labels {
-            let Some(dp) = backend_datapath(self.backend, new_program, label) else {
+            let (Some(dp), kernels) = switch_engine(self.backend, new_program, label, new_version)
+            else {
                 continue;
             };
             let installed = self
@@ -707,7 +616,6 @@ impl MultiDeployment {
             // old version executes during the drain are stamped by the
             // mux's verdict version instead.
             let wire = NodeId::Switch(self.switch(label)).to_wire();
-            let kernels = kernel_telemetry(new_program, label, new_version);
             let sid = self.switch(label);
             if let Some(tel) = self.net.switch_telemetry_mut(sid) {
                 for (kid, kt) in kernels {
@@ -1030,6 +938,81 @@ mod tests {
             deploy_tenants(clash, opts()),
             Err(MultiDeployError::HostClaimed { .. })
         ));
+    }
+
+    /// One builder, one gate: a single program deployed through
+    /// `deploy_opts` and as the only tenant of `deploy_tenants` yields
+    /// the same node map, kernel versions and `deploy.*` counters — and
+    /// a denied module is refused with the same lint error.
+    #[test]
+    fn one_tenant_fabric_matches_deploy_opts() {
+        use crate::deploy::{deploy_opts, deployed_versions};
+        use crate::nclc::{LintCode, LintLevel};
+        let opts = || DeployOptions {
+            backend: SwitchBackend::Simd,
+            ..DeployOptions::default()
+        };
+        let one_tenant = |program: CompiledProgram| {
+            vec![TenantDeploy {
+                spec: TenantSpec::new("only"),
+                apps: tenant_apps(&program, 1, 6),
+                program,
+            }]
+        };
+        let program = tenant_program(0);
+        let single = deploy_opts(&program, tenant_apps(&program, 1, 6), opts()).expect("deploys");
+        let multi = deploy_tenants(one_tenant(tenant_program(0)), opts()).expect("deploys");
+        assert_eq!(single.nodes, multi.nodes);
+        assert_eq!(deployed_versions(&program), multi.deployed_versions());
+        for name in [
+            "deploy.hosts_loaded",
+            "deploy.switches_loaded",
+            "deploy.lint_denied",
+        ] {
+            let (a, b) = (single.net.metrics(), multi.net.metrics());
+            assert!(a.counter_value(name).is_some(), "{name} missing");
+            assert_eq!(a.counter_value(name), b.counter_value(name), "{name}");
+        }
+        // The switch stamps the same static hop-record fields either way.
+        let s1 = single.switch("s1");
+        let (mut single, mut multi) = (single, multi);
+        let tel = |net: &mut Network| {
+            let t = net.switch_telemetry_mut(s1).expect("stamps");
+            let kernels: BTreeMap<u16, (u16, u16, u32)> = t
+                .kernels
+                .iter()
+                .map(|(&id, k)| (id, (k.version, k.stages, k.uops)))
+                .collect();
+            (t.switch_id, kernels)
+        };
+        assert_eq!(tel(&mut single.net), tel(&mut multi.net));
+
+        // Deny the module after the fact (the hand-altered artifact).
+        let mut denied = tenant_program(0);
+        denied
+            .lint_config
+            .levels
+            .insert(LintCode::ReplayUnsafeNoFilter, LintLevel::Deny);
+        let lint_parts = |e: DeployError| match e {
+            DeployError::Lint {
+                label,
+                kernels,
+                version,
+                diagnostics,
+            } => (label, kernels, version, diagnostics.len()),
+            other => panic!("expected a lint denial, got {other:?}"),
+        };
+        let single = match deploy_opts(&denied, tenant_apps(&denied, 1, 6), opts()) {
+            Err(e) => lint_parts(e),
+            Ok(_) => panic!("denied module deployed"),
+        };
+        let multi = match deploy_tenants(one_tenant(denied), opts()) {
+            Err(MultiDeployError::Lint { source, .. }) => lint_parts(source),
+            Err(other) => panic!("expected a lint denial, got {other:?}"),
+            Ok(_) => panic!("denied module deployed"),
+        };
+        assert_eq!(single, multi);
+        assert_eq!(single.1, vec!["allreduce".to_string()]);
     }
 
     /// An upgrade that changes the kernel-id set is refused before it

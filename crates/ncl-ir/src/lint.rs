@@ -641,7 +641,7 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
                     let mut val_deps = vd;
                     val_deps.extend(id.iter().copied());
                     let state_free = val_deps.is_empty();
-                    let commutative = is_commutative_rmw(k, arr.0, val, &reg_deps);
+                    let commutative = is_commutative_rmw(&defs, arr.0, val, &reg_deps);
                     let gd = &guard_deps[bi];
                     let f = facts.entry(arr.0).or_insert_with(|| ArrayFacts {
                         loads: 0,
@@ -699,18 +699,14 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
 
 /// `val` computes `Ld(arr) ⊕ state-free-expr` for a commutative-
 /// associative ⊕ (possibly through a chain of such ops).
-fn is_commutative_rmw(k: &KernelIr, arr: u32, val: &Operand, reg_deps: &[BTreeSet<u32>]) -> bool {
-    // Single-def walk from the stored value.
-    let mut defs: HashMap<RegId, Option<&Inst>> = HashMap::new();
-    for b in &k.blocks {
-        for inst in &b.insts {
-            for d in inst.dsts() {
-                defs.entry(d)
-                    .and_modify(|e| *e = None)
-                    .or_insert(Some(inst));
-            }
-        }
-    }
+/// `defs` is the kernel's single-def map; the walk starts at the stored
+/// value.
+fn is_commutative_rmw(
+    defs: &HashMap<RegId, Option<&Inst>>,
+    arr: u32,
+    val: &Operand,
+    reg_deps: &[BTreeSet<u32>],
+) -> bool {
     fn walk(
         r: RegId,
         arr: u32,
@@ -744,7 +740,7 @@ fn is_commutative_rmw(k: &KernelIr, arr: u32, val: &Operand, reg_deps: &[BTreeSe
         }
     }
     val.as_reg()
-        .map(|r| walk(r, arr, &defs, reg_deps, 0))
+        .map(|r| walk(r, arr, defs, reg_deps, 0))
         .unwrap_or(false)
 }
 

@@ -88,6 +88,9 @@ impl ResourceKind {
     }
 }
 
+/// Escapes `s` for a JSON string literal. RFC 8259 §7 forbids raw
+/// control characters, so every one is escaped — the same spellings as
+/// `nctel::scope::json::escape`.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -95,7 +98,12 @@ fn json_escape(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
     out

@@ -8,7 +8,7 @@
 use c3::{HostId, NodeId, ScalarType, Value};
 use ncl_core::apps::{allreduce_source, PsServer, PsWorker};
 use ncl_core::control::ControlPlane;
-use ncl_core::deploy::deploy;
+use ncl_core::deploy::{deploy_opts, DeployOptions};
 use ncl_core::nclc::{compile, CompileConfig};
 use ncl_core::runtime::{NclHost, OutInvocation, TypedArray};
 use netsim::{HostApp, LinkSpec, NetworkBuilder, SwitchCfg};
@@ -61,13 +61,7 @@ fn main() {
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(s1c);
     let s1 = dep.switch("s1");
     cp.ctrl_wr(

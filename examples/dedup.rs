@@ -12,10 +12,10 @@
 //! ```
 
 use c3::{HostId, NodeId, ScalarType};
-use ncl_core::deploy::deploy;
+use ncl_core::deploy::{deploy_opts, DeployOptions};
 use ncl_core::nclc::{compile, CompileConfig};
 use ncl_core::runtime::{NclHost, OutInvocation, TypedArray};
-use netsim::{HostApp, LinkSpec};
+use netsim::HostApp;
 use std::collections::HashMap;
 
 const BITS: usize = 1024;
@@ -94,13 +94,7 @@ fn main() {
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     apps.insert("sender".into(), Box::new(sender));
     apps.insert("collector".into(), Box::new(collector));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     dep.net.run();
 
     let collector = dep.net.host_app::<NclHost>(HostId(2)).unwrap();

@@ -9,9 +9,9 @@
 use c3::HostId;
 use ncl_core::apps::{kvs_source, KvsClient, KvsOp, KvsServer};
 use ncl_core::control::ControlPlane;
-use ncl_core::deploy::deploy;
+use ncl_core::deploy::{deploy_opts, DeployOptions};
 use ncl_core::nclc::{compile, CompileConfig};
-use netsim::{HostApp, LinkSpec};
+use netsim::HostApp;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -96,13 +96,7 @@ fn run(with_cache: bool, nclients: usize, ops: usize, skew: f64) -> (f64, f64, u
     if !with_cache {
         stripped.switches.clear();
     }
-    let mut dep = deploy(
-        &stripped,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&stripped, apps, DeployOptions::default()).expect("deploys");
     if with_cache {
         let s1 = dep.switch("s1");
         dep.net

@@ -11,10 +11,10 @@
 
 use c3::{HostId, NodeId, ScalarType, Value};
 use ncl_and::{AndKind, PhysTopology};
-use ncl_core::deploy::deploy;
+use ncl_core::deploy::{deploy_opts, DeployOptions};
 use ncl_core::nclc::{compile, CompileConfig};
 use ncl_core::runtime::{NclHost, OutInvocation, TypedArray};
-use netsim::{HostApp, LinkSpec};
+use netsim::HostApp;
 use std::collections::HashMap;
 
 const PROGRAM: &str = r#"
@@ -113,13 +113,7 @@ fn main() {
         .unwrap();
     apps.insert("collector".into(), Box::new(collector));
 
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     dep.net.run();
 
     let collector = dep.net.host_app::<NclHost>(dep.host("collector")).unwrap();

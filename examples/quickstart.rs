@@ -7,10 +7,10 @@
 
 use c3::{HostId, NodeId, ScalarType};
 use ncl_core::control::ControlPlane;
-use ncl_core::deploy::deploy;
+use ncl_core::deploy::{deploy_opts, DeployOptions};
 use ncl_core::nclc::{compile, CompileConfig};
 use ncl_core::runtime::{NclHost, OutInvocation, TypedArray};
-use netsim::{HostApp, LinkSpec};
+use netsim::HostApp;
 use std::collections::HashMap;
 
 /// The whole NCL program: a kernel that counts packets and doubles the
@@ -81,13 +81,7 @@ fn main() {
         .expect("paired kernel");
     apps.insert("bob".into(), Box::new(bob));
 
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let end = dep.net.run();
 
     // 3. Inspect the results.

@@ -26,7 +26,7 @@
 //! | [`ncsched`] | `ncsched` | multi-tenant admission, placement, upgrades |
 //! | [`ncmc`] | `ncmc` | bounded model checker for kernel × protocol schedules |
 //!
-//! Start with [`core::nclc::compile`] and [`core::deploy::deploy`]; the
+//! Start with [`core::nclc::compile`] and [`core::deploy::deploy_opts`]; the
 //! `examples/` directory walks through the paper's use cases.
 
 pub use c3 as model;

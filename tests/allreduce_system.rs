@@ -5,7 +5,7 @@
 
 use ncl::core::apps::{allreduce_source, PsServer, PsWorker};
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::{deploy, Deployment};
+use ncl::core::deploy::{deploy_opts, DeployOptions, Deployment};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
@@ -50,13 +50,7 @@ fn run_inc(nworkers: usize, data_len: usize, win: usize) -> (Deployment, u16) {
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -208,13 +202,7 @@ fn multiple_rounds_reuse_switch_state() {
         .unwrap();
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .unwrap();
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -306,13 +294,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {{
         .unwrap();
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .unwrap();
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(

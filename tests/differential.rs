@@ -448,10 +448,10 @@ fn corpus_kernel_cases_match_interpreter() {
 /// section handling shows up as a byte diff here.
 #[test]
 fn telemetry_hop_records_identical_across_tiers() {
-    use ncl::core::deploy::{deploy_with, SwitchBackend};
+    use ncl::core::deploy::{deploy_opts, DeployOptions, SwitchBackend};
     use ncl::core::nclc::{compile, CompileConfig};
     use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
-    use ncl::netsim::{HostApp, LinkSpec};
+    use ncl::netsim::HostApp;
     use std::collections::HashMap;
 
     let src = r#"
@@ -492,12 +492,13 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
             .bind_incoming(&program, "k", "recv", &[(ScalarType::I32, 1)])
             .unwrap();
         apps.insert("h2".into(), Box::new(receiver));
-        let mut dep = deploy_with(
+        let mut dep = deploy_opts(
             &program,
             apps,
-            LinkSpec::default(),
-            pisa::ResourceModel::default(),
-            backend,
+            DeployOptions {
+                backend,
+                ..Default::default()
+            },
         )
         .expect("deploys");
         dep.net.run();

@@ -2,11 +2,11 @@
 //! wire-id round trips, reflected windows carrying rewritten hops, and
 //! zero-work deployments.
 
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, Label, NodeId, ScalarType, SwitchId};
-use ncl::netsim::{HostApp, LinkSpec};
+use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
 const AND: &str = "host a\nhost b\nswitch s1\nlink a s1\nlink b s1\n";
@@ -52,13 +52,7 @@ _net_ _in_ void recv(uint32_t *d, _ext_ uint32_t *log, _ext_ uint32_t *n) {
     )
     .unwrap();
     apps.insert("b".into(), Box::new(recv));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .unwrap();
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     dep.net.run();
     let recv = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     let mem = recv.memory(kid).unwrap();
@@ -109,13 +103,7 @@ fn reflection_rewrites_previous_hop() {
     sender.log_windows = true;
     apps.insert("a".into(), Box::new(sender));
     apps.insert("b".into(), Box::new(NclHost::new(&program)));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .unwrap();
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     dep.net.run();
     // The reflection went back to the sender, not the destination.
     let a = dep.net.host_app::<NclHost>(HostId(1)).unwrap();
@@ -138,13 +126,7 @@ fn idle_deployment_terminates() {
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     apps.insert("a".into(), Box::new(NclHost::new(&program)));
     apps.insert("b".into(), Box::new(NclHost::new(&program)));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .unwrap();
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     let end = dep.net.run();
     assert_eq!(end, 0, "nothing to simulate");
     assert_eq!(dep.net.stats().delivered, 0);
@@ -183,13 +165,7 @@ _net_ _in_ void ra(uint32_t *d, _ext_ uint32_t *n) { n[0] = n[0] + 1; }
     recv.bind_incoming(&program, "ka", "ra", &[(ScalarType::U32, 1)])
         .unwrap();
     apps.insert("b".into(), Box::new(recv));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .unwrap();
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     dep.net.run();
     let recv = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     assert_eq!(recv.windows_received, 2, "both windows arrive");

@@ -8,7 +8,7 @@
 
 use ncl::core::apps::{allreduce_source, kvs_source, KvsClient, KvsOp, KvsServer};
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::fastpath::FastPathSwitch;
 use ncl::core::nclc::{compile, CompileConfig, ReplayFilter};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
@@ -61,7 +61,15 @@ fn lost_contributions_stall_but_never_corrupt() {
         drop_every: 5,
         ..LinkSpec::default()
     };
-    let mut dep = deploy(&program, apps, lossy, pisa::ResourceModel::default()).expect("deploys");
+    let mut dep = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            link_spec: lossy,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -140,7 +148,15 @@ fn kvs_loss_reduces_throughput_not_integrity() {
         drop_every: 7,
         ..LinkSpec::default()
     };
-    let mut dep = deploy(&program, apps, lossy, pisa::ResourceModel::default()).expect("deploys");
+    let mut dep = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            link_spec: lossy,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let s1 = dep.switch("s1");
     dep.net
         .host_app_mut::<KvsServer>(HostId(server_id))
@@ -221,7 +237,15 @@ fn run_reliable_allreduce(link: LinkSpec) -> (Vec<Vec<i64>>, Vec<u64>, u64, u64)
         host.enable_reliability(rcfg);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(&program, apps, link, pisa::ResourceModel::default()).expect("deploys");
+    let mut dep = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            link_spec: link,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -346,7 +370,15 @@ fn run_reliable_kvs(link: LinkSpec) -> (Vec<(u64, bool)>, Vec<(u64, Vec<u32>)>, 
             8,
         )),
     );
-    let mut dep = deploy(&program, apps, link, pisa::ResourceModel::default()).expect("deploys");
+    let mut dep = deploy_opts(
+        &program,
+        apps,
+        DeployOptions {
+            link_spec: link,
+            ..Default::default()
+        },
+    )
+    .expect("deploys");
     let s1 = dep.switch("s1");
     dep.net
         .host_app_mut::<KvsServer>(HostId(server_id))
@@ -626,11 +658,13 @@ fn metrics_registry_accounts_for_every_frame() {
         host.enable_telemetry(1.0, 1024);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
+    let mut dep = deploy_opts(
         &program,
         apps,
-        hostile_link(),
-        pisa::ResourceModel::default(),
+        DeployOptions {
+            link_spec: hostile_link(),
+            ..Default::default()
+        },
     )
     .expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());

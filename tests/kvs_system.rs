@@ -6,10 +6,10 @@
 
 use ncl::core::apps::{kvs_source, KvsClient, KvsOp, KvsServer};
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram};
 use ncl::model::{HostId, NodeId};
-use ncl::netsim::{HostApp, LinkSpec};
+use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
 const VAL_WORDS: usize = 8;
@@ -68,13 +68,7 @@ fn setup(with_cache: bool, client_ops: Vec<Vec<KvsOp>>) -> Setup {
     if !with_cache {
         stripped.switches.clear(); // deploy a plain forwarder
     }
-    let mut dep = deploy(
-        &stripped,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&stripped, apps, DeployOptions::default()).expect("deploys");
     if with_cache {
         let s1 = dep.switch("s1");
         let server = dep

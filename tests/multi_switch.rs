@@ -4,11 +4,11 @@
 //! different roles".
 
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
-use ncl::netsim::{HostApp, LinkSpec};
+use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
 /// h1 — edge — agg — h2: the edge switch doubles values, the aggregate
@@ -53,13 +53,7 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
         .unwrap();
     apps.insert("h2".into(), Box::new(receiver));
 
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     dep.net.run();
 
     // The edge doubled 21 → 42; the aggregate added it to its total and
@@ -111,13 +105,7 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
         .bind_incoming(&program, "k", "recv", &[(ScalarType::I32, 1)])
         .unwrap();
     apps.insert("h2".into(), Box::new(receiver));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     dep.net.run();
     let h2 = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     // 0 + 100 at the edge, then + 1 at the aggregate.
@@ -169,13 +157,7 @@ _net_ _in_ void recv(uint32_t *d, _ext_ uint32_t *out, _ext_ uint32_t *n) {
         .unwrap();
         apps.insert(label.into(), Box::new(r));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     dep.net.run();
 
     let kid = program.kernel_ids["k"];
@@ -217,13 +199,7 @@ _net_ _out_ void k(int *d) { seen[0] += 1; }
     }
     apps.insert("h1".into(), Box::new(sender));
     apps.insert("h2".into(), Box::new(NclHost::new(&program)));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     dep.net.run();
     // Location-less memory exists on all switches; modifications are
     // local (paper §4.1: "NCL makes no consistency guarantees").

@@ -341,8 +341,18 @@ fn concurrent_decode_never_observes_torn_events() {
         })
         .collect();
     let dcfg = analysis::DiagnosisConfig::default();
+    // Wait for the first lap: on a two-core box 200 snapshots can
+    // otherwise finish before any writer thread has been scheduled.
+    while scope.logged() < 256 {
+        std::thread::yield_now();
+    }
+    // Snapshot until the writers have lapped the ring a further 64
+    // times under the reader, and at least 200 times.
+    let lapped = scope.logged() + 64 * 256;
+    let mut snapshots = 0usize;
     let mut decoded_total = 0usize;
-    for _ in 0..200 {
+    while snapshots < 200 || scope.logged() < lapped {
+        snapshots += 1;
         let events = scope.decoded();
         decoded_total += events.len();
         for e in &events {
@@ -372,7 +382,10 @@ fn concurrent_decode_never_observes_torn_events() {
         w.join().unwrap();
     }
     assert!(decoded_total > 0, "snapshots observed live traffic");
-    assert!(scope.logged() > 256, "the ring wrapped during the test");
+    assert!(
+        scope.logged() >= lapped,
+        "the ring wrapped under the reader"
+    );
 }
 
 /// The `ncscope --live` path end to end over real UDP: a beacon serving

@@ -1,30 +1,61 @@
 //! Paced invocations: `ncl::out` with a per-window gap spreads the
 //! transmission in time (the knob that avoids incast at the aggregation
-//! switch); results stay identical to blasting.
+//! switch); results stay identical to blasting — with NCP-R on and a
+//! hostile link too.
 
 use ncl::core::apps::allreduce_source;
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
-use ncl::core::nclc::{compile, CompileConfig};
+use ncl::core::deploy::{deploy_opts, DeployOptions};
+use ncl::core::nclc::{compile, CompileConfig, ReplayFilter};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
+use ncl::ncp::ReliableConfig;
 use ncl::netsim::{HostApp, LinkSpec};
 use std::collections::HashMap;
 
+const DATA_LEN: usize = 64;
+const WIN: usize = 8;
+
 fn run(gap: u64) -> (u64, Vec<i64>) {
+    let (done, result, _, _) = run_on(gap, LinkSpec::default(), None);
+    (done, result)
+}
+
+/// One three-worker allreduce with `gap` between windows over `link`,
+/// with NCP-R (and the switch replay filter it relies on) when
+/// `reliable` is given. Returns worker 1's completion time and result,
+/// the switch's `accum` registers, and the network for transport
+/// accounting.
+fn run_on(
+    gap: u64,
+    link_spec: LinkSpec,
+    reliable: Option<ReliableConfig>,
+) -> (u64, Vec<i64>, Vec<u64>, ncl::netsim::Network) {
     let n = 3usize;
-    let data_len = 64usize;
-    let win = 8usize;
+    let data_len = DATA_LEN;
+    let win = WIN;
     let src = allreduce_source(data_len, win);
     let and = format!("hosts worker {n}\nswitch s1\nlink worker* s1\n");
     let mut cfg = CompileConfig::default();
     cfg.masks.insert("allreduce".into(), vec![win as u16]);
     cfg.masks.insert("result".into(), vec![win as u16]);
+    if reliable.is_some() {
+        cfg.replay_filters.insert(
+            "allreduce".into(),
+            ReplayFilter {
+                senders: 8,
+                slots: (data_len / win) as u16,
+            },
+        );
+    }
     let program = compile(&src, &and, &cfg).expect("compiles");
     let kid = program.kernel_ids["allreduce"];
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     for w in 1..=n as u16 {
         let mut host = NclHost::new(&program);
+        if let Some(rcfg) = reliable {
+            host.enable_reliability(rcfg);
+        }
         let data: Vec<i32> = vec![w as i32; data_len];
         host.out(OutInvocation {
             kernel: "allreduce".into(),
@@ -44,13 +75,11 @@ fn run(gap: u64) -> (u64, Vec<i64>) {
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let opts = DeployOptions {
+        link_spec,
+        ..Default::default()
+    };
+    let mut dep = deploy_opts(&program, apps, opts).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -64,7 +93,11 @@ fn run(gap: u64) -> (u64, Vec<i64>) {
     let result: Vec<i64> = (0..data_len)
         .map(|i| host.memory(kid).unwrap().arrays[0][i].as_i128() as i64)
         .collect();
-    (done, result)
+    let pipe = dep.net.switch_pipeline_mut(s1).unwrap();
+    let accum = (0..data_len)
+        .map(|i| cp.read_register(pipe, "accum", i).unwrap().bits())
+        .collect();
+    (done, result, accum, dep.net)
 }
 
 #[test]
@@ -78,6 +111,49 @@ fn paced_and_blast_agree_on_results() {
         t_paced > t_blast + 3 * 50_000,
         "pacing should stretch completion: {t_blast} → {t_paced}"
     );
+}
+
+/// Paced × NCP-R: per-window timers feed the reliable sender one
+/// window at a time, so first sends, congestion-window releases and
+/// RTO retransmits all interleave. Under loss and duplication every
+/// worker still completes with every window acked, the switch
+/// aggregates each window exactly once, and the reduction is the blast
+/// run's.
+#[test]
+fn paced_reliable_allreduce_survives_loss_and_duplication() {
+    let (_, r_blast, accum_blast, _) = run_on(0, LinkSpec::default(), None);
+    let hostile = LinkSpec {
+        loss: 0.10,
+        burst_len: 2,
+        dup_every: 6,
+        ..LinkSpec::default()
+    };
+    // A congestion window smaller than the pacing burst, so paced
+    // windows queue behind it.
+    let rcfg = ReliableConfig {
+        cwnd: 2,
+        filter_slots: DATA_LEN / WIN,
+        ..ReliableConfig::default()
+    };
+    let (_, r_paced, accum_paced, net) = run_on(5_000, hostile, Some(rcfg));
+    assert_eq!(r_paced, r_blast, "same reduction as the clean blast run");
+    assert_eq!(accum_paced, accum_blast, "each window aggregated once");
+    let stats = net.stats();
+    assert!(
+        stats.link_drops > 0 && stats.link_dups > 0,
+        "link was clean"
+    );
+    let windows = (DATA_LEN / WIN) as u64;
+    let mut retransmits = 0;
+    for w in 1..=3u16 {
+        let host = net.host_app::<NclHost>(HostId(w)).unwrap();
+        assert!(host.done_at.is_some(), "worker {w} completes");
+        let tx = host.sender_stats().expect("reliability enabled");
+        assert_eq!((tx.tracked, tx.acked, tx.abandoned), (windows, windows, 0));
+        retransmits += tx.retransmits;
+        assert_eq!(host.windows_sent, windows + tx.retransmits);
+    }
+    assert!(retransmits > 0, "loss never forced a retransmission");
 }
 
 #[test]
@@ -111,13 +187,7 @@ fn delayed_start_defers_first_packet() {
         host.done_on_flag(kid, 1);
         apps.insert(format!("worker{w}"), Box::new(host));
     }
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(

@@ -1,5 +1,6 @@
 //! Robustness: the frontend must never panic, whatever bytes it is
-//! fed; the simulator must model congestion honestly under incast.
+//! fed; the simulator must model congestion honestly under incast;
+//! machine-readable reports stay well-formed whatever names they carry.
 
 use ncl::model::{HostId, NodeId};
 use ncl::netsim::{HostApp, HostCtx, LinkSpec, NetworkBuilder, Packet, SwitchCfg};
@@ -175,4 +176,34 @@ fn routing_is_deterministic_across_builds() {
     assert_eq!(a.2, 4);
     // All packets took one deterministic path.
     assert!(a.0 == 4 && a.1 == 0 || a.0 == 0 && a.1 == 4);
+}
+
+/// A cost report stays valid JSON whatever bytes a tenant or kernel
+/// name carries: RFC 8259 §7 forbids raw control characters inside
+/// strings, and the name must survive the round trip.
+#[test]
+fn cost_report_json_escapes_control_characters() {
+    use ncl::ncsched::{BudgetKind, CostReport, ResourceKind};
+    let name = "ten\tant\r\u{1}\u{8}\u{c}\u{1f}\n\"\\";
+    let report = CostReport {
+        tenant: name.into(),
+        version: 1,
+        switch: "s1".into(),
+        kernel: Some(name.into()),
+        budget: BudgetKind::TenantQuota,
+        resource: ResourceKind::Stages,
+        requested: 2,
+        limit: 1,
+        available: 1,
+        detail: name.into(),
+    };
+    let json = report.render_json();
+    assert!(
+        json.bytes().all(|b| b >= 0x20),
+        "raw control byte: {json:?}"
+    );
+    let back = ncl::nctel::scope::json::parse(&json).expect("cost report parses");
+    for field in ["tenant", "kernel", "detail"] {
+        assert_eq!(back.get(field).and_then(|v| v.as_str()), Some(name));
+    }
 }

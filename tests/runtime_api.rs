@@ -6,11 +6,12 @@
 //! rate-limited, which the data-centric API cannot express.
 
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::deploy;
+use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig};
 use ncl::core::runtime::{invocation_packets, NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
-use ncl::netsim::{HostApp, HostCtx, LinkSpec, Packet};
+use ncl::ncp::{AckRepr, NcpPacket, ReliableConfig};
+use ncl::netsim::{HostApp, HostCtx, LinkSpec, NetworkBuilder, Packet};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -92,13 +93,7 @@ fn per_window_api_interoperates_with_data_centric_api() {
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     apps.insert("worker1".into(), Box::new(w1));
     apps.insert("worker2".into(), Box::new(w2));
-    let mut dep = deploy(
-        &program,
-        apps,
-        LinkSpec::default(),
-        pisa::ResourceModel::default(),
-    )
-    .expect("deploys");
+    let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -162,5 +157,87 @@ fn packets_decode_to_well_formed_windows() {
         assert_eq!(w.last, i == packets.len() - 1);
         assert_eq!(w.chunks[0].offset as usize, i * 8 * 4);
         assert_eq!(w.chunks[0].data.len(), 32);
+    }
+}
+
+/// Records every frame it receives and acknowledges a window only on
+/// its second arrival, so each window of a reliable sender is seen as a
+/// first transmission (straight from the launch or released by the
+/// congestion window) and again as an RTO retransmit.
+struct AckSecondCopy {
+    frames: Vec<Vec<u8>>,
+}
+
+impl HostApp for AckSecondCopy {
+    fn on_packet(&mut self, ctx: &mut HostCtx, pkt: &Packet) {
+        let p = NcpPacket::new_checked(&pkt.payload[..]).expect("NCP frame");
+        let copies = self.frames.iter().filter(|f| **f == pkt.payload).count();
+        self.frames.push(pkt.payload.clone());
+        if copies == 1 {
+            let mut ack = Vec::new();
+            AckRepr {
+                nack: false,
+                kernel: p.kernel(),
+                seq: p.seq(),
+                sender: p.sender(),
+                from: NodeId::Host(ctx.host).to_wire(),
+            }
+            .emit_into(&mut ack);
+            ctx.send(NodeId::Host(HostId(p.sender())), ack);
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The two invocation APIs cut and encode windows in one place: with
+/// telemetry off, whatever `NclHost` puts on the wire for window `i` —
+/// on first send, on congestion-window release, on RTO retransmit — is
+/// byte-identical to `invocation_packets(..)[i]`.
+#[test]
+fn nclhost_frames_match_invocation_packets() {
+    let program = allreduce_program();
+    let data: Vec<i32> = (0..32).collect();
+    let arrays = vec![TypedArray::from_i32(&data)];
+    let expected = invocation_packets(&program, HostId(1), "allreduce", &arrays).unwrap();
+
+    let mut sender = NclHost::new(&program);
+    // Two of the four windows launch; the rest wait for the window to
+    // open. Unacknowledged first copies time out and are re-sent.
+    sender.enable_reliability(ReliableConfig {
+        cwnd: 2,
+        max_cwnd: 2,
+        ..ReliableConfig::default()
+    });
+    sender
+        .out(OutInvocation {
+            kernel: "allreduce".into(),
+            arrays,
+            dest: NodeId::Host(HostId(2)),
+            start: 0,
+            gap: 0,
+        })
+        .unwrap();
+    let mut b = NetworkBuilder::new();
+    let h1 = b.add_host(Box::new(sender));
+    let h2 = b.add_host(Box::new(AckSecondCopy { frames: Vec::new() }));
+    b.link(h1, h2, LinkSpec::default());
+    let mut net = b.build();
+    net.run();
+
+    let tx = net.host_app::<NclHost>(HostId(1)).unwrap();
+    let stats = tx.sender_stats().unwrap();
+    assert_eq!((stats.acked, stats.retransmits, stats.abandoned), (4, 4, 0));
+    let frames = &net.host_app::<AckSecondCopy>(HostId(2)).unwrap().frames;
+    assert_eq!(frames.len(), 8, "every window arrives twice");
+    // The launch put exactly the first two windows on the wire.
+    assert_eq!(frames[..2], expected[..2]);
+    for (i, want) in expected.iter().enumerate() {
+        let copies = frames.iter().filter(|f| *f == want).count();
+        assert_eq!(copies, 2, "window {i}: first send + retransmit");
     }
 }
