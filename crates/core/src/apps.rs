@@ -538,7 +538,12 @@ impl KvsServer {
             }
             let slot = self.cached.remove(&victim).expect("victim cached");
             self.evictions += 1;
-            for op in cp.map_remove_ops("Idx", victim) {
+            // The slot's Valid bit still vouches for the victim's value:
+            // clear it before `Idx` points the new key at the slot, or a
+            // GET landing before the update window reads the old value.
+            let invalidate = cp.reg_write_ops("Valid", slot as usize, Value::bool(false));
+            let ops = cp.map_remove_ops("Idx", victim).into_iter();
+            for op in ops.chain(invalidate) {
                 ctx.ctrl(switch, op);
             }
             slot as usize

@@ -36,18 +36,21 @@ impl ControlPlane {
         }
     }
 
-    /// Reads element `idx` of a *source-level* switch array, resolving
-    /// the compiler's lane decomposition (element `i` of a lane-split
-    /// array lives in bank `i % L`, slot `i / L`).
-    pub fn read_register(&self, pipe: &Pipeline, array: &str, idx: usize) -> Option<Value> {
+    /// The compiled register and slot holding element `idx` of a
+    /// *source-level* switch array: the compiler's lane decomposition
+    /// puts element `i` of an `L`-lane array in bank `i % L`, slot `i / L`.
+    fn bank_slot<'a>(&'a self, array: &'a str, idx: usize) -> (&'a str, usize) {
         match self.lane_banks.get(array) {
-            Some(banks) if banks.len() > 1 => {
-                let lane = idx % banks.len();
-                pipe.register_read(&banks[lane], idx / banks.len())
-            }
-            Some(banks) => pipe.register_read(&banks[0], idx),
-            None => pipe.register_read(array, idx),
+            Some(banks) if !banks.is_empty() => (&banks[idx % banks.len()], idx / banks.len()),
+            _ => (array, idx),
         }
+    }
+
+    /// Reads element `idx` of a source-level switch array through the
+    /// lane decomposition.
+    pub fn read_register(&self, pipe: &Pipeline, array: &str, idx: usize) -> Option<Value> {
+        let (bank, slot) = self.bank_slot(array, idx);
+        pipe.register_read(bank, slot)
     }
 
     /// Writes element `idx` of a source-level switch array through the
@@ -59,14 +62,8 @@ impl ControlPlane {
         idx: usize,
         value: Value,
     ) -> bool {
-        match self.lane_banks.get(array) {
-            Some(banks) if banks.len() > 1 => {
-                let lane = idx % banks.len();
-                pipe.register_write(&banks[lane], idx / banks.len(), value)
-            }
-            Some(banks) => pipe.register_write(&banks[0], idx, value),
-            None => pipe.register_write(array, idx, value),
-        }
+        let (bank, slot) = self.bank_slot(array, idx);
+        pipe.register_write(bank, slot, value)
     }
 
     // ------------------------------------------------------------------
@@ -132,6 +129,15 @@ impl ControlPlane {
                     .collect()
             })
             .unwrap_or_default()
+    }
+
+    /// The [`CtrlOp`]s writing element `idx` of a source-level switch
+    /// array through the lane decomposition, like
+    /// [`ControlPlane::write_register`].
+    pub fn reg_write_ops(&self, array: &str, idx: usize, value: Value) -> Vec<CtrlOp> {
+        let (bank, index) = self.bank_slot(array, idx);
+        let name = bank.to_string();
+        vec![CtrlOp::RegWrite { name, index, value }]
     }
 
     /// The [`CtrlOp`]s realizing a map insert.

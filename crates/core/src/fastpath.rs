@@ -4,6 +4,10 @@
 //! location: every outgoing kernel of the location's versioned IR module
 //! is lowered once through [`CompiledKernel::compile_for`] and cached by
 //! NCP kernel id — the per-`(KernelId, location)` compiled-kernel cache.
+//! Building one costs O(kernel) plus one allocation of the location's
+//! state: lowering reads per-array facts `compile_for` resolved once,
+//! and register initializers are explicit prefixes, so the time to the
+//! first window does not grow with switch memory × instructions.
 //! Window processing then runs the linear micro-op program against the
 //! location's persistent [`SwitchState`] with a reusable [`ExecScratch`]
 //! and the zero-copy NCP codec ([`decode_window_into`] /
@@ -47,6 +51,9 @@ pub struct FastPathSwitch {
     /// Compiled lookup-table name → map.
     map_by_table: HashMap<String, MapId>,
     reg_by_name: HashMap<String, usize>,
+    /// Compiled lane-bank name → (register, lane, lanes): slot `s` of
+    /// the bank is source element `s * lanes + lane`.
+    reg_by_bank: HashMap<String, (usize, usize, usize)>,
     label_wires: HashMap<Label, u16>,
     /// Windows executed (nctel counter; cache hits of the compiled-
     /// kernel cache).
@@ -72,8 +79,8 @@ impl FastPathSwitch {
     /// `false` pins the scalar micro-op fast path, the A/B baseline
     /// [`crate::deploy::SwitchBackend::FastPath`] uses. Every outgoing
     /// kernel of the location's versioned module is lowered here, once;
-    /// the backend's compiled control-register and lookup-table names
-    /// are aliased so deferred [`CtrlOp`]s emitted by
+    /// the backend's compiled control-register, lookup-table and
+    /// lane-bank names are aliased so deferred [`CtrlOp`]s emitted by
     /// [`crate::control::ControlPlane`] resolve unchanged.
     pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
         let module = program.module(label)?;
@@ -101,7 +108,7 @@ impl FastPathSwitch {
             .enumerate()
             .map(|(i, m)| (m.name.clone(), MapId(i as u32)))
             .collect();
-        let reg_by_name = module
+        let reg_by_name: HashMap<String, usize> = module
             .registers
             .iter()
             .enumerate()
@@ -109,7 +116,14 @@ impl FastPathSwitch {
             .collect();
         let mut ctrl_by_copy = HashMap::new();
         let mut map_by_table = HashMap::new();
+        let mut reg_by_bank = HashMap::new();
         if let Some(compiled) = program.switch(label) {
+            for (src, banks) in &compiled.lane_banks {
+                if let Some(&r) = reg_by_name.get(src) {
+                    let lanes = banks.iter().enumerate();
+                    reg_by_bank.extend(lanes.map(|(l, b)| (b.clone(), (r, l, banks.len()))));
+                }
+            }
             for (src, copies) in &compiled.ctrl_regs {
                 if let Some(&c) = ctrl_by_name.get(src) {
                     ctrl_by_copy.extend(copies.iter().map(|copy| (copy.clone(), c)));
@@ -140,6 +154,7 @@ impl FastPathSwitch {
             map_by_name,
             map_by_table,
             reg_by_name,
+            reg_by_bank,
             label_wires: program.label_ids.clone(),
             windows: Counter::new(),
             misses: Counter::new(),
@@ -277,7 +292,8 @@ impl FastDatapath for FastPathSwitch {
         match op {
             CtrlOp::RegWrite { name, index, value } => {
                 // Control variables first (by source or compiled-copy
-                // name), then plain register arrays by source name.
+                // name), then plain register arrays by source name or
+                // by the backend's lane bank.
                 if let Some(&c) = self
                     .ctrl_by_name
                     .get(name)
@@ -286,10 +302,14 @@ impl FastDatapath for FastPathSwitch {
                     self.state.ctrl_write(c, *value);
                     return true;
                 }
-                let Some(&r) = self.reg_by_name.get(name) else {
-                    return false;
+                let (r, index) = match self.reg_by_name.get(name) {
+                    Some(&r) => (r, *index),
+                    None => match self.reg_by_bank.get(name) {
+                        Some(&(r, lane, lanes)) => (r, index * lanes + lane),
+                        None => return false,
+                    },
                 };
-                match self.state.registers[r].get_mut(*index) {
+                match self.state.registers[r].get_mut(index) {
                     Some(slot) => {
                         *slot = value.cast(slot.ty());
                         true
@@ -433,6 +453,35 @@ mod tests {
         }
         assert_eq!(fp.windows(), 12);
         assert_eq!(fp.errors(), 0);
+    }
+
+    /// A deferred source-level register write lands on the same element
+    /// in both tiers, through the backend's lane banks.
+    #[test]
+    fn reg_write_ops_resolve_lane_banks_in_both_tiers() {
+        let p = allreduce_program();
+        let compiled = p.switch("s1").unwrap();
+        assert!(
+            compiled.lane_banks["accum"].len() > 1,
+            "accum is lane-split"
+        );
+        let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+        let cp = ControlPlane::new(compiled);
+        let mut fp = FastPathSwitch::from_program(&p, "s1").expect("fastpath builds");
+        for array in ["accum", "count"] {
+            for idx in 0..compiled.lane_banks[array].len() + 2 {
+                for op in cp.reg_write_ops(array, idx, Value::i32(100 + idx as i32)) {
+                    assert!(fp.ctrl(&op), "{array}[{idx}]: {op:?}");
+                    let CtrlOp::RegWrite { name, index, value } = op else {
+                        panic!("register writes only")
+                    };
+                    assert!(pipe.register_write(&name, index, value));
+                }
+                let want = fp.register_read(array, idx);
+                assert_eq!(want.map(|v| v.bits()), Some(100 + idx as u64));
+                assert_eq!(cp.read_register(&pipe, array, idx), want, "{array}[{idx}]");
+            }
+        }
     }
 
     /// The compiler-lowered replay filter, exercised identically in

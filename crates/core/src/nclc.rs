@@ -2,8 +2,9 @@
 //!
 //! Takes an NCL C/C++ program and an AND file and produces "a host
 //! binary, and a program for every switch in the AND file": here, the
-//! host side is the incoming-kernel IR libncrt interprets, and each
-//! switch program is a loadable PISA pipeline plus its P4-16 source.
+//! host side is every `_in_` kernel lowered once to the micro-op program
+//! libncrt runs, and each switch program is a loadable PISA pipeline
+//! plus its P4-16 source.
 
 use c3::Label;
 use ncl_and::{AndError, Overlay};
@@ -12,6 +13,8 @@ pub use ncl_ir::lint::{LintCode, LintConfig, LintDiagnostic, LintLevel};
 pub use ncl_ir::lower::ReplayFilter;
 use ncl_ir::lower::{lower, LoweringConfig};
 use ncl_ir::version::{version_modules, LocationInfo};
+use ncl_ir::CompiledKernel;
+use ncl_lang::ast::KernelKind;
 use ncl_lang::diag::Diagnostic;
 use ncl_lang::sema::CheckedProgram;
 pub use ncl_p4::estimate::ModuleEstimate;
@@ -19,6 +22,7 @@ use ncl_p4::{compile_module, CompileError, CompileOptions, CompiledSwitch};
 use nctel::Timeline;
 use pisa::ResourceModel;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Compiler configuration.
 #[derive(Clone, Debug)]
@@ -69,6 +73,11 @@ pub struct CompiledProgram {
     /// The optimized generic IR module (pre-versioning) — the host side
     /// interprets incoming kernels out of this.
     pub generic: Module,
+    /// Every `_in_` kernel of [`CompiledProgram::generic`], lowered once
+    /// to the micro-op program hosts run arriving windows through. The
+    /// hosts that bind a kernel share it ([`crate::NclHost::bind_incoming`]);
+    /// only their host memory is private.
+    pub incoming: HashMap<String, Arc<CompiledKernel>>,
     /// The AND overlay.
     pub overlay: Overlay,
     /// Compiled artifacts per switch location.
@@ -251,6 +260,12 @@ pub fn compile(
         .time("lower", || lower(&checked, &lcfg))
         .map_err(NclcError::Lowering)?;
     timings.time("optimize", || ncl_ir::passes::optimize(&mut generic));
+    let incoming = generic
+        .kernels
+        .iter()
+        .filter(|k| k.kind == KernelKind::Incoming)
+        .map(|k| (k.name.clone(), Arc::new(CompiledKernel::compile(k))))
+        .collect();
 
     // Program-wide kernel ids, in declaration order, from
     // `kernel_id_base + 1` (the base is 0 outside multi-tenant deploys).
@@ -342,6 +357,7 @@ pub fn compile(
     Ok(CompiledProgram {
         checked,
         generic,
+        incoming,
         overlay,
         switches,
         modules,

@@ -17,7 +17,6 @@
 
 use crate::nclc::CompiledProgram;
 use c3::{HostId, KernelId, Mask, NodeId, ScalarType, Value, Window, WindowSpec};
-use ncl_ir::ir::{KernelIr, Module};
 use ncl_ir::{CompiledKernel, ExecScratch, HostMemory};
 use ncp::codec::{encode_window, Reassembler};
 use ncp::reliable::SenderStats;
@@ -307,12 +306,12 @@ struct QueuedOut {
 
 /// An incoming-kernel binding: the `_in_` kernel plus its host memory.
 pub struct IncomingBinding {
-    /// The kernel IR (kept for inspection; execution uses `compiled`).
-    pub kernel: KernelIr,
     /// The kernel lowered to the linear fast-path program — windows run
-    /// through this, allocation-free, against the host's scratch.
-    pub compiled: CompiledKernel,
-    /// Host arrays backing the `_ext_` parameters.
+    /// through this, allocation-free, against the host's scratch. Shared
+    /// with every other host of the program that binds the same kernel
+    /// ([`CompiledProgram::incoming`]).
+    pub compiled: Arc<CompiledKernel>,
+    /// Host arrays backing the `_ext_` parameters; private to this host.
     pub memory: HostMemory,
 }
 
@@ -409,8 +408,8 @@ impl NclHost {
         Ok(self)
     }
 
-    /// Binds an `ncl::in` handler: windows of `kernel` run the given
-    /// `_in_` kernel IR with `ext_sizes` host arrays.
+    /// Binds an `ncl::in` handler: windows of `out_kernel` run the
+    /// program's `_in_` kernel `in_kernel` with `ext_sizes` host arrays.
     pub fn bind_incoming(
         &mut self,
         program: &CompiledProgram,
@@ -422,16 +421,14 @@ impl NclHost {
             .kernel_ids
             .get(out_kernel)
             .ok_or_else(|| RuntimeError::UnknownKernel(out_kernel.to_string()))?;
-        let kernel = module_kernel(&program.generic, in_kernel)
-            .ok_or_else(|| RuntimeError::UnknownKernel(in_kernel.to_string()))?;
-        self.incoming.insert(
-            id,
-            IncomingBinding {
-                compiled: CompiledKernel::compile(&kernel),
-                kernel,
-                memory: HostMemory::new(ext_sizes),
-            },
-        );
+        let compiled = program
+            .incoming
+            .get(in_kernel)
+            .ok_or_else(|| RuntimeError::UnknownKernel(in_kernel.to_string()))?
+            .clone();
+        let memory = HostMemory::new(ext_sizes);
+        self.incoming
+            .insert(id, IncomingBinding { compiled, memory });
         Ok(self)
     }
 
@@ -966,11 +963,6 @@ pub fn invocation_packets(
         .collect())
 }
 
-/// Finds a kernel in a module by name (any kind).
-pub fn module_kernel(module: &Module, name: &str) -> Option<KernelIr> {
-    module.kernels.iter().find(|k| k.name == name).cloned()
-}
-
 /// Resolves an AND host label to its simulated node id. Host labels are
 /// assigned ids in declaration order, matching deployment.
 pub fn host_node(program: &CompiledProgram, label: &str) -> Option<NodeId> {
@@ -1086,5 +1078,46 @@ _net_ _in_ void r(int *data, _ext_ int *hdata, _ext_ bool *done) {
         h.done_on_flag(kid, 1);
         assert!(h.memory(kid).is_some());
         assert!(h.done_at.is_none());
+    }
+
+    #[test]
+    fn hosts_share_the_lowered_incoming_kernel_but_not_its_memory() {
+        let p = program();
+        let kid = p.kernel_ids["k"];
+        let ext = [(ScalarType::I32, 8), (ScalarType::Bool, 1)];
+        let (mut a, mut b) = (NclHost::new(&p), NclHost::new(&p));
+        a.bind_incoming(&p, "k", "r", &ext).unwrap();
+        b.bind_incoming(&p, "k", "r", &ext).unwrap();
+        let (ba, bb) = (a.incoming.get_mut(&kid).unwrap(), &b.incoming[&kid]);
+        assert!(Arc::ptr_eq(&ba.compiled, &bb.compiled));
+        assert!(Arc::ptr_eq(&ba.compiled, &p.incoming["r"]));
+        // A window through host a's binding lands in a's memory only.
+        let mut w = Window {
+            kernel: KernelId(kid),
+            seq: 0,
+            sender: HostId(2),
+            from: NodeId::Host(HostId(2)),
+            last: true,
+            chunks: vec![c3::Chunk {
+                offset: 0,
+                data: [41i32, 0, 0, 0]
+                    .iter()
+                    .flat_map(|v| v.to_be_bytes())
+                    .collect(),
+            }],
+            ext: vec![],
+        };
+        ba.compiled
+            .run_incoming(&mut w, &mut ba.memory, &mut a.scratch)
+            .unwrap();
+        assert_eq!(a.memory(kid).unwrap().arrays[0][0], Value::i32(41));
+        assert!(a.memory(kid).unwrap().arrays[1][0].is_truthy());
+        assert_eq!(b.memory(kid).unwrap().arrays[0][0], Value::i32(0));
+        assert!(!b.memory(kid).unwrap().arrays[1][0].is_truthy());
+        // Only `_in_` kernels are bindable.
+        assert!(matches!(
+            a.bind_incoming(&p, "k", "k", &ext),
+            Err(RuntimeError::UnknownKernel(_))
+        ));
     }
 }

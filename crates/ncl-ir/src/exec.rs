@@ -687,8 +687,44 @@ pub struct CompiledKernel {
 }
 
 /// Compile-time context resolving state types/placement from a module.
+/// Per-array facts are resolved once per compile, so lowering costs
+/// O(kernel) however large the register file and its initializers are.
 struct ModuleCtx<'a> {
     module: &'a Module,
+    /// Indexed by [`ArrId`].
+    arrays: Vec<ArrayFacts<'a>>,
+}
+
+/// What lowering needs to know about one register array.
+struct ArrayFacts<'a> {
+    decl: &'a RegisterDecl,
+    /// Whether the module places the array at its location.
+    placed: bool,
+    /// Flattened slot count.
+    len: usize,
+    /// Whether every slot starts with the declared element type. Stores
+    /// cast into the slot's existing type, so this holds for good.
+    uniform: bool,
+}
+
+impl<'a> ModuleCtx<'a> {
+    fn new(module: &'a Module) -> Self {
+        let arrays = module
+            .registers
+            .iter()
+            .map(|decl| ArrayFacts {
+                decl,
+                placed: module.placed_here(&decl.at),
+                len: decl.len(),
+                uniform: decl.init.iter().all(|v| v.ty() == decl.elem),
+            })
+            .collect();
+        ModuleCtx { module, arrays }
+    }
+
+    fn array(&self, arr: &ArrId) -> &ArrayFacts<'a> {
+        &self.arrays[arr.0 as usize]
+    }
 }
 
 impl CompiledKernel {
@@ -702,12 +738,14 @@ impl CompiledKernel {
     /// Lowers a kernel with its module: array/ctrl element types feed
     /// the type dataflow, and accesses to state the module does not
     /// place at its location compile to a hoisted placement error.
+    /// Costs O(kernel) plus one pass over the register initializer
+    /// prefixes, never switch memory × instructions.
     ///
     /// The caller must run the result against switch state built by
     /// [`SwitchState::from_module`] on the *same* module, which is what
     /// the `(kernel, location)` caches in the runtime do.
     pub fn compile_for(kernel: &KernelIr, module: &Module) -> Self {
-        Self::build(kernel, Some(ModuleCtx { module }))
+        Self::build(kernel, Some(ModuleCtx::new(module)))
     }
 
     /// Overrides the step budget (default one million, matching the
@@ -2134,110 +2172,86 @@ fn lower_inst(
             ty: *ty,
             val: lower_opnd(val),
         },
-        Inst::LdReg { dst, arr, index } => match placed(ctx, arr) {
-            Some(false) => Op::NotPlaced {
+        Inst::LdReg { dst, arr, index } => match ctx.map(|c| c.array(arr)) {
+            // The interpreter reports an empty placed array as
+            // not-placed; preserve that exactly.
+            Some(f) if !f.placed || f.len == 0 => Op::NotPlaced {
                 what: "register array",
             },
             // Placed here: the array's length is a compile-time fact, so
             // resolve the wrap-around and skip the emptiness check.
-            Some(true) => {
-                let len = reg_len(ctx, arr);
-                if len == 0 {
-                    // The interpreter reports an empty placed array as
-                    // not-placed; preserve that exactly.
-                    Op::NotPlaced {
-                        what: "register array",
-                    }
-                } else {
-                    match (lower_opnd(index), len) {
-                        (Opnd::Const(v), _) => Op::LdRegC {
-                            dst: dst.0,
-                            arr: arr.0,
-                            idx: (v.bits() as usize % len) as u32,
-                        },
-                        (index, l) if l.is_power_of_two() && l - 1 <= u32::MAX as usize => {
-                            Op::LdRegM {
-                                dst: dst.0,
-                                arr: arr.0,
-                                mask: (l - 1) as u32,
-                                index,
-                            }
-                        }
-                        (index, l) if l <= u32::MAX as usize => Op::LdRegL {
-                            dst: dst.0,
-                            arr: arr.0,
-                            len: l as u32,
-                            index,
-                        },
-                        (index, _) => Op::LdReg {
-                            dst: dst.0,
-                            arr: arr.0,
-                            index,
-                        },
-                    }
-                }
-            }
+            Some(f) => match (lower_opnd(index), f.len) {
+                (Opnd::Const(v), len) => Op::LdRegC {
+                    dst: dst.0,
+                    arr: arr.0,
+                    idx: (v.bits() as usize % len) as u32,
+                },
+                (index, l) if l.is_power_of_two() && l - 1 <= u32::MAX as usize => Op::LdRegM {
+                    dst: dst.0,
+                    arr: arr.0,
+                    mask: (l - 1) as u32,
+                    index,
+                },
+                (index, l) if l <= u32::MAX as usize => Op::LdRegL {
+                    dst: dst.0,
+                    arr: arr.0,
+                    len: l as u32,
+                    index,
+                },
+                (index, _) => Op::LdReg {
+                    dst: dst.0,
+                    arr: arr.0,
+                    index,
+                },
+            },
             None => Op::LdReg {
                 dst: dst.0,
                 arr: arr.0,
                 index: lower_opnd(index),
             },
         },
-        Inst::StReg { arr, index, val } => match placed(ctx, arr) {
-            Some(false) => Op::NotPlaced {
+        Inst::StReg { arr, index, val } => match ctx.map(|c| c.array(arr)) {
+            Some(f) if !f.placed || f.len == 0 => Op::NotPlaced {
                 what: "register array",
             },
-            Some(true) => {
-                let len = reg_len(ctx, arr);
-                if len == 0 {
-                    Op::NotPlaced {
-                        what: "register array",
-                    }
-                } else {
-                    // Stores cast into the slot's existing type, which is
-                    // fixed at init time (every runtime store preserves
-                    // it), so the cast target is a compile-time fact when
-                    // the slot types are uniform — or per-slot for a
-                    // constant index.
-                    let decl = &ctx.expect("placed implies ctx").module.registers[arr.0 as usize];
-                    let uniform = decl.init.iter().all(|v| v.ty() == decl.elem);
-                    match (lower_opnd(index), len) {
-                        (Opnd::Const(v), _) => {
-                            let idx = v.bits() as usize % len;
-                            let slot_ty = decl.init.get(idx).map(|v| v.ty()).unwrap_or(decl.elem);
-                            Op::StRegC {
-                                arr: arr.0,
-                                idx: idx as u32,
-                                ty: slot_ty,
-                                val: lower_opnd(val),
-                            }
-                        }
-                        (index, l)
-                            if uniform && l.is_power_of_two() && l - 1 <= u32::MAX as usize =>
-                        {
-                            Op::StRegM {
-                                arr: arr.0,
-                                mask: (l - 1) as u32,
-                                ty: decl.elem,
-                                index,
-                                val: lower_opnd(val),
-                            }
-                        }
-                        (index, l) if uniform && l <= u32::MAX as usize => Op::StRegL {
-                            arr: arr.0,
-                            len: l as u32,
-                            ty: decl.elem,
-                            index,
-                            val: lower_opnd(val),
-                        },
-                        (index, _) => Op::StReg {
-                            arr: arr.0,
-                            index,
-                            val: lower_opnd(val),
-                        },
+            // Stores cast into the slot's existing type, which is fixed at
+            // init time (every runtime store preserves it), so the cast
+            // target is a compile-time fact when the slot types are
+            // uniform — or per-slot for a constant index.
+            Some(f) => match (lower_opnd(index), f.len) {
+                (Opnd::Const(v), len) => {
+                    let idx = v.bits() as usize % len;
+                    let decl = f.decl;
+                    let slot_ty = decl.init.get(idx).map(|v| v.ty()).unwrap_or(decl.elem);
+                    Op::StRegC {
+                        arr: arr.0,
+                        idx: idx as u32,
+                        ty: slot_ty,
+                        val: lower_opnd(val),
                     }
                 }
-            }
+                (index, l) if f.uniform && l.is_power_of_two() && l - 1 <= u32::MAX as usize => {
+                    Op::StRegM {
+                        arr: arr.0,
+                        mask: (l - 1) as u32,
+                        ty: f.decl.elem,
+                        index,
+                        val: lower_opnd(val),
+                    }
+                }
+                (index, l) if f.uniform && l <= u32::MAX as usize => Op::StRegL {
+                    arr: arr.0,
+                    len: l as u32,
+                    ty: f.decl.elem,
+                    index,
+                    val: lower_opnd(val),
+                },
+                (index, _) => Op::StReg {
+                    arr: arr.0,
+                    index,
+                    val: lower_opnd(val),
+                },
+            },
             None => Op::StReg {
                 arr: arr.0,
                 index: lower_opnd(index),
@@ -2285,19 +2299,6 @@ fn lower_inst(
             label: label.clone(),
         },
     }
-}
-
-/// Whether the module context proves the array placed (Some(true)),
-/// proves it absent (Some(false)), or lacks the information (None).
-fn placed(ctx: Option<&ModuleCtx<'_>>, arr: &ArrId) -> Option<bool> {
-    let c = ctx?;
-    let decl = &c.module.registers[arr.0 as usize];
-    Some(c.module.placed_here(&decl.at))
-}
-
-/// Flattened slot count of a register array (ctx must be present).
-fn reg_len(ctx: Option<&ModuleCtx<'_>>, arr: &ArrId) -> usize {
-    ctx.expect("placed implies ctx").module.registers[arr.0 as usize].len()
 }
 
 /// For a constant chunk index, the pre-multiplied byte bounds used by
@@ -2788,6 +2789,74 @@ _net_ _out_ void k(int *d) { window.tag = window.tag + 1; }
             it.run_outgoing(k, &mut w, &mut s),
             Err(InterpError::NotPlacedHere("register array"))
         );
+    }
+
+    /// Scaling guard: lowering reads per-array facts resolved once in
+    /// `compile_for`, so its cost follows the kernel, not the register
+    /// file. A scan of the initializer per store (268M element reads
+    /// here, 1.4 s in a debug build) overshoots the budget by more than
+    /// ten times; one scan per compile (2 ms) sits fifty times under it.
+    #[test]
+    fn lowering_cost_follows_the_kernel_not_the_initializer() {
+        const SLOTS: usize = 65_536;
+        const STORES: usize = 4_096;
+        // Mixed slot types with the odd one last: "not uniform" is only
+        // known after reading every element.
+        let mut init = vec![Value::i32(0); SLOTS];
+        init[SLOTS - 1] = Value::u32(7);
+        let index = Operand::Reg(RegId(0));
+        let val = Operand::Const(Value::i32(1));
+        let mut insts = vec![Inst::LdMeta {
+            dst: RegId(0),
+            field: MetaField::Seq,
+        }];
+        let arr = ArrId(0);
+        insts.extend((0..STORES).map(|_| Inst::StReg { arr, index, val }));
+        insts.push(Inst::StReg {
+            arr,
+            index: Operand::Const(Value::u32(SLOTS as u32 - 1)),
+            val,
+        });
+        let module = Module {
+            registers: vec![RegisterDecl {
+                name: "a".into(),
+                at: None,
+                elem: ScalarType::I32,
+                dims: vec![SLOTS],
+                init,
+                span: Default::default(),
+            }],
+            kernels: vec![KernelIr {
+                name: "k".into(),
+                kind: ncl_lang::ast::KernelKind::Outgoing,
+                at: None,
+                params: vec![],
+                mask: vec![],
+                blocks: vec![Block {
+                    insts,
+                    term: Terminator::Ret,
+                }],
+                nregs: 1,
+                reg_tys: vec![ScalarType::U32],
+                span: Default::default(),
+            }],
+            ..Module::default()
+        };
+        let started = std::time::Instant::now();
+        let compiled = CompiledKernel::compile_for(&module.kernels[0], &module);
+        let took = started.elapsed();
+        // The slots are not uniform, so dynamic stores stay generic and
+        // the constant store casts into its own slot's type.
+        let generic = |op: &&Op| matches!(op, Op::StReg { .. });
+        assert_eq!(compiled.ops.iter().filter(generic).count(), STORES);
+        assert!(matches!(
+            compiled.ops[STORES + 1],
+            Op::StRegC {
+                ty: ScalarType::U32,
+                ..
+            }
+        ));
+        assert!(took.as_millis() < 100, "lowering took {took:?}");
     }
 
     #[test]

@@ -532,7 +532,10 @@ pub struct RegisterDecl {
     pub elem: ScalarType,
     /// Dimensions (empty = scalar; stored flattened).
     pub dims: Vec<usize>,
-    /// Initial contents, flattened.
+    /// Explicit prefix of the flattened initial contents. Slots past
+    /// `init.len()` start as zeros of `elem`; sema never stores trailing
+    /// zeros, so an initializer costs what the source wrote, not
+    /// [`RegisterDecl::len`]. Every consumer pads on read.
     pub init: Vec<Value>,
     /// Declaration site in the source file ([`Module::file`]).
     pub span: Span,

@@ -94,7 +94,9 @@ pub enum GlobalKind {
         elem: ScalarType,
         /// Evaluated dimensions (empty = scalar).
         dims: Vec<usize>,
-        /// Flattened initial values (padded with zeros).
+        /// Explicit prefix of the flattened initial values: elements
+        /// past `init.len()` are zeros of `elem`, and trailing zeros are
+        /// never stored (`= {0}` is empty whatever the dimensions).
         init: Vec<Value>,
     },
     /// A `_ctrl_` variable: written by host code, read-only in kernels.
@@ -298,6 +300,43 @@ pub fn analyze(program: &Program, file: &str) -> Result<CheckedProgram, Vec<Diag
         Ok(cx.out)
     } else {
         Err(cx.diags)
+    }
+}
+
+/// A register initializer being flattened. Only the written prefix is
+/// held, so `int a[1 << 20] = {0}` costs one element, not a million.
+struct InitPrefix {
+    vals: Vec<Value>,
+    elem: ScalarType,
+    total: usize,
+}
+
+impl InitPrefix {
+    fn new(elem: ScalarType, total: usize) -> Self {
+        let vals = Vec::new();
+        InitPrefix { vals, elem, total }
+    }
+
+    /// Stores `v`, cast to the element type, at flattened index `idx`;
+    /// false when `idx` is past the end of the array.
+    fn set(&mut self, idx: usize, v: Value) -> bool {
+        if idx >= self.total {
+            return false;
+        }
+        if idx >= self.vals.len() {
+            self.vals.resize(idx + 1, Value::zero(self.elem));
+        }
+        self.vals[idx] = v.cast(self.elem);
+        true
+    }
+
+    /// The explicit prefix: trailing zeros are implied, not stored.
+    fn finish(mut self) -> Vec<Value> {
+        let zero = Value::zero(self.elem);
+        while self.vals.last() == Some(&zero) {
+            self.vals.pop();
+        }
+        self.vals
     }
 }
 
@@ -527,10 +566,12 @@ impl Checker {
                         Value::zero(*ty)
                     }
                 };
+                let mut prefix = InitPrefix::new(*ty, 1);
+                prefix.set(0, init);
                 GlobalKind::Register {
                     elem: *ty,
                     dims: vec![],
-                    init: vec![init],
+                    init: prefix.finish(),
                 }
             }
             TypeExpr::Array(elem, dim_exprs) => {
@@ -556,15 +597,14 @@ impl Checker {
                         }
                     }
                 }
-                let total: usize = dims.iter().product();
-                let mut init = vec![Value::zero(*elem); total];
+                let mut init = InitPrefix::new(*elem, dims.iter().product());
                 if let Some(i) = &g.init {
-                    self.fill_array_init(i, *elem, &dims, &mut init, 0, g.span);
+                    self.fill_array_init(i, &dims, &mut init, 0, g.span);
                 }
                 GlobalKind::Register {
                     elem: *elem,
                     dims,
-                    init,
+                    init: init.finish(),
                 }
             }
             TypeExpr::Ptr(_) => {
@@ -592,18 +632,15 @@ impl Checker {
     fn fill_array_init(
         &mut self,
         init: &Initializer,
-        elem: ScalarType,
         dims: &[usize],
-        out: &mut [Value],
+        out: &mut InitPrefix,
         base: usize,
         span: Span,
     ) {
         match init {
             Initializer::Scalar(e) => {
                 if let Some(v) = self.const_eval(e) {
-                    if base < out.len() {
-                        out[base] = v.cast(elem);
-                    }
+                    out.set(base, v);
                 } else {
                     self.error("array initializer element must be constant", e.span());
                 }
@@ -614,9 +651,7 @@ impl Checker {
                         match item {
                             Initializer::Scalar(e) => {
                                 if let Some(v) = self.const_eval(e) {
-                                    if base + i < out.len() {
-                                        out[base + i] = v.cast(elem);
-                                    } else {
+                                    if !out.set(base + i, v) {
                                         self.error("too many initializer elements", e.span());
                                         return;
                                     }
@@ -634,7 +669,7 @@ impl Checker {
                             self.error("too many initializer rows", span);
                             return;
                         }
-                        self.fill_array_init(item, elem, &dims[1..], out, base + i * row, span);
+                        self.fill_array_init(item, &dims[1..], out, base + i * row, span);
                     }
                 }
             }
@@ -1671,9 +1706,43 @@ mod tests {
         };
         assert_eq!(*elem, ScalarType::I32);
         assert_eq!(dims, &[4]);
-        assert_eq!(init[0], Value::i32(1));
-        assert_eq!(init[1], Value::i32(2));
-        assert_eq!(init[2], Value::i32(0));
+        // The explicit prefix only: elements 2 and 3 are implied zeros.
+        assert_eq!(init, &[Value::i32(1), Value::i32(2)]);
+    }
+
+    fn register_init(decl: &str) -> Vec<Value> {
+        let p = check_ok(&format!("_net_ _at_(\"s1\") {decl};"));
+        let GlobalKind::Register { init, .. } = &p.globals[0].kind else {
+            panic!("{decl} is not a register")
+        };
+        init.clone()
+    }
+
+    #[test]
+    fn register_init_is_the_explicit_prefix() {
+        let i = Value::i32;
+        assert_eq!(register_init("int a[8] = {1, 2}"), [i(1), i(2)]);
+        assert_eq!(register_init("int z[8] = {0, 0, 3}"), [i(0), i(0), i(3)]);
+        assert_eq!(register_init("int t[8] = {4, 0, 0}"), [i(4)]);
+        assert_eq!(register_init("bool v[4] = {true}"), [Value::bool(true)]);
+        let u = Value::u32;
+        assert_eq!(
+            register_init("uint32_t c[2][4] = {{1}, {2}}"),
+            [u(1), u(0), u(0), u(0), u(2)]
+        );
+        assert_eq!(register_init("int accum[1 << 20] = {0}"), []);
+        assert_eq!(register_init("int big[1 << 20]"), []);
+        assert_eq!(register_init("char grid[4][8] = {{0}}"), []);
+        assert_eq!(register_init("int x = 0"), []);
+        assert_eq!(register_init("int y = 7"), [i(7)]);
+    }
+
+    #[test]
+    fn too_many_initializer_elements_needs_no_full_buffer() {
+        let msg = first_error(r#"_net_ _at_("s1") int a[2] = {1, 2, 3};"#);
+        assert!(msg.contains("too many initializer elements"), "{msg}");
+        let msg = first_error(r#"_net_ _at_("s1") int b[2][2] = {{1, 2}, {3, 4, 5}};"#);
+        assert!(msg.contains("too many initializer elements"), "{msg}");
     }
 
     #[test]

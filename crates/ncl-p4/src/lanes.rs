@@ -123,15 +123,10 @@ pub fn split_lanes(module: &mut Module) -> LaneMap {
             LaneDecision::Split { lanes, slot_len } => {
                 let mut bank_names = Vec::new();
                 for lane in 0..*lanes {
-                    // Lane k holds elements {k, L+k, 2L+k, …}.
-                    let init: Vec<Value> = (0..*slot_len)
-                        .map(|slot| {
-                            decl.init
-                                .get(slot * lanes + lane)
-                                .copied()
-                                .unwrap_or_else(|| Value::zero(decl.elem))
-                        })
-                        .collect();
+                    // Lane k holds elements {k, L+k, 2L+k, …}; its
+                    // initializer is that stride of the explicit prefix.
+                    let stride = decl.init.iter().skip(lane).step_by(*lanes);
+                    let init: Vec<Value> = stride.copied().collect();
                     let name = format!("{}__l{}", decl.name, lane);
                     bank_names.push(name.clone());
                     new_registers.push(RegisterDecl {

@@ -26,7 +26,9 @@ pub struct RegisterArrayDef {
     pub elem: ScalarType,
     /// Element count.
     pub len: usize,
-    /// Initial contents (padded with zeros).
+    /// Explicit prefix of the initial contents: [`Pipeline::load`] pads
+    /// it to `len` with zeros of `elem`, so a config costs what the
+    /// program initialised, not the size of switch memory.
     pub init: Vec<Value>,
 }
 

@@ -172,3 +172,90 @@ _net_ _in_ void ra(uint32_t *d, _ext_ uint32_t *n) { n[0] = n[0] + 1; }
     // But only ka's ran the handler.
     assert_eq!(recv.memory(ka).unwrap().arrays[0][0].bits(), 1);
 }
+
+/// `RegisterDecl::init` holds the explicit initializer prefix only, yet
+/// every execution tier starts from exactly the state the fully
+/// materialised initializer describes — including a lane-split array,
+/// whose banks each take a stride of the prefix.
+#[test]
+fn initializer_prefix_pads_to_the_same_state_in_every_tier() {
+    use ncl::core::{ControlPlane, FastPathSwitch};
+    use ncl::ir::interp::SwitchState;
+    use ncl::model::Value;
+    use ncl::pisa::{Pipeline, ResourceModel};
+
+    let src = r#"
+_net_ _at_("s1") int a[8] = {1, 2};
+_net_ _at_("s1") int z[8] = {0, 0, 3};
+_net_ _at_("s1") bool v[4] = {true};
+_net_ _at_("s1") uint32_t c[2][4] = {{1}, {2}};
+_net_ _at_("s1") int accum[1 << 20] = {0};
+_net_ _at_("s1") int split[8] = {5, 6, 7, 0, 0, 9};
+_net_ _out_ void k(int *d) {
+    unsigned base = window.seq * window.len;
+    for (unsigned i = 0; i < window.len; ++i) split[base + i] += d[i];
+    a[0] += 1; z[2] += 1; c[1][0] += 1; accum[window.seq] += 1;
+    if (v[0]) _drop();
+}
+"#;
+    let model = ResourceModel {
+        sram_bytes_per_stage: 64 << 20,
+        ..ResourceModel::default()
+    };
+    let mut cfg = CompileConfig {
+        model,
+        ..CompileConfig::default()
+    };
+    cfg.masks.insert("k".into(), vec![4]);
+    let program = compile(src, AND, &cfg).expect("compiles");
+    let module = program.module("s1").expect("s1 module");
+
+    let i = Value::i32;
+    let u = Value::u32;
+    let prefixes: [(&str, usize, Vec<Value>); 6] = [
+        ("a", 8, vec![i(1), i(2)]),
+        ("z", 8, vec![i(0), i(0), i(3)]),
+        ("v", 4, vec![Value::bool(true)]),
+        ("c", 8, vec![u(1), u(0), u(0), u(0), u(2)]),
+        ("accum", 1 << 20, vec![]),
+        ("split", 8, vec![i(5), i(6), i(7), i(0), i(0), i(9)]),
+    ];
+    let compiled = program.switch("s1").expect("s1 compiled");
+    assert!(
+        compiled.lane_banks["split"].len() > 1,
+        "split is lane-split"
+    );
+    let pipe = Pipeline::load(compiled.pipeline.clone(), model).expect("loads");
+    let cp = ControlPlane::new(compiled);
+    let fp = FastPathSwitch::from_program(&program, "s1").expect("fast path builds");
+    let interp = SwitchState::from_module(module);
+    for (name, len, prefix) in prefixes {
+        let (r, decl) = module
+            .registers
+            .iter()
+            .enumerate()
+            .find(|(_, d)| d.name == name)
+            .expect("declared");
+        assert_eq!(decl.init, prefix, "{name}: init is the explicit prefix");
+        assert_eq!(decl.len(), len, "{name}");
+        // The fully materialised initializer, as sema used to store it.
+        let zero = Value::zero(decl.elem);
+        let full = |idx: usize| prefix.get(idx).copied().unwrap_or(zero);
+        assert_eq!(interp.registers[r].len(), len, "{name}");
+        // Every element of the small arrays; both ends of the big one.
+        for idx in (0..len.min(64)).chain(len.saturating_sub(2)..len) {
+            assert_eq!(interp.registers[r][idx], full(idx), "interp {name}[{idx}]");
+            assert_eq!(
+                fp.register_read(name, idx),
+                Some(full(idx)),
+                "fast path {name}[{idx}]"
+            );
+            assert_eq!(
+                cp.read_register(&pipe, name, idx),
+                Some(full(idx)),
+                "pisa {name}[{idx}]"
+            );
+        }
+        assert_eq!(fp.register_read(name, len), None, "{name} ends at {len}");
+    }
+}

@@ -6,7 +6,7 @@
 
 use ncl::core::apps::{kvs_source, KvsClient, KvsOp, KvsServer};
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::{deploy_opts, DeployOptions};
+use ncl::core::deploy::{deploy_opts, DeployOptions, SwitchBackend};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram};
 use ncl::model::{HostId, NodeId};
 use ncl::netsim::HostApp;
@@ -33,6 +33,11 @@ struct Setup {
 /// Builds the deployed system. `with_cache` loads the compiled pipeline
 /// onto s1; otherwise s1 plain-forwards (the baseline).
 fn setup(with_cache: bool, client_ops: Vec<Vec<KvsOp>>) -> Setup {
+    setup_on(SwitchBackend::Pisa, with_cache, client_ops)
+}
+
+/// [`setup`] on a chosen switch backend.
+fn setup_on(backend: SwitchBackend, with_cache: bool, client_ops: Vec<Vec<KvsOp>>) -> Setup {
     let program = program();
     let kernel = program.kernel_ids["query"];
     let server_node = NodeId::Host(HostId(SERVER_ID));
@@ -68,7 +73,11 @@ fn setup(with_cache: bool, client_ops: Vec<Vec<KvsOp>>) -> Setup {
     if !with_cache {
         stripped.switches.clear(); // deploy a plain forwarder
     }
-    let mut dep = deploy_opts(&stripped, apps, DeployOptions::default()).expect("deploys");
+    let opts = DeployOptions {
+        backend,
+        ..DeployOptions::default()
+    };
+    let mut dep = deploy_opts(&stripped, apps, opts).expect("deploys");
     if with_cache {
         let s1 = dep.switch("s1");
         let server = dep
@@ -347,4 +356,65 @@ fn cache_eviction_replaces_cold_keys() {
         .filter(|x| x.key == 3 && !x.put && x.from_cache)
         .count();
     assert!(late_hits >= 4, "got {late_hits} cached GETs of the hot key");
+}
+
+#[test]
+fn get_between_eviction_and_refill_never_reads_the_victims_value() {
+    // 2-slot cache, hot threshold 2. Keys 1 and 2 fill both slots; the
+    // fourth GET of key 3 evicts key 1 and re-points Idx at its slot,
+    // whose Valid bit still vouches for key 1's value until the update
+    // window lands 120 µs later. A GET of key 3 inside that gap must be
+    // answered by the server, not with key 1's cached value.
+    let mut ops: Vec<KvsOp> = [1u64, 2, 3]
+        .iter()
+        .map(|&key| KvsOp {
+            at: ms(key),
+            key,
+            put: true,
+        })
+        .collect();
+    let gets = [
+        (10, 1u64),
+        (11, 1),
+        (12, 2),
+        (13, 2),
+        (20, 3),
+        (21, 3),
+        (22, 3),
+    ];
+    ops.extend(gets.iter().map(|&(at, key)| KvsOp {
+        at: ms(at),
+        key,
+        put: false,
+    }));
+    let evicting = ms(23);
+    for at in [evicting, evicting + 90_000, ms(24)] {
+        ops.push(KvsOp {
+            at,
+            key: 3,
+            put: false,
+        });
+    }
+    for backend in [
+        SwitchBackend::Pisa,
+        SwitchBackend::FastPath,
+        SwitchBackend::Simd,
+    ] {
+        let mut s = setup_on(backend, true, vec![ops.clone(), vec![]]);
+        let server = s.dep.net.host_app_mut::<KvsServer>(HostId(SERVER_ID));
+        let server = server.expect("server app");
+        server.cache_slots = 2;
+        server.hot_threshold = 2;
+        s.dep.net.run();
+        let server = s.dep.net.host_app::<KvsServer>(HostId(SERVER_ID)).unwrap();
+        assert_eq!(server.evictions, 1, "{backend:?}: key 3 displaces key 1");
+        let client = s.dep.net.host_app::<KvsClient>(HostId(1)).unwrap();
+        assert_eq!(client.corrupt, 0, "{backend:?}: no GET reads a stale slot");
+        // Only the last GET, after the update window, is a cache hit.
+        let hits = client.samples.iter().filter(|x| x.from_cache).count();
+        assert_eq!(
+            hits, 1,
+            "{backend:?}: the GET in the gap goes to the server"
+        );
+    }
 }
