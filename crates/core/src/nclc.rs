@@ -18,7 +18,7 @@ use ncl_lang::ast::KernelKind;
 use ncl_lang::diag::Diagnostic;
 use ncl_lang::sema::CheckedProgram;
 pub use ncl_p4::estimate::ModuleEstimate;
-use ncl_p4::{compile_module, CompileError, CompileOptions, CompiledSwitch};
+use ncl_p4::{compile_staged, stage_module, CompileError, CompileOptions, CompiledSwitch};
 use nctel::Timeline;
 use pisa::ResourceModel;
 use std::collections::{BTreeMap, HashMap};
@@ -103,7 +103,7 @@ pub struct CompiledProgram {
     /// `CompiledProgram` is assembled or altered by hand.
     pub lint_config: LintConfig,
     /// Wall-time spans of every compiler stage (frontend → overlay →
-    /// lower → optimize → version → lint → estimate → backend), the
+    /// lower → optimize → version → lint → stage → estimate → backend), the
     /// per-location stages accumulated across locations. Rendered by
     /// `nclc --emit timing`.
     pub timings: Timeline,
@@ -305,10 +305,14 @@ pub fn compile(
         // resource estimate, both before PISA mapping. A denied finding
         // means the kernel must not reach a switch.
         let mut diags = timings.time("lint", || ncl_ir::lint::lint_module(&module, &lint_cfg));
-        let estimate = match timings.time("estimate", || {
-            ncl_p4::estimate::estimate_module(&module, &cfg.model)
-        }) {
-            Ok(est) => {
+        // The backend's front half, run once: the estimate and the
+        // pipeline below are both read off it.
+        let staged = timings.time("stage", || stage_module(&module, &cfg.model, &opts));
+        let estimate = match &staged {
+            Ok(staged) => {
+                let est = timings.time("estimate", || {
+                    ncl_p4::estimate::estimate_staged(staged, &cfg.model)
+                });
                 let overrun_level = lint_cfg.level(LintCode::ResourceOverrun);
                 if overrun_level != LintLevel::Allow {
                     for (kernel, v) in est.all_violations() {
@@ -329,8 +333,9 @@ pub fn compile(
                 }
                 Some(est)
             }
-            // Estimation failures (e.g. allocation divergence) re-occur
-            // in the backend below with a proper error; don't duplicate.
+            // Staging failures (e.g. allocation divergence) leave no
+            // estimate; the backend below reports them with a proper
+            // error, after the lint gate has spoken.
             Err(_) => None,
         };
         let (deny, warns) = ncl_ir::lint::partition(diags);
@@ -341,7 +346,9 @@ pub fn compile(
             });
         }
         let compiled = timings
-            .time("backend", || compile_module(&module, &cfg.model, &opts))
+            .time("backend", || {
+                compile_staged(&module, staged, &cfg.model, &opts)
+            })
             .map_err(|error| NclcError::Backend {
                 location: loc.label.clone(),
                 error,
@@ -539,6 +546,35 @@ _net_ _out_ void k(int *data) {
             }
             other => panic!("expected lint denial, got: {other}"),
         }
+    }
+
+    #[test]
+    fn staging_failure_waits_for_the_lint_gate() {
+        // No mask: the backend cannot stage `k`, so there is no
+        // estimate — and the verdicts keep their order.
+        let src = r#"
+_net_ _at_("s1") int a[4] = {0};
+_net_ _out_ void k(int *d) { a[0] += d[0]; }
+"#;
+        let mut c = CompileConfig::default();
+        match compile(src, ALLREDUCE_AND, &c).unwrap_err() {
+            NclcError::Backend {
+                error: CompileError::Codegen { kernel, reason },
+                ..
+            } => {
+                assert_eq!(kernel, "k");
+                assert!(reason.contains("requires a mask"), "{reason}");
+            }
+            other => panic!("expected the backend's staging error, got: {other}"),
+        }
+        // With a denied finding as well, the lint gate speaks first.
+        let filter = ReplayFilter {
+            senders: 4,
+            slots: 4,
+        };
+        c.replay_filters.insert("k".into(), filter);
+        let err = compile(src, ALLREDUCE_AND, &c).unwrap_err();
+        assert!(matches!(err, NclcError::Lint { .. }), "{err}");
     }
 
     #[test]

@@ -23,17 +23,18 @@
 //! contract is DESIGN.md §4.4 and is pinned by cross-crate tests in
 //! `ncl-core`.
 
-use crate::alloc::{allocate, AllocBudget, StagedKernel};
-use crate::flatten::{flatten, PredInst};
+use crate::alloc::StagedKernel;
+use crate::flatten::PredInst;
+use crate::stage::StagedModule;
 use crate::CompileOptions;
 use c3::{BinOp, ScalarType, Value};
 use ncl_ir::ir::{CtrlId, FwdKind, Inst, MetaField, Module, Operand, RegId};
-use ncl_lang::ast::KernelKind;
 use pisa::{
     ActionDef, ActionRef, Arg, DeparserSpec, Extract, FieldClass, FieldId, MatchKind, ParserSpec,
-    PhvLayout, PipelineConfig, PrimOp, RegisterArrayDef, ResourceModel, StageConfig, TableDef,
+    PhvLayout, PipelineConfig, PrimOp, RegisterArrayDef, StageConfig, TableDef,
 };
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Pipeline plus the bookkeeping the runtime needs.
 #[derive(Clone, Debug)]
@@ -73,12 +74,12 @@ pub const NCP_FIELDS: &[(&str, ScalarType)] = &[
     ("ncp.ext_len", ScalarType::U8),
 ];
 
-/// Builds the pipeline for a versioned module.
+/// Builds the pipeline for a staged module.
 pub fn build_pipeline(
-    module: &Module,
-    model: &ResourceModel,
+    staged: &StagedModule,
     opts: &CompileOptions,
 ) -> Result<BuiltPipeline, BuildError> {
+    let module = &staged.module;
     let mut layout = PhvLayout::default();
     // --- NCP header ---
     let mut ncp: HashMap<&str, FieldId> = HashMap::new();
@@ -124,10 +125,6 @@ pub fn build_pipeline(
         })
         .collect();
 
-    let budget = AllocBudget {
-        gateway_depth: opts.gateway_depth,
-        ..AllocBudget::from_model(model)
-    };
     let mut parser = ParserSpec {
         common: NCP_FIELDS
             .iter()
@@ -152,26 +149,13 @@ pub fn build_pipeline(
     let mut ctrl_regs: HashMap<String, Vec<String>> = HashMap::new();
     let mut kernel_stages: HashMap<String, usize> = HashMap::new();
 
-    for kernel in &module.kernels {
-        if kernel.kind != KernelKind::Outgoing || !module.placed_here(&kernel.at) {
-            continue;
-        }
+    for (kernel, ks) in staged.placed() {
         let kid = kernel_ids[&kernel.name];
         // Window payload + chunk descriptor header fields for this
-        // kernel's parser/deparser branch.
+        // kernel's parser/deparser branch (staging checked the mask
+        // covers every window parameter).
         let win_params: Vec<&ncl_lang::sema::ParamInfo> =
             kernel.params.iter().filter(|p| !p.ext).collect();
-        if kernel.mask.len() != win_params.len() {
-            return Err(BuildError {
-                kernel: kernel.name.clone(),
-                reason: format!(
-                    "window mask arity {} does not match {} window parameters \
-                     (switch compilation requires a mask)",
-                    kernel.mask.len(),
-                    win_params.len()
-                ),
-            });
-        }
         let mut branch_extracts: Vec<Extract> = Vec::new();
         let mut branch_fields: Vec<FieldId> = Vec::new();
         let mut payload: Vec<Vec<FieldId>> = Vec::new(); // [param][elem]
@@ -224,20 +208,11 @@ pub fn build_pipeline(
             b: Arg::Const(Value::new(ScalarType::U16, kid as u64)),
         });
 
-        // Flatten + allocate.
-        let lin = flatten(kernel, None).map_err(|e| BuildError {
-            kernel: kernel.name.clone(),
-            reason: e.to_string(),
-        })?;
-        let staged = allocate(&lin, &budget).map_err(|_| BuildError {
-            kernel: kernel.name.clone(),
-            reason: "stage allocation diverged".into(),
-        })?;
-        kernel_stages.insert(kernel.name.clone(), staged.stages.len());
+        kernel_stages.insert(kernel.name.clone(), ks.staged.stages.len());
 
         // Liveness-based metadata allocation: registers with disjoint
         // live ranges share PHV containers, across kernels too.
-        let reg_map = assign_fields(&staged, &lin.reg_tys, &mut layout, &mut pool, kid);
+        let reg_map = assign_fields(&ks.staged, &ks.reg_tys, &mut layout, &mut pool);
 
         // Translate.
         let mut tr = Translator {
@@ -256,9 +231,9 @@ pub fn build_pipeline(
             map_tables: &mut map_tables,
             ctrl_regs: &mut ctrl_regs,
             kernel_name: kernel.name.clone(),
-            reg_tys: &lin.reg_tys,
+            reg_tys: &ks.reg_tys,
         };
-        let kernel_stage_cfgs = tr.translate(&staged)?;
+        let kernel_stage_cfgs = tr.translate(&ks.staged)?;
         // Merge into the global stage list starting at stage 1.
         for (i, cfg) in kernel_stage_cfgs.into_iter().enumerate() {
             while stages.len() <= i {
@@ -719,61 +694,73 @@ pub(crate) fn assign_fields(
     reg_tys: &[ScalarType],
     layout: &mut PhvLayout,
     pool: &mut FieldPool,
-    kid: u16,
 ) -> HashMap<RegId, FieldId> {
     // Linearize and compute ranges.
+    #[derive(Clone, Copy)]
     struct Range {
         start: usize,
         end: usize,
         read_first: bool,
     }
-    let mut ranges: HashMap<RegId, Range> = HashMap::new();
+    let mut ranges: Vec<Option<Range>> = vec![None; reg_tys.len()];
     let mut idx = 0usize;
     for stage in &staged.stages {
         for op in stage {
-            let mut touch = |r: RegId, is_read: bool, idx: usize| {
-                ranges
-                    .entry(r)
-                    .and_modify(|rg| rg.end = idx)
-                    .or_insert(Range {
+            let mut touch = |r: RegId, is_read: bool| match &mut ranges[r.0 as usize] {
+                Some(rg) => rg.end = idx,
+                none => {
+                    *none = Some(Range {
                         start: idx,
                         end: idx,
                         read_first: is_read,
-                    });
+                    })
+                }
             };
             for o in op.inst.operands() {
                 if let Operand::Reg(r) = o {
-                    touch(r, true, idx);
+                    touch(r, true);
                 }
             }
             if let Some(g) = op.guard {
-                touch(g, true, idx);
+                touch(g, true);
             }
             for d in op.inst.dsts() {
-                touch(d, false, idx);
+                touch(d, false);
             }
             idx += 1;
         }
     }
     // Linear scan in order of range start.
-    let mut order: Vec<RegId> = ranges.keys().copied().collect();
-    order.sort_by_key(|r| (ranges[r].start, r.0));
+    let mut order: Vec<(RegId, Range)> = ranges
+        .iter()
+        .enumerate()
+        .filter_map(|(r, rg)| rg.map(|rg| (RegId(r as u32), rg)))
+        .collect();
+    order.sort_by_key(|(r, rg)| (rg.start, r.0));
     let mut free: HashMap<ScalarType, Vec<FieldId>> = pool.all.clone();
-    let mut active: Vec<(usize, ScalarType, FieldId)> = Vec::new(); // (end, ty, field)
-    let mut dirty: std::collections::HashSet<FieldId> = std::collections::HashSet::new();
+    // Tenants by range end, then by the order they moved in.
+    let mut active: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
+    let mut tenants: Vec<(ScalarType, FieldId)> = Vec::with_capacity(order.len());
+    let mut expired: Vec<usize> = Vec::new();
+    let mut dirty: HashSet<FieldId> = HashSet::new();
     let mut map: HashMap<RegId, FieldId> = HashMap::new();
-    for r in order {
-        let rg = &ranges[&r];
+    for (r, rg) in order {
         let ty = reg_tys[r.0 as usize];
-        // Expire finished tenants.
-        active.retain(|&(end, aty, f)| {
-            if end < rg.start {
-                free.entry(aty).or_default().push(f);
-                false
-            } else {
-                true
+        // Expire finished tenants; their fields return to the free
+        // lists in move-in order, whatever order their ranges ended in.
+        expired.clear();
+        while let Some(&Reverse((end, tenant))) = active.peek() {
+            if end >= rg.start {
+                break;
             }
-        });
+            active.pop();
+            expired.push(tenant);
+        }
+        expired.sort_unstable();
+        for &tenant in &expired {
+            let (aty, f) = tenants[tenant];
+            free.entry(aty).or_default().push(f);
+        }
         let field = {
             let candidates = free.entry(ty).or_default();
             let pick = if rg.read_first {
@@ -790,13 +777,13 @@ pub(crate) fn assign_fields(
                         FieldClass::Metadata,
                     );
                     pool.all.entry(ty).or_default().push(f);
-                    let _ = kid;
                     f
                 }
             }
         };
         dirty.insert(field);
-        active.push((rg.end, ty, field));
+        active.push(Reverse((rg.end, tenants.len())));
+        tenants.push((ty, field));
         map.insert(r, field);
     }
     map
@@ -876,7 +863,7 @@ mod tests {
     use c3::{Chunk, Forward, HostId, KernelId, NodeId, Window};
     use ncl_ir::lower::{lower, LoweringConfig};
     use ncl_ir::{Interpreter, SwitchState};
-    use pisa::Pipeline;
+    use pisa::{Pipeline, ResourceModel};
 
     fn compile(src: &str, masks: &[(&str, Vec<u16>)]) -> (Module, crate::CompiledSwitch) {
         let checked = ncl_lang::frontend(src, "t.ncl").expect("frontend");

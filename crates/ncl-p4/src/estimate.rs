@@ -2,8 +2,8 @@
 //!
 //! `nclc --lint` wants to reject infeasible kernels *before* full PISA
 //! mapping (paper §6 asks how a programmer learns a kernel won't fit;
-//! the answer should not be "after codegen fails"). This module runs
-//! only the cheap front half of the backend — lane splitting, if-
+//! the answer should not be "after codegen fails"). This module reads
+//! the backend's front half — the [`StagedModule`]: lane splitting, if-
 //! conversion, stage allocation — and predicts what the full pipeline
 //! would consume:
 //!
@@ -24,13 +24,11 @@
 //! is pinned by tests: stage predictions within ±1 (the dispatch
 //! stage), SRAM within ±10%, on every example kernel.
 
-use crate::alloc::{allocate, AllocBudget};
-use crate::codegen::{assign_fields, FieldPool, NCP_FIELDS};
-use crate::flatten::flatten;
-use crate::lanes;
+use crate::codegen::{assign_fields, BuildError, FieldPool, NCP_FIELDS};
+use crate::stage::{stage_module, StagedModule};
+use crate::CompileOptions;
 use c3::ScalarType;
 use ncl_ir::ir::{Inst, Module};
-use ncl_lang::ast::KernelKind;
 use pisa::{FieldClass, PhvLayout, ResourceModel, ResourceViolation};
 use std::collections::BTreeMap;
 
@@ -128,7 +126,7 @@ impl ModuleEstimate {
     }
 }
 
-/// Estimation failure (flatten or stage allocation could not run).
+/// Estimation failure (the module could not be staged).
 #[derive(Clone, Debug)]
 pub struct EstimateError {
     /// The kernel at fault.
@@ -149,17 +147,32 @@ impl std::fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
+impl From<BuildError> for EstimateError {
+    fn from(e: BuildError) -> Self {
+        EstimateError {
+            kernel: e.kernel,
+            reason: e.reason,
+        }
+    }
+}
+
 /// Estimates resource usage of an optimized, versioned module without
-/// building the pipeline. Mirrors `codegen::build_pipeline`'s layout
-/// decisions (lane splitting, field order, liveness-shared metadata)
-/// so the prediction tracks the real mapping.
+/// building the pipeline: stages it under the default options and
+/// accounts for the result.
 pub fn estimate_module(
     module: &Module,
     model: &ResourceModel,
 ) -> Result<ModuleEstimate, EstimateError> {
-    let mut split = module.clone();
-    lanes::split_lanes(&mut split);
-    let budget = AllocBudget::from_model(model);
+    let staged = stage_module(module, model, &CompileOptions::default())?;
+    Ok(estimate_staged(&staged, model))
+}
+
+/// Accounts for the resources the pipeline built from `staged` will
+/// use. Mirrors `codegen::build_pipeline`'s layout decisions (field
+/// order, liveness-shared metadata) over the same staged kernels, so
+/// the prediction tracks the real mapping.
+pub fn estimate_staged(staged: &StagedModule, model: &ResourceModel) -> ModuleEstimate {
+    let split = &staged.module;
 
     // Replay codegen's PHV layout: NCP header, intrinsics, ext struct.
     let mut layout = PhvLayout::default();
@@ -179,23 +192,11 @@ pub fn estimate_module(
     // Arrays shared across kernels: micro-ops add up in the one stage
     // the bank fuses into.
     let mut module_accesses: BTreeMap<String, usize> = BTreeMap::new();
-    let mut ctrl_sites = 0usize;
 
-    for (kid, kernel) in split.kernels.iter().enumerate() {
-        if kernel.kind != KernelKind::Outgoing || !split.placed_here(&kernel.at) {
-            continue;
-        }
+    for (kernel, ks) in staged.placed() {
+        let kid = ks.kernel;
+        let stages = &ks.staged.stages;
         let win_params: Vec<_> = kernel.params.iter().filter(|p| !p.ext).collect();
-        if kernel.mask.len() != win_params.len() {
-            return Err(EstimateError {
-                kernel: kernel.name.clone(),
-                reason: format!(
-                    "window mask arity {} does not match {} window parameters",
-                    kernel.mask.len(),
-                    win_params.len()
-                ),
-            });
-        }
 
         let hdr_before = layout.header_bytes();
         let meta_before = layout.metadata_bytes();
@@ -222,15 +223,7 @@ pub fn estimate_module(
             FieldClass::Metadata,
         );
 
-        let lin = flatten(kernel, None).map_err(|e| EstimateError {
-            kernel: kernel.name.clone(),
-            reason: e.to_string(),
-        })?;
-        let staged = allocate(&lin, &budget).map_err(|_| EstimateError {
-            kernel: kernel.name.clone(),
-            reason: "stage allocation diverged".into(),
-        })?;
-        assign_fields(&staged, &lin.reg_tys, &mut layout, &mut pool, kid as u16);
+        assign_fields(&ks.staged, &ks.reg_tys, &mut layout, &mut pool);
 
         // Per-access SRAM and micro-op accounting, mirroring
         // `PipelineConfig::report`: every register read/write op at
@@ -239,7 +232,7 @@ pub fn estimate_module(
         let mut sram = 0usize;
         let mut accesses: BTreeMap<String, usize> = BTreeMap::new();
         let mut touched: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (si, stage) in staged.stages.iter().enumerate() {
+        for (si, stage) in stages.iter().enumerate() {
             let phys = (si + 1) % model.stages.max(1);
             for p in stage {
                 match &p.inst {
@@ -262,7 +255,6 @@ pub fn estimate_module(
                         let bytes = decl.ty.size();
                         sram += bytes;
                         sram_by_stage[phys] += bytes;
-                        ctrl_sites += 1;
                     }
                     _ => {}
                 }
@@ -270,9 +262,9 @@ pub fn estimate_module(
         }
 
         let mut violations = Vec::new();
-        if staged.stages.len() + 1 > model.logical_stages() {
+        if stages.len() + 1 > model.logical_stages() {
             violations.push(ResourceViolation::TooManyStages {
-                required: staged.stages.len() + 1,
+                required: stages.len() + 1,
                 available: model.logical_stages(),
             });
         }
@@ -297,11 +289,11 @@ pub fn estimate_module(
             }
         }
 
-        max_stages = max_stages.max(staged.stages.len());
+        max_stages = max_stages.max(stages.len());
         kernels.push(KernelEstimate {
             kernel: kernel.name.clone(),
-            stages: staged.stages.len(),
-            alu_ops: staged.op_count(),
+            stages: stages.len(),
+            alu_ops: ks.staged.op_count(),
             sram_bytes: sram,
             phv_header_bytes: layout.header_bytes() - hdr_before,
             phv_metadata_bytes: layout.metadata_bytes() - meta_before,
@@ -309,7 +301,6 @@ pub fn estimate_module(
             violations,
         });
     }
-    let _ = ctrl_sites;
 
     let mut violations = Vec::new();
     let phv_header_bytes = layout.header_bytes();
@@ -353,7 +344,7 @@ pub fn estimate_module(
         }
     }
 
-    Ok(ModuleEstimate {
+    ModuleEstimate {
         pipeline_stages: if kernels.is_empty() {
             0
         } else {
@@ -364,7 +355,7 @@ pub fn estimate_module(
         phv_metadata_bytes,
         sram_by_stage,
         violations,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -395,29 +386,60 @@ _net_ _out_ void agg(unsigned *data) {
 }
 "#;
 
+    /// [`AGG`] with a threshold branch, so the gateway depth decides
+    /// how many stages the predicate chain takes.
+    const AGG_IF: &str = r#"
+_net_ unsigned accum[16] = {0};
+_net_ unsigned count[4] = {0};
+_net_ _out_ void agg(unsigned *data) {
+    for (unsigned i = 0; i < window.len; ++i)
+        accum[i] += data[i];
+    if (++count[window.seq] == 3 && data[0] != 0) {
+        for (unsigned i = 0; i < window.len; ++i)
+            data[i] = accum[i];
+        _reflect();
+    } else { _drop(); }
+}
+"#;
+
     #[test]
     fn estimate_matches_actual_mapping() {
-        let module = build(AGG, &[("agg", vec![4])]);
+        let module = build(AGG_IF, &[("agg", vec![4])]);
         let model = ResourceModel::default();
+        // The second set is E6c's ablation: the estimate is of the
+        // kernel that is built, whatever the options stage it as.
+        let no_gateway = CompileOptions {
+            gateway_depth: 0,
+            ..CompileOptions::default()
+        };
+        let mut depths = Vec::new();
+        for opts in [CompileOptions::default(), no_gateway] {
+            let staged = stage_module(&module, &model, &opts).expect("stages");
+            let est = estimate_staged(&staged, &model);
+            let compiled =
+                crate::compile_staged(&module, Ok(staged), &model, &opts).expect("compile");
+
+            // Stages: the estimator reads each kernel's staged depth off
+            // the kernel the backend builds, and the pipeline adds
+            // exactly one dispatch stage.
+            let k = &est.kernels[0];
+            assert_eq!(k.kernel, "agg");
+            assert_eq!(est.pipeline_stages, compiled.report.stages_used);
+
+            // PHV: layout replay is byte-exact.
+            assert_eq!(est.phv_header_bytes, compiled.report.phv_header_bytes);
+            assert_eq!(est.phv_metadata_bytes, compiled.report.phv_metadata_bytes);
+
+            assert!(est.accepted());
+            assert!(k.sram_bytes > 0);
+            let txt = est.render();
+            assert!(txt.contains("agg"), "{txt}");
+            depths.push(est.pipeline_stages);
+        }
+        assert!(depths[0] < depths[1], "gateway chaining saves stages");
+        // The wrapper stages under the default options.
         let est = estimate_module(&module, &model).expect("estimate");
-        let compiled =
-            crate::compile_module(&module, &model, &CompileOptions::default()).expect("compile");
-
-        // Stages: estimator predicts each kernel's staged depth exactly
-        // (it runs the same allocator), and the pipeline adds exactly
-        // one dispatch stage.
-        let k = &est.kernels[0];
-        assert_eq!(k.kernel, "agg");
-        assert_eq!(est.pipeline_stages, compiled.report.stages_used);
-
-        // PHV: layout replay is byte-exact.
-        assert_eq!(est.phv_header_bytes, compiled.report.phv_header_bytes);
-        assert_eq!(est.phv_metadata_bytes, compiled.report.phv_metadata_bytes);
-
-        assert!(est.accepted());
-        assert!(k.sram_bytes > 0);
-        let txt = est.render();
-        assert!(txt.contains("agg"), "{txt}");
+        assert_eq!(est.pipeline_stages, depths[0]);
     }
 
     #[test]

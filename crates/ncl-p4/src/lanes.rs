@@ -44,8 +44,9 @@ pub enum LaneDecision {
 /// the new bank names.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LaneMap {
-    /// Original array name → decision.
-    pub decisions: HashMap<String, LaneDecision>,
+    /// `(original array name, decision)`, in register declaration order
+    /// (the order the emitted P4 documents them in).
+    pub decisions: Vec<(String, LaneDecision)>,
     /// Original array name → bank names (single entry when unsplit).
     pub banks: HashMap<String, Vec<String>>,
 }
@@ -56,7 +57,7 @@ impl LaneMap {
     pub fn identity(module: &Module) -> LaneMap {
         let mut map = LaneMap::default();
         for r in &module.registers {
-            map.decisions.insert(r.name.clone(), LaneDecision::Single);
+            map.decisions.push((r.name.clone(), LaneDecision::Single));
             map.banks.insert(r.name.clone(), vec![r.name.clone()]);
         }
         map
@@ -141,7 +142,7 @@ pub fn split_lanes(module: &mut Module) -> LaneMap {
                 map.banks.insert(decl.name.clone(), bank_names);
             }
         }
-        map.decisions.insert(decl.name.clone(), decision.clone());
+        map.decisions.push((decl.name.clone(), decision.clone()));
         remap.insert(old_idx as u32, (first, decision));
     }
 
@@ -430,11 +431,14 @@ _net_ _out_ void k(int *data) {
         let mut m = module(src, "k", &[4]);
         let map = split_lanes(&mut m);
         assert_eq!(
-            map.decisions["accum"],
-            LaneDecision::Split {
-                lanes: 4,
-                slot_len: 4
-            }
+            map.decisions,
+            [(
+                "accum".to_string(),
+                LaneDecision::Split {
+                    lanes: 4,
+                    slot_len: 4
+                }
+            )]
         );
         assert_eq!(m.registers.len(), 4);
         assert_eq!(m.registers[0].name, "accum__l0");
@@ -481,7 +485,7 @@ _net_ _out_ void k(int *data) { count[window.seq] += 1; _drop(); }
 "#;
         let mut m = module(src, "k", &[1]);
         let map = split_lanes(&mut m);
-        assert_eq!(map.decisions["count"], LaneDecision::Single);
+        assert_eq!(map.decisions, [("count".to_string(), LaneDecision::Single)]);
         assert_eq!(m.registers.len(), 1);
     }
 
@@ -496,11 +500,14 @@ _net_ _out_ void k(int *data) {
         let mut m = module(src, "k", &[4]);
         let map = split_lanes(&mut m);
         assert_eq!(
-            map.decisions["acc"],
-            LaneDecision::Split {
-                lanes: 4,
-                slot_len: 1
-            }
+            map.decisions,
+            [(
+                "acc".to_string(),
+                LaneDecision::Split {
+                    lanes: 4,
+                    slot_len: 1
+                }
+            )]
         );
         // All slot indices are the constant 0.
         let k = m.kernel("k").unwrap();
@@ -523,11 +530,14 @@ _net_ _out_ void k(uint64_t key, uint32_t *val) {
         let mut m = module(src, "k", &[1, 8]);
         let map = split_lanes(&mut m);
         assert_eq!(
-            map.decisions["Cache"],
-            LaneDecision::Split {
-                lanes: 8,
-                slot_len: 4
-            }
+            map.decisions,
+            [(
+                "Cache".to_string(),
+                LaneDecision::Split {
+                    lanes: 8,
+                    slot_len: 4
+                }
+            )]
         );
         assert_eq!(m.registers.len(), 8);
     }
@@ -546,7 +556,7 @@ _net_ _out_ void k(int *data) {
 "#;
         let mut m = module(src, "k", &[2]);
         let map = split_lanes(&mut m);
-        assert_eq!(map.decisions["a"], LaneDecision::Single);
+        assert_eq!(map.decisions, [("a".to_string(), LaneDecision::Single)]);
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //!    with a template switch config (Ethernet/IPv4/UDP plumbing), for
 //!    inspection and the paper's code-size comparisons.
 //!
+//! Steps 1–3 run once per module as [`stage::stage_module`]; the early
+//! estimator ([`estimate`]) and step 4 read its result.
+//!
 //! Entry point: [`compile_module`].
 
 pub mod alloc;
@@ -35,6 +38,9 @@ pub mod estimate;
 pub mod flatten;
 pub mod lanes;
 pub mod p4emit;
+pub mod stage;
+
+pub use stage::{stage_module, StagedModule};
 
 use c3::Label;
 use ncl_ir::ir::Module;
@@ -131,6 +137,15 @@ impl Default for CompileOptions {
     }
 }
 
+impl From<codegen::BuildError> for CompileError {
+    fn from(e: codegen::BuildError) -> Self {
+        CompileError::Codegen {
+            kernel: e.kernel,
+            reason: e.reason,
+        }
+    }
+}
+
 /// Compiles an optimized, versioned module for a switch with the given
 /// resource model. The module must already have passed
 /// [`ncl_ir::passes::conformance`] (this re-checks and errors if not).
@@ -139,31 +154,35 @@ pub fn compile_module(
     model: &ResourceModel,
     opts: &CompileOptions,
 ) -> Result<CompiledSwitch, CompileError> {
+    compile_staged(module, stage_module(module, model, opts), model, opts)
+}
+
+/// The rest of [`compile_module`] for a caller that staged `module`
+/// itself (to estimate it first): `staged` is [`stage_module`]'s
+/// verdict under the same `model` and `opts`. A module that fails
+/// conformance reports that, not the staging failure it may have
+/// caused.
+pub fn compile_staged(
+    module: &Module,
+    staged: Result<StagedModule, codegen::BuildError>,
+    model: &ResourceModel,
+    opts: &CompileOptions,
+) -> Result<CompiledSwitch, CompileError> {
     let conf = ncl_ir::passes::conformance(module);
     if !conf.is_empty() {
         return Err(CompileError::Conformance(conf));
     }
-    // 1. Lane splitting (module-wide so kernels agree on banks).
-    let mut split = module.clone();
-    let lane_map = if opts.disable_lane_split {
-        lanes::LaneMap::identity(&split)
-    } else {
-        lanes::split_lanes(&mut split)
-    };
-
-    // 2-4. Per-kernel flatten + allocate, merged into one pipeline.
-    let compiled =
-        codegen::build_pipeline(&split, model, opts).map_err(|e| CompileError::Codegen {
-            kernel: e.kernel,
-            reason: e.reason,
-        })?;
+    // 1-3. Lane splitting, per-kernel flatten + allocate.
+    let staged = staged?;
+    // 4. One pipeline out of the staged kernels.
+    let compiled = codegen::build_pipeline(&staged, opts)?;
 
     let report = compiled.pipeline.report(model);
     if !report.accepted() {
         return Err(CompileError::Resources(report));
     }
     // 5. P4 emission from the same staged artifacts.
-    let p4_source = p4emit::emit(&split, &compiled, &lane_map);
+    let p4_source = p4emit::emit(&staged.module, &compiled, &staged.lane_map);
     Ok(CompiledSwitch {
         pipeline: compiled.pipeline,
         p4_source,
@@ -171,6 +190,6 @@ pub fn compile_module(
         kernel_ids: compiled.kernel_ids,
         map_tables: compiled.map_tables,
         ctrl_regs: compiled.ctrl_regs,
-        lane_banks: lane_map.banks.clone(),
+        lane_banks: staged.lane_map.banks,
     })
 }

@@ -75,18 +75,81 @@ _net_ _out_ void k(uint64_t key, int *d) {
     assert!(p4.contains("size = 8;"), "map capacity");
 }
 
-/// Emission is deterministic.
+/// Emission is deterministic: eight compiles of a program emit one
+/// source. Each program here offers a hash map's walk more than one
+/// order to get wrong — four register arrays (NCP-R allreduce: `accum`,
+/// `count`, the replay filter's two), two arrays and a map (KVS), two
+/// kernels.
 #[test]
 fn emission_is_stable() {
-    let src = r#"
-_net_ _at_("s1") int acc[8] = {0};
-_net_ _out_ void k(int *d) {
-    for (unsigned i = 0; i < window.len; ++i) acc[i] += d[i];
+    let allreduce = r#"
+_net_ _at_("s1") int accum[64] = {0};
+_net_ _at_("s1") unsigned count[8] = {0};
+_net_ _at_("s1") _ctrl_ unsigned nworkers;
+_net_ _out_ void allreduce(int *data) {
+    unsigned base = window.seq * window.len;
+    if (window.replay) {
+        if (count[window.seq] != 0 && count[window.seq] % nworkers == 0) {
+            memcpy(data, &accum[base], window.len * 4);
+            _reflect();
+        } else { _drop(); }
+    } else {
+        for (unsigned i = 0; i < window.len; ++i)
+            accum[base + i] += data[i];
+        if (++count[window.seq] % nworkers == 0) {
+            memcpy(data, &accum[base], window.len * 4);
+            _bcast();
+        } else { _drop(); }
+    }
 }
 "#;
-    let a = emit(src, "k", vec![4]);
-    let b = emit(src, "k", vec![4]);
-    assert_eq!(a, b);
+    let kvs = r#"
+const uint16_t SERVER = 3;
+_net_ _at_("s1") ncl::Map<uint64_t, uint8_t, 16> Idx;
+_net_ _at_("s1") uint32_t Cache[16][4] = {{0}};
+_net_ _at_("s1") bool Valid[16] = {false};
+_net_ _out_ void query(uint64_t key, uint32_t *val, bool update) {
+    if (window.from != SERVER && update) {
+        if (auto *idx = Idx[key]) Valid[*idx] = false;
+    } else if (window.from != SERVER) {
+        if (auto *idx = Idx[key]) {
+            if (Valid[*idx]) {
+                memcpy(val, Cache[*idx], 16); _reflect(); } }
+    } else if (update) {
+        auto *idx = Idx[key]; memcpy(Cache[*idx], val, 16);
+        Valid[*idx] = true; _drop();
+    } else { }
+}
+"#;
+    let two_kernels = "_net_ _out_ void ka(int *d) { d[0] += 1; }\n\
+                       _net_ _out_ void kb(uint64_t *d) { d[0] += 2; }";
+    let mut filtered = LoweringConfig::with_mask("allreduce", [8]);
+    let filter = ncl_ir::lower::ReplayFilter {
+        senders: 4,
+        slots: 8,
+    };
+    filtered.replay_filters.insert("allreduce".into(), filter);
+    let mut both = LoweringConfig::with_mask("ka", [2]);
+    both.masks.insert("kb".into(), vec![1]);
+    for (src, cfg, arrays) in [
+        (allreduce, filtered, 4),
+        (kvs, LoweringConfig::with_mask("query", [1, 4, 1]), 2),
+        (two_kernels, both, 0),
+    ] {
+        let checked = ncl_lang::frontend(src, "t.ncl").expect("frontend");
+        let mut module = lower(&checked, &cfg).expect("lower");
+        ncl_ir::passes::optimize(&mut module);
+        assert_eq!(module.registers.len(), arrays);
+        let emit = || {
+            let opts = CompileOptions::default();
+            let compiled = compile_module(&module, &ResourceModel::default(), &opts);
+            compiled.expect("compiles").p4_source
+        };
+        let first = emit();
+        for _ in 1..8 {
+            assert!(emit() == first, "two compiles, two sources");
+        }
+    }
 }
 
 /// Lane decisions are documented in the emitted source.
