@@ -121,7 +121,7 @@ fn fresh_state(case: &Case) -> SwitchState {
         for key in 0..32u64 {
             state.map_insert(MapId(0), key * 5, Value::new(ScalarType::U8, key));
             let n = state.registers[1].len();
-            state.registers[1][key as usize % n] = Value::bool(true);
+            state.registers[1].set(key as usize % n, Value::bool(true));
         }
     }
     state

@@ -123,7 +123,7 @@ fn fresh_state(case: &Case) -> SwitchState {
             // Mark the cached slots valid so GETs exercise the full
             // cache-hit path (value copy-out + reflect).
             let n = state.registers[1].len();
-            state.registers[1][key as usize % n] = Value::bool(true);
+            state.registers[1].set(key as usize % n, Value::bool(true));
         }
     }
     state

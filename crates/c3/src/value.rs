@@ -13,12 +13,7 @@
 use std::fmt;
 
 /// The scalar types of NCL (the C subset used by network kernels).
-///
-/// `repr(u8)` is part of the [`Value`] layout contract: the tag is one
-/// byte, so SIMD executors can locate and compare it in packed `Value`
-/// slices (see [`Value::RAW_TY_OFFSET`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum ScalarType {
     /// `bool` — stored as one byte on the wire, values 0 or 1.
     Bool,
@@ -122,37 +117,11 @@ impl fmt::Display for ScalarType {
 ///
 /// Invariant: `bits & !ty.mask() == 0` — the payload never carries stale
 /// high bits, so equality on `Value` is value equality.
-///
-/// The layout is a contract (`repr(C)`): the tag byte sits at
-/// [`Value::RAW_TY_OFFSET`] and the canonical bits at
-/// [`Value::RAW_BITS_OFFSET`] of a 16-byte, 8-aligned struct. The ncvec
-/// SIMD tier executes fused element-wise runs directly over packed
-/// `&[Value]` slices through these offsets; the assertions below pin the
-/// contract at compile time. Padding bytes carry no meaning — `Eq` and
-/// `Hash` go through the fields, never through raw bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(C)]
 pub struct Value {
     ty: ScalarType,
     bits: u64,
 }
-
-impl Value {
-    /// Byte size of a packed `Value` (layout contract).
-    pub const RAW_SIZE: usize = 16;
-    /// Byte offset of the one-byte [`ScalarType`] tag (layout contract).
-    pub const RAW_TY_OFFSET: usize = 0;
-    /// Byte offset of the canonical little-endian `u64` bits (layout
-    /// contract).
-    pub const RAW_BITS_OFFSET: usize = 8;
-}
-
-const _: () = {
-    assert!(std::mem::size_of::<Value>() == Value::RAW_SIZE);
-    assert!(std::mem::align_of::<Value>() == 8);
-    assert!(std::mem::offset_of!(Value, ty) == Value::RAW_TY_OFFSET);
-    assert!(std::mem::offset_of!(Value, bits) == Value::RAW_BITS_OFFSET);
-};
 
 /// Binary operators shared by the IR and the PISA action ALU.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

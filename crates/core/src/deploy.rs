@@ -39,13 +39,17 @@ pub enum SwitchBackend {
     Pisa,
     /// The compiled fast-path executor ([`FastPathSwitch`]): versioned
     /// IR kernels lowered to linear micro-op programs, cached per
-    /// `(kernel, location)` and executed allocation-free. This backend
-    /// pins the scalar micro-op tier — the measured baseline the ncvec
-    /// SIMD tier (E13) is compared against.
+    /// `(kernel, location)`. Kernel execution allocates nothing; the
+    /// switch hop still builds one `Vec` per forwarded window (0.25 to
+    /// 0.99 allocations per window depending on the drop share —
+    /// ROADMAP item 3(ii)). This backend pins the scalar micro-op tier
+    /// — the measured baseline the ncvec SIMD tier (E13) is compared
+    /// against.
     FastPath,
     /// The fast-path executor with the ncvec SIMD tier enabled: fused
-    /// element-wise runs execute as width-specialized lane loops
-    /// (AVX2 on detecting hosts, portable lanes elsewhere), falling
+    /// element-wise runs execute as width-monomorphic lane loops over
+    /// the packed register arrays (compiled with AVX2 on detecting
+    /// hosts, portable lanes elsewhere), falling
     /// back to the scalar micro-op path per run — bit-identically —
     /// for kernels with no fusible runs, non-packable slot strides, or
     /// when `NCVEC_FORCE_SCALAR=1`. The default tier for fusible

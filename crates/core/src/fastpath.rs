@@ -4,10 +4,11 @@
 //! location: every outgoing kernel of the location's versioned IR module
 //! is lowered once through [`CompiledKernel::compile_for`] and cached by
 //! NCP kernel id — the per-`(KernelId, location)` compiled-kernel cache.
-//! Building one costs O(kernel) plus one allocation of the location's
-//! state: lowering reads per-array facts `compile_for` resolved once,
-//! and register initializers are explicit prefixes, so the time to the
-//! first window does not grow with switch memory × instructions.
+//! Building one costs O(kernel) plus one zeroed allocation per register
+//! array, packed at its declared width: lowering reads per-array facts
+//! `compile_for` resolved once, and register initializers are explicit
+//! prefixes, so the time to the first window does not grow with switch
+//! memory × instructions.
 //! Window processing then runs the linear micro-op program against the
 //! location's persistent [`SwitchState`] with a reusable [`ExecScratch`]
 //! and the zero-copy NCP codec ([`decode_window_into`] /
@@ -259,10 +260,11 @@ impl FastPathSwitch {
         }
     }
 
-    /// Reads element `idx` of a source-level register array.
+    /// Reads element `idx` of a source-level register array; `None` for
+    /// an unknown array or an index past its end.
     pub fn register_read(&self, array: &str, idx: usize) -> Option<Value> {
-        let &r = self.reg_by_name.get(array)?;
-        self.state.registers[r].get(idx).copied()
+        let arr = &self.state.registers[*self.reg_by_name.get(array)?];
+        (idx < arr.len()).then(|| arr.get(idx))
     }
 
     /// Control-plane map insert (source-level name). `false` when the
@@ -303,15 +305,19 @@ impl FastDatapath for FastPathSwitch {
                     return true;
                 }
                 let (r, index) = match self.reg_by_name.get(name) {
-                    Some(&r) => (r, *index),
+                    Some(&r) => (r, Some(*index)),
                     None => match self.reg_by_bank.get(name) {
-                        Some(&(r, lane, lanes)) => (r, index * lanes + lane),
+                        Some(&(r, lane, lanes)) => (
+                            r,
+                            index.checked_mul(lanes).and_then(|i| i.checked_add(lane)),
+                        ),
                         None => return false,
                     },
                 };
-                match self.state.registers[r].get_mut(index) {
-                    Some(slot) => {
-                        *slot = value.cast(slot.ty());
+                let arr = &mut self.state.registers[r];
+                match index.filter(|&i| i < arr.len()) {
+                    Some(i) => {
+                        arr.set(i, *value);
                         true
                     }
                     None => false,
@@ -351,12 +357,9 @@ impl FastDatapath for FastPathSwitch {
         self.reg_by_name
             .iter()
             .filter(|(name, _)| name.starts_with(prefix))
-            .map(|(_, &r)| {
-                self.state.registers[r]
-                    .first()
-                    .map(|v| v.bits())
-                    .unwrap_or(0)
-            })
+            .map(|(_, &r)| &self.state.registers[r])
+            .filter(|arr| !arr.is_empty())
+            .map(|arr| arr.get(0).bits())
             .sum()
     }
 

@@ -18,8 +18,10 @@
 //!   (Fig. 3c) and loads every switch with its compiled pipeline;
 //! * [`fastpath`] — the compiled fast-path switch executor: versioned
 //!   IR lowered to linear micro-op programs, cached per
-//!   `(kernel, location)` and run allocation-free against persistent
-//!   switch state (an alternative [`mod@deploy`] backend);
+//!   `(kernel, location)` and run against persistent switch state
+//!   packed at its declared width; the kernel allocates nothing, the
+//!   hop one `Vec` per forwarded window (ROADMAP item 3(ii)) — an
+//!   alternative [`mod@deploy`] backend;
 //! * [`baseline`] — the comparison points the evaluation needs: a
 //!   handwritten NetCache-style pipeline (Fig. 1b) and host-only
 //!   AllReduce/KVS applications that use switches as plain forwarders;

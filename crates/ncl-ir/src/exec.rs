@@ -33,7 +33,7 @@
 //!   CFG is acyclic and shorter than the budget provably cannot exhaust
 //!   it, and for those the counter is elided from the loop entirely.
 
-use crate::interp::{HostMemory, InterpError, SwitchState};
+use crate::interp::{each_width, HostMemory, InterpError, Lane, RegArray, SwitchState};
 use crate::ir::*;
 use c3::{BinOp, Chunk, Forward, Label, ScalarType, UnOp, Value, Window};
 
@@ -245,22 +245,21 @@ enum Op {
         index: Opnd,
         val: Opnd,
     },
-    // Module-resolved register access: the placement check, the array
-    // length, and the slot element type are all compile-time facts
-    // (`compile_for` only), so the hot loop skips the emptiness check,
-    // the modulo (pre-wrapped constant index, or a mask for
-    // power-of-two lengths), and the slot-type read.
+    // Module-resolved register access: the placement check and the
+    // array length are compile-time facts (`compile_for` only), so the
+    // hot loop skips the emptiness check and the modulo (pre-wrapped
+    // constant index, or a mask for power-of-two lengths). Stores cast
+    // to the array's declared element type, as every store does.
     /// Constant index, pre-wrapped modulo the array length.
     LdRegC {
         dst: u32,
         arr: u32,
         idx: u32,
     },
-    /// Constant index store; `ty` is the proven slot type.
+    /// Constant index store.
     StRegC {
         arr: u32,
         idx: u32,
-        ty: ScalarType,
         val: Opnd,
     },
     /// Dynamic index, power-of-two length: wrap with a mask.
@@ -274,7 +273,6 @@ enum Op {
     StRegM {
         arr: u32,
         mask: u32,
-        ty: ScalarType,
         index: Opnd,
         val: Opnd,
     },
@@ -289,7 +287,6 @@ enum Op {
     StRegL {
         arr: u32,
         len: u32,
-        ty: ScalarType,
         index: Opnd,
         val: Opnd,
     },
@@ -400,9 +397,6 @@ pub(crate) struct VecOp {
     pub(crate) imask: u64,
     /// Accumulate type (`VecAccum` only; both operands proven).
     pub(crate) aty: ScalarType,
-    /// Store cast target: register slot type, or the chunk element type
-    /// for `VecRegToWin`.
-    pub(crate) sty: ScalarType,
     /// Interpreter steps per full group.
     pub(crate) cost: u32,
     /// Steps of the first group (one less than `cost` when headless).
@@ -425,32 +419,38 @@ impl VecOp {
     }
 }
 
-/// Zero-extended big-endian load of `N` bytes — what [`Value::read_be`]
-/// produces for every non-bool scalar, without the type dispatch.
+/// Reads chunk element `cc` as a `ty` value; out of bounds (or no chunk)
+/// reads zero — the `LdWin` rule, shared with the fused runs.
 #[inline(always)]
-pub(crate) fn be_load<const N: usize>(data: &[u8], off: usize) -> u64 {
-    let mut raw = [0u8; 8];
-    raw[8 - N..].copy_from_slice(&data[off..off + N]);
-    u64::from_be_bytes(raw)
+fn chunk_elem(chunk: Option<&Chunk>, ty: ScalarType, cc: usize) -> Value {
+    chunk
+        .filter(|c| cc < c.elems(ty))
+        .map_or(Value::zero(ty), |c| c.get(ty, cc))
 }
 
-/// Big-endian store of the low `N` bytes, mirroring [`Value::write_be`].
+/// Loads chunk element `cc` as a big-endian lane; out of bounds (or no
+/// chunk, passed as empty `data`) reads zero.
 #[inline(always)]
-pub(crate) fn be_store<const N: usize>(data: &mut [u8], off: usize, bits: u64) {
-    data[off..off + N].copy_from_slice(&bits.to_be_bytes()[8 - N..]);
+fn lane_elem<L: Lane>(data: &[u8], cc: usize) -> L {
+    data.get(cc * L::N..(cc + 1) * L::N)
+        .map_or(L::from_bits(0), L::load_be)
+}
+
+/// Whether a window-side type and a register array agree, so a run over
+/// them is one width-monomorphic lane loop. `bool` lanes stay out of the
+/// loops that take window bytes in (their stores normalise to 0/1).
+pub(crate) fn lane_typed(wty: ScalarType, arr: &RegArray) -> bool {
+    wty == arr.elem() && wty != ScalarType::Bool
 }
 
 /// `arr[slot] += win[c]` over a fused run. With `simd`, the ncvec tier
 /// executes the lane-packable body (see [`crate::ncvec`]); otherwise —
-/// and for the run's head and ragged tail — the width-specialized
-/// scalar loops handle the common case (chunk, accumulate, and slot
-/// types all equal and non-bool) and anything else takes the
-/// `Value`-typed loop.
+/// and for the run's head and ragged tail — the scalar loops do.
 fn vec_accum(
     v: &VecOp,
     m: u32,
     base_bits: u64,
-    arr: &mut [Value],
+    arr: &mut RegArray,
     chunk: Option<&Chunk>,
     simd: bool,
 ) {
@@ -461,53 +461,28 @@ fn vec_accum(
 }
 
 /// The scalar accumulate loop over iterations `r` of a fused run; the
-/// semantic reference the ncvec tier's head/tail epilogues reuse.
+/// semantic reference the ncvec tier's head/tail epilogues reuse. When
+/// chunk, accumulate and slot types agree it adds big-endian lanes
+/// straight from the window payload; mixed types take `get`/`set`.
 pub(crate) fn vec_accum_scalar(
     v: &VecOp,
     r: std::ops::Range<u32>,
     base_bits: u64,
-    arr: &mut [Value],
+    arr: &mut RegArray,
     chunk: Option<&Chunk>,
 ) {
-    if v.wty == v.aty && v.aty == v.sty && v.wty != ScalarType::Bool {
-        return match v.wty.size() {
-            1 => vec_accum_fast::<1>(v, r, base_bits, arr, chunk),
-            2 => vec_accum_fast::<2>(v, r, base_bits, arr, chunk),
-            4 => vec_accum_fast::<4>(v, r, base_bits, arr, chunk),
-            _ => vec_accum_fast::<8>(v, r, base_bits, arr, chunk),
-        };
+    if v.wty == v.aty && lane_typed(v.wty, arr) {
+        let data = chunk.map_or(&[][..], |c| &c.data);
+        return each_width!(arr.lanes_mut(), a => for i in r {
+            let slot = v.slot(base_bits, i);
+            a[slot] = a[slot].add(lane_elem(data, (v.idx0 + i) as usize));
+        });
     }
-    let size = v.wty.size();
     for i in r {
-        let cc = (v.idx0 + i) as usize;
+        let w = chunk_elem(chunk, v.wty, (v.idx0 + i) as usize);
         let slot = v.slot(base_bits, i);
-        let w = chunk
-            .filter(|c| (cc + 1) * size <= c.data.len())
-            .map(|c| c.get(v.wty, cc))
-            .unwrap_or_else(|| Value::zero(v.wty));
-        let bits = arr[slot].bits().wrapping_add(w.bits());
-        arr[slot] = Value::new(v.aty, bits).cast(v.sty);
-    }
-}
-
-#[inline(always)]
-fn vec_accum_fast<const N: usize>(
-    v: &VecOp,
-    r: std::ops::Range<u32>,
-    base_bits: u64,
-    arr: &mut [Value],
-    chunk: Option<&Chunk>,
-) {
-    let mask = v.aty.mask();
-    for i in r {
-        let off = (v.idx0 + i) as usize * N;
-        let w = match chunk {
-            Some(c) if off + N <= c.data.len() => be_load::<N>(&c.data, off),
-            _ => 0,
-        };
-        let slot = v.slot(base_bits, i);
-        let bits = arr[slot].bits().wrapping_add(w) & mask;
-        arr[slot] = Value::new(v.aty, bits);
+        let bits = arr.get(slot).bits().wrapping_add(w.bits());
+        arr.set(slot, Value::new(v.aty, bits));
     }
 }
 
@@ -517,7 +492,7 @@ fn vec_reg_to_win(
     v: &VecOp,
     m: u32,
     base_bits: u64,
-    arr: &[Value],
+    arr: &RegArray,
     chunk: Option<&mut Chunk>,
     simd: bool,
 ) {
@@ -528,44 +503,30 @@ fn vec_reg_to_win(
     vec_reg_to_win_scalar(v, 0..m, base_bits, arr, c);
 }
 
-/// The scalar store loop over iterations `r` of a fused run.
+/// The scalar store loop over iterations `r` of a fused run: a lane
+/// copy when the slot type is the window's (`bool` included — stored
+/// lanes are already 0/1), a cast per element otherwise.
 pub(crate) fn vec_reg_to_win_scalar(
     v: &VecOp,
     r: std::ops::Range<u32>,
     base_bits: u64,
-    arr: &[Value],
+    arr: &RegArray,
     c: &mut Chunk,
 ) {
-    match v.wty.size() {
-        1 => vec_reg_to_win_fast::<1>(v, r, base_bits, arr, c),
-        2 => vec_reg_to_win_fast::<2>(v, r, base_bits, arr, c),
-        4 => vec_reg_to_win_fast::<4>(v, r, base_bits, arr, c),
-        _ => vec_reg_to_win_fast::<8>(v, r, base_bits, arr, c),
+    if v.wty == arr.elem() {
+        let n = v.wty.size();
+        return each_width!(arr.lanes(), a => for i in r {
+            let cc = (v.idx0 + i) as usize;
+            if let Some(dst) = c.data.get_mut(cc * n..(cc + 1) * n) {
+                a[v.slot(base_bits, i)].store_be(dst);
+            }
+        });
     }
-}
-
-#[inline(always)]
-fn vec_reg_to_win_fast<const N: usize>(
-    v: &VecOp,
-    r: std::ops::Range<u32>,
-    base_bits: u64,
-    arr: &[Value],
-    c: &mut Chunk,
-) {
     for i in r {
-        let off = (v.idx0 + i) as usize * N;
-        if off + N > c.data.len() {
-            continue;
+        let cc = (v.idx0 + i) as usize;
+        if cc < c.elems(v.wty) {
+            c.set(v.wty, cc, arr.get(v.slot(base_bits, i)).cast(v.wty));
         }
-        let d = arr[v.slot(base_bits, i)];
-        // Same-type cast is the identity on canonical values (bool
-        // included: canonical bool bits are already 0/1).
-        let bits = if d.ty() == v.wty {
-            d.bits()
-        } else {
-            d.cast(v.wty).bits()
-        };
-        be_store::<N>(&mut c.data, off, bits);
     }
 }
 
@@ -574,7 +535,7 @@ fn vec_win_to_reg(
     v: &VecOp,
     m: u32,
     base_bits: u64,
-    arr: &mut [Value],
+    arr: &mut RegArray,
     chunk: Option<&Chunk>,
     simd: bool,
 ) {
@@ -589,43 +550,18 @@ pub(crate) fn vec_win_to_reg_scalar(
     v: &VecOp,
     r: std::ops::Range<u32>,
     base_bits: u64,
-    arr: &mut [Value],
+    arr: &mut RegArray,
     chunk: Option<&Chunk>,
 ) {
-    if v.wty == v.sty && v.wty != ScalarType::Bool {
-        return match v.wty.size() {
-            1 => vec_win_to_reg_fast::<1>(v, r, base_bits, arr, chunk),
-            2 => vec_win_to_reg_fast::<2>(v, r, base_bits, arr, chunk),
-            4 => vec_win_to_reg_fast::<4>(v, r, base_bits, arr, chunk),
-            _ => vec_win_to_reg_fast::<8>(v, r, base_bits, arr, chunk),
-        };
+    if lane_typed(v.wty, arr) {
+        let data = chunk.map_or(&[][..], |c| &c.data);
+        return each_width!(arr.lanes_mut(), a => for i in r {
+            a[v.slot(base_bits, i)] = lane_elem(data, (v.idx0 + i) as usize);
+        });
     }
-    let size = v.wty.size();
     for i in r {
-        let cc = (v.idx0 + i) as usize;
-        let w = chunk
-            .filter(|c| (cc + 1) * size <= c.data.len())
-            .map(|c| c.get(v.wty, cc))
-            .unwrap_or_else(|| Value::zero(v.wty));
-        arr[v.slot(base_bits, i)] = w.cast(v.sty);
-    }
-}
-
-#[inline(always)]
-fn vec_win_to_reg_fast<const N: usize>(
-    v: &VecOp,
-    r: std::ops::Range<u32>,
-    base_bits: u64,
-    arr: &mut [Value],
-    chunk: Option<&Chunk>,
-) {
-    for i in r {
-        let off = (v.idx0 + i) as usize * N;
-        let w = match chunk {
-            Some(c) if off + N <= c.data.len() => be_load::<N>(&c.data, off),
-            _ => 0,
-        };
-        arr[v.slot(base_bits, i)] = Value::new(v.sty, w);
+        let w = chunk_elem(chunk, v.wty, (v.idx0 + i) as usize);
+        arr.set(v.slot(base_bits, i), w);
     }
 }
 
@@ -692,19 +628,15 @@ pub struct CompiledKernel {
 struct ModuleCtx<'a> {
     module: &'a Module,
     /// Indexed by [`ArrId`].
-    arrays: Vec<ArrayFacts<'a>>,
+    arrays: Vec<ArrayFacts>,
 }
 
 /// What lowering needs to know about one register array.
-struct ArrayFacts<'a> {
-    decl: &'a RegisterDecl,
+struct ArrayFacts {
     /// Whether the module places the array at its location.
     placed: bool,
     /// Flattened slot count.
     len: usize,
-    /// Whether every slot starts with the declared element type. Stores
-    /// cast into the slot's existing type, so this holds for good.
-    uniform: bool,
 }
 
 impl<'a> ModuleCtx<'a> {
@@ -713,16 +645,14 @@ impl<'a> ModuleCtx<'a> {
             .registers
             .iter()
             .map(|decl| ArrayFacts {
-                decl,
                 placed: module.placed_here(&decl.at),
                 len: decl.len(),
-                uniform: decl.init.iter().all(|v| v.ty() == decl.elem),
             })
             .collect();
         ModuleCtx { module, arrays }
     }
 
-    fn array(&self, arr: &ArrId) -> &ArrayFacts<'a> {
+    fn array(&self, arr: &ArrId) -> &ArrayFacts {
         &self.arrays[arr.0 as usize]
     }
 }
@@ -738,8 +668,7 @@ impl CompiledKernel {
     /// Lowers a kernel with its module: array/ctrl element types feed
     /// the type dataflow, and accesses to state the module does not
     /// place at its location compile to a hoisted placement error.
-    /// Costs O(kernel) plus one pass over the register initializer
-    /// prefixes, never switch memory × instructions.
+    /// Costs O(kernel): nothing here reads a register initializer.
     ///
     /// The caller must run the result against switch state built by
     /// [`SwitchState::from_module`] on the *same* module, which is what
@@ -942,13 +871,7 @@ impl CompiledKernel {
                     index,
                 } => {
                     let idx = index.read(regs).bits() as usize;
-                    let v = window
-                        .chunks
-                        .get(*param as usize)
-                        .filter(|c| idx < c.elems(*ty))
-                        .map(|c| c.get(*ty, idx))
-                        .unwrap_or_else(|| Value::zero(*ty));
-                    regs[*dst as usize] = v;
+                    regs[*dst as usize] = chunk_elem(window.chunks.get(*param as usize), *ty, idx);
                 }
                 Op::StWin {
                     param,
@@ -1024,7 +947,7 @@ impl CompiledKernel {
                         return Err(InterpError::NotPlacedHere("register array"));
                     }
                     let idx = index.read(regs).bits() as usize % a.len();
-                    regs[*dst as usize] = a[idx];
+                    regs[*dst as usize] = a.get(idx);
                 }
                 Op::StReg { arr, index, val } => {
                     let v = val.read(regs);
@@ -1033,16 +956,13 @@ impl CompiledKernel {
                     if a.is_empty() {
                         return Err(InterpError::NotPlacedHere("register array"));
                     }
-                    let idx = idx % a.len();
-                    let ty = a[idx].ty();
-                    a[idx] = v.cast(ty);
+                    a.set(idx % a.len(), v);
                 }
                 Op::LdRegC { dst, arr, idx } => {
-                    regs[*dst as usize] = state.registers[*arr as usize][*idx as usize];
+                    regs[*dst as usize] = state.registers[*arr as usize].get(*idx as usize);
                 }
-                Op::StRegC { arr, idx, ty, val } => {
-                    let v = val.read(regs).cast(*ty);
-                    state.registers[*arr as usize][*idx as usize] = v;
+                Op::StRegC { arr, idx, val } => {
+                    state.registers[*arr as usize].set(*idx as usize, val.read(regs));
                 }
                 Op::LdRegM {
                     dst,
@@ -1051,18 +971,16 @@ impl CompiledKernel {
                     index,
                 } => {
                     let idx = index.read(regs).bits() as usize & *mask as usize;
-                    regs[*dst as usize] = state.registers[*arr as usize][idx];
+                    regs[*dst as usize] = state.registers[*arr as usize].get(idx);
                 }
                 Op::StRegM {
                     arr,
                     mask,
-                    ty,
                     index,
                     val,
                 } => {
-                    let v = val.read(regs).cast(*ty);
                     let idx = index.read(regs).bits() as usize & *mask as usize;
-                    state.registers[*arr as usize][idx] = v;
+                    state.registers[*arr as usize].set(idx, val.read(regs));
                 }
                 Op::LdRegL {
                     dst,
@@ -1071,18 +989,16 @@ impl CompiledKernel {
                     index,
                 } => {
                     let idx = index.read(regs).bits() as usize % *len as usize;
-                    regs[*dst as usize] = state.registers[*arr as usize][idx];
+                    regs[*dst as usize] = state.registers[*arr as usize].get(idx);
                 }
                 Op::StRegL {
                     arr,
                     len,
-                    ty,
                     index,
                     val,
                 } => {
-                    let v = val.read(regs).cast(*ty);
                     let idx = index.read(regs).bits() as usize % *len as usize;
-                    state.registers[*arr as usize][idx] = v;
+                    state.registers[*arr as usize].set(idx, val.read(regs));
                 }
                 Op::LdCtrl { dst, ctrl } => {
                     regs[*dst as usize] = state.ctrls[*ctrl as usize];
@@ -1617,8 +1533,6 @@ struct Group {
     amask: u32,
     /// Accumulate type (`Accum` only).
     aty: ScalarType,
-    /// Register-slot store type (`Accum`/`WinToReg`).
-    sty: ScalarType,
     /// Intermediate registers the fused run elides.
     elided: [u32; 4],
     nelided: usize,
@@ -1679,7 +1593,6 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                     Some(&Op::StRegM {
                         arr: arr2,
                         mask: m2,
-                        ty: sty,
                         index: Opnd::Reg(ix2),
                         val: Opnd::Reg(v2),
                     }) if arr2 == arr && m2 == amask && ix2 == k && v2 == s => {
@@ -1697,7 +1610,6 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                                 arr,
                                 amask,
                                 aty,
-                                sty,
                                 elided,
                                 nelided: if head.is_some() { 4 } else { 3 },
                             })
@@ -1736,7 +1648,6 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                         arr,
                         amask,
                         aty: wty,
-                        sty: wty,
                         elided,
                         nelided: if head.is_some() { 2 } else { 1 },
                     })
@@ -1777,7 +1688,6 @@ fn match_group(ops: &[Op]) -> Option<Group> {
             Some(&Op::StRegM {
                 arr,
                 mask: amask,
-                ty: sty,
                 index: Opnd::Reg(ix),
                 val: Opnd::Reg(v2),
             }) if v2 == w => {
@@ -1801,8 +1711,7 @@ fn match_group(ops: &[Op]) -> Option<Group> {
                     wty,
                     arr,
                     amask,
-                    aty: sty,
-                    sty,
+                    aty: wty,
                     elided,
                     nelided: if head.is_some() { 2 } else { 1 },
                 })
@@ -1880,7 +1789,6 @@ fn try_fuse_run(ops: &[Op], global_reads: &[u32]) -> Option<(Op, usize)> {
                     && g.arr == prev.arr
                     && g.amask == prev.amask
                     && g.aty == prev.aty
-                    && g.sty == prev.sty
                     && (!prev.headed || g.ity == prev.ity) =>
             {
                 groups.push(g)
@@ -1941,7 +1849,6 @@ fn try_fuse_run(ops: &[Op], global_reads: &[u32]) -> Option<(Op, usize)> {
         base: first.base,
         imask,
         aty: first.aty,
-        sty: first.sty,
         cost,
         head_cost: if first.headed { cost } else { cost - 1 },
     });
@@ -2214,42 +2121,30 @@ fn lower_inst(
             Some(f) if !f.placed || f.len == 0 => Op::NotPlaced {
                 what: "register array",
             },
-            // Stores cast into the slot's existing type, which is fixed at
-            // init time (every runtime store preserves it), so the cast
-            // target is a compile-time fact when the slot types are
-            // uniform — or per-slot for a constant index.
-            Some(f) => match (lower_opnd(index), f.len) {
-                (Opnd::Const(v), len) => {
-                    let idx = v.bits() as usize % len;
-                    let decl = f.decl;
-                    let slot_ty = decl.init.get(idx).map(|v| v.ty()).unwrap_or(decl.elem);
-                    Op::StRegC {
-                        arr: arr.0,
-                        idx: idx as u32,
-                        ty: slot_ty,
-                        val: lower_opnd(val),
-                    }
-                }
-                (index, l) if f.uniform && l.is_power_of_two() && l - 1 <= u32::MAX as usize => {
+            Some(f) => match (lower_opnd(index), lower_opnd(val), f.len) {
+                (Opnd::Const(v), val, len) => Op::StRegC {
+                    arr: arr.0,
+                    idx: (v.bits() as usize % len) as u32,
+                    val,
+                },
+                (index, val, l) if l.is_power_of_two() && l - 1 <= u32::MAX as usize => {
                     Op::StRegM {
                         arr: arr.0,
                         mask: (l - 1) as u32,
-                        ty: f.decl.elem,
                         index,
-                        val: lower_opnd(val),
+                        val,
                     }
                 }
-                (index, l) if f.uniform && l <= u32::MAX as usize => Op::StRegL {
+                (index, val, l) if l <= u32::MAX as usize => Op::StRegL {
                     arr: arr.0,
                     len: l as u32,
-                    ty: f.decl.elem,
                     index,
-                    val: lower_opnd(val),
+                    val,
                 },
-                (index, _) => Op::StReg {
+                (index, val, _) => Op::StReg {
                     arr: arr.0,
                     index,
-                    val: lower_opnd(val),
+                    val,
                 },
             },
             None => Op::StReg {
@@ -2537,8 +2432,8 @@ _net_ _out_ void allreduce(int *data) {
             assert_eq!(wi.chunks, wf.chunks);
             assert_eq!(st.registers, st_f.registers);
         }
-        assert_eq!(st_f.registers[0][0], Value::i32(6));
-        assert_eq!(st_f.registers[1][0], Value::u32(0));
+        assert_eq!(st_f.registers[0].get(0), Value::i32(6));
+        assert_eq!(st_f.registers[1].get(0), Value::u32(0));
     }
 
     /// Perf probe for the ncvec tier (not a gate — E13 is): run with
@@ -2619,7 +2514,7 @@ _net_ _out_ void k(uint64_t key) {
         assert!(st.map_insert(MapId(0), 99, Value::new(ScalarType::U8, 2)));
         let (fwd, _, sf) = differential(k, &w, &st);
         assert_eq!(fwd.unwrap(), Forward::Reflect); // hit
-        assert_eq!(sf.registers[0][2], Value::bool(true));
+        assert_eq!(sf.registers[0].get(2), Value::bool(true));
     }
 
     #[test]
@@ -2668,7 +2563,7 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         let k = m.kernel("k").unwrap();
         let w = window_u32(&[6, 4]);
         let (_, wf, sf) = differential(k, &w, &st);
-        assert_eq!(sf.registers[0][2], Value::i32(7)); // 6 % 4 == 2
+        assert_eq!(sf.registers[0].get(2), Value::i32(7)); // 6 % 4 == 2
         assert_eq!(wf.chunks[0].get(ScalarType::I32, 0), Value::i32(1));
     }
 
@@ -2791,19 +2686,18 @@ _net_ _out_ void k(int *d) { window.tag = window.tag + 1; }
         );
     }
 
-    /// Scaling guard: lowering reads per-array facts resolved once in
-    /// `compile_for`, so its cost follows the kernel, not the register
-    /// file. A scan of the initializer per store (268M element reads
+    /// Scaling guard: lowering reads two facts per array (placed here,
+    /// slot count), so its cost follows the kernel, not the register
+    /// file — a scan of the initializer per store (268M element reads
     /// here, 1.4 s in a debug build) overshoots the budget by more than
-    /// ten times; one scan per compile (2 ms) sits fifty times under it.
+    /// ten times. An off-type initializer changes nothing: the array
+    /// holds it cast to `elem`, and every store lowers the same way.
     #[test]
     fn lowering_cost_follows_the_kernel_not_the_initializer() {
         const SLOTS: usize = 65_536;
         const STORES: usize = 4_096;
-        // Mixed slot types with the odd one last: "not uniform" is only
-        // known after reading every element.
         let mut init = vec![Value::i32(0); SLOTS];
-        init[SLOTS - 1] = Value::u32(7);
+        init[SLOTS - 1] = Value::u32(u32::MAX);
         let index = Operand::Reg(RegId(0));
         let val = Operand::Const(Value::i32(1));
         let mut insts = vec![Inst::LdMeta {
@@ -2814,7 +2708,7 @@ _net_ _out_ void k(int *d) { window.tag = window.tag + 1; }
         insts.extend((0..STORES).map(|_| Inst::StReg { arr, index, val }));
         insts.push(Inst::StReg {
             arr,
-            index: Operand::Const(Value::u32(SLOTS as u32 - 1)),
+            index: Operand::Const(Value::u32(SLOTS as u32 - 2)),
             val,
         });
         let module = Module {
@@ -2845,18 +2739,133 @@ _net_ _out_ void k(int *d) { window.tag = window.tag + 1; }
         let started = std::time::Instant::now();
         let compiled = CompiledKernel::compile_for(&module.kernels[0], &module);
         let took = started.elapsed();
-        // The slots are not uniform, so dynamic stores stay generic and
-        // the constant store casts into its own slot's type.
-        let generic = |op: &&Op| matches!(op, Op::StReg { .. });
-        assert_eq!(compiled.ops.iter().filter(generic).count(), STORES);
-        assert!(matches!(
-            compiled.ops[STORES + 1],
-            Op::StRegC {
-                ty: ScalarType::U32,
-                ..
-            }
-        ));
+        let masked = |op: &&Op| matches!(op, Op::StRegM { mask: 0xFFFF, .. });
+        assert_eq!(compiled.ops.iter().filter(masked).count(), STORES);
+        assert!(matches!(compiled.ops[STORES + 1], Op::StRegC { .. }));
         assert!(took.as_millis() < 100, "lowering took {took:?}");
+
+        let mut st = SwitchState::from_module(&module);
+        assert_eq!(st.registers[0].get(SLOTS - 1), Value::i32(-1));
+        let mut w = window_u32(&[]);
+        compiled
+            .run_outgoing(&mut w, &mut st, &mut ExecScratch::new())
+            .unwrap();
+        assert_eq!(st.registers[0].get(0), Value::i32(1));
+        assert_eq!(st.registers[0].get(SLOTS - 2), Value::i32(1));
+    }
+
+    /// Hand-built copies between a 16-bit chunk and 32-bit slots — no
+    /// cast instruction in between, so they fuse with mixed types and
+    /// the runs take the `get`/`set` loop: sign extension into the
+    /// slots, truncation back into the window, in every engine.
+    #[test]
+    fn mixed_width_fused_copies_cast_per_element() {
+        const N: u32 = 12;
+        // Registers: seq, then one index per group, then the values.
+        let (seq, k, arr) = (RegId(0), |g: u32| RegId(1 + g), ArrId(0));
+        let mut insts = vec![Inst::LdMeta {
+            dst: seq,
+            field: MetaField::Seq,
+        }];
+        // win → reg over chunk elements 0..N, then reg → win shifted
+        // by one slot, so the window reads back its neighbours.
+        for c in 0..N {
+            let (w, k, index) = (RegId(1 + 2 * N + c), k(c), Operand::Const(Value::u32(c)));
+            insts.push(Inst::LdWin {
+                dst: w,
+                param: 0,
+                index,
+            });
+            insts.push(Inst::Bin {
+                dst: k,
+                op: BinOp::Add,
+                a: Operand::Reg(seq),
+                b: index,
+            });
+            insts.push(Inst::StReg {
+                arr,
+                index: Operand::Reg(k),
+                val: Operand::Reg(w),
+            });
+        }
+        for c in 0..N {
+            let (d, k, index) = (
+                RegId(1 + 3 * N + c),
+                k(N + c),
+                Operand::Const(Value::u32(c + 1)),
+            );
+            insts.push(Inst::Bin {
+                dst: k,
+                op: BinOp::Add,
+                a: Operand::Reg(seq),
+                b: index,
+            });
+            insts.push(Inst::LdReg {
+                dst: d,
+                arr,
+                index: Operand::Reg(k),
+            });
+            insts.push(Inst::StWin {
+                param: 0,
+                index,
+                val: Operand::Reg(d),
+            });
+        }
+        let mut reg_tys = vec![ScalarType::U32; 1 + 2 * N as usize];
+        reg_tys.extend((0..N).map(|_| ScalarType::I16));
+        reg_tys.extend((0..N).map(|_| ScalarType::I32));
+        let module = Module {
+            registers: vec![RegisterDecl {
+                name: "a".into(),
+                at: None,
+                elem: ScalarType::I32,
+                dims: vec![16],
+                init: vec![],
+                span: Default::default(),
+            }],
+            kernels: vec![KernelIr {
+                name: "k".into(),
+                kind: ncl_lang::ast::KernelKind::Outgoing,
+                at: None,
+                params: vec![ncl_lang::sema::ParamInfo {
+                    name: "d".into(),
+                    elem: ScalarType::I16,
+                    is_ptr: true,
+                    ext: false,
+                }],
+                mask: vec![N as u16 + 1],
+                blocks: vec![Block {
+                    insts,
+                    term: Terminator::Ret,
+                }],
+                nregs: reg_tys.len() as u32,
+                reg_tys,
+                span: Default::default(),
+            }],
+            ..Module::default()
+        };
+        let kir = &module.kernels[0];
+        let simd = CompiledKernel::compile_for(kir, &module);
+        assert_eq!(simd.vec_runs(), 2, "both copies fuse");
+        let scalar = simd.clone().with_simd(false);
+        let mut w = window_u32(&[]);
+        w.seq = 9; // slots 9..21 wrap the 16-slot array
+        w.chunks[0].data = (0..=N as i32)
+            .flat_map(|i| ((i * 0x0BCD - 0x4000) as i16).to_be_bytes())
+            .collect();
+        let (mut wi, mut si) = (w.clone(), SwitchState::from_module(&module));
+        Interpreter::default()
+            .run_outgoing(kir, &mut wi, &mut si)
+            .unwrap();
+        assert_eq!(si.registers[0].get(9), Value::i32(-0x4000), "sign-extended");
+        for engine in [&scalar, &simd] {
+            let (mut wf, mut sf) = (w.clone(), SwitchState::from_module(&module));
+            engine
+                .run_outgoing(&mut wf, &mut sf, &mut ExecScratch::new())
+                .unwrap();
+            assert_eq!(wi, wf);
+            assert_eq!(si, sf);
+        }
     }
 
     #[test]

@@ -16,13 +16,156 @@ use crate::ir::*;
 use c3::{Forward, Label, ScalarType, Value, Window};
 use std::collections::HashMap;
 
+/// One lane of switch memory: the unsigned integer of a scalar width.
+/// Two's complement makes one wrapping add serve both signednesses, and
+/// the big-endian load/store folds the wire byte swap into the access.
+pub(crate) trait Lane: Copy {
+    /// Lane width in bytes.
+    const N: usize;
+    /// Truncates canonical [`Value`] bits to the lane.
+    fn from_bits(bits: u64) -> Self;
+    /// Zero-extends the lane to canonical [`Value`] bits.
+    fn bits(self) -> u64;
+    /// Loads a big-endian lane from exactly `N` window bytes.
+    fn load_be(src: &[u8]) -> Self;
+    /// Stores the lane big-endian into exactly `N` window bytes.
+    fn store_be(self, dst: &mut [u8]);
+    /// Wrapping add at the lane width.
+    fn add(self, other: Self) -> Self;
+}
+
+macro_rules! impl_lane {
+    ($($t:ty),*) => {$(
+        impl Lane for $t {
+            const N: usize = std::mem::size_of::<$t>();
+            #[inline(always)]
+            fn from_bits(bits: u64) -> Self {
+                bits as $t
+            }
+            #[inline(always)]
+            fn bits(self) -> u64 {
+                self as u64
+            }
+            #[inline(always)]
+            fn load_be(src: &[u8]) -> Self {
+                <$t>::from_be_bytes(src.try_into().expect("lane-sized slice"))
+            }
+            #[inline(always)]
+            fn store_be(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_be_bytes())
+            }
+            #[inline(always)]
+            fn add(self, other: Self) -> Self {
+                self.wrapping_add(other)
+            }
+        }
+    )*};
+}
+impl_lane!(u8, u16, u32, u64);
+
+/// The packed storage behind a [`RegArray`], one variant per lane width.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) enum Lanes {
+    W8(Vec<u8>),
+    W16(Vec<u16>),
+    W32(Vec<u32>),
+    W64(Vec<u64>),
+}
+
+/// Evaluates `$body` with `$a` bound to the typed lane vector of a
+/// [`Lanes`] (or a reference to one): the single width dispatch every
+/// accessor and executor loop goes through.
+macro_rules! each_width {
+    ($lanes:expr, $a:ident => $body:expr) => {
+        match $lanes {
+            $crate::interp::Lanes::W8($a) => $body,
+            $crate::interp::Lanes::W16($a) => $body,
+            $crate::interp::Lanes::W32($a) => $body,
+            $crate::interp::Lanes::W64($a) => $body,
+        }
+    };
+}
+pub(crate) use each_width;
+
+/// One `_net_` register array: switch memory packed at the declared
+/// element width (`bool` as one byte holding 0 or 1). A slot's type is
+/// the declaration's, not a per-slot tag: every store casts to `elem`
+/// and every load reads back an `elem`-typed [`Value`].
+#[derive(Clone, PartialEq, Debug)]
+pub struct RegArray {
+    elem: ScalarType,
+    lanes: Lanes,
+}
+
+impl RegArray {
+    /// An array of `len` zeros (one zeroed allocation, no fill) with the
+    /// explicit initializer prefix `init` cast to `elem` over it.
+    pub fn new(elem: ScalarType, len: usize, init: &[Value]) -> Self {
+        let lanes = match elem.size() {
+            1 => Lanes::W8(vec![0; len]),
+            2 => Lanes::W16(vec![0; len]),
+            4 => Lanes::W32(vec![0; len]),
+            _ => Lanes::W64(vec![0; len]),
+        };
+        let mut arr = RegArray { elem, lanes };
+        for (i, v) in init.iter().take(len).enumerate() {
+            arr.set(i, *v);
+        }
+        arr
+    }
+
+    /// The declared element type of every slot.
+    pub fn elem(&self) -> ScalarType {
+        self.elem
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        each_width!(&self.lanes, a => a.len())
+    }
+
+    /// True for an array not placed at this location.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Reads slot `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`, like slice indexing.
+    #[inline]
+    pub fn get(&self, i: usize) -> Value {
+        Value::new(self.elem, each_width!(&self.lanes, a => a[i].bits()))
+    }
+
+    /// Writes slot `i` with `v` cast to the element type.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`, like slice indexing.
+    #[inline]
+    pub fn set(&mut self, i: usize, v: Value) {
+        let bits = v.cast(self.elem).bits();
+        each_width!(&mut self.lanes, a => a[i] = Lane::from_bits(bits))
+    }
+
+    /// The typed lanes, for the executors' monomorphic loops.
+    pub(crate) fn lanes(&self) -> &Lanes {
+        &self.lanes
+    }
+
+    /// Mutable typed lanes. Writers keep `bool` slots at 0 or 1.
+    pub(crate) fn lanes_mut(&mut self) -> &mut Lanes {
+        &mut self.lanes
+    }
+}
+
 /// Runtime switch state for one device: register arrays, control
 /// variables, map contents, and the device's identity. The `Default`
 /// state is the empty host-side state `run_incoming` executes against.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SwitchState {
     /// Register contents, indexed by [`ArrId`].
-    pub registers: Vec<Vec<Value>>,
+    pub registers: Vec<RegArray>,
     /// Control variable values, indexed by [`CtrlId`].
     pub ctrls: Vec<Value>,
     /// Map contents (key bits → value), indexed by [`MapId`].
@@ -46,11 +189,9 @@ impl SwitchState {
             .iter()
             .map(|r| {
                 if module.placed_here(&r.at) {
-                    let mut init = r.init.clone();
-                    init.resize(r.len(), Value::zero(r.elem));
-                    init
+                    RegArray::new(r.elem, r.len(), &r.init)
                 } else {
-                    Vec::new()
+                    RegArray::new(r.elem, 0, &[])
                 }
             })
             .collect();
@@ -172,15 +313,8 @@ impl Interpreter {
         host: &mut HostMemory,
     ) -> Result<(), InterpError> {
         // Hosts have no switch state; feed an empty one.
-        let mut state = SwitchState {
-            registers: vec![],
-            ctrls: vec![],
-            maps: vec![],
-            map_caps: vec![],
-            location_id: 0,
-            location: None,
-        };
-        self.run(kernel, window, &mut state, host).map(|_| ())
+        self.run(kernel, window, &mut SwitchState::default(), host)
+            .map(|_| ())
     }
 
     fn run(
@@ -325,7 +459,7 @@ impl Interpreter {
                     return Err(InterpError::NotPlacedHere("register array"));
                 }
                 let idx = operand(index, regs).bits() as usize % a.len();
-                regs[dst.0 as usize] = a[idx];
+                regs[dst.0 as usize] = a.get(idx);
             }
             Inst::StReg { arr, index, val } => {
                 let v = operand(val, regs);
@@ -334,8 +468,7 @@ impl Interpreter {
                     return Err(InterpError::NotPlacedHere("register array"));
                 }
                 let idx = operand(index, regs).bits() as usize % a.len();
-                let ty = a[idx].ty();
-                a[idx] = v.cast(ty);
+                a.set(idx, v);
             }
             Inst::LdCtrl { dst, ctrl } => {
                 regs[dst.0 as usize] = state.ctrls[ctrl.0 as usize];
@@ -472,9 +605,9 @@ mod tests {
         assert_eq!(it.run_outgoing(k, &mut w, &mut st).unwrap(), Forward::Drop);
         let mut w2 = window_u32(&[10, 20, 30, 40]);
         it.run_outgoing(k, &mut w2, &mut st).unwrap();
-        assert_eq!(st.registers[0][0], Value::i32(11));
-        assert_eq!(st.registers[0][3], Value::i32(44));
-        assert_eq!(st.registers[0][4], Value::i32(0));
+        assert_eq!(st.registers[0].get(0), Value::i32(11));
+        assert_eq!(st.registers[0].get(3), Value::i32(44));
+        assert_eq!(st.registers[0].get(4), Value::i32(0));
     }
 
     #[test]
@@ -513,9 +646,9 @@ _net_ _out_ void allreduce(int *data) {
             }
         }
         // Slot counter reset: a fourth window restarts aggregation.
-        assert_eq!(st.registers[1][0], Value::u32(0));
+        assert_eq!(st.registers[1].get(0), Value::u32(0));
         // accum keeps the sum (it is rewritten next round).
-        assert_eq!(st.registers[0][0], Value::i32(6));
+        assert_eq!(st.registers[0].get(0), Value::i32(6));
     }
 
     #[test]
@@ -535,9 +668,9 @@ _net_ _out_ void k(int *data) {
         let mut w = window_u32(&[5, 6, 7, 8]);
         w.seq = 1;
         it.run_outgoing(k, &mut w, &mut st).unwrap();
-        assert_eq!(st.registers[0][0], Value::i32(0));
-        assert_eq!(st.registers[0][4], Value::i32(5));
-        assert_eq!(st.registers[0][7], Value::i32(8));
+        assert_eq!(st.registers[0].get(0), Value::i32(0));
+        assert_eq!(st.registers[0].get(4), Value::i32(5));
+        assert_eq!(st.registers[0].get(7), Value::i32(8));
     }
 
     #[test]
@@ -566,14 +699,14 @@ _net_ _out_ void k(uint64_t key) {
             ext: vec![],
         };
         assert_eq!(it.run_outgoing(k, &mut w, &mut st).unwrap(), Forward::Pass);
-        assert_eq!(st.registers[0][2], Value::bool(false));
+        assert_eq!(st.registers[0].get(2), Value::bool(false));
         // Hit: reflect and set Valid[2].
         assert!(st.map_insert(MapId(0), 99, Value::new(ScalarType::U8, 2)));
         assert_eq!(
             it.run_outgoing(k, &mut w, &mut st).unwrap(),
             Forward::Reflect
         );
-        assert_eq!(st.registers[0][2], Value::bool(true));
+        assert_eq!(st.registers[0].get(2), Value::bool(true));
     }
 
     #[test]
@@ -619,6 +752,45 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         assert_eq!(host.arrays[0][0], Value::i32(0));
     }
 
+    /// Switch memory costs the declared width, not a tagged `Value`, and
+    /// loading it is one zeroed allocation plus the explicit prefix:
+    /// 4 B per `int` slot, and `from_module` of a 1 Mi-element array
+    /// well inside 50 ms even unoptimised (a per-slot fill of 16-byte
+    /// values took longer than that at this size).
+    #[test]
+    fn register_arrays_cost_their_declared_width() {
+        const SLOTS: usize = 1 << 20;
+        let module = Module {
+            registers: vec![RegisterDecl {
+                name: "accum".into(),
+                at: None,
+                elem: ScalarType::I32,
+                dims: vec![SLOTS],
+                init: vec![Value::i32(7)],
+                span: Default::default(),
+            }],
+            ..Module::default()
+        };
+        let started = std::time::Instant::now();
+        let st = SwitchState::from_module(&module);
+        let took = started.elapsed();
+        let Lanes::W32(lanes) = st.registers[0].lanes() else {
+            panic!("int slots are u32 lanes")
+        };
+        assert_eq!(std::mem::size_of_val(&lanes[..]), 4 * SLOTS);
+        assert_eq!(lanes.capacity(), SLOTS);
+        assert_eq!(st.registers[0].get(0), Value::i32(7));
+        assert_eq!(st.registers[0].get(SLOTS - 1), Value::i32(0));
+        assert!(took.as_millis() < 50, "from_module took {took:?}");
+        for ty in ScalarType::ALL {
+            let arr = RegArray::new(ty, 3, &[Value::u64(u64::MAX)]);
+            let bytes = each_width!(arr.lanes(), a => std::mem::size_of_val(&a[..]));
+            assert_eq!(bytes, 3 * ty.size(), "{ty}");
+            assert_eq!(arr.get(0), Value::u64(u64::MAX).cast(ty), "{ty}");
+            assert_eq!(arr.get(2), Value::zero(ty), "{ty}");
+        }
+    }
+
     #[test]
     fn register_index_wraps() {
         let (m, mut st) = build(
@@ -632,7 +804,7 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         Interpreter::default()
             .run_outgoing(k, &mut w, &mut st)
             .unwrap();
-        assert_eq!(st.registers[0][2], Value::i32(7));
+        assert_eq!(st.registers[0].get(2), Value::i32(7));
     }
 
     #[test]

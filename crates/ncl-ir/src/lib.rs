@@ -44,7 +44,7 @@ pub mod passes;
 pub mod version;
 
 pub use exec::{CompiledKernel, ExecScratch};
-pub use interp::{HostMemory, Interpreter, SwitchState};
+pub use interp::{HostMemory, Interpreter, RegArray, SwitchState};
 pub use ir::{
     ArrId, BlockId, CtrlId, Inst, KernelIr, MapId, MetaField, Module, Operand, RegId, Terminator,
 };

@@ -3,11 +3,11 @@
 //! The third execution tier below the micro-op fast path: where the
 //! lowering's `fuse_element_runs` left a fused element-wise run
 //! ([`crate::exec`]'s `VecAccum` / `VecRegToWin` / `VecWinToReg`), this
-//! module executes the run's lane-packable body as explicit
-//! width-specialized lane loops over the raw big-endian window bytes —
-//! one `u8x32` / `u16x16` / `u32x8` / `u64x4` block shape per scalar
-//! width — instead of the per-element slot/bounds/dispatch machinery of
-//! the scalar loops.
+//! module executes the run's lane-packable body as one
+//! width-monomorphic loop between the raw big-endian window bytes and
+//! the packed register lanes ([`crate::interp::RegArray`]) — `u8x32` /
+//! `u16x16` / `u32x8` / `u64x4` per ymm — instead of the per-element
+//! slot/bounds machinery of the scalar loops.
 //!
 //! # Dispatch and fallback rules
 //!
@@ -19,8 +19,8 @@
 //! - the host offers no usable lanes ([`level`] is [`SimdLevel::Scalar`]:
 //!   `NCVEC_FORCE_SCALAR=1`, [`set_force_scalar`], or a build with no
 //!   vectorizable target),
-//! - the run's element types are not uniform (mixed-width accumulates
-//!   take the `Value`-typed scalar loop, exactly as before),
+//! - the run's element types do not agree with the array's (mixed-width
+//!   runs take the scalar tier's `get`/`set` loop),
 //! - the slots do not pack into consecutive lanes: the index-add would
 //!   wrap its type width, or the register array's power-of-two mask
 //!   would wrap inside the body (lane-crossing slot strides),
@@ -37,21 +37,22 @@
 //! # Width specialization
 //!
 //! The body loops operate on pre-sliced regions — `&data[a..b]` window
-//! bytes and `&mut arr[s0..s0+w]` register slots — with per-element
-//! work reduced to a fixed-width big-endian load, a truncating add (for
-//! accumulate), and a `Value` store. On x86-64 hosts with AVX2 the
-//! loops are additionally instantiated inside `#[target_feature]`
-//! wrappers so the compiler emits 256-bit loads and byte-shuffles for
-//! the window side; elsewhere the same portable loops run at whatever
-//! width the baseline target offers. Step-budget accounting is
-//! unchanged: the caller's `vec_iters` already decided how many groups
-//! `m` execute, and partial (budget-exhausted) runs vectorize like any
-//! other — the tier only ever executes groups `< m`.
+//! bytes and `&mut lanes[s0..s0+w]` register slots — with per-element
+//! work reduced to a big-endian lane load (the byte swap folded into
+//! it) and a wrapping add or a copy. On x86-64 hosts with AVX2 the
+//! loops are instantiated inside `#[target_feature]` wrappers so the
+//! compiler emits 256-bit loads, byte shuffles and adds; elsewhere the
+//! same portable loops run at whatever width the baseline target
+//! offers. Step-budget accounting is unchanged: the caller's
+//! `vec_iters` already decided how many groups `m` execute, and partial
+//! (budget-exhausted) runs vectorize like any other — the tier only
+//! ever executes groups `< m`.
 
 use crate::exec::{
-    be_load, be_store, vec_accum_scalar, vec_reg_to_win_scalar, vec_win_to_reg_scalar, VecOp,
+    lane_typed, vec_accum_scalar, vec_reg_to_win_scalar, vec_win_to_reg_scalar, VecOp,
 };
-use c3::{Chunk, ScalarType, Value};
+use crate::interp::{each_width, Lane, RegArray};
+use c3::Chunk;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -131,6 +132,19 @@ struct Plan {
     s0: usize,
 }
 
+impl Plan {
+    /// The body's register slots.
+    fn slots(&self) -> std::ops::Range<usize> {
+        self.s0..self.s0 + (self.hi - self.lo) as usize
+    }
+
+    /// The body's window bytes.
+    fn bytes(&self, v: &VecOp) -> std::ops::Range<usize> {
+        let nsz = v.wty.size();
+        (v.idx0 + self.lo) as usize * nsz..(v.idx0 + self.hi) as usize * nsz
+    }
+}
+
 /// Decides whether iterations of the run pack into consecutive lanes,
 /// mirroring `VecOp::slot` exactly: for `i` in `lo..hi` the slot is
 /// `(base + idx0 + i) & imask & amask`, which equals `s0 + (i - lo)`
@@ -163,255 +177,116 @@ fn plan(v: &VecOp, m: u32, base_bits: u64, arr_len: usize, data_len: usize) -> O
     Some(Plan { lo, hi, s0 })
 }
 
-/// Truncating add at width `N`: canonical-bits arithmetic for the
-/// unsigned/signed scalar of that width (two's complement, so one add
-/// serves both signednesses).
-#[inline(always)]
-fn trunc_add<const N: usize>(a: u64, b: u64) -> u64 {
-    match N {
-        1 => (a as u8).wrapping_add(b as u8) as u64,
-        2 => (a as u16).wrapping_add(b as u16) as u64,
-        4 => (a as u32).wrapping_add(b as u32) as u64,
-        _ => a.wrapping_add(b),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Width-specialized lane loops. Each is written over pre-sliced regions
+// Width-monomorphic lane loops. Each is written over pre-sliced regions
 // so the optimizer sees a fixed-stride loop with no bounds checks, no
 // slot arithmetic and no per-element Option dispatch; the `avx2` module
-// re-instantiates the same bodies under `#[target_feature]` so the
-// window-side loads and byte swaps vectorize at 256 bits.
+// instantiates the same bodies under `#[target_feature]` so loads, byte
+// swaps and adds vectorize at 256 bits (eight `u32` lanes per ymm).
 // ---------------------------------------------------------------------
 
 #[inline(always)]
-fn accum_lanes<const N: usize>(dst: &mut [Value], src: &[u8], ty: ScalarType) {
-    debug_assert_eq!(src.len(), dst.len() * N);
-    for (d, s) in dst.iter_mut().zip(src.chunks_exact(N)) {
-        let bits = trunc_add::<N>(d.bits(), be_load::<N>(s, 0));
-        *d = Value::new(ty, bits);
+fn accum_lanes<L: Lane>(dst: &mut [L], src: &[u8]) {
+    debug_assert_eq!(src.len(), dst.len() * L::N);
+    for (d, s) in dst.iter_mut().zip(src.chunks_exact(L::N)) {
+        *d = d.add(L::load_be(s));
     }
 }
 
 #[inline(always)]
-fn win_to_reg_lanes<const N: usize>(dst: &mut [Value], src: &[u8], ty: ScalarType) {
-    debug_assert_eq!(src.len(), dst.len() * N);
-    for (d, s) in dst.iter_mut().zip(src.chunks_exact(N)) {
-        *d = Value::new(ty, be_load::<N>(s, 0));
+fn win_to_reg_lanes<L: Lane>(dst: &mut [L], src: &[u8]) {
+    debug_assert_eq!(src.len(), dst.len() * L::N);
+    for (d, s) in dst.iter_mut().zip(src.chunks_exact(L::N)) {
+        *d = L::load_be(s);
     }
 }
 
 #[inline(always)]
-fn reg_to_win_lanes<const N: usize>(src: &[Value], dst: &mut [u8], wty: ScalarType) {
-    debug_assert_eq!(dst.len(), src.len() * N);
-    for (d, s) in src.iter().zip(dst.chunks_exact_mut(N)) {
-        // Same branch as the scalar loop: same-type cast is the
-        // identity on canonical values.
-        let bits = if d.ty() == wty {
-            d.bits()
-        } else {
-            d.cast(wty).bits()
-        };
-        be_store::<N>(s, 0, bits);
+fn reg_to_win_lanes<L: Lane>(src: &[L], dst: &mut [u8]) {
+    debug_assert_eq!(dst.len(), src.len() * L::N);
+    for (s, d) in src.iter().zip(dst.chunks_exact_mut(L::N)) {
+        s.store_be(d);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Hand-scheduled AVX2 bodies for the 4-byte (u32/i32) element
-    //! width — the hot allreduce shape — operating directly on packed
-    //! `Value` slices through the `repr(C)` layout contract
-    //! (`Value::RAW_SIZE` = 16, tag byte at `RAW_TY_OFFSET` = 0, bits
-    //! at `RAW_BITS_OFFSET` = 8). One ymm register holds two `Value`s
-    //! as qwords `[tag, bits, tag, bits]`; the window side loads four
-    //! big-endian u32s per xmm and a single `vpshufb` both byte-swaps
-    //! them and pre-orders the dwords `(0,2,1,3)` so zero-interleaving
-    //! (`vpunpck{l,h}qdq` against zero) spreads them into the bits
-    //! lanes of two `Value` ymms. Other widths take the portable lane
-    //! loops, still under `target_feature`.
+    //! The lane loops instantiated with AVX2 enabled.
+    //!
+    //! # Safety
+    //! Callers must have observed [`SimdLevel::Avx2`], which is only
+    //! reported after `is_x86_feature_detected!("avx2")` succeeded.
 
     use super::*;
-    use core::arch::x86_64::*;
-
-    const _: () = {
-        assert!(Value::RAW_SIZE == 16);
-        assert!(Value::RAW_TY_OFFSET == 0);
-        assert!(Value::RAW_BITS_OFFSET == 8);
-    };
-
-    /// `[tag, 0, tag, 0]` qwords: OR-template writing the tag byte of
-    /// two packed `Value`s whose remaining bytes are zero.
-    #[inline(always)]
-    fn tag_template(ty: ScalarType) -> __m256i {
-        // SAFETY: pure lane constructor, no memory access.
-        unsafe { _mm256_setr_epi64x(ty as u8 as i64, 0, ty as u8 as i64, 0) }
-    }
-
-    // SAFETY contract for the three public wrappers: the caller
-    // observed `SimdLevel::Avx2`, which is only ever reported after
-    // `is_x86_feature_detected!("avx2")` succeeded on this host.
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn accum<const N: usize>(dst: &mut [Value], src: &[u8], ty: ScalarType) {
-        if N == 4 {
-            return accum4(dst, src, ty);
-        }
-        accum_lanes::<N>(dst, src, ty)
+    pub unsafe fn accum<L: Lane>(dst: &mut [L], src: &[u8]) {
+        accum_lanes(dst, src)
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn win_to_reg<const N: usize>(dst: &mut [Value], src: &[u8], ty: ScalarType) {
-        if N == 4 {
-            return win_to_reg4(dst, src, ty);
-        }
-        win_to_reg_lanes::<N>(dst, src, ty)
+    pub unsafe fn win_to_reg<L: Lane>(dst: &mut [L], src: &[u8]) {
+        win_to_reg_lanes(dst, src)
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn reg_to_win<const N: usize>(src: &[Value], dst: &mut [u8], wty: ScalarType) {
-        if N == 4 {
-            return reg_to_win4(src, dst, wty);
-        }
-        reg_to_win_lanes::<N>(src, dst, wty)
-    }
-
-    /// Big-endian u32 swap fused with the `(0,2,1,3)` dword pre-order.
-    #[inline(always)]
-    unsafe fn load_spread(src: *const u8) -> (__m256i, __m256i) {
-        // SAFETY (caller): `src..src+16` is in bounds.
-        let swsh = _mm_setr_epi8(3, 2, 1, 0, 11, 10, 9, 8, 7, 6, 5, 4, 15, 14, 13, 12);
-        let w = _mm_loadu_si128(src as *const __m128i);
-        let w = _mm_shuffle_epi8(w, swsh); // host-order dwords [w0,w2,w1,w3]
-        let y = _mm256_cvtepu32_epi64(w); // qwords [w0,w2,w1,w3]
-        let zero = _mm256_setzero_si256();
-        // [0,w0,0,w1] and [0,w2,0,w3]: window words in the bits lanes.
-        (
-            _mm256_unpacklo_epi64(zero, y),
-            _mm256_unpackhi_epi64(zero, y),
-        )
-    }
-
-    /// `arr[slot] += win[c]` at width 4: `vpaddd` adds into the low
-    /// bits dword (no carry escapes the lane), the mask keeps only that
-    /// dword (zeroing stale high bits of a previously wider slot), and
-    /// the template restores the accumulate-type tag — exactly
-    /// `Value::new(ty, old.bits() + w & 0xFFFF_FFFF)` per slot.
-    #[target_feature(enable = "avx2")]
-    unsafe fn accum4(dst: &mut [Value], src: &[u8], ty: ScalarType) {
-        debug_assert_eq!(src.len(), dst.len() * 4);
-        let n = dst.len() & !3;
-        let t = tag_template(ty);
-        let m32 = _mm256_setr_epi32(0, 0, -1, 0, 0, 0, -1, 0);
-        let mut i = 0usize;
-        while i < n {
-            // SAFETY: `i + 4 <= dst.len()` and `src.len() == 4 * dst.len()`,
-            // so both the 16-byte window load and the two 32-byte `Value`
-            // load/stores stay in bounds; `Value` is `repr(C)`, 16 bytes.
-            let (a0, a1) = load_spread(src.as_ptr().add(i * 4));
-            let p = dst.as_mut_ptr().add(i) as *mut __m256i;
-            let d0 = _mm256_loadu_si256(p);
-            let d1 = _mm256_loadu_si256(p.add(1));
-            let s0 = _mm256_or_si256(_mm256_and_si256(_mm256_add_epi32(d0, a0), m32), t);
-            let s1 = _mm256_or_si256(_mm256_and_si256(_mm256_add_epi32(d1, a1), m32), t);
-            _mm256_storeu_si256(p, s0);
-            _mm256_storeu_si256(p.add(1), s1);
-            i += 4;
-        }
-        accum_lanes::<4>(&mut dst[n..], &src[n * 4..], ty);
-    }
-
-    /// `arr[slot] = win[c]` at width 4: the spread words OR'd with the
-    /// tag template are already complete `Value`s.
-    #[target_feature(enable = "avx2")]
-    unsafe fn win_to_reg4(dst: &mut [Value], src: &[u8], ty: ScalarType) {
-        debug_assert_eq!(src.len(), dst.len() * 4);
-        let n = dst.len() & !3;
-        let t = tag_template(ty);
-        let mut i = 0usize;
-        while i < n {
-            // SAFETY: as in `accum4` — all accesses bounded by `n`.
-            let (a0, a1) = load_spread(src.as_ptr().add(i * 4));
-            let p = dst.as_mut_ptr().add(i) as *mut __m256i;
-            _mm256_storeu_si256(p, _mm256_or_si256(a0, t));
-            _mm256_storeu_si256(p.add(1), _mm256_or_si256(a1, t));
-            i += 4;
-        }
-        win_to_reg_lanes::<4>(&mut dst[n..], &src[n * 4..], ty);
-    }
-
-    /// `win[c] = arr[slot]` at width 4. The scalar loop casts slots
-    /// whose dynamic type differs from the window type; the tag bytes
-    /// (positions 0 and 16 of each `Value` pair) are compared against
-    /// the template and any mismatched block of four falls back to the
-    /// portable loop, so mixed-type slots keep cast semantics.
-    #[target_feature(enable = "avx2")]
-    unsafe fn reg_to_win4(src: &[Value], dst: &mut [u8], wty: ScalarType) {
-        debug_assert_eq!(dst.len(), src.len() * 4);
-        let n = src.len() & !3;
-        let t = tag_template(wty);
-        let idx = _mm256_setr_epi32(2, 6, 0, 0, 0, 0, 0, 0);
-        let bsw = _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
-        const TAGS: u32 = 1 | (1 << 16);
-        let mut i = 0usize;
-        while i < n {
-            // SAFETY: `i + 4 <= src.len()` and `dst.len() == 4 * src.len()`.
-            let p = src.as_ptr().add(i) as *const __m256i;
-            let y0 = _mm256_loadu_si256(p);
-            let y1 = _mm256_loadu_si256(p.add(1));
-            let eq0 = _mm256_movemask_epi8(_mm256_cmpeq_epi8(y0, t)) as u32;
-            let eq1 = _mm256_movemask_epi8(_mm256_cmpeq_epi8(y1, t)) as u32;
-            if eq0 & TAGS == TAGS && eq1 & TAGS == TAGS {
-                // Gather the low bits dwords [b0,b1] and [b2,b3], join
-                // them, and byte-swap to big-endian.
-                let b0 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(y0, idx));
-                let b1 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(y1, idx));
-                let x = _mm_shuffle_epi8(_mm_unpacklo_epi64(b0, b1), bsw);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i * 4) as *mut __m128i, x);
-            } else {
-                reg_to_win_lanes::<4>(&src[i..i + 4], &mut dst[i * 4..i * 4 + 16], wty);
-            }
-            i += 4;
-        }
-        reg_to_win_lanes::<4>(&src[n..], &mut dst[n * 4..], wty);
+    pub unsafe fn reg_to_win<L: Lane>(src: &[L], dst: &mut [u8]) {
+        reg_to_win_lanes(src, dst)
     }
 }
 
 #[inline(always)]
-fn accum_body<const N: usize>(lv: SimdLevel, dst: &mut [Value], src: &[u8], ty: ScalarType) {
+fn accum_body<L: Lane>(lv: SimdLevel, dst: &mut [L], src: &[u8]) {
     #[cfg(target_arch = "x86_64")]
     if lv == SimdLevel::Avx2 {
         // SAFETY: Avx2 is only reported when runtime detection passed.
-        return unsafe { avx2::accum::<N>(dst, src, ty) };
+        return unsafe { avx2::accum(dst, src) };
     }
     let _ = lv;
-    accum_lanes::<N>(dst, src, ty)
+    accum_lanes(dst, src)
 }
 
 #[inline(always)]
-fn win_to_reg_body<const N: usize>(lv: SimdLevel, dst: &mut [Value], src: &[u8], ty: ScalarType) {
+fn win_to_reg_body<L: Lane>(lv: SimdLevel, dst: &mut [L], src: &[u8]) {
     #[cfg(target_arch = "x86_64")]
     if lv == SimdLevel::Avx2 {
         // SAFETY: Avx2 is only reported when runtime detection passed.
-        return unsafe { avx2::win_to_reg::<N>(dst, src, ty) };
+        return unsafe { avx2::win_to_reg(dst, src) };
     }
     let _ = lv;
-    win_to_reg_lanes::<N>(dst, src, ty)
+    win_to_reg_lanes(dst, src)
 }
 
 #[inline(always)]
-fn reg_to_win_body<const N: usize>(lv: SimdLevel, src: &[Value], dst: &mut [u8], wty: ScalarType) {
+fn reg_to_win_body<L: Lane>(lv: SimdLevel, src: &[L], dst: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
     if lv == SimdLevel::Avx2 {
         // SAFETY: Avx2 is only reported when runtime detection passed.
-        return unsafe { avx2::reg_to_win::<N>(src, dst, wty) };
+        return unsafe { avx2::reg_to_win(src, dst) };
     }
     let _ = lv;
-    reg_to_win_lanes::<N>(src, dst, wty)
+    reg_to_win_lanes(src, dst)
 }
 
 // ---------------------------------------------------------------------
 // Run entry points (called from the fast path's vec dispatch).
 // ---------------------------------------------------------------------
+
+/// The effective level and the lane plan of a run; `None` when the tier
+/// is forced off or the run does not pack.
+fn engage(
+    v: &VecOp,
+    m: u32,
+    base_bits: u64,
+    arr_len: usize,
+    data_len: usize,
+) -> Option<(SimdLevel, Plan)> {
+    let lv = level();
+    if lv == SimdLevel::Scalar {
+        return None;
+    }
+    plan(v, m, base_bits, arr_len, data_len).map(|p| (lv, p))
+}
 
 /// `arr[slot] += win[c]`: executes the run if it lane-packs, scalar
 /// head/tail included. Returns `false` (caller runs the scalar loop)
@@ -421,55 +296,32 @@ pub(crate) fn accum(
     v: &VecOp,
     m: u32,
     base_bits: u64,
-    arr: &mut [Value],
+    arr: &mut RegArray,
     chunk: Option<&Chunk>,
 ) -> bool {
-    if v.wty != v.aty || v.aty != v.sty || v.wty == ScalarType::Bool {
+    let Some(c) = chunk.filter(|_| v.wty == v.aty && lane_typed(v.wty, arr)) else {
         return false;
-    }
-    let lv = level();
-    if lv == SimdLevel::Scalar {
-        return false;
-    }
-    let Some(c) = chunk else { return false };
-    let Some(p) = plan(v, m, base_bits, arr.len(), c.data.len()) else {
+    };
+    let Some((lv, p)) = engage(v, m, base_bits, arr.len(), c.data.len()) else {
         return false;
     };
     vec_accum_scalar(v, 0..p.lo, base_bits, arr, chunk);
-    let nsz = v.wty.size();
-    let src = &c.data[(v.idx0 + p.lo) as usize * nsz..(v.idx0 + p.hi) as usize * nsz];
-    let dst = &mut arr[p.s0..p.s0 + (p.hi - p.lo) as usize];
-    match nsz {
-        1 => accum_body::<1>(lv, dst, src, v.aty),
-        2 => accum_body::<2>(lv, dst, src, v.aty),
-        4 => accum_body::<4>(lv, dst, src, v.aty),
-        _ => accum_body::<8>(lv, dst, src, v.aty),
-    }
+    each_width!(arr.lanes_mut(), a => accum_body(lv, &mut a[p.slots()], &c.data[p.bytes(v)]));
     vec_accum_scalar(v, p.hi..m, base_bits, arr, chunk);
     true
 }
 
 /// `win[c] = arr[slot]` (store direction). The chunk is present (the
 /// caller already dropped the run when it was missing).
-pub(crate) fn reg_to_win(v: &VecOp, m: u32, base_bits: u64, arr: &[Value], c: &mut Chunk) -> bool {
-    let lv = level();
-    if lv == SimdLevel::Scalar {
+pub(crate) fn reg_to_win(v: &VecOp, m: u32, base_bits: u64, arr: &RegArray, c: &mut Chunk) -> bool {
+    if v.wty != arr.elem() {
         return false;
     }
-    let Some(p) = plan(v, m, base_bits, arr.len(), c.data.len()) else {
+    let Some((lv, p)) = engage(v, m, base_bits, arr.len(), c.data.len()) else {
         return false;
     };
     vec_reg_to_win_scalar(v, 0..p.lo, base_bits, arr, c);
-    let nsz = v.wty.size();
-    let w = (p.hi - p.lo) as usize;
-    let src = &arr[p.s0..p.s0 + w];
-    let dst = &mut c.data[(v.idx0 + p.lo) as usize * nsz..(v.idx0 + p.hi) as usize * nsz];
-    match nsz {
-        1 => reg_to_win_body::<1>(lv, src, dst, v.wty),
-        2 => reg_to_win_body::<2>(lv, src, dst, v.wty),
-        4 => reg_to_win_body::<4>(lv, src, dst, v.wty),
-        _ => reg_to_win_body::<8>(lv, src, dst, v.wty),
-    }
+    each_width!(arr.lanes(), a => reg_to_win_body(lv, &a[p.slots()], &mut c.data[p.bytes(v)]));
     vec_reg_to_win_scalar(v, p.hi..m, base_bits, arr, c);
     true
 }
@@ -479,30 +331,17 @@ pub(crate) fn win_to_reg(
     v: &VecOp,
     m: u32,
     base_bits: u64,
-    arr: &mut [Value],
+    arr: &mut RegArray,
     chunk: Option<&Chunk>,
 ) -> bool {
-    if v.wty != v.sty || v.wty == ScalarType::Bool {
+    let Some(c) = chunk.filter(|_| lane_typed(v.wty, arr)) else {
         return false;
-    }
-    let lv = level();
-    if lv == SimdLevel::Scalar {
-        return false;
-    }
-    let Some(c) = chunk else { return false };
-    let Some(p) = plan(v, m, base_bits, arr.len(), c.data.len()) else {
+    };
+    let Some((lv, p)) = engage(v, m, base_bits, arr.len(), c.data.len()) else {
         return false;
     };
     vec_win_to_reg_scalar(v, 0..p.lo, base_bits, arr, chunk);
-    let nsz = v.wty.size();
-    let src = &c.data[(v.idx0 + p.lo) as usize * nsz..(v.idx0 + p.hi) as usize * nsz];
-    let dst = &mut arr[p.s0..p.s0 + (p.hi - p.lo) as usize];
-    match nsz {
-        1 => win_to_reg_body::<1>(lv, dst, src, v.sty),
-        2 => win_to_reg_body::<2>(lv, dst, src, v.sty),
-        4 => win_to_reg_body::<4>(lv, dst, src, v.sty),
-        _ => win_to_reg_body::<8>(lv, dst, src, v.sty),
-    }
+    each_width!(arr.lanes_mut(), a => win_to_reg_body(lv, &mut a[p.slots()], &c.data[p.bytes(v)]));
     vec_win_to_reg_scalar(v, p.hi..m, base_bits, arr, chunk);
     true
 }
@@ -510,6 +349,12 @@ pub(crate) fn win_to_reg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c3::{ScalarType, Value};
+    use std::sync::Mutex;
+
+    /// Serialises the tests that read [`level`] against the one that
+    /// flips the process-wide force flag.
+    static LEVEL: Mutex<()> = Mutex::new(());
 
     fn vo(idx0: u32, n: u32, amask: u32, imask: u64, headless: bool) -> VecOp {
         VecOp {
@@ -522,7 +367,6 @@ mod tests {
             base: 0,
             imask,
             aty: ScalarType::I32,
-            sty: ScalarType::I32,
             cost: 5,
             head_cost: if headless { 4 } else { 5 },
         }
@@ -572,96 +416,59 @@ mod tests {
         assert!(plan(&v, 4, 0, 64, 4 * 4).is_none());
     }
 
-    fn chunk_u32(vals: &[u32]) -> Chunk {
-        Chunk {
-            offset: 0,
-            data: vals.iter().flat_map(|v| v.to_be_bytes()).collect(),
+    /// Every width, headless and headed, ragged chunk: wherever the tier
+    /// engages (everywhere it has lanes, `bool` window reads aside), it
+    /// and the scalar reference loops leave identical register lanes and
+    /// window bytes.
+    #[test]
+    fn lane_bodies_match_the_scalar_loops_at_every_width() {
+        let _level = LEVEL.lock().expect("no test panics holding it");
+        for ty in ScalarType::ALL {
+            for headless in [false, true] {
+                let mut v = vo(1, 37, 1023, u32::MAX as u64, headless);
+                (v.wty, v.aty) = (ty, ty);
+                let init: Vec<Value> = (0..1024u64)
+                    .map(|i| Value::new(ty, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                    .collect();
+                let arr = RegArray::new(ty, 1024, &init);
+                // 35 full elements past idx0 = 1, then a partial one.
+                let data: Vec<u8> = (0..36 * ty.size() + ty.size() / 2)
+                    .map(|b| (b * 37 + 11) as u8)
+                    .collect();
+                let c = Chunk { offset: 0, data };
+
+                let lanes = level() != SimdLevel::Scalar;
+                let ctx = format!("{ty} headless={headless}");
+
+                let (mut simd, mut scalar) = (arr.clone(), arr.clone());
+                let ran = accum(&v, v.n, 5, &mut simd, Some(&c));
+                assert_eq!(ran, lanes && ty != ScalarType::Bool, "accum {ctx}");
+                vec_accum_scalar(&v, 0..v.n, 5, &mut scalar, Some(&c));
+                assert!(!ran || simd == scalar, "accum {ctx}");
+
+                let (mut simd, mut scalar) = (arr.clone(), arr.clone());
+                let ran = win_to_reg(&v, v.n, 5, &mut simd, Some(&c));
+                assert_eq!(ran, lanes && ty != ScalarType::Bool, "win_to_reg {ctx}");
+                vec_win_to_reg_scalar(&v, 0..v.n, 5, &mut scalar, Some(&c));
+                assert!(!ran || simd == scalar, "win_to_reg {ctx}");
+
+                let (mut simd_c, mut scalar_c) = (c.clone(), c.clone());
+                let ran = reg_to_win(&v, v.n, 5, &arr, &mut simd_c);
+                assert_eq!(ran, lanes, "reg_to_win {ctx}");
+                vec_reg_to_win_scalar(&v, 0..v.n, 5, &arr, &mut scalar_c);
+                assert!(!ran || simd_c == scalar_c, "reg_to_win {ctx}");
+            }
         }
-    }
-
-    /// Runs the tier entry point and the scalar reference loop on
-    /// identical inputs and asserts bit-identical register files.
-    fn accum_matches_scalar(arr: Vec<Value>, vals: &[u32], v: &VecOp) {
-        let c = chunk_u32(vals);
-        let mut simd_arr = arr.clone();
-        let mut scalar_arr = arr;
-        let ran = accum(v, v.n, 0, &mut simd_arr, Some(&c));
-        crate::exec::vec_accum_scalar(v, 0..v.n, 0, &mut scalar_arr, Some(&c));
-        assert!(
-            ran || level() == SimdLevel::Scalar,
-            "tier declined a packable run"
-        );
-        assert_eq!(simd_arr, scalar_arr);
-    }
-
-    #[test]
-    fn accum_overwrites_stale_wide_slots() {
-        // Slots holding wider values than the accumulate type: the
-        // scalar loop truncates to the low 32 bits and retags; the
-        // AVX2 body must do the same (mask + tag template).
-        let v = vo(0, 16, 1023, u32::MAX as u64, false);
-        let arr: Vec<Value> = (0..1024)
-            .map(|i| match i % 3 {
-                0 => Value::new(ScalarType::U64, 0xdead_beef_0000_0001 + i as u64),
-                1 => Value::new(ScalarType::U8, i as u64 & 0xff),
-                _ => Value::new(ScalarType::I32, i as u64),
-            })
-            .collect();
-        let vals: Vec<u32> = (0..16).map(|i| 0x8000_0000u32.wrapping_add(i)).collect();
-        accum_matches_scalar(arr, &vals, &v);
-    }
-
-    #[test]
-    fn win_to_reg_retags_every_slot() {
-        let v = vo(0, 16, 1023, u32::MAX as u64, false);
-        let c = chunk_u32(&(0..16).map(|i| u32::MAX - i).collect::<Vec<_>>());
-        let mk = || {
-            (0..1024)
-                .map(|i| Value::new(ScalarType::U64, u64::MAX - i as u64))
-                .collect::<Vec<Value>>()
-        };
-        let (mut simd_arr, mut scalar_arr) = (mk(), mk());
-        let ran = win_to_reg(&v, v.n, 0, &mut simd_arr, Some(&c));
-        crate::exec::vec_win_to_reg_scalar(&v, 0..v.n, 0, &mut scalar_arr, Some(&c));
-        assert!(ran || level() == SimdLevel::Scalar);
-        assert_eq!(simd_arr, scalar_arr);
-    }
-
-    #[test]
-    fn reg_to_win_casts_mixed_type_slots() {
-        // Blocks with a non-window-typed slot must take the per-block
-        // scalar fallback (cast semantics), other blocks vectorize.
-        let v = vo(0, 32, 1023, u32::MAX as u64, false);
-        let arr: Vec<Value> = (0..1024)
-            .map(|i| match i {
-                5 => Value::new(ScalarType::I8, 0x80), // -128, sign-extends
-                17 => Value::new(ScalarType::U64, 0x1_0000_0005),
-                _ => Value::new(ScalarType::I32, 0x8000_0000 | i as u64),
-            })
-            .collect();
-        let mut simd_c = chunk_u32(&[0u32; 32]);
-        let mut scalar_c = chunk_u32(&[0u32; 32]);
-        let ran = reg_to_win(&v, v.n, 0, &arr, &mut simd_c);
-        crate::exec::vec_reg_to_win_scalar(&v, 0..v.n, 0, &arr, &mut scalar_c);
-        assert!(ran || level() == SimdLevel::Scalar);
-        assert_eq!(simd_c.data, scalar_c.data);
     }
 
     #[test]
     fn force_scalar_gates_level() {
+        let _level = LEVEL.lock().expect("no test panics holding it");
         let was = force_scalar();
         set_force_scalar(true);
         assert_eq!(level(), SimdLevel::Scalar);
         set_force_scalar(false);
         assert_ne!(level(), SimdLevel::Scalar);
         set_force_scalar(was);
-    }
-
-    #[test]
-    fn trunc_add_matches_width() {
-        assert_eq!(trunc_add::<1>(0xFF, 1), 0);
-        assert_eq!(trunc_add::<2>(0xFFFF, 2), 1);
-        assert_eq!(trunc_add::<4>(u32::MAX as u64, 3), 2);
-        assert_eq!(trunc_add::<8>(u64::MAX, 4), 3);
     }
 }

@@ -1019,10 +1019,10 @@ _net_ _out_ void get(uint64_t key, uint32_t *val) {
 
         // Control plane: key 77 → slot 3, valid, value {9,8,7,6}.
         state.map_insert(ncl_ir::MapId(0), 77, Value::new(ScalarType::U8, 3));
-        state.registers[1][3] = Value::bool(true); // Valid (module order)
-                                                   // Interpreter-side Cache[3] = {9,8,7,6} (flattened 2-D).
+        state.registers[1].set(3, Value::bool(true)); // Valid (module order)
+                                                      // Interpreter-side Cache[3] = {9,8,7,6} (flattened 2-D).
         for (j, v) in [9u32, 8, 7, 6].iter().enumerate() {
-            state.registers[0][3 * 4 + j] = Value::u32(*v);
+            state.registers[0].set(3 * 4 + j, Value::u32(*v));
         }
         // Pipeline-side control plane: insert into every lookup table
         // and the lane banks.

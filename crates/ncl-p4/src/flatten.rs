@@ -335,7 +335,7 @@ pub fn execute_linear(
                 let a = &state.registers[arr.0 as usize];
                 if !a.is_empty() {
                     let idx = get(index, &regs).bits() as usize % a.len();
-                    regs[dst.0 as usize] = a[idx];
+                    regs[dst.0 as usize] = a.get(idx);
                 }
             }
             Inst::StReg { arr, index, val } => {
@@ -343,8 +343,7 @@ pub fn execute_linear(
                 let a = &mut state.registers[arr.0 as usize];
                 if !a.is_empty() {
                     let idx = get(index, &regs).bits() as usize % a.len();
-                    let ty = a[idx].ty();
-                    a[idx] = v.cast(ty);
+                    a.set(idx, v);
                 }
             }
             Inst::LdCtrl { dst, ctrl } => regs[dst.0 as usize] = state.ctrls[ctrl.0 as usize],

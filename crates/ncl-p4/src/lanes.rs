@@ -611,8 +611,8 @@ _net_ _out_ void k(int *data) {
         for slot in 0..2 {
             for lane in 0..4 {
                 assert_eq!(
-                    st_a.registers[0][slot * 4 + lane],
-                    st_b.registers[lane][slot],
+                    st_a.registers[0].get(slot * 4 + lane),
+                    st_b.registers[lane].get(slot),
                     "slot {slot} lane {lane}"
                 );
             }

@@ -286,7 +286,9 @@ impl Pipeline {
             .registers
             .iter()
             .map(|r| {
-                let mut v = r.init.clone();
+                // A slot's type is the declaration's, whatever a
+                // hand-built config put in the initializer prefix.
+                let mut v: Vec<Value> = r.init.iter().map(|v| v.cast(r.elem)).collect();
                 v.resize(r.len, Value::zero(r.elem));
                 v
             })

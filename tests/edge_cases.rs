@@ -244,7 +244,11 @@ _net_ _out_ void k(int *d) {
         assert_eq!(interp.registers[r].len(), len, "{name}");
         // Every element of the small arrays; both ends of the big one.
         for idx in (0..len.min(64)).chain(len.saturating_sub(2)..len) {
-            assert_eq!(interp.registers[r][idx], full(idx), "interp {name}[{idx}]");
+            assert_eq!(
+                interp.registers[r].get(idx),
+                full(idx),
+                "interp {name}[{idx}]"
+            );
             assert_eq!(
                 fp.register_read(name, idx),
                 Some(full(idx)),
@@ -258,4 +262,99 @@ _net_ _out_ void k(int *d) {
         }
         assert_eq!(fp.register_read(name, len), None, "{name} ends at {len}");
     }
+}
+
+/// A slot's type is the declaration's. A hand-built module (nothing
+/// sema cast) may carry off-type values in a `RegisterDecl::init`
+/// prefix; the interpreter, the scalar fast path, the SIMD tier and the
+/// PISA model all normalise them to `elem` at load, read back
+/// `elem`-typed values, and keep agreeing once the kernel stores.
+#[test]
+fn off_type_initializers_read_back_elem_typed_in_every_engine() {
+    use ncl::ir::lower::{lower, LoweringConfig};
+    use ncl::ir::{CompiledKernel, ExecScratch, Interpreter, SwitchState};
+    use ncl::model::{Chunk, KernelId, Value, Window};
+    use ncl::p4::codegen::{decode_window_for_test, encode_window_for_test};
+    use ncl::p4::{compile_module, CompileOptions};
+    use ncl::pisa::{Pipeline, ResourceModel};
+
+    let src = r#"
+_net_ _at_("s1") int8_t m[4] = {1, 2};
+_net_ _out_ void k(int *d) {
+    d[1] = (int)m[1];
+    m[2] = (int8_t)d[0];
+    d[2] = (int)m[2];
+}
+"#;
+    let checked = ncl::lang::frontend(src, "t.ncl").expect("frontend");
+    let mut module = lower(&checked, &LoweringConfig::with_mask("k", vec![4])).expect("lowers");
+    // What sema would never emit: wider, differently-signed values.
+    module.registers[0].init = vec![Value::i32(1), Value::u32(0x1FF)];
+    let i8v = |b: u64| Value::new(ScalarType::I8, b);
+    let before = [i8v(1), i8v(0xFF), i8v(0), i8v(0)];
+    let after = [i8v(1), i8v(0xFF), i8v(0x34), i8v(0)];
+
+    let window = Window {
+        kernel: KernelId(1),
+        seq: 0,
+        sender: HostId(1),
+        from: NodeId::Host(HostId(1)),
+        last: false,
+        chunks: vec![Chunk {
+            offset: 0,
+            data: [0x1234i32, 7, 7, 7]
+                .iter()
+                .flat_map(|v| v.to_be_bytes())
+                .collect(),
+        }],
+        ext: vec![],
+    };
+    let want: Vec<u8> = [0x1234i32, -1, 0x34, 7]
+        .iter()
+        .flat_map(|v| v.to_be_bytes())
+        .collect();
+
+    let kir = module.kernel("k").expect("kernel");
+    let read =
+        |st: &SwitchState| -> Vec<Value> { (0..4).map(|i| st.registers[0].get(i)).collect() };
+    let mut runs: Vec<(&str, Window, SwitchState)> = Vec::new();
+    for engine in ["interp", "scalar", "simd"] {
+        let mut st = SwitchState::from_module(&module);
+        assert_eq!(read(&st), before, "{engine} at load");
+        let mut w = window.clone();
+        match engine {
+            "interp" => Interpreter::default().run_outgoing(kir, &mut w, &mut st),
+            _ => CompiledKernel::compile_for(kir, &module)
+                .with_simd(engine == "simd")
+                .run_outgoing(&mut w, &mut st, &mut ExecScratch::new()),
+        }
+        .expect("runs");
+        runs.push((engine, w, st));
+    }
+    for (engine, w, st) in &runs {
+        assert_eq!(w.chunks[0].data, want, "{engine} window");
+        assert_eq!(read(st), after, "{engine} after the store");
+    }
+
+    let mut opts = CompileOptions::default();
+    opts.kernel_ids.insert("k".into(), 1);
+    let compiled = compile_module(&module, &ResourceModel::default(), &opts).expect("compiles");
+    let mut pipe =
+        Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).expect("loads");
+    let cp = ncl::core::ControlPlane::new(&compiled);
+    let read = |p: &Pipeline| -> Vec<Value> {
+        (0..4)
+            .map(|i| cp.read_register(p, "m", i).expect("in range"))
+            .collect()
+    };
+    assert_eq!(read(&pipe), before, "pisa at load");
+    let out = pipe
+        .process(&encode_window_for_test(&window, 0))
+        .expect("pipeline parses");
+    assert_eq!(
+        decode_window_for_test(&out.packet, 1, 0).chunks[0].data,
+        want,
+        "pisa window"
+    );
+    assert_eq!(read(&pipe), after, "pisa after the store");
 }

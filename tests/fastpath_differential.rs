@@ -10,7 +10,10 @@
 //! verdicts, persistent switch state (including the replay-filter
 //! `__nclr_dups_*` registers) after every window, host memory for
 //! incoming kernels, and — under a step-limit sweep — the partial
-//! effects left behind when the budget runs out mid-kernel.
+//! effects left behind when the budget runs out mid-kernel. The packed
+//! register lanes get their own sweep over every slot type, chunk type
+//! and direction, and the control plane's out-of-range indices are
+//! refused identically in every tier.
 
 use c3::{Chunk, HostId, KernelId, NodeId, ScalarType, Value, Window};
 use ncl_core::apps::{allreduce_source, kvs_source};
@@ -349,6 +352,239 @@ proptest! {
     ) {
         check_ragged_window(win_len, wild_seq, &vals);
     }
+}
+
+/// One element-wise loop over a `_net_` array, in each direction the
+/// fusion recognises.
+#[derive(Clone, Copy, Debug)]
+enum RunKind {
+    Accumulate,
+    RegToWin,
+    WinToReg,
+}
+
+/// Differential harness for the packed register lanes: a `slot`-typed
+/// array and a `chunk`-typed window parameter meet in one element loop
+/// of `len` iterations. The three engines first run a window sequence
+/// under the full budget (state carried across windows, `wild_seq`
+/// wrapping the slot range), then a step-limit sweep over one window;
+/// verdict or error, output window and final state must agree
+/// everywhere. `data` is the raw chunk payload: it may stop short of
+/// `len` elements, mid-element, or carry non-canonical `bool` bytes.
+/// `bulk` writes the copies as `memcpy` where the widths allow it (the
+/// shape the KVS and allreduce kernels use; the loop and the `memcpy`
+/// unroll in different orders).
+#[allow(clippy::too_many_arguments)]
+fn check_typed_run(
+    kind: RunKind,
+    slot: ScalarType,
+    chunk: ScalarType,
+    len: usize,
+    wild_seq: u32,
+    data: &[u8],
+    stride: usize,
+    bulk: bool,
+) {
+    let bulk = bulk && slot.size() == chunk.size();
+    let bytes = format!("window.len * {}", slot.size());
+    let each = |stmt: &str| format!("for (unsigned i = 0; i < window.len; ++i) {stmt}");
+    let body = match kind {
+        RunKind::Accumulate => each("arr[base + i] += data[i];"),
+        RunKind::RegToWin if bulk => format!("memcpy(data, &arr[base], {bytes});"),
+        RunKind::RegToWin => each("data[i] = arr[base + i];"),
+        RunKind::WinToReg if bulk => format!("memcpy(&arr[base], data, {bytes});"),
+        RunKind::WinToReg => each("arr[base + i] = data[i];"),
+    };
+    let src = format!(
+        "_net_ _at_(\"s1\") {slot} arr[64] = {{1, 0, 1, 1}};\n\
+         _net_ _out_ void k({chunk} *data) {{\n\
+             unsigned base = window.seq * window.len;\n\
+             {body}\n\
+             _drop();\n\
+         }}\n"
+    );
+    let ctx = format!("{kind:?} {slot} <- {chunk}, len {len}, bulk {bulk}");
+    let module = lower_kernel(&src, &[("k", vec![len as u16])]);
+    let kir = module.kernel("k").unwrap();
+    let scalar = CompiledKernel::compile_for(kir, &module).with_simd(false);
+    let simd = CompiledKernel::compile_for(kir, &module);
+    // No integer promotion sits between same-typed 32- and 64-bit
+    // operands, so these loops must reach the lane loops, not only the
+    // micro-ops.
+    // These shapes must reach the lane loops, not only the micro-ops:
+    // same-typed copies (as `memcpy`, or the reg→win loop), and
+    // accumulates wide enough that no integer promotion sits between
+    // the operands.
+    let fuses = match kind {
+        RunKind::Accumulate => slot.size() >= 4,
+        RunKind::RegToWin => true,
+        RunKind::WinToReg => bulk,
+    };
+    if fuses && slot == chunk && len >= 2 {
+        assert_eq!(simd.vec_runs(), 1, "{ctx}: the loop must fuse");
+    }
+    let window = |seq: u32| Window {
+        kernel: KernelId(1),
+        seq,
+        sender: HostId(1),
+        from: NodeId::Host(HostId(1)),
+        last: false,
+        chunks: vec![Chunk {
+            offset: 0,
+            data: data.to_vec(),
+        }],
+        ext: vec![],
+    };
+    let total = simd.interp_steps();
+    let full = std::iter::once((total, vec![0, 1, wild_seq, 0]));
+    let sweep = (0..total).step_by(stride).map(|limit| (limit, vec![1]));
+    for (limit, seqs) in full.chain(sweep) {
+        let it = Interpreter { step_limit: limit };
+        let scalar = scalar.clone().with_step_limit(limit);
+        let simd = simd.clone().with_step_limit(limit);
+        let mut s_interp = SwitchState::from_module(&module);
+        let mut s_fast = s_interp.clone();
+        let mut s_simd = s_interp.clone();
+        let mut scratch = ExecScratch::new();
+        for seq in seqs {
+            let (mut w_i, mut w_f, mut w_v) = (window(seq), window(seq), window(seq));
+            let f_i = it.run_outgoing(kir, &mut w_i, &mut s_interp);
+            let f_f = scalar.run_outgoing(&mut w_f, &mut s_fast, &mut scratch);
+            let f_v = simd.run_outgoing(&mut w_v, &mut s_simd, &mut scratch);
+            assert_eq!(f_i.is_ok(), limit == total, "{ctx}: limit {limit}/{total}");
+            assert_eq!(f_i, f_f, "{ctx}: scalar verdict, limit {limit}, seq {seq}");
+            assert_eq!(f_i, f_v, "{ctx}: simd verdict, limit {limit}, seq {seq}");
+            assert_eq!(w_i, w_f, "{ctx}: scalar window, limit {limit}, seq {seq}");
+            assert_eq!(w_i, w_v, "{ctx}: simd window, limit {limit}, seq {seq}");
+            assert_eq!(
+                s_interp, s_fast,
+                "{ctx}: scalar state, limit {limit}, seq {seq}"
+            );
+            assert_eq!(
+                s_interp, s_simd,
+                "{ctx}: simd state, limit {limit}, seq {seq}"
+            );
+        }
+    }
+}
+
+fn gen_scalar_type() -> impl Strategy<Value = ScalarType> {
+    proptest::sample::select(ScalarType::ALL.to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Packed lanes are bit-identical to the interpreter for every slot
+    /// type × chunk type (equal: the monomorphic lane loops; different:
+    /// the cast path) × direction × ragged length × budget.
+    #[test]
+    fn packed_lanes_match_across_types_directions_and_budgets(
+        kind in prop_oneof![
+            Just(RunKind::Accumulate),
+            Just(RunKind::RegToWin),
+            Just(RunKind::WinToReg)
+        ],
+        slot in gen_scalar_type(),
+        other in gen_scalar_type(),
+        mixed in any::<bool>(),
+        len in 1usize..40,
+        wild_seq in any::<u32>(),
+        bytes in proptest::collection::vec(any::<u8>(), 40 * 8),
+        short in 0usize..12,
+        stride in 1usize..9,
+        bulk in any::<bool>(),
+    ) {
+        let chunk = if mixed { other } else { slot };
+        let have = (len * chunk.size()).saturating_sub(short);
+        check_typed_run(kind, slot, chunk, len, wild_seq, &bytes[..have], stride, bulk);
+    }
+}
+
+/// Out-of-range control-plane register accesses are refused — no panic,
+/// no effect — and identically on the compiled fast path, the
+/// interpreter tier and the PISA model: through the backend's lane
+/// banks, by source-level name, and at indices whose bank arithmetic
+/// would overflow.
+#[test]
+fn out_of_range_control_plane_indices_are_refused_in_every_tier() {
+    use ncl_core::{ControlPlane, FastPathSwitch, InterpSwitch};
+    use netsim::{CtrlOp, FastDatapath};
+    use pisa::{Pipeline, ResourceModel};
+
+    let and = "hosts worker 3\nswitch s1\nlink worker* s1\n";
+    let mut cfg = CompileConfig::default();
+    cfg.masks.insert("allreduce".into(), vec![4]);
+    cfg.masks.insert("result".into(), vec![4]);
+    let p = compile(&allreduce_source(16, 4), and, &cfg).expect("compiles");
+    let compiled = p.switch("s1").expect("s1 compiled");
+    let cp = ControlPlane::new(compiled);
+    let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+    let mut fast = FastPathSwitch::from_program(&p, "s1").expect("fast path builds");
+    let mut interp = InterpSwitch::from_program(&p, "s1").expect("interp builds");
+
+    let arrays = [("accum", 16usize), ("count", 4)];
+    let snapshot = |fast: &FastPathSwitch, interp: &InterpSwitch, pipe: &Pipeline| {
+        let mut all = Vec::new();
+        for (array, len) in arrays {
+            for i in 0..len {
+                let v = fast.register_read(array, i);
+                assert!(v.is_some(), "{array}[{i}] is in range");
+                assert_eq!(v, interp.fastpath().register_read(array, i), "{array}[{i}]");
+                assert_eq!(v, cp.read_register(pipe, array, i), "{array}[{i}]");
+                all.push(v);
+            }
+        }
+        all
+    };
+    let before = snapshot(&fast, &interp, &pipe);
+    for (array, len) in arrays {
+        for idx in [len, len + 1, len * 4 + 3, usize::MAX / 2, usize::MAX] {
+            assert_eq!(fast.register_read(array, idx), None, "{array}[{idx}]");
+            assert_eq!(interp.fastpath().register_read(array, idx), None);
+            assert_eq!(cp.read_register(&pipe, array, idx), None, "{array}[{idx}]");
+            let by_source_name = CtrlOp::RegWrite {
+                name: array.into(),
+                index: idx,
+                value: Value::u32(77),
+            };
+            let mut ops = cp.reg_write_ops(array, idx, Value::u32(77));
+            // The bank's own index space, not the source array's.
+            ops.extend(
+                compiled.lane_banks[array]
+                    .iter()
+                    .map(|bank| CtrlOp::RegWrite {
+                        name: bank.clone(),
+                        index: idx,
+                        value: Value::u32(77),
+                    }),
+            );
+            for op in &ops {
+                assert!(!fast.ctrl(op), "fast path took {op:?}");
+                assert!(!interp.ctrl(op), "interp took {op:?}");
+                let CtrlOp::RegWrite { name, index, value } = op else {
+                    unreachable!("register writes only")
+                };
+                assert!(
+                    !pipe.register_write(name, *index, *value),
+                    "pisa took {op:?}"
+                );
+            }
+            assert!(
+                !fast.ctrl(&by_source_name),
+                "fast path took {by_source_name:?}"
+            );
+            assert!(
+                !interp.ctrl(&by_source_name),
+                "interp took {by_source_name:?}"
+            );
+        }
+    }
+    assert_eq!(
+        snapshot(&fast, &interp, &pipe),
+        before,
+        "refused writes left no trace"
+    );
 }
 
 /// Replays this file's section of the shared regression corpus
