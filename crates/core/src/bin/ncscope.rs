@@ -10,7 +10,7 @@
 //! `--from` reads a dumped artifact: either an ncscope flight-recorder
 //! snapshot (`"kind":"ncscope-flight"`, written by an armed
 //! [`nctel::Scope`] on a failure path or on demand) or a plain metrics
-//! registry dump (e.g. the CI's `target/e11-metrics.json`). Flight
+//! registry dump (`nctel::Registry::render_json`). Flight
 //! artifacts run through the diagnosis engine and print per-window
 //! verdicts — loss loci, dup heatmaps, per-switch residence — while
 //! metrics dumps render as a table.
@@ -108,8 +108,8 @@ fn parse_args() -> Args {
 }
 
 /// Renders one metrics-registry JSON object as an aligned table.
-/// Handles both a bare registry (`{"name": value, ...}`) and the
-/// nested multi-registry dumps the bench harness writes
+/// Handles both a bare registry (`{"name": value, ...}`) and a dump of
+/// several registries nested by component
 /// (`{"sim": {...}, "worker1": {...}}`).
 fn render_metrics(doc: &Json, indent: &str, out: &mut String) {
     let Some(obj) = doc.as_obj() else {
@@ -182,23 +182,34 @@ fn run(args: &Args) -> Result<(), String> {
         _ => unreachable!("parse_args enforces one source"),
     };
     let doc = json::parse(&text).map_err(|e| format!("{source}: invalid JSON: {e}"))?;
-    if doc.get("kind").and_then(Json::as_str) == Some("ncscope-flight") {
-        let art = parse_flight(&text).map_err(|e| format!("{source}: {e}"))?;
-        print!("{}", render_flight(&art, &args.path));
-        if let Some(out) = &args.trace {
-            // A bare artifact carries no compile spans; the timeline
-            // still gets every window lifecycle and switch slice.
-            let trace = chrome_trace(&[], &art.events, &art.traces);
-            std::fs::write(out, &trace).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("wrote Chrome trace to {out} (open in Perfetto / chrome://tracing)");
+    match doc.get("kind").and_then(Json::as_str) {
+        Some("ncscope-flight") => {
+            let art = parse_flight(&text).map_err(|e| format!("{source}: {e}"))?;
+            print!("{}", render_flight(&art, &args.path));
+            if let Some(out) = &args.trace {
+                // A bare artifact carries no compile spans; the timeline
+                // still gets every window lifecycle and switch slice.
+                let trace = chrome_trace(&[], &art.events, &art.traces);
+                std::fs::write(out, &trace).map_err(|e| format!("cannot write {out}: {e}"))?;
+                println!("wrote Chrome trace to {out} (open in Perfetto / chrome://tracing)");
+            }
         }
-    } else {
-        println!("metrics dump {source}:");
-        let mut out = String::new();
-        render_metrics(&doc, "  ", &mut out);
-        print!("{out}");
-        if args.trace.is_some() {
-            return Err("--trace needs a flight artifact, not a metrics dump".into());
+        // Some other tool's artifact (an ncwatch incident, a cost
+        // report): a registry dump has no string-valued `kind`.
+        Some(kind) => {
+            return Err(format!(
+                "{source}: a {kind:?} artifact is neither an ncscope flight snapshot \
+                 nor a metrics dump"
+            ));
+        }
+        None => {
+            println!("metrics dump {source}:");
+            let mut out = String::new();
+            render_metrics(&doc, "  ", &mut out);
+            print!("{out}");
+            if args.trace.is_some() {
+                return Err("--trace needs a flight artifact, not a metrics dump".into());
+            }
         }
     }
     Ok(())

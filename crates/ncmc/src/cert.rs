@@ -11,6 +11,7 @@
 
 use crate::explore::Stats;
 use crate::system::Bounds;
+use nctel::scope::json::escape;
 
 /// A bounded-absence certificate.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -42,12 +43,12 @@ impl Certificate {
     /// Renders the certificate as JSON with pinned key order.
     pub fn to_json(&self) -> String {
         let code = match &self.code {
-            Some(c) => format!("\"{}\"", escape(c)),
+            Some(c) => escape(c),
             None => "null".to_string(),
         };
         format!(
             concat!(
-                "{{\"program\":\"{}\",\"code\":{},\"kernel\":\"{}\",",
+                "{{\"program\":{},\"code\":{},\"kernel\":{},",
                 "\"property\":\"{}\",\"windows\":{},",
                 "\"bounds\":{{\"max_retries\":{},\"max_splits\":{},",
                 "\"max_drops\":{},\"max_states\":{}}},",
@@ -76,17 +77,6 @@ impl Certificate {
             self.serial_states,
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -123,5 +113,13 @@ mod tests {
         // Convergence certificates have no lint code.
         let conv = Certificate { code: None, ..cert };
         assert!(conv.to_json().contains("\"code\":null"));
+        // A quote, a backslash and a newline in a name survive a parse.
+        let odd = Certificate {
+            program: "k\"v\\s\n".into(),
+            ..conv
+        };
+        let doc = nctel::scope::json::parse(&odd.to_json()).expect("valid JSON");
+        let program = doc.get("program").and_then(|p| p.as_str());
+        assert_eq!(program, Some("k\"v\\s\n"));
     }
 }

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ncl_p4::estimate::ModuleEstimate;
+use nctel::scope::json::escape;
 use pisa::{ResourceModel, ResourceViolation};
 
 use crate::tenant::TenantSpec;
@@ -88,27 +89,6 @@ impl ResourceKind {
     }
 }
 
-/// Escapes `s` for a JSON string literal. RFC 8259 §7 forbids raw
-/// control characters, so every one is escaped — the same spellings as
-/// `nctel::scope::json::escape`.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A machine-readable admission rejection.
 ///
 /// Every field an operator (or the E14 harness) needs to attribute the
@@ -145,23 +125,23 @@ impl CostReport {
     /// Deterministic single-line JSON (fixed field order, no maps).
     pub fn render_json(&self) -> String {
         let kernel = match &self.kernel {
-            Some(k) => format!("\"{}\"", json_escape(k)),
+            Some(k) => escape(k),
             None => "null".to_string(),
         };
         format!(
-            "{{\"kind\":\"ncsched-cost-report\",\"tenant\":\"{}\",\"version\":{},\
-             \"switch\":\"{}\",\"kernel\":{},\"budget\":\"{}\",\"resource\":\"{}\",\
-             \"requested\":{},\"limit\":{},\"available\":{},\"detail\":\"{}\"}}",
-            json_escape(&self.tenant),
+            "{{\"kind\":\"ncsched-cost-report\",\"tenant\":{},\"version\":{},\
+             \"switch\":{},\"kernel\":{},\"budget\":\"{}\",\"resource\":\"{}\",\
+             \"requested\":{},\"limit\":{},\"available\":{},\"detail\":{}}}",
+            escape(&self.tenant),
             self.version,
-            json_escape(&self.switch),
+            escape(&self.switch),
             kernel,
             self.budget.as_str(),
             self.resource.as_str(),
             self.requested,
             self.limit,
             self.available,
-            json_escape(&self.detail),
+            escape(&self.detail),
         )
     }
 }
@@ -234,8 +214,8 @@ impl PlacementPlan {
     /// Deterministic single-line JSON for artifacts and logs.
     pub fn render_json(&self) -> String {
         let mut out = format!(
-            "{{\"kind\":\"ncsched-placement\",\"tenant\":\"{}\",\"version\":{},\"switches\":[",
-            json_escape(&self.tenant),
+            "{{\"kind\":\"ncsched-placement\",\"tenant\":{},\"version\":{},\"switches\":[",
+            escape(&self.tenant),
             self.version
         );
         for (i, sw) in self.switches.iter().enumerate() {
@@ -243,9 +223,9 @@ impl PlacementPlan {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"switch\":\"{}\",\"stages\":{},\"sram_bytes\":{},\
+                "{{\"switch\":{},\"stages\":{},\"sram_bytes\":{},\
                  \"phv_header_bytes\":{},\"phv_metadata_bytes\":{},\"kernels\":[",
-                json_escape(&sw.switch),
+                escape(&sw.switch),
                 sw.stages,
                 sw.sram_bytes,
                 sw.phv_header_bytes,
@@ -256,8 +236,8 @@ impl PlacementPlan {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"kernel\":\"{}\",\"stages\":{},\"sram_bytes\":{},\"alu_ops\":{}}}",
-                    json_escape(&k.kernel),
+                    "{{\"kernel\":{},\"stages\":{},\"sram_bytes\":{},\"alu_ops\":{}}}",
+                    escape(&k.kernel),
                     k.stages,
                     k.sram_bytes,
                     k.alu_ops

@@ -10,32 +10,28 @@
 //! budget. Mid-run, tenant `ar-a` is upgraded in place: the NCP-R
 //! in-flight snapshot pins draining windows to v1 while fresh windows
 //! run v2, and the per-hop version stamps in the window traces prove
-//! no window executed the wrong version.
-//!
-//! Doubles as the CI acceptance gate: the whole scenario runs on each
-//! software switch tier (interp, fastpath, simd) and must produce
-//! bit-identical simulated results — same sums, same KVS hits, same
-//! window counts, same drain size. Writes `target/e14-metrics.json`
-//! (bench binaries run with cwd at the package root, so it lands
-//! under crates/bench/).
+//! no window executed the wrong version. The whole scenario runs on
+//! each software switch tier and must produce bit-identical simulated
+//! results.
 
-use c3::{HostId, NodeId, ScalarType, Value};
-use ncl_bench::{rule, Zipf};
-use ncl_core::apps::{allreduce_source, kvs_source, KvsClient, KvsOp, KvsServer};
-use ncl_core::deploy::{DeployOptions, SwitchBackend};
-use ncl_core::{
-    compile, CompileConfig, CompiledProgram, ControlPlane, MultiDeployment, NclHost, OutInvocation,
-    TenantDeploy, TypedArray,
+use ncl::core::apps::{allreduce_source, kvs_source, KvsClient, KvsOp, KvsServer};
+use ncl::core::deploy::{DeployOptions, SwitchBackend};
+use ncl::core::{
+    compile, deploy_tenants, CompileConfig, CompiledProgram, ControlPlane, NclHost, TenantDeploy,
 };
-use ncsched::{BudgetKind, TenantQuota, TenantSpec};
-use nctel::scope::analysis::{diagnose, DiagnosisConfig, WindowOutcome};
-use nctel::scope::parse_flight;
-use nctel::{Scope, SnapshotReason, WindowTrace};
-use netsim::{CtrlOp, HostApp};
+use ncl::model::{HostId, NodeId};
+use ncl::ncsched::{BudgetKind, TenantQuota, TenantSpec};
+use ncl::nctel::scope::analysis::{diagnose, DiagnosisConfig, WindowOutcome};
+use ncl::nctel::scope::parse_flight;
+use ncl::nctel::{Scope, SnapshotReason, WindowTrace};
+use ncl::netsim::HostApp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
-use std::time::Instant;
+
+#[path = "common/tenants.rs"]
+mod tenants;
+use tenants::{ar_apps, assert_sums, set_nworkers};
 
 /// Six AllReduce workers, two KVS clients, one KVS server, one shared
 /// switch. Host ids follow declaration order: workers 1-6, clients
@@ -50,16 +46,23 @@ const VAL_WORDS: usize = 8;
 /// Sim time of the upgrade switchover, ns.
 const T_UPGRADE: u64 = 2_000;
 
+/// The greedy tenant's rejection, byte for byte: the report names the
+/// violated budget, the resource, and the request/limit pair.
+const GREEDY_REPORT: &str = "{\"kind\":\"ncsched-cost-report\",\"tenant\":\"greedy\",\
+    \"version\":1,\"switch\":\"s1\",\"kernel\":\"allreduce\",\"budget\":\"tenant_quota\",\
+    \"resource\":\"stages\",\"requested\":6,\"limit\":0,\"available\":0,\
+    \"detail\":\"module needs 6 stages but tenant quota allows 0\"}";
+
 /// The shared chip model: the software tiers lift the Tofino-ish
 /// defaults so three tenants fit one pipeline (stage packing is still
 /// enforced — the greedy tenant's quota is what rejects it).
-fn chip() -> pisa::ResourceModel {
-    pisa::ResourceModel {
+fn chip() -> ncl::pisa::ResourceModel {
+    ncl::pisa::ResourceModel {
         stages: 64,
         ops_per_stage: 8192,
         phv_header_bytes: 1 << 14,
         phv_metadata_bytes: 1 << 14,
-        ..pisa::ResourceModel::default()
+        ..ncl::pisa::ResourceModel::default()
     }
 }
 
@@ -81,57 +84,30 @@ fn kvs_program(base: u16) -> CompiledProgram {
     compile(&kvs_source(SERVER, KVS_KEYS as usize, VAL_WORDS), AND, &cfg).expect("kvs compiles")
 }
 
-/// AllReduce workers `lo..=hi` for one tenant, NCP-R on, full-rate
-/// window telemetry so every hop record lands in a trace.
-fn ar_apps(
-    program: &CompiledProgram,
-    lo: u16,
-    hi: u16,
-    scope: &Scope,
-) -> HashMap<String, Box<dyn HostApp>> {
-    let kid = program.kernel_ids["allreduce"];
-    let n = hi - lo + 1;
-    let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
-    for w in lo..=hi {
-        let mut host = NclHost::new(program);
-        host.enable_reliability(Default::default());
-        host.enable_telemetry(1.0, 65_536);
-        host.enable_scope(scope);
-        let data: Vec<i32> = vec![w as i32; 16];
-        host.out(OutInvocation {
-            kernel: "allreduce".into(),
-            arrays: vec![TypedArray::from_i32(&data)],
-            dest: NodeId::Host(HostId((w - lo + 1) % n + lo)),
-            start: 0,
-            gap: 0,
-        })
-        .expect("valid invocation");
-        host.bind_incoming(
-            program,
-            "allreduce",
-            "result",
-            &[(ScalarType::I32, 16), (ScalarType::Bool, 1)],
-        )
-        .expect("paired");
-        host.done_on_flag(kid, 1);
-        apps.insert(format!("worker{w}"), Box::new(host));
-    }
-    apps
-}
-
-/// Two Zipf-driven clients and the preloaded server — deterministic
-/// schedules so every tier replays the same operation stream.
+/// Two Zipf(1.1)-driven clients and the preloaded server —
+/// deterministic schedules so every tier replays the same operation
+/// stream.
 fn kvs_apps(program: &CompiledProgram) -> HashMap<String, Box<dyn HostApp>> {
     let kid = program.kernel_ids["query"];
-    let zipf = Zipf::new(KVS_KEYS, 1.1);
+    let mut cdf: Vec<f64> = (1..=KVS_KEYS)
+        .scan(0.0, |acc, k| {
+            *acc += 1.0 / (k as f64).powf(1.1);
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[cdf.len() - 1];
+    cdf.iter_mut().for_each(|c| *c /= total);
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     for c in 1..=2u16 {
         let mut rng = StdRng::seed_from_u64(c as u64 * 6271);
         let schedule: Vec<KvsOp> = (0..KVS_OPS)
-            .map(|i| KvsOp {
-                at: (i as u64) * 150_000 + c as u64 * 900,
-                key: zipf.sample(&mut rng),
-                put: rng.gen::<f64>() < 0.02,
+            .map(|i| {
+                let u: f64 = rng.gen();
+                KvsOp {
+                    at: (i as u64) * 150_000 + c as u64 * 900,
+                    key: (cdf.partition_point(|&p| p < u) + 1) as u64,
+                    put: rng.gen::<f64>() < 0.02,
+                }
             })
             .collect();
         apps.insert(
@@ -154,48 +130,27 @@ fn kvs_apps(program: &CompiledProgram) -> HashMap<String, Box<dyn HostApp>> {
     apps
 }
 
-fn set_nworkers(dep: &mut MultiDeployment, tenant: &str) {
-    let op = CtrlOp::RegWrite {
-        name: "nworkers".into(),
-        index: 0,
-        value: Value::u32(3),
-    };
-    let mux = dep.mux_mut("s1").expect("s1 is multiplexed");
-    assert!(mux.ctrl_for(tenant, &op), "{tenant}: nworkers write routed");
-}
-
-fn assert_sums(dep: &MultiDeployment, kid: u16, lo: u16, hi: u16, sum: i32) {
-    for w in lo..=hi {
-        let host = dep.net.host_app::<NclHost>(HostId(w)).expect("worker app");
-        assert!(host.done_at.is_some(), "worker {w} never completed");
-        let mem = host.memory(kid).expect("result memory");
-        for i in 0..16 {
-            assert_eq!(mem.arrays[0][i], Value::i32(sum), "worker {w} elem {i}");
-        }
-    }
-}
-
+/// Every simulated outcome that may not depend on the switch tier.
+#[derive(Debug, PartialEq, Eq)]
 struct TierRun {
-    backend: &'static str,
-    wall_ms: f64,
+    /// Simulated time the fabric went quiet, ns.
+    t_end: u64,
+    /// Bytes offered to links over the whole run.
+    bytes_on_wire: u64,
     ncp_processed: u64,
-    unknown_kernel: u64,
     drain: usize,
     traced: usize,
-    wrong_version_hops: u64,
     stale_flagged: usize,
-    abandoned: u64,
     kvs_gets: usize,
+    kvs_hits: usize,
     kvs_server_ops: u64,
-    kvs_hit_rate: f64,
-    events_logged: u64,
     rejection_json: String,
 }
 
 /// One full scenario on one switch tier: deploy four tenants (one
 /// rejected), upgrade `ar-a` mid-run, run to completion, verify
 /// everything.
-fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
+fn run_tier(backend: SwitchBackend) -> TierRun {
     let scope = Scope::new(1 << 16);
     let pa = ar_program(0);
     let pb = ar_program(100);
@@ -203,12 +158,12 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
     let tenants = vec![
         TenantDeploy {
             spec: TenantSpec::new("ar-a"),
-            apps: ar_apps(&pa, 1, 3, &scope),
+            apps: ar_apps(&pa, (1, 3), &scope, 16, 0, Default::default()),
             program: pa,
         },
         TenantDeploy {
             spec: TenantSpec::new("ar-b"),
-            apps: ar_apps(&pb, 4, 6, &scope),
+            apps: ar_apps(&pb, (4, 6), &scope, 16, 0, Default::default()),
             program: pb,
         },
         TenantDeploy {
@@ -230,7 +185,7 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
         model: chip(),
         ..DeployOptions::default()
     };
-    let mut dep = ncl_core::deploy_tenants(tenants, opts).expect("structurally sound");
+    let mut dep = deploy_tenants(tenants, opts).expect("structurally sound");
 
     // Admission: three in, one out, with the budget named.
     assert_eq!(dep.tenants(), vec!["ar-a", "ar-b", "kvs"]);
@@ -239,11 +194,8 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
     assert_eq!(report.tenant, "greedy");
     assert_eq!(report.budget, BudgetKind::TenantQuota);
     let rejection_json = report.render_json();
-    assert!(rejection_json.contains("\"budget\":\"tenant_quota\""));
-    assert!(rejection_json.contains("\"resource\":\"stages\""));
 
-    set_nworkers(&mut dep, "ar-a");
-    set_nworkers(&mut dep, "ar-b");
+    set_nworkers(&mut dep);
     let s1 = dep.switch("s1");
     dep.net
         .host_app_mut::<KvsServer>(HostId(SERVER))
@@ -271,14 +223,11 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
         "static version fact flips at switchover"
     );
 
-    let t = Instant::now();
     let t_end = dep.net.run();
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Every tenant's results, untouched by its neighbours or the
-    // upgrade: 1+2+3 = 6, 4+5+6 = 15, and byte-exact KVS values.
-    assert_sums(&dep, 1, 1, 3, 6);
-    assert_sums(&dep, 101, 4, 6, 15);
+    // upgrade: both allreduce sums, and byte-exact KVS values.
+    assert_sums(&dep, 16);
     let mut kvs_gets = 0usize;
     let mut kvs_hits = 0usize;
     for c in 1..=2u16 {
@@ -288,13 +237,9 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
             .expect("client");
         assert_eq!(client.corrupt, 0, "corrupt KVS responses");
         assert_eq!(client.outstanding(), 0, "unanswered KVS queries");
-        for s in &client.samples {
-            if !s.put {
-                kvs_gets += 1;
-                if s.from_cache {
-                    kvs_hits += 1;
-                }
-            }
+        for s in client.samples.iter().filter(|s| !s.put) {
+            kvs_gets += 1;
+            kvs_hits += s.from_cache as usize;
         }
     }
     let kvs_server_ops = dep
@@ -377,7 +322,7 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
 
     // Per-tenant series in the Prometheus export: one registry, every
     // host counter labeled with its owning tenant.
-    let reg = nctel::Registry::new();
+    let reg = ncl::nctel::Registry::new();
     dep.export_tenant_metrics(&reg);
     let prom = reg.render_prometheus();
     for tenant in ["ar-a", "ar-b"] {
@@ -397,127 +342,40 @@ fn run_tier(backend: SwitchBackend, name: &'static str) -> TierRun {
     assert!(artifact.events_logged > 0);
 
     TierRun {
-        backend: name,
-        wall_ms,
+        t_end,
+        bytes_on_wire: dep.net.stats().bytes_sent,
         ncp_processed: stats.ncp_processed,
-        unknown_kernel: stats.unknown_kernel,
         drain: drain.len(),
         traced: traces.len(),
-        wrong_version_hops,
         stale_flagged,
-        abandoned,
         kvs_gets,
+        kvs_hits,
         kvs_server_ops,
-        kvs_hit_rate: kvs_hits as f64 / kvs_gets.max(1) as f64,
-        events_logged: scope.logged(),
         rejection_json,
     }
 }
 
-fn main() {
-    println!("E14: multi-tenant shared fabric — admission, rejection, hitless upgrade");
-    println!(
-        "4 tenants submitted (2x allreduce, 1x kvs, 1x over-quota); upgrade at t={T_UPGRADE}ns\n"
+/// Tier equivalence: the simulated outcome may not depend on the
+/// switch execution tier — same end time, same bytes on the wire, same
+/// window count, same drain set, same KVS hits and server load, same
+/// rejection — and the counts are the ones EXPERIMENTS §E14 tabulates.
+#[test]
+fn shared_fabric_outcome_is_identical_on_every_switch_tier() {
+    let base = run_tier(SwitchBackend::Interp);
+    assert_eq!(run_tier(SwitchBackend::FastPath), base, "fastpath");
+    assert_eq!(run_tier(SwitchBackend::Simd), base, "simd");
+    assert_eq!(
+        base,
+        TierRun {
+            ncp_processed: 216,
+            drain: 4,
+            traced: 48,
+            stale_flagged: 4,
+            kvs_gets: 119,
+            kvs_hits: 65,
+            kvs_server_ops: 55,
+            rejection_json: GREEDY_REPORT.to_string(),
+            ..base
+        }
     );
-
-    let runs = [
-        run_tier(SwitchBackend::Interp, "interp"),
-        run_tier(SwitchBackend::FastPath, "fastpath"),
-        run_tier(SwitchBackend::Simd, "simd"),
-    ];
-
-    rule(98);
-    println!(
-        "{:>9} {:>9} {:>8} {:>7} {:>7} {:>9} {:>6} {:>6} {:>9} {:>8} {:>9}",
-        "tier",
-        "ncp wins",
-        "unknown",
-        "drain",
-        "traces",
-        "wrong-ver",
-        "stale",
-        "gets",
-        "srv ops",
-        "hit",
-        "wall ms"
-    );
-    rule(98);
-    for r in &runs {
-        println!(
-            "{:>9} {:>9} {:>8} {:>7} {:>7} {:>9} {:>6} {:>6} {:>9} {:>7.2}% {:>9.1}",
-            r.backend,
-            r.ncp_processed,
-            r.unknown_kernel,
-            r.drain,
-            r.traced,
-            r.wrong_version_hops,
-            r.stale_flagged,
-            r.kvs_gets,
-            r.kvs_server_ops,
-            r.kvs_hit_rate * 100.0,
-            r.wall_ms,
-        );
-    }
-    rule(98);
-
-    // Tier equivalence: the simulated outcome may not depend on the
-    // switch execution tier.
-    let base = &runs[0];
-    for r in &runs[1..] {
-        assert_eq!(
-            r.ncp_processed, base.ncp_processed,
-            "{}: window count",
-            r.backend
-        );
-        assert_eq!(r.drain, base.drain, "{}: drain-set size", r.backend);
-        assert_eq!(r.kvs_gets, base.kvs_gets, "{}: kvs gets", r.backend);
-        assert_eq!(
-            r.kvs_server_ops, base.kvs_server_ops,
-            "{}: server load",
-            r.backend
-        );
-        assert!(
-            (r.kvs_hit_rate - base.kvs_hit_rate).abs() < 1e-12,
-            "{}: hit rate",
-            r.backend
-        );
-    }
-    println!("\ntier equivalence: interp == fastpath == simd on every simulated outcome");
-    println!("rejection report: {}", base.rejection_json.trim_end());
-
-    let tiers_json: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"tier\":\"{}\",\"ncp_processed\":{},\"unknown_kernel\":{},\"drain\":{},\
-                 \"traces\":{},\"wrong_version_hops\":{},\"stale_flagged\":{},\"abandoned\":{},\
-                 \"kvs_gets\":{},\"kvs_server_ops\":{},\"kvs_hit_rate\":{:.4},\
-                 \"events_logged\":{},\"wall_ms\":{:.3}}}",
-                r.backend,
-                r.ncp_processed,
-                r.unknown_kernel,
-                r.drain,
-                r.traced,
-                r.wrong_version_hops,
-                r.stale_flagged,
-                r.abandoned,
-                r.kvs_gets,
-                r.kvs_server_ops,
-                r.kvs_hit_rate,
-                r.events_logged,
-                r.wall_ms,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"experiment\":\"e14\",\"tenants_submitted\":4,\"tenants_admitted\":3,\
-         \"upgrade\":{{\"tenant\":\"ar-a\",\"old_version\":1,\"new_version\":2,\
-         \"at_ns\":{T_UPGRADE},\"wrong_version_hops\":0}},\
-         \"rejection\":{},\"tiers\":[{}]}}\n",
-        base.rejection_json.trim_end(),
-        tiers_json.join(",")
-    );
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/e14-metrics.json", &json).expect("write target/e14-metrics.json");
-    println!("wrote target/e14-metrics.json ({} bytes)", json.len());
 }

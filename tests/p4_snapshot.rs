@@ -81,3 +81,47 @@ fn kvs_zipf_p4_is_the_parents() {
         (464, 17779799756095325481, 14)
     );
 }
+
+/// The two backend transformations DESIGN §8 documents are each
+/// load-bearing (EXPERIMENTS §E6c): restaged without lane splitting,
+/// either example app collapses its per-element register accesses onto
+/// one bank and is rejected on the stateful micro-op budget; restaged
+/// without gateway predicate chaining it still fits, but deeper.
+#[test]
+fn example_apps_need_lane_splitting_and_gateway_chaining() {
+    use ncl::p4::{compile_module, CompileOptions};
+    let mut ar = CompileConfig::default();
+    ar.masks.insert("allreduce".into(), vec![8]);
+    ar.masks.insert("result".into(), vec![8]);
+    let mut kvs = CompileConfig::default();
+    kvs.masks.insert("query".into(), vec![1, 8, 1]);
+    let kvs_and = "hosts client 2\nswitch s1\nhost server\nlink client* s1\nlink server s1\n";
+    for (src, and, cfg) in [
+        (
+            allreduce_source(256, 8),
+            "hosts worker 2\nswitch s1\nlink worker* s1\n",
+            ar,
+        ),
+        (kvs_source(3, 32, 8), kvs_and, kvs),
+    ] {
+        let program = compile(&src, and, &cfg).expect("compiles with the full backend");
+        let restage = |opts: CompileOptions| {
+            compile_module(&program.modules[0].1, &ResourceModel::default(), &opts)
+        };
+        let full = restage(CompileOptions::default()).expect("the full backend fits");
+        let unchained = restage(CompileOptions {
+            gateway_depth: 0,
+            ..CompileOptions::default()
+        })
+        .expect("fits without gateway chaining");
+        assert!(unchained.report.stages_used > full.report.stages_used);
+        let unsplit = restage(CompileOptions {
+            disable_lane_split: true,
+            ..CompileOptions::default()
+        });
+        let Err(e) = unsplit else {
+            panic!("must not fit without lane splitting");
+        };
+        assert!(e.to_string().contains("stateful micro-ops"), "{e}");
+    }
+}
