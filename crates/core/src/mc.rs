@@ -339,8 +339,10 @@ pub fn check_code(
 
 /// Builds the scenario system and check for a `(code, kernel, array)`
 /// verdict without exploring — corpus-replay tests re-run committed
-/// schedules against it via [`ncmc::replay_violates`]. `Ok(None)` when
-/// the code is not schedule-checkable.
+/// schedules against it via [`ncmc::replay_violates`], which answers a
+/// schedule that does not fit the scenario with an
+/// [`ncmc::ReplayError`]. `Ok(None)` when the code is not
+/// schedule-checkable.
 pub fn scenario_for(
     program: &CompiledProgram,
     location: &str,

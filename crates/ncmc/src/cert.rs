@@ -32,7 +32,8 @@ pub struct Certificate {
     pub bounds: Bounds,
     /// Reduction mode used.
     pub reduction: &'static str,
-    /// Exploration counters at completion.
+    /// Exploration counters at completion; `probe_execs` (steps executed,
+    /// no memo) may differ between explorers that walked the same search.
     pub stats: Stats,
     /// Size of the serial reference set the terminals were checked
     /// against (0 for `no-regression`).

@@ -12,7 +12,7 @@
 
 use crate::cert::Certificate;
 use crate::explore::{explore, minimal_witness, ExploreOptions, Property, Reduction, Stats};
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, Step};
 use crate::system::{Domain, System};
 use ncl_ir::lint::LintCode;
 use std::collections::BTreeSet;
@@ -268,18 +268,48 @@ fn build_property(sys: &mut System, check: &Check) -> (Property, Vec<Vec<u64>>) 
     }
 }
 
+/// A replayed schedule asks for a step that is not enabled where it
+/// stands: edited by hand, or minted against another scenario or domain.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ReplayError {
+    /// 1-based line of the step in the rendered schedule (a corpus
+    /// file's comment and blank lines are not counted).
+    pub line: usize,
+    /// The step that could not be taken.
+    pub step: Step,
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (line, step) = (self.line, self.step.render());
+        write!(f, "schedule line {line}: `{step}` is not enabled")
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
 /// Replays a schedule against a prepared system and reports whether it
 /// violates the check's property — corpus regression: a committed
 /// counterexample must keep failing on the kernel it was minted
-/// against.
-pub fn replay_violates(sys: &mut System, check: &Check, schedule: &Schedule) -> bool {
+/// against. Each step must be [`System::enabled`] under the check's
+/// domain, so a misfit is an error, not a panic in [`System::exec`].
+pub fn replay_violates(
+    sys: &mut System,
+    check: &Check,
+    schedule: &Schedule,
+) -> Result<bool, ReplayError> {
     if !check.watch.is_empty() {
         sys.watch(&check.watch);
     }
     let (property, _) = build_property(sys, check);
-    let init = sys.initial();
-    let st = sys.exec_all(&init, schedule);
-    property.violated(sys, &st, check.domain)
+    let mut st = sys.initial();
+    for (i, &step) in schedule.steps.iter().enumerate() {
+        if !sys.enabled(&st, check.domain).contains(&step) {
+            return Err(ReplayError { line: i + 1, step });
+        }
+        st = sys.exec(&st, step);
+    }
+    Ok(property.violated(sys, &st, check.domain))
 }
 
 /// The corpus file name for a shrunk witness:

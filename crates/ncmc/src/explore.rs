@@ -104,7 +104,9 @@ pub struct Stats {
     pub dedup_hits: u64,
     /// Steps skipped because they were in the sleep set.
     pub sleep_skips: u64,
-    /// Step executions spent probing commutation (DPOR only).
+    /// Steps executed to probe commutation (DPOR only). Every probe
+    /// executes — nothing remembers an answer — so this is the search's
+    /// cost beside `edges`, not part of what was explored.
     pub probe_execs: u64,
 }
 
@@ -156,10 +158,8 @@ struct Explorer<'a> {
     property: &'a Property,
     opts: ExploreOptions,
     max_states: usize,
-    /// State hash → sleep sets it has been explored under.
-    visited: HashMap<u128, Vec<BTreeSet<Step>>>,
-    /// `(state hash, step, step)` → commutes?
-    indep: HashMap<(u128, Step, Step), bool>,
+    /// State hash → the sleep sets it was explored under ([`admit`]).
+    visited: HashMap<u128, Vec<Box<[Step]>>>,
     witness: Option<Schedule>,
     terminal_obs: BTreeSet<Vec<u64>>,
     stats: Stats,
@@ -184,7 +184,6 @@ pub fn explore(
         opts,
         max_states,
         visited: HashMap::new(),
-        indep: HashMap::new(),
         witness: None,
         terminal_obs: BTreeSet::new(),
         stats: Stats::default(),
@@ -192,10 +191,10 @@ pub fn explore(
         rng: SplitMix::new(opts.order_seed.unwrap_or(0)),
     };
     if opts.reduction != Reduction::Naive {
-        ex.visited.insert(ex.sys.hash(&init), vec![BTreeSet::new()]);
+        ex.visited.insert(ex.sys.hash(&init), vec![Box::default()]);
     }
     let mut path = Vec::new();
-    ex.dfs(&init, BTreeSet::new(), &mut path);
+    ex.dfs(&init, &[], &mut path);
     Exploration {
         witness: ex.witness,
         terminal_obs: ex.terminal_obs,
@@ -215,7 +214,8 @@ impl Explorer<'_> {
         }
     }
 
-    fn dfs(&mut self, st: &SysState, sleep: BTreeSet<Step>, path: &mut Vec<Step>) {
+    /// `sleep` is sorted, like every list of enabled steps.
+    fn dfs(&mut self, st: &SysState, sleep: &[Step], path: &mut Vec<Step>) {
         if self.done() {
             return;
         }
@@ -246,42 +246,38 @@ impl Explorer<'_> {
             shuffle(&mut order, salt);
         }
         let dpor = self.opts.reduction == Reduction::Dpor;
-        let st_hash = if dpor { Some(self.sys.hash(st)) } else { None };
         let mut done_steps: Vec<Step> = Vec::new();
         for &a in &order {
             if self.done() {
                 return;
             }
-            if dpor && sleep.contains(&a) {
+            if dpor && sleep.binary_search(&a).is_ok() {
                 self.stats.sleep_skips += 1;
                 continue;
             }
             let next = self.sys.exec(st, a);
             self.stats.edges += 1;
-            let child_sleep = if dpor {
-                let h = st_hash.expect("hash computed for dpor");
-                let mut cs = BTreeSet::new();
-                for x in sleep.iter().chain(done_steps.iter()).copied() {
-                    if x != a && enabled.contains(&x) && self.independent(st, h, x, a) {
-                        cs.insert(x);
+            let mut child_sleep: Vec<Step> = Vec::new();
+            if dpor {
+                // Slept steps are skipped above, so the two halves of
+                // the chain are disjoint and sorting is all it takes.
+                for x in sleep.iter().chain(&done_steps).copied() {
+                    if x != a && enabled.binary_search(&x).is_ok() && self.independent(st, x, a) {
+                        child_sleep.push(x);
                     }
                 }
-                cs
-            } else {
-                BTreeSet::new()
-            };
+                child_sleep.sort_unstable();
+            }
             if self.opts.reduction != Reduction::Naive {
                 let h = self.sys.hash(&next);
-                let records = self.visited.entry(h).or_default();
-                if records.iter().any(|r| r.is_subset(&child_sleep)) {
+                if !admit(self.visited.entry(h).or_default(), &child_sleep) {
                     self.stats.dedup_hits += 1;
                     done_steps.push(a);
                     continue;
                 }
-                records.push(child_sleep.clone());
             }
             path.push(a);
-            self.dfs(&next, child_sleep, path);
+            self.dfs(&next, &child_sleep, path);
             path.pop();
             done_steps.push(a);
         }
@@ -289,18 +285,9 @@ impl Explorer<'_> {
 
     /// Dynamic commutation: `x` and `y` are independent at `st` iff
     /// both orders are executable and land in the same full-state hash.
-    /// Memoized on `(state hash, x, y)`.
-    fn independent(&mut self, st: &SysState, st_hash: u128, x: Step, y: Step) -> bool {
-        let key = (st_hash, x.min(y), x.max(y));
-        if let Some(&v) = self.indep.get(&key) {
-            return v;
-        }
-        let v = self.probe_commutation(st, key.1, key.2);
-        self.indep.insert(key, v);
-        v
-    }
-
-    fn probe_commutation(&mut self, st: &SysState, x: Step, y: Step) -> bool {
+    /// Probed afresh on every call: a memo keyed on the full-state
+    /// hash saved 3–4% of the executions and outweighed `visited`.
+    fn independent(&mut self, st: &SysState, x: Step, y: Step) -> bool {
         let sx = self.sys.exec(st, x);
         self.stats.probe_execs += 1;
         if !self.sys.enabled(&sx, self.domain).contains(&y) {
@@ -318,6 +305,25 @@ impl Explorer<'_> {
     }
 }
 
+/// Whether sorted `a` ⊆ sorted `b`, in one merge walk.
+fn subset(a: &[Step], b: &[Step]) -> bool {
+    let mut rest = b.iter();
+    a.iter().all(|x| rest.find(|y| *y >= x) == Some(x))
+}
+
+/// Records a visit under `sleep` in a state's `records`, unless a
+/// recorded visit already slept on no more (`false`: prune the revisit).
+/// Recorded supersets of `sleep` are dropped: whatever they would prune
+/// later, `sleep` prunes too.
+fn admit(records: &mut Vec<Box<[Step]>>, sleep: &[Step]) -> bool {
+    if records.iter().any(|r| subset(r, sleep)) {
+        return false;
+    }
+    records.retain(|r| !subset(sleep, r));
+    records.push(sleep.into());
+    true
+}
+
 /// The canonical minimal witness: the lexicographically smallest (in
 /// [`Step`] order) among the shortest violating schedules, found by BFS
 /// over the deduped state graph expanding successors in canonical
@@ -329,11 +335,22 @@ pub fn minimal_witness(sys: &mut System, domain: Domain, property: &Property) ->
     let init = sys.initial();
     let mut seen: HashSet<u128> = HashSet::new();
     seen.insert(sys.hash(&init));
-    let mut queue: VecDeque<(SysState, Vec<Step>)> = VecDeque::new();
-    queue.push_back((init, Vec::new()));
-    while let Some((st, path)) = queue.pop_front() {
+    let mut queue = VecDeque::from([init]);
+    // The BFS tree: the state dequeued `n`-th (the initial state is
+    // 0th) was first reached from the `links[n - 1].0`-th by the step
+    // `links[n - 1].1`.
+    let mut links: Vec<(u32, Step)> = Vec::new();
+    let mut node = 0u32;
+    while let Some(st) = queue.pop_front() {
         if property.violated(sys, &st, domain) {
-            return Some(Schedule::new(path));
+            let mut steps = Vec::new();
+            while node != 0 {
+                let (parent, step) = links[node as usize - 1];
+                steps.push(step);
+                node = parent;
+            }
+            steps.reverse();
+            return Some(Schedule::new(steps));
         }
         if seen.len() >= max_states {
             return None;
@@ -341,11 +358,11 @@ pub fn minimal_witness(sys: &mut System, domain: Domain, property: &Property) ->
         for a in sys.enabled(&st, domain) {
             let next = sys.exec(&st, a);
             if seen.insert(sys.hash(&next)) {
-                let mut p = path.clone();
-                p.push(a);
-                queue.push_back((next, p));
+                links.push((node, a));
+                queue.push_back(next);
             }
         }
+        node += 1;
     }
     None
 }
@@ -373,5 +390,50 @@ fn shuffle(xs: &mut [Step], seed: u64) {
     for i in (1..xs.len()).rev() {
         let j = (rng.next() % (i as u64 + 1)) as usize;
         xs.swap(i, j);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const A: Step = Step::Deliver(0);
+    const B: Step = Step::DeliverResp(1);
+    const C: Step = Step::Tick;
+
+    #[test]
+    fn subset_walks_sorted_slices() {
+        assert!(subset(&[], &[]));
+        assert!(subset(&[], &[A]));
+        assert!(!subset(&[A], &[]));
+        assert!(subset(&[A, C], &[A, B, C]));
+        assert!(subset(&[B], &[A, B, C]));
+        assert!(subset(&[A, B, C], &[A, B, C]));
+        assert!(!subset(&[A, B], &[A, C]));
+        assert!(!subset(&[A, B, C], &[A, C]));
+        assert!(!subset(&[C], &[A, B]));
+    }
+
+    #[test]
+    fn visited_records_stay_an_antichain() {
+        let mut records: Vec<Box<[Step]>> = Vec::new();
+        assert!(admit(&mut records, &[A, B]));
+        // Covered by the recorded visit: pruned, nothing recorded.
+        assert!(!admit(&mut records, &[A, B, C]));
+        assert_eq!(records, [Box::from([A, B])]);
+        // A smaller sleep set explores more: admitted, and it replaces
+        // the superset ...
+        assert!(admit(&mut records, &[A]));
+        assert_eq!(records, [Box::from([A])]);
+        // ... without losing anything the superset pruned.
+        assert!(!admit(&mut records, &[A, B, C]));
+        assert!(!admit(&mut records, &[A, B]));
+        // Incomparable sets sit side by side.
+        assert!(admit(&mut records, &[B, C]));
+        assert_eq!(records.len(), 2);
+        // The empty set covers every revisit.
+        assert!(admit(&mut records, &[]));
+        assert_eq!(records, [Box::from([])]);
+        assert!(!admit(&mut records, &[C]));
     }
 }

@@ -42,7 +42,7 @@ pub mod system;
 pub use cert::Certificate;
 pub use check::{
     corpus_entry, corpus_file_name, plan_for, replay_violates, run_check, Check, CheckResult,
-    Outcome, PropertyKind, WitnessReport,
+    Outcome, PropertyKind, ReplayError, WitnessReport,
 };
 pub use explore::{
     explore, minimal_witness, Exploration, ExploreOptions, Property, Reduction, Stats,
@@ -74,6 +74,10 @@ pub(crate) mod testutil {
         /// `mirror[0] = x; total[0] = mirror[0]` — replay-safe
         /// (idempotent per window), order-sensitive.
         Overwrite,
+        /// `total[0] += x; total_seen[0] = x` — the arrays are named
+        /// `total` / `total_seen` here, and the second legitimately
+        /// falls whenever a smaller window follows a larger one.
+        LastSeen,
     }
 
     /// A two-stage pipeline with the mirror idiom the real lowered
@@ -90,8 +94,12 @@ pub(crate) mod testutil {
         let x = layout.add("x", ScalarType::U32, FieldClass::Header);
         let fwd = layout.add("meta.fwd", ScalarType::U8, FieldClass::Metadata);
         let tmp = layout.add("meta.tmp", ScalarType::U32, FieldClass::Metadata);
+        let (names, published) = match shape {
+            KernelShape::LastSeen => (["total", "total_seen"], x),
+            _ => (["mirror", "total"], tmp),
+        };
         let combine = match shape {
-            KernelShape::Accumulate => PrimOp::Alu {
+            KernelShape::Accumulate | KernelShape::LastSeen => PrimOp::Alu {
                 guard: None,
                 dst: tmp,
                 op: BinOp::Add,
@@ -129,7 +137,7 @@ pub(crate) mod testutil {
                     guard: None,
                     reg: 1,
                     idx: Arg::Const(Value::u32(0)),
-                    src: Arg::Field(tmp),
+                    src: Arg::Field(published),
                 },
                 // _reflect(): code 1.
                 PrimOp::Mov {
@@ -160,20 +168,14 @@ pub(crate) mod testutil {
                     tables: vec![TableDef::always("publish", publish)],
                 },
             ],
-            registers: vec![
-                pisa::RegisterArrayDef {
-                    name: "mirror".into(),
+            registers: names
+                .map(|name| pisa::RegisterArrayDef {
+                    name: name.into(),
                     elem: ScalarType::U32,
                     len: 1,
                     init: vec![],
-                },
-                pisa::RegisterArrayDef {
-                    name: "total".into(),
-                    elem: ScalarType::U32,
-                    len: 1,
-                    init: vec![],
-                },
-            ],
+                })
+                .to_vec(),
             fwd_code: Some(fwd),
             fwd_label: None,
             layout,
@@ -444,6 +446,25 @@ mod tests {
         };
         let res = run_check(&mut sys, "rmw", &check, Reduction::Dpor, None);
         assert!(res.outcome.is_certificate(), "{}", res.outcome.summary());
+    }
+
+    #[test]
+    fn watch_matches_array_names_exactly() {
+        // `total` only grows with these payloads; `total_seen` is
+        // overwritten downward when 20 is delivered before 10. Watching
+        // `total` must not watch the array that merely shares its
+        // prefix.
+        let check = |watch: &str| {
+            Check::for_lint(LintCode::UnguardedOverflow, "k", vec![watch.into()]).unwrap()
+        };
+        let mut sys = system(KernelShape::LastSeen, &[20, 10]);
+        let res = run_check(&mut sys, "rmw", &check("total"), Reduction::Dpor, None);
+        assert!(res.outcome.is_certificate(), "{}", res.outcome.summary());
+        assert_eq!(sys.watched(), 1);
+        // Watched by its own name, the overwritten array does regress.
+        let res = run_check(&mut sys, "rmw", &check("total_seen"), Reduction::Dpor, None);
+        assert_eq!(sys.watched(), 1);
+        assert!(res.outcome.is_witness(), "{}", res.outcome.summary());
     }
 
     #[test]

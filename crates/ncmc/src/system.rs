@@ -191,7 +191,7 @@ pub struct SysState {
 /// The composed system: pipeline + scenario + scratch protocol
 /// machines. The pipeline and the scratch sender/receivers are working
 /// storage — all semantic state lives in [`SysState`] and is restored
-/// into them before every step.
+/// into whichever of them a step runs on.
 pub struct System {
     pipeline: Pipeline,
     windows: Vec<WindowDef>,
@@ -261,9 +261,10 @@ impl System {
         }
     }
 
-    /// Restricts the regression watch to the named register arrays
-    /// (every array whose name starts with one of the given names —
-    /// compiled lane banks suffix the source name).
+    /// Restricts the regression watch to the register arrays with
+    /// exactly the given names. These are the pipeline's physical
+    /// names: a source array the compiler split into lane banks is
+    /// watched by naming its banks.
     pub fn watch(&mut self, arrays: &[String]) {
         self.watch_regs = self
             .pipeline
@@ -271,11 +272,7 @@ impl System {
             .registers
             .iter()
             .enumerate()
-            .filter(|(_, r)| {
-                arrays
-                    .iter()
-                    .any(|a| r.name == *a || r.name.starts_with(&format!("{a}_")))
-            })
+            .filter(|(_, r)| arrays.contains(&r.name))
             .map(|(i, _)| i)
             .collect();
     }
@@ -391,21 +388,23 @@ impl System {
     ///
     /// # Panics
     ///
-    /// If the step is not enabled in `st` (schedules must come from
-    /// [`System::enabled`] or a previously recorded witness).
+    /// If the step is not enabled in `st`: steps must come from
+    /// [`System::enabled`]. A schedule read from a file is checked step
+    /// by step in [`crate::replay_violates`] instead.
     pub fn exec(&mut self, st: &SysState, step: Step) -> SysState {
         let mut st = st.clone();
-        self.pipeline.restore(&st.regs);
+        // Only the three pipeline steps load the registers into the
+        // pipeline and store them back; the rest keep the cloned ones.
         match step {
             Step::Deliver(id) => {
                 let copy = self.take_copy(&mut st, id);
-                let before = self.watch_cells();
+                self.pipeline.restore(&st.regs);
                 let fwd = {
                     let begun = self.pipeline.begin(&self.windows[copy.win].packet);
                     begun.map(|p| self.pipeline.finish(p))
                 };
                 st.execs[copy.win] += 1;
-                self.check_regression(&mut st, &before);
+                self.store_regs(&mut st);
                 if let Some(out) = fwd {
                     self.route(&mut st, copy.win, out.fwd_code);
                 }
@@ -413,23 +412,23 @@ impl System {
             Step::Split(id, stage) => {
                 let copy = self.take_copy(&mut st, id);
                 assert!(st.suspended.is_none(), "split while a packet is suspended");
-                let before = self.watch_cells();
+                self.pipeline.restore(&st.regs);
                 if let Some(mut p) = self.pipeline.begin(&self.windows[copy.win].packet) {
                     self.pipeline.advance(&mut p, stage as usize);
                     st.suspended = Some(Suspended { copy, packet: p });
                 }
                 st.execs[copy.win] += 1;
                 st.splits_used += 1;
-                self.check_regression(&mut st, &before);
+                self.store_regs(&mut st);
             }
             Step::Resume => {
                 let s = st
                     .suspended
                     .take()
                     .expect("resume without suspended packet");
-                let before = self.watch_cells();
+                self.pipeline.restore(&st.regs);
                 let out = self.pipeline.finish(s.packet);
-                self.check_regression(&mut st, &before);
+                self.store_regs(&mut st);
                 self.route(&mut st, s.copy.win, out.fwd_code);
             }
             Step::DeliverResp(id) => {
@@ -491,7 +490,6 @@ impl System {
                 st.clock = now;
             }
         }
-        st.regs = self.pipeline.snapshot();
         st
     }
 
@@ -530,25 +528,17 @@ impl System {
         }
     }
 
-    fn watch_cells(&self) -> Vec<u64> {
-        let snap = self.pipeline.snapshot();
-        let mut cells = Vec::new();
-        for &i in &self.watch_regs {
-            for v in &snap.registers()[i] {
-                cells.push(v.bits());
-            }
-        }
-        cells
-    }
-
-    fn check_regression(&self, st: &mut SysState, before: &[u64]) {
-        if self.watch_regs.is_empty() || st.regressed {
-            return;
-        }
-        let after = self.watch_cells();
-        if before.iter().zip(&after).any(|(b, a)| a < b) {
-            st.regressed = true;
-        }
+    /// Ends a pipeline step: `st` takes the pipeline's registers, and
+    /// is flagged if the step strictly decreased a watched cell (read
+    /// in place from the registers `st` held going in).
+    fn store_regs(&self, st: &mut SysState) {
+        let after = self.pipeline.snapshot();
+        let fell = |&i: &usize| {
+            let (was, now) = (&st.regs.registers()[i], &after.registers()[i]);
+            was.iter().zip(now).any(|(b, a)| a.bits() < b.bits())
+        };
+        st.regressed = st.regressed || self.watch_regs.iter().any(fell);
+        st.regs = after;
     }
 
     /// The observable (application-visible) switch state: every cell of

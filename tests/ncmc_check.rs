@@ -19,7 +19,8 @@ use ncl::core::mc::{self, McConfig, McItem};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram, LintCode, LintLevel, ReplayFilter};
 use ncl::core::runtime::NclHost;
 use ncl::ncmc::{
-    corpus_entry, corpus_file_name, replay_violates, Outcome, Reduction, Schedule, WitnessReport,
+    corpus_entry, corpus_file_name, replay_violates, Outcome, Reduction, ReplayError, Schedule,
+    Stats, Step, WitnessReport,
 };
 use ncl::netsim::HostApp;
 use proptest::prelude::*;
@@ -196,6 +197,19 @@ fn expect_witness(item: &McItem) -> WitnessReport {
     }
 }
 
+/// What an exploration walked, apart from `probe_execs` (the steps DPOR
+/// executed to decide commutation are a cost, not part of the search).
+fn search(s: &Stats) -> [u64; 6] {
+    [
+        s.states,
+        s.edges,
+        s.terminals,
+        s.schedules,
+        s.dedup_hits,
+        s.sleep_skips,
+    ]
+}
+
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/ncmc")
 }
@@ -213,6 +227,11 @@ fn allreduce_filtered_is_certified_convergent() {
         conv.result.outcome.is_certificate(),
         "filtered allreduce must converge: {}",
         conv.summary()
+    );
+    assert_eq!(
+        search(&conv.result.stats),
+        [49_275, 57_233, 253, 253, 7_959, 137_478],
+        "the certificate must rest on the same search"
     );
     assert!(report.conclusive(), "no check may hit the state cap");
     // The surviving unguarded-overflow warning on `accum` is real: the
@@ -234,6 +253,11 @@ fn kvs_is_certified_convergent() {
         conv.result.outcome.is_certificate(),
         "kvs must converge: {}",
         conv.summary()
+    );
+    assert_eq!(
+        search(&conv.result.stats),
+        [24_026, 32_020, 58, 58, 7_995, 81_590],
+        "the certificate must rest on the same search"
     );
     assert!(report.conclusive(), "no check may hit the state cap");
 }
@@ -300,23 +324,31 @@ fn dpor_reaches_the_naive_verdict_with_5x_fewer_schedules() {
             );
         };
         // What was proven, apart from how the search got there.
-        let schedules = cert.stats.schedules;
+        let stats = std::mem::take(&mut cert.stats);
         cert.reduction = "";
-        cert.stats = Default::default();
-        (cert, schedules)
+        (cert, stats)
     });
-    let [(proven, naive), (dedup_proven, _), (dpor_proven, dpor)] = runs;
+    let [(proven, naive), (dedup_proven, dedup), (dpor_proven, dpor)] = runs;
     assert_eq!(
         (proven.property.as_str(), proven.windows),
         ("order-invariant", 4)
     );
     assert_eq!(dedup_proven, proven, "dedup certifies the same obligation");
     assert_eq!(dpor_proven, proven, "dpor certifies the same obligation");
-    assert_eq!(naive, 2_520, "naive enumerates every interleaving");
-    assert!(
-        naive >= 5 * dpor,
-        "DPOR must prune >= 5x the naive schedule count ({naive} vs {dpor})"
+    assert_eq!(
+        naive.schedules, 2_520,
+        "naive enumerates every interleaving"
     );
+    assert!(
+        naive.schedules >= 5 * dpor.schedules,
+        "DPOR must prune >= 5x the naive schedule count ({} vs {})",
+        naive.schedules,
+        dpor.schedules
+    );
+    // E15's ablation table: what each reduction walks is pinned, not
+    // only what it concludes.
+    assert_eq!((dedup.states, dpor.states), (396, 396));
+    assert_eq!(dpor.sleep_skips, 544);
 }
 
 // ---------------------------------------------------------------------
@@ -422,8 +454,9 @@ fn corpus_schedule_fails_on_broken_kernel_and_passes_on_fixed() {
     let (mut sys, check) = mc::scenario_for(&broken, "s1", code, "tally", Some("total"), &cfg)
         .expect("builds")
         .expect("checkable");
-    assert!(
+    assert_eq!(
         replay_violates(&mut sys, &check, &schedule),
+        Ok(true),
         "corpus schedule no longer breaks the flagged kernel"
     );
 
@@ -432,10 +465,104 @@ fn corpus_schedule_fails_on_broken_kernel_and_passes_on_fixed() {
     let (mut sys, check) = mc::scenario_for(&fixed, "s1", code, "tally", Some("total"), &cfg)
         .expect("builds")
         .expect("checkable");
-    assert!(
-        !replay_violates(&mut sys, &check, &schedule),
+    assert_eq!(
+        replay_violates(&mut sys, &check, &schedule),
+        Ok(false),
         "guarded kernel must survive the broken kernel's schedule"
     );
+}
+
+/// A hand-edited corpus file is answered with the line that does not
+/// fit, never with a panic inside the checker: every committed schedule
+/// is replayed with each line deleted, duplicated, and its id bumped,
+/// with a split at a stage the pipeline does not have, and with a drop
+/// the budget does not cover.
+#[test]
+fn hand_edited_corpus_schedules_are_errors_not_panics() {
+    let cfg = McConfig::default();
+    for (src, masks, code, kernel, state) in corpus_scenarios() {
+        let program = compile_allowing(src, &masks);
+        let item = adjudicate(&program, code, kernel, state);
+        let name = corpus_file_name(Some(code), kernel, &expect_witness(&item).schedule);
+        let text = std::fs::read_to_string(corpus_dir().join(&name)).expect("committed entry");
+        let (mut sys, check) = mc::scenario_for(&program, "s1", code, kernel, Some(state), &cfg)
+            .expect("builds")
+            .expect("checkable");
+        let mut replay = |lines: &[String]| {
+            let schedule = Schedule::parse(&lines.join("\n")).expect("still in the grammar");
+            replay_violates(&mut sys, &check, &schedule)
+        };
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let body = lines.iter().position(|l| !l.starts_with('#')).unwrap();
+        assert_eq!(replay(&lines), Ok(true), "{name} as committed");
+        for i in body..lines.len() {
+            // A deleted line may leave a shorter schedule that still
+            // fits (its last line always does); it must only not panic.
+            let mut deleted = lines.clone();
+            deleted.remove(i);
+            let _ = replay(&deleted);
+
+            // No step can be taken twice except a clock tick.
+            let mut doubled = lines.clone();
+            doubled.insert(i, lines[i].clone());
+            let twice = replay(&doubled);
+            if lines[i] != "tick" {
+                let step = Step::parse(&lines[i]).unwrap();
+                let line = i - body + 2;
+                assert_eq!(
+                    twice,
+                    Err(ReplayError { line, step }),
+                    "{name}: {doubled:?}"
+                );
+            }
+
+            // The next id up is a copy that is not in flight there, or
+            // takes the place of one a later line then asks for.
+            let up = match Step::parse(&lines[i]).unwrap() {
+                Step::Deliver(c) => Step::Deliver(c + 1),
+                Step::Split(c, k) => Step::Split(c + 1, k),
+                Step::DeliverResp(r) => Step::DeliverResp(r + 1),
+                Step::DropData(c) => Step::DropData(c + 1),
+                Step::DropResp(r) => Step::DropResp(r + 1),
+                Step::Resume | Step::Tick => continue,
+            };
+            let mut bumped = lines.clone();
+            bumped[i] = up.render();
+            let err = replay(&bumped).expect_err(&format!("{name}: {bumped:?}"));
+            assert!(err.line > i - body, "{name}: {err}");
+        }
+        // c0 is in flight at the start of every scenario; stage 999 is
+        // not a split point of any pipeline (nor a split in every
+        // domain).
+        let mut split = lines.clone();
+        split.insert(body, "split c0@999".into());
+        let err = replay(&split).expect_err("no such stage");
+        assert_eq!((err.line, err.step), (1, Step::Split(0, 999)));
+        assert_eq!(
+            err.to_string(),
+            "schedule line 1: `split c0@999` is not enabled"
+        );
+        // A drop the budget does not cover. Where the domain has loss
+        // the committed schedule spends the one drop and r1 is in flight
+        // at its last line, so only the budget refuses a second; where
+        // it has none, the first is refused.
+        let mut dropped = lines.clone();
+        let line = if lines.iter().any(|l| l.starts_with("drop")) {
+            *dropped.last_mut().unwrap() = "drop r1".into();
+            lines.len() - body
+        } else {
+            dropped.insert(body, "drop c0".into());
+            1
+        };
+        let err = replay(&dropped).expect_err("over the drop budget");
+        assert_eq!(err.line, line, "{name}: {err}");
+        assert!(
+            matches!(err.step, Step::DropData(0) | Step::DropResp(1)),
+            "{name}: {err}"
+        );
+        // Text outside the grammar never reaches the replay.
+        assert!(Schedule::parse(&format!("{text}deliver c0 twice\n")).is_err());
+    }
 }
 
 /// Regenerates every committed corpus entry (run explicitly after an
