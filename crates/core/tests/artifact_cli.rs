@@ -195,6 +195,17 @@ fn truncated_artifacts_are_refused_with_a_message() {
 }
 
 #[test]
+fn deeply_nested_artifacts_are_refused_with_a_message() {
+    let dir = tmpdir("deep");
+    let file = write(&dir, "deep.json", &"[".repeat(1 << 20));
+    let stderr = refusal(&ncscope(&[], &file), "ncscope");
+    assert!(
+        stderr.contains("deep.json: invalid JSON: nesting deeper than"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn wrong_kind_artifacts_are_refused_with_a_message() {
     let dir = tmpdir("wrong-kind");
     let flight_file = write(&dir, "flight.json", &flight());

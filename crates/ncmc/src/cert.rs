@@ -32,8 +32,10 @@ pub struct Certificate {
     pub bounds: Bounds,
     /// Reduction mode used.
     pub reduction: &'static str,
-    /// Exploration counters at completion; `probe_execs` (steps executed,
-    /// no memo) may differ between explorers that walked the same search.
+    /// Exploration counters at completion; `probe_execs` (steps executed
+    /// to decide commutation) may differ between explorers that walked
+    /// the same search. It fell about sevenfold once the step kinds
+    /// decided most pairs without executing them.
     pub stats: Stats,
     /// Size of the serial reference set the terminals were checked
     /// against (0 for `no-regression`).

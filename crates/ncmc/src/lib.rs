@@ -21,9 +21,10 @@
 //!   states)` bounds that the certificate records on its face.
 //!
 //! Exploration is pruned by visited-state dedup over a stable 128-bit
-//! state hash and by sleep-set DPOR with *dynamic* commutation (two
-//! steps commute at a state iff executing them in either order reaches
-//! the identical state — checked, not assumed). A naive exhaustive mode
+//! state hash and by sleep-set DPOR (two steps commute at a state iff
+//! executing them in either order reaches the identical state — decided
+//! from the step kinds where their footprints settle it, and checked by
+//! executing both orders otherwise). A naive exhaustive mode
 //! is kept as ground truth; the reduction modes must agree on every
 //! verdict and on the reachable terminal observations, and tests (plus
 //! the E15 benchmark gate) enforce exactly that.
@@ -197,6 +198,16 @@ pub(crate) mod testutil {
                 packet: p.to_be_bytes().to_vec(),
             })
             .collect()
+    }
+
+    /// [`windows`] sent alternately by hosts 1 and 2, so responses to
+    /// different hosts are in flight together.
+    pub fn two_sender_windows(payloads: &[u32]) -> Vec<WindowDef> {
+        let mut ws = windows(payloads);
+        for (i, w) in ws.iter_mut().enumerate() {
+            w.sender = 1 + (i % 2) as u16;
+        }
+        ws
     }
 
     /// System over [`rmw_pipeline`] with default bounds.

@@ -372,6 +372,38 @@ impl System {
         steps
     }
 
+    /// Whether two steps, both enabled in `st`, commute there, when
+    /// their kinds decide it; `None` means "probe it". Symmetric.
+    ///
+    /// Pipeline steps touch the registers, `net`, `execs`, `suspended`,
+    /// `splits_used` and append responses; a response delivery touches
+    /// one host's sender and receiver; a drop removes one copy and
+    /// spends the shared drop budget; `Tick` reads sender flights and
+    /// appends data copies. Steps whose footprints are disjoint commute,
+    /// unless one removes the copy the other needs or spends the budget
+    /// the other needs. Two pipeline steps, a response delivery against
+    /// `Tick` (an ack moves the next deadline), and two responses to one
+    /// host are left to the probe.
+    pub(crate) fn commutes(&self, st: &SysState, x: Step, y: Step) -> Option<bool> {
+        use Step::*;
+        let (x, y) = if x < y { (x, y) } else { (y, x) };
+        let host = |r: u32| st.resps.iter().find(|c| c.id == r).map(|c| c.host);
+        match (x, y) {
+            (DropData(_) | DropResp(_), DropData(_) | DropResp(_)) => {
+                Some(st.drops_used + 2 <= self.bounds.max_drops)
+            }
+            (Split(..), Split(..)) => Some(false),
+            (Deliver(_) | Split(..) | Resume, DeliverResp(_) | DropResp(_) | Tick) => Some(true),
+            (Deliver(c) | Split(c, _), DropData(d)) => Some(c != d),
+            (Resume | DeliverResp(_), DropData(_)) | (DropData(_) | DropResp(_), Tick) => {
+                Some(true)
+            }
+            (DeliverResp(a), DropResp(b)) => Some(a != b),
+            (DeliverResp(a), DeliverResp(b)) => (host(a) != host(b)).then_some(true),
+            _ => None,
+        }
+    }
+
     /// Whether `st` is terminal under `domain` (no step enabled).
     pub fn terminal(&self, st: &SysState, domain: Domain) -> bool {
         self.enabled(st, domain).is_empty()
@@ -554,8 +586,8 @@ impl System {
     /// Stable 128-bit hash of the *full* system state (switch registers
     /// including synthetic arrays, protocol machines, network contents,
     /// clock, budgets). Two states with equal hashes are treated as
-    /// identical by the explorer's visited set and the DPOR commutation
-    /// probe.
+    /// identical by the explorer's visited set (the DPOR commutation
+    /// probe compares states with `==`).
     pub fn hash(&self, st: &SysState) -> u128 {
         let mut h = StableHasher::new();
         for arr in st.regs.registers() {

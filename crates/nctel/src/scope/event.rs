@@ -347,8 +347,8 @@ impl EventRing {
         self.logged().saturating_sub(self.slots.len() as u64)
     }
 
-    /// Appends a record. Lock-free: one atomic `fetch_add` plus six
-    /// relaxed stores; never blocks or allocates.
+    /// Appends a record. Lock-free: one atomic `fetch_add`, a release
+    /// fence and seven stores; never blocks or allocates.
     pub fn push(&self, r: ScopeEventRecord) {
         let n = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
@@ -356,7 +356,12 @@ impl EventRing {
             | ((r.sender as u64) << 32)
             | ((r.kernel as u64) << 16)
             | r.kind as u64;
-        slot.version.store(2 * n + 1, Ordering::Release);
+        // The standard seqlock writer: a release *store* of the odd
+        // version would only order what came before it, so the fence
+        // keeps the word stores below from becoming visible ahead of
+        // the odd version (pairing with the reader's acquire fence).
+        slot.version.store(2 * n + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.words[0].store(r.t, Ordering::Relaxed);
         slot.words[1].store(w1, Ordering::Relaxed);
         slot.words[2].store(r.seq as u64, Ordering::Relaxed);

@@ -142,11 +142,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parses a complete JSON document, rejecting trailing garbage.
+/// How deeply arrays and objects may nest. Every artifact the stack
+/// writes stays within a handful of levels; the bound keeps the
+/// recursive reader from overflowing its stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document, rejecting trailing garbage and
+/// arrays or objects nested more than 128 deep.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -170,11 +176,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` is how many more arrays or objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err("unexpected end of input".into());
     };
+    if matches!(c, b'{' | b'[') && depth == 0 {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match c {
         b'{' => {
             *pos += 1;
@@ -188,7 +198,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth - 1)?;
                 kv.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -210,7 +220,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, pos)?);
+                arr.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(&b',') => *pos += 1,
@@ -328,6 +338,37 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        // At the limit: accepted, one value per level.
+        let mut v = &parse(&arrays(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_arr().unwrap()[0];
+        }
+        assert_eq!(v, &Json::Arr(vec![]));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // One past it, or a million deep, closed or not: refused with a
+        // message, not a stack overflow.
+        for n in [MAX_DEPTH + 1, 1 << 20] {
+            for doc in [arrays(n), objects(n), "[".repeat(n)] {
+                let err = parse(&doc).unwrap_err();
+                assert!(err.starts_with("nesting deeper than 128"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flight_artifact_with_deep_events_is_refused() {
+        let deep = format!(
+            "{{\"kind\":\"ncscope-flight\",\"events\":{}}}",
+            "[".repeat(1 << 16)
+        );
+        let err = crate::scope::parse_flight(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

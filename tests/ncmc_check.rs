@@ -233,6 +233,12 @@ fn allreduce_filtered_is_certified_convergent() {
         [49_275, 57_233, 253, 253, 7_959, 137_478],
         "the certificate must rest on the same search"
     );
+    // What deciding commutation cost: 685,713 steps when every pair was
+    // probed by execution, before the step kinds decided most of them.
+    assert_eq!(
+        conv.result.stats.probe_execs, 99_367,
+        "DPOR probes only the pairs the step kinds leave open"
+    );
     assert!(report.conclusive(), "no check may hit the state cap");
     // The surviving unguarded-overflow warning on `accum` is real: the
     // checker finds the wrap schedule the lint predicted.
@@ -258,6 +264,11 @@ fn kvs_is_certified_convergent() {
         search(&conv.result.stats),
         [24_026, 32_020, 58, 58, 7_995, 81_590],
         "the certificate must rest on the same search"
+    );
+    // 454,012 when every pair was probed.
+    assert_eq!(
+        conv.result.stats.probe_execs, 66_036,
+        "DPOR probes only the pairs the step kinds leave open"
     );
     assert!(report.conclusive(), "no check may hit the state cap");
 }
@@ -349,6 +360,8 @@ fn dpor_reaches_the_naive_verdict_with_5x_fewer_schedules() {
     // only what it concludes.
     assert_eq!((dedup.states, dpor.states), (396, 396));
     assert_eq!(dpor.sleep_skips, 544);
+    // 3,096 when every pair was probed.
+    assert_eq!(dpor.probe_execs, 120);
 }
 
 // ---------------------------------------------------------------------
