@@ -23,16 +23,20 @@
 //! * [`Mask`] / [`WindowSpec`] / [`Window`] — the window abstraction;
 //! * [`Forward`] — the forwarding decisions a kernel can take
 //!   (`_pass` / `_drop` / `_reflect` / `_bcast`);
+//! * [`RegArray`] — device memory packed at its declared width, the one
+//!   register store of every engine;
 //! * [`wire`] — byte-order helpers shared by every wire format.
 
 pub mod fwd;
 pub mod ids;
 pub mod ncpr;
+pub mod reg;
 pub mod value;
 pub mod window;
 pub mod wire;
 
 pub use fwd::Forward;
 pub use ids::{HostId, KernelId, Label, NodeId, PortId, SwitchId};
+pub use reg::{Lane, Lanes, RegArray};
 pub use value::{BinOp, ScalarType, UnOp, Value};
 pub use window::{Chunk, Mask, Window, WindowSpec};

@@ -216,6 +216,14 @@ impl Value {
         Value { ty, bits }
     }
 
+    /// A value from bits already canonical for `ty` — within its width,
+    /// 0 or 1 for `bool` — as packed register lanes hold them.
+    #[inline]
+    pub(crate) fn from_canonical(ty: ScalarType, bits: u64) -> Self {
+        debug_assert_eq!(Value::new(ty, bits).bits, bits, "{ty} lane out of range");
+        Value { ty, bits }
+    }
+
     /// A zero of the given type.
     pub fn zero(ty: ScalarType) -> Self {
         Value { ty, bits: 0 }

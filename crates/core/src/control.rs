@@ -24,6 +24,7 @@ pub struct ControlPlane {
     map_tables: std::collections::HashMap<String, Vec<String>>,
     ctrl_regs: std::collections::HashMap<String, Vec<String>>,
     lane_banks: std::collections::HashMap<String, Vec<String>>,
+    array_lens: std::collections::HashMap<String, usize>,
 }
 
 impl ControlPlane {
@@ -33,23 +34,29 @@ impl ControlPlane {
             map_tables: compiled.map_tables.clone(),
             ctrl_regs: compiled.ctrl_regs.clone(),
             lane_banks: compiled.lane_banks.clone(),
+            array_lens: compiled.array_lens.clone(),
         }
     }
 
     /// The compiled register and slot holding element `idx` of a
     /// *source-level* switch array: the compiler's lane decomposition
     /// puts element `i` of an `L`-lane array in bank `i % L`, slot `i / L`.
-    fn bank_slot<'a>(&'a self, array: &'a str, idx: usize) -> (&'a str, usize) {
-        match self.lane_banks.get(array) {
+    /// `None` past the source array's end, where a bank may still have
+    /// a padding slot that no element owns.
+    fn bank_slot<'a>(&'a self, array: &'a str, idx: usize) -> Option<(&'a str, usize)> {
+        if self.array_lens.get(array).is_some_and(|&len| idx >= len) {
+            return None;
+        }
+        Some(match self.lane_banks.get(array) {
             Some(banks) if !banks.is_empty() => (&banks[idx % banks.len()], idx / banks.len()),
             _ => (array, idx),
-        }
+        })
     }
 
     /// Reads element `idx` of a source-level switch array through the
     /// lane decomposition.
     pub fn read_register(&self, pipe: &Pipeline, array: &str, idx: usize) -> Option<Value> {
-        let (bank, slot) = self.bank_slot(array, idx);
+        let (bank, slot) = self.bank_slot(array, idx)?;
         pipe.register_read(bank, slot)
     }
 
@@ -62,8 +69,8 @@ impl ControlPlane {
         idx: usize,
         value: Value,
     ) -> bool {
-        let (bank, slot) = self.bank_slot(array, idx);
-        pipe.register_write(bank, slot, value)
+        self.bank_slot(array, idx)
+            .is_some_and(|(bank, slot)| pipe.register_write(bank, slot, value))
     }
 
     // ------------------------------------------------------------------
@@ -133,11 +140,16 @@ impl ControlPlane {
 
     /// The [`CtrlOp`]s writing element `idx` of a source-level switch
     /// array through the lane decomposition, like
-    /// [`ControlPlane::write_register`].
+    /// [`ControlPlane::write_register`]; none past the array's end.
     pub fn reg_write_ops(&self, array: &str, idx: usize, value: Value) -> Vec<CtrlOp> {
-        let (bank, index) = self.bank_slot(array, idx);
-        let name = bank.to_string();
-        vec![CtrlOp::RegWrite { name, index, value }]
+        self.bank_slot(array, idx)
+            .map(|(bank, index)| CtrlOp::RegWrite {
+                name: bank.to_string(),
+                index,
+                value,
+            })
+            .into_iter()
+            .collect()
     }
 
     /// The [`CtrlOp`]s realizing a map insert.

@@ -723,7 +723,11 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
             assert!(host.done_at.is_some(), "worker {w} never completed");
             let mem = host.memory(kid).unwrap();
             for i in 0..16 {
-                assert_eq!(mem.arrays[0][i], Value::i32(6), "worker {w} element {i}");
+                assert_eq!(
+                    mem.arrays[0].get(i),
+                    Value::i32(6),
+                    "worker {w} element {i}"
+                );
             }
         }
         // The switch aggregated 12 windows (3 workers × 4) and

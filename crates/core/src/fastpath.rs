@@ -263,8 +263,7 @@ impl FastPathSwitch {
     /// Reads element `idx` of a source-level register array; `None` for
     /// an unknown array or an index past its end.
     pub fn register_read(&self, array: &str, idx: usize) -> Option<Value> {
-        let arr = &self.state.registers[*self.reg_by_name.get(array)?];
-        (idx < arr.len()).then(|| arr.get(idx))
+        self.state.registers[*self.reg_by_name.get(array)?].try_get(idx)
     }
 
     /// Control-plane map insert (source-level name). `false` when the
@@ -314,14 +313,7 @@ impl FastDatapath for FastPathSwitch {
                         None => return false,
                     },
                 };
-                let arr = &mut self.state.registers[r];
-                match index.filter(|&i| i < arr.len()) {
-                    Some(i) => {
-                        arr.set(i, *value);
-                        true
-                    }
-                    None => false,
-                }
+                index.is_some_and(|i| self.state.registers[r].try_set(i, *value))
             }
             CtrlOp::TableInsert { table, entry } => {
                 let Some(&m) = self
@@ -484,6 +476,45 @@ mod tests {
                 assert_eq!(want.map(|v| v.bits()), Some(100 + idx as u64));
                 assert_eq!(cp.read_register(&pipe, array, idx), want, "{array}[{idx}]");
             }
+        }
+    }
+
+    /// A 10-element array split into 4 lanes has 12 bank slots; the two
+    /// past its end are padding no element owns. Both backends refuse
+    /// them, direct and deferred, and agree on every element.
+    #[test]
+    fn lane_padding_is_not_an_element_on_either_backend() {
+        let mut cfg = CompileConfig::default();
+        cfg.masks.insert("allreduce".into(), vec![4]);
+        cfg.masks.insert("result".into(), vec![4]);
+        let p = compile(&allreduce_source(10, 4), AND, &cfg).expect("compiles");
+        let compiled = p.switch("s1").unwrap();
+        assert_eq!(compiled.lane_banks["accum"].len(), 4, "accum is lane-split");
+        let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+        let cp = ControlPlane::new(compiled);
+        let mut fp = FastPathSwitch::from_program(&p, "s1").expect("fastpath builds");
+        assert!(fp.kernels.values().all(|k| k.simd()), "the Simd tier");
+        for idx in 0..12 {
+            let inside = idx < 10;
+            let direct = Value::i32(100 + idx as i32);
+            assert_eq!(cp.write_register(&mut pipe, "accum", idx, direct), inside);
+            assert_eq!(
+                cp.read_register(&pipe, "accum", idx),
+                inside.then_some(direct)
+            );
+            let deferred = Value::i32(200 + idx as i32);
+            let ops = cp.reg_write_ops("accum", idx, deferred);
+            assert_eq!(ops.len(), inside as usize, "accum[{idx}]: {ops:?}");
+            for op in ops {
+                assert!(fp.ctrl(&op), "{op:?}");
+                let CtrlOp::RegWrite { name, index, value } = op else {
+                    panic!("register writes only")
+                };
+                assert!(pipe.register_write(&name, index, value));
+            }
+            let read = fp.register_read("accum", idx);
+            assert_eq!(read, inside.then_some(deferred), "accum[{idx}]");
+            assert_eq!(cp.read_register(&pipe, "accum", idx), read, "accum[{idx}]");
         }
     }
 

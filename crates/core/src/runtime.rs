@@ -448,7 +448,7 @@ impl NclHost {
         self.done_when(move |inc| {
             inc.get(&out_kernel_id)
                 .and_then(|b| b.memory.arrays.get(ext_idx))
-                .and_then(|a| a.first())
+                .and_then(|a| a.try_get(0))
                 .map(|v| v.is_truthy())
                 .unwrap_or(false)
         })
@@ -1110,10 +1110,10 @@ _net_ _in_ void r(int *data, _ext_ int *hdata, _ext_ bool *done) {
         ba.compiled
             .run_incoming(&mut w, &mut ba.memory, &mut a.scratch)
             .unwrap();
-        assert_eq!(a.memory(kid).unwrap().arrays[0][0], Value::i32(41));
-        assert!(a.memory(kid).unwrap().arrays[1][0].is_truthy());
-        assert_eq!(b.memory(kid).unwrap().arrays[0][0], Value::i32(0));
-        assert!(!b.memory(kid).unwrap().arrays[1][0].is_truthy());
+        assert_eq!(a.memory(kid).unwrap().arrays[0].get(0), Value::i32(41));
+        assert!(a.memory(kid).unwrap().arrays[1].get(0).is_truthy());
+        assert_eq!(b.memory(kid).unwrap().arrays[0].get(0), Value::i32(0));
+        assert!(!b.memory(kid).unwrap().arrays[1].get(0).is_truthy());
         // Only `_in_` kernels are bindable.
         assert!(matches!(
             a.bind_incoming(&p, "k", "k", &ext),

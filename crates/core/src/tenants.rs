@@ -748,7 +748,7 @@ mod tests {
             assert!(host.done_at.is_some(), "worker {w} never completed");
             let mem = host.memory(program_kid).unwrap();
             for i in 0..16 {
-                assert_eq!(mem.arrays[0][i], Value::i32(sum), "worker {w} elem {i}");
+                assert_eq!(mem.arrays[0].get(i), Value::i32(sum), "worker {w} elem {i}");
             }
         }
     }

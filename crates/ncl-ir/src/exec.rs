@@ -33,9 +33,11 @@
 //!   CFG is acyclic and shorter than the budget provably cannot exhaust
 //!   it, and for those the counter is elided from the loop entirely.
 
-use crate::interp::{each_width, HostMemory, InterpError, Lane, RegArray, SwitchState};
+use crate::interp::{HostMemory, InterpError, SwitchState};
 use crate::ir::*;
-use c3::{BinOp, Chunk, Forward, Label, ScalarType, UnOp, Value, Window};
+use c3::{
+    each_width, BinOp, Chunk, Forward, Label, Lane, RegArray, ScalarType, UnOp, Value, Window,
+};
 
 /// Default step budget, matching [`crate::interp::Interpreter`].
 const DEFAULT_STEP_LIMIT: usize = 1_000_000;
@@ -1032,23 +1034,12 @@ impl CompiledKernel {
                     index,
                 } => {
                     let idx = index.read(regs).bits() as usize;
-                    let v = host
-                        .arrays
-                        .get(*param as usize)
-                        .and_then(|a| a.get(idx))
-                        .copied()
-                        .unwrap_or_else(|| Value::zero(*ty));
-                    regs[*dst as usize] = v;
+                    regs[*dst as usize] = host.load(*param as usize, idx, *ty);
                 }
                 Op::StHost { param, index, val } => {
                     let v = val.read(regs);
                     let idx = index.read(regs).bits() as usize;
-                    if let Some(a) = host.arrays.get_mut(*param as usize) {
-                        if let Some(slot) = a.get_mut(idx) {
-                            let ty = slot.ty();
-                            *slot = v.cast(ty);
-                        }
-                    }
+                    host.store(*param as usize, idx, v);
                 }
                 Op::FwdPass => decision = Forward::Pass,
                 Op::FwdPassTo { label } => decision = Forward::PassTo(label.clone()),
@@ -2548,8 +2539,8 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
             .run_incoming(&mut wf, &mut hf, &mut scratch)
             .unwrap();
         assert_eq!(hi.arrays, hf.arrays);
-        assert_eq!(hf.arrays[0][4], Value::i32(9));
-        assert_eq!(hf.arrays[1][0], Value::bool(true));
+        assert_eq!(hf.arrays[0].get(4), Value::i32(9));
+        assert_eq!(hf.arrays[1].get(0), Value::bool(true));
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Deterministic state hashing for schedule exploration.
+//! Deterministic hashing of what is written to disk.
 //!
-//! The ncmc bounded model checker dedups its visited set on a hash of
-//! the full composed-system state (switch registers + NCP-R sender/
-//! receiver machines + in-flight packets). That hash must be *stable* —
-//! identical across runs, platforms and exploration orders — or
-//! counterexample shrinking stops being reproducible, so `std`'s
-//! randomized `DefaultHasher` is out. This module pins the function:
-//! FNV-1a, widened to 128 bits by running two independent streams with
-//! different offset bases, which keeps accidental collisions across a
-//! few hundred thousand visited states negligible without pulling in a
-//! crypto dependency.
+//! The ncmc corpus names each committed counterexample schedule after a
+//! hash of its text, so the hash must be *stable* — identical across
+//! runs, platforms and releases — or rediscoveries stop deduplicating
+//! against committed files; `std`'s randomized `DefaultHasher` is out.
+//! This module pins the function: FNV-1a, widened to 128 bits by
+//! running two independent streams with different offset bases. (The
+//! model checker's in-memory visited-set key is a separate, word-wise
+//! hash over the state, `ncmc::System::hash`: nothing on disk carries
+//! it.)
 
 /// A 128-bit FNV-1a stream hasher with a pinned, platform-independent
 /// byte order (`write_u64` feeds little-endian bytes).

@@ -13,151 +13,8 @@
 //!   `Fwd` wins.
 
 use crate::ir::*;
-use c3::{Forward, Label, ScalarType, Value, Window};
+use c3::{Forward, Label, RegArray, ScalarType, Value, Window};
 use std::collections::HashMap;
-
-/// One lane of switch memory: the unsigned integer of a scalar width.
-/// Two's complement makes one wrapping add serve both signednesses, and
-/// the big-endian load/store folds the wire byte swap into the access.
-pub(crate) trait Lane: Copy {
-    /// Lane width in bytes.
-    const N: usize;
-    /// Truncates canonical [`Value`] bits to the lane.
-    fn from_bits(bits: u64) -> Self;
-    /// Zero-extends the lane to canonical [`Value`] bits.
-    fn bits(self) -> u64;
-    /// Loads a big-endian lane from exactly `N` window bytes.
-    fn load_be(src: &[u8]) -> Self;
-    /// Stores the lane big-endian into exactly `N` window bytes.
-    fn store_be(self, dst: &mut [u8]);
-    /// Wrapping add at the lane width.
-    fn add(self, other: Self) -> Self;
-}
-
-macro_rules! impl_lane {
-    ($($t:ty),*) => {$(
-        impl Lane for $t {
-            const N: usize = std::mem::size_of::<$t>();
-            #[inline(always)]
-            fn from_bits(bits: u64) -> Self {
-                bits as $t
-            }
-            #[inline(always)]
-            fn bits(self) -> u64 {
-                self as u64
-            }
-            #[inline(always)]
-            fn load_be(src: &[u8]) -> Self {
-                <$t>::from_be_bytes(src.try_into().expect("lane-sized slice"))
-            }
-            #[inline(always)]
-            fn store_be(self, dst: &mut [u8]) {
-                dst.copy_from_slice(&self.to_be_bytes())
-            }
-            #[inline(always)]
-            fn add(self, other: Self) -> Self {
-                self.wrapping_add(other)
-            }
-        }
-    )*};
-}
-impl_lane!(u8, u16, u32, u64);
-
-/// The packed storage behind a [`RegArray`], one variant per lane width.
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) enum Lanes {
-    W8(Vec<u8>),
-    W16(Vec<u16>),
-    W32(Vec<u32>),
-    W64(Vec<u64>),
-}
-
-/// Evaluates `$body` with `$a` bound to the typed lane vector of a
-/// [`Lanes`] (or a reference to one): the single width dispatch every
-/// accessor and executor loop goes through.
-macro_rules! each_width {
-    ($lanes:expr, $a:ident => $body:expr) => {
-        match $lanes {
-            $crate::interp::Lanes::W8($a) => $body,
-            $crate::interp::Lanes::W16($a) => $body,
-            $crate::interp::Lanes::W32($a) => $body,
-            $crate::interp::Lanes::W64($a) => $body,
-        }
-    };
-}
-pub(crate) use each_width;
-
-/// One `_net_` register array: switch memory packed at the declared
-/// element width (`bool` as one byte holding 0 or 1). A slot's type is
-/// the declaration's, not a per-slot tag: every store casts to `elem`
-/// and every load reads back an `elem`-typed [`Value`].
-#[derive(Clone, PartialEq, Debug)]
-pub struct RegArray {
-    elem: ScalarType,
-    lanes: Lanes,
-}
-
-impl RegArray {
-    /// An array of `len` zeros (one zeroed allocation, no fill) with the
-    /// explicit initializer prefix `init` cast to `elem` over it.
-    pub fn new(elem: ScalarType, len: usize, init: &[Value]) -> Self {
-        let lanes = match elem.size() {
-            1 => Lanes::W8(vec![0; len]),
-            2 => Lanes::W16(vec![0; len]),
-            4 => Lanes::W32(vec![0; len]),
-            _ => Lanes::W64(vec![0; len]),
-        };
-        let mut arr = RegArray { elem, lanes };
-        for (i, v) in init.iter().take(len).enumerate() {
-            arr.set(i, *v);
-        }
-        arr
-    }
-
-    /// The declared element type of every slot.
-    pub fn elem(&self) -> ScalarType {
-        self.elem
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        each_width!(&self.lanes, a => a.len())
-    }
-
-    /// True for an array not placed at this location.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Reads slot `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`, like slice indexing.
-    #[inline]
-    pub fn get(&self, i: usize) -> Value {
-        Value::new(self.elem, each_width!(&self.lanes, a => a[i].bits()))
-    }
-
-    /// Writes slot `i` with `v` cast to the element type.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`, like slice indexing.
-    #[inline]
-    pub fn set(&mut self, i: usize, v: Value) {
-        let bits = v.cast(self.elem).bits();
-        each_width!(&mut self.lanes, a => a[i] = Lane::from_bits(bits))
-    }
-
-    /// The typed lanes, for the executors' monomorphic loops.
-    pub(crate) fn lanes(&self) -> &Lanes {
-        &self.lanes
-    }
-
-    /// Mutable typed lanes. Writers keep `bool` slots at 0 or 1.
-    pub(crate) fn lanes_mut(&mut self) -> &mut Lanes {
-        &mut self.lanes
-    }
-}
 
 /// Runtime switch state for one device: register arrays, control
 /// variables, map contents, and the device's identity. The `Default`
@@ -232,21 +89,40 @@ impl SwitchState {
 }
 
 /// Host-side memory backing the `_ext_` parameters of an incoming
-/// kernel: one typed array per `_ext_` parameter.
+/// kernel: one packed array per `_ext_` parameter.
 #[derive(Clone, Debug, Default)]
 pub struct HostMemory {
     /// One array per `_ext_` parameter, in parameter order.
-    pub arrays: Vec<Vec<Value>>,
+    pub arrays: Vec<RegArray>,
 }
 
 impl HostMemory {
-    /// Allocates arrays sized per `_ext_` parameter.
+    /// Allocates zeroed arrays sized per `_ext_` parameter.
     pub fn new(sizes: &[(ScalarType, usize)]) -> Self {
         HostMemory {
             arrays: sizes
                 .iter()
-                .map(|&(ty, n)| vec![Value::zero(ty); n])
+                .map(|&(ty, n)| RegArray::new(ty, n, &[]))
                 .collect(),
+        }
+    }
+
+    /// Reads element `idx` of `_ext_` array `param`; out of range (or no
+    /// such array) reads a zero of `ty`.
+    #[inline]
+    pub fn load(&self, param: usize, idx: usize, ty: ScalarType) -> Value {
+        self.arrays
+            .get(param)
+            .and_then(|a| a.try_get(idx))
+            .unwrap_or_else(|| Value::zero(ty))
+    }
+
+    /// Writes element `idx` of `_ext_` array `param` at the array's type;
+    /// out of range the write is dropped.
+    #[inline]
+    pub fn store(&mut self, param: usize, idx: usize, v: Value) {
+        if let Some(a) = self.arrays.get_mut(param) {
+            a.try_set(idx, v);
         }
     }
 }
@@ -498,23 +374,12 @@ impl Interpreter {
                     .copied()
                     .unwrap_or(ScalarType::I32);
                 let idx = operand(index, regs).bits() as usize;
-                let v = host
-                    .arrays
-                    .get(*param as usize)
-                    .and_then(|a| a.get(idx))
-                    .copied()
-                    .unwrap_or_else(|| Value::zero(ty));
-                regs[dst.0 as usize] = v;
+                regs[dst.0 as usize] = host.load(*param as usize, idx, ty);
             }
             Inst::StHost { param, index, val } => {
                 let v = operand(val, regs);
                 let idx = operand(index, regs).bits() as usize;
-                if let Some(a) = host.arrays.get_mut(*param as usize) {
-                    if let Some(slot) = a.get_mut(idx) {
-                        let ty = slot.ty();
-                        *slot = v.cast(ty);
-                    }
-                }
+                host.store(*param as usize, idx, v);
             }
             Inst::Fwd { kind, label } => {
                 *decision = match kind {
@@ -746,10 +611,10 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         w.seq = 1;
         w.last = true;
         it.run_incoming(k, &mut w, &mut host).unwrap();
-        assert_eq!(host.arrays[0][4], Value::i32(9));
-        assert_eq!(host.arrays[0][7], Value::i32(6));
-        assert_eq!(host.arrays[1][0], Value::bool(true));
-        assert_eq!(host.arrays[0][0], Value::i32(0));
+        assert_eq!(host.arrays[0].get(4), Value::i32(9));
+        assert_eq!(host.arrays[0].get(7), Value::i32(6));
+        assert_eq!(host.arrays[1].get(0), Value::bool(true));
+        assert_eq!(host.arrays[0].get(0), Value::i32(0));
     }
 
     /// Switch memory costs the declared width, not a tagged `Value`, and
@@ -774,7 +639,7 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         let started = std::time::Instant::now();
         let st = SwitchState::from_module(&module);
         let took = started.elapsed();
-        let Lanes::W32(lanes) = st.registers[0].lanes() else {
+        let c3::Lanes::W32(lanes) = st.registers[0].lanes() else {
             panic!("int slots are u32 lanes")
         };
         assert_eq!(std::mem::size_of_val(&lanes[..]), 4 * SLOTS);
@@ -782,13 +647,6 @@ _net_ _in_ void recv(int *data, _ext_ int *hdata, _ext_ bool *done) {
         assert_eq!(st.registers[0].get(0), Value::i32(7));
         assert_eq!(st.registers[0].get(SLOTS - 1), Value::i32(0));
         assert!(took.as_millis() < 50, "from_module took {took:?}");
-        for ty in ScalarType::ALL {
-            let arr = RegArray::new(ty, 3, &[Value::u64(u64::MAX)]);
-            let bytes = each_width!(arr.lanes(), a => std::mem::size_of_val(&a[..]));
-            assert_eq!(bytes, 3 * ty.size(), "{ty}");
-            assert_eq!(arr.get(0), Value::u64(u64::MAX).cast(ty), "{ty}");
-            assert_eq!(arr.get(2), Value::zero(ty), "{ty}");
-        }
     }
 
     #[test]

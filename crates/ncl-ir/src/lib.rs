@@ -43,8 +43,9 @@ pub mod ncvec;
 pub mod passes;
 pub mod version;
 
+pub use c3::RegArray;
 pub use exec::{CompiledKernel, ExecScratch};
-pub use interp::{HostMemory, Interpreter, RegArray, SwitchState};
+pub use interp::{HostMemory, Interpreter, SwitchState};
 pub use ir::{
     ArrId, BlockId, CtrlId, Inst, KernelIr, MapId, MetaField, Module, Operand, RegId, Terminator,
 };

@@ -5,7 +5,7 @@
 //! ([`crate::exec`]'s `VecAccum` / `VecRegToWin` / `VecWinToReg`), this
 //! module executes the run's lane-packable body as one
 //! width-monomorphic loop between the raw big-endian window bytes and
-//! the packed register lanes ([`crate::interp::RegArray`]) — `u8x32` /
+//! the packed register lanes ([`c3::RegArray`]) — `u8x32` /
 //! `u16x16` / `u32x8` / `u64x4` per ymm — instead of the per-element
 //! slot/bounds machinery of the scalar loops.
 //!
@@ -51,8 +51,7 @@
 use crate::exec::{
     lane_typed, vec_accum_scalar, vec_reg_to_win_scalar, vec_win_to_reg_scalar, VecOp,
 };
-use crate::interp::{each_width, Lane, RegArray};
-use c3::Chunk;
+use c3::{each_width, Chunk, Lane, RegArray};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 

@@ -40,8 +40,8 @@ pub enum LaneDecision {
     },
 }
 
-/// Result of lane splitting: per original array name, the decision and
-/// the new bank names.
+/// Result of lane splitting: per original array name, the decision, the
+/// new bank names and the source length.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LaneMap {
     /// `(original array name, decision)`, in register declaration order
@@ -49,6 +49,10 @@ pub struct LaneMap {
     pub decisions: Vec<(String, LaneDecision)>,
     /// Original array name → bank names (single entry when unsplit).
     pub banks: HashMap<String, Vec<String>>,
+    /// Original array name → its element count. A split array's banks
+    /// hold `lanes * slot_len` slots, which can be more: the last slot
+    /// of some banks is padding no source element owns.
+    pub lens: HashMap<String, usize>,
 }
 
 impl LaneMap {
@@ -59,6 +63,7 @@ impl LaneMap {
         for r in &module.registers {
             map.decisions.push((r.name.clone(), LaneDecision::Single));
             map.banks.insert(r.name.clone(), vec![r.name.clone()]);
+            map.lens.insert(r.name.clone(), r.len());
         }
         map
     }
@@ -143,6 +148,7 @@ pub fn split_lanes(module: &mut Module) -> LaneMap {
             }
         }
         map.decisions.push((decl.name.clone(), decision.clone()));
+        map.lens.insert(decl.name.clone(), decl.len());
         remap.insert(old_idx as u32, (first, decision));
     }
 

@@ -67,6 +67,9 @@ pub struct CompiledSwitch {
     /// Source array name → physical lane-bank names (single entry when
     /// the array was not lane-split).
     pub lane_banks: HashMap<String, Vec<String>>,
+    /// Source array name → element count of the source array, the bound
+    /// on a control-plane index before the lane decomposition.
+    pub array_lens: HashMap<String, usize>,
 }
 
 /// Compile-time failure.
@@ -191,5 +194,6 @@ pub fn compile_staged(
         map_tables: compiled.map_tables,
         ctrl_regs: compiled.ctrl_regs,
         lane_banks: staged.lane_map.banks,
+        array_lens: staged.lane_map.lens,
     })
 }

@@ -17,7 +17,9 @@
 //!   under the budget, responses to different hosts); the rest — two
 //!   pipeline steps, a response delivery against a tick, two responses
 //!   to one host — are probed by executing both orders and comparing
-//!   the two states with `==`. Sleep sets carry already-explored
+//!   the two states with `==`; a probe takes the successors the search
+//!   has already built from the parent state instead of executing them
+//!   again. Sleep sets carry already-explored
 //!   steps into sibling branches so commuting permutations are explored
 //!   once. Soundness note: a visited entry records the sleep set it was
 //!   explored under, and a revisit is only pruned when some recorded
@@ -30,6 +32,7 @@
 
 use crate::schedule::{Schedule, Step};
 use crate::system::{Domain, SysState, System};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// How aggressively exploration prunes.
@@ -112,9 +115,11 @@ pub struct Stats {
     pub sleep_skips: u64,
     /// Steps executed to probe commutation (DPOR only). Only the pairs
     /// the step kinds leave open are probed, which cut this count about
-    /// sevenfold on the shipped apps; every such probe executes — nothing
-    /// remembers an answer — so this is the search's cost beside
-    /// `edges`, not part of what was explored.
+    /// sevenfold on the shipped apps, and a probe executes only the
+    /// successors the search has not already built from the same parent
+    /// (the two crossed steps, plus the first step of a pair inherited
+    /// through the sleep set). Nothing remembers an answer, so this is
+    /// the search's cost beside `edges`, not part of what was explored.
     pub probe_execs: u64,
 }
 
@@ -254,7 +259,9 @@ impl Explorer<'_> {
             shuffle(&mut order, salt);
         }
         let dpor = self.opts.reduction == Reduction::Dpor;
-        let mut done_steps: Vec<Step> = Vec::new();
+        // Each explored step beside its successor, for the probes of the
+        // later siblings.
+        let mut done: Vec<(Step, SysState)> = Vec::new();
         for &a in &order {
             if self.done() {
                 return;
@@ -269,8 +276,13 @@ impl Explorer<'_> {
             if dpor {
                 // Slept steps are skipped above, so the two halves of
                 // the chain are disjoint and sorting is all it takes.
-                for x in sleep.iter().chain(&done_steps).copied() {
-                    if x != a && enabled.binary_search(&x).is_ok() && self.independent(st, x, a) {
+                let slept = sleep.iter().map(|&x| (x, None));
+                let explored = done.iter().map(|(x, sx)| (*x, Some(sx)));
+                for (x, sx) in slept.chain(explored) {
+                    if x != a
+                        && enabled.binary_search(&x).is_ok()
+                        && self.independent(st, (x, sx), (a, &next))
+                    {
                         child_sleep.push(x);
                     }
                 }
@@ -280,23 +292,30 @@ impl Explorer<'_> {
                 let h = self.sys.hash(&next);
                 if !admit(self.visited.entry(h).or_default(), &child_sleep) {
                     self.stats.dedup_hits += 1;
-                    done_steps.push(a);
+                    done.push((a, next));
                     continue;
                 }
             }
             path.push(a);
             self.dfs(&next, &child_sleep, path);
             path.pop();
-            done_steps.push(a);
+            done.push((a, next));
         }
     }
 
     /// Whether `x` and `y` commute at `st`: [`System::commutes`] where
-    /// the step kinds decide it, else the [`probe`], executed afresh (a
-    /// memo keyed on the full-state hash saved 3–4% of the executions
-    /// and outweighed `visited`). Debug builds probe every rule answer
-    /// too, without counting it.
-    fn independent(&mut self, st: &SysState, x: Step, y: Step) -> bool {
+    /// the step kinds decide it, else the [`probe`] over the successors
+    /// already built (`y`'s always is; `x`'s when it was explored here
+    /// rather than inherited through the sleep set). No answer is
+    /// remembered: a memo keyed on the full-state hash saved 3–4% of the
+    /// executions and outweighed `visited`. Debug builds probe every
+    /// rule answer afresh too, without counting it.
+    fn independent(
+        &mut self,
+        st: &SysState,
+        (x, sx): (Step, Option<&SysState>),
+        (y, sy): (Step, &SysState),
+    ) -> bool {
         if let Some(rule) = self.sys.commutes(st, x, y) {
             debug_assert_eq!(
                 rule,
@@ -305,7 +324,7 @@ impl Explorer<'_> {
             );
             return rule;
         }
-        let (independent, execs) = probe(self.sys, st, self.domain, x, y);
+        let (independent, execs) = probe_from(self.sys, st, self.domain, (x, sx), (y, Some(sy)));
         self.stats.probe_execs += execs;
         independent
     }
@@ -315,15 +334,53 @@ impl Explorer<'_> {
 /// executable at `st` and land in the identical state, with the number
 /// of steps it took to find out.
 fn probe(sys: &mut System, st: &SysState, domain: Domain, x: Step, y: Step) -> (bool, u64) {
-    let sx = sys.exec(st, x);
+    probe_from(sys, st, domain, (x, None), (y, None))
+}
+
+/// [`probe`], given `exec(st, x)` and `exec(st, y)` where the caller
+/// already has them; only the steps it executes are counted.
+fn probe_from(
+    sys: &mut System,
+    st: &SysState,
+    domain: Domain,
+    (x, sx): (Step, Option<&SysState>),
+    (y, sy): (Step, Option<&SysState>),
+) -> (bool, u64) {
+    let mut execs = 0;
+    let sx = successor(sys, st, x, sx, &mut execs);
     if !sys.enabled(&sx, domain).contains(&y) {
-        return (false, 1);
+        return (false, execs);
     }
-    let sy = sys.exec(st, y);
+    let sy = successor(sys, st, y, sy, &mut execs);
     if !sys.enabled(&sy, domain).contains(&x) {
-        return (false, 2);
+        return (false, execs);
     }
-    (sys.exec(&sx, y) == sys.exec(&sy, x), 4)
+    (sys.exec(&sx, y) == sys.exec(&sy, x), execs + 2)
+}
+
+/// `exec(st, step)`: the `cached` successor when there is one, else
+/// executed and counted in `execs`. Reuse is sound because `exec` is
+/// deterministic, which debug builds check on every reuse.
+fn successor<'a>(
+    sys: &mut System,
+    st: &SysState,
+    step: Step,
+    cached: Option<&'a SysState>,
+    execs: &mut u64,
+) -> Cow<'a, SysState> {
+    match cached {
+        Some(s) => {
+            debug_assert!(
+                *s == sys.exec(st, step),
+                "the successor cached for {step:?} differs from a fresh exec"
+            );
+            Cow::Borrowed(s)
+        }
+        None => {
+            *execs += 1;
+            Cow::Owned(sys.exec(st, step))
+        }
+    }
 }
 
 /// Whether sorted `a` ⊆ sorted `b`, in one merge walk.

@@ -11,8 +11,9 @@
 //!
 //! ## State model
 //!
-//! * **Switch**: a [`pisa::Pipeline`]; its persistent registers are
-//!   checkpointed with [`pisa::Pipeline::snapshot`]. At most one packet
+//! * **Switch**: a [`pisa::Pipeline`]; each state holds its own
+//!   register file, swapped into the pipeline for the length of a
+//!   pipeline step ([`pisa::Pipeline::swap_registers`]). At most one packet
 //!   may be suspended mid-pipeline ([`Step::Split`]) at a time — stages
 //!   stay atomic, matching the RMT guarantee.
 //! * **Hosts**: one [`ncp::Sender`] per distinct sending host and one
@@ -33,10 +34,10 @@
 //! and runs the receiver's admit (dedup) path.
 
 use crate::schedule::{Schedule, Step};
-use ncl_ir::hash::StableHasher;
+use c3::RegArray;
 use ncp::reliable::Time;
 use ncp::{Receiver, ReceiverState, ReliableConfig, Sender, SenderState};
-use pisa::{PartialPacket, Pipeline, PipelineSnapshot};
+use pisa::{PartialPacket, Pipeline};
 
 /// One application window the scenario injects: the packet bytes plus
 /// the transport identity NCP-R tracks it under.
@@ -158,8 +159,8 @@ pub struct Suspended {
 /// branch point.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SysState {
-    /// Switch register state.
-    pub regs: PipelineSnapshot,
+    /// Switch register state, one array per pipeline register array.
+    pub regs: Vec<RegArray>,
     /// Per-host sender protocol state (one slot per scenario host).
     pub senders: Vec<SenderState>,
     /// Per-host receiver dedup state (one slot per scenario host).
@@ -190,8 +191,8 @@ pub struct SysState {
 
 /// The composed system: pipeline + scenario + scratch protocol
 /// machines. The pipeline and the scratch sender/receivers are working
-/// storage — all semantic state lives in [`SysState`] and is restored
-/// into whichever of them a step runs on.
+/// storage — all semantic state lives in [`SysState`] and is swapped or
+/// restored into whichever of them a step runs on.
 pub struct System {
     pipeline: Pipeline,
     windows: Vec<WindowDef>,
@@ -201,7 +202,7 @@ pub struct System {
     scratch_senders: Vec<Sender>,
     scratch_receivers: Vec<Receiver>,
     bounds: Bounds,
-    init_regs: PipelineSnapshot,
+    init_regs: Vec<RegArray>,
     /// Register arrays included in the observable state (application
     /// arrays; synthetic `__nclr_*` replay-filter arrays excluded).
     obs_regs: Vec<usize>,
@@ -244,7 +245,7 @@ impl System {
             .filter(|(_, r)| !r.name.starts_with("__nclr_"))
             .map(|(i, _)| i)
             .collect();
-        let init_regs = pipeline.snapshot();
+        let init_regs = pipeline.registers().to_vec();
         let stage_count = pipeline.stage_count();
         System {
             pipeline,
@@ -423,20 +424,19 @@ impl System {
     /// If the step is not enabled in `st`: steps must come from
     /// [`System::enabled`]. A schedule read from a file is checked step
     /// by step in [`crate::replay_violates`] instead.
-    pub fn exec(&mut self, st: &SysState, step: Step) -> SysState {
-        let mut st = st.clone();
-        // Only the three pipeline steps load the registers into the
-        // pipeline and store them back; the rest keep the cloned ones.
+    pub fn exec(&mut self, before: &SysState, step: Step) -> SysState {
+        let mut st = before.clone();
+        // Only the three pipeline steps swap the cloned registers into
+        // the pipeline and back out; the rest leave them alone.
         match step {
             Step::Deliver(id) => {
                 let copy = self.take_copy(&mut st, id);
-                self.pipeline.restore(&st.regs);
-                let fwd = {
-                    let begun = self.pipeline.begin(&self.windows[copy.win].packet);
-                    begun.map(|p| self.pipeline.finish(p))
-                };
+                let packet = &self.windows[copy.win].packet;
+                let fwd = on_pipeline(&mut self.pipeline, &mut st.regs, |pipe| {
+                    pipe.begin(packet).map(|p| pipe.finish(p))
+                });
                 st.execs[copy.win] += 1;
-                self.store_regs(&mut st);
+                self.note_regression(before, &mut st);
                 if let Some(out) = fwd {
                     self.route(&mut st, copy.win, out.fwd_code);
                 }
@@ -444,23 +444,26 @@ impl System {
             Step::Split(id, stage) => {
                 let copy = self.take_copy(&mut st, id);
                 assert!(st.suspended.is_none(), "split while a packet is suspended");
-                self.pipeline.restore(&st.regs);
-                if let Some(mut p) = self.pipeline.begin(&self.windows[copy.win].packet) {
-                    self.pipeline.advance(&mut p, stage as usize);
-                    st.suspended = Some(Suspended { copy, packet: p });
-                }
+                let packet = &self.windows[copy.win].packet;
+                let begun = on_pipeline(&mut self.pipeline, &mut st.regs, |pipe| {
+                    let mut p = pipe.begin(packet)?;
+                    pipe.advance(&mut p, stage as usize);
+                    Some(p)
+                });
+                st.suspended = begun.map(|packet| Suspended { copy, packet });
                 st.execs[copy.win] += 1;
                 st.splits_used += 1;
-                self.store_regs(&mut st);
+                self.note_regression(before, &mut st);
             }
             Step::Resume => {
                 let s = st
                     .suspended
                     .take()
                     .expect("resume without suspended packet");
-                self.pipeline.restore(&st.regs);
-                let out = self.pipeline.finish(s.packet);
-                self.store_regs(&mut st);
+                let out = on_pipeline(&mut self.pipeline, &mut st.regs, |pipe| {
+                    pipe.finish(s.packet)
+                });
+                self.note_regression(before, &mut st);
                 self.route(&mut st, s.copy.win, out.fwd_code);
             }
             Step::DeliverResp(id) => {
@@ -560,17 +563,14 @@ impl System {
         }
     }
 
-    /// Ends a pipeline step: `st` takes the pipeline's registers, and
-    /// is flagged if the step strictly decreased a watched cell (read
-    /// in place from the registers `st` held going in).
-    fn store_regs(&self, st: &mut SysState) {
-        let after = self.pipeline.snapshot();
+    /// Ends a pipeline step: `after` is flagged if the step strictly
+    /// decreased a watched cell of the registers `before` held.
+    fn note_regression(&self, before: &SysState, after: &mut SysState) {
         let fell = |&i: &usize| {
-            let (was, now) = (&st.regs.registers()[i], &after.registers()[i]);
-            was.iter().zip(now).any(|(b, a)| a.bits() < b.bits())
+            let (was, now) = (&before.regs[i], &after.regs[i]);
+            was.iter().zip(now.iter()).any(|(b, a)| a.bits() < b.bits())
         };
-        st.regressed = st.regressed || self.watch_regs.iter().any(fell);
-        st.regs = after;
+        after.regressed = after.regressed || self.watch_regs.iter().any(fell);
     }
 
     /// The observable (application-visible) switch state: every cell of
@@ -579,88 +579,73 @@ impl System {
     pub fn observe(&self, st: &SysState) -> Vec<u64> {
         self.obs_regs
             .iter()
-            .flat_map(|&i| st.regs.registers()[i].iter().map(|v| v.bits()))
+            .flat_map(|&i| st.regs[i].iter().map(|v| v.bits()))
             .collect()
     }
 
     /// Stable 128-bit hash of the *full* system state (switch registers
     /// including synthetic arrays, protocol machines, network contents,
-    /// clock, budgets). Two states with equal hashes are treated as
-    /// identical by the explorer's visited set (the DPOR commutation
+    /// clock, budgets), one `WordHasher` word per field and eight
+    /// register bytes per word. Two states with equal hashes are treated
+    /// as identical by the explorer's visited set (the DPOR commutation
     /// probe compares states with `==`).
     pub fn hash(&self, st: &SysState) -> u128 {
-        let mut h = StableHasher::new();
-        for arr in st.regs.registers() {
-            h.write_u64(arr.len() as u64);
-            for v in arr {
-                h.write_u8(v.ty() as u8);
-                h.write_u64(v.bits());
-            }
+        let mut h = WordHasher::new();
+        for arr in &st.regs {
+            arr.digest(|w| h.word(w));
         }
         for s in &st.senders {
-            h.write_u64(s.cwnd as u64);
-            h.write_u64(s.acks_since_grow as u64);
-            h.write_u64(s.last_now);
-            h.write_u64(s.flight.len() as u64);
+            h.word(s.cwnd as u64);
+            h.word(s.acks_since_grow as u64);
+            h.word(s.last_now);
+            h.word(s.flight.len() as u64);
             for &(k, q, d, r, n) in &s.flight {
-                h.write_u32(k as u32);
-                h.write_u32(q);
-                h.write_u64(d);
-                h.write_u64(r);
-                h.write_u32(n);
+                h.words([k as u64, q as u64, d, r, n as u64]);
             }
-            h.write_u64(s.queue.len() as u64);
+            h.word(s.queue.len() as u64);
             for &(k, q) in &s.queue {
-                h.write_u32(k as u32);
-                h.write_u32(q);
+                h.words([k as u64, q as u64]);
             }
         }
         for r in &st.receivers {
-            h.write_u64(r.entries.len() as u64);
+            h.word(r.entries.len() as u64);
             for (s, k, floor, above) in &r.entries {
-                h.write_u32(*s as u32);
-                h.write_u32(*k as u32);
-                h.write_u32(*floor);
-                h.write_u64(above.len() as u64);
+                h.words([*s as u64, *k as u64, *floor as u64, above.len() as u64]);
                 for &o in above {
-                    h.write_u32(o);
+                    h.word(o as u64);
                 }
             }
         }
-        h.write_u64(st.clock);
-        h.write_u64(st.net.len() as u64);
+        h.word(st.clock);
+        h.word(st.net.len() as u64);
         for c in &st.net {
-            h.write_u32(c.id);
-            h.write_u64(c.win as u64);
+            h.words([c.id as u64, c.win as u64]);
         }
-        h.write_u64(st.resps.len() as u64);
+        h.word(st.resps.len() as u64);
         for r in &st.resps {
-            h.write_u32(r.id);
-            h.write_u64(r.win as u64);
-            h.write_u32(r.host as u32);
+            h.words([r.id as u64, r.win as u64, r.host as u64]);
         }
         match &st.suspended {
-            None => h.write_u8(0),
+            None => h.word(0),
             Some(s) => {
-                h.write_u8(1);
-                h.write_u32(s.copy.id);
-                h.write_u64(s.copy.win as u64);
-                h.write_u64(s.packet.next_stage() as u64);
+                let (id, win) = (s.copy.id as u64, s.copy.win as u64);
+                h.words([1, id, win, s.packet.next_stage() as u64]);
                 let phv = s.packet.phv();
                 for i in 0..phv.len() {
-                    h.write_u64(phv.get(pisa::FieldId(i as u16)).bits());
+                    h.word(phv.get(pisa::FieldId(i as u16)).bits());
                 }
             }
         }
-        h.write_u32(st.next_copy);
-        h.write_u32(st.next_resp);
+        h.words([st.next_copy as u64, st.next_resp as u64]);
         for &e in &st.execs {
-            h.write_u32(e);
+            h.word(e as u64);
         }
-        h.write_u32(st.splits_used);
-        h.write_u32(st.drops_used);
-        h.write_u8(st.regressed as u8);
-        h.finish128()
+        h.words([
+            st.splits_used as u64,
+            st.drops_used as u64,
+            st.regressed as u64,
+        ]);
+        h.finish()
     }
 
     /// The observable states reachable by loss-free, duplication-free,
@@ -683,6 +668,68 @@ impl System {
     }
 }
 
+/// Runs `f` on `pipe` with `regs` swapped in as its register file, and
+/// swaps the file back out into `regs` afterwards.
+fn on_pipeline<R>(
+    pipe: &mut Pipeline,
+    regs: &mut Vec<RegArray>,
+    f: impl FnOnce(&mut Pipeline) -> R,
+) -> R {
+    assert!(
+        pipe.swap_registers(regs),
+        "register state from another pipeline"
+    );
+    let out = f(pipe);
+    assert!(
+        pipe.swap_registers(regs),
+        "the pipeline's register shape is fixed"
+    );
+    out
+}
+
+/// The visited-set key's hasher: two 64-bit streams, each fed one word
+/// per state field. A word is xored in, then multiplied by an odd
+/// constant and rotated, so the rotate brings the high bits a multiply
+/// produces back down for the next one to spread. Every step is a
+/// bijection of a stream's state, so two inputs of one shape that
+/// differ in a single word never collide. `ncl_ir::hash::StableHasher`
+/// (byte-wise FNV) stays the hash of what is written to disk.
+struct WordHasher {
+    lo: u64,
+    hi: u64,
+}
+
+impl WordHasher {
+    fn new() -> Self {
+        // Digits of pi: any fixed, unequal bases would do.
+        WordHasher {
+            lo: 0x243f_6a88_85a3_08d3,
+            hi: 0x1319_8a2e_0370_7344,
+        }
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.lo = (self.lo ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+        self.hi = (self.hi ^ w)
+            .wrapping_mul(0xc2b2_ae3d_27d4_eb4f)
+            .rotate_left(37);
+    }
+
+    #[inline]
+    fn words<const N: usize>(&mut self, ws: [u64; N]) {
+        for w in ws {
+            self.word(w);
+        }
+    }
+
+    fn finish(&self) -> u128 {
+        (self.hi as u128) << 64 | self.lo as u128
+    }
+}
+
 fn permute(xs: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
     if k == xs.len() {
         visit(xs);
@@ -692,5 +739,57 @@ fn permute(xs: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
         xs.swap(k, i);
         permute(xs, k + 1, visit);
         xs.swap(k, i);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{system, KernelShape};
+    use c3::Value;
+
+    /// Golden values: the visited set and the shrinking BFS key on this
+    /// function, so a change here must be deliberate.
+    #[test]
+    fn word_hasher_is_pinned() {
+        let hash = |ws: &[u64]| {
+            let mut h = WordHasher::new();
+            ws.iter().for_each(|&w| h.word(w));
+            h.finish()
+        };
+        assert_eq!(hash(&[]), 0x1319_8a2e_0370_7344_243f_6a88_85a3_08d3);
+        assert_eq!(hash(&[0]), 0x3a5f_bf96_98d1_67c3_4514_7da9_fefc_4f7d);
+        assert_eq!(
+            hash(&[1, 1 << 63]),
+            0xf783_231b_4a93_e71b_b287_d9b7_ce75_d64d
+        );
+    }
+
+    /// States one field apart hash apart, whichever field it is and
+    /// wherever the difference sits in the field's word.
+    #[test]
+    fn states_one_word_apart_hash_apart() {
+        let mut sys = system(KernelShape::Accumulate, &[10, 20]);
+        let base = sys.initial();
+        assert!(!base.senders[0].flight.is_empty());
+        let variants: [fn(&mut SysState); 6] = [
+            |st| st.regs[1].set(0, Value::u32(1)),
+            |st| st.senders[0].flight[0].2 += 1,
+            |st| st.net[1].id += 1,
+            |st| st.clock ^= 1,
+            |st| st.clock ^= 1 << 63,
+            |st| st.clock ^= 1 << 32,
+        ];
+        let mut hashes = vec![sys.hash(&base)];
+        for change in variants {
+            let mut st = base.clone();
+            change(&mut st);
+            hashes.push(sys.hash(&st));
+        }
+        for (i, h) in hashes.iter().enumerate() {
+            for (j, other) in hashes.iter().enumerate().skip(i + 1) {
+                assert_ne!(h, other, "variants {i} and {j} collide");
+            }
+        }
     }
 }

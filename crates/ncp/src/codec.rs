@@ -373,8 +373,11 @@ struct FragKey {
 /// Feed every received packet to [`Reassembler::push`]; complete windows
 /// pop out. Fragments may arrive in any order and duplicates are
 /// tolerated; a window completes once the first fragment (chunk start
-/// offsets), the final fragment (chunk end offsets), and a gap-free byte
-/// coverage in between have all been seen.
+/// offsets), the final fragment (chunk end offsets), and as many bytes
+/// as lie in between have all been seen. A completed window whose
+/// pieces overlap or stray outside its chunk bounds (or whose chunk ends
+/// before it starts) is refused with [`WireError::Inconsistent`] and
+/// dropped.
 ///
 /// Memory is bounded: at most [`DEFAULT_MAX_PENDING`] windows (override
 /// with [`Reassembler::with_max_pending`]) are held mid-reassembly;
@@ -418,29 +421,59 @@ struct Partial {
 }
 
 impl Partial {
-    fn complete(&self) -> bool {
-        for c in 0..self.pieces.len() {
-            let (Some(start), Some(end)) = (self.starts[c], self.ends[c]) else {
-                return false;
-            };
-            let received: usize = self.pieces[c].iter().map(|(_, d)| d.len()).sum();
-            if received != (end - start) as usize {
-                return false;
-            }
-        }
-        true
+    /// Chunk `c`'s `(start, end)` once both fragments carrying them have
+    /// arrived.
+    fn bounds(&self, c: usize) -> Option<(u32, u32)> {
+        Some((self.starts[c]?, self.ends[c]?))
     }
 
-    /// Builds the final window, returning every piece buffer to `pool`.
-    fn assemble(mut self, pool: &mut BufferPool) -> Window {
+    /// Whether every chunk's bounds are known and at least as many bytes
+    /// arrived as lie between them. More than that is malformed, and
+    /// [`Partial::assemble`] refuses it.
+    fn complete(&self) -> bool {
+        (0..self.pieces.len()).all(|c| {
+            self.bounds(c).is_some_and(|(start, end)| {
+                let received: usize = self.pieces[c].iter().map(|(_, d)| d.len()).sum();
+                received >= end.saturating_sub(start) as usize
+            })
+        })
+    }
+
+    /// Whether every chunk's (offset-sorted) pieces tile `[start, end)`
+    /// without overlapping or straying outside it; with
+    /// [`Partial::complete`], that leaves no gap either.
+    fn consistent(&self) -> bool {
+        self.pieces.iter().enumerate().all(|(c, pieces)| {
+            let Some((start, end)) = self.bounds(c) else {
+                return false;
+            };
+            let mut next = start as u64;
+            start <= end
+                && pieces.iter().all(|(off, piece)| {
+                    let (lo, hi) = (*off as u64, *off as u64 + piece.len() as u64);
+                    let fits = lo >= next && hi <= end as u64;
+                    next = hi;
+                    fits
+                })
+        })
+    }
+
+    /// Builds the final window, returning every piece buffer to `pool`;
+    /// an inconsistent one (see [`Partial::consistent`]) is dropped.
+    fn assemble(mut self, pool: &mut BufferPool) -> Result<Window, WireError> {
+        for pieces in &mut self.pieces {
+            pieces.sort_by_key(|(o, _)| *o);
+        }
+        if !self.consistent() {
+            self.recycle(pool);
+            return Err(WireError::Inconsistent);
+        }
         let mut chunks = Vec::with_capacity(self.pieces.len());
-        for (c, mut pieces) in self.pieces.drain(..).enumerate() {
-            let start = self.starts[c].expect("complete");
-            let end = self.ends[c].expect("complete");
+        for (c, pieces) in std::mem::take(&mut self.pieces).into_iter().enumerate() {
+            let (start, end) = self.bounds(c).expect("consistent");
             let len = (end - start) as usize;
             let mut data = aligned_vec(len);
             data.resize(len, 0);
-            pieces.sort_by_key(|(o, _)| *o);
             for (off, piece) in pieces {
                 let rel = (off - start) as usize;
                 data[rel..rel + piece.len()].copy_from_slice(&piece);
@@ -451,10 +484,10 @@ impl Partial {
                 data,
             });
         }
-        Window {
+        Ok(Window {
             chunks,
             ..self.meta
-        }
+        })
     }
 
     /// Returns every piece buffer to `pool` without assembling.
@@ -486,7 +519,9 @@ impl Reassembler {
     }
 
     /// Ingests one packet. Returns a completed window if this packet
-    /// finished one (or was an unfragmented window).
+    /// finished one (or was an unfragmented window), and
+    /// [`WireError::Inconsistent`] if it finished one whose fragments
+    /// contradict each other (the partial window is dropped).
     pub fn push(&mut self, bytes: &[u8]) -> Result<Option<Window>, WireError> {
         let p = NcpPacket::new_checked(bytes)?;
         let flags = p.flags();
@@ -531,7 +566,10 @@ impl Reassembler {
                 entry.starts[c] = Some(offset);
             }
             if final_frag {
-                entry.ends[c] = Some(offset + len as u32);
+                let Some(end) = offset.checked_add(len as u32) else {
+                    return Err(self.refuse(key));
+                };
+                entry.ends[c] = Some(end);
             }
             if len > 0 && !entry.pieces[c].iter().any(|(o, _)| *o == offset) {
                 // Copy the payload straight out of the packet into a
@@ -543,9 +581,17 @@ impl Reassembler {
         }
         if entry.complete() {
             let done = self.partial.remove(&key).expect("entry exists");
-            return Ok(Some(done.assemble(&mut self.pool)));
+            return done.assemble(&mut self.pool).map(Some);
         }
         Ok(None)
+    }
+
+    /// Drops the partial window `key` as malformed, recycling its buffers.
+    fn refuse(&mut self, key: FragKey) -> WireError {
+        if let Some(p) = self.partial.remove(&key) {
+            p.recycle(&mut self.pool);
+        }
+        WireError::Inconsistent
     }
 
     /// Evicts the partial window that has gone longest without progress.

@@ -359,6 +359,42 @@ mod tests {
         assert_eq!(partials, sent - 1);
     }
 
+    /// Fragments that complete a window with a piece outside its bounds
+    /// (start 100, end 110, a piece at 50) surface as one malformed
+    /// datagram, not a panic in the receive loop.
+    #[test]
+    fn contradictory_fragments_count_as_malformed() {
+        use crate::wire::{NcpRepr, FLAG_FIRST_FRAG, FLAG_FRAGMENT, FLAG_MORE_FRAGS};
+        let (a, mut b) = loopback_pair();
+        let b_addr = b.local_addr().unwrap();
+        b.set_timeout(Some(Duration::from_millis(200))).unwrap();
+        let fragment = |flags: u8, offset: u32, len: u16| {
+            let repr = NcpRepr {
+                flags: FLAG_FRAGMENT | flags,
+                kernel: 1,
+                seq: 0,
+                sender: 1,
+                from: 1,
+                chunks: vec![(offset, len)],
+                ext: vec![],
+            };
+            let mut buf = vec![0; repr.buffer_len()];
+            repr.emit(&mut buf);
+            buf
+        };
+        let src = a.local_addr().unwrap();
+        for (flags, offset, len) in [
+            (FLAG_FIRST_FRAG | FLAG_MORE_FRAGS, 100, 0),
+            (FLAG_MORE_FRAGS, 50, 5),
+        ] {
+            a.send_raw(b_addr, &fragment(flags, offset, len)).unwrap();
+            assert_eq!(b.poll_event().unwrap(), RecvEvent::Partial(src));
+        }
+        a.send_raw(b_addr, &fragment(0, 105, 5)).unwrap();
+        assert_eq!(b.poll_event().unwrap(), RecvEvent::Malformed(src));
+        assert_eq!(b.malformed(), 1);
+    }
+
     #[test]
     fn ack_frames_surface_and_drive_the_reliable_engine() {
         use crate::reliable::{ReliableConfig, Sender};

@@ -1,10 +1,11 @@
 //! NCP reassembly under adversarial arrival orders: out-of-order
 //! fragments, duplicated fragments, windows from two senders
-//! interleaving on one reassembler, and the bounded-memory eviction
-//! policy.
+//! interleaving on one reassembler, the bounded-memory eviction
+//! policy, and fragments whose offsets contradict each other.
 
 use c3::{Chunk, HostId, KernelId, NodeId, Window};
 use ncp::codec::{fragment_window, Reassembler};
+use ncp::wire::{NcpRepr, WireError, FLAG_FIRST_FRAG, FLAG_FRAGMENT, FLAG_LAST, FLAG_MORE_FRAGS};
 
 fn window(sender: u16, seq: u32, vals: &[u32], last: bool) -> Window {
     Window {
@@ -151,4 +152,85 @@ fn clear_recycles_everything() {
         got = r.push(frag).unwrap();
     }
     assert_eq!(got.expect("complete").chunks, w.chunks);
+}
+
+/// A hand-made fragment of sender 1's window 0 of kernel 2 (the key
+/// [`frags`]`(1, 0, _)` uses): `flags` beside `FLAG_FRAGMENT`, one chunk
+/// of `len` filler bytes at `offset`.
+fn fragment(flags: u8, offset: u32, len: u16) -> Vec<u8> {
+    let repr = NcpRepr {
+        flags: FLAG_FRAGMENT | flags,
+        kernel: 2,
+        seq: 0,
+        sender: 1,
+        from: NodeId::Host(HostId(1)).to_wire(),
+        chunks: vec![(offset, len)],
+        ext: vec![],
+    };
+    let mut buf = vec![0xab; repr.buffer_len()];
+    repr.emit(&mut buf);
+    buf
+}
+
+/// Fragment sequences whose chunk bounds contradict their pieces, as a
+/// socket can deliver them: each is refused when it completes, never a
+/// panic, and leaves neither a partial window nor a poisoned key behind.
+#[test]
+fn contradictory_fragments_are_refused() {
+    const FIRST: u8 = FLAG_FIRST_FRAG | FLAG_MORE_FRAGS;
+    const MORE: u8 = FLAG_MORE_FRAGS;
+    const FINAL: u8 = FLAG_LAST;
+    let cases = [
+        (
+            "a piece before the start",
+            vec![
+                fragment(FIRST, 100, 0),
+                fragment(MORE, 50, 5),
+                fragment(FINAL, 105, 5),
+            ],
+        ),
+        (
+            "an end below a later start",
+            vec![fragment(FINAL, 0, 5), fragment(FIRST, 100, 0)],
+        ),
+        (
+            "a piece past the end",
+            vec![
+                fragment(FIRST, 0, 5),
+                fragment(MORE, 8, 5),
+                fragment(FINAL, 10, 0),
+            ],
+        ),
+        (
+            "overlapping pieces",
+            vec![
+                fragment(FIRST, 0, 5),
+                fragment(MORE, 3, 5),
+                fragment(FINAL, 8, 2),
+            ],
+        ),
+        (
+            "an end past u32::MAX",
+            vec![fragment(FIRST, 0, 5), fragment(FINAL, u32::MAX - 2, 5)],
+        ),
+    ];
+    for (what, sequence) in cases {
+        let mut r = Reassembler::new();
+        let (last, leading) = sequence.split_last().expect("non-empty");
+        for f in leading {
+            assert_eq!(r.push(f), Ok(None), "{what}");
+        }
+        assert_eq!(r.push(last), Err(WireError::Inconsistent), "{what}");
+        assert_eq!(r.pending(), 0, "{what}");
+        let (w, clean) = frags(1, 0, 48);
+        let mut got = None;
+        for f in &clean {
+            got = r.push(f).unwrap();
+        }
+        assert_eq!(
+            got.expect("clean window completes").chunks,
+            w.chunks,
+            "{what}"
+        );
+    }
 }

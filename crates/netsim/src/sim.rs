@@ -828,23 +828,13 @@ impl Network {
     /// executes them. A gauge over live switch state, not a sim
     /// counter.
     pub fn switch_dup_suppressed(&mut self, id: SwitchId) -> u64 {
-        if let Some(fp) = self.switch_fastpath_mut(id) {
-            return fp.register_prefix_sum(c3::ncpr::REPLAY_DUPS_PREFIX);
-        }
-        let Some(pipe) = self.switch_pipeline_mut(id) else {
-            return 0;
-        };
-        let names: Vec<String> = pipe
-            .config()
-            .registers
+        self.nodes
             .iter()
-            .filter(|r| r.name.starts_with(c3::ncpr::REPLAY_DUPS_PREFIX))
-            .map(|r| r.name.clone())
-            .collect();
-        names
-            .iter()
-            .map(|n| pipe.register_read(n, 0).map(|v| v.bits()).unwrap_or(0))
-            .sum()
+            .find_map(|n| match n {
+                NodeKind::Switch { id: sid, cfg, .. } if *sid == id => Some(cfg_dup_sum(cfg)),
+                _ => None,
+            })
+            .unwrap_or(0)
     }
 
     /// Total bytes carried over a node's links, per direction, summed.
@@ -869,28 +859,22 @@ impl Network {
     }
 }
 
-/// Sum of a switch's `__nclr_dups_*` replay-filter registers, read from
-/// whichever datapath it runs (mirrors [`Network::switch_dup_suppressed`]
-/// but borrows only the [`SwitchCfg`], so `switch_process` can take the
-/// reading mid-flight).
-fn cfg_dup_sum(cfg: &mut SwitchCfg) -> u64 {
+/// Sum of a switch's `__nclr_dups_*` replay-filter registers (slot 0 of
+/// each), read from whichever datapath it runs; [`SwitchCfg`] alone, so
+/// `switch_process` can take the reading mid-flight.
+fn cfg_dup_sum(cfg: &SwitchCfg) -> u64 {
+    let prefix = c3::ncpr::REPLAY_DUPS_PREFIX;
     if let Some(fp) = cfg.fastpath.as_ref() {
-        return fp.register_prefix_sum(c3::ncpr::REPLAY_DUPS_PREFIX);
+        return fp.register_prefix_sum(prefix);
     }
-    let Some(pipe) = cfg.pipeline.as_mut() else {
-        return 0;
-    };
-    let names: Vec<String> = pipe
-        .config()
-        .registers
-        .iter()
-        .filter(|r| r.name.starts_with(c3::ncpr::REPLAY_DUPS_PREFIX))
-        .map(|r| r.name.clone())
-        .collect();
-    names
-        .iter()
-        .map(|n| pipe.register_read(n, 0).map(|v| v.bits()).unwrap_or(0))
-        .sum()
+    cfg.pipeline.as_ref().map_or(0, |pipe| {
+        let defs = pipe.config().registers.iter();
+        defs.zip(pipe.registers())
+            .filter(|(def, _)| def.name.starts_with(prefix))
+            .filter_map(|(_, arr)| arr.try_get(0))
+            .map(|v| v.bits())
+            .sum()
+    })
 }
 
 #[cfg(test)]

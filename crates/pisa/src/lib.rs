@@ -33,8 +33,7 @@ pub mod table;
 pub use parser::{DeparserSpec, Extract, ParserSpec};
 pub use phv::{FieldClass, FieldDecl, FieldId, Phv, PhvLayout};
 pub use pipeline::{
-    ExecStats, PartialPacket, Pipeline, PipelineConfig, PipelineSnapshot, RegisterArrayDef,
-    StageConfig, StageTrace,
+    ExecStats, PartialPacket, Pipeline, PipelineConfig, RegisterArrayDef, StageConfig, StageTrace,
 };
 pub use resources::{ResourceModel, ResourceReport, ResourceViolation};
 pub use table::{ActionDef, ActionRef, Arg, Entry, MatchKind, MatchPattern, PrimOp, TableDef};

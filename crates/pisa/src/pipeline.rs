@@ -14,7 +14,7 @@ use crate::parser::{DeparserSpec, ParserSpec};
 use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::resources::{ResourceModel, ResourceReport, ResourceViolation};
 use crate::table::{Arg, Entry, MatchPattern, PrimOp, TableDef, TableFull};
-use c3::{ScalarType, Value};
+use c3::{RegArray, ScalarType, Value};
 use std::collections::HashMap;
 
 /// A persistent register array of the pipeline.
@@ -248,7 +248,7 @@ pub struct PipelineOutput {
 pub struct Pipeline {
     config: PipelineConfig,
     model: ResourceModel,
-    registers: Vec<Vec<Value>>,
+    registers: Vec<RegArray>,
     /// Flat table index: names in `(stage, table)` order, parallel to
     /// [`ExecStats::hit_counts`].
     table_names: Vec<String>,
@@ -282,16 +282,12 @@ impl Pipeline {
         if !report.accepted() {
             return Err(LoadError { report });
         }
+        // A slot's type is the declaration's, whatever a hand-built
+        // config put in the initializer prefix.
         let registers = config
             .registers
             .iter()
-            .map(|r| {
-                // A slot's type is the declaration's, whatever a
-                // hand-built config put in the initializer prefix.
-                let mut v: Vec<Value> = r.init.iter().map(|v| v.cast(r.elem)).collect();
-                v.resize(r.len, Value::zero(r.elem));
-                v
-            })
+            .map(|r| RegArray::new(r.elem, r.len, &r.init))
             .collect();
         let table_names: Vec<String> = config
             .stages
@@ -392,37 +388,26 @@ impl Pipeline {
         }
     }
 
-    /// Captures the persistent register state (the pipeline's only
-    /// cross-packet state; tables are control-plane-owned and stats are
-    /// observability, not semantics). The snapshot is the checkpoint
-    /// unit of the ncmc model checker: restore it and replay a schedule
-    /// and the pipeline is bit-identical.
-    pub fn snapshot(&self) -> PipelineSnapshot {
-        PipelineSnapshot {
-            registers: self.registers.clone(),
-        }
+    /// The persistent register state, in configuration order (the
+    /// pipeline's only cross-packet state; tables are control-plane-owned
+    /// and stats are observability, not semantics).
+    pub fn registers(&self) -> &[RegArray] {
+        &self.registers
     }
 
-    /// Restores register state captured by [`Pipeline::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// If the snapshot's shape does not match this pipeline's register
-    /// arrays (it came from a different configuration).
-    pub fn restore(&mut self, snap: &PipelineSnapshot) {
-        assert_eq!(
-            self.registers.len(),
-            snap.registers.len(),
-            "snapshot from a different pipeline (array count mismatch)"
-        );
-        for (ours, theirs) in self.registers.iter_mut().zip(&snap.registers) {
-            assert_eq!(
-                ours.len(),
-                theirs.len(),
-                "snapshot from a different pipeline (array length mismatch)"
-            );
-            ours.copy_from_slice(theirs);
+    /// Exchanges the register file with `regs` in O(1), when `regs` has
+    /// this pipeline's shape: as many arrays, each of the same length
+    /// and element type. Returns `false`, and swaps nothing, otherwise.
+    /// This is the checkpoint unit of the ncmc model checker: swap a
+    /// state's registers in, run packets, and swap them back out.
+    #[must_use]
+    pub fn swap_registers(&mut self, regs: &mut Vec<RegArray>) -> bool {
+        let shape = |a: &RegArray| (a.elem(), a.len());
+        let same = regs.iter().map(shape).eq(self.registers.iter().map(shape));
+        if same {
+            std::mem::swap(&mut self.registers, regs);
         }
+        same
     }
 
     /// Runs the match-action stages over an already-parsed PHV (used by
@@ -577,19 +562,6 @@ impl PartialPacket {
     }
 }
 
-/// Persistent register state captured by [`Pipeline::snapshot`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PipelineSnapshot {
-    registers: Vec<Vec<Value>>,
-}
-
-impl PipelineSnapshot {
-    /// The captured register arrays, in configuration order.
-    pub fn registers(&self) -> &[Vec<Value>] {
-        &self.registers
-    }
-}
-
 /// One stage's contribution to a traced packet execution.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StageTrace {
@@ -625,7 +597,7 @@ fn arg_value(a: &Arg, phv: &Phv, args: &[Value]) -> Value {
 
 fn exec_op(
     layout: &PhvLayout,
-    registers: &mut [Vec<Value>],
+    registers: &mut [RegArray],
     op: &PrimOp,
     phv: &mut Phv,
     args: &[Value],
@@ -674,25 +646,22 @@ fn exec_op(
             };
             phv.set(*dst, v);
         }
+        // Indices wrap modulo the array length; an empty array is not
+        // accessed at all.
         PrimOp::RegRead { dst, reg, idx, .. } => {
             let arr = &registers[*reg as usize];
-            if arr.is_empty() {
-                return;
+            let raw = arg_value(idx, phv, args).bits() as usize;
+            if let Some(i) = raw.checked_rem(arr.len()) {
+                phv.set(*dst, arr.get(i));
             }
-            let i = arg_value(idx, phv, args).bits() as usize % arr.len();
-            let v = arr[i];
-            phv.set(*dst, v);
         }
         PrimOp::RegWrite { reg, idx, src, .. } => {
             let v = arg_value(src, phv, args);
-            let i_raw = arg_value(idx, phv, args).bits() as usize;
+            let raw = arg_value(idx, phv, args).bits() as usize;
             let arr = &mut registers[*reg as usize];
-            if arr.is_empty() {
-                return;
+            if let Some(i) = raw.checked_rem(arr.len()) {
+                arr.set(i, v);
             }
-            let i = i_raw % arr.len();
-            let ty = arr[i].ty();
-            arr[i] = v.cast(ty);
         }
     }
 }
@@ -706,7 +675,7 @@ impl Pipeline {
     /// Reads a register element (debug/verification).
     pub fn register_read(&self, name: &str, idx: usize) -> Option<Value> {
         let r = self.config.registers.iter().position(|r| r.name == name)?;
-        self.registers[r].get(idx).copied()
+        self.registers[r].try_get(idx)
     }
 
     /// Writes a register element (control variables use this).
@@ -714,12 +683,7 @@ impl Pipeline {
         let Some(r) = self.config.registers.iter().position(|r| r.name == name) else {
             return false;
         };
-        let Some(slot) = self.registers[r].get_mut(idx) else {
-            return false;
-        };
-        let ty = slot.ty();
-        *slot = v.cast(ty);
-        true
+        self.registers[r].try_set(idx, v)
     }
 
     /// Inserts an entry into a named table (map inserts, routing rules).
@@ -1025,35 +989,42 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_register_state() {
+    fn swap_roundtrips_register_state() {
         let mut p = Pipeline::load(counter_pipeline(), ResourceModel::default()).unwrap();
         p.process(&5u32.to_be_bytes()).unwrap();
-        let snap = p.snapshot();
-        assert_eq!(snap.registers()[0][0], Value::u32(5));
+        let mut saved = p.registers().to_vec();
+        assert_eq!(saved[0].get(0), Value::u32(5));
         p.process(&7u32.to_be_bytes()).unwrap();
         assert_eq!(p.register_read("total", 0), Some(Value::u32(12)));
-        p.restore(&snap);
+        assert!(p.swap_registers(&mut saved));
         assert_eq!(p.register_read("total", 0), Some(Value::u32(5)));
-        // Replay from the checkpoint is bit-identical.
+        assert_eq!(saved[0].get(0), Value::u32(12), "the live file came out");
+        // Replay from the checkpoint is bit-identical, and swapping back
+        // restores what ran meanwhile.
         p.process(&7u32.to_be_bytes()).unwrap();
-        assert_eq!(p.register_read("total", 0), Some(Value::u32(12)));
+        assert_eq!(p.registers(), &saved[..]);
+        assert!(p.swap_registers(&mut saved));
+        assert_eq!(saved[0].get(0), Value::u32(12));
     }
 
     #[test]
-    #[should_panic(expected = "different pipeline")]
-    fn restore_rejects_foreign_snapshot() {
-        let p = Pipeline::load(counter_pipeline(), ResourceModel::default()).unwrap();
-        let snap = p.snapshot();
-        let mut cfg = counter_pipeline();
-        cfg.registers.push(RegisterArrayDef {
-            name: "extra".into(),
-            elem: ScalarType::U32,
-            len: 1,
-            init: vec![],
-        });
-        // "extra" is never accessed by any stage, so the config loads.
-        let mut other = Pipeline::load(cfg, ResourceModel::default()).unwrap();
-        other.restore(&snap);
+    fn swap_rejects_a_register_file_of_another_shape() {
+        let mut p = Pipeline::load(counter_pipeline(), ResourceModel::default()).unwrap();
+        p.process(&5u32.to_be_bytes()).unwrap();
+        let own = p.registers().to_vec();
+        let extra_array = [own.clone(), vec![RegArray::new(ScalarType::U32, 1, &[])]].concat();
+        let wrong_shapes = [
+            vec![],
+            extra_array,
+            vec![RegArray::new(ScalarType::U32, 2, &[])],
+            vec![RegArray::new(ScalarType::I32, 1, &[])],
+        ];
+        for mut foreign in wrong_shapes {
+            let before = foreign.clone();
+            assert!(!p.swap_registers(&mut foreign), "{before:?}");
+            assert_eq!(foreign, before, "a refused file is left alone");
+            assert_eq!(p.registers(), &own[..]);
+        }
     }
 
     #[test]
@@ -1073,7 +1044,7 @@ mod tests {
         let o2 = p.process(&7u32.to_be_bytes()).unwrap();
         assert_eq!((o1, o2), (r1, r2));
         assert_eq!(p.stats, reference.stats);
-        assert_eq!(p.snapshot(), reference.snapshot());
+        assert_eq!(p.registers(), reference.registers());
 
         // Parse errors count identically too.
         assert!(p.begin(&[1, 2]).is_none());

@@ -83,7 +83,7 @@ fn main() {
     let stats = dep.net.switch_stats(s1).unwrap();
     // Verify one element on worker 1.
     let w1 = dep.net.host_app::<NclHost>(HostId(1)).unwrap();
-    let got = w1.memory(kid).unwrap().arrays[0][0].as_i128() as i64;
+    let got = w1.memory(kid).unwrap().arrays[0].get(0).as_i128() as i64;
     let want: i64 = (1..=nworkers as i64).sum();
     assert_eq!(got, want, "element 0 must be the sum of worker offsets");
 

@@ -98,7 +98,7 @@ fn main() {
     dep.net.run();
 
     let collector = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
-    let delivered = collector.memory(kid).unwrap().arrays[1][0].bits();
+    let delivered = collector.memory(kid).unwrap().arrays[1].get(0).bits();
     let dropped = dep
         .net
         .switch_pipeline_mut(dep.switch("s1"))

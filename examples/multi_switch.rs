@@ -117,11 +117,15 @@ fn main() {
     dep.net.run();
 
     let collector = dep.net.host_app::<NclHost>(dep.host("collector")).unwrap();
-    let n = collector.memory(kid).unwrap().arrays[1][0].as_i128();
+    let n = collector.memory(kid).unwrap().arrays[1].get(0).as_i128();
     println!("collector received {n} windows:");
     for w in 0..n as usize {
         let vals: Vec<i64> = (0..4)
-            .map(|i| collector.memory(kid).unwrap().arrays[0][w * 4 + i].as_i128() as i64)
+            .map(|i| {
+                collector.memory(kid).unwrap().arrays[0]
+                    .get(w * 4 + i)
+                    .as_i128() as i64
+            })
             .collect();
         println!("  {vals:?}   (edge-scaled ×3)");
     }

@@ -87,7 +87,7 @@ fn main() {
     // 3. Inspect the results.
     let bob = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     let received: Vec<i64> = (0..16)
-        .map(|i| bob.memory(kid).unwrap().arrays[0][i].as_i128() as i64)
+        .map(|i| bob.memory(kid).unwrap().arrays[0].get(i).as_i128() as i64)
         .collect();
     println!("== run ==");
     println!("  alice sent:   {data:?}");

@@ -79,7 +79,7 @@ fn four_workers_reduce_correctly() {
         let mem = host.memory(kid).unwrap();
         for (i, expect) in want.iter().enumerate() {
             assert_eq!(
-                mem.arrays[0][i].as_i128() as i64,
+                mem.arrays[0].get(i).as_i128() as i64,
                 *expect,
                 "worker {w} element {i}"
             );
@@ -217,7 +217,7 @@ fn multiple_rounds_reuse_switch_state() {
     // the production fix.
     let host = dep.net.host_app::<NclHost>(HostId(1)).unwrap();
     let mem = host.memory(kid).unwrap();
-    assert_eq!(mem.arrays[0][0], Value::i32(6 + 12));
+    assert_eq!(mem.arrays[0].get(0), Value::i32(6 + 12));
     let stats = dep.net.switch_stats(s1).unwrap();
     assert_eq!(stats.broadcast, 2 * (data_len / win) as u64);
 }
@@ -306,7 +306,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {{
     // Round 2's clean result: (1+2+3)×2 = 12 per element.
     let host = dep.net.host_app::<NclHost>(HostId(1)).unwrap();
     let mem = host.memory(kid).unwrap();
-    assert_eq!(mem.arrays[0][0], Value::i32(12));
+    assert_eq!(mem.arrays[0].get(0), Value::i32(12));
 }
 
 #[test]

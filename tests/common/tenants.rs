@@ -73,7 +73,7 @@ pub fn assert_sums(dep: &MultiDeployment, data_len: usize) {
             assert!(host.done_at.is_some(), "worker {w} never completed");
             let mem = host.memory(kid).expect("result memory");
             for i in 0..data_len {
-                assert_eq!(mem.arrays[0][i], Value::i32(sum), "worker {w} elem {i}");
+                assert_eq!(mem.arrays[0].get(i), Value::i32(sum), "worker {w} elem {i}");
             }
         }
     }

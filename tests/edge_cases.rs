@@ -56,11 +56,11 @@ _net_ _in_ void recv(uint32_t *d, _ext_ uint32_t *log, _ext_ uint32_t *n) {
     dep.net.run();
     let recv = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     let mem = recv.memory(kid).unwrap();
-    assert_eq!(mem.arrays[1][0].bits(), 3, "three windows delivered");
+    assert_eq!(mem.arrays[1].get(0).bits(), 3, "three windows delivered");
     // Window 0: sender=1, seq=0; window 2: sender=1, seq=2.
-    assert_eq!(mem.arrays[0][0].bits(), 1);
-    assert_eq!(mem.arrays[0][1].bits(), 0);
-    assert_eq!(mem.arrays[0][5].bits(), 2);
+    assert_eq!(mem.arrays[0].get(0).bits(), 1);
+    assert_eq!(mem.arrays[0].get(1).bits(), 0);
+    assert_eq!(mem.arrays[0].get(5).bits(), 2);
 }
 
 /// Wire ids: host/switch ranges survive AND → deployment → NCP.
@@ -170,7 +170,7 @@ _net_ _in_ void ra(uint32_t *d, _ext_ uint32_t *n) { n[0] = n[0] + 1; }
     let recv = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     assert_eq!(recv.windows_received, 2, "both windows arrive");
     // But only ka's ran the handler.
-    assert_eq!(recv.memory(ka).unwrap().arrays[0][0].bits(), 1);
+    assert_eq!(recv.memory(ka).unwrap().arrays[0].get(0).bits(), 1);
 }
 
 /// `RegisterDecl::init` holds the explicit initializer prefix only, yet

@@ -91,7 +91,7 @@ fn lost_contributions_stall_but_never_corrupt() {
         let host = dep.net.host_app::<NclHost>(HostId(w)).unwrap();
         let mem = host.memory(kid).unwrap();
         for i in 0..data_len {
-            let v = mem.arrays[0][i].as_i128() as i32;
+            let v = mem.arrays[0].get(i).as_i128() as i32;
             assert!(
                 v == 0 || v == expected,
                 "worker {w} element {i} has partial sum {v}"
@@ -210,7 +210,7 @@ fn run_reliable_allreduce(link: LinkSpec) -> (Vec<Vec<i64>>, Vec<u64>, u64, u64)
         .map(|w| {
             let mem = dep.net.host_app::<NclHost>(HostId(w)).unwrap().memory(kid);
             let arr = &mem.unwrap().arrays[0];
-            (0..data_len).map(|i| arr[i].as_i128() as i64).collect()
+            (0..data_len).map(|i| arr.get(i).as_i128() as i64).collect()
         })
         .collect();
     let cp = ControlPlane::new(program.switch("s1").unwrap());

@@ -60,7 +60,7 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
     // passed it on.
     let h2 = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     assert_eq!(h2.windows_received, 1);
-    assert_eq!(h2.memory(kid).unwrap().arrays[0][0], Value::i32(42));
+    assert_eq!(h2.memory(kid).unwrap().arrays[0].get(0), Value::i32(42));
     let agg = dep.switch("agg");
     let total = dep
         .net
@@ -109,7 +109,7 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
     dep.net.run();
     let h2 = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
     // 0 + 100 at the edge, then + 1 at the aggregate.
-    assert_eq!(h2.memory(kid).unwrap().arrays[0][0], Value::i32(101));
+    assert_eq!(h2.memory(kid).unwrap().arrays[0].get(0), Value::i32(101));
 }
 
 /// `_pass(label)` redirects a window to a labelled component, away from
@@ -166,7 +166,7 @@ _net_ _in_ void recv(uint32_t *d, _ext_ uint32_t *out, _ext_ uint32_t *n) {
     assert_eq!(small.windows_received, 2, "values ≤100 stay on course");
     assert_eq!(big.windows_received, 2, "values >100 diverted");
     let big_vals: Vec<u64> = (0..2)
-        .map(|i| big.memory(kid).unwrap().arrays[0][i].bits())
+        .map(|i| big.memory(kid).unwrap().arrays[0].get(i).bits())
         .collect();
     assert!(big_vals.contains(&500) && big_vals.contains(&700));
 }

@@ -234,10 +234,12 @@ fn allreduce_filtered_is_certified_convergent() {
         "the certificate must rest on the same search"
     );
     // What deciding commutation cost: 685,713 steps when every pair was
-    // probed by execution, before the step kinds decided most of them.
+    // probed by execution, 99,367 once the step kinds decided most of
+    // them, and fewer again now that a probe reuses the successors the
+    // search already built.
     assert_eq!(
-        conv.result.stats.probe_execs, 99_367,
-        "DPOR probes only the pairs the step kinds leave open"
+        conv.result.stats.probe_execs, 62_190,
+        "DPOR probes only the pairs the step kinds leave open, reusing successors"
     );
     assert!(report.conclusive(), "no check may hit the state cap");
     // The surviving unguarded-overflow warning on `accum` is real: the
@@ -265,10 +267,11 @@ fn kvs_is_certified_convergent() {
         [24_026, 32_020, 58, 58, 7_995, 81_590],
         "the certificate must rest on the same search"
     );
-    // 454,012 when every pair was probed.
+    // 454,012 when every pair was probed, 66,036 before probes reused
+    // the search's successors.
     assert_eq!(
-        conv.result.stats.probe_execs, 66_036,
-        "DPOR probes only the pairs the step kinds leave open"
+        conv.result.stats.probe_execs, 42_373,
+        "DPOR probes only the pairs the step kinds leave open, reusing successors"
     );
     assert!(report.conclusive(), "no check may hit the state cap");
 }
@@ -360,8 +363,9 @@ fn dpor_reaches_the_naive_verdict_with_5x_fewer_schedules() {
     // only what it concludes.
     assert_eq!((dedup.states, dpor.states), (396, 396));
     assert_eq!(dpor.sleep_skips, 544);
-    // 3,096 when every pair was probed.
-    assert_eq!(dpor.probe_execs, 120);
+    // 3,096 when every pair was probed, 120 before probes reused the
+    // search's successors.
+    assert_eq!(dpor.probe_execs, 60);
 }
 
 // ---------------------------------------------------------------------

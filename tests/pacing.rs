@@ -91,7 +91,7 @@ fn run_on(
     let host = dep.net.host_app::<NclHost>(HostId(1)).unwrap();
     let done = host.done_at.expect("completes");
     let result: Vec<i64> = (0..data_len)
-        .map(|i| host.memory(kid).unwrap().arrays[0][i].as_i128() as i64)
+        .map(|i| host.memory(kid).unwrap().arrays[0].get(i).as_i128() as i64)
         .collect();
     let pipe = dep.net.switch_pipeline_mut(s1).unwrap();
     let accum = (0..data_len)

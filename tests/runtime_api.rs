@@ -109,7 +109,7 @@ fn per_window_api_interoperates_with_data_centric_api() {
     let mem = w2app.memory(kid).unwrap();
     for i in 0..32 {
         assert_eq!(
-            mem.arrays[0][i].as_i128() as i64,
+            mem.arrays[0].get(i).as_i128() as i64,
             (i + i * 10) as i64,
             "element {i}"
         );
