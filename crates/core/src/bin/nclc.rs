@@ -3,7 +3,7 @@
 //! ```text
 //! nclc <program.ncl> --and <overlay.and> [--mask kernel=8,8]...
 //!      [--lint allow|warn|deny=CODE[,CODE...]]...
-//!      [--emit p4|ir|report|cost|timing|mc|all] [-o out-dir]
+//!      [--emit p4|ir|report|cost|timing|trace|mc|all] [-o out-dir]
 //! ```
 //!
 //! Takes an NCL C/C++ program and an AND file and produces "a program
@@ -12,13 +12,16 @@
 //! per-location IR and `--emit trace` pushes a zero-filled test window
 //! through each compiled pipeline, printing the per-stage execution
 //! trace (the debugging aids the paper lists as future work, §6).
+//! Any other `--emit` value is refused.
 //!
 //! Static analysis (`ncl-lint`) runs on every compile: switch-state
-//! hazards and replay-unsafe updates are errors by default and the
-//! early resource estimate prints with `--emit cost`. `--lint
-//! allow=replay-unsafe` (etc.) downgrades a finding after you have
-//! understood the interleaving it describes. `--emit timing` prints the
-//! wall-time of every compiler stage (nctel spans).
+//! hazards and replay-unsafe updates are errors by default, and every
+//! resource violation of the pipeline built for a switch is a
+//! `resource-overrun` finding. `--emit cost` prints that pipeline's
+//! resource figures per kernel. `--lint allow=replay-unsafe` (etc.)
+//! downgrades a finding after you have understood the interleaving it
+//! describes. `--emit timing` prints the wall-time of every compiler
+//! stage (nctel spans).
 //!
 //! `--emit mc` (never implied by `all` — it explores exhaustively) runs
 //! the ncmc bounded model checker on every switch: each surviving
@@ -39,12 +42,16 @@ struct Args {
     out: PathBuf,
 }
 
+/// Every `--emit` value nclc accepts.
+const EMITS: &[&str] = &["p4", "ir", "report", "cost", "timing", "trace", "mc", "all"];
+
 fn usage() -> ! {
     eprintln!(
         "usage: nclc <program.ncl> --and <overlay.and> \
          [--mask kernel=N[,N...]]... \
          [--lint allow|warn|deny=CODE[,CODE...]]... \
-         [--emit p4|ir|report|cost|timing|mc|all] [-o DIR]"
+         [--emit {}] [-o DIR]",
+        EMITS.join("|")
     );
     eprintln!(
         "lint codes: {}",
@@ -110,6 +117,10 @@ fn parse_args() -> Args {
             }
             "--emit" => {
                 let Some(what) = it.next() else { usage() };
+                if !EMITS.contains(&what.as_str()) {
+                    eprintln!("unknown --emit value '{what}'");
+                    usage();
+                }
                 emit.push(what);
             }
             "-o" => out = it.next().map(PathBuf::from).unwrap_or(out),
@@ -224,9 +235,8 @@ fn main() -> ExitCode {
             );
         }
         if wants("cost") {
-            match program.estimate(label.as_str()) {
-                Some(est) => print!("{}", est.render()),
-                None => println!("{label}: no pre-mapping estimate available"),
+            if let Some(est) = program.estimate(label.as_str()) {
+                print!("{}", est.render());
             }
         }
     }

@@ -18,7 +18,7 @@ use ncl_lang::ast::KernelKind;
 use ncl_lang::diag::Diagnostic;
 use ncl_lang::sema::CheckedProgram;
 pub use ncl_p4::estimate::ModuleEstimate;
-use ncl_p4::{compile_staged, stage_module, CompileError, CompileOptions, CompiledSwitch};
+use ncl_p4::{CompileError, CompileOptions, CompiledSwitch, ModuleBuild};
 use nctel::Timeline;
 use pisa::ResourceModel;
 use std::collections::{BTreeMap, HashMap};
@@ -93,8 +93,9 @@ pub struct CompiledProgram {
     /// Lint findings that survived at `Warn` level, per switch location
     /// (denies abort compilation and never appear here).
     pub lints: Vec<(Label, Vec<LintDiagnostic>)>,
-    /// Early per-kernel resource estimates, per switch location (the
-    /// `--lint` cost report, computed before PISA mapping).
+    /// Resource figures of each switch's built pipeline, per kernel
+    /// (the `--emit cost` table and ncsched's admission input). They are
+    /// the pipeline report's figures, not a prediction.
     pub estimates: Vec<(Label, ModuleEstimate)>,
     /// The effective lint configuration the program was compiled under.
     /// Deployment ([`crate::deploy_opts`], [`crate::deploy_tenants`])
@@ -104,8 +105,10 @@ pub struct CompiledProgram {
     pub lint_config: LintConfig,
     /// Wall-time spans of every compiler stage (frontend → overlay →
     /// lower → optimize → version → lint → stage → estimate → backend), the
-    /// per-location stages accumulated across locations. Rendered by
-    /// `nclc --emit timing`.
+    /// per-location stages accumulated across locations. `stage` is the
+    /// whole build (staging, codegen, report), `estimate` turns its
+    /// violations into lint findings, and `backend` is the resource
+    /// verdict and P4 emission. Rendered by `nclc --emit timing`.
     pub timings: Timeline,
 }
 
@@ -126,7 +129,7 @@ impl CompiledProgram {
             .map(|(_, m)| m)
     }
 
-    /// The early resource estimate for a location.
+    /// The resource figures for a location.
     pub fn estimate(&self, label: &str) -> Option<&ModuleEstimate> {
         self.estimates
             .iter()
@@ -301,43 +304,31 @@ pub fn compile(
     let mut lints = Vec::new();
     let mut estimates = Vec::new();
     for (loc, module) in locations.iter().zip(versions) {
-        // Static analysis gate: hazard/replay findings plus the early
-        // resource estimate, both before PISA mapping. A denied finding
-        // means the kernel must not reach a switch.
+        // Static analysis gate: hazard/replay findings plus the resource
+        // violations of the pipeline built for this switch. A denied
+        // finding means the kernel must not reach a switch.
         let mut diags = timings.time("lint", || ncl_ir::lint::lint_module(&module, &lint_cfg));
-        // The backend's front half, run once: the estimate and the
-        // pipeline below are both read off it.
-        let staged = timings.time("stage", || stage_module(&module, &cfg.model, &opts));
-        let estimate = match &staged {
-            Ok(staged) => {
-                let est = timings.time("estimate", || {
-                    ncl_p4::estimate::estimate_staged(staged, &cfg.model)
-                });
-                let overrun_level = lint_cfg.level(LintCode::ResourceOverrun);
-                if overrun_level != LintLevel::Allow {
-                    for (kernel, v) in est.all_violations() {
-                        let span = kernel
-                            .and_then(|k| module.kernel(k))
-                            .map(|k| k.span)
-                            .unwrap_or_default();
-                        diags.push(LintDiagnostic {
-                            code: LintCode::ResourceOverrun,
-                            level: overrun_level,
-                            kernel: kernel.unwrap_or("<module>").to_string(),
-                            state: None,
-                            message: format!("estimated resource overrun: {v}"),
-                            span,
-                            file: module.file.clone(),
-                        });
-                    }
+        // Conformance, staging, codegen and the resource report, run
+        // once. A failed build leaves no figures; its error waits until
+        // the lint gate has spoken.
+        let build = timings.time("stage", || ModuleBuild::new(&module, &cfg.model, &opts));
+        if let Ok(build) = &build {
+            timings.time("estimate", || {
+                let level = lint_cfg.level(LintCode::ResourceOverrun);
+                if level == LintLevel::Allow {
+                    return;
                 }
-                Some(est)
-            }
-            // Staging failures (e.g. allocation divergence) leave no
-            // estimate; the backend below reports them with a proper
-            // error, after the lint gate has spoken.
-            Err(_) => None,
-        };
+                diags.extend(build.report.violations.iter().map(|v| LintDiagnostic {
+                    code: LintCode::ResourceOverrun,
+                    level,
+                    kernel: "<module>".to_string(),
+                    state: None,
+                    message: format!("resource overrun: {v}"),
+                    span: Default::default(),
+                    file: module.file.clone(),
+                }));
+            });
+        }
         let (deny, warns) = ncl_ir::lint::partition(diags);
         if !deny.is_empty() {
             return Err(NclcError::Lint {
@@ -345,20 +336,19 @@ pub fn compile(
                 diagnostics: deny,
             });
         }
+        let backend_error = |error| NclcError::Backend {
+            location: loc.label.clone(),
+            error,
+        };
+        let build = build.map_err(backend_error)?;
+        let estimate = build.estimate.clone();
         let compiled = timings
-            .time("backend", || {
-                compile_staged(&module, staged, &cfg.model, &opts)
-            })
-            .map_err(|error| NclcError::Backend {
-                location: loc.label.clone(),
-                error,
-            })?;
+            .time("backend", || build.finish())
+            .map_err(backend_error)?;
         switches.push((loc.label.clone(), compiled));
         modules.push((loc.label.clone(), module));
         lints.push((loc.label.clone(), warns));
-        if let Some(est) = estimate {
-            estimates.push((loc.label.clone(), est));
-        }
+        estimates.push((loc.label.clone(), estimate));
     }
 
     Ok(CompiledProgram {
@@ -615,9 +605,15 @@ _net_ _out_ void k(int *d) { a[0] += d[0]; }
         let est = p.estimate("s1").expect("estimate for s1");
         assert_eq!(est.kernels.len(), 1);
         assert_eq!(est.kernels[0].kernel, "allreduce");
-        // Agreement with the actual mapping: exact stage count.
+        // The figures are the actual mapping's.
         let actual = p.switch("s1").unwrap();
         assert_eq!(est.pipeline_stages, actual.report.stages_used);
+        assert_eq!(est.sram_by_stage, actual.report.sram_by_stage);
+        // The kernel's share includes the register copy of the control
+        // variable `nworkers` it reads.
+        assert!(est.kernels[0].reg_accesses.contains_key("nworkers__c0"));
+        let sram: usize = est.sram_by_stage.iter().sum();
+        assert_eq!(est.kernels[0].sram_bytes, sram);
     }
 
     #[test]

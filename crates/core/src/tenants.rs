@@ -10,10 +10,10 @@
 //! tenants — is built **once**, with every shared switch running a
 //! [`TenantMux`] that dispatches windows to the owning tenant's
 //! datapath. Before anything touches the simulator, every tenant passes
-//! through the ncsched [`AdmissionController`]: the PR 3 resource
-//! estimator's per-switch [`ModuleEstimate`]s are bin-packed against
-//! the chip model, the tenant's quota, and what earlier tenants already
-//! hold. A tenant that does not fit is **not** an error — it is left
+//! through the ncsched [`AdmissionController`]: the per-switch
+//! [`ModuleEstimate`]s — what each pipeline nclc built for the tenant
+//! uses — are bin-packed against the chip model, the tenant's quota,
+//! and what earlier tenants already hold. A tenant that does not fit is **not** an error — it is left
 //! off the fabric and reported in [`MultiDeployment::rejections`] as a
 //! machine-readable [`CostReport`] naming the violated budget, while
 //! the admitted tenants deploy normally (E14's rejection leg).
@@ -413,7 +413,7 @@ pub fn deploy_tenants(
     })
 }
 
-/// Per-switch estimates of a program, keyed for the controller.
+/// Per-switch resource figures of a program, keyed for the controller.
 fn switch_estimates(program: &CompiledProgram) -> BTreeMap<String, ModuleEstimate> {
     program
         .estimates

@@ -35,7 +35,7 @@ fn compiles_and_emits_p4() {
         .args(["--and"])
         .arg(&and)
         .args([
-            "--mask", "count=1", "--emit", "p4", "--emit", "report", "-o",
+            "--mask", "count=1", "--emit", "p4", "--emit", "report", "--emit", "cost", "-o",
         ])
         .arg(&out)
         .output()
@@ -49,6 +49,44 @@ fn compiles_and_emits_p4() {
     assert!(stdout.contains("accepted"), "{stdout}");
     let p4 = std::fs::read_to_string(out.join("s1.p4")).expect("P4 written");
     assert!(p4.contains("V1Switch"));
+
+    // The cost table is the report's pipeline: `s1: N stages, …` and
+    // `pipeline: N stages, …` name the same N.
+    let stages_after = |prefix: &str| -> String {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no '{prefix}' line in: {stdout}"));
+        line[prefix.len()..]
+            .split_once(" stages")
+            .unwrap_or_else(|| panic!("no stage count in '{line}'"))
+            .0
+            .to_string()
+    };
+    let report = stages_after("s1: ");
+    assert_eq!(stages_after("pipeline: "), report, "{stdout}");
+    assert!(report.parse::<usize>().is_ok_and(|n| n > 1), "{stdout}");
+    assert!(stdout.contains("  count: "), "{stdout}");
+}
+
+#[test]
+fn unknown_emit_values_are_refused() {
+    let dir = tmpdir("emit");
+    let prog = write(&dir, "prog.ncl", PROG);
+    let and = write(&dir, "net.and", AND);
+    let result = nclc()
+        .arg(&prog)
+        .args(["--and"])
+        .arg(&and)
+        .args(["--mask", "count=1", "--emit", "cots", "-o"])
+        .arg(dir.join("out"))
+        .output()
+        .expect("runs");
+    assert_eq!(result.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert!(stderr.contains("unknown --emit value 'cots'"), "{stderr}");
+    assert!(stderr.contains("|trace|"), "usage lists trace: {stderr}");
+    assert!(result.stdout.is_empty());
 }
 
 #[test]

@@ -63,8 +63,10 @@ pub enum LintCode {
     /// A 32-bit accumulator grows without a value-guarded reset or
     /// mask; it wraps silently at 2³².
     UnguardedOverflow,
-    /// The early resource estimator predicts the kernel exceeds the
-    /// chip model (stages, SRAM, PHV, or stateful micro-ops).
+    /// The pipeline built for the switch exceeds the chip model
+    /// (stages, ops, tables, SRAM, TCAM, PHV, or stateful micro-ops).
+    /// `nclc` builds before the lint verdict and reports every violation
+    /// of the build's resource report under this code.
     ResourceOverrun,
 }
 
@@ -337,7 +339,7 @@ struct ArrayFacts {
 /// keys end up in different physical banks after splitting. Accesses
 /// the backend cannot split share a key only when they share a base
 /// register, so this under-approximates per-bank pressure — the
-/// resource estimator re-checks exactly on the split module.
+/// backend's resource report re-checks exactly on the built pipeline.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum LaneKey {
     /// Constant element index.

@@ -17,13 +17,17 @@
 //!   entries into all of them;
 //! * control variables become one single-slot register copy per read
 //!   site (reads from different stages may not share one array), all
-//!   written by `ncl::ctrl_wr`.
+//!   written by `ncl::ctrl_wr`;
+//! * each kernel's share of the pipeline — stages, VLIW ops, SRAM, PHV
+//!   bytes, register accesses — is recorded as the kernel is emitted:
+//!   the per-kernel rows of [`crate::estimate::ModuleEstimate`].
 //!
 //! The wire layout parsed here must match `ncp`'s codec; the shared
 //! contract is DESIGN.md §4.4 and is pinned by cross-crate tests in
 //! `ncl-core`.
 
 use crate::alloc::StagedKernel;
+use crate::estimate::KernelEstimate;
 use crate::flatten::PredInst;
 use crate::stage::StagedModule;
 use crate::CompileOptions;
@@ -34,7 +38,7 @@ use pisa::{
     PhvLayout, PipelineConfig, PrimOp, RegisterArrayDef, StageConfig, TableDef,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 /// Pipeline plus the bookkeeping the runtime needs.
 #[derive(Clone, Debug)]
@@ -47,8 +51,6 @@ pub struct BuiltPipeline {
     pub map_tables: HashMap<String, Vec<String>>,
     /// Control variable → register-copy names.
     pub ctrl_regs: HashMap<String, Vec<String>>,
-    /// Kernel name → stages its ops occupy (diagnostics / E6).
-    pub kernel_stages: HashMap<String, usize>,
 }
 
 /// Codegen failure for one kernel.
@@ -74,11 +76,12 @@ pub const NCP_FIELDS: &[(&str, ScalarType)] = &[
     ("ncp.ext_len", ScalarType::U8),
 ];
 
-/// Builds the pipeline for a staged module.
-pub fn build_pipeline(
+/// Builds the pipeline for a staged module, and records what each
+/// kernel put into it as the kernel is emitted.
+pub(crate) fn build_pipeline(
     staged: &StagedModule,
     opts: &CompileOptions,
-) -> Result<BuiltPipeline, BuildError> {
+) -> Result<(BuiltPipeline, Vec<KernelEstimate>), BuildError> {
     let module = &staged.module;
     let mut layout = PhvLayout::default();
     // --- NCP header ---
@@ -147,10 +150,11 @@ pub fn build_pipeline(
     let mut stages: Vec<StageConfig> = Vec::new();
     let mut map_tables: HashMap<String, Vec<String>> = HashMap::new();
     let mut ctrl_regs: HashMap<String, Vec<String>> = HashMap::new();
-    let mut kernel_stages: HashMap<String, usize> = HashMap::new();
+    let mut kernels: Vec<KernelEstimate> = Vec::new();
 
     for (kernel, ks) in staged.placed() {
         let kid = kernel_ids[&kernel.name];
+        let (hdr_before, meta_before) = (layout.header_bytes(), layout.metadata_bytes());
         // Window payload + chunk descriptor header fields for this
         // kernel's parser/deparser branch (staging checked the mask
         // covers every window parameter).
@@ -159,7 +163,7 @@ pub fn build_pipeline(
         let mut branch_extracts: Vec<Extract> = Vec::new();
         let mut branch_fields: Vec<FieldId> = Vec::new();
         let mut payload: Vec<Vec<FieldId>> = Vec::new(); // [param][elem]
-        for (pi, p) in win_params.iter().enumerate() {
+        for pi in 0..win_params.len() {
             let off = layout.add(
                 format!("k{kid}.c{pi}_off"),
                 ScalarType::U32,
@@ -174,12 +178,10 @@ pub fn build_pipeline(
             branch_extracts.push(Extract { field: len });
             branch_fields.push(off);
             branch_fields.push(len);
-            let _ = p;
         }
-        for (off, f) in &ext_fields {
-            let _ = off;
-            branch_extracts.push(Extract { field: *f });
-            branch_fields.push(*f);
+        for &(_, f) in &ext_fields {
+            branch_extracts.push(Extract { field: f });
+            branch_fields.push(f);
         }
         for (pi, p) in win_params.iter().enumerate() {
             let mut elems = Vec::new();
@@ -208,8 +210,6 @@ pub fn build_pipeline(
             b: Arg::Const(Value::new(ScalarType::U16, kid as u64)),
         });
 
-        kernel_stages.insert(kernel.name.clone(), ks.staged.stages.len());
-
         // Liveness-based metadata allocation: registers with disjoint
         // live ranges share PHV containers, across kernels too.
         let reg_map = assign_fields(&ks.staged, &ks.reg_tys, &mut layout, &mut pool);
@@ -234,6 +234,30 @@ pub fn build_pipeline(
             reg_tys: &ks.reg_tys,
         };
         let kernel_stage_cfgs = tr.translate(&ks.staged)?;
+
+        // The kernel's share, by `PipelineConfig::report`'s rules: every
+        // register access charges its whole array.
+        let mut sram_bytes = 0;
+        let mut reg_accesses: BTreeMap<String, usize> = BTreeMap::new();
+        let ops = kernel_stage_cfgs
+            .iter()
+            .flat_map(|s| &s.tables)
+            .flat_map(|t| &t.actions)
+            .flat_map(|a| &a.ops);
+        for def in ops.filter_map(|op| registers.get(op.register()? as usize)) {
+            sram_bytes += def.len * def.elem.size();
+            *reg_accesses.entry(def.name.clone()).or_default() += 1;
+        }
+        kernels.push(KernelEstimate {
+            kernel: kernel.name.clone(),
+            stages: kernel_stage_cfgs.len(),
+            alu_ops: kernel_stage_cfgs.iter().map(StageConfig::op_count).sum(),
+            sram_bytes,
+            phv_header_bytes: layout.header_bytes() - hdr_before,
+            phv_metadata_bytes: layout.metadata_bytes() - meta_before,
+            reg_accesses,
+        });
+
         // Merge into the global stage list starting at stage 1.
         for (i, cfg) in kernel_stage_cfgs.into_iter().enumerate() {
             while stages.len() <= i {
@@ -254,7 +278,7 @@ pub fn build_pipeline(
     }];
     all_stages.extend(stages);
 
-    Ok(BuiltPipeline {
+    let built = BuiltPipeline {
         pipeline: PipelineConfig {
             name: module
                 .location
@@ -272,8 +296,8 @@ pub fn build_pipeline(
         kernel_ids,
         map_tables,
         ctrl_regs,
-        kernel_stages,
-    })
+    };
+    Ok((built, kernels))
 }
 
 struct Translator<'a> {
@@ -678,7 +702,7 @@ impl Translator<'_> {
 /// containers can overlap — the paper's "reverse SROA" of SSA registers
 /// onto a bounded metadata struct).
 #[derive(Default)]
-pub(crate) struct FieldPool {
+struct FieldPool {
     /// Every pool-managed field, by type.
     all: HashMap<ScalarType, Vec<FieldId>>,
 }
@@ -689,7 +713,7 @@ pub(crate) struct FieldPool {
 /// *read* rely on zero-initialization and therefore never take a field
 /// this kernel has already dirtied (fields dirtied by other kernels are
 /// fine — their writers are dispatch-guarded off).
-pub(crate) fn assign_fields(
+fn assign_fields(
     staged: &StagedKernel,
     reg_tys: &[ScalarType],
     layout: &mut PhvLayout,

@@ -22,13 +22,17 @@
 //! 4. [`codegen`] — builds the loadable [`pisa::PipelineConfig`]: PHV
 //!    layout (NCP headers + per-kernel window fields + metadata), parser
 //!    and deparser branching on `kernel_id`, map tables, and the staged
-//!    actions.
+//!    actions — and records each kernel's share of it as it goes.
 //! 5. [`p4emit`] — renders the same artifacts as P4-16 source merged
 //!    with a template switch config (Ethernet/IPv4/UDP plumbing), for
 //!    inspection and the paper's code-size comparisons.
 //!
-//! Steps 1–3 run once per module as [`stage::stage_module`]; the early
-//! estimator ([`estimate`]) and step 4 read its result.
+//! [`ModuleBuild::new`] runs steps 1–4 once per module and measures the
+//! pipeline: its [`ResourceReport`] and, per kernel, the
+//! [`estimate::ModuleEstimate`] that `nclc`'s lint gate, `--emit cost`
+//! and ncsched's admission read. [`ModuleBuild::finish`] then rejects
+//! what does not fit (the backend "reject" arrow of Fig. 6) or runs
+//! step 5.
 //!
 //! Entry point: [`compile_module`].
 
@@ -38,13 +42,13 @@ pub mod estimate;
 pub mod flatten;
 pub mod lanes;
 pub mod p4emit;
-pub mod stage;
-
-pub use stage::{stage_module, StagedModule};
+mod stage;
 
 use c3::Label;
+use estimate::ModuleEstimate;
 use ncl_ir::ir::Module;
 use pisa::{PipelineConfig, ResourceModel, ResourceReport};
+use stage::{stage_module, StagedModule};
 use std::collections::HashMap;
 
 /// Everything produced for one switch.
@@ -79,7 +83,7 @@ pub enum CompileError {
     Conformance(Vec<ncl_ir::passes::ConformanceError>),
     /// The program exceeds the chip's resources even with maximal
     /// recirculation (the backend "reject" arrow of Fig. 6).
-    Resources(ResourceReport),
+    Resources(Box<ResourceReport>),
     /// Stage allocation or translation failed for a kernel.
     Codegen {
         /// The kernel at fault.
@@ -157,43 +161,63 @@ pub fn compile_module(
     model: &ResourceModel,
     opts: &CompileOptions,
 ) -> Result<CompiledSwitch, CompileError> {
-    compile_staged(module, stage_module(module, model, opts), model, opts)
+    ModuleBuild::new(module, model, opts)?.finish()
 }
 
-/// The rest of [`compile_module`] for a caller that staged `module`
-/// itself (to estimate it first): `staged` is [`stage_module`]'s
-/// verdict under the same `model` and `opts`. A module that fails
-/// conformance reports that, not the staging failure it may have
-/// caused.
-pub fn compile_staged(
-    module: &Module,
-    staged: Result<StagedModule, codegen::BuildError>,
-    model: &ResourceModel,
-    opts: &CompileOptions,
-) -> Result<CompiledSwitch, CompileError> {
-    let conf = ncl_ir::passes::conformance(module);
-    if !conf.is_empty() {
-        return Err(CompileError::Conformance(conf));
-    }
-    // 1-3. Lane splitting, per-kernel flatten + allocate.
-    let staged = staged?;
-    // 4. One pipeline out of the staged kernels.
-    let compiled = codegen::build_pipeline(&staged, opts)?;
+/// A module built for one switch and measured, before its verdict: a
+/// caller reads the figures (`nclc` turns the violations into lint
+/// findings) and only then asks for the switch program.
+#[derive(Debug)]
+pub struct ModuleBuild {
+    staged: StagedModule,
+    built: codegen::BuiltPipeline,
+    /// The pipeline's usage against the resource model.
+    pub report: ResourceReport,
+    /// The same usage with each kernel's share.
+    pub estimate: ModuleEstimate,
+}
 
-    let report = compiled.pipeline.report(model);
-    if !report.accepted() {
-        return Err(CompileError::Resources(report));
+impl ModuleBuild {
+    /// Conformance, then lane splitting, per-kernel flatten + allocate,
+    /// the pipeline, and its report. A module that fails conformance
+    /// reports that, not the staging failure it may cause.
+    pub fn new(
+        module: &Module,
+        model: &ResourceModel,
+        opts: &CompileOptions,
+    ) -> Result<ModuleBuild, CompileError> {
+        let conf = ncl_ir::passes::conformance(module);
+        if !conf.is_empty() {
+            return Err(CompileError::Conformance(conf));
+        }
+        let staged = stage_module(module, model, opts)?;
+        let (built, kernels) = codegen::build_pipeline(&staged, opts)?;
+        let report = built.pipeline.report(model);
+        Ok(ModuleBuild {
+            estimate: ModuleEstimate::view(kernels, &report),
+            staged,
+            built,
+            report,
+        })
     }
-    // 5. P4 emission from the same staged artifacts.
-    let p4_source = p4emit::emit(&staged.module, &compiled, &staged.lane_map);
-    Ok(CompiledSwitch {
-        pipeline: compiled.pipeline,
-        p4_source,
-        report,
-        kernel_ids: compiled.kernel_ids,
-        map_tables: compiled.map_tables,
-        ctrl_regs: compiled.ctrl_regs,
-        lane_banks: staged.lane_map.banks,
-        array_lens: staged.lane_map.lens,
-    })
+
+    /// The switch program: a pipeline over the resource model is
+    /// rejected, one that fits is rendered as P4.
+    pub fn finish(self) -> Result<CompiledSwitch, CompileError> {
+        if !self.report.accepted() {
+            return Err(CompileError::Resources(Box::new(self.report)));
+        }
+        let (staged, built) = (self.staged, self.built);
+        let p4_source = p4emit::emit(&staged.module, &built, &staged.lane_map);
+        Ok(CompiledSwitch {
+            pipeline: built.pipeline,
+            p4_source,
+            report: self.report,
+            kernel_ids: built.kernel_ids,
+            map_tables: built.map_tables,
+            ctrl_regs: built.ctrl_regs,
+            lane_banks: staged.lane_map.banks,
+            array_lens: staged.lane_map.lens,
+        })
+    }
 }

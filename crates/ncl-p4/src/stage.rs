@@ -1,11 +1,9 @@
 //! The staged module: the backend's front half, run once.
 //!
 //! Lane splitting, if-conversion and stage allocation decide everything
-//! the early estimator accounts for and everything codegen translates.
-//! [`stage_module`] runs them once per module, under the budget and
-//! options of the compilation at hand; [`crate::estimate`] and
-//! [`crate::codegen`] both read the resulting [`StagedModule`], so the
-//! estimate is of the pipeline that gets built.
+//! codegen translates. [`stage_module`] runs them once per module, under
+//! the budget and options of the compilation at hand; codegen and P4
+//! emission both read the resulting [`StagedModule`].
 
 use crate::alloc::{allocate, AllocBudget, StagedKernel};
 use crate::codegen::BuildError;

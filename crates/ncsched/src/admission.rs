@@ -2,8 +2,8 @@
 //!
 //! The controller answers one question **before** anything touches the
 //! fabric: *does this tenant's compiled module fit — under its own quota
-//! and in what the fabric has left?* It consumes the static estimates
-//! from `ncl_p4::estimate` (PR 3), one [`ModuleEstimate`] per switch the
+//! and in what the fabric has left?* It consumes the resource figures of
+//! the tenant's compiled pipelines, one [`ModuleEstimate`] per switch the
 //! tenant wants a kernel on, and answers with either a [`PlacementPlan`]
 //! (the reservation it just committed) or a [`CostReport`] — a
 //! machine-readable rejection naming the violated budget, the offending
@@ -12,7 +12,8 @@
 //! Checks run in a fixed, documented order so rejections are
 //! deterministic (the E14 differential run snapshots the JSON):
 //! switches in lexicographic order; per switch, first the chip model
-//! (estimator violations — the module wouldn't fit even alone), then the
+//! (the pipeline report's violations — the module wouldn't fit even
+//! alone), then the
 //! tenant quota (stages, SRAM, PHV), then fabric capacity (stages, SRAM,
 //! header PHV, metadata PHV) against what other tenants have committed.
 
@@ -29,7 +30,8 @@ use crate::upgrade::Upgrade;
 /// Which class of budget a rejection violated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BudgetKind {
-    /// The module violates the chip model by itself (estimator said no).
+    /// The module violates the chip model by itself (its pipeline
+    /// report said no).
     ChipModel,
     /// The tenant's own per-switch quota.
     TenantQuota,
@@ -104,7 +106,8 @@ pub struct CostReport {
     /// Switch label the check failed on.
     pub switch: String,
     /// Offending kernel, when attributable (the largest contributor for
-    /// aggregate budgets; `None` for module-wide chip violations).
+    /// aggregate budgets; `None` for chip violations, which are the
+    /// whole pipeline's).
     pub kernel: Option<String>,
     /// Which budget class was violated.
     pub budget: BudgetKind,
@@ -178,7 +181,7 @@ pub struct KernelPlacement {
     pub stages: usize,
     /// SRAM bytes its register arrays occupy.
     pub sram_bytes: usize,
-    /// Predicated micro-ops (execution cost proxy).
+    /// VLIW ops in its tables (execution cost proxy).
     pub alu_ops: usize,
 }
 
@@ -539,13 +542,9 @@ impl AdmissionController {
     ) -> Result<PlacementPlan, Box<CostReport>> {
         let mut switches = Vec::with_capacity(estimates.len());
         for (switch, est) in estimates {
-            // 1. Chip model: the estimator already rejected the module.
-            if !est.accepted() {
-                let all = est.all_violations();
-                let (kernel, violation) = &all[0];
-                return Err(Box::new(
-                    self.chip_report(spec, version, switch, *kernel, violation),
-                ));
+            // 1. Chip model: the module's own pipeline does not fit.
+            if let Some(violation) = est.violations.first() {
+                return Err(Box::new(self.chip_report(spec, version, switch, violation)));
             }
 
             // Aggregate footprint on this switch.
@@ -706,7 +705,6 @@ impl AdmissionController {
         spec: &TenantSpec,
         version: u16,
         switch: &str,
-        kernel: Option<&str>,
         violation: &ResourceViolation,
     ) -> CostReport {
         let (resource, requested, limit) = match violation {
@@ -743,7 +741,7 @@ impl AdmissionController {
             tenant: spec.name.clone(),
             version,
             switch: switch.to_string(),
-            kernel: kernel.map(|k| k.to_string()),
+            kernel: None,
             budget: BudgetKind::ChipModel,
             resource,
             requested,
@@ -773,7 +771,6 @@ mod tests {
                 phv_header_bytes: *ph,
                 phv_metadata_bytes: *pm,
                 reg_accesses: BTreeMap::new(),
-                violations: Vec::new(),
             })
             .collect();
         ModuleEstimate {

@@ -11,8 +11,9 @@
 //! * [`tenant`] — tenant identity and per-switch resource quotas
 //!   ([`TenantSpec`], [`TenantQuota`]).
 //! * [`admission`] — the [`AdmissionController`]: bin-packs candidate
-//!   kernels across the fabric's PISA resource pools using the static
-//!   estimator (`ncl_p4::estimate`), **before** anything is loaded.
+//!   kernels across the fabric's PISA resource pools using the resource
+//!   figures of each tenant's compiled pipelines (`ncl_p4::estimate`),
+//!   **before** anything is loaded.
 //!   Admission yields a [`PlacementPlan`]; rejection yields a
 //!   machine-readable [`CostReport`] naming the violated budget, the
 //!   offending kernel and the tenant's version.
@@ -26,7 +27,7 @@
 //! simulator or the transport. It consumes `ModuleEstimate`s produced by
 //! `ncl-p4` and hands back plans/tickets; `ncl-core::deploy` and
 //! `netsim` enact them. That keeps the dependency graph acyclic
-//! (estimator → scheduler → deploy) and makes every decision unit-testable
+//! (compiler → scheduler → deploy) and makes every decision unit-testable
 //! with synthetic estimates.
 //!
 //! ## Accounting model
@@ -34,9 +35,9 @@
 //! Capacity is tracked per switch against one [`pisa::ResourceModel`]:
 //! logical stages (including recirculation), total SRAM
 //! (`sram_bytes_per_stage × stages`), and the two PHV budgets. Each
-//! tenant's footprint on a switch is its module estimate for that
-//! switch. Because every module's estimate includes the shared NCP base
-//! header, summing estimates across tenants double-counts those bytes —
+//! tenant's footprint on a switch is what its pipeline for that switch
+//! uses, as compiled. Because every pipeline includes the shared NCP base
+//! header, summing footprints across tenants double-counts those bytes —
 //! the controller is deliberately conservative there. During an upgrade
 //! both versions are resident, so `begin_upgrade` re-runs admission with
 //! the old version still committed; quotas apply to each version's

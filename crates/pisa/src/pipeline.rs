@@ -15,7 +15,7 @@ use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::resources::{ResourceModel, ResourceReport, ResourceViolation};
 use crate::table::{Arg, Entry, MatchPattern, PrimOp, TableDef, TableFull};
 use c3::{RegArray, ScalarType, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A persistent register array of the pipeline.
 #[derive(Clone, PartialEq, Debug)]
@@ -79,6 +79,7 @@ impl PipelineConfig {
             tables_by_stage: self.stages.iter().map(|s| s.tables.len()).collect(),
             phv_header_bytes: self.layout.header_bytes(),
             phv_metadata_bytes: self.layout.metadata_bytes(),
+            sram_by_stage: vec![0; model.stages.max(1)],
             violations: Vec::new(),
         };
         if self.stages.len() > model.logical_stages() {
@@ -135,9 +136,11 @@ impl PipelineConfig {
         }
         // Register arrays: all accesses to one array must sit in a single
         // logical stage (they fuse into one RegisterAction); the number
-        // of reads (and writes) there is bounded per pass.
-        let mut touched: HashMap<u16, Vec<usize>> = HashMap::new();
-        let mut access_counts: HashMap<u16, (usize, usize)> = HashMap::new();
+        // of reads (and writes) there is bounded per pass. Arrays are
+        // checked in register order, so the violations come out in a
+        // fixed order.
+        let mut touched: BTreeMap<u16, Vec<usize>> = BTreeMap::new();
+        let mut access_counts: BTreeMap<u16, (usize, usize)> = BTreeMap::new();
         for (i, s) in self.stages.iter().enumerate() {
             for t in &s.tables {
                 for a in &t.actions {
@@ -181,11 +184,12 @@ impl PipelineConfig {
                 });
             }
         }
-        // SRAM per physical stage: register arrays bound there plus
-        // exact-table entries.
-        let mut sram = vec![0usize; model.stages.max(1)];
+        // SRAM per physical stage: every register read or write charges
+        // its whole array to the stage it runs in. Tables are not
+        // counted.
+        let sram = &mut report.sram_by_stage;
         for (i, s) in self.stages.iter().enumerate() {
-            let phys = i % model.stages.max(1);
+            let phys = i % sram.len();
             for t in &s.tables {
                 for a in &t.actions {
                     for op in &a.ops {
@@ -198,7 +202,7 @@ impl PipelineConfig {
                 }
             }
         }
-        for (stage, used) in sram.iter().enumerate() {
+        for (stage, used) in report.sram_by_stage.iter().enumerate() {
             if *used > model.sram_bytes_per_stage {
                 report.violations.push(ResourceViolation::SramPerStage {
                     stage,
@@ -260,7 +264,7 @@ pub struct Pipeline {
 #[derive(Clone, PartialEq, Debug)]
 pub struct LoadError {
     /// The full report, including all violations.
-    pub report: ResourceReport,
+    pub report: Box<ResourceReport>,
 }
 
 impl std::fmt::Display for LoadError {
@@ -280,7 +284,9 @@ impl Pipeline {
     pub fn load(config: PipelineConfig, model: ResourceModel) -> Result<Self, LoadError> {
         let report = config.report(&model);
         if !report.accepted() {
-            return Err(LoadError { report });
+            return Err(LoadError {
+                report: Box::new(report),
+            });
         }
         // A slot's type is the declaration's, whatever a hand-built
         // config put in the initializer prefix.
@@ -750,6 +756,7 @@ mod tests {
     use crate::phv::FieldClass;
     use crate::table::{ActionDef, ActionRef, MatchKind};
     use c3::BinOp;
+    use std::collections::HashMap;
 
     /// A pipeline that parses one u32, adds a register value, counts the
     /// packet, and deparses.

@@ -233,6 +233,9 @@ pub struct ResourceReport {
     pub phv_header_bytes: usize,
     /// Metadata PHV bytes.
     pub phv_metadata_bytes: usize,
+    /// SRAM bytes per physical stage: each register access charges its
+    /// whole array to the stage it runs in.
+    pub sram_by_stage: Vec<usize>,
     /// Violations (empty = accepted).
     pub violations: Vec<ResourceViolation>,
 }

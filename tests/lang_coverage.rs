@@ -458,8 +458,8 @@ _net_ _out_ void k(unsigned *d) { total[0] += d[0]; _reflect(); }
 
     #[test]
     fn resource_overrun() {
-        // Deny the estimator's verdict on a tiny chip model: the lint
-        // gate fires before PISA mapping ever runs.
+        // Deny the built pipeline's resource verdict on a tiny chip
+        // model: the lint gate fires before the backend's own error.
         let src = r#"
 _net_ _at_("s1") unsigned acc[32] = {0};
 _net_ _out_ void k(unsigned *d) {
@@ -472,7 +472,7 @@ _net_ _out_ void k(unsigned *d) {
         cfg.lint_levels
             .insert(LintCode::ResourceOverrun, LintLevel::Deny);
         // Keep the hazard lints out of the way; this test is about the
-        // estimator path.
+        // resource path.
         for &c in LintCode::ALL {
             if c != LintCode::ResourceOverrun {
                 cfg.lint_levels.insert(c, LintLevel::Allow);
@@ -480,6 +480,6 @@ _net_ _out_ void k(unsigned *d) {
         }
         let r = denied(src, &cfg, LintCode::ResourceOverrun);
         assert!(r.contains("[resource-overrun]"), "{r}");
-        assert!(r.contains("estimated resource overrun"), "{r}");
+        assert!(r.contains("resource overrun:"), "{r}");
     }
 }
