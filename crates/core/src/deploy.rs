@@ -37,13 +37,15 @@ pub enum SwitchBackend {
     /// — the default, and the engine all resource experiments use.
     #[default]
     Pisa,
-    /// The compiled fast-path executor ([`FastPathSwitch`]): versioned
-    /// IR kernels lowered to linear micro-op programs, cached per
-    /// `(kernel, location)`. Kernel execution allocates nothing; the
+    /// The compiled fast-path executor ([`FastPathSwitch`]) running the
+    /// linear micro-op programs nclc lowered for the location
+    /// ([`CompiledProgram::switch_kernels`]); no backend lowers at
+    /// deploy time. Kernel execution allocates nothing; the
     /// switch hop still builds one `Vec` per forwarded window (0.25 to
     /// 0.99 allocations per window depending on the drop share —
-    /// ROADMAP item 3(ii)). This backend pins the scalar micro-op tier
-    /// — the measured baseline the ncvec SIMD tier (E13) is compared
+    /// ROADMAP item 3(ii)). This backend pins the scalar micro-op tier,
+    /// on a copy of each lowered kernel with the SIMD offer withdrawn —
+    /// the measured baseline the ncvec SIMD tier (E13) is compared
     /// against.
     FastPath,
     /// The fast-path executor with the ncvec SIMD tier enabled: fused
@@ -342,62 +344,48 @@ pub(crate) fn lint_gate(
     })
 }
 
-/// Builds what `backend` runs for `program` at switch `label`, lowering
-/// each kernel of the location exactly once: the software datapath
-/// (`None` for [`SwitchBackend::Pisa`], whose engine is the loaded
-/// pipeline, and for labels without a module) plus the static hop-record
-/// fields every execution tier stamps identically — the given kernel
-/// `version`, PISA `stages` from the backend's resource report, and the
-/// kernel's interpreter-equivalent step count (`uops`). `uops`
-/// deliberately counts interpreter steps, not physical micro-ops: fused
-/// vector runs cover many steps in one op and the ncvec SIMD tier covers
-/// them in a handful of lane iterations, so the step count is the only
-/// number every tier can report identically.
+/// Builds what `backend` runs for `program` at switch `label` from the
+/// kernels nclc lowered for it ([`CompiledProgram::switch_kernels`]),
+/// lowering nothing: the software datapath (`None` for
+/// [`SwitchBackend::Pisa`], whose engine is the loaded pipeline, and for
+/// labels without a module) plus the static hop-record fields every
+/// execution tier stamps identically — the given kernel `version`, PISA
+/// `stages` from the backend's resource report, and the lowered kernel's
+/// interpreter-equivalent step count (`uops`). `uops` deliberately
+/// counts interpreter steps, not physical micro-ops: fused vector runs
+/// cover many steps in one op and the ncvec SIMD tier covers them in a
+/// handful of lane iterations, so the step count is the only number
+/// every tier can report identically.
 pub(crate) fn switch_engine(
     backend: SwitchBackend,
     program: &CompiledProgram,
     label: &str,
     version: u16,
 ) -> (Option<Box<dyn FastDatapath>>, HashMap<u16, KernelTelemetry>) {
-    let mut steps = Vec::new();
     let datapath = match backend {
         SwitchBackend::FastPath | SwitchBackend::Simd => {
-            FastPathSwitch::from_program_with(program, label, backend == SwitchBackend::Simd).map(
-                |fp| {
-                    steps = fp.kernel_steps();
-                    Box::new(fp) as Box<dyn FastDatapath>
-                },
-            )
+            FastPathSwitch::from_program_with(program, label, backend == SwitchBackend::Simd)
+                .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
         }
-        SwitchBackend::Interp => InterpSwitch::from_program(program, label).map(|it| {
-            steps = it.fastpath().kernel_steps();
-            Box::new(it) as Box<dyn FastDatapath>
-        }),
-        // The pipeline is the engine; lower only to count steps.
-        SwitchBackend::Pisa => {
-            if let Some(module) = program.module(label) {
-                steps.extend(module.kernels.iter().filter_map(|k| {
-                    let id = *program.kernel_ids.get(&k.name)?;
-                    Some((id, CompiledKernel::compile_for(k, module).interp_steps()))
-                }));
-            }
-            None
-        }
+        SwitchBackend::Interp => InterpSwitch::from_program(program, label)
+            .map(|it| Box::new(it) as Box<dyn FastDatapath>),
+        SwitchBackend::Pisa => None,
     };
     let stages = program
         .switch(label)
         .map_or(0, |c| c.report.stages_used as u16);
-    let telemetry = |(id, steps): (u16, usize)| {
+    let telemetry = |(&id, k): (&u16, &Arc<CompiledKernel>)| {
         (
             id,
             KernelTelemetry {
                 version,
                 stages,
-                uops: steps as u32,
+                uops: k.interp_steps() as u32,
             },
         )
     };
-    (datapath, steps.into_iter().map(telemetry).collect())
+    let kernels = program.kernels_at(label).into_iter().flatten();
+    (datapath, kernels.map(telemetry).collect())
 }
 
 /// What an entry point loads onto one switch of the fabric.

@@ -1,14 +1,13 @@
 //! The compiled fast-path switch datapath.
 //!
 //! A [`FastPathSwitch`] is the lean per-packet executor for one switch
-//! location: every outgoing kernel of the location's versioned IR module
-//! is lowered once through [`CompiledKernel::compile_for`] and cached by
-//! NCP kernel id — the per-`(KernelId, location)` compiled-kernel cache.
-//! Building one costs O(kernel) plus one zeroed allocation per register
-//! array, packed at its declared width: lowering reads per-array facts
-//! `compile_for` resolved once, and register initializers are explicit
-//! prefixes, so the time to the first window does not grow with switch
-//! memory × instructions.
+//! location. It loads the kernels nclc lowered for the location
+//! ([`CompiledProgram::switch_kernels`]) by NCP kernel id and lowers
+//! nothing itself: every switch built from one program shares them.
+//! Building one costs a reference per kernel plus one zeroed allocation
+//! per register array, packed at its declared width; register
+//! initializers are explicit prefixes, so the time to the first window
+//! grows with neither the kernel nor switch memory × instructions.
 //! Window processing then runs the linear micro-op program against the
 //! location's persistent [`SwitchState`] with a reusable [`ExecScratch`]
 //! and the zero-copy NCP codec ([`decode_window_into`] /
@@ -32,12 +31,14 @@ use nctel::{Counter, Registry};
 use netsim::{CtrlOp, FastDatapath, FastVerdict};
 use std::any::Any;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compiled fast-path datapath for one switch location.
 pub struct FastPathSwitch {
-    /// NCP kernel id → compiled program (placement checks hoisted for
-    /// this location).
-    kernels: HashMap<u16, CompiledKernel>,
+    /// NCP kernel id → the program's lowered kernel (placement checks
+    /// hoisted for this location), shared with every other switch built
+    /// from the program on the same tier.
+    kernels: HashMap<u16, Arc<CompiledKernel>>,
     /// The location's persistent device state.
     pub state: SwitchState,
     scratch: ExecScratch,
@@ -78,23 +79,27 @@ impl FastPathSwitch {
     /// `simd` offers fused element-wise runs to the ncvec SIMD tier
     /// (kernels with no fusible runs execute identically either way),
     /// `false` pins the scalar micro-op fast path, the A/B baseline
-    /// [`crate::deploy::SwitchBackend::FastPath`] uses. Every outgoing
-    /// kernel of the location's versioned module is lowered here, once;
-    /// the backend's compiled control-register, lookup-table and
-    /// lane-bank names are aliased so deferred [`CtrlOp`]s emitted by
-    /// [`crate::control::ControlPlane`] resolve unchanged.
+    /// [`crate::deploy::SwitchBackend::FastPath`] uses. Nothing is
+    /// lowered here: the SIMD tier shares the program's lowered kernels
+    /// ([`CompiledProgram::switch_kernels`]) and the scalar tier runs a
+    /// copy of each with the SIMD offer withdrawn. The backend's compiled
+    /// control-register, lookup-table and lane-bank names are aliased so
+    /// deferred [`CtrlOp`]s emitted by [`crate::control::ControlPlane`]
+    /// resolve unchanged.
     pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
         let module = program.module(label)?;
         let mut state = SwitchState::from_module(module);
         state.location_id = program.overlay.node(label)?.id;
-        let kernels = module
-            .kernels
+        let kernels = program
+            .kernels_at(label)?
             .iter()
-            .filter_map(|k| {
-                program
-                    .kernel_ids
-                    .get(&k.name)
-                    .map(|&id| (id, CompiledKernel::compile_for(k, module).with_simd(simd)))
+            .map(|(&id, k)| {
+                let k = if k.simd() == simd {
+                    Arc::clone(k)
+                } else {
+                    Arc::new(CompiledKernel::clone(k).with_simd(simd))
+                };
+                (id, k)
             })
             .collect();
         let ctrl_by_name: HashMap<String, CtrlId> = module
@@ -161,17 +166,6 @@ impl FastPathSwitch {
             misses: Counter::new(),
             errors: Counter::new(),
         })
-    }
-
-    /// NCP kernel id → interpreter-equivalent step count of each cached
-    /// kernel ([`CompiledKernel::interp_steps`]) — the `uops` every
-    /// execution tier stamps into hop records, read off the programs
-    /// this datapath already lowered.
-    pub fn kernel_steps(&self) -> Vec<(u16, usize)> {
-        self.kernels
-            .iter()
-            .map(|(&id, k)| (id, k.interp_steps()))
-            .collect()
     }
 
     /// Processes one payload: decode (buffer-reusing), execute the
@@ -397,6 +391,23 @@ mod tests {
             }],
             ext: vec![],
         }
+    }
+
+    /// A switch loads what nclc lowered: every switch built from one
+    /// program holds the program's kernels, and the scalar tier runs a
+    /// copy with the SIMD offer withdrawn.
+    #[test]
+    fn switches_hold_the_programs_lowered_kernels() {
+        let p = allreduce_program();
+        let kid = p.kernel_ids["allreduce"];
+        let lowered = &p.kernels_at("s1").expect("s1 is lowered")[&kid];
+        let a = FastPathSwitch::from_program(&p, "s1").unwrap();
+        let b = FastPathSwitch::from_program(&p, "s1").unwrap();
+        assert!(Arc::ptr_eq(&a.kernels[&kid], lowered));
+        assert!(Arc::ptr_eq(&b.kernels[&kid], lowered));
+        let scalar = FastPathSwitch::from_program_with(&p, "s1", false).unwrap();
+        assert!(lowered.simd() && !scalar.kernels[&kid].simd());
+        assert_eq!(scalar.kernels[&kid].interp_steps(), lowered.interp_steps());
     }
 
     /// Packet-level differential: the compiled fast path and the PISA

@@ -4,7 +4,8 @@
 //! binary, and a program for every switch in the AND file": here, the
 //! host side is every `_in_` kernel lowered once to the micro-op program
 //! libncrt runs, and each switch program is a loadable PISA pipeline
-//! plus its P4-16 source.
+//! plus its P4-16 source, and the location's kernels lowered once to the
+//! micro-op programs the software switch loads.
 
 use c3::Label;
 use ncl_and::{AndError, Overlay};
@@ -83,9 +84,20 @@ pub struct CompiledProgram {
     /// Compiled artifacts per switch location.
     pub switches: Vec<(Label, CompiledSwitch)>,
     /// The versioned IR module per switch location — the same IR the
-    /// backend compiled, consumed by the fast-path executor
-    /// ([`crate::fastpath::FastPathSwitch`]).
+    /// backend compiled, the input of the deploy-time lint gate and of
+    /// the interpreter tier ([`crate::interp_switch::InterpSwitch`]).
     pub modules: Vec<(Label, Module)>,
+    /// Every kernel of each location's versioned module, by NCP kernel
+    /// id, lowered once ([`CompiledKernel::compile_for`]) to the
+    /// micro-op program the software switch runs — the switch-side
+    /// counterpart of [`CompiledProgram::incoming`]. Deployment loads
+    /// these and never lowers: every software switch built from this
+    /// program shares them ([`crate::fastpath::FastPathSwitch`]), and
+    /// every engine reads its hop-record step counts off them. Like
+    /// [`CompiledProgram::switches`], they are derived from
+    /// [`CompiledProgram::modules`], which is what the deploy-time lint
+    /// gate re-checks.
+    pub switch_kernels: Vec<(Label, BTreeMap<u16, Arc<CompiledKernel>>)>,
     /// Program-wide kernel ids (hosts and switches agree).
     pub kernel_ids: HashMap<String, u16>,
     /// AND label → wire id (for `_pass(label)` and deployment).
@@ -104,11 +116,13 @@ pub struct CompiledProgram {
     /// `CompiledProgram` is assembled or altered by hand.
     pub lint_config: LintConfig,
     /// Wall-time spans of every compiler stage (frontend → overlay →
-    /// lower → optimize → version → lint → stage → estimate → backend), the
-    /// per-location stages accumulated across locations. `stage` is the
-    /// whole build (staging, codegen, report), `estimate` turns its
-    /// violations into lint findings, and `backend` is the resource
-    /// verdict and P4 emission. Rendered by `nclc --emit timing`.
+    /// lower → optimize → version → lint → stage → estimate → backend →
+    /// kernels), the per-location stages accumulated across locations.
+    /// `stage` is the whole build (staging, codegen, report), `estimate`
+    /// turns its violations into lint findings, `backend` is the
+    /// resource verdict and P4 emission, and `kernels` lowers the
+    /// location's kernels for the software switch. Rendered by
+    /// `nclc --emit timing`.
     pub timings: Timeline,
 }
 
@@ -127,6 +141,14 @@ impl CompiledProgram {
             .iter()
             .find(|(l, _)| l.as_str() == label)
             .map(|(_, m)| m)
+    }
+
+    /// The lowered kernels for a location, by NCP kernel id.
+    pub fn kernels_at(&self, label: &str) -> Option<&BTreeMap<u16, Arc<CompiledKernel>>> {
+        self.switch_kernels
+            .iter()
+            .find(|(l, _)| l.as_str() == label)
+            .map(|(_, k)| k)
     }
 
     /// The resource figures for a location.
@@ -301,6 +323,7 @@ pub fn compile(
     };
     let mut switches = Vec::new();
     let mut modules = Vec::new();
+    let mut switch_kernels = Vec::new();
     let mut lints = Vec::new();
     let mut estimates = Vec::new();
     for (loc, module) in locations.iter().zip(versions) {
@@ -345,7 +368,18 @@ pub fn compile(
         let compiled = timings
             .time("backend", || build.finish())
             .map_err(backend_error)?;
+        let kernels = timings.time("kernels", || {
+            module
+                .kernels
+                .iter()
+                .filter_map(|k| {
+                    let id = *kernel_ids.get(&k.name)?;
+                    Some((id, Arc::new(CompiledKernel::compile_for(k, &module))))
+                })
+                .collect()
+        });
         switches.push((loc.label.clone(), compiled));
+        switch_kernels.push((loc.label.clone(), kernels));
         modules.push((loc.label.clone(), module));
         lints.push((loc.label.clone(), warns));
         estimates.push((loc.label.clone(), estimate));
@@ -358,6 +392,7 @@ pub fn compile(
         overlay,
         switches,
         modules,
+        switch_kernels,
         kernel_ids,
         label_ids,
         lints,

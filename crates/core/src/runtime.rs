@@ -207,14 +207,17 @@ impl KernelRuntime {
 
     /// Window `wi` of `arrays` as `sender` launches it.
     ///
-    /// Held back (ROADMAP item 2): this still splits the whole
+    /// Held back (ROADMAP item 1): this still splits the whole
     /// invocation to keep one window, which is what a released or
     /// retransmitted window cost before the send paths were merged.
     /// Cutting on demand is `self.spec.window_at(arrays, wi)` and runs
-    /// `ar_w64` at 5-6x the window rate. It waits for a PR of its own:
-    /// the benchmark gate bounds a metric's run-to-run spread by a
-    /// quarter of the *parent's* median, and on a host whose clock
-    /// steps by 25% a several-fold higher rate cannot stay inside that.
+    /// `ar_w64` at 5-6x the window rate. It waits for the benchmark
+    /// contract to change, for two reasons. The gate bounds a metric's
+    /// run-to-run spread by a quarter of the *parent's* median, and on a
+    /// host whose clock steps by 25% a several-fold higher rate cannot
+    /// stay inside that. And ncbench keeps about 0.5 KiB of records per
+    /// job, so several-fold more jobs in the same seconds raise
+    /// `peak_rss_mb` to the edge of its 15% bound.
     fn window(&self, arrays: &[TypedArray], wi: usize, sender: HostId) -> Option<Window> {
         let w = self.spec.split(arrays).ok()?.into_iter().nth(wi)?;
         Some(self.stamp(w, sender))

@@ -311,29 +311,43 @@ impl Inst {
 
     /// All destination registers.
     pub fn dsts(&self) -> Vec<RegId> {
-        match self {
-            Inst::MapGet { found, val, .. } => vec![*found, *val],
-            other => other.dst().into_iter().collect(),
-        }
+        self.writes().collect()
+    }
+
+    /// [`Inst::dsts`] without allocating.
+    pub(crate) fn writes(&self) -> impl Iterator<Item = RegId> {
+        let regs = match self {
+            Inst::MapGet { found, val, .. } => [Some(*found), Some(*val)],
+            other => [other.dst(), None],
+        };
+        regs.into_iter().flatten()
     }
 
     /// All operands read by the instruction.
     pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Inst::Bin { a, b, .. } => vec![*a, *b],
-            Inst::Un { a, .. } | Inst::Cast { a, .. } | Inst::Copy { a, .. } => vec![*a],
-            Inst::Select { cond, a, b, .. } => vec![*cond, *a, *b],
-            Inst::LdWin { index, .. } => vec![*index],
-            Inst::StWin { index, val, .. } => vec![*index, *val],
-            Inst::LdMeta { .. } | Inst::LdCtrl { .. } | Inst::Here { .. } => vec![],
-            Inst::StExt { val, .. } => vec![*val],
-            Inst::LdReg { index, .. } => vec![*index],
-            Inst::StReg { index, val, .. } => vec![*index, *val],
-            Inst::MapGet { key, .. } => vec![*key],
-            Inst::LdHost { index, .. } => vec![*index],
-            Inst::StHost { index, val, .. } => vec![*index, *val],
-            Inst::Fwd { .. } => vec![],
-        }
+        self.reads().collect()
+    }
+
+    /// [`Inst::operands`] without allocating.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = Operand> {
+        let ops = match self {
+            Inst::Bin { a, b, .. } => [Some(*a), Some(*b), None],
+            Inst::Un { a, .. } | Inst::Cast { a, .. } | Inst::Copy { a, .. } => {
+                [Some(*a), None, None]
+            }
+            Inst::Select { cond, a, b, .. } => [Some(*cond), Some(*a), Some(*b)],
+            Inst::LdWin { index, .. } => [Some(*index), None, None],
+            Inst::StWin { index, val, .. } => [Some(*index), Some(*val), None],
+            Inst::LdMeta { .. } | Inst::LdCtrl { .. } | Inst::Here { .. } => [None; 3],
+            Inst::StExt { val, .. } => [Some(*val), None, None],
+            Inst::LdReg { index, .. } => [Some(*index), None, None],
+            Inst::StReg { index, val, .. } => [Some(*index), Some(*val), None],
+            Inst::MapGet { key, .. } => [Some(*key), None, None],
+            Inst::LdHost { index, .. } => [Some(*index), None, None],
+            Inst::StHost { index, val, .. } => [Some(*index), Some(*val), None],
+            Inst::Fwd { .. } => [None; 3],
+        };
+        ops.into_iter().flatten()
     }
 
     /// Rewrites every read operand through `f` (used by const/copy

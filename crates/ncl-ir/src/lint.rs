@@ -40,7 +40,7 @@ use crate::passes::dominators;
 use c3::{BinOp, ScalarType, UnOp};
 use ncl_lang::ast::KernelKind;
 use ncl_lang::diag::{Diagnostic, Severity, Span};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Stable identifier of a lint check (the `--lint allow=<code>` key).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -305,15 +305,123 @@ pub fn access_summary(module: &Module, cfg: &LintConfig) -> Vec<ArrayAccess> {
 // Kernel summaries
 // ---------------------------------------------------------------------
 
+/// A set of register arrays, as a bitset over [`ArrId`]: arrays 0–63
+/// live in one inline word, the rest in a spill vector that stays
+/// empty, and unallocated, for modules of up to 64 arrays. Cloning and
+/// joining are then a word copy and a word `|` per vreg, store and
+/// block.
+#[derive(Clone, Default, Debug)]
+struct ArrSet {
+    low: u64,
+    high: Vec<u64>,
+}
+
+impl ArrSet {
+    fn insert(&mut self, arr: u32) {
+        match (arr as usize).checked_sub(64) {
+            None => self.low |= 1 << arr,
+            Some(i) => {
+                if self.high.len() <= i / 64 {
+                    self.high.resize(i / 64 + 1, 0);
+                }
+                self.high[i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    fn contains(&self, arr: u32) -> bool {
+        match (arr as usize).checked_sub(64) {
+            None => self.low >> arr & 1 == 1,
+            Some(i) => self
+                .high
+                .get(i / 64)
+                .is_some_and(|w| w >> (i % 64) & 1 == 1),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
+    }
+
+    fn clear(&mut self) {
+        self.low = 0;
+        self.high.clear();
+    }
+
+    /// Adds every array of `other`; whether `self` grew.
+    fn union_with(&mut self, other: &ArrSet) -> bool {
+        let mut grew = other.low & !self.low != 0;
+        self.low |= other.low;
+        if self.high.len() < other.high.len() {
+            self.high.resize(other.high.len(), 0);
+        }
+        for (w, &o) in self.high.iter_mut().zip(&other.high) {
+            grew |= o & !*w != 0;
+            *w |= o;
+        }
+        grew
+    }
+
+    /// The arrays in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let words = std::iter::once(self.low).chain(self.high.iter().copied());
+        words.enumerate().flat_map(|(i, mut w)| {
+            std::iter::from_fn(move || {
+                let bit = (w != 0).then(|| w.trailing_zeros())?;
+                w &= w - 1;
+                Some(i as u32 * 64 + bit)
+            })
+        })
+    }
+}
+
+/// The kernel's single-definition table, indexed by [`RegId`]: the
+/// instruction that defines a vreg when exactly one does. The IR is not
+/// SSA, so a vreg written twice has none. Built once per kernel; the
+/// replay-flag, index-canonicalisation and commutativity walks all read
+/// it.
+struct Defs<'k>(Vec<Def<'k>>);
+
+#[derive(Clone, Copy)]
+enum Def<'k> {
+    Undefined,
+    Single(&'k Inst),
+    Multiple,
+}
+
+impl<'k> Defs<'k> {
+    fn new(k: &'k KernelIr) -> Self {
+        let mut defs = vec![Def::Undefined; k.nregs as usize];
+        for inst in k.blocks.iter().flat_map(|b| &b.insts) {
+            for d in inst.writes() {
+                let def = &mut defs[d.0 as usize];
+                *def = match def {
+                    Def::Undefined => Def::Single(inst),
+                    _ => Def::Multiple,
+                };
+            }
+        }
+        Defs(defs)
+    }
+
+    /// The instruction defining `r`, when it is the only one.
+    fn single(&self, r: RegId) -> Option<&'k Inst> {
+        match self.0.get(r.0 as usize) {
+            Some(Def::Single(inst)) => Some(inst),
+            _ => None,
+        }
+    }
+}
+
 /// Dataflow facts about one store instruction.
 #[derive(Clone, Debug)]
 struct StoreFact {
     block: BlockId,
     /// Arrays the stored value / index transitively read.
-    val_deps: BTreeSet<u32>,
+    val_deps: ArrSet,
     /// Arrays the store's *reachability* (branch conditions on the path
     /// from the entry) depends on.
-    guard_deps: BTreeSet<u32>,
+    guard_deps: ArrSet,
     /// A map lookup sits on the value/index dependency path.
     mapget_on_path: bool,
     /// Stored value is `Ld(self) ⊕ state-free` for a commutative ⊕.
@@ -324,13 +432,33 @@ struct StoreFact {
     self_guarded: bool,
 }
 
+#[derive(Default)]
 struct ArrayFacts {
     loads: usize,
     stores: Vec<StoreFact>,
-    /// Accesses grouped by canonical index form (see [`LaneKey`]): the
-    /// backend's lane splitting gives each distinct lane its own bank,
-    /// so micro-op budgets apply per lane, not per array.
-    lane_accesses: BTreeMap<LaneKey, usize>,
+    /// The lane (see [`LaneKey`]) of every access: the backend's lane
+    /// splitting gives each distinct lane its own bank, so micro-op
+    /// budgets apply per lane, not per array.
+    lanes: Vec<LaneKey>,
+}
+
+impl ArrayFacts {
+    /// Accesses to the busiest lane.
+    fn hottest_lane(&mut self) -> usize {
+        // An unrolled kernel touches its lanes in a few ascending runs,
+        // which the (run-merging) stable sort orders in linear time.
+        self.lanes.sort();
+        let (mut hottest, mut run) = (0, 0);
+        for (i, lane) in self.lanes.iter().enumerate() {
+            run = if i > 0 && self.lanes[i - 1] == *lane {
+                run + 1
+            } else {
+                1
+            };
+            hottest = hottest.max(run);
+        }
+        hottest
+    }
 }
 
 /// Canonical form of a register-array index for lane grouping. Mirrors
@@ -348,10 +476,10 @@ enum LaneKey {
     Dyn(u32, u64),
 }
 
-fn lane_key(index: &Operand, defs: &HashMap<RegId, Option<&Inst>>) -> LaneKey {
+fn lane_key(index: &Operand, defs: &Defs) -> LaneKey {
     match index {
         Operand::Const(v) => LaneKey::Const(v.bits()),
-        Operand::Reg(r) => match defs.get(r).copied().flatten() {
+        Operand::Reg(r) => match defs.single(*r) {
             Some(Inst::Bin {
                 op: BinOp::Add,
                 a,
@@ -401,32 +529,22 @@ fn meet(a: Option<ReplayState>, b: ReplayState) -> ReplayState {
     }
 }
 
-/// Registers holding the replay flag (or its negation). `true` in the
-/// map means "register is true ⇔ window is a replay".
-fn replay_flags(module: &Module, k: &KernelIr) -> HashMap<RegId, bool> {
-    // Single-definition map over the whole kernel.
-    let mut defs: HashMap<RegId, Option<&Inst>> = HashMap::new();
-    for b in &k.blocks {
-        for inst in &b.insts {
-            for d in inst.dsts() {
-                defs.entry(d)
-                    .and_modify(|e| *e = None) // multi-def: give up
-                    .or_insert(Some(inst));
-            }
-        }
-    }
-    let single = |r: RegId| defs.get(&r).copied().flatten();
+/// Registers holding the replay flag (or its negation), indexed by
+/// [`RegId`]. `Some(true)` means "register is true ⇔ window is a
+/// replay".
+fn replay_flags(module: &Module, k: &KernelIr, defs: &Defs) -> Vec<Option<bool>> {
     // Seed: registers loaded from a `__nclr_seen_*` array.
     let is_seen_load = |r: RegId| -> bool {
         matches!(
-            single(r),
+            defs.single(r),
             Some(Inst::LdReg { arr, .. })
                 if module.registers[arr.0 as usize]
                     .name
                     .starts_with(c3::ncpr::REPLAY_SEEN_PREFIX)
         )
     };
-    let mut flags: HashMap<RegId, bool> = HashMap::new();
+    let mut flags: Vec<Option<bool>> = vec![None; k.nregs as usize];
+    let flag = |flags: &[Option<bool>], r: &RegId| flags.get(r.0 as usize).copied().flatten();
     // Iterate to propagate through Copy / Not chains.
     let mut changed = true;
     while changed {
@@ -449,17 +567,19 @@ fn replay_flags(module: &Module, k: &KernelIr) -> HashMap<RegId, bool> {
                     Inst::Copy {
                         dst,
                         a: Operand::Reg(r),
-                    } => flags.get(r).map(|p| (*dst, *p)),
+                    } => flag(&flags, r).map(|p| (*dst, p)),
                     Inst::Un {
                         dst,
                         op: UnOp::Not,
                         a: Operand::Reg(r),
-                    } => flags.get(r).map(|p| (*dst, !*p)),
+                    } => flag(&flags, r).map(|p| (*dst, !p)),
                     _ => None,
                 };
                 if let Some((dst, polarity)) = derived {
                     // Only trust single-def registers as stable flags.
-                    if single(dst).is_some() && flags.insert(dst, polarity) != Some(polarity) {
+                    let slot = &mut flags[dst.0 as usize];
+                    if defs.single(dst).is_some() && *slot != Some(polarity) {
+                        *slot = Some(polarity);
                         changed = true;
                     }
                 }
@@ -470,10 +590,10 @@ fn replay_flags(module: &Module, k: &KernelIr) -> HashMap<RegId, bool> {
 }
 
 /// Forward dataflow over the CFG computing each block's replay state.
-fn replay_states(k: &KernelIr, flags: &HashMap<RegId, bool>) -> Vec<ReplayState> {
+fn replay_states(k: &KernelIr, flags: &[Option<bool>]) -> Vec<ReplayState> {
     let n = k.blocks.len();
     let mut state = vec![ReplayState::Unknown; n];
-    if flags.is_empty() {
+    if flags.iter().all(Option::is_none) {
         return state;
     }
     let rpo = k.rpo();
@@ -486,13 +606,22 @@ fn replay_states(k: &KernelIr, flags: &HashMap<RegId, bool>) -> Vec<ReplayState>
                 Some(s) => s,
                 None => state[b.0 as usize],
             };
-            match &k.blocks[b.0 as usize].term {
+            let term = &k.blocks[b.0 as usize].term;
+            let replay_branch = match term {
                 Terminator::Br {
                     cond: Operand::Reg(c),
                     then,
                     els,
-                } if flags.contains_key(c) => {
-                    let replay_then = flags[c]; // true-edge means replay?
+                } => flags
+                    .get(c.0 as usize)
+                    .copied()
+                    .flatten()
+                    .map(|replay_then| (replay_then, *then, *els)),
+                _ => None,
+            };
+            match replay_branch {
+                // `replay_then`: the true edge means replay.
+                Some((replay_then, then, els)) => {
                     let (t_state, e_state) = if replay_then {
                         (ReplayState::Replay, ReplayState::FirstDelivery)
                     } else {
@@ -512,8 +641,8 @@ fn replay_states(k: &KernelIr, flags: &HashMap<RegId, bool>) -> Vec<ReplayState>
                     incoming[els.0 as usize] =
                         Some(meet(incoming[els.0 as usize], refine(e_state)));
                 }
-                t => {
-                    for s in t.successors() {
+                None => {
+                    for s in term.successors() {
                         incoming[s.0 as usize] = Some(meet(incoming[s.0 as usize], cur));
                     }
                 }
@@ -531,7 +660,8 @@ fn replay_states(k: &KernelIr, flags: &HashMap<RegId, bool>) -> Vec<ReplayState>
 }
 
 fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelSummary {
-    let flags = replay_flags(module, k);
+    let defs = Defs::new(k);
+    let flags = replay_flags(module, k, &defs);
     let replay = replay_states(k, &flags);
     let synthetic = |arr: ArrId| {
         let n = &module.registers[arr.0 as usize].name;
@@ -541,19 +671,28 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
     // Transitive register-array dependencies of each vreg, plus whether
     // a map lookup contributes. Fixpoint over all defs (non-SSA).
     let nregs = k.nregs as usize;
-    let mut reg_deps: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); nregs];
+    let mut reg_deps: Vec<ArrSet> = vec![ArrSet::default(); nregs];
     let mut reg_map: Vec<bool> = vec![false; nregs];
-    let mut changed = true;
-    while changed {
-        changed = false;
+    let mut deps = ArrSet::default();
+    // The pass that last read each vreg: a vreg that grows after this
+    // pass read it needs another pass; when none does, every
+    // instruction has seen its operands' final sets.
+    let mut read_in: Vec<u32> = vec![0; nregs];
+    let mut pass = 0;
+    let mut again = true;
+    while again {
+        again = false;
+        pass += 1;
         for b in &k.blocks {
             for inst in &b.insts {
-                let mut deps: BTreeSet<u32> = BTreeSet::new();
+                deps.clear();
                 let mut viamap = false;
-                for o in inst.operands() {
+                for o in inst.reads() {
                     if let Operand::Reg(r) = o {
-                        deps.extend(reg_deps[r.0 as usize].iter().copied());
-                        viamap |= reg_map[r.0 as usize];
+                        let r = r.0 as usize;
+                        deps.union_with(&reg_deps[r]);
+                        viamap |= reg_map[r];
+                        read_in[r] = pass;
                     }
                 }
                 if let Inst::LdReg { arr, .. } = inst {
@@ -564,25 +703,22 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
                 if matches!(inst, Inst::MapGet { .. }) {
                     viamap = true;
                 }
-                for d in inst.dsts() {
-                    let slot = &mut reg_deps[d.0 as usize];
-                    let before = slot.len();
-                    slot.extend(deps.iter().copied());
-                    if slot.len() != before {
-                        changed = true;
+                for d in inst.writes() {
+                    let d = d.0 as usize;
+                    let mut grew = reg_deps[d].union_with(&deps);
+                    if viamap && !reg_map[d] {
+                        reg_map[d] = true;
+                        grew = true;
                     }
-                    if viamap && !reg_map[d.0 as usize] {
-                        reg_map[d.0 as usize] = true;
-                        changed = true;
-                    }
+                    again |= grew && read_in[d] == pass;
                 }
             }
         }
     }
-    let operand_deps = |o: &Operand| -> (BTreeSet<u32>, bool) {
+    let operand_deps = |o: &Operand| -> (ArrSet, bool) {
         match o {
             Operand::Reg(r) => (reg_deps[r.0 as usize].clone(), reg_map[r.0 as usize]),
-            Operand::Const(_) => (BTreeSet::new(), false),
+            Operand::Const(_) => (ArrSet::default(), false),
         }
     };
 
@@ -592,7 +728,7 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
     // dominator's branch condition if the dominator branches.
     let idom = dominators(k);
     let rpo = k.rpo();
-    let mut guard_deps: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); k.blocks.len()];
+    let mut guard_deps: Vec<ArrSet> = vec![ArrSet::default(); k.blocks.len()];
     for &b in &rpo {
         if b.0 == 0 {
             continue;
@@ -604,22 +740,9 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
                 ..
             } = &k.blocks[d.0 as usize].term
             {
-                deps.extend(reg_deps[c.0 as usize].iter().copied());
+                deps.union_with(&reg_deps[c.0 as usize]);
             }
             guard_deps[b.0 as usize] = deps;
-        }
-    }
-
-    // Single-def map for canonicalizing index expressions (non-SSA:
-    // multiply-defined vregs map to None).
-    let mut defs: HashMap<RegId, Option<&Inst>> = HashMap::new();
-    for b in &k.blocks {
-        for inst in &b.insts {
-            for d in inst.dsts() {
-                defs.entry(d)
-                    .and_modify(|e| *e = None)
-                    .or_insert(Some(inst));
-            }
         }
     }
 
@@ -629,28 +752,19 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
         for inst in &b.insts {
             match inst {
                 Inst::LdReg { arr, index, .. } if !synthetic(*arr) => {
-                    let f = facts.entry(arr.0).or_insert_with(|| ArrayFacts {
-                        loads: 0,
-                        stores: Vec::new(),
-                        lane_accesses: BTreeMap::new(),
-                    });
+                    let f = facts.entry(arr.0).or_default();
                     f.loads += 1;
-                    *f.lane_accesses.entry(lane_key(index, &defs)).or_default() += 1;
+                    f.lanes.push(lane_key(index, &defs));
                 }
                 Inst::StReg { arr, index, val } if !synthetic(*arr) => {
-                    let (vd, vm) = operand_deps(val);
+                    let (mut val_deps, vm) = operand_deps(val);
                     let (id, im) = operand_deps(index);
-                    let mut val_deps = vd;
-                    val_deps.extend(id.iter().copied());
+                    val_deps.union_with(&id);
                     let state_free = val_deps.is_empty();
                     let commutative = is_commutative_rmw(&defs, arr.0, val, &reg_deps);
                     let gd = &guard_deps[bi];
-                    let f = facts.entry(arr.0).or_insert_with(|| ArrayFacts {
-                        loads: 0,
-                        stores: Vec::new(),
-                        lane_accesses: BTreeMap::new(),
-                    });
-                    *f.lane_accesses.entry(lane_key(index, &defs)).or_default() += 1;
+                    let f = facts.entry(arr.0).or_default();
+                    f.lanes.push(lane_key(index, &defs));
                     f.stores.push(StoreFact {
                         block: BlockId(bi as u32),
                         val_deps,
@@ -658,7 +772,7 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
                         mapget_on_path: vm || im,
                         commutative,
                         state_free,
-                        self_guarded: gd.contains(&arr.0),
+                        self_guarded: gd.contains(arr.0),
                     });
                 }
                 _ => {}
@@ -668,13 +782,13 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
 
     // Classify each array on the lattice.
     let mut arrays = BTreeMap::new();
-    for (arr, f) in &facts {
+    for (arr, f) in &mut facts {
         let name = module.registers[*arr as usize].name.clone();
         let mut kind = UpdateKind::ReadOnly;
         for s in &f.stores {
             kind = kind.max(classify_store(*arr, s));
         }
-        let accesses = f.lane_accesses.values().copied().max().unwrap_or(0);
+        let accesses = f.hottest_lane();
         let replay_unsafe = f.stores.iter().any(|s| {
             !store_idempotent(*arr, s) && replay[s.block.0 as usize] != ReplayState::FirstDelivery
         });
@@ -701,25 +815,14 @@ fn summarize_kernel(module: &Module, k: &KernelIr, _cfg: &LintConfig) -> KernelS
 
 /// `val` computes `Ld(arr) ⊕ state-free-expr` for a commutative-
 /// associative ⊕ (possibly through a chain of such ops).
-/// `defs` is the kernel's single-def map; the walk starts at the stored
-/// value.
-fn is_commutative_rmw(
-    defs: &HashMap<RegId, Option<&Inst>>,
-    arr: u32,
-    val: &Operand,
-    reg_deps: &[BTreeSet<u32>],
-) -> bool {
-    fn walk(
-        r: RegId,
-        arr: u32,
-        defs: &HashMap<RegId, Option<&Inst>>,
-        reg_deps: &[BTreeSet<u32>],
-        depth: usize,
-    ) -> bool {
+/// `defs` is the kernel's single-def table; the walk starts at the
+/// stored value.
+fn is_commutative_rmw(defs: &Defs, arr: u32, val: &Operand, reg_deps: &[ArrSet]) -> bool {
+    fn walk(r: RegId, arr: u32, defs: &Defs, reg_deps: &[ArrSet], depth: usize) -> bool {
         if depth > 16 {
             return false;
         }
-        match defs.get(&r).copied().flatten() {
+        match defs.single(r) {
             Some(Inst::LdReg { arr: a, .. }) => a.0 == arr,
             Some(Inst::Bin {
                 op: BinOp::Add | BinOp::Or | BinOp::And | BinOp::Xor,
@@ -748,9 +851,9 @@ fn is_commutative_rmw(
 
 /// Lattice position of one store.
 fn classify_store(arr: u32, s: &StoreFact) -> UpdateKind {
-    let depends_on_self = s.val_deps.contains(&arr);
+    let depends_on_self = s.val_deps.contains(arr);
     let depends_on_other =
-        s.val_deps.iter().any(|d| *d != arr) || s.guard_deps.iter().any(|d| *d != arr);
+        s.val_deps.iter().any(|d| d != arr) || s.guard_deps.iter().any(|d| d != arr);
     if depends_on_other || (depends_on_self && s.mapget_on_path) {
         return UpdateKind::OrderSensitive;
     }
@@ -825,8 +928,8 @@ fn hazard_findings(
                 .val_deps
                 .iter()
                 .chain(st.guard_deps.iter())
-                .filter(|d| **d != *arr)
-                .map(|d| module.registers[*d as usize].name.as_str())
+                .filter(|d| d != arr)
+                .map(|d| module.registers[d as usize].name.as_str())
                 .collect::<BTreeSet<_>>()
                 .into_iter()
                 .collect();
@@ -850,7 +953,7 @@ fn hazard_findings(
                 );
                 break;
             }
-            if st.val_deps.contains(arr) && st.mapget_on_path {
+            if st.val_deps.contains(*arr) && st.mapget_on_path {
                 push(
                     out,
                     cfg,
@@ -1437,6 +1540,24 @@ _net_ _out_ void k(unsigned *d) {
         let rendered = d.to_diagnostic().render_snippet(src);
         assert!(rendered.contains("t.ncl:"), "{rendered}");
         assert!(rendered.contains('^'), "{rendered}");
+    }
+
+    #[test]
+    fn array_sets_span_the_inline_word() {
+        let mut a = ArrSet::default();
+        assert!(a.is_empty());
+        for arr in [3, 63, 64, 200] {
+            a.insert(arr);
+        }
+        assert_eq!(a.iter().collect::<Vec<_>>(), [3, 63, 64, 200]);
+        assert!(a.contains(64) && a.contains(200) && !a.contains(65) && !a.contains(1000));
+        let mut b = ArrSet::default();
+        b.insert(5);
+        assert!(b.union_with(&a), "b grew");
+        assert!(!b.union_with(&a), "a second union adds nothing");
+        assert_eq!(b.iter().collect::<Vec<_>>(), [3, 5, 63, 64, 200]);
+        b.clear();
+        assert!(b.is_empty() && b.iter().next().is_none());
     }
 
     #[test]

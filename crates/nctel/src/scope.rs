@@ -155,7 +155,8 @@ impl Scope {
         self.ring.logged()
     }
 
-    /// Events lost to ring wrap-around.
+    /// Events lost to ring wrap-around or to a concurrent writer a lap
+    /// behind ([`EventRing::dropped`]).
     pub fn dropped(&self) -> u64 {
         self.ring.dropped()
     }

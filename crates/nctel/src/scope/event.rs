@@ -5,8 +5,9 @@
 //! transport-side and switch-side observations of one window all join
 //! the same causal chain. Events are stored flattened (one fixed-size
 //! record of five 64-bit words) so the ring can be written from any
-//! thread without locks: each slot is a seqlock of plain atomics, and a
-//! single `fetch_add` cursor hands out slots.
+//! thread without locks: each slot is a seqlock of plain atomics, a
+//! single `fetch_add` cursor hands out sequence numbers, and a writer
+//! claims its slot with one `compare_exchange` on the seqlock version.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -289,21 +290,30 @@ const WORDS: usize = 5;
 
 struct Slot {
     /// Seqlock version: `2 * n + 1` while event `n` is being written
-    /// into this slot, `2 * n + 2` once it is complete.
+    /// into this slot, `2 * n + 2` once it is complete. It only ever
+    /// grows.
     version: AtomicU64,
     words: [AtomicU64; WORDS],
 }
 
 /// A bounded, lock-free multi-producer event ring.
 ///
-/// Writers claim a global sequence number with one `fetch_add` and fill
-/// the slot `n % capacity` under a per-slot seqlock; when the ring wraps,
-/// old events are overwritten (lossy by design — this is a flight
-/// recorder, not a log shipper). [`EventRing::snapshot`] collects every
-/// slot whose seqlock is stable, oldest first, without blocking writers.
+/// Writers claim a global sequence number with one `fetch_add`, then
+/// claim the slot `n % capacity` with a `compare_exchange` on its
+/// seqlock version, fill it and publish it; when the ring wraps, old
+/// events are overwritten (lossy by design — this is a flight recorder,
+/// not a log shipper). The slot claim succeeds only from a complete,
+/// older version, so two writers a lap apart are never inside one slot
+/// together and a slot's version never goes back: a writer that finds
+/// the slot still being written, or already holding a newer event,
+/// writes nothing and its event counts as dropped.
+/// [`EventRing::snapshot`] collects every slot whose seqlock is stable,
+/// oldest first, without blocking writers.
 pub struct EventRing {
     slots: Box<[Slot]>,
     head: AtomicU64,
+    /// Events whose writer lost its slot claim.
+    lost: AtomicU64,
 }
 
 impl std::fmt::Debug for EventRing {
@@ -329,6 +339,7 @@ impl EventRing {
         EventRing {
             slots,
             head: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
         }
     }
 
@@ -342,31 +353,75 @@ impl EventRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Events lost to ring wrap-around.
+    /// Events lost to ring wrap-around, plus events whose writer lost its
+    /// slot claim. A single producer never loses a claim; under
+    /// concurrent writers, a lost event that has since fallen behind the
+    /// ring's window is counted twice, so the figure is an upper bound.
     pub fn dropped(&self) -> u64 {
-        self.logged().saturating_sub(self.slots.len() as u64)
+        self.logged().saturating_sub(self.slots.len() as u64) + self.lost.load(Ordering::Relaxed)
     }
 
-    /// Appends a record. Lock-free: one atomic `fetch_add`, a release
-    /// fence and seven stores; never blocks or allocates.
+    /// Appends a record. Lock-free: one `fetch_add`, one slot claim by
+    /// `compare_exchange`, a release fence and six stores; never blocks
+    /// or allocates.
     pub fn push(&self, r: ScopeEventRecord) {
         let n = self.head.fetch_add(1, Ordering::Relaxed);
+        match self.claim(n) {
+            Some(slot) => {
+                Self::fill(slot, &r);
+                Self::publish(slot, n);
+            }
+            None => {
+                self.lost.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Claims event `n`'s slot: moves its version from a complete,
+    /// older `2m + 2` to `2n + 1`. `None` when the slot is being written
+    /// (odd) or already holds a newer event.
+    fn claim(&self, n: u64) -> Option<&Slot> {
         let slot = &self.slots[(n % self.slots.len() as u64) as usize];
+        let mut v = slot.version.load(Ordering::Relaxed);
+        while v & 1 == 0 && v < 2 * n + 1 {
+            // Acquire, pairing with the previous owner's `publish`
+            // (Release): its word stores happen before ours, so they
+            // cannot land on top of them.
+            match slot.version.compare_exchange_weak(
+                v,
+                2 * n + 1,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    // The standard seqlock writer: the fence keeps the
+                    // word stores of `fill` from becoming visible ahead
+                    // of the odd version (pairing with the reader's
+                    // acquire fence).
+                    fence(Ordering::Release);
+                    return Some(slot);
+                }
+                Err(now) => v = now,
+            }
+        }
+        None
+    }
+
+    /// Writes a record's words into a claimed slot.
+    fn fill(slot: &Slot, r: &ScopeEventRecord) {
         let w1 = ((r.node as u64) << 48)
             | ((r.sender as u64) << 32)
             | ((r.kernel as u64) << 16)
             | r.kind as u64;
-        // The standard seqlock writer: a release *store* of the odd
-        // version would only order what came before it, so the fence
-        // keeps the word stores below from becoming visible ahead of
-        // the odd version (pairing with the reader's acquire fence).
-        slot.version.store(2 * n + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
         slot.words[0].store(r.t, Ordering::Relaxed);
         slot.words[1].store(w1, Ordering::Relaxed);
         slot.words[2].store(r.seq as u64, Ordering::Relaxed);
         slot.words[3].store(r.a, Ordering::Relaxed);
         slot.words[4].store(r.b, Ordering::Relaxed);
+    }
+
+    /// Marks event `n`'s claimed slot complete.
+    fn publish(slot: &Slot, n: u64) {
         slot.version.store(2 * n + 2, Ordering::Release);
     }
 
@@ -515,6 +570,51 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(ring.logged(), 8000);
-        assert_eq!(ring.snapshot().len(), 256);
+        // A writer that lost its slot to one a lap behind left that
+        // slot's older event in place; its own event counts as dropped.
+        let kept = ring.snapshot().len() as u64;
+        assert!(kept <= 256 && kept + ring.dropped() >= 8000, "{kept} kept");
+    }
+
+    /// Two writers a lap apart, interleaved by hand on a one-slot ring:
+    /// the later one finds the slot still being written, writes nothing
+    /// and is counted; the slot never keeps a stale version; and no
+    /// snapshot ever returns a record assembled from two writers.
+    #[test]
+    fn a_writer_a_lap_ahead_never_tears_a_slot() {
+        let ring = EventRing::new(1);
+        let whole = |ring: &EventRing| {
+            for r in ring.snapshot() {
+                assert_eq!(r, rec(r.seq, 1), "a record from two writers");
+            }
+        };
+        let n0 = ring.head.fetch_add(1, Ordering::Relaxed);
+        let slot = ring.claim(n0).expect("the first claim wins");
+        ring.slots[0].words[0].store(rec(0, 1).t, Ordering::Relaxed);
+        whole(&ring);
+        // Event 1 claims the slot event 0 is still inside.
+        let n1 = ring.head.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            ring.claim(n1).is_none(),
+            "a slot being written is not claimable"
+        );
+        ring.lost.fetch_add(1, Ordering::Relaxed);
+        whole(&ring);
+        EventRing::fill(slot, &rec(0, 1));
+        EventRing::publish(slot, n0);
+        whole(&ring);
+        assert_eq!(ring.dropped(), 2, "event 0 wrapped, event 1 lost its claim");
+        assert!(ring.snapshot().is_empty(), "the window holds only event 1");
+        // The slot is not stuck: event 2 claims it from event 0.
+        ring.push(rec(2, 1));
+        assert_eq!(ring.snapshot(), vec![rec(2, 1)]);
+        // A writer that is behind the slot never moves it back.
+        assert!(
+            ring.claim(n1).is_none(),
+            "an older event never overwrites a newer one"
+        );
+        assert_eq!(ring.snapshot(), vec![rec(2, 1)]);
+        assert_eq!(ring.logged(), 3);
+        assert_eq!(ring.dropped(), 3, "event 1 is now both lost and wrapped");
     }
 }
