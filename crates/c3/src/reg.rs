@@ -53,7 +53,7 @@ macro_rules! impl_lane {
 impl_lane!(u8, u16, u32, u64);
 
 /// The packed storage behind a [`RegArray`], one variant per lane width.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub enum Lanes {
     /// `bool`, `i8`, `u8`.
     W8(Vec<u8>),
@@ -80,14 +80,52 @@ macro_rules! each_width {
     };
 }
 
+impl Clone for Lanes {
+    fn clone(&self) -> Self {
+        match self {
+            Lanes::W8(a) => Lanes::W8(a.clone()),
+            Lanes::W16(a) => Lanes::W16(a.clone()),
+            Lanes::W32(a) => Lanes::W32(a.clone()),
+            Lanes::W64(a) => Lanes::W64(a.clone()),
+        }
+    }
+
+    /// Copies into `self`'s buffer when the widths match (reallocating
+    /// only when `source` is longer than it holds), else clones.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Lanes::W8(a), Lanes::W8(b)) => a.clone_from(b),
+            (Lanes::W16(a), Lanes::W16(b)) => a.clone_from(b),
+            (Lanes::W32(a), Lanes::W32(b)) => a.clone_from(b),
+            (Lanes::W64(a), Lanes::W64(b)) => a.clone_from(b),
+            (this, _) => *this = source.clone(),
+        }
+    }
+}
+
 /// One register array: device memory packed at the declared element
 /// width (`bool` as one byte holding 0 or 1). A slot's type is the
 /// declaration's, not a per-slot tag: every store casts to `elem` and
 /// every load reads back an `elem`-typed [`Value`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct RegArray {
     elem: ScalarType,
     lanes: Lanes,
+}
+
+impl Clone for RegArray {
+    fn clone(&self) -> Self {
+        RegArray {
+            elem: self.elem,
+            lanes: self.lanes.clone(),
+        }
+    }
+
+    /// Keeps `self`'s lane buffer when the lane widths match.
+    fn clone_from(&mut self, source: &Self) {
+        self.elem = source.elem;
+        self.lanes.clone_from(&source.lanes);
+    }
 }
 
 impl RegArray {
@@ -280,6 +318,30 @@ mod tests {
         let wide = RegArray::new(ScalarType::U64, 1, &[Value::u64(1 << 63)]);
         assert_eq!(words(&wide), [4, 1, 1 << 63]);
         assert_eq!(words(&RegArray::new(ScalarType::Bool, 0, &[])), [0, 0]);
+    }
+
+    #[test]
+    fn clone_from_equals_clone_across_shapes() {
+        let lane_ptr = |arr: &RegArray| each_width!(arr.lanes(), a => a.as_ptr() as usize);
+        let shapes = [
+            RegArray::new(ScalarType::U8, 3, &[Value::u64(7)]),
+            RegArray::new(ScalarType::I8, 3, &[Value::i32(-1)]),
+            RegArray::new(ScalarType::U32, 3, &[Value::u64(9)]),
+            RegArray::new(ScalarType::U32, 5, &[Value::u64(1), Value::u64(2)]),
+            RegArray::new(ScalarType::U64, 0, &[]),
+        ];
+        for from in &shapes {
+            for to in &shapes {
+                let mut out = to.clone();
+                let kept = lane_ptr(&out);
+                out.clone_from(from);
+                assert_eq!(out, *from, "{to:?} <- {from:?}");
+                let same_width = from.elem().size() == to.elem().size();
+                if same_width && from.len() <= to.len() && !from.is_empty() {
+                    assert_eq!(lane_ptr(&out), kept, "{to:?} <- {from:?} reallocated");
+                }
+            }
+        }
     }
 
     #[test]

@@ -178,6 +178,9 @@ struct Explorer<'a> {
     stats: Stats,
     truncated: bool,
     rng: SplitMix,
+    /// Spent states, whose buffers the next successors are written into
+    /// ([`exec_recycled`]).
+    spare: Vec<SysState>,
 }
 
 /// Explores the bounded schedule space of `sys` under `domain`,
@@ -202,6 +205,7 @@ pub fn explore(
         stats: Stats::default(),
         truncated: false,
         rng: SplitMix::new(opts.order_seed.unwrap_or(0)),
+        spare: Vec::new(),
     };
     if opts.reduction != Reduction::Naive {
         ex.visited.insert(ex.sys.hash(&init), vec![Box::default()]);
@@ -253,16 +257,16 @@ impl Explorer<'_> {
             }
             return;
         }
-        let mut order = enabled.clone();
+        let mut order = Cow::Borrowed(&enabled[..]);
         if self.opts.order_seed.is_some() {
             let salt = self.rng.next();
-            shuffle(&mut order, salt);
+            shuffle(order.to_mut(), salt);
         }
         let dpor = self.opts.reduction == Reduction::Dpor;
         // Each explored step beside its successor, for the probes of the
         // later siblings.
-        let mut done: Vec<(Step, SysState)> = Vec::new();
-        for &a in &order {
+        let mut done: Vec<(Step, SysState)> = Vec::with_capacity(order.len());
+        for &a in order.iter() {
             if self.done() {
                 return;
             }
@@ -270,7 +274,7 @@ impl Explorer<'_> {
                 self.stats.sleep_skips += 1;
                 continue;
             }
-            let next = self.sys.exec(st, a);
+            let next = exec_recycled(self.sys, &mut self.spare, st, a);
             self.stats.edges += 1;
             let mut child_sleep: Vec<Step> = Vec::new();
             if dpor {
@@ -301,6 +305,7 @@ impl Explorer<'_> {
             path.pop();
             done.push((a, next));
         }
+        self.spare.extend(done.into_iter().map(|(_, s)| s));
     }
 
     /// Whether `x` and `y` commute at `st`: [`System::commutes`] where
@@ -324,7 +329,9 @@ impl Explorer<'_> {
             );
             return rule;
         }
-        let (independent, execs) = probe_from(self.sys, st, self.domain, (x, sx), (y, Some(sy)));
+        let spare = &mut self.spare;
+        let (independent, execs) =
+            probe_from(self.sys, spare, st, self.domain, (x, sx), (y, Some(sy)));
         self.stats.probe_execs += execs;
         independent
     }
@@ -334,28 +341,36 @@ impl Explorer<'_> {
 /// executable at `st` and land in the identical state, with the number
 /// of steps it took to find out.
 fn probe(sys: &mut System, st: &SysState, domain: Domain, x: Step, y: Step) -> (bool, u64) {
-    probe_from(sys, st, domain, (x, None), (y, None))
+    probe_from(sys, &mut Vec::new(), st, domain, (x, None), (y, None))
 }
 
 /// [`probe`], given `exec(st, x)` and `exec(st, y)` where the caller
-/// already has them; only the steps it executes are counted.
+/// already has them; only the steps it executes are counted. The states
+/// it builds are written into `spare` ones and handed back there.
 fn probe_from(
     sys: &mut System,
+    spare: &mut Vec<SysState>,
     st: &SysState,
     domain: Domain,
     (x, sx): (Step, Option<&SysState>),
     (y, sy): (Step, Option<&SysState>),
 ) -> (bool, u64) {
     let mut execs = 0;
-    let sx = successor(sys, st, x, sx, &mut execs);
-    if !sys.enabled(&sx, domain).contains(&y) {
-        return (false, execs);
+    let mut independent = false;
+    let sx = successor(sys, spare, st, x, sx, &mut execs);
+    if sys.enabled(&sx, domain).contains(&y) {
+        let sy = successor(sys, spare, st, y, sy, &mut execs);
+        if sys.enabled(&sy, domain).contains(&x) {
+            let xy = exec_recycled(sys, spare, &sx, y);
+            let yx = exec_recycled(sys, spare, &sy, x);
+            independent = xy == yx;
+            execs += 2;
+            spare.extend([xy, yx]);
+        }
+        recycle(spare, sy);
     }
-    let sy = successor(sys, st, y, sy, &mut execs);
-    if !sys.enabled(&sy, domain).contains(&x) {
-        return (false, execs);
-    }
-    (sys.exec(&sx, y) == sys.exec(&sy, x), execs + 2)
+    recycle(spare, sx);
+    (independent, execs)
 }
 
 /// `exec(st, step)`: the `cached` successor when there is one, else
@@ -363,6 +378,7 @@ fn probe_from(
 /// deterministic, which debug builds check on every reuse.
 fn successor<'a>(
     sys: &mut System,
+    spare: &mut Vec<SysState>,
     st: &SysState,
     step: Step,
     cached: Option<&'a SysState>,
@@ -378,8 +394,32 @@ fn successor<'a>(
         }
         None => {
             *execs += 1;
-            Cow::Owned(sys.exec(st, step))
+            Cow::Owned(exec_recycled(sys, spare, st, step))
         }
+    }
+}
+
+/// Hands a successor [`successor`] built back to `spare`.
+fn recycle(spare: &mut Vec<SysState>, s: Cow<'_, SysState>) {
+    if let Cow::Owned(s) = s {
+        spare.push(s);
+    }
+}
+
+/// `exec(st, step)`, written into a spent state from `spare` when there
+/// is one ([`System::exec_into`]).
+fn exec_recycled(
+    sys: &mut System,
+    spare: &mut Vec<SysState>,
+    st: &SysState,
+    step: Step,
+) -> SysState {
+    match spare.pop() {
+        Some(mut out) => {
+            sys.exec_into(st, step, &mut out);
+            out
+        }
+        None => sys.exec(st, step),
     }
 }
 

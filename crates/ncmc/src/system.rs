@@ -145,7 +145,7 @@ pub struct RespCopy {
 }
 
 /// A packet suspended mid-pipeline by [`Step::Split`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct Suspended {
     /// The copy being delivered.
     pub copy: DataCopy,
@@ -153,11 +153,29 @@ pub struct Suspended {
     pub packet: PartialPacket,
 }
 
+impl Clone for Suspended {
+    fn clone(&self) -> Self {
+        Suspended {
+            copy: self.copy,
+            packet: self.packet.clone(),
+        }
+    }
+
+    /// Keeps `self`'s PHV buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.copy = source.copy;
+        self.packet.clone_from(&source.packet);
+    }
+}
+
 /// The full state of the composed system at one point of a schedule.
 ///
-/// Plain data, cheap to clone; the checker forks it freely at every
-/// branch point.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Plain data; the checker forks it freely at every branch point. Its
+/// `clone_from` copies into the target's buffers (registers, protocol
+/// machines, network, suspended PHV), reallocating only a buffer too
+/// small for what it receives: that is how [`System::exec_into`]
+/// recycles a spent state.
+#[derive(PartialEq, Eq, Debug)]
 pub struct SysState {
     /// Switch register state, one array per pipeline register array.
     pub regs: Vec<RegArray>,
@@ -187,6 +205,58 @@ pub struct SysState {
     /// Set as soon as any watched register cell strictly decreases
     /// across a pipeline execution (the `unguarded-overflow` property).
     pub regressed: bool,
+}
+
+impl Clone for SysState {
+    fn clone(&self) -> Self {
+        SysState {
+            regs: self.regs.clone(),
+            senders: self.senders.clone(),
+            receivers: self.receivers.clone(),
+            clock: self.clock,
+            net: self.net.clone(),
+            resps: self.resps.clone(),
+            suspended: self.suspended.clone(),
+            next_copy: self.next_copy,
+            next_resp: self.next_resp,
+            execs: self.execs.clone(),
+            splits_used: self.splits_used,
+            drops_used: self.drops_used,
+            regressed: self.regressed,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured, so a new field cannot be left out.
+        let SysState {
+            regs,
+            senders,
+            receivers,
+            clock,
+            net,
+            resps,
+            suspended,
+            next_copy,
+            next_resp,
+            execs,
+            splits_used,
+            drops_used,
+            regressed,
+        } = source;
+        self.regs.clone_from(regs);
+        self.senders.clone_from(senders);
+        self.receivers.clone_from(receivers);
+        self.clock = *clock;
+        self.net.clone_from(net);
+        self.resps.clone_from(resps);
+        self.suspended.clone_from(suspended);
+        self.next_copy = *next_copy;
+        self.next_resp = *next_resp;
+        self.execs.clone_from(execs);
+        self.splits_used = *splits_used;
+        self.drops_used = *drops_used;
+        self.regressed = *regressed;
+    }
 }
 
 /// The composed system: pipeline + scenario + scratch protocol
@@ -341,7 +411,10 @@ impl System {
     /// The steps enabled in `st` under `domain`, in canonical order
     /// (sorted by [`Step`]'s derived `Ord`).
     pub fn enabled(&self, st: &SysState, domain: Domain) -> Vec<Step> {
-        let mut steps = Vec::new();
+        // Sized up front (an upper bound): one allocation, not a growth
+        // chain.
+        let per_copy = 2 + if domain.splits { self.stage_count } else { 0 };
+        let mut steps = Vec::with_capacity(per_copy * st.net.len() + 2 * st.resps.len() + 2);
         for c in &st.net {
             steps.push(Step::Deliver(c.id));
         }
@@ -426,23 +499,42 @@ impl System {
     /// by step in [`crate::replay_violates`] instead.
     pub fn exec(&mut self, before: &SysState, step: Step) -> SysState {
         let mut st = before.clone();
-        // Only the three pipeline steps swap the cloned registers into
+        self.step(before, step, &mut st);
+        st
+    }
+
+    /// [`System::exec`], writing the successor into `out`: it starts
+    /// as `out.clone_from(before)`, so a spent state's buffers hold the
+    /// new one and the step allocates only what it adds. The result is
+    /// a whole, independent state, equal to what `exec` returns.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::exec`].
+    pub fn exec_into(&mut self, before: &SysState, step: Step, out: &mut SysState) {
+        out.clone_from(before);
+        self.step(before, step, out);
+    }
+
+    /// Applies `step` to `st`, a copy of `before`.
+    fn step(&mut self, before: &SysState, step: Step, st: &mut SysState) {
+        // Only the three pipeline steps swap the copied registers into
         // the pipeline and back out; the rest leave them alone.
         match step {
             Step::Deliver(id) => {
-                let copy = self.take_copy(&mut st, id);
+                let copy = self.take_copy(st, id);
                 let packet = &self.windows[copy.win].packet;
                 let fwd = on_pipeline(&mut self.pipeline, &mut st.regs, |pipe| {
                     pipe.begin(packet).map(|p| pipe.finish(p))
                 });
                 st.execs[copy.win] += 1;
-                self.note_regression(before, &mut st);
+                self.note_regression(before, st);
                 if let Some(out) = fwd {
-                    self.route(&mut st, copy.win, out.fwd_code);
+                    self.route(st, copy.win, out.fwd_code);
                 }
             }
             Step::Split(id, stage) => {
-                let copy = self.take_copy(&mut st, id);
+                let copy = self.take_copy(st, id);
                 assert!(st.suspended.is_none(), "split while a packet is suspended");
                 let packet = &self.windows[copy.win].packet;
                 let begun = on_pipeline(&mut self.pipeline, &mut st.regs, |pipe| {
@@ -453,7 +545,7 @@ impl System {
                 st.suspended = begun.map(|packet| Suspended { copy, packet });
                 st.execs[copy.win] += 1;
                 st.splits_used += 1;
-                self.note_regression(before, &mut st);
+                self.note_regression(before, st);
             }
             Step::Resume => {
                 let s = st
@@ -463,8 +555,8 @@ impl System {
                 let out = on_pipeline(&mut self.pipeline, &mut st.regs, |pipe| {
                     pipe.finish(s.packet)
                 });
-                self.note_regression(before, &mut st);
-                self.route(&mut st, s.copy.win, out.fwd_code);
+                self.note_regression(before, st);
+                self.route(st, s.copy.win, out.fwd_code);
             }
             Step::DeliverResp(id) => {
                 let pos = st
@@ -477,13 +569,13 @@ impl System {
                 let h = self.host_index(resp.host);
                 self.scratch_receivers[h].restore(&st.receivers[h]);
                 self.scratch_receivers[h].admit(w.sender, w.kernel, w.seq);
-                st.receivers[h] = self.scratch_receivers[h].save();
+                self.scratch_receivers[h].save_into(&mut st.receivers[h]);
                 self.scratch_senders[h].restore(&st.senders[h]);
                 self.scratch_senders[h].on_ack(w.kernel, w.seq);
-                st.senders[h] = self.scratch_senders[h].save();
+                self.scratch_senders[h].save_into(&mut st.senders[h]);
             }
             Step::DropData(id) => {
-                self.take_copy(&mut st, id);
+                self.take_copy(st, id);
                 st.drops_used += 1;
             }
             Step::DropResp(id) => {
@@ -506,7 +598,7 @@ impl System {
                 for h in 0..self.hosts.len() {
                     self.scratch_senders[h].restore(&st.senders[h]);
                     let (send, _) = self.scratch_senders[h].poll(now);
-                    st.senders[h] = self.scratch_senders[h].save();
+                    self.scratch_senders[h].save_into(&mut st.senders[h]);
                     for (kernel, seq) in send {
                         let win = self
                             .windows
@@ -525,7 +617,6 @@ impl System {
                 st.clock = now;
             }
         }
-        st
     }
 
     /// Executes a whole schedule from a state.
@@ -763,6 +854,43 @@ mod tests {
             hash(&[1, 1 << 63]),
             0xf783_231b_4a93_e71b_b287_d9b7_ce75_d64d
         );
+    }
+
+    /// `clone_from` and `exec_into` over every pair of states the full
+    /// domain reaches from a two-sender scenario: registers, sender and
+    /// receiver lengths, network contents and `suspended` going
+    /// `Some` ↔ `None` all change between them.
+    #[test]
+    fn recycled_states_equal_fresh_ones() {
+        let windows = crate::testutil::two_sender_windows(&[10, 20]);
+        let pipe = crate::testutil::rmw_pipeline(KernelShape::Accumulate);
+        let mut sys = System::new(pipe, windows, Bounds::default());
+        let mut states = vec![sys.initial()];
+        let mut i = 0;
+        while i < states.len() && states.len() < 60 {
+            for step in sys.enabled(&states[i].clone(), Domain::FULL) {
+                let next = sys.exec(&states[i].clone(), step);
+                states.push(next);
+            }
+            i += 1;
+        }
+        assert!(states.iter().any(|s| s.suspended.is_some()));
+        assert!(states.iter().any(|s| !s.resps.is_empty()));
+        for from in &states {
+            for to in &states {
+                let mut out = to.clone();
+                out.clone_from(from);
+                assert_eq!(out, *from);
+            }
+        }
+        for (k, st) in states.iter().enumerate().take(12) {
+            for step in sys.enabled(st, Domain::FULL) {
+                let fresh = sys.exec(st, step);
+                let mut out = states[(k * 7 + 3) % states.len()].clone();
+                sys.exec_into(st, step, &mut out);
+                assert_eq!(out, fresh, "{step:?}");
+            }
+        }
     }
 
     /// States one field apart hash apart, whichever field it is and

@@ -35,7 +35,7 @@
 //! counterexamples exactly.
 
 use nctel::{Counter, Registry, Scope, ScopeEvent, WindowKey};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Nanosecond timestamps, matching netsim's `Time`.
 pub type Time = u64;
@@ -112,7 +112,7 @@ pub struct Sender {
     cfg: ReliableConfig,
     flight: HashMap<Key, InFlight>,
     /// Launch-ready windows the cwnd has not admitted yet, FIFO.
-    queue: Vec<Key>,
+    queue: VecDeque<Key>,
     /// Current congestion window.
     cwnd: usize,
     /// Additive-increase accumulator (acks since last growth).
@@ -138,7 +138,7 @@ impl Sender {
             cwnd: cfg.cwnd.max(1),
             cfg,
             flight: HashMap::new(),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             acks_since_grow: 0,
             tracked: Counter::new(),
             retransmits: Counter::new(),
@@ -222,7 +222,7 @@ impl Sender {
             );
             true
         } else {
-            self.queue.push(key);
+            self.queue.push_back(key);
             false
         }
     }
@@ -328,47 +328,48 @@ impl Sender {
     /// compare and hash equal. Counters, scope sinks and config are
     /// deliberately excluded: they are observability, not semantics.
     pub fn save(&self) -> SenderState {
-        let mut flight: Vec<(u16, u32, Time, Time, u32)> = self
-            .flight
-            .iter()
-            .map(|(k, f)| (k.kernel, k.seq, f.deadline, f.rto, f.retries))
-            .collect();
-        flight.sort_unstable();
-        SenderState {
-            cwnd: self.cwnd,
-            acks_since_grow: self.acks_since_grow,
-            last_now: self.last_now,
-            flight,
-            queue: self.queue.iter().map(|k| (k.kernel, k.seq)).collect(),
-        }
+        let mut st = SenderState::default();
+        self.save_into(&mut st);
+        st
+    }
+
+    /// [`Sender::save`] into `st`'s buffers, which are reallocated only
+    /// when they are too small.
+    pub fn save_into(&self, st: &mut SenderState) {
+        st.cwnd = self.cwnd;
+        st.acks_since_grow = self.acks_since_grow;
+        st.last_now = self.last_now;
+        st.flight.clear();
+        st.flight.extend(
+            (self.flight.iter()).map(|(k, f)| (k.kernel, k.seq, f.deadline, f.rto, f.retries)),
+        );
+        st.flight.sort_unstable();
+        st.queue.clear();
+        st.queue
+            .extend(self.queue.iter().map(|k| (k.kernel, k.seq)));
     }
 
     /// Restores protocol state captured by [`Sender::save`], leaving
     /// counters and attached sinks untouched (metrics stay monotonic
-    /// even when the ncmc checker rewinds a schedule branch).
+    /// even when the ncmc checker rewinds a schedule branch). The map
+    /// and the queue keep their capacity.
     pub fn restore(&mut self, st: &SenderState) {
         self.cwnd = st.cwnd;
         self.acks_since_grow = st.acks_since_grow;
         self.last_now = st.last_now;
-        self.flight = st
-            .flight
-            .iter()
-            .map(|&(kernel, seq, deadline, rto, retries)| {
-                (
-                    Key { kernel, seq },
-                    InFlight {
-                        deadline,
-                        rto,
-                        retries,
-                    },
-                )
-            })
-            .collect();
-        self.queue = st
-            .queue
-            .iter()
-            .map(|&(kernel, seq)| Key { kernel, seq })
-            .collect();
+        self.flight.clear();
+        self.flight.extend(
+            (st.flight.iter()).map(|&(kernel, seq, deadline, rto, retries)| {
+                let f = InFlight {
+                    deadline,
+                    rto,
+                    retries,
+                };
+                (Key { kernel, seq }, f)
+            }),
+        );
+        self.queue.clear();
+        (self.queue).extend(st.queue.iter().map(|&(kernel, seq)| Key { kernel, seq }));
     }
 
     /// Advances the clock: expires RTOs (scheduling retransmits with
@@ -411,13 +412,12 @@ impl Sender {
             self.cut(key);
             send.push((key.kernel, key.seq));
         }
-        // Admit queued windows into whatever capacity is open.
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.flight.len() >= self.cap() {
+        // Admit queued windows, oldest first, into whatever capacity is
+        // open.
+        while self.flight.len() < self.cap() {
+            let Some(key) = self.queue.pop_front() else {
                 break;
-            }
-            let key = self.queue.remove(i);
+            };
             self.flight.insert(
                 key,
                 InFlight {
@@ -427,7 +427,6 @@ impl Sender {
                 },
             );
             send.push((key.kernel, key.seq));
-            i = 0; // removal shifted the queue; restart scan
         }
         let next = self.flight.values().map(|f| f.deadline).min();
         (send, next)
@@ -437,7 +436,7 @@ impl Sender {
 /// A [`Sender`]'s protocol state, detached from its counters and sinks
 /// (see [`Sender::save`]). `Clone + Ord`-friendly plain data so the
 /// ncmc model checker can fork, hash and compare schedule branches.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct SenderState {
     /// Congestion window.
     pub cwnd: usize,
@@ -452,13 +451,55 @@ pub struct SenderState {
     pub queue: Vec<(u16, u32)>,
 }
 
+impl Clone for SenderState {
+    fn clone(&self) -> Self {
+        SenderState {
+            cwnd: self.cwnd,
+            acks_since_grow: self.acks_since_grow,
+            last_now: self.last_now,
+            flight: self.flight.clone(),
+            queue: self.queue.clone(),
+        }
+    }
+
+    /// Copies into `self`'s buffers, which are reallocated only when
+    /// `source` holds more than they do.
+    fn clone_from(&mut self, source: &Self) {
+        self.cwnd = source.cwnd;
+        self.acks_since_grow = source.acks_since_grow;
+        self.last_now = source.last_now;
+        self.flight.clone_from(&source.flight);
+        self.queue.clone_from(&source.queue);
+    }
+}
+
 /// A [`Receiver`]'s protocol state (see [`Receiver::save`]).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct ReceiverState {
     /// Per-`(sender, kernel)` dedup state as
     /// `(sender, kernel, floor, sorted offsets above the floor)`,
     /// sorted by key.
     pub entries: Vec<(u16, u16, u32, Vec<u32>)>,
+}
+
+impl Clone for ReceiverState {
+    fn clone(&self) -> Self {
+        ReceiverState {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies into `self`'s entries and their offset lists, cloning
+    /// only the entries `self` has no slot for.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.truncate(source.entries.len());
+        let (common, rest) = source.entries.split_at(self.entries.len());
+        for (dst, src) in self.entries.iter_mut().zip(common) {
+            (dst.0, dst.1, dst.2) = (src.0, src.1, src.2);
+            dst.3.clone_from(&src.3);
+        }
+        self.entries.extend_from_slice(rest);
+    }
 }
 
 /// Per-`(sender, kernel)` delivery state: a floor below which every
@@ -553,35 +594,36 @@ impl Receiver {
     /// Captures the receiver's dedup state in canonical (sorted) order;
     /// the counterpart of [`Sender::save`].
     pub fn save(&self) -> ReceiverState {
-        let mut entries: Vec<(u16, u16, u32, Vec<u32>)> = self
-            .state
-            .iter()
-            .map(|(&(sender, kernel), st)| {
-                let mut above = st.above.clone();
-                above.sort_unstable();
-                (sender, kernel, st.floor, above)
-            })
-            .collect();
+        let mut st = ReceiverState::default();
+        self.save_into(&mut st);
+        st
+    }
+
+    /// [`Receiver::save`] into `st`'s entries and their offset lists,
+    /// which are reallocated only when they are too small.
+    pub fn save_into(&self, st: &mut ReceiverState) {
+        let entries = &mut st.entries;
+        entries.resize_with(self.state.len(), Default::default);
+        for (dst, (&(sender, kernel), d)) in entries.iter_mut().zip(&self.state) {
+            (dst.0, dst.1, dst.2) = (sender, kernel, d.floor);
+            dst.3.clone_from(&d.above);
+            dst.3.sort_unstable();
+        }
         entries.sort_unstable();
-        ReceiverState { entries }
     }
 
     /// Restores dedup state captured by [`Receiver::save`]; counters
-    /// and sinks are untouched.
+    /// and sinks are untouched, and the map keeps its capacity.
     pub fn restore(&mut self, st: &ReceiverState) {
-        self.state = st
-            .entries
-            .iter()
-            .map(|(sender, kernel, floor, above)| {
-                (
-                    (*sender, *kernel),
-                    DeliveryState {
-                        floor: *floor,
-                        above: above.clone(),
-                    },
-                )
-            })
-            .collect();
+        self.state.clear();
+        self.state
+            .extend(st.entries.iter().map(|(sender, kernel, floor, above)| {
+                let d = DeliveryState {
+                    floor: *floor,
+                    above: above.clone(),
+                };
+                ((*sender, *kernel), d)
+            }));
     }
 
     /// Records an arriving window. Returns `true` exactly once per
@@ -733,6 +775,73 @@ mod tests {
             b.push(s.poll(now));
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn queued_windows_are_released_in_track_order() {
+        let mut s = Sender::new(ReliableConfig {
+            rto: 1_000_000,
+            cwnd: 4,
+            max_cwnd: 4,
+            ..cfg()
+        });
+        let mut released: Vec<(u16, u32)> = (0..1_000)
+            .filter(|&seq| s.track(1, seq, 0))
+            .map(|seq| (1, seq))
+            .collect();
+        assert_eq!((released.len(), s.queued()), (4, 996));
+        let mut acked = 0;
+        while acked < released.len() {
+            let (kernel, seq) = released[acked];
+            assert!(s.on_ack(kernel, seq));
+            acked += 1;
+            let saved = s.save();
+            s.restore(&saved);
+            let (send, _) = s.poll(acked as Time);
+            released.extend(send);
+        }
+        assert!(s.idle());
+        assert_eq!(released, (0..1_000).map(|seq| (1, seq)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn state_clone_from_equals_clone_across_lengths() {
+        let mut s = Sender::new(cfg());
+        let mut r = Receiver::new();
+        let (mut senders, mut receivers) = (vec![s.save()], vec![r.save()]);
+        for seq in [0, 1, 2, 5, 3] {
+            s.track(1, seq, seq as Time);
+            senders.push(s.save());
+            r.admit(2, 1, seq);
+            r.admit(seq as u16, 2, 0);
+            receivers.push(r.save());
+        }
+        assert!(senders.iter().any(|st| !st.queue.is_empty()));
+        assert!(receivers
+            .iter()
+            .any(|st| st.entries.iter().any(|e| !e.3.is_empty())));
+        for from in &senders {
+            for to in &senders {
+                let mut out = to.clone();
+                out.clone_from(from);
+                assert_eq!(out, *from);
+                let mut saved = to.clone();
+                s.restore(from);
+                s.save_into(&mut saved);
+                assert_eq!(saved, *from, "save_into over another state");
+            }
+        }
+        for from in &receivers {
+            for to in &receivers {
+                let mut out = to.clone();
+                out.clone_from(from);
+                assert_eq!(out, *from);
+                let mut saved = to.clone();
+                r.restore(from);
+                r.save_into(&mut saved);
+                assert_eq!(saved, *from, "save_into over another state");
+            }
+        }
     }
 
     #[test]

@@ -139,25 +139,20 @@ pub struct DeparserSpec {
 }
 
 impl DeparserSpec {
-    /// Serializes the PHV's header fields into packet bytes.
+    /// Serializes the PHV's header fields into packet bytes: one
+    /// allocation, sized to the fields before any is written.
     pub fn deparse(&self, layout: &PhvLayout, phv: &Phv) -> Vec<u8> {
-        let mut out = Vec::new();
-        for &f in &self.common {
-            let v = phv.get(f);
-            let mut buf = vec![0u8; layout.decl(f).ty.size()];
-            v.write_be(&mut buf);
-            out.extend_from_slice(&buf);
-        }
-        if let Some(sel) = self.select {
-            let value = phv.get(sel).bits();
-            if let Some(fields) = self.branches.get(&value) {
-                for &f in fields {
-                    let v = phv.get(f);
-                    let mut buf = vec![0u8; layout.decl(f).ty.size()];
-                    v.write_be(&mut buf);
-                    out.extend_from_slice(&buf);
-                }
-            }
+        let branch = self
+            .select
+            .and_then(|sel| self.branches.get(&phv.get(sel).bits()));
+        let fields = || self.common.iter().chain(branch.into_iter().flatten());
+        let size = fields().map(|&f| layout.decl(f).ty.size()).sum();
+        let mut out = vec![0u8; size];
+        let mut off = 0;
+        for &f in fields() {
+            let end = off + layout.decl(f).ty.size();
+            phv.get(f).write_be(&mut out[off..end]);
+            off = end;
         }
         out
     }

@@ -101,9 +101,23 @@ impl PhvLayout {
 }
 
 /// The per-packet field values.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct Phv {
     values: Vec<Value>,
+}
+
+impl Clone for Phv {
+    fn clone(&self) -> Self {
+        Phv {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Copies the values into `self`'s buffer, which is reallocated
+    /// only when `source` has more fields than it holds.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl Phv {
@@ -157,6 +171,22 @@ mod tests {
         layout.add("m1", ScalarType::U64, FieldClass::Metadata);
         assert_eq!(layout.header_bytes(), 6);
         assert_eq!(layout.metadata_bytes(), 8);
+    }
+
+    #[test]
+    fn clone_from_equals_clone_across_lengths() {
+        let mut short = PhvLayout::default();
+        let a = short.add("a", ScalarType::U8, FieldClass::Header);
+        let mut long = short.clone();
+        long.add("b", ScalarType::U64, FieldClass::Metadata);
+        let mut x = short.empty_phv();
+        x.set(a, Value::u32(3));
+        let y = long.empty_phv();
+        for (from, to) in [(&x, &y), (&y, &x), (&y, &y)] {
+            let mut out = to.clone();
+            out.clone_from(from);
+            assert_eq!(out, *from);
+        }
     }
 
     #[test]

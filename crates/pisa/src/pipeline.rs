@@ -13,7 +13,7 @@
 use crate::parser::{DeparserSpec, ParserSpec};
 use crate::phv::{FieldId, Phv, PhvLayout};
 use crate::resources::{ResourceModel, ResourceReport, ResourceViolation};
-use crate::table::{Arg, Entry, MatchPattern, PrimOp, TableDef, TableFull};
+use crate::table::{ActionRef, Arg, Entry, MatchPattern, PrimOp, TableDef, TableFull};
 use c3::{RegArray, ScalarType, Value};
 use std::collections::BTreeMap;
 
@@ -256,6 +256,8 @@ pub struct Pipeline {
     /// Flat table index: names in `(stage, table)` order, parallel to
     /// [`ExecStats::hit_counts`].
     table_names: Vec<String>,
+    /// Each stage's first flat table index.
+    stage_base: Vec<usize>,
     /// Exec statistics.
     pub stats: ExecStats,
 }
@@ -300,6 +302,13 @@ impl Pipeline {
             .iter()
             .flat_map(|s| s.tables.iter().map(|t| t.name.clone()))
             .collect();
+        let stage_base = (config.stages.iter())
+            .scan(0, |flat, s| {
+                let base = *flat;
+                *flat += s.tables.len();
+                Some(base)
+            })
+            .collect();
         let stats = ExecStats {
             hit_counts: vec![0; table_names.len()],
             ..ExecStats::default()
@@ -309,6 +318,7 @@ impl Pipeline {
             model,
             registers,
             table_names,
+            stage_base,
             stats,
         })
     }
@@ -440,17 +450,25 @@ impl Pipeline {
     /// reasons about, with each stage remaining atomic (one
     /// RegisterAction pass) as on hardware.
     pub fn run_stage(&mut self, phv: &mut Phv, stage: usize) {
-        let mut flat: usize = self.config.stages[..stage]
-            .iter()
-            .map(|s| s.tables.len())
-            .sum();
-        for table in &self.config.stages[stage].tables {
+        self.step_stage(phv, stage, |_, _| {});
+    }
+
+    /// The one stage step both passes take: every table of `stage` in
+    /// order, counting hits and reporting each hit table and the action
+    /// it runs to `on_hit`.
+    fn step_stage(
+        &mut self,
+        phv: &mut Phv,
+        stage: usize,
+        mut on_hit: impl FnMut(&TableDef, ActionRef),
+    ) {
+        let base = self.stage_base[stage];
+        for (i, table) in self.config.stages[stage].tables.iter().enumerate() {
             let Some((action, args)) = table.lookup(phv) else {
-                flat += 1;
                 continue;
             };
-            self.stats.hit_counts[flat] += 1;
-            flat += 1;
+            self.stats.hit_counts[base + i] += 1;
+            on_hit(table, action);
             for op in &table.actions[action.0 as usize].ops {
                 exec_op(&self.config.layout, &mut self.registers, op, phv, args);
             }
@@ -461,72 +479,34 @@ impl Pipeline {
     /// debugging aid the paper lists as missing tooling (§6: "NCL would
     /// greatly benefit from external tools for … debugging"). Each
     /// [`StageTrace`] records the tables that hit and every PHV field
-    /// the stage changed, by name.
+    /// the stage changed, by name. The pass is [`Pipeline::process`]'s:
+    /// the same parse, stage step, deparse and statistics.
     pub fn process_traced(&mut self, packet: &[u8]) -> Option<(PipelineOutput, Vec<StageTrace>)> {
-        let (mut phv, parsed_bytes) = match self.config.parser.parse(&self.config.layout, packet) {
-            Ok(r) => r,
-            Err(_) => {
-                self.stats.parse_errors += 1;
-                return None;
-            }
-        };
+        let mut p = self.begin(packet)?;
         let mut traces = Vec::with_capacity(self.config.stages.len());
-        let mut flat = 0usize;
-        for (si, stage) in self.config.stages.iter().enumerate() {
-            let before = phv.clone();
+        for stage in 0..self.config.stages.len() {
+            let before = p.phv.clone();
             let mut hits = Vec::new();
-            for table in &stage.tables {
-                let Some((action, args)) = table.lookup(&phv) else {
-                    flat += 1;
-                    continue;
-                };
-                self.stats.hit_counts[flat] += 1;
-                flat += 1;
-                hits.push((
-                    table.name.clone(),
-                    table.actions[action.0 as usize].name.clone(),
-                ));
-                for op in &table.actions[action.0 as usize].ops {
-                    exec_op(&self.config.layout, &mut self.registers, op, &mut phv, args);
-                }
-            }
-            let changed: Vec<(String, Value, Value)> = (0..self.config.layout.fields.len())
+            self.step_stage(&mut p.phv, stage, |table, action| {
+                let name = &table.actions[action.0 as usize].name;
+                hits.push((table.name.clone(), name.clone()));
+            });
+            p.next_stage += 1;
+            let layout = &self.config.layout;
+            let changed = (0..layout.fields.len())
                 .filter_map(|i| {
                     let f = FieldId(i as u16);
-                    let (old, new) = (before.get(f), phv.get(f));
-                    (old != new).then(|| (self.config.layout.decl(f).name.clone(), old, new))
+                    let (old, new) = (before.get(f), p.phv.get(f));
+                    (old != new).then(|| (layout.decl(f).name.clone(), old, new))
                 })
                 .collect();
             traces.push(StageTrace {
-                stage: si,
+                stage,
                 hits,
                 changed,
             });
         }
-        let passes = self.passes();
-        self.stats.packets += 1;
-        self.stats.recirculations += (passes - 1) as u64;
-        let out_packet = self.config.deparser.deparse(&self.config.layout, &phv);
-        let fwd_code = self
-            .config
-            .fwd_code
-            .map(|f| phv.get(f).bits() as u8)
-            .unwrap_or(0);
-        let fwd_label = self
-            .config
-            .fwd_label
-            .map(|f| phv.get(f).bits() as u16)
-            .unwrap_or(0);
-        Some((
-            PipelineOutput {
-                packet: out_packet,
-                fwd_code,
-                fwd_label,
-                passes,
-                parsed_bytes,
-            },
-            traces,
-        ))
+        Some((self.finish(p), traces))
     }
 
     /// Hit count of a named table (resolves the flat counters).
@@ -549,11 +529,28 @@ impl Pipeline {
 }
 
 /// A packet suspended between logical stages (see [`Pipeline::begin`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct PartialPacket {
     phv: Phv,
     next_stage: usize,
     parsed_bytes: usize,
+}
+
+impl Clone for PartialPacket {
+    fn clone(&self) -> Self {
+        PartialPacket {
+            phv: self.phv.clone(),
+            next_stage: self.next_stage,
+            parsed_bytes: self.parsed_bytes,
+        }
+    }
+
+    /// Keeps `self`'s PHV buffer (see [`Phv`]'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        self.phv.clone_from(&source.phv);
+        self.next_stage = source.next_stage;
+        self.parsed_bytes = source.parsed_bytes;
+    }
 }
 
 impl PartialPacket {
@@ -1056,6 +1053,19 @@ mod tests {
         // Parse errors count identically too.
         assert!(p.begin(&[1, 2]).is_none());
         assert_eq!(p.stats.parse_errors, 1);
+    }
+
+    #[test]
+    fn partial_packet_clone_from_equals_clone() {
+        let mut p = Pipeline::load(counter_pipeline(), ResourceModel::default()).unwrap();
+        let fresh = p.begin(&5u32.to_be_bytes()).unwrap();
+        let mut advanced = p.begin(&7u32.to_be_bytes()).unwrap();
+        p.advance(&mut advanced, 1);
+        for (from, to) in [(&fresh, &advanced), (&advanced, &fresh)] {
+            let mut out = to.clone();
+            out.clone_from(from);
+            assert_eq!(out, *from);
+        }
     }
 
     #[test]

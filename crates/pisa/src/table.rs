@@ -238,18 +238,19 @@ impl TableDef {
     }
 
     /// Looks up the entry matching the PHV, honoring match kinds and
-    /// priorities. Returns `(action, args)`.
+    /// priorities. Returns `(action, args)`. Patterns are matched
+    /// against the PHV's fields directly; a lookup allocates nothing.
     pub fn lookup(&self, phv: &Phv) -> Option<(ActionRef, &[Value])> {
         if self.keys.is_empty() {
             return self.default_action.map(|a| (a, &[][..]));
         }
-        let key_vals: Vec<u64> = self.keys.iter().map(|(f, _)| phv.get(*f).bits()).collect();
         let mut best: Option<(&Entry, i64)> = None;
         for e in &self.entries {
-            if e.patterns.len() != key_vals.len() {
+            if e.patterns.len() != self.keys.len() {
                 continue;
             }
-            let hit = e.patterns.iter().zip(&key_vals).all(|(p, &v)| p.matches(v));
+            let hit = (e.patterns.iter().zip(&self.keys))
+                .all(|(p, &(f, _))| p.matches(phv.get(f).bits()));
             if !hit {
                 continue;
             }

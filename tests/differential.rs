@@ -545,3 +545,43 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
         "PISA and interpreter hop records diverge"
     );
 }
+
+/// `process_traced` is `process` plus a trace: on the shipped AllReduce
+/// and KVS pipelines every packet's output, every table hit counter and
+/// the register file advance identically under both passes.
+#[test]
+fn traced_pass_matches_the_plain_pass() {
+    use ncl::core::apps::{allreduce_source, kvs_source};
+    use ncl::core::mc::{scenario_for, McConfig};
+    use ncl::core::nclc::{compile, CompileConfig, LintCode};
+
+    let ar_and = "hosts worker 2\nswitch s1\nlink worker* s1\n";
+    let kvs_and = "hosts client 2\nswitch s1\nhost server\nlink client* s1\nlink server s1\n";
+    let mut ar_cfg = CompileConfig::default();
+    ar_cfg.masks.insert("allreduce".into(), vec![4]);
+    ar_cfg.masks.insert("result".into(), vec![4]);
+    let mut kvs_cfg = CompileConfig::default();
+    kvs_cfg.masks.insert("query".into(), vec![1, 2, 1]);
+    let programs = [
+        (allreduce_source(8, 4), ar_and, ar_cfg, "allreduce"),
+        (kvs_source(3, 4, 2), kvs_and, kvs_cfg, "query"),
+    ];
+    for (src, and, cfg, kernel) in programs {
+        let program = compile(&src, and, &cfg).expect("compiles");
+        let code = LintCode::NonAtomicRmw;
+        let (sys, _) = scenario_for(&program, "s1", code, kernel, None, &McConfig::default())
+            .expect("the scenario builds")
+            .expect("schedule-checkable");
+        let config = &program.switch("s1").expect("a switch module").pipeline;
+        let load = || Pipeline::load(config.clone(), ResourceModel::default()).expect("loads");
+        let (mut plain, mut traced) = (load(), load());
+        for w in sys.windows().iter().cycle().take(6) {
+            let (out, traces) = traced.process_traced(&w.packet).expect("parses");
+            assert_eq!(Some(out), plain.process(&w.packet), "{kernel}");
+            assert_eq!(traces.len(), plain.stage_count());
+            assert_eq!(traced.stats, plain.stats, "{kernel}: hits advance alike");
+            assert_eq!(traced.registers(), plain.registers(), "{kernel}");
+        }
+        assert!(plain.stats.hit_counts.iter().any(|&h| h > 0));
+    }
+}
