@@ -41,8 +41,7 @@ impl ControlPlane {
     /// The compiled register and slot holding element `idx` of a
     /// *source-level* switch array: the compiler's lane decomposition
     /// puts element `i` of an `L`-lane array in bank `i % L`, slot `i / L`.
-    /// `None` past the source array's end, where a bank may still have
-    /// a padding slot that no element owns.
+    /// `None` past the source array's end.
     fn bank_slot<'a>(&'a self, array: &'a str, idx: usize) -> Option<(&'a str, usize)> {
         if self.array_lens.get(array).is_some_and(|&len| idx >= len) {
             return None;

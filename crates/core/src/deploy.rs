@@ -14,7 +14,6 @@
 //! the same fabric builder (`build_fabric`).
 
 use crate::fastpath::FastPathSwitch;
-use crate::interp_switch::InterpSwitch;
 use crate::mc::{model_check_switch, McConfig, McReport};
 use crate::nclc::CompiledProgram;
 use c3::{HostId, Label, NodeId, SwitchId};
@@ -57,11 +56,6 @@ pub enum SwitchBackend {
     /// when `NCVEC_FORCE_SCALAR=1`. The default tier for fusible
     /// kernels on the software switch.
     Simd,
-    /// The reference interpreter ([`InterpSwitch`]): the same versioned
-    /// IR executed by `ncl_ir::interp` — the slowest tier, kept for
-    /// three-way differential testing (interpreter vs fast path vs
-    /// PISA, including telemetry hop records).
-    Interp,
 }
 
 /// A deployed program: the runnable network plus name resolution.
@@ -367,8 +361,6 @@ pub(crate) fn switch_engine(
             FastPathSwitch::from_program_with(program, label, backend == SwitchBackend::Simd)
                 .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
         }
-        SwitchBackend::Interp => InterpSwitch::from_program(program, label)
-            .map(|it| Box::new(it) as Box<dyn FastDatapath>),
         SwitchBackend::Pisa => None,
     };
     let stages = program
@@ -695,7 +687,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
                     Value::u32(3),
                 );
             }
-            SwitchBackend::FastPath | SwitchBackend::Simd | SwitchBackend::Interp => {
+            SwitchBackend::FastPath | SwitchBackend::Simd => {
                 let fp = dep.net.switch_fastpath_mut(s1).unwrap();
                 for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
                     assert!(fp.ctrl(&op));
@@ -745,13 +737,6 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
     #[test]
     fn allreduce_full_system_simd() {
         run_allreduce(SwitchBackend::Simd);
-    }
-
-    /// Same workload, same assertions, reference-interpreter engine —
-    /// the third tier of the differential matrix.
-    #[test]
-    fn allreduce_full_system_interp() {
-        run_allreduce(SwitchBackend::Interp);
     }
 
     /// The deploy-time lint gate is independent of the compile-time one:

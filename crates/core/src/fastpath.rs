@@ -490,45 +490,6 @@ mod tests {
         }
     }
 
-    /// A 10-element array split into 4 lanes has 12 bank slots; the two
-    /// past its end are padding no element owns. Both backends refuse
-    /// them, direct and deferred, and agree on every element.
-    #[test]
-    fn lane_padding_is_not_an_element_on_either_backend() {
-        let mut cfg = CompileConfig::default();
-        cfg.masks.insert("allreduce".into(), vec![4]);
-        cfg.masks.insert("result".into(), vec![4]);
-        let p = compile(&allreduce_source(10, 4), AND, &cfg).expect("compiles");
-        let compiled = p.switch("s1").unwrap();
-        assert_eq!(compiled.lane_banks["accum"].len(), 4, "accum is lane-split");
-        let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
-        let cp = ControlPlane::new(compiled);
-        let mut fp = FastPathSwitch::from_program(&p, "s1").expect("fastpath builds");
-        assert!(fp.kernels.values().all(|k| k.simd()), "the Simd tier");
-        for idx in 0..12 {
-            let inside = idx < 10;
-            let direct = Value::i32(100 + idx as i32);
-            assert_eq!(cp.write_register(&mut pipe, "accum", idx, direct), inside);
-            assert_eq!(
-                cp.read_register(&pipe, "accum", idx),
-                inside.then_some(direct)
-            );
-            let deferred = Value::i32(200 + idx as i32);
-            let ops = cp.reg_write_ops("accum", idx, deferred);
-            assert_eq!(ops.len(), inside as usize, "accum[{idx}]: {ops:?}");
-            for op in ops {
-                assert!(fp.ctrl(&op), "{op:?}");
-                let CtrlOp::RegWrite { name, index, value } = op else {
-                    panic!("register writes only")
-                };
-                assert!(pipe.register_write(&name, index, value));
-            }
-            let read = fp.register_read("accum", idx);
-            assert_eq!(read, inside.then_some(deferred), "accum[{idx}]");
-            assert_eq!(cp.read_register(&pipe, "accum", idx), read, "accum[{idx}]");
-        }
-    }
-
     /// The compiler-lowered replay filter, exercised identically in
     /// both tiers: duplicates never re-accumulate, an incomplete slot
     /// drops the replay, a completed slot reflects the stored sums, and

@@ -53,7 +53,6 @@ pub mod baseline;
 pub mod control;
 pub mod deploy;
 pub mod fastpath;
-pub mod interp_switch;
 pub mod mc;
 pub mod mux;
 pub mod nclc;
@@ -66,7 +65,6 @@ pub use deploy::{
     and_switch_path, deploy_opts, deployed_versions, DeployOptions, Deployment, SwitchBackend,
 };
 pub use fastpath::FastPathSwitch;
-pub use interp_switch::InterpSwitch;
 pub use mux::TenantMux;
 pub use nclc::{compile, CompileConfig, CompiledProgram, NclcError};
 pub use runtime::{NclHost, OutInvocation, TypedArray};

@@ -3,8 +3,7 @@
 //! A [`TenantMux`] is the datapath a multi-tenant deployment
 //! ([`crate::deploy_tenants`]) loads into each shared switch. It owns
 //! one inner [`FastDatapath`] per tenant (a
-//! [`crate::fastpath::FastPathSwitch`] or
-//! [`crate::interp_switch::InterpSwitch`] built from that tenant's
+//! [`crate::fastpath::FastPathSwitch`] built from that tenant's
 //! compiled program) and routes every arriving NCP window to the tenant
 //! that owns its kernel id — tenants are assigned disjoint kernel-id
 //! ranges at admission time (`CompileConfig::kernel_id_base`), so

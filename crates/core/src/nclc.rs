@@ -72,7 +72,7 @@ pub struct CompiledProgram {
     /// The analyzed program (window layouts, kernel signatures).
     pub checked: CheckedProgram,
     /// The optimized generic IR module (pre-versioning) — the host side
-    /// interprets incoming kernels out of this.
+    /// lowers its incoming kernels out of this.
     pub generic: Module,
     /// Every `_in_` kernel of [`CompiledProgram::generic`], lowered once
     /// to the micro-op program hosts run arriving windows through. The
@@ -84,8 +84,7 @@ pub struct CompiledProgram {
     /// Compiled artifacts per switch location.
     pub switches: Vec<(Label, CompiledSwitch)>,
     /// The versioned IR module per switch location — the same IR the
-    /// backend compiled, the input of the deploy-time lint gate and of
-    /// the interpreter tier ([`crate::interp_switch::InterpSwitch`]).
+    /// backend compiled and the input of the deploy-time lint gate.
     pub modules: Vec<(Label, Module)>,
     /// Every kernel of each location's versioned module, by NCP kernel
     /// id, lowered once ([`CompiledKernel::compile_for`]) to the

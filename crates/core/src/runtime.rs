@@ -10,7 +10,7 @@
 //! * `ncl::out(kernel, {arrays}, wnd, mask)` — an [`OutInvocation`]
 //!   splits typed arrays into windows and streams them as NCP packets;
 //! * `ncl::in(kernel, {ptrs}, wnd, mask)` — an incoming binding runs the
-//!   paired `_in_` kernel (interpreted from its IR) on every arriving
+//!   paired `_in_` kernel (lowered once by nclc) on every arriving
 //!   window, with `_ext_` parameters backed by [`HostMemory`];
 //! * completion is observed through a user-supplied predicate over the
 //!   host memory (the `while (!done)` loop of the paper's Fig. 4).

@@ -29,10 +29,9 @@
 //! returns its resources to the pool.
 //!
 //! Only the software switch tiers multiplex —
-//! [`SwitchBackend::FastPath`], [`SwitchBackend::Simd`],
-//! [`SwitchBackend::Interp`]. The modeled PISA pipeline cannot host two
-//! independently compiled programs in one pipeline object, so
-//! [`SwitchBackend::Pisa`] is rejected up front.
+//! [`SwitchBackend::FastPath`] and [`SwitchBackend::Simd`]. The modeled
+//! PISA pipeline cannot host two independently compiled programs in one
+//! pipeline object, so [`SwitchBackend::Pisa`] is rejected up front.
 
 use crate::deploy::{
     build_fabric, lint_gate, switch_engine, DeployError, DeployOptions, FabricOptions,

@@ -27,7 +27,8 @@
 
 use crate::flatten::{LinearKernel, PredInst};
 use ncl_ir::ir::{Inst, Operand, RegId};
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Per-stage budgets the allocator packs against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -412,6 +413,12 @@ fn fuse_groups(lin: &LinearKernel, acc: &Accesses) -> Vec<usize> {
 /// it consults is indexed by register, location slot or op, allocated
 /// once and cleared between rounds, and "the latest stage among earlier
 /// aliasing accesses" is a running maximum rather than a search.
+///
+/// A bank whose write depends on its own read through a window element
+/// (`data[i] = acc[j]; acc[j] = data[i]`) cannot be one RegisterAction,
+/// and the grouped fixpoint never settles. Staged without fused groups,
+/// such a bank lands in two stages, which the pipeline's resource
+/// report rejects (`RegisterMultiStage`) like any other overrun.
 pub fn allocate(lin: &LinearKernel, budget: &AllocBudget) -> Result<StagedKernel, AllocDiverged> {
     let n = lin.ops.len();
     if n == 0 {
@@ -419,6 +426,17 @@ pub fn allocate(lin: &LinearKernel, budget: &AllocBudget) -> Result<StagedKernel
     }
     let acc = Accesses::of(lin);
     let group = fuse_groups(lin, &acc);
+    fixpoint(lin, budget, &acc, &group).or_else(|_| fixpoint(lin, budget, &acc, &vec![NONE; n]))
+}
+
+/// [`allocate`]'s in-order rounds under the given fused groups.
+fn fixpoint(
+    lin: &LinearKernel,
+    budget: &AllocBudget,
+    acc: &Accesses,
+    group: &[usize],
+) -> Result<StagedKernel, AllocDiverged> {
+    let n = lin.ops.len();
     let same_group = |i: usize, j: usize| group[i] != NONE && group[i] == group[j];
     let pred_class: Vec<bool> = lin
         .ops
@@ -505,6 +523,11 @@ pub fn allocate(lin: &LinearKernel, budget: &AllocBudget) -> Result<StagedKernel
                 d = 0;
             }
             depth[j] = d;
+            if s > n {
+                // Past the longest chain any allocation needs: a
+                // group constraint is pulling against a dependency.
+                return Err(AllocDiverged);
+            }
             if s != stage[j] {
                 stage[j] = s;
                 changed = true;
@@ -540,7 +563,7 @@ pub fn allocate(lin: &LinearKernel, budget: &AllocBudget) -> Result<StagedKernel
                 }
             }
             if coherent {
-                return Ok(split_for_capacity(lin, &stage, &group, budget));
+                return Ok(split_for_capacity(lin, acc, &stage, group, budget));
             }
         }
     }
@@ -548,9 +571,12 @@ pub fn allocate(lin: &LinearKernel, budget: &AllocBudget) -> Result<StagedKernel
 }
 
 /// Groups ops into their dependency stages, then splits stages whose op
-/// or table counts overflow the budget. Fused groups stay together.
+/// or table counts overflow the budget. Fused groups stay together, and
+/// a split never runs an op before one its stage let it depend on (see
+/// [`unit_order`]).
 fn split_for_capacity(
     lin: &LinearKernel,
+    acc: &Accesses,
     stage: &[usize],
     group: &[usize],
     budget: &AllocBudget,
@@ -581,6 +607,10 @@ fn split_for_capacity(
             } else {
                 units.push(vec![i]);
             }
+        }
+        let tables = ops.iter().filter(|&&i| is_table(&lin.ops[i])).count();
+        if ops.len() - tables > budget.ops_per_stage || tables + 1 > budget.tables_per_stage {
+            units = unit_order(&ops, units, acc);
         }
         let mut cur: Vec<usize> = Vec::new();
         let mut cur_ops = 0usize;
@@ -613,6 +643,84 @@ fn split_for_capacity(
         }
     }
     StagedKernel { stages: out }
+}
+
+/// Orders one logical stage's units so that every dependency the
+/// allocator let share that stage runs forward: a write after an
+/// earlier read of the same register or location, and a read of a
+/// register an earlier op of the stage wrote (gateway chaining). Filling
+/// sub-stages in this order never moves a reader ahead of the value it
+/// reads, nor a write ahead of a read of the old value. Ties keep the
+/// units' own order; units caught in a cycle are merged into one.
+fn unit_order(ops: &[usize], units: Vec<Vec<usize>>, acc: &Accesses) -> Vec<Vec<usize>> {
+    let unit_of: HashMap<usize, usize> = (units.iter().enumerate())
+        .flat_map(|(u, unit)| unit.iter().map(move |&i| (i, u)))
+        .collect();
+    let mut succ = vec![Vec::new(); units.len()];
+    let mut indegree = vec![0usize; units.len()];
+    let mut edge = |i: usize, j: usize| {
+        let (a, b) = (unit_of[&i], unit_of[&j]);
+        if a != b {
+            succ[a].push(b);
+            indegree[b] += 1;
+        }
+    };
+    // Per register its writer and later readers, per location slot its
+    // readers, all within this stage.
+    let mut writer: HashMap<u32, usize> = HashMap::new();
+    let mut readers: HashMap<u32, Vec<usize>> = HashMap::new();
+    let mut loc_readers: HashMap<usize, Vec<usize>> = HashMap::new();
+    for &j in ops {
+        for &r in acc.reads.of(j) {
+            if let Some(&i) = writer.get(&r) {
+                edge(i, j);
+            }
+            readers.entry(r).or_default().push(j);
+        }
+        for &r in acc.writes.of(j) {
+            for i in readers.remove(&r).unwrap_or_default() {
+                edge(i, j);
+            }
+            writer.insert(r, j);
+        }
+        let Some(l) = &acc.locs[j] else { continue };
+        if l.write {
+            for &i in l
+                .bounded_by
+                .iter()
+                .filter_map(|s| loc_readers.get(s))
+                .flatten()
+            {
+                edge(i, j);
+            }
+        } else {
+            for s in l.recorded_in {
+                loc_readers.entry(s).or_default().push(j);
+            }
+        }
+    }
+    // Kahn's algorithm, the lowest-numbered ready unit first.
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..units.len())
+        .filter(|&u| indegree[u] == 0)
+        .map(Reverse)
+        .collect();
+    let mut units: Vec<Option<Vec<usize>>> = units.into_iter().map(Some).collect();
+    let mut order = Vec::with_capacity(units.len());
+    while let Some(Reverse(u)) = ready.pop() {
+        order.push(units[u].take().expect("each unit is ready once"));
+        for &v in &succ[u] {
+            indegree[v] -= 1;
+            if indegree[v] == 0 {
+                ready.push(Reverse(v));
+            }
+        }
+    }
+    let mut cycle: Vec<usize> = units.into_iter().flatten().flatten().collect();
+    if !cycle.is_empty() {
+        cycle.sort_unstable();
+        order.push(cycle);
+    }
+    order
 }
 
 #[cfg(test)]
@@ -654,6 +762,38 @@ mod tests {
             }
         }
         found
+    }
+
+    /// A bank written back from its own read through the window cannot
+    /// be one RegisterAction: the build is a resource rejection naming
+    /// the bank's two stages, not a diverged allocation.
+    #[test]
+    fn write_back_of_a_read_is_rejected_for_resources() {
+        let src = r#"
+_net_ _at_("s1") int acc[8] = {0};
+_net_ _out_ void k(int *d) {
+    unsigned base = window.seq * window.len;
+    for (unsigned i = 0; i < window.len; ++i) d[i] = acc[base + i];
+    memcpy(&acc[base], d, window.len * 4);
+}
+"#;
+        let (lin, _) = linear(src, "k", &[8]);
+        assert!(allocate(&lin, &budget()).is_ok());
+        let checked = frontend(src, "t.ncl").expect("frontend");
+        let mut m = lower(&checked, &LoweringConfig::with_mask("k", vec![8])).expect("lower");
+        ncl_ir::passes::optimize(&mut m);
+        let model = pisa::ResourceModel::default();
+        match crate::compile_module(&m, &model, &crate::CompileOptions::default()) {
+            Err(crate::CompileError::Resources(report)) => assert!(
+                report
+                    .violations
+                    .iter()
+                    .all(|v| matches!(v, pisa::ResourceViolation::RegisterMultiStage { .. })),
+                "{:?}",
+                report.violations
+            ),
+            other => panic!("expected a resource rejection, got {other:?}"),
+        }
     }
 
     #[test]

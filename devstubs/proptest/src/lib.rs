@@ -3,8 +3,9 @@
 //! The build container has no registry access, so the workspace vendors a
 //! minimal, API-compatible subset of `proptest 1.x` as a path dependency
 //! (see README.md "Offline builds"). It covers the surface used by this
-//! repo's tests: the `Strategy` trait with `prop_map` / `prop_recursive` /
-//! `boxed`, `BoxedStrategy`, `Just`, integer-range and tuple strategies,
+//! repo's tests: the `Strategy` trait with `prop_map` / `prop_flat_map` /
+//! `prop_recursive` / `boxed` / `new_tree`, `BoxedStrategy`, `Just`,
+//! `TestRunner::deterministic`, integer-range and tuple strategies,
 //! `any::<T>()`, `collection::vec`, `sample::select`, `prop_oneof!`, the
 //! `proptest!` test macro with `ProptestConfig::with_cases`, and the
 //! `prop_assert*` macros.
@@ -39,6 +40,22 @@ pub mod test_runner {
         /// Uniform value in `[0, n)`; `n` must be non-zero.
         pub fn below(&mut self, n: u64) -> u64 {
             self.next_u64() % n
+        }
+    }
+
+    /// Draws cases outside the `proptest!` macro. `deterministic()`
+    /// starts from the seed every `proptest!` test starts from, so a
+    /// one-argument property and a runner loop over the same strategy
+    /// see the same cases.
+    pub struct TestRunner {
+        pub(crate) rng: TestRng,
+    }
+
+    impl TestRunner {
+        pub fn deterministic() -> Self {
+            TestRunner {
+                rng: TestRng::deterministic(),
+            }
         }
     }
 
@@ -77,7 +94,7 @@ pub mod test_runner {
 }
 
 pub mod strategy {
-    use super::test_runner::TestRng;
+    use super::test_runner::{TestRng, TestRunner};
     use std::rc::Rc;
 
     /// A recipe for generating values of `Self::Value`.
@@ -100,6 +117,22 @@ pub mod strategy {
             F: Fn(Self::Value) -> O,
         {
             Map { inner: self, f }
+        }
+
+        /// Draws a value, then a value of the strategy built from it.
+        fn prop_flat_map<S, F>(self, f: F) -> FlatMap<Self, F>
+        where
+            Self: Sized,
+            S: Strategy,
+            F: Fn(Self::Value) -> S,
+        {
+            FlatMap { inner: self, f }
+        }
+
+        /// Draws one value from the runner's RNG; the stub's tree is the
+        /// value itself (it never shrinks).
+        fn new_tree(&self, runner: &mut TestRunner) -> Result<Generated<Self::Value>, String> {
+            Ok(Generated(self.generate(&mut runner.rng)))
         }
 
         /// Recursive strategies: at each of `depth` levels, pick either a
@@ -172,6 +205,35 @@ pub mod strategy {
         type Value = O;
         fn generate(&self, rng: &mut TestRng) -> O {
             (self.f)(self.inner.generate(rng))
+        }
+    }
+
+    pub struct FlatMap<S, F> {
+        pub(crate) inner: S,
+        pub(crate) f: F,
+    }
+
+    impl<S: Strategy, T: Strategy, F: Fn(S::Value) -> T> Strategy for FlatMap<S, F> {
+        type Value = T::Value;
+        fn generate(&self, rng: &mut TestRng) -> T::Value {
+            let outer = self.inner.generate(rng);
+            (self.f)(outer).generate(rng)
+        }
+    }
+
+    /// A generated value, as [`Strategy::new_tree`] returns it.
+    pub struct Generated<T>(T);
+
+    /// Upstream's shrinkable value; the stub's only state is the value.
+    pub trait ValueTree {
+        type Value;
+        fn current(&self) -> Self::Value;
+    }
+
+    impl<T: Clone> ValueTree for Generated<T> {
+        type Value = T;
+        fn current(&self) -> T {
+            self.0.clone()
         }
     }
 

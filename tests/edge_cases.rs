@@ -9,6 +9,9 @@ use ncl::model::{HostId, Label, NodeId, ScalarType, SwitchId};
 use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
+#[path = "common/engines.rs"]
+mod engines;
+
 const AND: &str = "host a\nhost b\nswitch s1\nlink a s1\nlink b s1\n";
 
 /// `window.sender` and `window.seq` are usable switch-side: the kernel
@@ -266,17 +269,15 @@ _net_ _out_ void k(int *d) {
 
 /// A slot's type is the declaration's. A hand-built module (nothing
 /// sema cast) may carry off-type values in a `RegisterDecl::init`
-/// prefix; the interpreter, the scalar fast path, the SIMD tier and the
-/// PISA model all normalise them to `elem` at load, read back
-/// `elem`-typed values, and keep agreeing once the kernel stores.
+/// prefix; every engine of the differential harness normalises them to
+/// `elem` at load, reads back `elem`-typed values, and keeps agreeing
+/// once the kernel stores.
 #[test]
 fn off_type_initializers_read_back_elem_typed_in_every_engine() {
+    use engines::{check_module, ints, window, Config};
+    use ncl::ir::interp::SwitchState;
     use ncl::ir::lower::{lower, LoweringConfig};
-    use ncl::ir::{CompiledKernel, ExecScratch, Interpreter, SwitchState};
-    use ncl::model::{Chunk, KernelId, Value, Window};
-    use ncl::p4::codegen::{decode_window_for_test, encode_window_for_test};
-    use ncl::p4::{compile_module, CompileOptions};
-    use ncl::pisa::{Pipeline, ResourceModel};
+    use ncl::model::Value;
 
     let src = r#"
 _net_ _at_("s1") int8_t m[4] = {1, 2};
@@ -294,67 +295,15 @@ _net_ _out_ void k(int *d) {
     let before = [i8v(1), i8v(0xFF), i8v(0), i8v(0)];
     let after = [i8v(1), i8v(0xFF), i8v(0x34), i8v(0)];
 
-    let window = Window {
-        kernel: KernelId(1),
-        seq: 0,
-        sender: HostId(1),
-        from: NodeId::Host(HostId(1)),
-        last: false,
-        chunks: vec![Chunk {
-            offset: 0,
-            data: [0x1234i32, 7, 7, 7]
-                .iter()
-                .flat_map(|v| v.to_be_bytes())
-                .collect(),
-        }],
-        ext: vec![],
-    };
-    let want: Vec<u8> = [0x1234i32, -1, 0x34, 7]
-        .iter()
-        .flat_map(|v| v.to_be_bytes())
-        .collect();
-
-    let kir = module.kernel("k").expect("kernel");
+    let windows = [window(0, 1, vec![ints(&[0x1234, 7, 7, 7])])];
+    let out = check_module(&module, &Config::default(), &windows);
+    assert!(out.pisa, "the kernel fits the chip");
     let read =
         |st: &SwitchState| -> Vec<Value> { (0..4).map(|i| st.registers[0].get(i)).collect() };
-    let mut runs: Vec<(&str, Window, SwitchState)> = Vec::new();
-    for engine in ["interp", "scalar", "simd"] {
-        let mut st = SwitchState::from_module(&module);
-        assert_eq!(read(&st), before, "{engine} at load");
-        let mut w = window.clone();
-        match engine {
-            "interp" => Interpreter::default().run_outgoing(kir, &mut w, &mut st),
-            _ => CompiledKernel::compile_for(kir, &module)
-                .with_simd(engine == "simd")
-                .run_outgoing(&mut w, &mut st, &mut ExecScratch::new()),
-        }
-        .expect("runs");
-        runs.push((engine, w, st));
-    }
-    for (engine, w, st) in &runs {
-        assert_eq!(w.chunks[0].data, want, "{engine} window");
-        assert_eq!(read(st), after, "{engine} after the store");
-    }
-
-    let mut opts = CompileOptions::default();
-    opts.kernel_ids.insert("k".into(), 1);
-    let compiled = compile_module(&module, &ResourceModel::default(), &opts).expect("compiles");
-    let mut pipe =
-        Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).expect("loads");
-    let cp = ncl::core::ControlPlane::new(&compiled);
-    let read = |p: &Pipeline| -> Vec<Value> {
-        (0..4)
-            .map(|i| cp.read_register(p, "m", i).expect("in range"))
-            .collect()
-    };
-    assert_eq!(read(&pipe), before, "pisa at load");
-    let out = pipe
-        .process(&encode_window_for_test(&window, 0))
-        .expect("pipeline parses");
+    assert_eq!(read(&out.loaded), before, "at load");
     assert_eq!(
-        decode_window_for_test(&out.packet, 1, 0).chunks[0].data,
-        want,
-        "pisa window"
+        out.outputs[0].1.chunks[0].data,
+        ints(&[0x1234, -1, 0x34, 7])
     );
-    assert_eq!(read(&pipe), after, "pisa after the store");
+    assert_eq!(read(&out.state), after, "after the store");
 }
