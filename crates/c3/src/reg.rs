@@ -1,5 +1,5 @@
 //! Packed register arrays: the one store every engine keeps device
-//! memory in — switch state in the interpreter and the software tiers,
+//! memory in — switch state in the interpreter and the software switch,
 //! the PISA pipeline's register file, host `_ext_` memory, and the model
 //! checker's switch state.
 

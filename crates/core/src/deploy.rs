@@ -10,8 +10,9 @@
 //! compiled pipeline, `_bcast()` fan-out and `_pass(label)` targets
 //! resolved from the overlay. [`crate::deploy_tenants`] places several
 //! programs on one fabric; both entry points go through the same lint
-//! gate (`lint_gate`), the same engine selection (`switch_engine`) and
-//! the same fabric builder (`build_fabric`).
+//! gate (`lint_gate`), the same model-check gate (`mc_gate`), the same
+//! engine selection (`switch_engine`) and the same fabric builder
+//! (`build_fabric`).
 
 use crate::fastpath::FastPathSwitch;
 use crate::mc::{model_check_switch, McConfig, McReport};
@@ -36,25 +37,17 @@ pub enum SwitchBackend {
     /// — the default, and the engine all resource experiments use.
     #[default]
     Pisa,
-    /// The compiled fast-path executor ([`FastPathSwitch`]) running the
-    /// linear micro-op programs nclc lowered for the location
-    /// ([`CompiledProgram::switch_kernels`]); no backend lowers at
-    /// deploy time. Kernel execution allocates nothing; the
+    /// The software switch ([`FastPathSwitch`]): the linear micro-op
+    /// programs nclc lowered for the location
+    /// ([`CompiledProgram::switch_kernels`]), with fused element-wise
+    /// runs executing as width-monomorphic lane loops over the packed
+    /// register arrays (the ncvec tier, compiled with AVX2 on detecting
+    /// hosts, portable lanes elsewhere). A run that does not pack falls
+    /// back to the scalar micro-op loops, bit-identically. No backend
+    /// lowers at deploy time. Kernel execution allocates nothing; the
     /// switch hop still builds one `Vec` per forwarded window (0.25 to
     /// 0.99 allocations per window depending on the drop share —
-    /// ROADMAP item 3(ii)). This backend pins the scalar micro-op tier,
-    /// on a copy of each lowered kernel with the SIMD offer withdrawn —
-    /// the measured baseline the ncvec SIMD tier (E13) is compared
-    /// against.
-    FastPath,
-    /// The fast-path executor with the ncvec SIMD tier enabled: fused
-    /// element-wise runs execute as width-monomorphic lane loops over
-    /// the packed register arrays (compiled with AVX2 on detecting
-    /// hosts, portable lanes elsewhere), falling
-    /// back to the scalar micro-op path per run — bit-identically —
-    /// for kernels with no fusible runs, non-packable slot strides, or
-    /// when `NCVEC_FORCE_SCALAR=1`. The default tier for fusible
-    /// kernels on the software switch.
+    /// ROADMAP item 3(ii)).
     Simd,
 }
 
@@ -338,6 +331,46 @@ pub(crate) fn lint_gate(
     })
 }
 
+/// The deploy-time model-check gate for the module `program` places on
+/// switch `n`, when `cfg` asks for one (DESIGN.md §4.13): every
+/// schedule-checkable lint warning and the convergence obligation are
+/// adjudicated against the compiled pipeline. A convergence witness
+/// means a concrete fault schedule computes a wrong answer, so the
+/// module is refused with the schedule in hand. Counts
+/// `deploy.mc_checked` per checked module and `deploy.mc_denied` per
+/// refusal; returns the report (`None` when unchecked).
+pub(crate) fn mc_gate(
+    program: &CompiledProgram,
+    n: &AndNode,
+    cfg: Option<&McConfig>,
+    registry: &Registry,
+) -> Result<Option<McReport>, DeployError> {
+    // Registered before the early return, so both entry points show the
+    // same counters whether or not a check was asked for.
+    let mc_checked = registry.counter("deploy.mc_checked");
+    let mc_denied = registry.counter("deploy.mc_denied");
+    let label = n.label.as_str();
+    let Some(cfg) = cfg.filter(|_| program.module(label).is_some()) else {
+        return Ok(None);
+    };
+    let report = model_check_switch(program, label, cfg).map_err(|e| DeployError::Load {
+        label: label.to_string(),
+        error: e.to_string(),
+    })?;
+    mc_checked.inc();
+    if let Some(conv) = report.convergence() {
+        if let ncmc::Outcome::Witness(w) = &conv.result.outcome {
+            mc_denied.inc();
+            return Err(DeployError::ModelCheck {
+                label: label.to_string(),
+                kernel: conv.kernel.clone(),
+                schedule: w.schedule.render(),
+            });
+        }
+    }
+    Ok(Some(report))
+}
+
 /// Builds what `backend` runs for `program` at switch `label` from the
 /// kernels nclc lowered for it ([`CompiledProgram::switch_kernels`]),
 /// lowering nothing: the software datapath (`None` for
@@ -357,10 +390,8 @@ pub(crate) fn switch_engine(
     version: u16,
 ) -> (Option<Box<dyn FastDatapath>>, HashMap<u16, KernelTelemetry>) {
     let datapath = match backend {
-        SwitchBackend::FastPath | SwitchBackend::Simd => {
-            FastPathSwitch::from_program_with(program, label, backend == SwitchBackend::Simd)
-                .map(|fp| Box::new(fp) as Box<dyn FastDatapath>)
-        }
+        SwitchBackend::Simd => FastPathSwitch::from_program(program, label)
+            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
         SwitchBackend::Pisa => None,
     };
     let stages = program
@@ -507,8 +538,6 @@ pub fn deploy_opts(
         model,
         model_check,
     } = opts;
-    let mc_checked = registry.counter("deploy.mc_checked");
-    let mc_denied = registry.counter("deploy.mc_denied");
     let mut mc_reports = Vec::new();
     let (net, nodes) = build_fabric(
         &program.overlay,
@@ -533,27 +562,7 @@ pub fn deploy_opts(
             };
             let version = module_version(program, label);
             lint_gate(program, n, version, &registry, scope.as_ref())?;
-            // Model-check gate: adjudicate every schedule-checkable
-            // lint warning and the convergence obligation against
-            // the compiled pipeline. A convergence witness means a
-            // concrete fault schedule computes a wrong answer — the
-            // deployment is refused with the schedule in hand.
-            if let Some(mc_cfg) = &model_check {
-                let report = model_check_switch(program, label, mc_cfg)
-                    .map_err(|e| load_error(e.to_string()))?;
-                mc_checked.inc();
-                if let Some(conv) = report.convergence() {
-                    if let ncmc::Outcome::Witness(w) = &conv.result.outcome {
-                        mc_denied.inc();
-                        return Err(DeployError::ModelCheck {
-                            label: label.to_string(),
-                            kernel: conv.kernel.clone(),
-                            schedule: w.schedule.render(),
-                        });
-                    }
-                }
-                mc_reports.push(report);
-            }
+            mc_reports.extend(mc_gate(program, n, model_check.as_ref(), &registry)?);
             // A software engine replaces the pipeline wholesale: one
             // engine per switch, never both.
             let (fastpath, kernels) = switch_engine(backend, program, label, version);
@@ -632,7 +641,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
     /// three workers, in-network aggregation, broadcast of results.
     /// Runs under either switch engine; the assertions are identical —
     /// the system-level differential check between the PISA model and
-    /// the compiled fast path.
+    /// the software switch.
     fn run_allreduce(backend: SwitchBackend) {
         let mut cfg = CompileConfig::default();
         cfg.masks.insert("allreduce".into(), vec![4]);
@@ -687,7 +696,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
                     Value::u32(3),
                 );
             }
-            SwitchBackend::FastPath | SwitchBackend::Simd => {
+            SwitchBackend::Simd => {
                 let fp = dep.net.switch_fastpath_mut(s1).unwrap();
                 for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
                     assert!(fp.ctrl(&op));
@@ -726,13 +735,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         run_allreduce(SwitchBackend::Pisa);
     }
 
-    /// Same workload, same assertions, compiled fast-path engine.
-    #[test]
-    fn allreduce_full_system_fastpath() {
-        run_allreduce(SwitchBackend::FastPath);
-    }
-
-    /// Same workload, same assertions, ncvec SIMD tier — fused vector
+    /// Same workload, same assertions, software switch — fused vector
     /// runs execute through width-specialized lane loops (or AVX2).
     #[test]
     fn allreduce_full_system_simd() {

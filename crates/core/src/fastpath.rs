@@ -15,7 +15,7 @@
 //! outgoing packet buffer.
 //!
 //! It plugs into the simulator as a [`netsim::FastDatapath`]
-//! (see [`crate::deploy::SwitchBackend::FastPath`]) and serves as the
+//! (see [`crate::deploy::SwitchBackend::Simd`]) and serves as the
 //! software-switch engine for the Sockets/UDP backend. The modeled PISA
 //! pipeline remains the resource-checked hardware model; the
 //! differential tests below hold the two to identical verdicts, output
@@ -68,21 +68,21 @@ pub struct FastPathSwitch {
 }
 
 impl FastPathSwitch {
-    /// Builds the datapath for one switch label of a compiled program
-    /// on the default tier (ncvec SIMD offered); `None` when the label
+    /// Builds the datapath for one switch label of a compiled program,
+    /// fused runs offered to the ncvec SIMD tier; `None` when the label
     /// has no module.
     pub fn from_program(program: &CompiledProgram, label: &str) -> Option<Self> {
         Self::from_program_with(program, label, true)
     }
 
-    /// [`FastPathSwitch::from_program`] with explicit tier selection:
+    /// [`FastPathSwitch::from_program`] with the SIMD offer explicit:
     /// `simd` offers fused element-wise runs to the ncvec SIMD tier
     /// (kernels with no fusible runs execute identically either way),
-    /// `false` pins the scalar micro-op fast path, the A/B baseline
-    /// [`crate::deploy::SwitchBackend::FastPath`] uses. Nothing is
-    /// lowered here: the SIMD tier shares the program's lowered kernels
-    /// ([`CompiledProgram::switch_kernels`]) and the scalar tier runs a
-    /// copy of each with the SIMD offer withdrawn. The backend's compiled
+    /// `false` pins the scalar micro-op loops, the reference the
+    /// differential tests and the E13 baseline run. Nothing is lowered
+    /// here: with `simd` the switch shares the program's lowered kernels
+    /// ([`CompiledProgram::switch_kernels`]); without it, it runs a copy
+    /// of each with the SIMD offer withdrawn. The backend's compiled
     /// control-register, lookup-table and lane-bank names are aliased so
     /// deferred [`CtrlOp`]s emitted by [`crate::control::ControlPlane`]
     /// resolve unchanged.

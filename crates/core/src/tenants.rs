@@ -20,7 +20,7 @@
 //!
 //! Hitless upgrades ride the same path:
 //! [`MultiDeployment::begin_upgrade`] admission-checks the new version
-//! with the old still resident (dual reservation), lint-gates it,
+//! with the old still resident (dual reservation), gates it,
 //! installs it on every switch atomically with the drain-set snapshot
 //! (the NCP-R in-flight keys, [`crate::runtime::NclHost::in_flight_keys`]),
 //! and hands back the [`Upgrade`] ticket; once the caller has observed
@@ -28,15 +28,16 @@
 //! [`MultiDeployment::finish_upgrade`] retires the old version and
 //! returns its resources to the pool.
 //!
-//! Only the software switch tiers multiplex —
-//! [`SwitchBackend::FastPath`] and [`SwitchBackend::Simd`]. The modeled
-//! PISA pipeline cannot host two independently compiled programs in one
-//! pipeline object, so [`SwitchBackend::Pisa`] is rejected up front.
+//! Only the software switch ([`SwitchBackend::Simd`]) multiplexes. The
+//! modeled PISA pipeline cannot host two independently compiled
+//! programs in one pipeline object, so [`SwitchBackend::Pisa`] is
+//! rejected up front.
 
 use crate::deploy::{
-    build_fabric, lint_gate, switch_engine, DeployError, DeployOptions, FabricOptions,
+    build_fabric, lint_gate, mc_gate, switch_engine, DeployError, DeployOptions, FabricOptions,
     SwitchBackend, SwitchLoad,
 };
+use crate::mc::McConfig;
 use crate::mux::TenantMux;
 use crate::nclc::{CompiledProgram, ModuleEstimate};
 use crate::runtime::NclHost;
@@ -106,10 +107,12 @@ pub enum MultiDeployError {
         /// The unknown label.
         label: String,
     },
-    /// The deploy-time lint gate denied a tenant module. The inner
-    /// error names the offending kernels and the refused version
-    /// ([`DeployError::Lint`]).
-    Lint {
+    /// A deploy-time gate refused a tenant module. The inner error
+    /// says which gate and names the refused code: the lint gate's
+    /// [`DeployError::Lint`] (offending kernels and refused version) or
+    /// the model-check gate's [`DeployError::ModelCheck`] (kernel and
+    /// counterexample schedule).
+    Gate {
         /// The offending tenant.
         tenant: String,
         /// The underlying denial.
@@ -139,7 +142,7 @@ impl std::fmt::Display for MultiDeployError {
             MultiDeployError::UnsupportedBackend => {
                 write!(
                     f,
-                    "the PISA pipeline backend cannot multiplex tenants; use a software tier"
+                    "the PISA pipeline backend cannot multiplex tenants; use the software switch"
                 )
             }
             MultiDeployError::OverlayMismatch { tenant } => {
@@ -154,7 +157,7 @@ impl std::fmt::Display for MultiDeployError {
             MultiDeployError::UnknownHost { tenant, label } => {
                 write!(f, "tenant '{tenant}' claims unknown host '{label}'")
             }
-            MultiDeployError::Lint { tenant, source } => {
+            MultiDeployError::Gate { tenant, source } => {
                 write!(f, "tenant '{tenant}': {source}")
             }
             MultiDeployError::Admission { tenant, source } => {
@@ -211,6 +214,8 @@ pub struct MultiDeployment {
     /// order, each with the cost report naming the violated budget.
     pub rejections: Vec<Box<CostReport>>,
     backend: SwitchBackend,
+    /// The model-check gate every upgrade passes, as deployed.
+    model_check: Option<McConfig>,
     tenants: Vec<AdmittedTenant>,
     /// `(switch wire, kernel id)` → deployed version; updated on
     /// upgrade switchover.
@@ -220,7 +225,8 @@ pub struct MultiDeployment {
 /// Deploys several tenants onto one shared fabric (module docs).
 /// Admitted tenants run; rejected tenants land in
 /// [`MultiDeployment::rejections`] with cost reports. `opts.backend`
-/// must be a software tier.
+/// must be the software switch. Every tenant module passes the same
+/// lint and model-check gates as under [`crate::deploy_opts`].
 pub fn deploy_tenants(
     tenants: Vec<TenantDeploy>,
     opts: DeployOptions,
@@ -232,10 +238,7 @@ pub fn deploy_tenants(
         registry,
         scope,
         model,
-        // Multi-tenant deployments run software tiers against per-tenant
-        // mux state; the model-check gate is a single-program, Pisa-level
-        // concern and is applied by `deploy_opts` instead.
-        model_check: _,
+        model_check,
     } = opts;
     if tenants.is_empty() {
         return Err(MultiDeployError::NoTenants);
@@ -297,11 +300,13 @@ pub fn deploy_tenants(
     let admitted_ctr = registry.counter("deploy.tenants_admitted");
     let rejected_ctr = registry.counter("deploy.tenants_rejected");
 
-    // Lint gate, per tenant, per switch module — with kernel + version
-    // identity in the denial (the would-be first deployment is v1).
+    // Lint and model-check gates, per tenant, per switch module — with
+    // kernel + version identity in the denial (the would-be first
+    // deployment is v1).
+    let mc = model_check.as_ref();
     for t in &tenants {
-        lint_gate_all(&t.program, 1, &registry, scope.as_ref()).map_err(|source| {
-            MultiDeployError::Lint {
+        gate_all(&t.program, 1, mc, &registry, scope.as_ref()).map_err(|source| {
+            MultiDeployError::Gate {
                 tenant: t.spec.name.clone(),
                 source,
             }
@@ -407,6 +412,7 @@ pub fn deploy_tenants(
         controller,
         rejections,
         backend,
+        model_check,
         tenants: book,
         versions,
     })
@@ -421,11 +427,13 @@ fn switch_estimates(program: &CompiledProgram) -> BTreeMap<String, ModuleEstimat
         .collect()
 }
 
-/// Runs the deploy-time lint gate ([`lint_gate`]) over every switch
-/// module of `program`, which would deploy as `version`.
-fn lint_gate_all(
+/// Runs the deploy-time gates over every switch module of `program`,
+/// which would deploy as `version`: the lint gate ([`lint_gate`]), then
+/// the model-check gate ([`mc_gate`]) when `model_check` asks for it.
+fn gate_all(
     program: &CompiledProgram,
     version: u16,
+    model_check: Option<&McConfig>,
     registry: &Registry,
     scope: Option<&Scope>,
 ) -> Result<(), DeployError> {
@@ -434,7 +442,10 @@ fn lint_gate_all(
         .nodes
         .iter()
         .filter(|n| n.kind == AndKind::Switch)
-        .try_for_each(|n| lint_gate(program, n, version, registry, scope))
+        .try_for_each(|n| {
+            lint_gate(program, n, version, registry, scope)?;
+            mc_gate(program, n, model_check, registry).map(drop)
+        })
 }
 
 impl MultiDeployment {
@@ -552,8 +563,8 @@ impl MultiDeployment {
     }
 
     /// Starts a hitless upgrade of `tenant` to `new_program`: admission
-    /// (dual reservation, old + new resident), lint gate, then an
-    /// atomic switchover on every occupied switch — the drain keys
+    /// (dual reservation, old + new resident), the deploy-time gates,
+    /// then an atomic switchover on every occupied switch — the drain keys
     /// (`(kernel, seq)` windows in flight on NCP-R at this instant,
     /// from [`NclHost::in_flight_keys`]) keep routing to the old
     /// version, everything else to the new one. Returns the ticket;
@@ -589,17 +600,18 @@ impl MultiDeployment {
                 source,
             })?;
         let registry = self.net.metrics().clone();
-        if let Err(source) = lint_gate_all(new_program, upgrade.new_version, &registry, None) {
+        let new_version = upgrade.new_version;
+        let model_check = self.model_check.as_ref();
+        if let Err(source) = gate_all(new_program, new_version, model_check, &registry, None) {
             self.controller
                 .abort_upgrade(tenant)
                 .expect("upgrade just began");
-            return Err(MultiDeployError::Lint {
+            return Err(MultiDeployError::Gate {
                 tenant: tenant.to_string(),
                 source,
             });
         }
         let drain_set: BTreeSet<(u16, u32)> = drain.iter().copied().collect();
-        let new_version = upgrade.new_version;
         let switch_labels = self.tenants[ti].switches.clone();
         for label in &switch_labels {
             let (Some(dp), kernels) = switch_engine(self.backend, new_program, label, new_version)
@@ -758,7 +770,7 @@ mod tests {
     #[test]
     fn two_tenants_share_one_switch() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -802,7 +814,7 @@ mod tests {
             ncsched::TenantQuota::new(0, usize::MAX, usize::MAX),
         );
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(tenants, opts).expect("deploys");
@@ -828,7 +840,7 @@ mod tests {
     #[test]
     fn hitless_upgrade_drains_and_reclaims() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -877,7 +889,7 @@ mod tests {
     #[test]
     fn structural_errors_are_hard() {
         let opts = || DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         assert!(matches!(
@@ -939,14 +951,17 @@ mod tests {
         ));
     }
 
-    /// One builder, one gate: a single program deployed through
+    /// One builder, one set of gates: a single program deployed through
     /// `deploy_opts` and as the only tenant of `deploy_tenants` yields
-    /// the same node map, kernel versions and `deploy.*` counters — and
-    /// a denied module is refused with the same lint error.
+    /// the same node map, kernel versions and `deploy.*` counters — a
+    /// denied module is refused with the same lint error, and a module
+    /// the model-check gate refuses is refused with the same
+    /// counterexample and the same gate counters.
     #[test]
     fn one_tenant_fabric_matches_deploy_opts() {
         use crate::deploy::{deploy_opts, deployed_versions};
         use crate::nclc::{LintCode, LintLevel};
+        use std::sync::Arc;
         let opts = || DeployOptions {
             backend: SwitchBackend::Simd,
             ..DeployOptions::default()
@@ -1006,12 +1021,52 @@ mod tests {
             Ok(_) => panic!("denied module deployed"),
         };
         let multi = match deploy_tenants(one_tenant(denied), opts()) {
-            Err(MultiDeployError::Lint { source, .. }) => lint_parts(source),
+            Err(MultiDeployError::Gate { source, .. }) => lint_parts(source),
             Err(other) => panic!("expected a lint denial, got {other:?}"),
             Ok(_) => panic!("denied module deployed"),
         };
         assert_eq!(single, multi);
         assert_eq!(single.1, vec!["allreduce".to_string()]);
+
+        // Ask for the model-check gate: the unfiltered AllReduce diverges
+        // under a loss/dup schedule, so neither entry point deploys it.
+        let mc_opts = |registry: &Arc<Registry>| DeployOptions {
+            model_check: Some(McConfig::default()),
+            registry: Arc::clone(registry),
+            ..opts()
+        };
+        let mc_parts = |e: DeployError| match e {
+            DeployError::ModelCheck {
+                label,
+                kernel,
+                schedule,
+            } => (label, kernel, schedule),
+            other => panic!("expected a model-check refusal, got {other:?}"),
+        };
+        let counters = |r: &Registry| {
+            [
+                "deploy.lint_denied",
+                "deploy.mc_checked",
+                "deploy.mc_denied",
+            ]
+            .map(|name| r.counter_value(name))
+        };
+        let (reg_single, reg_multi) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+        let program = tenant_program(0);
+        let apps = tenant_apps(&program, 1, 6);
+        let single = match deploy_opts(&program, apps, mc_opts(&reg_single)) {
+            Err(e) => mc_parts(e),
+            Ok(_) => panic!("divergent module deployed"),
+        };
+        let multi = match deploy_tenants(one_tenant(program), mc_opts(&reg_multi)) {
+            Err(MultiDeployError::Gate { source, .. }) => mc_parts(source),
+            Err(other) => panic!("expected a model-check refusal, got {other:?}"),
+            Ok(_) => panic!("divergent module deployed"),
+        };
+        assert_eq!(single, multi);
+        assert_eq!((single.0.as_str(), single.1.as_str()), ("s1", "allreduce"));
+        assert_eq!(counters(&reg_single), counters(&reg_multi));
+        assert_eq!(counters(&reg_single), [Some(0), Some(1), Some(1)]);
     }
 
     /// An upgrade that changes the kernel-id set is refused before it
@@ -1019,7 +1074,7 @@ mod tests {
     #[test]
     fn upgrade_with_new_kernel_ids_is_refused() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -1031,13 +1086,59 @@ mod tests {
         assert_eq!(dep.controller.tenant_version("tenant-a"), Some(1));
     }
 
+    /// An upgrade passes the model-check gate the fabric was deployed
+    /// with: a replay-filtered v1 deploys, an unfiltered v2 that a
+    /// duplicate would double-add into is refused and leaves v1 in
+    /// place, and a filtered v2 goes ahead.
+    #[test]
+    fn upgrade_refused_by_the_model_check_gate() {
+        let filtered = || {
+            let mut cfg = CompileConfig::default();
+            cfg.masks.insert("allreduce".into(), vec![4]);
+            cfg.masks.insert("result".into(), vec![4]);
+            let filter = crate::nclc::ReplayFilter {
+                senders: 4,
+                slots: 4,
+            };
+            cfg.replay_filters.insert("allreduce".into(), filter);
+            compile(&allreduce_source(16, 4), AND6, &cfg).expect("compiles")
+        };
+        let program = filtered();
+        let tenants = vec![TenantDeploy {
+            spec: TenantSpec::new("tenant-a"),
+            apps: tenant_apps(&program, 1, 3),
+            program,
+        }];
+        // No stage splits: duplicates alone tell the two programs apart,
+        // and the filtered one certifies in a fraction of the space.
+        let mut mc = McConfig::default();
+        mc.bounds.max_splits = 0;
+        let opts = DeployOptions {
+            backend: SwitchBackend::Simd,
+            model_check: Some(mc),
+            ..DeployOptions::default()
+        };
+        let mut dep = deploy_tenants(tenants, opts).expect("the filtered v1 certifies");
+        match dep.begin_upgrade("tenant-a", &tenant_program(0), Vec::new()) {
+            Err(MultiDeployError::Gate {
+                source: DeployError::ModelCheck { label, .. },
+                ..
+            }) => assert_eq!(label, "s1"),
+            Err(other) => panic!("expected a model-check refusal, got {other:?}"),
+            Ok(_) => panic!("the unfiltered v2 was installed"),
+        }
+        assert_eq!(dep.controller.tenant_version("tenant-a"), Some(1));
+        let upgrade = dep.begin_upgrade("tenant-a", &filtered(), Vec::new());
+        assert_eq!(upgrade.expect("the filtered v2 certifies").new_version, 2);
+    }
+
     /// The streaming watch rides a healthy two-tenant run without a
     /// single incident (no false positives), while its default SLOs and
     /// per-component detectors are armed and evaluating every tick.
     #[test]
     fn healthy_run_stays_incident_free_under_watch() {
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let mut dep = deploy_tenants(two_tenants(), opts).expect("deploys");
@@ -1070,7 +1171,7 @@ mod tests {
             ncsched::TenantQuota::new(0, usize::MAX, usize::MAX),
         );
         let opts = DeployOptions {
-            backend: SwitchBackend::FastPath,
+            backend: SwitchBackend::Simd,
             ..DeployOptions::default()
         };
         let dep = deploy_tenants(tenants, opts).expect("deploys");

@@ -619,8 +619,8 @@ pub struct CompiledKernel {
     /// the budget (it provably cannot exhaust it).
     counted: bool,
     /// Offer fused runs to the ncvec SIMD tier (default). The tier still
-    /// falls back per run — and bit-identically — when the host has no
-    /// usable lanes or the run's slots do not pack (see [`crate::ncvec`]).
+    /// falls back per run — and bit-identically — when the run's types
+    /// are mixed or its slots do not pack (see [`crate::ncvec`]).
     simd: bool,
 }
 
@@ -689,7 +689,8 @@ impl CompiledKernel {
 
     /// Enables or disables the ncvec SIMD tier for this kernel's fused
     /// runs (enabled by default). Disabling pins the scalar micro-op
-    /// fast path — the A/B baseline the differential tests and E13 use.
+    /// loops — the reference the differential harness compares against
+    /// and the baseline E13 measures.
     pub fn with_simd(mut self, simd: bool) -> Self {
         self.simd = simd;
         self
@@ -2425,66 +2426,6 @@ _net_ _out_ void allreduce(int *data) {
         }
         assert_eq!(st_f.registers[0].get(0), Value::i32(6));
         assert_eq!(st_f.registers[1].get(0), Value::u32(0));
-    }
-
-    /// Perf probe for the ncvec tier (not a gate — E13 is): run with
-    /// `cargo test -p ncl-ir --release -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn ncvec_speed_probe() {
-        let src = r#"
-#define DATA_LEN 8192
-#define WIN_LEN 1024
-_net_ _at_("s1") int accum[DATA_LEN] = {0};
-_net_ _at_("s1") unsigned count[DATA_LEN/WIN_LEN] = {0};
-_net_ _at_("s1") _ctrl_ unsigned nworkers;
-_net_ _out_ void allreduce(int *data) {
-    unsigned base = window.seq * window.len;
-    for (unsigned i = 0; i < window.len; ++i)
-        accum[base + i] += data[i];
-    if (++count[window.seq] == nworkers) {
-        memcpy(data, &accum[base], window.len * 4);
-        count[window.seq] = 0; _bcast();
-    } else { _drop(); }
-}
-"#;
-        let (m, mut st) = build(src, "allreduce", &[1024]);
-        st.ctrl_write(CtrlId(0), Value::u32(1_000_000));
-        let k = m.kernel("allreduce").unwrap();
-        let scalar = CompiledKernel::compile_for(k, &m).with_simd(false);
-        let simd = CompiledKernel::compile_for(k, &m).with_simd(true);
-        let vals: Vec<u32> = (0..1024).collect();
-        let w = window_u32(&vals);
-        let mut scratch = ExecScratch::new();
-        let reps = 2000usize;
-        let mut pool: Vec<Window> = (0..8).map(|_| w.clone()).collect();
-        let mut time = |ck: &CompiledKernel, st: &mut SwitchState, pool: &mut [Window]| {
-            let t = std::time::Instant::now();
-            for i in 0..reps {
-                let wx = &mut pool[i & 7];
-                std::hint::black_box(ck.run_outgoing(wx, st, &mut scratch).unwrap());
-            }
-            t.elapsed().as_nanos() as u64 / reps as u64
-        };
-        let mut st_s = st.clone();
-        let mut st_v = st.clone();
-        let (mut ns_scalar, mut ns_simd) = (u64::MAX, u64::MAX);
-        for _ in 0..7 {
-            ns_scalar = ns_scalar.min(time(&scalar, &mut st_s, &mut pool));
-            ns_simd = ns_simd.min(time(&simd, &mut st_v, &mut pool));
-        }
-        assert_eq!(st_s.registers, st_v.registers, "tiers diverged");
-        println!(
-            "ncvec probe (level {}): vec_runs {}, uops {}, interp {} steps; \
-             scalar {} ns/window, simd {} ns/window, {:.2}x",
-            crate::ncvec::level(),
-            simd.vec_runs(),
-            simd.len(),
-            simd.interp_steps(),
-            ns_scalar,
-            ns_simd,
-            ns_scalar as f64 / ns_simd.max(1) as f64
-        );
     }
 
     #[test]

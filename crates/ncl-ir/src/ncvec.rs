@@ -16,9 +16,6 @@
 //! run the scalar path. The tier declines — and the fast path falls
 //! back with identical results, never a panic — when:
 //!
-//! - the host offers no usable lanes ([`level`] is [`SimdLevel::Scalar`]:
-//!   `NCVEC_FORCE_SCALAR=1`, [`set_force_scalar`], or a build with no
-//!   vectorizable target),
 //! - the run's element types do not agree with the array's (mixed-width
 //!   runs take the scalar tier's `get`/`set` loop),
 //! - the slots do not pack into consecutive lanes: the index-add would
@@ -43,7 +40,8 @@
 //! loops are instantiated inside `#[target_feature]` wrappers so the
 //! compiler emits 256-bit loads, byte shuffles and adds; elsewhere the
 //! same portable loops run at whatever width the baseline target
-//! offers. Step-budget accounting is unchanged: the caller's
+//! offers. The width is detected once per process, and nothing
+//! overrides it. Step-budget accounting is unchanged: the caller's
 //! `vec_iters` already decided how many groups `m` execute, and partial
 //! (budget-exhausted) runs vectorize like any other — the tier only
 //! ever executes groups `< m`.
@@ -52,28 +50,15 @@ use crate::exec::{
     lane_typed, vec_accum_scalar, vec_reg_to_win_scalar, vec_win_to_reg_scalar, VecOp,
 };
 use c3::{each_width, Chunk, Lane, RegArray};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// The lane width tier a fused run executes at.
+/// The lane width a fused run executes at.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SimdLevel {
-    /// No lane execution: every fused run takes the scalar loops.
-    Scalar,
+enum SimdLevel {
     /// Portable lane loops at the build target's baseline vector width.
     Lanes,
     /// Lane loops instantiated with AVX2 (runtime-detected, x86-64).
     Avx2,
-}
-
-impl std::fmt::Display for SimdLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Lanes => "lanes",
-            SimdLevel::Avx2 => "avx2",
-        })
-    }
 }
 
 /// Smallest lane-packable body worth leaving the scalar loop for.
@@ -81,27 +66,8 @@ impl std::fmt::Display for SimdLevel {
 /// bounds dispatch overhead.
 pub const MIN_BODY: u32 = 8;
 
-fn force_flag() -> &'static AtomicBool {
-    static F: OnceLock<AtomicBool> = OnceLock::new();
-    F.get_or_init(|| {
-        AtomicBool::new(std::env::var_os("NCVEC_FORCE_SCALAR").is_some_and(|v| v == "1"))
-    })
-}
-
-/// Forces (or un-forces) the scalar tier process-wide, overriding the
-/// `NCVEC_FORCE_SCALAR` environment gate it is initialized from. The
-/// A/B switch the E13 harness flips between arms; tests that want a
-/// per-kernel override use `CompiledKernel::with_simd` instead.
-pub fn set_force_scalar(on: bool) {
-    force_flag().store(on, Ordering::Relaxed);
-}
-
-/// Whether the scalar tier is currently forced (env or programmatic).
-pub fn force_scalar() -> bool {
-    force_flag().load(Ordering::Relaxed)
-}
-
-fn detected() -> SimdLevel {
+/// The host's lane width, detected once per process.
+fn level() -> SimdLevel {
     static L: OnceLock<SimdLevel> = OnceLock::new();
     *L.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -110,16 +76,6 @@ fn detected() -> SimdLevel {
         }
         SimdLevel::Lanes
     })
-}
-
-/// The effective lane tier: [`SimdLevel::Scalar`] when forced, else the
-/// runtime-detected host capability.
-pub fn level() -> SimdLevel {
-    if force_scalar() {
-        SimdLevel::Scalar
-    } else {
-        detected()
-    }
 }
 
 /// The lane-packable body of a fused run: iterations `lo..hi` write the
@@ -271,26 +227,10 @@ fn reg_to_win_body<L: Lane>(lv: SimdLevel, src: &[L], dst: &mut [u8]) {
 // Run entry points (called from the fast path's vec dispatch).
 // ---------------------------------------------------------------------
 
-/// The effective level and the lane plan of a run; `None` when the tier
-/// is forced off or the run does not pack.
-fn engage(
-    v: &VecOp,
-    m: u32,
-    base_bits: u64,
-    arr_len: usize,
-    data_len: usize,
-) -> Option<(SimdLevel, Plan)> {
-    let lv = level();
-    if lv == SimdLevel::Scalar {
-        return None;
-    }
-    plan(v, m, base_bits, arr_len, data_len).map(|p| (lv, p))
-}
-
 /// `arr[slot] += win[c]`: executes the run if it lane-packs, scalar
 /// head/tail included. Returns `false` (caller runs the scalar loop)
-/// when the tier is off, the types are mixed, the chunk is absent, or
-/// the slots do not pack.
+/// when the types are mixed, the chunk is absent, or the slots do not
+/// pack.
 pub(crate) fn accum(
     v: &VecOp,
     m: u32,
@@ -298,31 +238,13 @@ pub(crate) fn accum(
     arr: &mut RegArray,
     chunk: Option<&Chunk>,
 ) -> bool {
-    let Some(c) = chunk.filter(|_| v.wty == v.aty && lane_typed(v.wty, arr)) else {
-        return false;
-    };
-    let Some((lv, p)) = engage(v, m, base_bits, arr.len(), c.data.len()) else {
-        return false;
-    };
-    vec_accum_scalar(v, 0..p.lo, base_bits, arr, chunk);
-    each_width!(arr.lanes_mut(), a => accum_body(lv, &mut a[p.slots()], &c.data[p.bytes(v)]));
-    vec_accum_scalar(v, p.hi..m, base_bits, arr, chunk);
-    true
+    accum_at(level(), v, m, base_bits, arr, chunk)
 }
 
 /// `win[c] = arr[slot]` (store direction). The chunk is present (the
 /// caller already dropped the run when it was missing).
 pub(crate) fn reg_to_win(v: &VecOp, m: u32, base_bits: u64, arr: &RegArray, c: &mut Chunk) -> bool {
-    if v.wty != arr.elem() {
-        return false;
-    }
-    let Some((lv, p)) = engage(v, m, base_bits, arr.len(), c.data.len()) else {
-        return false;
-    };
-    vec_reg_to_win_scalar(v, 0..p.lo, base_bits, arr, c);
-    each_width!(arr.lanes(), a => reg_to_win_body(lv, &a[p.slots()], &mut c.data[p.bytes(v)]));
-    vec_reg_to_win_scalar(v, p.hi..m, base_bits, arr, c);
-    true
+    reg_to_win_at(level(), v, m, base_bits, arr, c)
 }
 
 /// `arr[slot] = win[c]` (broadcast-read direction).
@@ -333,10 +255,67 @@ pub(crate) fn win_to_reg(
     arr: &mut RegArray,
     chunk: Option<&Chunk>,
 ) -> bool {
+    win_to_reg_at(level(), v, m, base_bits, arr, chunk)
+}
+
+/// [`accum`] at lane width `lv`; inlined into it, the fused-run hot path.
+#[inline(always)]
+fn accum_at(
+    lv: SimdLevel,
+    v: &VecOp,
+    m: u32,
+    base_bits: u64,
+    arr: &mut RegArray,
+    chunk: Option<&Chunk>,
+) -> bool {
+    let Some(c) = chunk.filter(|_| v.wty == v.aty && lane_typed(v.wty, arr)) else {
+        return false;
+    };
+    let Some(p) = plan(v, m, base_bits, arr.len(), c.data.len()) else {
+        return false;
+    };
+    vec_accum_scalar(v, 0..p.lo, base_bits, arr, chunk);
+    each_width!(arr.lanes_mut(), a => accum_body(lv, &mut a[p.slots()], &c.data[p.bytes(v)]));
+    vec_accum_scalar(v, p.hi..m, base_bits, arr, chunk);
+    true
+}
+
+/// [`reg_to_win`] at lane width `lv`; inlined into it, the fused-run hot path.
+#[inline(always)]
+fn reg_to_win_at(
+    lv: SimdLevel,
+    v: &VecOp,
+    m: u32,
+    base_bits: u64,
+    arr: &RegArray,
+    c: &mut Chunk,
+) -> bool {
+    if v.wty != arr.elem() {
+        return false;
+    }
+    let Some(p) = plan(v, m, base_bits, arr.len(), c.data.len()) else {
+        return false;
+    };
+    vec_reg_to_win_scalar(v, 0..p.lo, base_bits, arr, c);
+    each_width!(arr.lanes(), a => reg_to_win_body(lv, &a[p.slots()], &mut c.data[p.bytes(v)]));
+    vec_reg_to_win_scalar(v, p.hi..m, base_bits, arr, c);
+    true
+}
+
+/// [`win_to_reg`] at lane width `lv`; inlined into it, the fused-run hot path.
+#[inline(always)]
+fn win_to_reg_at(
+    lv: SimdLevel,
+    v: &VecOp,
+    m: u32,
+    base_bits: u64,
+    arr: &mut RegArray,
+    chunk: Option<&Chunk>,
+) -> bool {
     let Some(c) = chunk.filter(|_| lane_typed(v.wty, arr)) else {
         return false;
     };
-    let Some((lv, p)) = engage(v, m, base_bits, arr.len(), c.data.len()) else {
+    let Some(p) = plan(v, m, base_bits, arr.len(), c.data.len()) else {
         return false;
     };
     vec_win_to_reg_scalar(v, 0..p.lo, base_bits, arr, chunk);
@@ -349,11 +328,6 @@ pub(crate) fn win_to_reg(
 mod tests {
     use super::*;
     use c3::{ScalarType, Value};
-    use std::sync::Mutex;
-
-    /// Serialises the tests that read [`level`] against the one that
-    /// flips the process-wide force flag.
-    static LEVEL: Mutex<()> = Mutex::new(());
 
     fn vo(idx0: u32, n: u32, amask: u32, imask: u64, headless: bool) -> VecOp {
         VecOp {
@@ -415,59 +389,52 @@ mod tests {
         assert!(plan(&v, 4, 0, 64, 4 * 4).is_none());
     }
 
-    /// Every width, headless and headed, ragged chunk: wherever the tier
-    /// engages (everywhere it has lanes, `bool` window reads aside), it
-    /// and the scalar reference loops leave identical register lanes and
-    /// window bytes.
+    /// Every width, headless and headed, ragged chunk, at every lane
+    /// width the host can run — the portable lanes always, AVX2 where
+    /// detected: wherever the tier engages (everywhere, `bool` window
+    /// reads aside), it and the scalar reference loops leave identical
+    /// register lanes and window bytes.
     #[test]
     fn lane_bodies_match_the_scalar_loops_at_every_width() {
-        let _level = LEVEL.lock().expect("no test panics holding it");
-        for ty in ScalarType::ALL {
-            for headless in [false, true] {
-                let mut v = vo(1, 37, 1023, u32::MAX as u64, headless);
-                (v.wty, v.aty) = (ty, ty);
-                let init: Vec<Value> = (0..1024u64)
-                    .map(|i| Value::new(ty, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                    .collect();
-                let arr = RegArray::new(ty, 1024, &init);
-                // 35 full elements past idx0 = 1, then a partial one.
-                let data: Vec<u8> = (0..36 * ty.size() + ty.size() / 2)
-                    .map(|b| (b * 37 + 11) as u8)
-                    .collect();
-                let c = Chunk { offset: 0, data };
+        let mut levels = vec![SimdLevel::Lanes];
+        if level() == SimdLevel::Avx2 {
+            levels.push(SimdLevel::Avx2);
+        }
+        for lv in levels {
+            for ty in ScalarType::ALL {
+                for headless in [false, true] {
+                    let mut v = vo(1, 37, 1023, u32::MAX as u64, headless);
+                    (v.wty, v.aty) = (ty, ty);
+                    let init: Vec<Value> = (0..1024u64)
+                        .map(|i| Value::new(ty, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                        .collect();
+                    let arr = RegArray::new(ty, 1024, &init);
+                    // 35 full elements past idx0 = 1, then a partial one.
+                    let data: Vec<u8> = (0..36 * ty.size() + ty.size() / 2)
+                        .map(|b| (b * 37 + 11) as u8)
+                        .collect();
+                    let c = Chunk { offset: 0, data };
+                    let ctx = format!("{lv:?} {ty} headless={headless}");
 
-                let lanes = level() != SimdLevel::Scalar;
-                let ctx = format!("{ty} headless={headless}");
+                    let (mut simd, mut scalar) = (arr.clone(), arr.clone());
+                    let ran = accum_at(lv, &v, v.n, 5, &mut simd, Some(&c));
+                    assert_eq!(ran, ty != ScalarType::Bool, "accum {ctx}");
+                    vec_accum_scalar(&v, 0..v.n, 5, &mut scalar, Some(&c));
+                    assert!(!ran || simd == scalar, "accum {ctx}");
 
-                let (mut simd, mut scalar) = (arr.clone(), arr.clone());
-                let ran = accum(&v, v.n, 5, &mut simd, Some(&c));
-                assert_eq!(ran, lanes && ty != ScalarType::Bool, "accum {ctx}");
-                vec_accum_scalar(&v, 0..v.n, 5, &mut scalar, Some(&c));
-                assert!(!ran || simd == scalar, "accum {ctx}");
+                    let (mut simd, mut scalar) = (arr.clone(), arr.clone());
+                    let ran = win_to_reg_at(lv, &v, v.n, 5, &mut simd, Some(&c));
+                    assert_eq!(ran, ty != ScalarType::Bool, "win_to_reg {ctx}");
+                    vec_win_to_reg_scalar(&v, 0..v.n, 5, &mut scalar, Some(&c));
+                    assert!(!ran || simd == scalar, "win_to_reg {ctx}");
 
-                let (mut simd, mut scalar) = (arr.clone(), arr.clone());
-                let ran = win_to_reg(&v, v.n, 5, &mut simd, Some(&c));
-                assert_eq!(ran, lanes && ty != ScalarType::Bool, "win_to_reg {ctx}");
-                vec_win_to_reg_scalar(&v, 0..v.n, 5, &mut scalar, Some(&c));
-                assert!(!ran || simd == scalar, "win_to_reg {ctx}");
-
-                let (mut simd_c, mut scalar_c) = (c.clone(), c.clone());
-                let ran = reg_to_win(&v, v.n, 5, &arr, &mut simd_c);
-                assert_eq!(ran, lanes, "reg_to_win {ctx}");
-                vec_reg_to_win_scalar(&v, 0..v.n, 5, &arr, &mut scalar_c);
-                assert!(!ran || simd_c == scalar_c, "reg_to_win {ctx}");
+                    let (mut simd_c, mut scalar_c) = (c.clone(), c.clone());
+                    let ran = reg_to_win_at(lv, &v, v.n, 5, &arr, &mut simd_c);
+                    assert!(ran, "reg_to_win {ctx}");
+                    vec_reg_to_win_scalar(&v, 0..v.n, 5, &arr, &mut scalar_c);
+                    assert_eq!(simd_c, scalar_c, "reg_to_win {ctx}");
+                }
             }
         }
-    }
-
-    #[test]
-    fn force_scalar_gates_level() {
-        let _level = LEVEL.lock().expect("no test panics holding it");
-        let was = force_scalar();
-        set_force_scalar(true);
-        assert_eq!(level(), SimdLevel::Scalar);
-        set_force_scalar(false);
-        assert_ne!(level(), SimdLevel::Scalar);
-        set_force_scalar(was);
     }
 }

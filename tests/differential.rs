@@ -19,8 +19,8 @@
 //! as regressions; `tests/fastpath_differential.rs` runs the shipped
 //! apps, the fusion edge cases and the step-budget sweeps on the same
 //! harness. Codec, fragmentation and window-split identities,
-//! deploy-level hop-record parity across the switch tiers, and the
-//! traced PISA pass close the file.
+//! deploy-level hop-record parity between PISA and the software switch,
+//! and the traced PISA pass close the file.
 
 #[path = "common/corpus.rs"]
 mod corpus;
@@ -318,8 +318,8 @@ proptest! {
 
 /// The in-band telemetry differential (DESIGN.md §4.9): the same window
 /// crossing the same two-switch chain must yield *bit-identical* hop
-/// records whether each switch runs the modeled PISA pipeline, the
-/// scalar fast path or the SIMD tier. Everything in a
+/// records whether each switch runs the modeled PISA pipeline or the
+/// software switch. Everything in a
 /// hop record — switch id, kernel id/version, stage count, micro-op
 /// count, dup flag, sim-time ticks — comes from deploy-time metadata
 /// and simulated time, so a tier that drifted in timing, versioning, or
@@ -387,7 +387,6 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
     };
 
     let pisa = run(SwitchBackend::Pisa);
-    let fast = run(SwitchBackend::FastPath);
     let simd = run(SwitchBackend::Simd);
 
     for t in &pisa {
@@ -408,13 +407,8 @@ _net_ _in_ void recv(int *d, _ext_ int *out) { out[0] = d[0]; }
     };
     assert_eq!(
         encode(&pisa),
-        encode(&fast),
-        "PISA and fast-path hop records diverge"
-    );
-    assert_eq!(
-        encode(&pisa),
         encode(&simd),
-        "PISA and SIMD-tier hop records diverge"
+        "PISA and software-switch hop records diverge"
     );
 }
 

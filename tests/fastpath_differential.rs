@@ -1,11 +1,12 @@
-//! The software switch tiers against the interpreter, and the shipped
+//! The software switch — its scalar micro-op loops and its SIMD lanes —
+//! against the interpreter, and the shipped
 //! apps as nclc compiles them, on the one differential harness
 //! (`tests/common/engines.rs`, whose five engines
 //! `tests/differential.rs` names):
 //! - generated programs under step budgets, from "stops within the
 //!   first statements" up to "never stops", on the budgeted engines —
-//!   the interpreter on the optimized IR, the scalar fast path and the
-//!   SIMD tier — which must agree on whether the budget suffices and on
+//!   the interpreter on the optimized IR, the scalar micro-op loops and
+//!   the SIMD lanes — which must agree on whether the budget suffices and on
 //!   the partial window and state effects a run leaves behind;
 //! - AllReduce's `result` kernel, the host side of the Fig. 4 app:
 //!   random sums at random window positions, with and without the
@@ -15,8 +16,8 @@
 //! - the ncvec fusion edge cases: ragged window widths, wrapped slot
 //!   ranges, packed lanes over every slot and chunk type, a step-limit
 //!   sweep, loops fusion must decline, and KVS cache churn;
-//! - out-of-range control-plane indices, refused identically by both
-//!   software tiers and PISA.
+//! - out-of-range control-plane indices, refused identically by the
+//!   software switch with and without SIMD lanes and by PISA.
 //!
 //! PISA joins every unbudgeted check whose build fits the chip.
 
@@ -463,8 +464,8 @@ fn whole_window_lengths_that_are_no_power_of_two_reach_the_chip() {
 }
 
 /// Out-of-range control-plane register accesses are refused — no panic,
-/// no effect — and identically on both software tiers and the PISA
-/// model: through the backend's lane banks, by source-level name, and
+/// no effect — and identically on the software switch with and without
+/// SIMD lanes and on the PISA model: through the backend's lane banks, by source-level name, and
 /// at indices whose bank arithmetic would overflow.
 #[test]
 fn out_of_range_control_plane_indices_are_refused_in_every_tier() {

@@ -395,11 +395,7 @@ fn get_between_eviction_and_refill_never_reads_the_victims_value() {
             put: false,
         });
     }
-    for backend in [
-        SwitchBackend::Pisa,
-        SwitchBackend::FastPath,
-        SwitchBackend::Simd,
-    ] {
+    for backend in [SwitchBackend::Pisa, SwitchBackend::Simd] {
         let mut s = setup_on(backend, true, vec![ops.clone(), vec![]]);
         let server = s.dep.net.host_app_mut::<KvsServer>(HostId(SERVER_ID));
         let server = server.expect("server app");

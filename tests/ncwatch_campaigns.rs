@@ -90,7 +90,7 @@ fn build(overrides: Vec<(String, String, LinkSpec)>, greedy: bool) -> (MultiDepl
         });
     }
     let opts = DeployOptions {
-        backend: SwitchBackend::FastPath,
+        backend: SwitchBackend::Simd,
         scope: Some(scope.clone()),
         link_overrides: overrides,
         ..DeployOptions::default()
