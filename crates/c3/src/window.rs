@@ -364,11 +364,6 @@ pub struct Window {
 }
 
 impl Window {
-    /// Total payload bytes across chunks.
-    pub fn payload_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.data.len()).sum()
-    }
-
     /// Reads a field of the extended window struct. `offset` is the byte
     /// offset of the field within the ext block. Returns zero when the
     /// ext block is absent or too short — mirroring a switch reading an

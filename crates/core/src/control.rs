@@ -8,14 +8,16 @@
 //! `ncl::ctrl_wr` writes every register copy of a control variable;
 //! map inserts/evictions install or remove entries in every lookup-site
 //! table of an `ncl::Map` (NetCache-style: the control plane associates
-//! keys with value-array indices, paper §4.3). Operations come in two
-//! flavours: direct (pre-run configuration against a
-//! [`pisa::Pipeline`]) and deferred ([`netsim::CtrlOp`] lists a host can
-//! submit mid-simulation through [`netsim::HostCtx::ctrl`]).
+//! keys with value-array indices, paper §4.3). Every operation is a
+//! list of deferred [`netsim::CtrlOp`]s addressed by the compiled
+//! switch's names: a host submits it mid-simulation through
+//! [`netsim::HostCtx::ctrl`], a caller applies it to any engine through
+//! [`FastDatapath::ctrl`], and the direct forms (pre-run configuration
+//! of a [`pisa::Pipeline`]) are exactly that, applied to the pipeline.
 
 use c3::Value;
 use ncl_p4::CompiledSwitch;
-use netsim::CtrlOp;
+use netsim::{CtrlOp, FastDatapath};
 use pisa::{ActionRef, Entry, MatchPattern, Pipeline};
 
 /// Control-plane handle for one compiled switch.
@@ -68,8 +70,7 @@ impl ControlPlane {
         idx: usize,
         value: Value,
     ) -> bool {
-        self.bank_slot(array, idx)
-            .is_some_and(|(bank, slot)| pipe.register_write(bank, slot, value))
+        all_land(pipe, self.reg_write_ops(array, idx, value))
     }
 
     // ------------------------------------------------------------------
@@ -79,40 +80,20 @@ impl ControlPlane {
     /// `ncl::ctrl_wr(&var, value)` — writes every compiled copy of the
     /// control variable. Returns `false` for unknown variables.
     pub fn ctrl_wr(&self, pipe: &mut Pipeline, var: &str, value: Value) -> bool {
-        let Some(copies) = self.ctrl_regs.get(var) else {
-            return false;
-        };
-        let mut ok = true;
-        for c in copies {
-            ok &= pipe.register_write(c, 0, value);
-        }
-        ok
+        all_land(pipe, self.ctrl_wr_ops(var, value))
     }
 
     /// Inserts `key → value` into every lookup-site table of `map`.
     /// Returns `false` when the map is unknown or any table is full.
     pub fn map_insert(&self, pipe: &mut Pipeline, map: &str, key: u64, value: Value) -> bool {
-        let Some(tables) = self.map_tables.get(map) else {
-            return false;
-        };
-        let mut ok = true;
-        for t in tables {
-            ok &= pipe.table_insert(t, Self::entry(key, value)).is_ok();
-        }
-        ok
+        all_land(pipe, self.map_insert_ops(map, key, value))
     }
 
     /// Removes `key` from every lookup-site table (cache eviction,
     /// paper §4.3: "the storage server just removes an item from the
-    /// Idx map"). Returns the number of entries removed.
+    /// Idx map"). Returns the number of tables it was removed from.
     pub fn map_remove(&self, pipe: &mut Pipeline, map: &str, key: u64) -> usize {
-        let Some(tables) = self.map_tables.get(map) else {
-            return 0;
-        };
-        tables
-            .iter()
-            .map(|t| pipe.table_remove(t, &Self::patterns(key)))
-            .sum()
+        landed(pipe, self.map_remove_ops(map, key))
     }
 
     // ------------------------------------------------------------------
@@ -197,6 +178,17 @@ impl ControlPlane {
     fn patterns(key: u64) -> [MatchPattern; 2] {
         [MatchPattern::exact(1), MatchPattern::exact(key)]
     }
+}
+
+/// Applies every op, also after a refusal; counts the ones that landed.
+fn landed(pipe: &mut Pipeline, ops: Vec<CtrlOp>) -> usize {
+    ops.iter().filter(|op| pipe.ctrl(op)).count()
+}
+
+/// Whether there were ops (the name is known) and every one landed.
+fn all_land(pipe: &mut Pipeline, ops: Vec<CtrlOp>) -> bool {
+    let n = ops.len();
+    n > 0 && landed(pipe, ops) == n
 }
 
 #[cfg(test)]

@@ -6,13 +6,13 @@
 //! to physical devices and ensures connectivity by populating routing
 //! tables appropriately."* — [`deploy_opts`] is that mechanism for the
 //! simulated testbed: the identity mapping (one physical node per
-//! overlay node, one link per overlay edge), each switch loaded with its
-//! compiled pipeline, `_bcast()` fan-out and `_pass(label)` targets
+//! overlay node, one link per overlay edge), each switch loaded with the
+//! engine for its compiled module, `_bcast()` fan-out and `_pass(label)` targets
 //! resolved from the overlay. [`crate::deploy_tenants`] places several
 //! programs on one fabric; both entry points go through the same lint
 //! gate (`lint_gate`), the same model-check gate (`mc_gate`), the same
-//! engine selection (`switch_engine`) and the same fabric builder
-//! (`build_fabric`).
+//! engine selection (`switch_engine`, the only place a [`SwitchBackend`]
+//! becomes an engine) and the same fabric builder (`build_fabric`).
 
 use crate::fastpath::FastPathSwitch;
 use crate::mc::{model_check_switch, McConfig, McReport};
@@ -30,7 +30,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Which switch engine a deployment loads into the simulated switches
-/// ([`DeployOptions::backend`]).
+/// ([`DeployOptions::backend`]). The choice ends at deployment: it picks
+/// the engine's constructor, and each switch then holds that engine in
+/// its one [`netsim::SwitchCfg::engine`] slot, behind the
+/// [`FastDatapath`] interface every engine implements.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SwitchBackend {
     /// The modeled PISA pipeline (resource-checked, recirculation-aware)
@@ -371,28 +374,37 @@ pub(crate) fn mc_gate(
     Ok(Some(report))
 }
 
-/// Builds what `backend` runs for `program` at switch `label` from the
-/// kernels nclc lowered for it ([`CompiledProgram::switch_kernels`]),
-/// lowering nothing: the software datapath (`None` for
-/// [`SwitchBackend::Pisa`], whose engine is the loaded pipeline, and for
-/// labels without a module) plus the static hop-record fields every
-/// execution tier stamps identically — the given kernel `version`, PISA
-/// `stages` from the backend's resource report, and the lowered kernel's
-/// interpreter-equivalent step count (`uops`). `uops` deliberately
-/// counts interpreter steps, not physical micro-ops: fused vector runs
-/// cover many steps in one op and the ncvec SIMD tier covers them in a
-/// handful of lane iterations, so the step count is the only number
-/// every tier can report identically.
+/// Builds the engine `backend` names for `program` at switch `label`:
+/// the modeled PISA pipeline, loaded under `model`, or the software
+/// switch over the kernels nclc lowered for the location
+/// ([`CompiledProgram::switch_kernels`]) — no engine for a label without
+/// a switch build. This is the only place a [`SwitchBackend`] becomes an
+/// engine; everything after it sees one [`FastDatapath`]. Alongside
+/// come the static hop-record fields every engine stamps identically —
+/// the given kernel `version`, PISA `stages` from the backend's resource
+/// report, and the lowered kernel's interpreter-equivalent step count
+/// (`uops`). `uops` deliberately counts interpreter steps, not physical
+/// micro-ops: fused vector runs cover many steps in one op and the ncvec
+/// SIMD tier covers them in a handful of lane iterations, so the step
+/// count is the only number every engine can report identically. A
+/// pipeline the model cannot hold is a [`DeployError::Load`].
 pub(crate) fn switch_engine(
     backend: SwitchBackend,
     program: &CompiledProgram,
     label: &str,
     version: u16,
-) -> (Option<Box<dyn FastDatapath>>, HashMap<u16, KernelTelemetry>) {
-    let datapath = match backend {
-        SwitchBackend::Simd => FastPathSwitch::from_program(program, label)
+    model: ResourceModel,
+) -> Result<SwitchLoad, DeployError> {
+    let engine: Option<Box<dyn FastDatapath>> = match (backend, program.switch(label)) {
+        (SwitchBackend::Simd, _) => FastPathSwitch::from_program(program, label)
             .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
-        SwitchBackend::Pisa => None,
+        (SwitchBackend::Pisa, Some(c)) => Some(Box::new(
+            Pipeline::load(c.pipeline.clone(), model).map_err(|e| DeployError::Load {
+                label: label.to_string(),
+                error: e.to_string(),
+            })?,
+        )),
+        (SwitchBackend::Pisa, None) => None,
     };
     let stages = program
         .switch(label)
@@ -408,15 +420,16 @@ pub(crate) fn switch_engine(
         )
     };
     let kernels = program.kernels_at(label).into_iter().flatten();
-    (datapath, kernels.map(telemetry).collect())
+    Ok(SwitchLoad {
+        engine,
+        kernels: Some(kernels.map(telemetry).collect()),
+    })
 }
 
 /// What an entry point loads onto one switch of the fabric.
 pub(crate) struct SwitchLoad {
-    /// The loaded PISA pipeline, for [`SwitchBackend::Pisa`].
-    pub pipeline: Option<Pipeline>,
-    /// The software datapath, for every other backend.
-    pub fastpath: Option<Box<dyn FastDatapath>>,
+    /// The switch engine; `None` makes a plain forwarder.
+    pub engine: Option<Box<dyn FastDatapath>>,
     /// Per-kernel static hop-record fields; `None` leaves the switch
     /// passing telemetry sections through unstamped.
     pub kernels: Option<HashMap<u16, KernelTelemetry>>,
@@ -476,8 +489,7 @@ pub(crate) fn build_fabric<E>(
                 let load = switch_load(n)?;
                 let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
                 let id = b.add_switch(SwitchCfg {
-                    pipeline: load.pipeline,
-                    fastpath: load.fastpath,
+                    engine: load.engine,
                     labels: labels.clone(),
                     // `_bcast()`: overlay neighbours of this switch.
                     bcast: overlay
@@ -492,7 +504,6 @@ pub(crate) fn build_fabric<E>(
                         switch_id: wire,
                         kernels,
                     }),
-                    ..SwitchCfg::default()
                 });
                 switches_loaded.inc();
                 debug_assert_eq!(id, SwitchId(n.id), "AND/netsim switch id agreement");
@@ -556,28 +567,10 @@ pub fn deploy_opts(
         },
         |n| {
             let label = n.label.as_str();
-            let load_error = |error: String| DeployError::Load {
-                label: label.to_string(),
-                error,
-            };
             let version = module_version(program, label);
             lint_gate(program, n, version, &registry, scope.as_ref())?;
             mc_reports.extend(mc_gate(program, n, model_check.as_ref(), &registry)?);
-            // A software engine replaces the pipeline wholesale: one
-            // engine per switch, never both.
-            let (fastpath, kernels) = switch_engine(backend, program, label, version);
-            let pipeline = match (backend, program.switch(label)) {
-                (SwitchBackend::Pisa, Some(c)) => Some(
-                    Pipeline::load(c.pipeline.clone(), model)
-                        .map_err(|e| load_error(e.to_string()))?,
-                ),
-                _ => None,
-            };
-            Ok(SwitchLoad {
-                pipeline,
-                fastpath,
-                kernels: Some(kernels),
-            })
+            switch_engine(backend, program, label, version, model)
         },
     )?;
     Ok(Deployment {
@@ -684,24 +677,13 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         )
         .expect("deploys");
 
-        // Control plane: nworkers = 3. The deferred-op form works
-        // against either engine.
+        // Control plane: nworkers = 3, the same deferred ops on either
+        // engine.
         let cp = ControlPlane::new(program.switch("s1").unwrap());
         let s1 = dep.switch("s1");
-        match backend {
-            SwitchBackend::Pisa => {
-                cp.ctrl_wr(
-                    dep.net.switch_pipeline_mut(s1).unwrap(),
-                    "nworkers",
-                    Value::u32(3),
-                );
-            }
-            SwitchBackend::Simd => {
-                let fp = dep.net.switch_fastpath_mut(s1).unwrap();
-                for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
-                    assert!(fp.ctrl(&op));
-                }
-            }
+        let engine = dep.net.switch_fastpath_mut(s1).unwrap();
+        for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
+            assert!(engine.ctrl(&op));
         }
 
         dep.net.run();

@@ -82,10 +82,11 @@ impl FastPathSwitch {
     /// differential tests and the E13 baseline run. Nothing is lowered
     /// here: with `simd` the switch shares the program's lowered kernels
     /// ([`CompiledProgram::switch_kernels`]); without it, it runs a copy
-    /// of each with the SIMD offer withdrawn. The backend's compiled
-    /// control-register, lookup-table and lane-bank names are aliased so
-    /// deferred [`CtrlOp`]s emitted by [`crate::control::ControlPlane`]
-    /// resolve unchanged.
+    /// of each with the SIMD offer withdrawn. Deferred [`CtrlOp`]s address
+    /// the backend's compiled control-register, lookup-table and lane-bank
+    /// names, as [`crate::control::ControlPlane`] emits them; the
+    /// source-level names go through [`FastPathSwitch::ctrl_wr`],
+    /// [`FastPathSwitch::map_insert`] and [`FastPathSwitch::register_read`].
     pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
         let module = program.module(label)?;
         let mut state = SwitchState::from_module(module);
@@ -211,6 +212,7 @@ impl FastPathSwitch {
             fwd_code,
             fwd_label,
             version: 0,
+            passes: 1,
         })
     }
 
@@ -238,12 +240,8 @@ impl FastPathSwitch {
         reg.register_counter(&format!("{prefix}.errors"), &self.errors);
     }
 
-    /// Resolves a `_pass(label)` target to its wire id.
-    pub fn label_wire(&self, label: &Label) -> Option<u16> {
-        self.label_wires.get(label).copied()
-    }
-
-    /// `ncl::ctrl_wr` against this location's state.
+    /// `ncl::ctrl_wr` against this location's state, by source-level
+    /// name.
     pub fn ctrl_wr(&mut self, var: &str, value: Value) -> bool {
         match self.ctrl_by_name.get(var) {
             Some(&c) => {
@@ -283,38 +281,29 @@ impl FastDatapath for FastPathSwitch {
         self.process_window(payload)
     }
 
+    /// Resolves only the names the compiled switch uses, the ones
+    /// [`crate::control::ControlPlane`] emits, so an op lands here exactly
+    /// when it lands on the PISA pipeline built from the same program.
     fn ctrl(&mut self, op: &CtrlOp) -> bool {
         match op {
             CtrlOp::RegWrite { name, index, value } => {
-                // Control variables first (by source or compiled-copy
-                // name), then plain register arrays by source name or
-                // by the backend's lane bank.
-                if let Some(&c) = self
-                    .ctrl_by_name
-                    .get(name)
-                    .or_else(|| self.ctrl_by_copy.get(name))
-                {
-                    self.state.ctrl_write(c, *value);
-                    return true;
+                // A control variable's copy is a one-slot register.
+                if let Some(&c) = self.ctrl_by_copy.get(name) {
+                    if *index == 0 {
+                        self.state.ctrl_write(c, *value);
+                    }
+                    return *index == 0;
                 }
-                let (r, index) = match self.reg_by_name.get(name) {
-                    Some(&r) => (r, Some(*index)),
-                    None => match self.reg_by_bank.get(name) {
-                        Some(&(r, lane, lanes)) => (
-                            r,
-                            index.checked_mul(lanes).and_then(|i| i.checked_add(lane)),
-                        ),
-                        None => return false,
-                    },
+                // A lane bank (an array the backend kept whole is its
+                // own single bank).
+                let Some(&(r, lane, lanes)) = self.reg_by_bank.get(name) else {
+                    return false;
                 };
+                let index = index.checked_mul(lanes).and_then(|i| i.checked_add(lane));
                 index.is_some_and(|i| self.state.registers[r].try_set(i, *value))
             }
             CtrlOp::TableInsert { table, entry } => {
-                let Some(&m) = self
-                    .map_by_table
-                    .get(table)
-                    .or_else(|| self.map_by_name.get(table))
-                else {
+                let Some(&m) = self.map_by_table.get(table) else {
                     return false;
                 };
                 // Map-table entries key on (guard, key); see
@@ -326,11 +315,7 @@ impl FastDatapath for FastPathSwitch {
                 self.state.map_insert(m, key, value)
             }
             CtrlOp::TableRemove { table, patterns } => {
-                let Some(&m) = self
-                    .map_by_table
-                    .get(table)
-                    .or_else(|| self.map_by_name.get(table))
-                else {
+                let Some(&m) = self.map_by_table.get(table) else {
                     return false;
                 };
                 let key = patterns.last().map(|p| p.value).unwrap_or(0);
@@ -558,6 +543,28 @@ mod tests {
         }
     }
 
+    /// The PISA engine's verdict is the whole rewritten frame: the
+    /// deparsed headers, then the bytes its parser never consumed (here
+    /// a trailer after the window), which a switch forwards unchanged.
+    #[test]
+    fn pisa_verdict_keeps_the_bytes_its_parser_never_consumed() {
+        let p = allreduce_program();
+        let kid = p.kernel_ids["allreduce"];
+        let compiled = p.switch("s1").unwrap();
+        let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+        // One worker completes every slot, so the window is broadcast.
+        let cp = ControlPlane::new(compiled);
+        assert!(cp.ctrl_wr(&mut pipe, "nworkers", Value::u32(1)));
+        let ext = p.checked.window_ext.size();
+        let mut bytes = encode_window(&window(kid, 1, 0, &[1, 2, 3, 4]), ext);
+        let window_len = bytes.len();
+        bytes.extend_from_slice(b"trailer");
+        let v = FastDatapath::process(&mut pipe, &bytes).expect("pisa executes");
+        assert_eq!(v.fwd_code, 2);
+        assert_eq!(v.passes, pipe.passes());
+        assert_eq!(&v.payload[window_len..], b"trailer");
+    }
+
     #[test]
     fn non_ncp_fragments_and_unknown_kernels_pass_through() {
         let p = allreduce_program();
@@ -610,7 +617,8 @@ _net_ _out_ void k(uint64_t key) {
             fp.state.maps[0].get(&42).copied().map(|v| v.bits()),
             Some(3)
         );
-        // Direct source-level writes work too: mark slot 3 valid.
+        // An array the backend kept whole is its own bank: mark slot 3
+        // valid under its name.
         assert!(fp.ctrl(&CtrlOp::RegWrite {
             name: "Valid".into(),
             index: 3,

@@ -142,12 +142,6 @@ impl TenantMux {
         hit
     }
 
-    /// Borrows `tenant`'s active datapath (post-run inspection;
-    /// downcast via [`FastDatapath::as_any`]).
-    pub fn tenant_datapath(&self, tenant: &str) -> Option<&dyn FastDatapath> {
-        self.slot(tenant).map(|s| &*s.active)
-    }
-
     fn slot(&self, tenant: &str) -> Option<&TenantSlot> {
         self.slots.iter().find(|s| s.tenant == tenant)
     }
@@ -257,6 +251,7 @@ mod tests {
                 fwd_code: 0,
                 fwd_label: 0,
                 version: 0,
+                passes: 1,
             })
         }
 

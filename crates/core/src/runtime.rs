@@ -96,14 +96,6 @@ impl TypedArray {
         }
     }
 
-    /// From raw bytes of `u8` elements.
-    pub fn from_u8(vals: &[u8]) -> Self {
-        TypedArray {
-            elem: ScalarType::U8,
-            bytes: vals.to_vec(),
-        }
-    }
-
     /// A single-value array (scalar window parameters).
     pub fn scalar(v: Value) -> Self {
         let mut bytes = vec![0u8; v.ty().size()];
@@ -632,12 +624,6 @@ impl NclHost {
             .unwrap_or_default()
     }
 
-    /// Traces evicted or unsampled since the ring was created (ring
-    /// overflow only — unsampled windows are never counted).
-    pub fn traces_dropped(&self) -> u64 {
-        self.telemetry.as_ref().map(|t| t.dropped()).unwrap_or(0)
-    }
-
     /// The host's metrics registry: `host.*` window counters plus, when
     /// reliability is enabled, the `ncpr.sender.*` / `ncpr.receiver.*`
     /// transport counters (the same atomics the [`NclHost::sender_stats`]
@@ -964,15 +950,6 @@ pub fn invocation_packets(
         .iter()
         .map(|w| encode_window(w, ext_total))
         .collect())
-}
-
-/// Resolves an AND host label to its simulated node id. Host labels are
-/// assigned ids in declaration order, matching deployment.
-pub fn host_node(program: &CompiledProgram, label: &str) -> Option<NodeId> {
-    program.overlay.node(label).map(|n| match n.kind {
-        ncl_and::AndKind::Host => NodeId::Host(HostId(n.id)),
-        ncl_and::AndKind::Switch => NodeId::Switch(c3::SwitchId(n.id)),
-    })
 }
 
 #[cfg(test)]

@@ -50,6 +50,11 @@ use netsim::{FastDatapath, HostApp, HostCtx, Network, Packet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::convert::Infallible;
 
+/// Why a tenant's engine always loads: [`deploy_tenants`] refuses
+/// [`SwitchBackend::Pisa`], and the software switch has no resource
+/// check to fail.
+const SOFTWARE_LOADS: &str = "the software switch loads without a resource check";
+
 /// One tenant's submission to [`deploy_tenants`].
 pub struct TenantDeploy {
     /// Identity and resource quota (checked at admission).
@@ -374,7 +379,9 @@ pub fn deploy_tenants(
             let mut tel_kernels = HashMap::new();
             for (ti, t) in admitted.iter().enumerate() {
                 let version = 1u16;
-                let (Some(dp), kernels) = switch_engine(backend, &t.program, label, version) else {
+                let load = switch_engine(backend, &t.program, label, version, model);
+                let load = load.expect(SOFTWARE_LOADS);
+                let (Some(dp), Some(kernels)) = (load.engine, load.kernels) else {
                     continue;
                 };
                 let ids: BTreeSet<u16> = t.program.kernel_ids.values().copied().collect();
@@ -385,8 +392,7 @@ pub fn deploy_tenants(
             }
             let occupied = !mux.tenants().is_empty();
             Ok(SwitchLoad {
-                pipeline: None,
-                fastpath: occupied.then(|| Box::new(mux) as Box<dyn FastDatapath>),
+                engine: occupied.then(|| Box::new(mux) as Box<dyn FastDatapath>),
                 kernels: occupied.then_some(tel_kernels),
             })
         },
@@ -613,9 +619,11 @@ impl MultiDeployment {
         }
         let drain_set: BTreeSet<(u16, u32)> = drain.iter().copied().collect();
         let switch_labels = self.tenants[ti].switches.clone();
+        let model = *self.controller.model();
         for label in &switch_labels {
-            let (Some(dp), kernels) = switch_engine(self.backend, new_program, label, new_version)
-            else {
+            let load = switch_engine(self.backend, new_program, label, new_version, model);
+            let load = load.expect(SOFTWARE_LOADS);
+            let (Some(dp), Some(kernels)) = (load.engine, load.kernels) else {
                 continue;
             };
             let installed = self
@@ -671,10 +679,10 @@ impl MultiDeployment {
 mod tests {
     use super::*;
     use crate::apps::allreduce_source;
+    use crate::control::ControlPlane;
     use crate::nclc::{compile, CompileConfig};
     use crate::runtime::{OutInvocation, TypedArray};
     use c3::{ScalarType, Value};
-    use netsim::CtrlOp;
 
     /// Six workers, one shared switch: tenant A runs on worker1-3,
     /// tenant B on worker4-6.
@@ -744,13 +752,14 @@ mod tests {
     }
 
     fn set_nworkers(dep: &mut MultiDeployment, tenant: &str, n: u32) {
-        let op = CtrlOp::RegWrite {
-            name: "nworkers".into(),
-            index: 0,
-            value: Value::u32(n),
-        };
+        // Every tenant compiles the same source, so one build names the
+        // control variable's copies for all of them.
+        let program = tenant_program(0);
+        let cp = ControlPlane::new(program.switch("s1").expect("s1 compiled"));
         let mux = dep.mux_mut("s1").expect("s1 is multiplexed");
-        assert!(mux.ctrl_for(tenant, &op));
+        for op in cp.ctrl_wr_ops("nworkers", Value::u32(n)) {
+            assert!(mux.ctrl_for(tenant, &op));
+        }
     }
 
     fn assert_tenant_sums(dep: &netsim::Network, program_kid: u16, lo: u16, hi: u16, sum: i32) {

@@ -58,11 +58,6 @@ impl StableHasher {
         self.write(&v.to_le_bytes());
     }
 
-    /// Feeds a `u32` as 4 little-endian bytes.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Feeds a length-prefixed string (prefix disambiguates
     /// concatenations: `("ab","c")` hashes differently from `("a","bc")`).
     pub fn write_str(&mut self, s: &str) {

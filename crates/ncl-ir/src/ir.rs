@@ -3,7 +3,7 @@
 use c3::{BinOp, Label, ScalarType, UnOp, Value};
 use ncl_lang::ast::KernelKind;
 use ncl_lang::diag::Span;
-use ncl_lang::sema::{GlobalKind, ParamInfo, WindowExtLayout};
+use ncl_lang::sema::{ParamInfo, WindowExtLayout};
 use std::fmt;
 
 /// A virtual register. Registers are mutable scratch slots local to one
@@ -635,41 +635,6 @@ impl Module {
             (Some(_), None) => true, // generic module sees everything
             (Some(a), Some(l)) => a == l,
         }
-    }
-
-    /// Builds the global-kind view sema produced, for diagnostics.
-    pub fn describe_globals(&self) -> Vec<(String, GlobalKind)> {
-        let mut out = Vec::new();
-        for r in &self.registers {
-            out.push((
-                r.name.clone(),
-                GlobalKind::Register {
-                    elem: r.elem,
-                    dims: r.dims.clone(),
-                    init: r.init.clone(),
-                },
-            ));
-        }
-        for c in &self.ctrls {
-            out.push((
-                c.name.clone(),
-                GlobalKind::Ctrl {
-                    ty: c.ty,
-                    init: c.init,
-                },
-            ));
-        }
-        for m in &self.maps {
-            out.push((
-                m.name.clone(),
-                GlobalKind::Map {
-                    key: m.key,
-                    value: m.value,
-                    capacity: m.capacity,
-                },
-            ));
-        }
-        out
     }
 }
 

@@ -277,11 +277,6 @@ impl CheckedProgram {
     pub fn kernel(&self, name: &str) -> Option<&KernelInfo> {
         self.kernels.iter().find(|k| k.name == name)
     }
-
-    /// Builds the type context lowering uses to re-derive types.
-    pub fn type_ctx(&self) -> TypeCtx<'_> {
-        TypeCtx { program: self }
-    }
 }
 
 /// Runs semantic analysis over a parsed program. `file` labels the

@@ -233,11 +233,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> NcpPacket<T> {
         put_u16(self.buffer.as_mut(), 12, v);
     }
 
-    /// Sets the kernel id.
-    pub fn set_kernel(&mut self, v: u16) {
-        put_u16(self.buffer.as_mut(), 4, v);
-    }
-
     /// Sets the sequence number.
     pub fn set_seq(&mut self, v: u32) {
         put_u32(self.buffer.as_mut(), 6, v);

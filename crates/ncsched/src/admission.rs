@@ -410,11 +410,6 @@ impl AdmissionController {
         switches
     }
 
-    /// Admitted tenant names, sorted.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.tenants.keys().map(|s| s.as_str()).collect()
-    }
-
     /// The version a tenant currently runs (pending upgrades excluded).
     pub fn tenant_version(&self, tenant: &str) -> Option<u16> {
         self.tenants.get(tenant).map(|e| e.version)

@@ -172,11 +172,6 @@ impl Scope {
         self.rec.lock().unwrap().path = Some(path.into());
     }
 
-    /// The armed artifact path, if any.
-    pub fn recorder_path(&self) -> Option<PathBuf> {
-        self.rec.lock().unwrap().path.clone()
-    }
-
     /// How many times the flight recorder has triggered.
     pub fn recorded(&self) -> u64 {
         self.rec.lock().unwrap().triggers

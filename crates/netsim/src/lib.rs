@@ -13,10 +13,11 @@
 //! * [`link`] — store-and-forward links: serialization delay from
 //!   bandwidth, propagation delay, optional deterministic loss;
 //! * [`node`] — the [`node::HostApp`] trait applications
-//!   implement, and the switch node embedding a [`pisa::Pipeline`] with
-//!   NCP-aware forwarding (Fig. 3b: *"A switch executes a kernel only
-//!   when the NCP protocol has been recognized"* — everything else is
-//!   forwarded untouched);
+//!   implement, the [`node::FastDatapath`] engine contract (implemented
+//!   here for [`pisa::Pipeline`]), and the switch configuration holding
+//!   one engine behind NCP-aware forwarding (Fig. 3b: *"A switch
+//!   executes a kernel only when the NCP protocol has been recognized"*
+//!   — everything else is forwarded untouched);
 //! * [`sim`] — topology building, BFS routing, and the run loop.
 //!
 //! Packets carry an explicit `(src, dst)` node pair modelling the

@@ -51,15 +51,6 @@ impl Default for LinkSpec {
 }
 
 impl LinkSpec {
-    /// A datacenter-ish 100 Gb/s / 1 µs link.
-    pub fn dc_100g() -> Self {
-        LinkSpec {
-            bandwidth_bps: 100_000_000_000,
-            latency: 1_000,
-            ..Default::default()
-        }
-    }
-
     /// Serialization time for `bytes`.
     pub fn ser_time(&self, bytes: usize) -> Time {
         (bytes as u128 * 8 * SECONDS as u128 / self.bandwidth_bps as u128) as Time

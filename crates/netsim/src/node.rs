@@ -1,4 +1,11 @@
-//! Node types: the host-application trait and the switch configuration.
+//! Node types: the host-application trait, the switch engine contract
+//! ([`FastDatapath`]) and the switch configuration.
+//!
+//! A computing switch holds exactly one engine in [`SwitchCfg::engine`]:
+//! the modeled PISA pipeline (`pisa::Pipeline` implements
+//! [`FastDatapath`] here), a compiled software switch, or a tenant mux
+//! over either kind. The simulator's NCP handling (Fig. 3b) sees only the
+//! trait, so it never asks which engine runs.
 
 use crate::event::Time;
 use crate::sim::Packet;
@@ -115,18 +122,23 @@ pub struct FastVerdict {
     /// kernel side by side during a hitless upgrade). `0` means "use
     /// the switch's static deploy-time telemetry".
     pub version: u16,
+    /// Passes the window took through the engine (1 = no
+    /// recirculation); the switch charges [`PIPELINE_LATENCY`] per pass.
+    pub passes: usize,
 }
 
-/// An alternative switch datapath that executes windows directly —
-/// the compiled fast-path kernel executor — instead of the modeled PISA
-/// pipeline. A switch configured with one bypasses its `pipeline` for
-/// packet processing and control-plane operations.
+/// A switch engine: what executes NCP windows at a computing switch —
+/// the modeled PISA pipeline, the compiled software switch, or a tenant
+/// mux over them. A switch holds one in [`SwitchCfg::engine`] and sends
+/// every packet and control-plane operation through this interface.
 pub trait FastDatapath {
     /// Processes one payload. `None` means "not NCP traffic I compute
     /// on" — the switch plainly forwards the original packet.
     fn process(&mut self, payload: &[u8]) -> Option<FastVerdict>;
-    /// Applies a control-plane operation; `false` when the target is
-    /// unknown to this datapath.
+    /// Applies a control-plane operation addressed by the names the
+    /// compiled switch uses (register copies, lane banks, lookup
+    /// tables); `false` when the target is unknown to this engine or
+    /// the operation is refused.
     fn ctrl(&mut self, op: &CtrlOp) -> bool;
     /// Sums element 0 of every register array whose source name starts
     /// with `prefix` (NCP-R observability: the compiler-lowered replay
@@ -139,6 +151,51 @@ pub trait FastDatapath {
     fn as_any(&self) -> &dyn Any;
     /// Mutable downcast support.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl FastDatapath for pisa::Pipeline {
+    /// One pipeline run (all passes). The deparser emits the headers it
+    /// parsed; the bytes the parser never consumed follow them, so the
+    /// verdict carries the whole rewritten window.
+    fn process(&mut self, payload: &[u8]) -> Option<FastVerdict> {
+        let out = pisa::Pipeline::process(self, payload)?;
+        let mut packet = out.packet;
+        if out.fwd_code != 3 && out.parsed_bytes < payload.len() {
+            packet.extend_from_slice(&payload[out.parsed_bytes..]);
+        }
+        Some(FastVerdict {
+            payload: packet,
+            fwd_code: out.fwd_code,
+            fwd_label: out.fwd_label,
+            version: 0,
+            passes: out.passes,
+        })
+    }
+
+    fn ctrl(&mut self, op: &CtrlOp) -> bool {
+        match op {
+            CtrlOp::TableInsert { table, entry } => self.table_insert(table, entry.clone()).is_ok(),
+            CtrlOp::TableRemove { table, patterns } => self.table_remove(table, patterns) > 0,
+            CtrlOp::RegWrite { name, index, value } => self.register_write(name, *index, *value),
+        }
+    }
+
+    fn register_prefix_sum(&self, prefix: &str) -> u64 {
+        let defs = self.config().registers.iter();
+        defs.zip(self.registers())
+            .filter(|(def, _)| def.name.starts_with(prefix))
+            .filter_map(|(_, arr)| arr.try_get(0))
+            .map(|v| v.bits())
+            .sum()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 /// Deploy-time telemetry metadata for one kernel at one switch: the
@@ -167,39 +224,26 @@ pub struct SwitchTelemetry {
     pub kernels: HashMap<u16, KernelTelemetry>,
 }
 
+/// Latency of one engine pass (~600 ns, Tofino-ish); a window that
+/// recirculates pays it once per [`FastVerdict::passes`].
+pub const PIPELINE_LATENCY: Time = 600;
+
+/// Latency of plain (non-NCP or declined) forwarding.
+pub const FWD_LATENCY: Time = 400;
+
 /// Configuration of a simulated switch.
+#[derive(Default)]
 pub struct SwitchCfg {
-    /// The loaded PISA pipeline; `None` makes a plain forwarder (the
-    /// baseline switches of E1/E2).
-    pub pipeline: Option<pisa::Pipeline>,
-    /// Compiled fast-path executor; when set it handles NCP processing
-    /// and control-plane operations instead of `pipeline`.
-    pub fastpath: Option<Box<dyn FastDatapath>>,
+    /// The switch engine; `None` makes a plain forwarder (the baseline
+    /// switches of E1/E2).
+    pub engine: Option<Box<dyn FastDatapath>>,
     /// `_pass(label)` target resolution: label id → node.
     pub labels: HashMap<u16, NodeId>,
     /// `_bcast()` targets — the overlay neighbours one hop away from
     /// this location in the AND (paper §4.1).
     pub bcast: Vec<NodeId>,
-    /// Latency of one pipeline pass.
-    pub pipeline_latency: Time,
-    /// Latency of plain (non-NCP) forwarding.
-    pub fwd_latency: Time,
     /// In-band telemetry identity; `None` disables hop stamping.
     pub telemetry: Option<SwitchTelemetry>,
-}
-
-impl Default for SwitchCfg {
-    fn default() -> Self {
-        SwitchCfg {
-            pipeline: None,
-            fastpath: None,
-            labels: HashMap::new(),
-            bcast: Vec::new(),
-            pipeline_latency: 600, // ~600 ns per pass, Tofino-ish
-            fwd_latency: 400,
-            telemetry: None,
-        }
-    }
 }
 
 /// Per-switch runtime counters.

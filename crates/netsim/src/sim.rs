@@ -1,8 +1,18 @@
 //! Topology building, routing, and the simulation run loop.
+//!
+//! A switch node runs the NCP handling of the paper's Fig. 3b around the
+//! one engine its [`SwitchCfg`] holds: ACK/NACK frames and anything the
+//! engine declines are forwarded, a verdict is routed by its forwarding
+//! code (pass / reflect / bcast / drop / labelled pass), and control
+//! operations go to [`crate::FastDatapath::ctrl`]. Nothing here depends
+//! on which engine that is.
 
 use crate::event::{EventQueue, Time};
 use crate::link::{LinkDir, LinkSpec};
-use crate::node::{ncp_scope_key, CtrlOp, HostApp, HostCtx, SwitchCfg, SwitchStats};
+use crate::node::{
+    ncp_scope_key, CtrlOp, FastDatapath, FastVerdict, HostApp, HostCtx, SwitchCfg, SwitchStats,
+    FWD_LATENCY, PIPELINE_LATENCY,
+};
 use c3::{HostId, NodeId, SwitchId};
 use ncp::NcpPacket;
 use nctel::hop::{section_append, section_valid, HopRecord, HOP_FORWARDED_ONLY};
@@ -337,24 +347,8 @@ impl Network {
     }
 
     fn apply_ctrl(&mut self, switch: SwitchId, op: CtrlOp) {
-        // Fast-path switches take control operations directly.
-        if let Some(fp) = self.switch_fastpath_mut(switch) {
-            fp.ctrl(&op);
-            return;
-        }
-        let Some(pipe) = self.switch_pipeline_mut(switch) else {
-            return;
-        };
-        match op {
-            CtrlOp::TableInsert { table, entry } => {
-                let _ = pipe.table_insert(&table, entry);
-            }
-            CtrlOp::TableRemove { table, patterns } => {
-                pipe.table_remove(&table, &patterns);
-            }
-            CtrlOp::RegWrite { name, index, value } => {
-                pipe.register_write(&name, index, value);
-            }
+        if let Some(engine) = self.switch_fastpath_mut(switch) {
+            engine.ctrl(&op);
         }
     }
 
@@ -455,8 +449,6 @@ impl Network {
             unreachable!("switch_process on a host");
         };
         let my_wire = NodeId::Switch(*id).to_wire();
-        let pipeline_latency = cfg.pipeline_latency;
-        let fwd_latency = cfg.fwd_latency;
 
         // Previous hop before we rewrite it (for _reflect()), the flags
         // for the NCP-R control-frame check, and the kernel id, payload
@@ -481,7 +473,7 @@ impl Network {
             stats.forwarded += 1;
             stats.acks_forwarded += 1;
             if let (Some(scope), Some(key)) = (&scope, scope_key) {
-                let t = self.now + fwd_latency;
+                let t = self.now + FWD_LATENCY;
                 scope.emit(
                     t,
                     my_wire,
@@ -489,14 +481,13 @@ impl Network {
                     ScopeEvent::SwitchForwarded { switch: my_wire },
                 );
             }
-            self.delayed_route(node, pkt, fwd_latency);
+            self.delayed_route(node, pkt, FWD_LATENCY);
             return;
         }
 
         // In-band telemetry (DESIGN.md §4.9): a frame flagged with
         // FLAG_TELEMETRY carries a hop-record section after the encoded
-        // window. Strip it before the datapath runs — neither the
-        // generated PISA parser nor the fast-path window codec knows
+        // window. Strip it before the engine runs — no engine knows
         // about it — then stamp our record and re-append on egress.
         let mut pkt = pkt;
         let mut tel_section: Option<Vec<u8>> = None;
@@ -509,48 +500,23 @@ impl Network {
         }
         let ticks_in = self.now;
         // Replay-filter duplicate count before execution: the delta
-        // after the datapath ran tells whether *this* window was
+        // after the engine ran tells whether *this* window was
         // suppressed as an NCP-R replay (state evolves bit-identically
-        // across the interpreter / fast-path / PISA tiers, so the flag
-        // does too). Tracked for in-band stamping and for the scope's
-        // DupSuppressed events alike.
+        // on every engine, so the flag does too). Tracked for in-band
+        // stamping and for the scope's DupSuppressed events alike.
         let track_dups = (tel_section.is_some() && cfg.telemetry.is_some()) || scope_key.is_some();
         let dups_before = if track_dups { cfg_dup_sum(cfg) } else { 0 };
 
-        // (payload, fwd_code, fwd_label, passes, parsed_bytes) from
-        // whichever datapath the switch runs: the compiled fast path
-        // executes windows directly (always one pass, whole payload);
-        // the PISA pipeline models the hardware pass structure.
-        let result = if let Some(fp) = cfg.fastpath.as_mut() {
-            fp.process(&pkt.payload).map(|v| {
-                (
-                    v.payload,
-                    v.fwd_code,
-                    v.fwd_label,
-                    1usize,
-                    pkt.payload.len(),
-                    v.version,
-                )
-            })
-        } else {
-            cfg.pipeline
-                .as_mut()
-                .and_then(|pipe| pipe.process(&pkt.payload))
-                .map(|o| {
-                    (
-                        o.packet,
-                        o.fwd_code,
-                        o.fwd_label,
-                        o.passes,
-                        o.parsed_bytes,
-                        0u16,
-                    )
-                })
-        };
-        let Some((mut payload, fwd_code, fwd_label, passes, parsed_bytes, verdict_version)) =
-            result
+        let verdict = cfg.engine.as_mut().and_then(|e| e.process(&pkt.payload));
+        let Some(FastVerdict {
+            mut payload,
+            fwd_code,
+            fwd_label,
+            version: verdict_version,
+            passes,
+        }) = verdict
         else {
-            // Not NCP (or no datapath): plain forwarding. A stripped
+            // Not NCP (or no engine): plain forwarding. A stripped
             // telemetry section is re-appended; a telemetry-aware
             // switch stamps a forwarded-only record, one without the
             // deploy-time identity passes it through untouched.
@@ -560,9 +526,8 @@ impl Network {
             // here — the failure mode upgrades and multi-tenant routing
             // expose. Count it (per switch and fabric-wide) and tell
             // the scope; the window itself is forwarded unharmed.
-            let has_datapath = cfg.fastpath.is_some() || cfg.pipeline.is_some();
             if let (Some((kernel, ..)), Some(tel)) = (ncp_meta, cfg.telemetry.as_ref()) {
-                if has_datapath
+                if cfg.engine.is_some()
                     && incoming_flags & ncp::FLAG_FRAGMENT == 0
                     && !tel.kernels.contains_key(&kernel)
                 {
@@ -570,7 +535,7 @@ impl Network {
                     self.counters.unknown_kernel.inc();
                     if let (Some(scope), Some(key)) = (&scope, scope_key) {
                         scope.emit(
-                            ticks_in + fwd_latency,
+                            ticks_in + FWD_LATENCY,
                             my_wire,
                             key,
                             ScopeEvent::UnknownKernel { switch: my_wire },
@@ -585,7 +550,7 @@ impl Network {
                         kernel: ncp_meta.map(|(k, _, _, _)| k).unwrap_or(0),
                         flags: HOP_FORWARDED_ONLY,
                         ticks_in,
-                        ticks_out: ticks_in + fwd_latency,
+                        ticks_out: ticks_in + FWD_LATENCY,
                         ..HopRecord::default()
                     };
                     section_append(&mut section, &rec);
@@ -594,19 +559,18 @@ impl Network {
             }
             if let (Some(scope), Some(key)) = (&scope, scope_key) {
                 scope.emit(
-                    ticks_in + fwd_latency,
+                    ticks_in + FWD_LATENCY,
                     my_wire,
                     key,
                     ScopeEvent::SwitchForwarded { switch: my_wire },
                 );
             }
-            let delay = fwd_latency;
-            self.delayed_route(node, pkt, delay);
+            self.delayed_route(node, pkt, FWD_LATENCY);
             return;
         };
         stats.ncp_processed += 1;
         stats.recirculations += (passes - 1) as u64;
-        let delay = pipeline_latency * passes as Time;
+        let delay = PIPELINE_LATENCY * passes as Time;
         let dups_after = if track_dups { cfg_dup_sum(cfg) } else { 0 };
         if let (Some(scope), Some(key)) = (&scope, scope_key) {
             // A datapath that knows which version ran (a tenant mux
@@ -641,20 +605,15 @@ impl Network {
             stats.kernel_drops += 1;
             return;
         }
-        // Rebuild the payload: deparsed headers plus any bytes the
-        // parser never consumed.
-        if parsed_bytes < pkt.payload.len() {
-            payload.extend_from_slice(&pkt.payload[parsed_bytes..]);
-        }
         // Rewrite the previous hop to ourselves.
         {
             let mut p = NcpPacket::new_unchecked(&mut payload[..]);
             p.set_from(my_wire);
         }
         // Stamp our hop record and re-append the telemetry section.
-        // The fast path re-encodes flags from the window (dropping the
-        // telemetry bit) while the PISA deparser echoes them; restore
-        // the bit unconditionally so both tiers emit identical frames.
+        // The software switch re-encodes flags from the window (dropping
+        // the telemetry bit) while the PISA deparser echoes them; restore
+        // the bit unconditionally so every engine emits identical frames.
         if let Some(mut section) = tel_section {
             if let Some(tel) = cfg.telemetry.as_ref() {
                 let kernel = ncp_meta.map(|(k, _, _, _)| k).unwrap_or(0);
@@ -784,29 +743,23 @@ impl Network {
         })
     }
 
-    /// Mutable access to a switch's pipeline (control-plane operations
-    /// mid-simulation).
+    /// Mutable access to a switch's engine when it is the modeled PISA
+    /// pipeline (control-plane operations mid-simulation, post-run
+    /// register reads).
     pub fn switch_pipeline_mut(&mut self, id: SwitchId) -> Option<&mut pisa::Pipeline> {
-        self.nodes.iter_mut().find_map(|n| match n {
-            NodeKind::Switch { id: sid, cfg, .. } if *sid == id => cfg.pipeline.as_mut(),
-            _ => None,
-        })
+        self.switch_fastpath_mut(id)?.as_any_mut().downcast_mut()
     }
 
-    /// Mutable access to a switch's compiled fast-path datapath, when it
-    /// runs one (configuration and post-run inspection).
+    /// Mutable access to a switch's engine, whichever it is
+    /// (configuration and post-run inspection).
     pub fn switch_fastpath_mut(
         &mut self,
         id: SwitchId,
-    ) -> Option<&mut (dyn crate::node::FastDatapath + 'static)> {
-        for n in self.nodes.iter_mut() {
-            if let NodeKind::Switch { id: sid, cfg, .. } = n {
-                if *sid == id {
-                    return cfg.fastpath.as_deref_mut();
-                }
-            }
-        }
-        None
+    ) -> Option<&mut (dyn FastDatapath + 'static)> {
+        self.nodes.iter_mut().find_map(|n| match n {
+            NodeKind::Switch { id: sid, cfg, .. } if *sid == id => cfg.engine.as_deref_mut(),
+            _ => None,
+        })
     }
 
     /// Mutable access to a switch's telemetry identity (the control
@@ -824,8 +777,7 @@ impl Network {
 
     /// Duplicate windows suppressed by a switch's compiler-lowered
     /// NCP-R replay filters: the sum of its `__nclr_dups_*` registers,
-    /// read from whichever datapath (fast path or PISA pipeline)
-    /// executes them. A gauge over live switch state, not a sim
+    /// read from its engine. A gauge over live switch state, not a sim
     /// counter.
     pub fn switch_dup_suppressed(&mut self, id: SwitchId) -> u64 {
         self.nodes
@@ -860,20 +812,11 @@ impl Network {
 }
 
 /// Sum of a switch's `__nclr_dups_*` replay-filter registers (slot 0 of
-/// each), read from whichever datapath it runs; [`SwitchCfg`] alone, so
-/// `switch_process` can take the reading mid-flight.
+/// each), read from its engine; [`SwitchCfg`] alone, so `switch_process`
+/// can take the reading mid-flight.
 fn cfg_dup_sum(cfg: &SwitchCfg) -> u64 {
-    let prefix = c3::ncpr::REPLAY_DUPS_PREFIX;
-    if let Some(fp) = cfg.fastpath.as_ref() {
-        return fp.register_prefix_sum(prefix);
-    }
-    cfg.pipeline.as_ref().map_or(0, |pipe| {
-        let defs = pipe.config().registers.iter();
-        defs.zip(pipe.registers())
-            .filter(|(def, _)| def.name.starts_with(prefix))
-            .filter_map(|(_, arr)| arr.try_get(0))
-            .map(|v| v.bits())
-            .sum()
+    cfg.engine.as_ref().map_or(0, |engine| {
+        engine.register_prefix_sum(c3::ncpr::REPLAY_DUPS_PREFIX)
     })
 }
 

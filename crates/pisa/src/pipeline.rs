@@ -426,14 +426,6 @@ impl Pipeline {
         same
     }
 
-    /// Runs the match-action stages over an already-parsed PHV (used by
-    /// differential tests that bypass the parser).
-    pub fn run_stages(&mut self, phv: &mut Phv) {
-        for stage in 0..self.config.stages.len() {
-            self.run_stage(phv, stage);
-        }
-    }
-
     /// Logical stage count of the loaded configuration.
     pub fn stage_count(&self) -> usize {
         self.config.stages.len()

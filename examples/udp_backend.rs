@@ -1,6 +1,7 @@
 //! NCP over real UDP sockets (the paper's Sockets/UDP prototype
-//! backend): a software switch thread runs the compiled pipeline against
-//! loopback datagrams while two host threads exchange windows through
+//! backend): a switch thread runs the compiled pipeline, through the
+//! same engine interface a simulated switch uses, against loopback
+//! datagrams while two host threads exchange windows through
 //! it — with NCP-R enabled end to end: h1 tracks every window in the
 //! reliable sender (wall-clocked by the endpoint), h2 acknowledges with
 //! explicit ACK frames, and the switch routes control frames without
@@ -15,6 +16,7 @@ use ncl_core::nclc::{compile, CompileConfig};
 use ncp::reliable::{ReliableConfig, Sender};
 use ncp::udp::{RecvEvent, UdpEndpoint};
 use ncp::{AckRepr, NcpPacket, FLAG_ACK, FLAG_NACK};
+use netsim::FastDatapath;
 use pisa::{Pipeline, ResourceModel};
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -42,6 +44,7 @@ fn main() {
         ResourceModel::default(),
     )
     .expect("loads");
+    let mut engine: Box<dyn FastDatapath + Send> = Box::new(pipeline);
 
     // Real sockets on loopback.
     let mut h1 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
@@ -52,15 +55,14 @@ fn main() {
     let h2_addr = h2.local_addr().unwrap();
     println!("software switch on {sw_addr}, h1 on {h1_addr}, h2 on {h2_addr}");
 
-    // The software switch: pipeline + forwarding (Fig. 3b). Data flows
-    // h1 → h2; NCP-R control frames are routed by source without
-    // touching switch state.
+    // The switch: engine + forwarding (Fig. 3b). Data flows h1 → h2;
+    // NCP-R control frames are routed by source without touching
+    // switch state.
     let (stop_tx, stop_rx) = mpsc::channel::<()>();
     let switch = thread::spawn(move || {
-        let mut pipeline = pipeline;
         loop {
             if stop_rx.try_recv().is_ok() {
-                return pipeline;
+                return engine;
             }
             let Ok(Some((bytes, src))) = sw.recv_raw() else {
                 continue;
@@ -74,9 +76,9 @@ fn main() {
                 let _ = sw.send_raw(towards, &bytes);
                 continue;
             }
-            match pipeline.process(&bytes) {
+            match engine.process(&bytes) {
                 Some(out) if out.fwd_code != 3 => {
-                    let _ = sw.send_raw(towards, &out.packet);
+                    let _ = sw.send_raw(towards, &out.payload);
                 }
                 Some(_) => {} // dropped by the kernel
                 None => {
@@ -170,7 +172,8 @@ fn main() {
     );
 
     stop_tx.send(()).unwrap();
-    let pipeline = switch.join().unwrap();
+    let engine = switch.join().unwrap();
+    let pipeline: &Pipeline = engine.as_any().downcast_ref().expect("a PISA pipeline");
     println!(
         "switch register 'seen' = {} (persistent across datagrams)",
         pipeline.register_read("seen", 0).unwrap()

@@ -2,11 +2,15 @@
 //! share: tenant `ar-a` on worker1-3 (kernel ids 1-2, sum 6), `ar-b` on
 //! worker4-6 (ids 101-102, sum 15), one multiplexed switch `s1`.
 
-use ncl::core::{CompiledProgram, MultiDeployment, NclHost, OutInvocation, TypedArray};
+use ncl::core::apps::allreduce_source;
+use ncl::core::{
+    compile, CompileConfig, CompiledProgram, ControlPlane, MultiDeployment, NclHost, OutInvocation,
+    TypedArray,
+};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
 use ncl::ncp::reliable::ReliableConfig;
 use ncl::nctel::Scope;
-use ncl::netsim::{CtrlOp, HostApp};
+use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
 /// AllReduce workers `lo..=hi` for one tenant: worker `w` contributes
@@ -51,16 +55,23 @@ pub fn ar_apps(
     apps
 }
 
-/// Tells both tenants' kernels they aggregate three workers each.
+/// Tells both tenants' kernels they aggregate three workers each,
+/// through the compiled switch's names for `nworkers`. Both tenants
+/// compile the AllReduce source, whose switch module names the control
+/// variable's copies the same at every array length, so one small
+/// build's control plane addresses either tenant.
 pub fn set_nworkers(dep: &mut MultiDeployment) {
+    let mut cfg = CompileConfig::default();
+    cfg.masks.insert("allreduce".into(), vec![4]);
+    cfg.masks.insert("result".into(), vec![4]);
+    let and = "hosts worker 6\nswitch s1\nlink worker* s1\n";
+    let program = compile(&allreduce_source(16, 4), and, &cfg).expect("allreduce compiles");
+    let cp = ControlPlane::new(program.switch("s1").expect("s1 compiled"));
     for tenant in ["ar-a", "ar-b"] {
-        let op = CtrlOp::RegWrite {
-            name: "nworkers".into(),
-            index: 0,
-            value: Value::u32(3),
-        };
         let mux = dep.mux_mut("s1").expect("s1 is multiplexed");
-        assert!(mux.ctrl_for(tenant, &op), "{tenant}: nworkers write routed");
+        for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
+            assert!(mux.ctrl_for(tenant, &op), "{tenant}: nworkers write routed");
+        }
     }
 }
 

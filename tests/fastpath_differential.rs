@@ -16,8 +16,10 @@
 //! - the ncvec fusion edge cases: ragged window widths, wrapped slot
 //!   ranges, packed lanes over every slot and chunk type, a step-limit
 //!   sweep, loops fusion must decline, and KVS cache churn;
-//! - out-of-range control-plane indices, refused identically by the
-//!   software switch with and without SIMD lanes and by PISA.
+//! - deferred control-plane ops, through the one engine interface:
+//!   out-of-range indices refused identically by the software switch
+//!   with and without SIMD lanes and by PISA, and in-range op lists
+//!   that land (or not) alike and leave equal verdicts and state.
 //!
 //! PISA joins every unbudgeted check whose build fits the chip.
 
@@ -465,8 +467,10 @@ fn whole_window_lengths_that_are_no_power_of_two_reach_the_chip() {
 
 /// Out-of-range control-plane register accesses are refused — no panic,
 /// no effect — and identically on the software switch with and without
-/// SIMD lanes and on the PISA model: through the backend's lane banks, by source-level name, and
-/// at indices whose bank arithmetic would overflow.
+/// SIMD lanes and on the PISA model, each driven through
+/// `FastDatapath::ctrl`: through the backend's lane banks, by
+/// source-level name, and at indices whose bank arithmetic would
+/// overflow.
 #[test]
 fn out_of_range_control_plane_indices_are_refused_in_every_tier() {
     use ncl::core::{ControlPlane, FastPathSwitch};
@@ -520,25 +524,12 @@ fn out_of_range_control_plane_indices_are_refused_in_every_tier() {
                         value: Value::u32(77),
                     }),
             );
+            ops.push(by_source_name);
             for op in &ops {
                 assert!(!simd.ctrl(op), "simd tier took {op:?}");
                 assert!(!scalar.ctrl(op), "scalar tier took {op:?}");
-                let CtrlOp::RegWrite { name, index, value } = op else {
-                    unreachable!("register writes only")
-                };
-                assert!(
-                    !pipe.register_write(name, *index, *value),
-                    "pisa took {op:?}"
-                );
+                assert!(!pipe.ctrl(op), "pisa took {op:?}");
             }
-            assert!(
-                !simd.ctrl(&by_source_name),
-                "simd tier took {by_source_name:?}"
-            );
-            assert!(
-                !scalar.ctrl(&by_source_name),
-                "scalar tier took {by_source_name:?}"
-            );
         }
     }
     assert_eq!(
@@ -546,4 +537,152 @@ fn out_of_range_control_plane_indices_are_refused_in_every_tier() {
         before,
         "refused writes left no trace"
     );
+}
+
+/// Builds `s1` of `p` on every switch engine — the PISA pipeline, the
+/// SIMD software switch and its scalar loops — applies `ops` to each
+/// through `FastDatapath::ctrl` and runs `windows` through each. Every
+/// op must land on all three or on none, and every window must get the
+/// same verdict and output window. Returns the engines for state checks
+/// and the forwarding codes.
+fn ctrl_then_run_alike(
+    p: &ncl::core::CompiledProgram,
+    ops: &[ncl::netsim::CtrlOp],
+    windows: &[Window],
+) -> (Pipeline, [ncl::core::FastPathSwitch; 2], Vec<u8>) {
+    use ncl::core::FastPathSwitch;
+    use ncl::ncp::codec::{decode_window, encode_window};
+    use ncl::netsim::FastDatapath;
+
+    let compiled = p.switch("s1").expect("s1 compiled");
+    let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+    let mut soft = [
+        FastPathSwitch::from_program(p, "s1").expect("simd tier builds"),
+        FastPathSwitch::from_program_with(p, "s1", false).expect("scalar tier builds"),
+    ];
+    for op in ops {
+        let landed = pipe.ctrl(op);
+        for (tier, engine) in ["simd", "scalar"].into_iter().zip(&mut soft) {
+            assert_eq!(engine.ctrl(op), landed, "{tier} vs pisa on {op:?}");
+        }
+    }
+    let ext = p.checked.window_ext.size();
+    let mut codes = Vec::new();
+    for w in windows {
+        let bytes = encode_window(w, ext);
+        let want = FastDatapath::process(&mut pipe, &bytes).expect("pisa executes");
+        for (tier, engine) in ["simd", "scalar"].into_iter().zip(&mut soft) {
+            let got = engine.process(&bytes).expect("software switch executes");
+            let at = format!("{tier}, sender {} seq {}", w.sender.0, w.seq);
+            assert_eq!(got.fwd_code, want.fwd_code, "{at}");
+            if want.fwd_code != 3 {
+                let got = decode_window(&got.payload).unwrap();
+                assert_eq!(got, decode_window(&want.payload).unwrap(), "{at}");
+            }
+        }
+        codes.push(want.fwd_code);
+    }
+    (pipe, soft, codes)
+}
+
+/// One deferred control-op list means the same on every engine. The
+/// ops `ControlPlane` emits, by the compiled switch's names, land on
+/// PISA, SIMD and scalar alike; ops by source-level name — a control
+/// variable, a lane-split array at its source index, a map — and a
+/// write past a control copy's one slot land on none. Afterwards the
+/// engines give equal verdicts and hold equal registers.
+#[test]
+fn in_range_control_ops_mean_the_same_on_every_engine() {
+    use ncl::core::ControlPlane;
+    use ncl::netsim::CtrlOp;
+
+    let reg = |name: &str, index: usize, value: Value| CtrlOp::RegWrite {
+        name: name.into(),
+        index,
+        value,
+    };
+
+    // AllReduce: nworkers = 2 through its copies, so the second of two
+    // workers broadcasts each slot; the source-name write of 3 would
+    // hold every slot back if it landed anywhere.
+    let and = "hosts worker 3\nswitch s1\nlink worker* s1\n";
+    let mut cfg = CompileConfig::default();
+    cfg.masks.insert("allreduce".into(), vec![4]);
+    cfg.masks.insert("result".into(), vec![4]);
+    let p = compile(&allreduce_source(16, 4), and, &cfg).expect("compiles");
+    let compiled = p.switch("s1").expect("s1 compiled");
+    assert!(
+        compiled.lane_banks["accum"].len() > 1,
+        "accum is lane-split"
+    );
+    let cp = ControlPlane::new(compiled);
+    let copy = &compiled.ctrl_regs["nworkers"][0];
+    let mut ops = cp.ctrl_wr_ops("nworkers", Value::u32(2));
+    ops.extend(cp.reg_write_ops("accum", 5, Value::i32(40)));
+    ops.extend([
+        reg("nworkers", 0, Value::u32(3)),
+        reg("accum", 6, Value::i32(50)),
+        reg(copy, 1, Value::u32(3)),
+    ]);
+    let kid = c3::KernelId(p.kernel_ids["allreduce"]);
+    let windows: Vec<Window> = (0..4u32)
+        .flat_map(|seq| {
+            (1..=2u16).map(move |worker| {
+                let vals: Vec<i32> = (0..4).map(|i| worker as i32 * 10 + i).collect();
+                let mut w = window(seq, worker, vec![ints(&vals)]);
+                w.kernel = kid;
+                w.chunks[0].offset = seq * 16;
+                w
+            })
+        })
+        .collect();
+    let (pipe, soft, codes) = ctrl_then_run_alike(&p, &ops, &windows);
+    assert_eq!(codes, [3, 2].repeat(4), "the second worker broadcasts");
+    for (array, len) in [("accum", 16usize), ("count", 4)] {
+        for i in 0..len {
+            let want = cp.read_register(&pipe, array, i);
+            assert!(want.is_some(), "{array}[{i}] is in range");
+            for engine in &soft {
+                assert_eq!(engine.register_read(array, i), want, "{array}[{i}]");
+            }
+        }
+    }
+    assert_eq!(
+        cp.read_register(&pipe, "accum", 5).map(|v| v.bits()),
+        Some(40 + 11 + 21),
+        "the bank write landed and the workers added to it"
+    );
+
+    // A map: an entry by the compiled table names reflects its key;
+    // one by the map's source name installs nothing anywhere.
+    let src = r#"
+_net_ _at_("s1") ncl::Map<uint64_t, uint8_t, 8> Idx;
+_net_ _out_ void k(uint64_t key) {
+    if (auto *i = Idx[key]) { _reflect(); }
+}
+"#;
+    let and = "host h1\nhost h2\nswitch s1\nlink h1 s1\nlink h2 s1\n";
+    let mut cfg = CompileConfig::default();
+    cfg.masks.insert("k".into(), vec![1]);
+    let p = compile(src, and, &cfg).expect("compiles");
+    let cp = ControlPlane::new(p.switch("s1").expect("s1 compiled"));
+    let mut ops = cp.map_insert_ops("Idx", 42, Value::new(ScalarType::U8, 3));
+    let by_source_name = cp.map_insert_ops("Idx", 7, Value::new(ScalarType::U8, 4));
+    ops.extend(by_source_name.into_iter().map(|op| match op {
+        CtrlOp::TableInsert { entry, .. } => CtrlOp::TableInsert {
+            table: "Idx".into(),
+            entry,
+        },
+        other => other,
+    }));
+    let windows: Vec<Window> = [42u64, 7]
+        .iter()
+        .map(|key| {
+            let mut w = window(0, 1, vec![key.to_be_bytes().to_vec()]);
+            w.kernel = c3::KernelId(p.kernel_ids["k"]);
+            w
+        })
+        .collect();
+    let (_, _, codes) = ctrl_then_run_alike(&p, &ops, &windows);
+    assert_eq!(codes, [1, 0], "42 is cached, 7 is not");
 }

@@ -1,12 +1,14 @@
 //! The Sockets/UDP backend (the paper's first prototype target) over
-//! real loopback sockets: two hosts and a *software switch* — a thread
-//! running the compiled PISA pipeline against real UDP datagrams —
-//! reproducing Fig. 3b outside the simulator.
+//! real loopback sockets: two hosts and a switch thread running a
+//! compiled engine against real UDP datagrams — the modeled PISA
+//! pipeline and the software switch, each through the one engine
+//! interface — reproducing Fig. 3b outside the simulator.
 
-use ncl::core::control::ControlPlane;
-use ncl::core::nclc::{compile, CompileConfig};
+use ncl::core::nclc::{compile, CompileConfig, CompiledProgram};
+use ncl::core::FastPathSwitch;
 use ncl::model::{Chunk, HostId, KernelId, NodeId, ScalarType, Value, Window};
 use ncl::ncp::udp::UdpEndpoint;
+use ncl::netsim::FastDatapath;
 use ncl::pisa::{Pipeline, ResourceModel};
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -15,12 +17,20 @@ use std::time::Duration;
 
 const AND: &str = "host h1\nhost h2\nswitch s1\nlink h1 s1\nlink h2 s1\n";
 
-/// A software switch: receives NCP-over-UDP packets, runs the pipeline,
-/// and forwards per the kernel's decision. Registered host addresses
-/// play the routing table.
+/// Both engines a switch can hold, built from one program's `s1`.
+fn engines(program: &CompiledProgram) -> [(&'static str, Box<dyn FastDatapath + Send>); 2] {
+    let compiled = program.switch("s1").expect("s1 compiled");
+    let pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+    let soft = FastPathSwitch::from_program(program, "s1").expect("s1 has a module");
+    [("pisa", Box::new(pipe)), ("software", Box::new(soft))]
+}
+
+/// A switch on a socket: receives NCP-over-UDP packets, runs its
+/// engine, and forwards per the kernel's decision. Registered host
+/// addresses play the routing table.
 struct SoftSwitch {
     endpoint: UdpEndpoint,
-    pipeline: Pipeline,
+    engine: Box<dyn FastDatapath + Send>,
     hosts: Vec<(HostId, SocketAddr)>,
     my_wire: u16,
 }
@@ -35,15 +45,15 @@ impl SoftSwitch {
     }
 
     /// Processes packets until `stop` fires.
-    fn run(mut self, stop: mpsc::Receiver<()>) -> Pipeline {
+    fn run(mut self, stop: mpsc::Receiver<()>) -> Box<dyn FastDatapath + Send> {
         loop {
             if stop.try_recv().is_ok() {
-                return self.pipeline;
+                return self.engine;
             }
             let Ok(Some((bytes, src))) = self.endpoint.recv_raw() else {
                 continue;
             };
-            let Some(out) = self.pipeline.process(&bytes) else {
+            let Some(out) = self.engine.process(&bytes) else {
                 // Not NCP for us: flood to the other host (L2 fallback).
                 for (_, a) in &self.hosts {
                     if *a != src {
@@ -52,10 +62,10 @@ impl SoftSwitch {
                 }
                 continue;
             };
-            let mut payload = out.packet;
-            if out.parsed_bytes < bytes.len() {
-                payload.extend_from_slice(&bytes[out.parsed_bytes..]);
+            if out.fwd_code == 3 {
+                continue; // dropped by the kernel
             }
+            let mut payload = out.payload;
             let incoming_from = ncl::ncp::NcpPacket::new_checked(&bytes[..])
                 .ok()
                 .map(|p| p.from());
@@ -75,7 +85,6 @@ impl SoftSwitch {
                         let _ = self.endpoint.send_raw(*a, &payload);
                     }
                 }
-                3 => {}
                 _ => {
                     // pass: to every host except the sender (star
                     // topology; the real dst is the IP header we don't
@@ -101,60 +110,59 @@ _net_ _out_ void bump(int *d) { d[0] += 1; total[0] += d[0]; }
     let mut cfg = CompileConfig::default();
     cfg.masks.insert("bump".into(), vec![1]);
     let program = compile(src, AND, &cfg).expect("compiles");
-    let compiled = program.switch("s1").unwrap();
     let kid = program.kernel_ids["bump"];
-    let pipeline = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
-
-    // Endpoints on loopback.
-    let mut h1 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
-    let mut h2 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
-    let sw_ep = UdpEndpoint::bind("127.0.0.1:0").unwrap();
-    let sw_addr = sw_ep.local_addr().unwrap();
-    let soft = SoftSwitch {
-        endpoint: sw_ep,
-        pipeline,
-        hosts: vec![
-            (HostId(1), h1.local_addr().unwrap()),
-            (HostId(2), h2.local_addr().unwrap()),
-        ],
-        my_wire: NodeId::Switch(c3::SwitchId(1)).to_wire(),
-    };
-    let (stop_tx, stop_rx) = mpsc::channel();
-    let handle = thread::spawn(move || soft.run(stop_rx));
-
-    // h1 sends three windows "to h2" through the switch.
-    for v in [10i32, 20, 30] {
-        let w = Window {
-            kernel: KernelId(kid),
-            seq: 0,
-            sender: HostId(1),
-            from: NodeId::Host(HostId(1)),
-            last: false,
-            chunks: vec![Chunk {
-                offset: 0,
-                data: v.to_be_bytes().to_vec(),
-            }],
-            ext: vec![],
+    for (name, engine) in engines(&program) {
+        // Endpoints on loopback.
+        let mut h1 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
+        let mut h2 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
+        let sw_ep = UdpEndpoint::bind("127.0.0.1:0").unwrap();
+        let sw_addr = sw_ep.local_addr().unwrap();
+        let soft = SoftSwitch {
+            endpoint: sw_ep,
+            engine,
+            hosts: vec![
+                (HostId(1), h1.local_addr().unwrap()),
+                (HostId(2), h2.local_addr().unwrap()),
+            ],
+            my_wire: NodeId::Switch(c3::SwitchId(1)).to_wire(),
         };
-        h1.send_window(sw_addr, &w).unwrap();
-    }
-    // h2 receives the incremented values, from the switch.
-    let mut got = Vec::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while got.len() < 3 && std::time::Instant::now() < deadline {
-        if let Some((w, _)) = h2.recv_window().unwrap() {
-            got.push(w.chunks[0].get(ScalarType::I32, 0).as_i128() as i32);
-            assert_eq!(w.from, NodeId::Switch(c3::SwitchId(1)));
-        }
-    }
-    got.sort_unstable();
-    assert_eq!(got, vec![11, 21, 31]);
+        let (stop_tx, stop_rx) = mpsc::channel();
+        let handle = thread::spawn(move || soft.run(stop_rx));
 
-    // Stop the switch and check its persistent state: 11+21+31 = 63.
-    stop_tx.send(()).unwrap();
-    let pipeline = handle.join().unwrap();
-    assert_eq!(pipeline.register_read("total", 0), Some(Value::i32(63)));
-    let _ = ControlPlane::new(compiled);
+        // h1 sends three windows "to h2" through the switch.
+        for v in [10i32, 20, 30] {
+            let w = Window {
+                kernel: KernelId(kid),
+                seq: 0,
+                sender: HostId(1),
+                from: NodeId::Host(HostId(1)),
+                last: false,
+                chunks: vec![Chunk {
+                    offset: 0,
+                    data: v.to_be_bytes().to_vec(),
+                }],
+                ext: vec![],
+            };
+            h1.send_window(sw_addr, &w).unwrap();
+        }
+        // h2 receives the incremented values, from the switch.
+        let mut got = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while got.len() < 3 && std::time::Instant::now() < deadline {
+            if let Some((w, _)) = h2.recv_window().unwrap() {
+                got.push(w.chunks[0].get(ScalarType::I32, 0).as_i128() as i32);
+                assert_eq!(w.from, NodeId::Switch(c3::SwitchId(1)), "{name}");
+            }
+        }
+        got.sort_unstable();
+        assert_eq!(got, vec![11, 21, 31], "{name}");
+
+        // Stop the switch and check its persistent state: 11+21+31 =
+        // 63 in element 0 of `total`, the one register so named.
+        stop_tx.send(()).unwrap();
+        let engine = handle.join().unwrap();
+        assert_eq!(engine.register_prefix_sum("total"), 63, "{name}");
+    }
 }
 
 #[test]
@@ -166,57 +174,55 @@ fn non_ncp_traffic_coexists() {
     cfg.masks.insert("k".into(), vec![1]);
     let program = compile(src, AND, &cfg).expect("compiles");
     let kid = program.kernel_ids["k"];
-    let pipeline = Pipeline::load(
-        program.switch("s1").unwrap().pipeline.clone(),
-        ResourceModel::default(),
-    )
-    .unwrap();
-    let mut h1 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
-    let mut h2 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
-    let sw_ep = UdpEndpoint::bind("127.0.0.1:0").unwrap();
-    let sw_addr = sw_ep.local_addr().unwrap();
-    let soft = SoftSwitch {
-        endpoint: sw_ep,
-        pipeline,
-        hosts: vec![
-            (HostId(1), h1.local_addr().unwrap()),
-            (HostId(2), h2.local_addr().unwrap()),
-        ],
-        my_wire: 0x8001,
-    };
-    let (stop_tx, stop_rx) = mpsc::channel();
-    let handle = thread::spawn(move || soft.run(stop_rx));
+    for (name, engine) in engines(&program) {
+        let mut h1 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
+        let mut h2 = UdpEndpoint::bind("127.0.0.1:0").unwrap();
+        let sw_ep = UdpEndpoint::bind("127.0.0.1:0").unwrap();
+        let sw_addr = sw_ep.local_addr().unwrap();
+        let soft = SoftSwitch {
+            endpoint: sw_ep,
+            engine,
+            hosts: vec![
+                (HostId(1), h1.local_addr().unwrap()),
+                (HostId(2), h2.local_addr().unwrap()),
+            ],
+            my_wire: 0x8001,
+        };
+        let (stop_tx, stop_rx) = mpsc::channel();
+        let handle = thread::spawn(move || soft.run(stop_rx));
 
-    h1.send_raw(sw_addr, b"hello not ncp").unwrap();
-    let w = Window {
-        kernel: KernelId(kid),
-        seq: 0,
-        sender: HostId(1),
-        from: NodeId::Host(HostId(1)),
-        last: false,
-        chunks: vec![Chunk {
-            offset: 0,
-            data: 7i32.to_be_bytes().to_vec(),
-        }],
-        ext: vec![],
-    };
-    h1.send_window(sw_addr, &w).unwrap();
+        h1.send_raw(sw_addr, b"hello not ncp").unwrap();
+        let w = Window {
+            kernel: KernelId(kid),
+            seq: 0,
+            sender: HostId(1),
+            from: NodeId::Host(HostId(1)),
+            last: false,
+            chunks: vec![Chunk {
+                offset: 0,
+                data: 7i32.to_be_bytes().to_vec(),
+            }],
+            ext: vec![],
+        };
+        h1.send_window(sw_addr, &w).unwrap();
 
-    let mut saw_raw = false;
-    let mut saw_window = false;
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while (!saw_raw || !saw_window) && std::time::Instant::now() < deadline {
-        if let Some((bytes, _)) = h2.recv_raw().unwrap() {
-            if bytes == b"hello not ncp" {
-                saw_raw = true;
-            } else if let Ok(w) = ncl::ncp::codec::decode_window(&bytes) {
-                assert_eq!(w.chunks[0].get(ScalarType::I32, 0), Value::i32(14));
-                saw_window = true;
+        let mut saw_raw = false;
+        let mut saw_window = false;
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while (!saw_raw || !saw_window) && std::time::Instant::now() < deadline {
+            if let Some((bytes, _)) = h2.recv_raw().unwrap() {
+                if bytes == b"hello not ncp" {
+                    saw_raw = true;
+                } else if let Ok(w) = ncl::ncp::codec::decode_window(&bytes) {
+                    let doubled = w.chunks[0].get(ScalarType::I32, 0);
+                    assert_eq!(doubled, Value::i32(14), "{name}");
+                    saw_window = true;
+                }
             }
         }
+        stop_tx.send(()).unwrap();
+        handle.join().unwrap();
+        assert!(saw_raw, "{name}: plain datagram should pass through");
+        assert!(saw_window, "{name}: NCP window should be processed");
     }
-    stop_tx.send(()).unwrap();
-    handle.join().unwrap();
-    assert!(saw_raw, "plain datagram should pass through");
-    assert!(saw_window, "NCP window should be processed");
 }
