@@ -61,18 +61,6 @@ impl ControlPlane {
         pipe.register_read(bank, slot)
     }
 
-    /// Writes element `idx` of a source-level switch array through the
-    /// lane decomposition.
-    pub fn write_register(
-        &self,
-        pipe: &mut Pipeline,
-        array: &str,
-        idx: usize,
-        value: Value,
-    ) -> bool {
-        all_land(pipe, self.reg_write_ops(array, idx, value))
-    }
-
     // ------------------------------------------------------------------
     // Direct (pre-run) operations
     // ------------------------------------------------------------------
@@ -120,7 +108,8 @@ impl ControlPlane {
 
     /// The [`CtrlOp`]s writing element `idx` of a source-level switch
     /// array through the lane decomposition, like
-    /// [`ControlPlane::write_register`]; none past the array's end.
+    /// [`ControlPlane::read_register`] reads it; none past the array's
+    /// end.
     pub fn reg_write_ops(&self, array: &str, idx: usize, value: Value) -> Vec<CtrlOp> {
         self.bank_slot(array, idx)
             .map(|(bank, index)| CtrlOp::RegWrite {

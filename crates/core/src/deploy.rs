@@ -1,15 +1,18 @@
-//! Deployment: AND overlay → simulated network (paper Fig. 3c).
+//! Deployment: AND overlay → network (paper Fig. 3c), simulated or over
+//! real UDP sockets.
 //!
 //! *"a mechanism that maps the overlay network of the AND file into a
 //! physical network and allocates network resources accordingly is
 //! assumed to be in place. This mechanism places application components
 //! to physical devices and ensures connectivity by populating routing
 //! tables appropriately."* — [`deploy_opts`] is that mechanism for the
-//! simulated testbed: the identity mapping (one physical node per
-//! overlay node, one link per overlay edge), each switch loaded with the
-//! engine for its compiled module, `_bcast()` fan-out and `_pass(label)` targets
-//! resolved from the overlay. [`crate::deploy_tenants`] places several
-//! programs on one fabric; both entry points go through the same lint
+//! simulated testbed, and [`deploy_udp`] for loopback sockets (the same
+//! network, bound with [`NetworkBuilder::bind_udp`]): the identity
+//! mapping (one physical node per overlay node, one link per overlay
+//! edge), each switch loaded with the engine for its compiled module,
+//! `_bcast()` fan-out and `_pass(label)` targets resolved from the
+//! overlay. [`crate::deploy_tenants`] places several programs on one
+//! simulated fabric; every entry point goes through the same lint
 //! gate (`lint_gate`), the same model-check gate (`mc_gate`), the same
 //! engine selection (`switch_engine`, the only place a [`SwitchBackend`]
 //! becomes an engine) and the same fabric builder (`build_fabric`).
@@ -27,6 +30,7 @@ use netsim::{
 };
 use pisa::{Pipeline, ResourceModel};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// Which switch engine a deployment loads into the simulated switches
@@ -56,7 +60,7 @@ pub enum SwitchBackend {
 
 /// A deployed program: the runnable network plus name resolution.
 pub struct Deployment {
-    /// The simulated network.
+    /// The network, on simulated links or real UDP sockets.
     pub net: Network,
     /// AND label → simulated node.
     pub nodes: HashMap<Label, NodeId>,
@@ -112,6 +116,8 @@ pub enum DeployError {
         /// The shrunk counterexample schedule (ncmc schedule syntax).
         schedule: String,
     },
+    /// [`deploy_udp`] could not bind a node's loopback socket.
+    Bind(std::io::Error),
 }
 
 impl std::fmt::Display for DeployError {
@@ -149,6 +155,7 @@ impl std::fmt::Display for DeployError {
                 )?;
                 write!(f, "{schedule}")
             }
+            DeployError::Bind(e) => write!(f, "binding a loopback UDP socket failed: {e}"),
         }
     }
 }
@@ -444,20 +451,22 @@ pub(crate) struct FabricOptions<'a> {
     pub scope: Option<&'a Scope>,
 }
 
-/// Maps `overlay` onto a simulated network, the identity mapping: one
+/// Maps `overlay` onto a network topology, the identity mapping: one
 /// node per overlay node in AND declaration order (so netsim ids equal
 /// AND ids), one link per overlay edge. `host_app` supplies each host's
 /// application and `switch_load` each switch's engine; the first error
 /// either returns stops the build. `label_ids` resolves `_pass(label)`
 /// targets. Counts `deploy.hosts_loaded` / `deploy.switches_loaded` on
 /// the registry, which [`Network::metrics`] exposes after the build.
+/// The caller picks the substrate: [`NetworkBuilder::build`] or
+/// [`NetworkBuilder::bind_udp`].
 pub(crate) fn build_fabric<E>(
     overlay: &Overlay,
     label_ids: &HashMap<Label, u16>,
     opts: FabricOptions<'_>,
     mut host_app: impl FnMut(&AndNode) -> Result<Box<dyn HostApp>, E>,
     mut switch_load: impl FnMut(&AndNode) -> Result<SwitchLoad, E>,
-) -> Result<(Network, HashMap<Label, NodeId>), E> {
+) -> Result<(NetworkBuilder, HashMap<Label, NodeId>), E> {
     let FabricOptions {
         link_spec,
         link_overrides,
@@ -521,7 +530,7 @@ pub(crate) fn build_fabric<E>(
             .map_or(link_spec, |(_, _, s)| *s);
         b.link(nodes[la], nodes[lb], spec);
     }
-    Ok((b.build(), nodes))
+    Ok((b, nodes))
 }
 
 /// Deploys a compiled program: `apps` supplies one application per AND
@@ -537,8 +546,36 @@ pub(crate) fn build_fabric<E>(
 /// on `opts.registry`.
 pub fn deploy_opts(
     program: &CompiledProgram,
+    apps: HashMap<String, Box<dyn HostApp>>,
+    opts: DeployOptions,
+) -> Result<Deployment, DeployError> {
+    deploy_on(program, apps, opts, |b| Ok(b.build()))
+}
+
+/// [`deploy_opts`] over real UDP: the same gates, engines and fabric,
+/// with every node on its own non-blocking loopback socket (ephemeral
+/// port) instead of a simulated link. [`Network::run_until`] then runs
+/// on the wall clock, single-threaded; the links' [`LinkSpec`] loss and
+/// duplication still apply, their timing does not. A socket that cannot
+/// bind is a [`DeployError::Bind`].
+pub fn deploy_udp(
+    program: &CompiledProgram,
+    apps: HashMap<String, Box<dyn HostApp>>,
+    opts: DeployOptions,
+) -> Result<Deployment, DeployError> {
+    deploy_on(program, apps, opts, |b| {
+        b.bind_udp(Ipv4Addr::LOCALHOST.into())
+            .map_err(DeployError::Bind)
+    })
+}
+
+/// The body of [`deploy_opts`] and [`deploy_udp`]; `finish` turns the
+/// built topology into the network.
+fn deploy_on(
+    program: &CompiledProgram,
     mut apps: HashMap<String, Box<dyn HostApp>>,
     opts: DeployOptions,
+    finish: impl FnOnce(NetworkBuilder) -> Result<Network, DeployError>,
 ) -> Result<Deployment, DeployError> {
     let DeployOptions {
         link_spec,
@@ -550,7 +587,7 @@ pub fn deploy_opts(
         model_check,
     } = opts;
     let mut mc_reports = Vec::new();
-    let (net, nodes) = build_fabric(
+    let (builder, nodes) = build_fabric(
         &program.overlay,
         &program.label_ids,
         FabricOptions {
@@ -574,7 +611,7 @@ pub fn deploy_opts(
         },
     )?;
     Ok(Deployment {
-        net,
+        net: finish(builder)?,
         nodes,
         mc_reports,
     })

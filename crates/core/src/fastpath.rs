@@ -170,13 +170,14 @@ impl FastPathSwitch {
     }
 
     /// Processes one payload: decode (buffer-reusing), execute the
-    /// cached compiled kernel, re-encode. `None` for non-NCP traffic,
-    /// fragments (switches compute only on single-packet windows, paper
-    /// §6), unknown kernels, and execution errors — the switch then
-    /// plainly forwards the original packet.
+    /// cached compiled kernel, re-encode, and append the bytes that
+    /// trail the window unchanged, as the PISA engine's verdict does.
+    /// `None` for non-NCP traffic, fragments (switches compute only on
+    /// single-packet windows, paper §6), unknown kernels, and execution
+    /// errors — the switch then plainly forwards the original packet.
     pub fn process_window(&mut self, payload: &[u8]) -> Option<FastVerdict> {
-        let (kid, flags) = match NcpPacket::new_checked(payload) {
-            Ok(p) => (p.kernel(), p.flags()),
+        let (kid, flags, total) = match NcpPacket::new_checked(payload) {
+            Ok(p) => (p.kernel(), p.flags(), p.total_len()),
             Err(_) => return None,
         };
         if flags & (FLAG_FRAGMENT | FLAG_ACK | FLAG_NACK) != 0 || !self.kernels.contains_key(&kid) {
@@ -206,6 +207,7 @@ impl FastPathSwitch {
         let mut out = Vec::new();
         if fwd_code != 3 {
             encode_window_into(&self.win, self.ext_total, &mut out);
+            out.extend_from_slice(payload.get(total..).unwrap_or_default());
         }
         Some(FastVerdict {
             payload: out,
@@ -543,18 +545,22 @@ mod tests {
         }
     }
 
-    /// The PISA engine's verdict is the whole rewritten frame: the
-    /// deparsed headers, then the bytes its parser never consumed (here
-    /// a trailer after the window), which a switch forwards unchanged.
+    /// An engine's verdict is the whole rewritten frame: the rewritten
+    /// window, then the bytes that trail it (the PISA parser never
+    /// consumes them; the software switch decodes only the window),
+    /// which a switch forwards unchanged. Both engines emit the same
+    /// bytes.
     #[test]
     fn pisa_verdict_keeps_the_bytes_its_parser_never_consumed() {
         let p = allreduce_program();
         let kid = p.kernel_ids["allreduce"];
         let compiled = p.switch("s1").unwrap();
         let mut pipe = Pipeline::load(compiled.pipeline.clone(), ResourceModel::default()).unwrap();
+        let mut soft = FastPathSwitch::from_program(&p, "s1").unwrap();
         // One worker completes every slot, so the window is broadcast.
         let cp = ControlPlane::new(compiled);
         assert!(cp.ctrl_wr(&mut pipe, "nworkers", Value::u32(1)));
+        assert!(soft.ctrl_wr("nworkers", Value::u32(1)));
         let ext = p.checked.window_ext.size();
         let mut bytes = encode_window(&window(kid, 1, 0, &[1, 2, 3, 4]), ext);
         let window_len = bytes.len();
@@ -563,6 +569,9 @@ mod tests {
         assert_eq!(v.fwd_code, 2);
         assert_eq!(v.passes, pipe.passes());
         assert_eq!(&v.payload[window_len..], b"trailer");
+        let sv = soft.process(&bytes).expect("the software switch executes");
+        assert_eq!(sv.fwd_code, 2);
+        assert_eq!(sv.payload, v.payload, "both engines emit the same frame");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   `ncl::in` over the simulated network, and window encode/decode;
 //! * [`control`] — the transparent control-plane interaction:
 //!   `ncl::ctrl_wr`, map management (NetCache-style inserts/evictions);
-//! * [`mod@deploy`] — maps the AND overlay onto a simulated network
-//!   (Fig. 3c) and loads every switch with its compiled pipeline;
+//! * [`mod@deploy`] — maps the AND overlay onto a network (Fig. 3c),
+//!   simulated or over real UDP sockets, and loads every switch with
+//!   its compiled pipeline;
 //! * [`fastpath`] — the compiled fast-path switch executor: versioned
 //!   IR lowered to linear micro-op programs, cached per
 //!   `(kernel, location)` and run against persistent switch state
@@ -62,7 +63,8 @@ pub mod watch;
 
 pub use control::ControlPlane;
 pub use deploy::{
-    and_switch_path, deploy_opts, deployed_versions, DeployOptions, Deployment, SwitchBackend,
+    and_switch_path, deploy_opts, deploy_udp, deployed_versions, DeployOptions, Deployment,
+    SwitchBackend,
 };
 pub use fastpath::FastPathSwitch;
 pub use mux::TenantMux;

@@ -398,7 +398,7 @@ pub fn deploy_tenants(
         },
     );
     let (net, nodes) = match built {
-        Ok(fabric) => fabric,
+        Ok((builder, nodes)) => (builder.build(), nodes),
         Err(never) => match never {},
     };
     let book = admitted

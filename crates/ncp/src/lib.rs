@@ -18,15 +18,13 @@
 //!   AIMD in-flight window, RTO retransmission, receiver-side duplicate
 //!   suppression), clock- and transport-agnostic;
 //! * [`udp`] — the Sockets/UDP backend (the paper's first prototype
-//!   target), a thin endpoint over `std::net::UdpSocket`;
-//! * [`mem`] — an in-memory loopback backend for tests.
+//!   target), a thin endpoint over `std::net::UdpSocket`.
 //!
 //! The wire layout is pinned in DESIGN.md §4.4 and must match the parser
 //! `ncl-p4` generates; cross-crate tests in `ncl-core` enforce the
 //! agreement.
 
 pub mod codec;
-pub mod mem;
 pub mod reliable;
 pub mod udp;
 pub mod wire;

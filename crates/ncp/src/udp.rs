@@ -2,15 +2,18 @@
 //!
 //! [`UdpEndpoint`] wraps a `std::net::UdpSocket` with NCP window
 //! send/receive: windows are encoded with [`crate::codec`], fragmented
-//! to the MTU, and reassembled on receipt. The endpoint is synchronous
-//! with a configurable read timeout — NCP imposes no async runtime on
-//! its hosts, and the examples drive one endpoint per thread.
+//! to the MTU, and reassembled on receipt; raw datagrams pass through
+//! [`UdpEndpoint::send_raw`] / [`UdpEndpoint::recv_raw`]. The endpoint
+//! is synchronous, blocking with a configurable read timeout or
+//! non-blocking — NCP imposes no async runtime on its hosts. netsim's
+//! `NetworkBuilder::bind_udp` gives every node of a network one
+//! non-blocking endpoint and polls them all from one thread.
 
 use crate::codec::{fragment_window_into, BufferPool, Reassembler};
 use crate::reliable::Time;
 use crate::wire::{AckRepr, NcpPacket};
 use c3::Window;
-use nctel::{Counter, MonotonicClock, Registry, Scope, ScopeEvent, WindowKey};
+use nctel::MonotonicClock;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
@@ -48,8 +51,8 @@ pub struct UdpEndpoint {
     pub mtu: usize,
     /// Ext-block size of the deployed program (fixed parser layout).
     pub ext_total: usize,
-    /// Datagrams rejected as non-NCP since bind (nctel counter).
-    malformed: Counter,
+    /// Datagrams rejected as non-NCP since bind.
+    malformed: u64,
     buf: Vec<u8>,
     /// Recycled packet buffers for the zero-copy send path.
     pool: BufferPool,
@@ -60,8 +63,6 @@ pub struct UdpEndpoint {
     /// wall clock steps (the pre-nctel implementation read an
     /// `Instant` epoch without a latch).
     clock: MonotonicClock,
-    /// ncscope event sink plus this endpoint's wire node id.
-    scope: Option<(Scope, u16)>,
 }
 
 impl UdpEndpoint {
@@ -74,26 +75,12 @@ impl UdpEndpoint {
             reassembler: Reassembler::new(),
             mtu: 1472, // Ethernet MTU minus IP/UDP headers
             ext_total: 0,
-            malformed: Counter::new(),
+            malformed: 0,
             buf: vec![0u8; 65536],
             pool: BufferPool::new(),
             frags: Vec::new(),
             clock: MonotonicClock::new(),
-            scope: None,
         })
-    }
-
-    /// Attaches an ncscope event sink: window sends/completions, ACK and
-    /// NACK frames and malformed datagrams are emitted with this
-    /// endpoint's wire `node` id, timestamped by [`UdpEndpoint::now`].
-    pub fn attach_scope(&mut self, scope: &Scope, node: u16) {
-        self.scope = Some((scope.clone(), node));
-    }
-
-    fn emit(&self, key: WindowKey, ev: ScopeEvent) {
-        if let Some((scope, node)) = &self.scope {
-            scope.emit(self.clock.now(), *node, key, ev);
-        }
     }
 
     /// The bound local address.
@@ -125,13 +112,7 @@ impl UdpEndpoint {
 
     /// Datagrams rejected as non-NCP since bind.
     pub fn malformed(&self) -> u64 {
-        self.malformed.get()
-    }
-
-    /// Registers this endpoint's counters on `reg` under
-    /// `{prefix}.malformed`.
-    pub fn attach_metrics(&self, reg: &Registry, prefix: &str) {
-        reg.register_counter(&format!("{prefix}.malformed"), &self.malformed);
+        self.malformed
     }
 
     /// Sends a window to `dst`, fragmenting to the MTU if necessary.
@@ -139,10 +120,6 @@ impl UdpEndpoint {
     /// so steady-state sends allocate nothing. Returns the number of
     /// packets sent.
     pub fn send_window(&mut self, dst: SocketAddr, w: &Window) -> io::Result<usize> {
-        self.emit(
-            WindowKey::new(w.sender.0, w.kernel.0, w.seq),
-            ScopeEvent::WindowSent { attempt: 0 },
-        );
         fragment_window_into(w, self.ext_total, self.mtu, &mut self.pool, &mut self.frags);
         let n = self.frags.len();
         let mut result = Ok(());
@@ -155,18 +132,10 @@ impl UdpEndpoint {
         result.map(|()| n)
     }
 
-    /// Sends raw packet bytes (used by the software switch to forward).
+    /// Sends raw datagram bytes (a switch forwarding, an NCP-R ACK
+    /// frame, a network's own header plus payload).
     pub fn send_raw(&self, dst: SocketAddr, bytes: &[u8]) -> io::Result<()> {
         self.socket.send_to(bytes, dst).map(|_| ())
-    }
-
-    /// Sends an NCP-R ACK/NACK frame (a bare 16-byte header) to `dst`.
-    pub fn send_ack(&mut self, dst: SocketAddr, ack: AckRepr) -> io::Result<()> {
-        let mut buf = self.pool.get();
-        ack.emit_into(&mut buf);
-        let result = self.socket.send_to(&buf, dst).map(|_| ());
-        self.pool.put(buf);
-        result
     }
 
     /// One receive attempt, classified. Unlike [`Self::recv_window`],
@@ -186,31 +155,14 @@ impl UdpEndpoint {
         };
         if let Ok(p) = NcpPacket::new_checked(&self.buf[..n]) {
             if let Some(ack) = AckRepr::parse(&p) {
-                let key = WindowKey::new(ack.sender, ack.kernel, ack.seq);
-                self.emit(
-                    key,
-                    if ack.nack {
-                        ScopeEvent::NackReceived
-                    } else {
-                        ScopeEvent::WindowAcked
-                    },
-                );
                 return Ok(RecvEvent::Ack(ack, src));
             }
         }
         match self.reassembler.push(&self.buf[..n]) {
-            Ok(Some(w)) => {
-                self.emit(
-                    WindowKey::new(w.sender.0, w.kernel.0, w.seq),
-                    ScopeEvent::WindowCompleted,
-                );
-                Ok(RecvEvent::Window(w, src))
-            }
+            Ok(Some(w)) => Ok(RecvEvent::Window(w, src)),
             Ok(None) => Ok(RecvEvent::Partial(src)),
             Err(_) => {
-                self.malformed.inc();
-                let node = self.scope.as_ref().map(|(_, n)| *n).unwrap_or(0);
-                self.emit(WindowKey::new(node, 0, 0), ScopeEvent::MalformedFrame);
+                self.malformed += 1;
                 Ok(RecvEvent::Malformed(src))
             }
         }
@@ -407,17 +359,16 @@ mod tests {
         a.send_window(b.local_addr().unwrap(), &w).unwrap();
         // `b` receives it and acknowledges with an explicit frame.
         let (got, src) = b.recv_window().unwrap().expect("window arrives");
-        b.send_ack(
-            src,
-            AckRepr {
-                nack: false,
-                kernel: got.kernel.0,
-                seq: got.seq,
-                sender: got.sender.0,
-                from: 2,
-            },
-        )
-        .unwrap();
+        let mut ack = Vec::new();
+        AckRepr {
+            nack: false,
+            kernel: got.kernel.0,
+            seq: got.seq,
+            sender: got.sender.0,
+            from: 2,
+        }
+        .emit_into(&mut ack);
+        b.send_raw(src, &ack).unwrap();
         // recv_window skips ACK frames; poll_event surfaces them.
         a.set_timeout(Some(Duration::from_millis(100))).unwrap();
         match a.poll_event().unwrap() {

@@ -7,7 +7,9 @@
 //! a single event queue with nanosecond timestamps. Determinism is a
 //! design goal (no wall-clock, no global RNG): the same inputs produce
 //! the same packet trace, which the differential tests and benchmarks
-//! rely on.
+//! rely on. The same network also runs over real UDP sockets on the
+//! wall clock ([`NetworkBuilder::bind_udp`]): only the link substrate
+//! differs, the host, switch and link-model code is shared.
 //!
 //! * [`event`] — the time-ordered event queue;
 //! * [`link`] — store-and-forward links: serialization delay from
@@ -18,7 +20,8 @@
 //!   one engine behind NCP-aware forwarding (Fig. 3b: *"A switch
 //!   executes a kernel only when the NCP protocol has been recognized"*
 //!   — everything else is forwarded untouched);
-//! * [`sim`] — topology building, BFS routing, and the run loop.
+//! * [`sim`] — topology building, BFS routing, the run loop, and the
+//!   UDP socket substrate.
 //!
 //! Packets carry an explicit `(src, dst)` node pair modelling the
 //! underlying IP encapsulation; NCP bytes are the payload. Switch

@@ -44,9 +44,10 @@ pub enum CtrlOp {
 }
 
 /// Context handed to host applications: send packets, arm timers, read
-/// the clock. Sends are routed by the simulator's shortest-path tables.
+/// the clock. Sends are routed by the network's shortest-path tables,
+/// on simulated links or over UDP sockets alike.
 pub struct HostCtx<'a> {
-    /// Current simulated time.
+    /// Current time: simulated, or wall-clock over UDP sockets.
     pub now: Time,
     /// This host's id.
     pub host: HostId,

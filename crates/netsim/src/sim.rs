@@ -6,6 +6,13 @@
 //! code (pass / reflect / bcast / drop / labelled pass), and control
 //! operations go to [`crate::FastDatapath::ctrl`]. Nothing here depends
 //! on which engine that is.
+//!
+//! One network, two substrates: [`NetworkBuilder::build`] runs the links
+//! on simulated time, [`NetworkBuilder::bind_udp`] over real UDP sockets.
+//! Everything above the link is shared; only `route_out` and
+//! [`Network::run_until`] look at the substrate. A datagram starts with
+//! a 4-byte header, the src and dst wire ids (big-endian), standing in
+//! for the IPv4 header that loopback ports cannot carry.
 
 use crate::event::{EventQueue, Time};
 use crate::link::{LinkDir, LinkSpec};
@@ -14,11 +21,14 @@ use crate::node::{
     FWD_LATENCY, PIPELINE_LATENCY,
 };
 use c3::{HostId, NodeId, SwitchId};
-use ncp::NcpPacket;
+use ncp::{NcpPacket, UdpEndpoint};
 use nctel::hop::{section_append, section_valid, HopRecord, HOP_FORWARDED_ONLY};
 use nctel::{Counter, Registry, Scope, ScopeEvent};
 use std::collections::{HashMap, VecDeque};
+use std::io;
+use std::net::{IpAddr, SocketAddr};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A packet in flight: explicit src/dst (the IP encapsulation) plus the
 /// payload bytes (NCP or anything else).
@@ -45,7 +55,8 @@ enum NodeKind {
 }
 
 /// Builds a topology, then [`NetworkBuilder::build`]s the runnable
-/// [`Network`].
+/// [`Network`] on simulated links, or [`NetworkBuilder::bind_udp`]s it
+/// to real sockets.
 #[derive(Default)]
 pub struct NetworkBuilder {
     nodes: Vec<NodeKind>,
@@ -162,7 +173,106 @@ impl NetworkBuilder {
             registry,
             counters,
             scope: self.scope,
+            udp: None,
         }
+    }
+
+    /// Like [`NetworkBuilder::build`], but over real UDP: every node gets
+    /// a non-blocking [`UdpEndpoint`] on an ephemeral port of `ip`, and
+    /// [`Network::run_until`] runs on the wall clock. Datagrams that
+    /// arrive shorter than the 4-byte header, or naming a node the
+    /// fabric lacks, are dropped, counted in `sim.udp_malformed` and
+    /// reported to the scope as `MalformedFrame`.
+    pub fn bind_udp(self, ip: IpAddr) -> io::Result<Network> {
+        let bind = |_| {
+            let ep = UdpEndpoint::bind((ip, 0))?;
+            ep.set_nonblocking(true)?;
+            Ok(ep)
+        };
+        let endpoints: Vec<_> = self.nodes.iter().map(bind).collect::<io::Result<_>>()?;
+        let addrs = endpoints.iter().map(UdpEndpoint::local_addr);
+        let addrs = addrs.collect::<io::Result<_>>()?;
+        let wires = self.nodes.iter().map(|n| node_id(n).to_wire()).collect();
+        let mut net = self.build();
+        net.udp = Some(UdpFabric {
+            endpoints,
+            addrs,
+            wires,
+            in_flight: 0,
+            malformed: net.registry.counter("sim.udp_malformed"),
+            scope: net.scope.clone(),
+        });
+        Ok(net)
+    }
+}
+
+/// The real-socket substrate: one endpoint per node, indexed like the
+/// network's nodes.
+struct UdpFabric {
+    endpoints: Vec<UdpEndpoint>,
+    addrs: Vec<SocketAddr>,
+    /// Each node's wire id, to check a received header against.
+    wires: Vec<u16>,
+    /// Datagrams sent and not yet received.
+    in_flight: u64,
+    /// Received datagrams dropped for a short or unknown header.
+    malformed: Counter,
+    scope: Option<Scope>,
+}
+
+/// Length of the src/dst header every datagram of a [`UdpFabric`]
+/// starts with.
+const UDP_HEADER: usize = 4;
+
+impl UdpFabric {
+    /// Wall-clock nanoseconds since the sockets were bound.
+    fn now(&self) -> Time {
+        self.endpoints.first().map_or(0, UdpEndpoint::now)
+    }
+
+    /// Sends `pkt` from node `from` to node `to`'s socket, `copies` times.
+    fn send(&mut self, from: usize, to: usize, pkt: &Packet, copies: usize) {
+        let [src, dst] = [pkt.src, pkt.dst].map(|n| n.to_wire().to_be_bytes());
+        let datagram = [&src[..], &dst, &pkt.payload].concat();
+        for _ in 0..copies {
+            if self.endpoints[from]
+                .send_raw(self.addrs[to], &datagram)
+                .is_ok()
+            {
+                self.in_flight += 1;
+            }
+        }
+    }
+
+    /// The next datagram waiting at any node's socket, as an arrival:
+    /// `(node, packet)`. Malformed datagrams are counted and skipped.
+    fn recv(&mut self) -> Option<(usize, Packet)> {
+        for node in 0..self.endpoints.len() {
+            while let Ok(Some((mut bytes, _))) = self.endpoints[node].recv_raw() {
+                let ids = bytes
+                    .get(..UDP_HEADER)
+                    .map(|h| [[h[0], h[1]], [h[2], h[3]]].map(u16::from_be_bytes));
+                let known = |ids: &[u16; 2]| ids.iter().all(|w| self.wires.contains(w));
+                let Some([src, dst]) = ids.filter(known) else {
+                    self.malformed.inc();
+                    if let Some(scope) = &self.scope {
+                        let at = self.wires[node];
+                        let key = nctel::WindowKey::new(at, 0, 0);
+                        scope.emit(self.now(), at, key, ScopeEvent::MalformedFrame);
+                    }
+                    continue;
+                };
+                self.in_flight = self.in_flight.saturating_sub(1);
+                bytes.drain(..UDP_HEADER);
+                let pkt = Packet {
+                    src: NodeId::from_wire(src),
+                    dst: NodeId::from_wire(dst),
+                    payload: bytes,
+                };
+                return Some((node, pkt));
+            }
+        }
+        None
     }
 }
 
@@ -236,7 +346,8 @@ enum Event {
     Ctrl { switch: SwitchId, op: CtrlOp },
 }
 
-/// The runnable network simulation.
+/// The runnable network: simulated links, or real UDP sockets (see the
+/// module docs).
 pub struct Network {
     nodes: Vec<NodeKind>,
     links: Vec<RuntimeLink>,
@@ -249,10 +360,13 @@ pub struct Network {
     registry: Arc<Registry>,
     counters: SimCounters,
     scope: Option<Scope>,
+    /// The socket substrate; `None` runs on simulated links.
+    udp: Option<UdpFabric>,
 }
 
 impl Network {
-    /// Current simulated time.
+    /// Current time: simulated, or wall-clock since the sockets were
+    /// bound.
     pub fn now(&self) -> Time {
         self.now
     }
@@ -301,10 +415,19 @@ impl Network {
 
     /// Runs until the event queue drains or `deadline` passes. Returns
     /// the final time.
+    ///
+    /// Over UDP the deadline and every timer are wall-clock time since
+    /// the sockets were bound: each step delivers a datagram waiting at
+    /// any socket or, when none waits, fires a due event. The run ends
+    /// once no event is pending and every datagram sent has arrived (or
+    /// was dropped by the link model), or at the deadline.
     pub fn run_until(&mut self, deadline: Time) -> Time {
         if !self.started {
             self.started = true;
             self.queue.push(0, Event::Start);
+        }
+        if self.udp.is_some() {
+            return self.run_udp(deadline);
         }
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
@@ -312,6 +435,38 @@ impl Network {
             }
             let (t, ev) = self.queue.pop().expect("peeked");
             self.now = t;
+            self.counters.events.inc();
+            self.dispatch(ev);
+        }
+        self.now
+    }
+
+    /// [`Network::run_until`] over real sockets.
+    fn run_udp(&mut self, deadline: Time) -> Time {
+        while let Some(udp) = &mut self.udp {
+            let now = udp.now();
+            if now > deadline {
+                break;
+            }
+            let ev = match udp.recv() {
+                Some((node, pkt)) => Event::Arrive { node, pkt },
+                None if self.queue.peek_time().is_some_and(|t| t <= now) => {
+                    self.queue.pop().expect("peeked").1
+                }
+                None if self.queue.is_empty() && udp.in_flight == 0 => break,
+                None => {
+                    // Idle: spin while datagrams are in flight, else sleep
+                    // until the next event.
+                    if udp.in_flight > 0 {
+                        std::thread::yield_now();
+                    } else if let Some(t) = self.queue.peek_time() {
+                        let wake = t.min(deadline).saturating_sub(now);
+                        std::thread::sleep(Duration::from_nanos(wake));
+                    }
+                    continue;
+                }
+            };
+            self.now = now.max(self.now);
             self.counters.events.inc();
             self.dispatch(ev);
         }
@@ -427,6 +582,13 @@ impl Network {
             }
             return;
         };
+        if let Some(udp) = &mut self.udp {
+            if outcome.dup.is_some() {
+                self.counters.link_dups.inc();
+            }
+            udp.send(node, peer, &pkt, 1 + usize::from(outcome.dup.is_some()));
+            return;
+        }
         if let Some(dup) = outcome.dup {
             self.counters.link_dups.inc();
             self.queue.push(
@@ -789,6 +951,13 @@ impl Network {
             .unwrap_or(0)
     }
 
+    /// The UDP socket address of `node`, when the network runs over real
+    /// sockets ([`NetworkBuilder::bind_udp`]).
+    pub fn udp_addr(&self, node: NodeId) -> Option<SocketAddr> {
+        let idx = self.nodes.iter().position(|n| node_id(n) == node)?;
+        Some(self.udp.as_ref()?.addrs[idx])
+    }
+
     /// Total bytes carried over a node's links, per direction, summed.
     pub fn node_ingress_bytes(&self, id: NodeId) -> u64 {
         let idx = self
@@ -867,26 +1036,35 @@ mod tests {
         }
     }
 
+    /// The same hosts and switch on simulated links and over real
+    /// sockets: the same deliveries and counters.
     #[test]
     fn ping_through_a_switch() {
-        let mut b = NetworkBuilder::new();
-        let h1 = b.add_host(Box::new(Pinger {
-            dst: NodeId::Host(HostId(2)),
-            replies: 0,
-        }));
-        let h2 = b.add_host(Box::new(Echo { seen: vec![] }));
-        let s1 = b.add_switch(SwitchCfg::default());
-        b.link(h1, s1, LinkSpec::default());
-        b.link(h2, s1, LinkSpec::default());
-        let mut net = b.build();
-        net.run();
-        let echo = net.host_app::<Echo>(h2).unwrap();
-        assert_eq!(echo.seen, vec![b"ping".to_vec()]);
-        let pinger = net.host_app::<Pinger>(h1).unwrap();
-        assert_eq!(pinger.replies, 1);
-        assert_eq!(net.stats().delivered, 2);
-        let st = net.switch_stats(s1).unwrap();
-        assert_eq!(st.forwarded, 2);
+        for udp in [false, true] {
+            let mut b = NetworkBuilder::new();
+            let h1 = b.add_host(Box::new(Pinger {
+                dst: NodeId::Host(HostId(2)),
+                replies: 0,
+            }));
+            let h2 = b.add_host(Box::new(Echo { seen: vec![] }));
+            let s1 = b.add_switch(SwitchCfg::default());
+            b.link(h1, s1, LinkSpec::default());
+            b.link(h2, s1, LinkSpec::default());
+            let mut net = if udp {
+                b.bind_udp([127, 0, 0, 1].into()).unwrap()
+            } else {
+                b.build()
+            };
+            assert_eq!(net.udp_addr(NodeId::Switch(s1)).is_some(), udp);
+            net.run_until(5 * crate::event::SECONDS);
+            let echo = net.host_app::<Echo>(h2).unwrap();
+            assert_eq!(echo.seen, vec![b"ping".to_vec()]);
+            let pinger = net.host_app::<Pinger>(h1).unwrap();
+            assert_eq!(pinger.replies, 1);
+            assert_eq!(net.stats().delivered, 2);
+            let st = net.switch_stats(s1).unwrap();
+            assert_eq!(st.forwarded, 2);
+        }
     }
 
     #[test]
@@ -987,6 +1165,43 @@ mod tests {
             (end, net.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// A datagram shorter than the header, or naming a node the fabric
+    /// lacks, is dropped and counted; the run goes on.
+    #[test]
+    fn malformed_datagrams_are_counted_not_delivered() {
+        let mut b = NetworkBuilder::new();
+        let h1 = b.add_host(Box::new(Echo { seen: vec![] }));
+        let s1 = b.add_switch(SwitchCfg::default());
+        b.link(h1, s1, LinkSpec::default());
+        let scope = Scope::new(64);
+        b.with_scope(&scope);
+        let mut net = b.bind_udp([127, 0, 0, 1].into()).unwrap();
+        let outside = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let to = net.udp_addr(NodeId::Switch(s1)).unwrap();
+        outside.send_to(&[0xde, 0xad], to).unwrap();
+        outside
+            .send_to(&[0x00, 0x01, 0x00, 0x63, 0xff], to)
+            .unwrap();
+        // Header checked, not payload: host 1 to host 1 is delivered.
+        let h1_addr = net.udp_addr(NodeId::Host(h1)).unwrap();
+        outside
+            .send_to(&[0x00, 0x01, 0x00, 0x01, 0xff], h1_addr)
+            .unwrap();
+        let started = std::time::Instant::now();
+        let malformed = |net: &Network| net.metrics().counter_value("sim.udp_malformed");
+        while (malformed(&net) != Some(2) || net.stats().delivered == 0)
+            && started.elapsed().as_secs() < 5
+        {
+            net.run();
+        }
+        assert_eq!(malformed(&net), Some(2));
+        assert_eq!(net.host_app::<Echo>(h1).unwrap().seen[0], vec![0xff]);
+        let at_s1 = |e: &nctel::scope::DecodedEvent| {
+            e.event == ScopeEvent::MalformedFrame && e.node == NodeId::Switch(s1).to_wire()
+        };
+        assert_eq!(scope.decoded().iter().filter(|e| at_s1(e)).count(), 2);
     }
 
     #[test]

@@ -225,7 +225,7 @@ pub struct ExecStats {
     /// Parse errors (packet dropped before the pipeline).
     pub parse_errors: u64,
     /// Flat per-table hit counters in `(stage, table)` order; resolve
-    /// names through [`Pipeline::table_hits`].
+    /// names through [`Pipeline::table_hits_for`].
     pub hit_counts: Vec<u64>,
 }
 
@@ -509,14 +509,6 @@ impl Pipeline {
             .filter(|(n, _)| n.as_str() == name)
             .map(|(_, &c)| c)
             .sum()
-    }
-
-    /// All `(table name, hits)` pairs.
-    pub fn table_hits(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.table_names
-            .iter()
-            .map(|n| n.as_str())
-            .zip(self.stats.hit_counts.iter().copied())
     }
 }
 

@@ -1,6 +1,7 @@
 //! The Fig. 4 AllReduce on a one-switch star — the one scenario the
 //! NCP-R, telemetry and ncscope system tests (and the E10–E12 gates
-//! among them) all run, with every knob they turn.
+//! among them) all run, with every knob they turn, on simulated links
+//! or over real UDP sockets.
 
 // Each test target includes this module via `#[path]` and uses only
 // the helpers its own scenarios need.
@@ -8,7 +9,7 @@
 
 use ncl::core::apps::allreduce_source;
 use ncl::core::control::ControlPlane;
-use ncl::core::deploy::{deploy_opts, DeployOptions, Deployment};
+use ncl::core::deploy::{deploy_opts, deploy_udp, DeployOptions, Deployment};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram, ReplayFilter};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
@@ -36,6 +37,11 @@ pub struct ArScenario {
     pub scope: Option<Scope>,
     /// Chip profile the program is compiled for and deployed on.
     pub model: ResourceModel,
+    /// Deploy over real loopback UDP sockets (`deploy_udp`) instead of
+    /// simulated links; the link model's loss and duplication still
+    /// apply, and NCP-R timers run on the wall clock. Such a deployment
+    /// is run with [`deploy_allreduce`] and a wall-clock deadline.
+    pub udp: bool,
 }
 
 impl Default for ArScenario {
@@ -50,12 +56,20 @@ impl Default for ArScenario {
             sampling: 0.0,
             scope: None,
             model: ResourceModel::default(),
+            udp: false,
         }
     }
 }
 
 /// Compiles, deploys and runs one scenario to quiescence.
 pub fn run_allreduce(sc: ArScenario) -> (CompiledProgram, Deployment) {
+    let (program, mut dep) = deploy_allreduce(sc);
+    dep.net.run();
+    (program, dep)
+}
+
+/// Compiles and deploys one scenario, `nworkers` written; nothing run.
+pub fn deploy_allreduce(sc: ArScenario) -> (CompiledProgram, Deployment) {
     let slots = sc.data_len / sc.win;
     let src = allreduce_source(sc.data_len, sc.win);
     let and = format!("hosts worker {}\nswitch s1\nlink worker* s1\n", sc.n);
@@ -115,7 +129,8 @@ pub fn run_allreduce(sc: ArScenario) -> (CompiledProgram, Deployment) {
         model: sc.model,
         ..DeployOptions::default()
     };
-    let mut dep = deploy_opts(&program, apps, opts).expect("deploys");
+    let deploy = if sc.udp { deploy_udp } else { deploy_opts };
+    let mut dep = deploy(&program, apps, opts).expect("deploys");
     let cp = ControlPlane::new(program.switch("s1").unwrap());
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
@@ -123,7 +138,6 @@ pub fn run_allreduce(sc: ArScenario) -> (CompiledProgram, Deployment) {
         "nworkers",
         Value::u32(sc.n as u32),
     );
-    dep.net.run();
     (program, dep)
 }
 

@@ -15,15 +15,19 @@ use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
 use ncl::ncp::reliable::ReliableConfig;
 use ncl::nctel::Scope;
+use ncl::netsim::event::{MILLIS, SECONDS};
 use ncl::netsim::{HostApp, LinkSpec};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::net::UdpSocket;
 
 #[path = "common/allreduce.rs"]
 mod allreduce;
 #[path = "common/corpus.rs"]
 mod corpus;
-use allreduce::{abandoned, completion, retransmits, run_allreduce, take_traces, ArScenario};
+use allreduce::{
+    abandoned, completion, deploy_allreduce, retransmits, run_allreduce, take_traces, ArScenario,
+};
 
 #[test]
 fn lost_contributions_stall_but_never_corrupt() {
@@ -248,6 +252,60 @@ fn reliable_allreduce_completes_bit_identical_under_loss() {
         lossy_dups > 0,
         "the replay filter must suppress duplicates (retransmits: {lossy_rtx})"
     );
+}
+
+/// The E10 AllReduce over real loopback sockets (`deploy_udp`): 32
+/// windows per worker under 2% loss on every link, telemetry on every
+/// window, and a datagram too short for the src/dst header sent to the
+/// switch's socket mid-run. NCP-R timers run on the wall clock, so the
+/// RTO is sized for it. Exactly-once holds over sockets: every worker
+/// completes with the exact sums, loss forced retransmits and nothing
+/// was abandoned, every delivered window carries the hop record s1
+/// stamped, and the garbage is dropped and counted once.
+#[test]
+fn reliable_allreduce_is_exact_over_lossy_udp_sockets() {
+    let (n, data_len) = (4, 256);
+    let (program, mut dep) = deploy_allreduce(ArScenario {
+        n,
+        data_len,
+        reliable: Some(ReliableConfig {
+            rto: 20 * MILLIS,
+            max_rto: 200 * MILLIS,
+            ..ReliableConfig::default()
+        }),
+        link: LinkSpec {
+            loss: 0.02,
+            ..LinkSpec::default()
+        },
+        sampling: 1.0,
+        udp: true,
+        ..ArScenario::default()
+    });
+    dep.net.run_until(2 * MILLIS);
+    let s1 = dep.net.udp_addr(dep.node("s1")).unwrap();
+    let outside = UdpSocket::bind("127.0.0.1:0").unwrap();
+    outside.send_to(&[0xde, 0xad], s1).unwrap();
+    dep.net.run_until(30 * SECONDS);
+
+    let malformed = dep.net.metrics().counter_value("sim.udp_malformed");
+    assert_eq!(malformed, Some(1));
+    completion(&dep, n);
+    let kid = program.kernel_ids["allreduce"];
+    for w in 1..=n as u16 {
+        let mem = dep.net.host_app::<NclHost>(HostId(w)).unwrap().memory(kid);
+        let arr = &mem.unwrap().arrays[0];
+        for i in 0..data_len {
+            assert_eq!(arr.get(i), Value::i32(10), "worker {w} element {i}");
+        }
+    }
+    assert!(retransmits(&dep, n) > 0, "2% loss must force retransmits");
+    assert_eq!(abandoned(&dep, n), 0);
+    let s1 = dep.node("s1").to_wire();
+    let traces = take_traces(&mut dep, n);
+    assert!(!traces.is_empty());
+    assert!(traces
+        .iter()
+        .all(|t| t.hops.iter().map(|h| h.switch).eq([s1])));
 }
 
 /// The transport tuned to the E10 topology: RTO a few× the loaded RTT
