@@ -448,8 +448,9 @@ pub struct KvsServer {
     pub served: u64,
     /// Cache evictions performed.
     pub evictions: u64,
-    /// Pending cache-update windows `(fire time token → window, dst)`.
-    pending_updates: HashMap<u64, (Window, NodeId)>,
+    /// Pending cache fills `(timer token → key, dst)`: their update
+    /// window is built from `store` when the timer fires.
+    pending_updates: HashMap<u64, (u64, NodeId)>,
     next_token: u64,
 }
 
@@ -508,7 +509,10 @@ impl KvsServer {
 
     /// Queues the switch-cache fill for `key`: Idx insert now (control
     /// plane), the update window after the control-plane delay so the
-    /// map entry exists when the window lands. When the cache is full,
+    /// map entry exists when the window lands. Until that window is
+    /// sent, a PUT of `key` is not written through: it would reach the
+    /// switch before the `Idx` entry, and the kernel's server-update
+    /// branch would write another slot. When the cache is full,
     /// the coldest cached key is evicted first (paper §4.3: "for a
     /// cache eviction, the storage server just removes an item from the
     /// Idx map").
@@ -538,6 +542,11 @@ impl KvsServer {
             }
             let slot = self.cached.remove(&victim).expect("victim cached");
             self.evictions += 1;
+            // A victim still mid-fill never gets its update window: once
+            // `Idx` forgets it, the kernel's server-update branch would
+            // miss the lookup and write another slot.
+            self.pending_updates
+                .retain(|_, &mut (key, _)| key != victim);
             // The slot's Valid bit still vouches for the victim's value:
             // clear it before `Idx` points the new key at the slot, or a
             // GET landing before the update window reads the old value.
@@ -557,15 +566,20 @@ impl KvsServer {
         for op in cp.map_insert_ops("Idx", key, Value::new(ScalarType::U8, slot as u64)) {
             ctx.ctrl(switch, op);
         }
-        // The update window (update=1, from=SERVER) writes Cache+Valid
-        // in the data plane and is dropped by the kernel.
-        let val = self.store.get(&key).cloned().unwrap_or_default();
-        let mut w = self.response_window(ctx.host, u32::MAX, key, &val);
-        w.chunks[2].data[0] = 1; // update = true
         let token = self.next_token;
         self.next_token += 1;
-        self.pending_updates.insert(token, (w, client));
+        self.pending_updates.insert(token, (key, client));
         ctx.set_timer(120_000, token); // > 2× the 50 µs controller RTT
+    }
+
+    /// The update window (update=1, from=SERVER) carrying the stored
+    /// value of `key`: it writes Cache+Valid in the data plane and is
+    /// dropped by the kernel.
+    fn update_window(&self, host: HostId, key: u64) -> Vec<u8> {
+        let val = self.store.get(&key).cloned().unwrap_or_default();
+        let mut w = self.response_window(host, u32::MAX, key, &val);
+        w.chunks[2].data[0] = 1; // update = true
+        encode_window(&w, 0)
     }
 }
 
@@ -589,11 +603,11 @@ impl HostApp for KvsServer {
             // PUT ack to the client.
             let ack = self.response_window(ctx.host, w.seq, key, &val);
             ctx.send(client, encode_window(&ack, 0));
-            // Write-through to an existing cache entry.
-            if self.cached.contains_key(&key) {
-                let mut upd = self.response_window(ctx.host, u32::MAX, key, &val);
-                upd.chunks[2].data[0] = 1;
-                ctx.send(client, encode_window(&upd, 0));
+            // Write-through to an existing cache entry; a pending fill
+            // carries the new value itself.
+            let filling = self.pending_updates.values().any(|&(k, _)| k == key);
+            if self.cached.contains_key(&key) && !filling {
+                ctx.send(client, self.update_window(ctx.host, key));
             }
         } else {
             let val = self
@@ -613,8 +627,8 @@ impl HostApp for KvsServer {
     }
 
     fn on_timer(&mut self, ctx: &mut HostCtx, token: u64) {
-        if let Some((w, dst)) = self.pending_updates.remove(&token) {
-            ctx.send(dst, encode_window(&w, 0));
+        if let Some((key, dst)) = self.pending_updates.remove(&token) {
+            ctx.send(dst, self.update_window(ctx.host, key));
         }
     }
 

@@ -170,8 +170,9 @@ impl FastPathSwitch {
     }
 
     /// Processes one payload: decode (buffer-reusing), execute the
-    /// cached compiled kernel, re-encode, and append the bytes that
-    /// trail the window unchanged, as the PISA engine's verdict does.
+    /// cached compiled kernel, re-encode with the incoming flags byte,
+    /// and append the bytes that trail the window unchanged, as the
+    /// PISA engine's verdict does.
     /// `None` for non-NCP traffic, fragments (switches compute only on
     /// single-packet windows, paper §6), unknown kernels, and execution
     /// errors — the switch then plainly forwards the original packet.
@@ -207,6 +208,7 @@ impl FastPathSwitch {
         let mut out = Vec::new();
         if fwd_code != 3 {
             encode_window_into(&self.win, self.ext_total, &mut out);
+            NcpPacket::new_unchecked(&mut out[..]).set_flags(flags);
             out.extend_from_slice(payload.get(total..).unwrap_or_default());
         }
         Some(FastVerdict {

@@ -457,9 +457,10 @@ impl NclHost {
     /// Enables NCP-R on this host. Launched windows are tracked by the
     /// reliable sender (AIMD in-flight window, RTO retransmission with
     /// exponential backoff); arriving windows are deduplicated at the
-    /// host edge and acknowledged with `FLAG_ACK` frames; any response
-    /// window keyed `(kernel, seq)` also retires the matching in-flight
-    /// window (ack-by-response). Completion additionally requires every
+    /// host edge. The host sends no `FLAG_ACK` frames: a response
+    /// window keyed `(kernel, seq)` retires the matching in-flight
+    /// window (ack-by-response), and ACK/NACK frames other
+    /// applications send are parsed and retire or retransmit it too. Completion additionally requires every
     /// tracked window to be retired, so [`NclHost::done_at`] means
     /// "delivered exactly once" — without a [`NclHost::done_when`]
     /// predicate, that retirement alone completes the host.
@@ -647,7 +648,7 @@ impl NclHost {
     /// The `(kernel, seq)` keys of every window currently in flight on
     /// the NCP-R sender, sorted. Empty when reliability is disabled.
     /// This is the drain-set snapshot a hitless upgrade routes to the
-    /// old kernel version (`ncsched::Upgrade::begin_drain`).
+    /// old kernel version (the drain set of `ncsched::Upgrade`).
     pub fn in_flight_keys(&self) -> Vec<(u16, u32)> {
         self.reliable
             .as_ref()

@@ -598,9 +598,13 @@ impl MultiDeployment {
                 tenant: tenant.to_string(),
             });
         }
-        let (mut upgrade, _plan) = self
+        let (upgrade, _plan) = self
             .controller
-            .begin_upgrade(tenant, &switch_estimates(new_program))
+            .begin_upgrade(
+                tenant,
+                &switch_estimates(new_program),
+                drain.iter().copied(),
+            )
             .map_err(|source| MultiDeployError::Admission {
                 tenant: tenant.to_string(),
                 source,
@@ -617,7 +621,7 @@ impl MultiDeployment {
                 source,
             });
         }
-        let drain_set: BTreeSet<(u16, u32)> = drain.iter().copied().collect();
+        let drain_set: BTreeSet<(u16, u32)> = drain.into_iter().collect();
         let switch_labels = self.tenants[ti].switches.clone();
         let model = *self.controller.model();
         for label in &switch_labels {
@@ -643,8 +647,6 @@ impl MultiDeployment {
                 }
             }
         }
-        upgrade.mark_installed();
-        upgrade.begin_drain(drain_set);
         Ok(upgrade)
     }
 

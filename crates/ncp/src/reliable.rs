@@ -241,7 +241,7 @@ impl Sender {
     /// sorted. This is the drain-set snapshot a hitless upgrade takes
     /// at switchover: windows listed here keep executing on the old
     /// kernel version until acked, everything else routes to the new
-    /// one (ncsched's `Upgrade::begin_drain`).
+    /// one (the drain set of ncsched's `Upgrade`).
     pub fn in_flight_keys(&self) -> Vec<(u16, u32)> {
         let mut keys: Vec<(u16, u32)> = self.flight.keys().map(|k| (k.kernel, k.seq)).collect();
         keys.sort_unstable();

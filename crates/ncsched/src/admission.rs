@@ -451,11 +451,13 @@ impl AdmissionController {
     /// Start a hitless upgrade: admission-check the new version with the
     /// old one **still resident** (both run side by side while the old
     /// drains), commit the dual reservation, and hand back the
-    /// [`Upgrade`] ticket plus the new version's plan.
+    /// [`Upgrade`] ticket owing the old version the `(kernel, seq)`
+    /// windows of `drain`, plus the new version's plan.
     pub fn begin_upgrade(
         &mut self,
         tenant: &str,
         estimates: &BTreeMap<String, ModuleEstimate>,
+        drain: impl IntoIterator<Item = (u16, u32)>,
     ) -> Result<(Upgrade, PlacementPlan), AdmissionError> {
         let entry = self
             .tenants
@@ -475,7 +477,8 @@ impl AdmissionController {
             .check(&spec, new_version, estimates)
             .map_err(AdmissionError::Rejected)?;
         self.tenants.get_mut(tenant).expect("checked above").pending = Some(plan.clone());
-        Ok((Upgrade::new(tenant, old_version, new_version), plan))
+        let upgrade = Upgrade::new(tenant, old_version, new_version, drain);
+        Ok((upgrade, plan))
     }
 
     /// Reclaim the old version once the upgrade has fully drained: the
@@ -904,8 +907,9 @@ mod tests {
             .unwrap();
         assert_eq!(ac.usage("s1").sram_bytes, 1000);
 
+        let v2 = one_switch("s1", est(&[("v2k", 3, 1200, 8, 4)]));
         let (mut up, plan) = ac
-            .begin_upgrade("team-a", &one_switch("s1", est(&[("v2k", 3, 1200, 8, 4)])))
+            .begin_upgrade("team-a", &v2, [(1, 42)])
             .expect("dual residency fits");
         assert_eq!(up.old_version, 1);
         assert_eq!(up.new_version, 2);
@@ -914,8 +918,6 @@ mod tests {
         assert_eq!(ac.usage("s1").sram_bytes, 2200);
 
         // Can't finish before the drain set empties.
-        up.mark_installed();
-        up.begin_drain([(1, 42)]);
         assert!(matches!(
             ac.finish_upgrade(&up),
             Err(AdmissionError::UpgradeNotDrained { remaining: 1, .. })
@@ -944,7 +946,7 @@ mod tests {
         .unwrap();
         // 8 committed of 12; a same-size v2 (8 stages) cannot co-reside.
         let err = ac
-            .begin_upgrade("t", &one_switch("s1", est(&[("k", 7, 64, 8, 4)])))
+            .begin_upgrade("t", &one_switch("s1", est(&[("k", 7, 64, 8, 4)])), [])
             .unwrap_err();
         let report = err.cost_report().unwrap();
         assert_eq!(report.budget, BudgetKind::FabricCapacity);
@@ -963,7 +965,7 @@ mod tests {
             &one_switch("s1", est(&[("k", 2, 100, 8, 4)])),
         )
         .unwrap();
-        ac.begin_upgrade("t", &one_switch("s1", est(&[("k", 2, 100, 8, 4)])))
+        ac.begin_upgrade("t", &one_switch("s1", est(&[("k", 2, 100, 8, 4)])), [])
             .unwrap();
         assert_eq!(ac.usage("s1").sram_bytes, 200);
         ac.abort_upgrade("t").unwrap();

@@ -52,4 +52,4 @@ pub use admission::{
     ResourceKind, SwitchPlacement, SwitchUsage,
 };
 pub use tenant::{TenantQuota, TenantSpec};
-pub use upgrade::{Upgrade, UpgradeState};
+pub use upgrade::Upgrade;

@@ -1,60 +1,22 @@
-//! The hitless-upgrade state machine.
+//! The hitless-upgrade ticket.
 //!
 //! Upgrading a tenant's kernel must not drop or mis-version a single
 //! window (NetRPC's "services must be upgradable without breaking
 //! in-flight traffic", PAPERS.md). The engine therefore never swaps a
-//! kernel in place. It walks four states:
+//! kernel in place: both versions are resident while the old one drains.
+//! The windows named in the drain set — the NCP-R sender's in-flight
+//! `(kernel, seq)` keys at switchover — keep executing on the old
+//! version so retransmissions stay bit-identical with the original
+//! execution; every other window goes to the new one.
 //!
-//! ```text
-//! Installing ──installed──▶ DualRunning ──begin_drain──▶ Draining
-//!                                │ (drain set empty)         │ (last ack)
-//!                                └────────────▶ Completed ◀──┘
-//! ```
-//!
-//! * **Installing** — the new version's resources are reserved (the
-//!   admission controller re-checked fabric capacity with the old
-//!   version still resident) but the datapath is not yet live.
-//! * **DualRunning** — both versions execute side by side. The deploy
-//!   layer routes *new* windows to the new version; windows named in the
-//!   drain set (snapshotted from the NCP-R sender's in-flight seq/ack
-//!   state) keep hitting the old version so retransmissions stay
-//!   bit-identical with the original execution.
-//! * **Draining** — no new traffic reaches the old version; each ack of
-//!   a drain-set window shrinks the set.
-//! * **Completed** — the drain set is empty; the old version's
-//!   resources may be reclaimed
-//!   ([`finish_upgrade`](crate::AdmissionController::finish_upgrade)).
-//!
-//! The struct is pure bookkeeping — the deploy/mux layer consults
-//! [`Upgrade::routes_old`] per window and reports acks via
-//! [`Upgrade::acked`]; nothing here touches the network.
+//! The ticket is pure bookkeeping: the deploy layer reports delivery
+//! acks via [`Upgrade::acked`], and once the drain set is empty the old
+//! version's resources may be reclaimed
+//! ([`finish_upgrade`](crate::AdmissionController::finish_upgrade)).
+//! The tenant mux routes from its own copy of the drain set; nothing
+//! here touches the network.
 
 use std::collections::BTreeSet;
-use std::fmt;
-
-/// Where an in-progress upgrade stands.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum UpgradeState {
-    /// New version reserved, not yet executing.
-    Installing,
-    /// Both versions live; new windows go to the new version.
-    DualRunning,
-    /// Old version only serves its shrinking drain set.
-    Draining,
-    /// Drain set empty; old version reclaimable.
-    Completed,
-}
-
-impl fmt::Display for UpgradeState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            UpgradeState::Installing => "installing",
-            UpgradeState::DualRunning => "dual-running",
-            UpgradeState::Draining => "draining",
-            UpgradeState::Completed => "completed",
-        })
-    }
-}
 
 /// One tenant's in-progress hitless upgrade (a *ticket* handed out by
 /// [`AdmissionController::begin_upgrade`](crate::AdmissionController::begin_upgrade)).
@@ -65,23 +27,24 @@ pub struct Upgrade {
     pub old_version: u16,
     /// Version new windows are routed to.
     pub new_version: u16,
-    state: UpgradeState,
     /// `(kernel id, window seq)` pairs that must complete on the old
     /// version — the NCP-R in-flight set at switchover time.
     drain: BTreeSet<(u16, u32)>,
-    drained: u64,
 }
 
 impl Upgrade {
-    /// A fresh ticket in [`UpgradeState::Installing`].
-    pub fn new(tenant: &str, old_version: u16, new_version: u16) -> Self {
+    /// A ticket owing the old version the windows of `drain`.
+    pub(crate) fn new(
+        tenant: &str,
+        old_version: u16,
+        new_version: u16,
+        drain: impl IntoIterator<Item = (u16, u32)>,
+    ) -> Self {
         Upgrade {
             tenant: tenant.to_string(),
             old_version,
             new_version,
-            state: UpgradeState::Installing,
-            drain: BTreeSet::new(),
-            drained: 0,
+            drain: drain.into_iter().collect(),
         }
     }
 
@@ -90,47 +53,10 @@ impl Upgrade {
         &self.tenant
     }
 
-    /// Current state.
-    pub fn state(&self) -> UpgradeState {
-        self.state
-    }
-
-    /// The new version's datapath is live: Installing → DualRunning.
-    pub fn mark_installed(&mut self) {
-        if self.state == UpgradeState::Installing {
-            self.state = UpgradeState::DualRunning;
-        }
-    }
-
-    /// Snapshot the old version's in-flight windows (from the NCP-R
-    /// sender) and stop routing new traffic to it. An empty snapshot
-    /// completes the upgrade immediately.
-    pub fn begin_drain<I: IntoIterator<Item = (u16, u32)>>(&mut self, in_flight: I) {
-        self.drain = in_flight.into_iter().collect();
-        self.state = if self.drain.is_empty() {
-            UpgradeState::Completed
-        } else {
-            UpgradeState::Draining
-        };
-    }
-
-    /// Should this `(kernel, seq)` window still execute on the **old**
-    /// version? True only for members of the drain set.
-    pub fn routes_old(&self, kernel: u16, seq: u32) -> bool {
-        self.drain.contains(&(kernel, seq))
-    }
-
     /// Record a delivery ack for a window. Returns `true` if it was in
-    /// the drain set; the upgrade auto-completes on the last one.
+    /// the drain set.
     pub fn acked(&mut self, kernel: u16, seq: u32) -> bool {
-        let hit = self.drain.remove(&(kernel, seq));
-        if hit {
-            self.drained += 1;
-            if self.drain.is_empty() && self.state == UpgradeState::Draining {
-                self.state = UpgradeState::Completed;
-            }
-        }
-        hit
+        self.drain.remove(&(kernel, seq))
     }
 
     /// Windows still owed to the old version.
@@ -138,14 +64,9 @@ impl Upgrade {
         self.drain.len()
     }
 
-    /// Windows drained so far.
-    pub fn drained(&self) -> u64 {
-        self.drained
-    }
-
-    /// Whether the old version can be reclaimed.
+    /// Whether the old version can be reclaimed: its drain set is empty.
     pub fn is_complete(&self) -> bool {
-        self.state == UpgradeState::Completed
+        self.drain.is_empty()
     }
 }
 
@@ -154,22 +75,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lifecycle_walks_the_four_states() {
-        let mut up = Upgrade::new("team-a", 1, 2);
-        assert_eq!(up.state(), UpgradeState::Installing);
-        assert!(!up.is_complete());
-
-        up.mark_installed();
-        assert_eq!(up.state(), UpgradeState::DualRunning);
-
-        up.begin_drain([(1, 7), (1, 8), (2, 3)]);
-        assert_eq!(up.state(), UpgradeState::Draining);
+    fn acks_shrink_the_drain_set_to_completion() {
+        let mut up = Upgrade::new("team-a", 1, 2, [(1, 7), (1, 8), (2, 3)]);
+        assert_eq!(up.tenant(), "team-a");
         assert_eq!(up.remaining(), 3);
-
-        // Drain-set members route old; everything else routes new.
-        assert!(up.routes_old(1, 7));
-        assert!(!up.routes_old(1, 9));
-        assert!(!up.routes_old(3, 7));
+        assert!(!up.is_complete());
 
         assert!(up.acked(1, 7));
         assert!(!up.acked(1, 7), "double ack is idempotent");
@@ -177,32 +87,21 @@ mod tests {
         assert!(!up.is_complete());
         assert!(up.acked(2, 3));
         assert!(up.is_complete());
-        assert_eq!(up.drained(), 3);
         assert_eq!(up.remaining(), 0);
     }
 
     #[test]
     fn empty_drain_set_completes_immediately() {
-        let mut up = Upgrade::new("team-a", 3, 4);
-        up.mark_installed();
-        up.begin_drain(std::iter::empty());
+        let up = Upgrade::new("team-a", 3, 4, std::iter::empty());
         assert!(up.is_complete());
     }
 
     #[test]
     fn acks_outside_the_drain_set_are_ignored() {
-        let mut up = Upgrade::new("t", 1, 2);
-        up.mark_installed();
-        up.begin_drain([(5, 1)]);
+        let mut up = Upgrade::new("t", 1, 2, [(5, 1)]);
         assert!(!up.acked(5, 2));
         assert!(!up.acked(6, 1));
         assert_eq!(up.remaining(), 1);
         assert!(!up.is_complete());
-    }
-
-    #[test]
-    fn state_names_render() {
-        assert_eq!(UpgradeState::DualRunning.to_string(), "dual-running");
-        assert_eq!(UpgradeState::Completed.to_string(), "completed");
     }
 }

@@ -109,9 +109,10 @@ pub fn ncp_scope_key(payload: &[u8]) -> Option<(nctel::WindowKey, bool)> {
 /// The outcome of one [`FastDatapath`] pass over an NCP payload.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FastVerdict {
-    /// The (possibly rewritten) packet payload. May be empty when the
-    /// forwarding code is 3 (`_drop()`) — dropped windows are never
-    /// re-encoded.
+    /// The (possibly rewritten) packet payload, carrying the incoming
+    /// header flags unchanged: the switch re-appends a telemetry section
+    /// to it and fixes up no flag. May be empty when the forwarding code
+    /// is 3 (`_drop()`) — dropped windows are never re-encoded.
     pub payload: Vec<u8>,
     /// Forwarding decision, PISA convention: 0 `_pass()`, 1
     /// `_reflect()`, 2 `_bcast()`, 3 `_drop()`, 4 `_pass(label)`.

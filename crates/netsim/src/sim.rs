@@ -1,11 +1,14 @@
 //! Topology building, routing, and the simulation run loop.
 //!
 //! A switch node runs the NCP handling of the paper's Fig. 3b around the
-//! one engine its [`SwitchCfg`] holds: ACK/NACK frames and anything the
-//! engine declines are forwarded, a verdict is routed by its forwarding
-//! code (pass / reflect / bcast / drop / labelled pass), and control
-//! operations go to [`crate::FastDatapath::ctrl`]. Nothing here depends
-//! on which engine that is.
+//! one engine its [`SwitchCfg`] holds, as one path per frame: parse the
+//! header, ask the engine for a verdict (ACK/NACK frames get none),
+//! work out the outcome — latency, counters, scope events, hop record
+//! and egress targets — and emit, stamp and route once. A frame without
+//! a verdict is forwarded; a verdict is routed by its forwarding code
+//! (pass / reflect / bcast / drop / labelled pass). Control operations
+//! go to [`crate::FastDatapath::ctrl`]. Nothing here depends on which
+//! engine that is: both emit the same frame, flags byte included.
 //!
 //! One network, two substrates: [`NetworkBuilder::build`] runs the links
 //! on simulated time, [`NetworkBuilder::bind_udp`] over real UDP sockets.
@@ -17,13 +20,15 @@
 use crate::event::{EventQueue, Time};
 use crate::link::{LinkDir, LinkSpec};
 use crate::node::{
-    ncp_scope_key, CtrlOp, FastDatapath, FastVerdict, HostApp, HostCtx, SwitchCfg, SwitchStats,
-    FWD_LATENCY, PIPELINE_LATENCY,
+    ncp_scope_key, CtrlOp, FastDatapath, HostApp, HostCtx, SwitchCfg, SwitchStats, FWD_LATENCY,
+    PIPELINE_LATENCY,
 };
 use c3::{HostId, NodeId, SwitchId};
 use ncp::{NcpPacket, UdpEndpoint};
-use nctel::hop::{section_append, section_valid, HopRecord, HOP_FORWARDED_ONLY};
-use nctel::{Counter, Registry, Scope, ScopeEvent};
+use nctel::hop::{
+    section_append, section_valid, HopRecord, HOP_DUP_SUPPRESSED, HOP_FORWARDED_ONLY,
+};
+use nctel::{Counter, Registry, Scope, ScopeEvent, WindowKey};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{IpAddr, SocketAddr};
@@ -535,15 +540,16 @@ impl Network {
                 .push(now + self.ctrl_latency, Event::Ctrl { switch, op });
         }
         for pkt in out {
-            self.route_out(node, pkt);
+            self.route_out(node, pkt, now);
         }
     }
 
-    /// Sends a packet out of `node` towards `pkt.dst`.
-    fn route_out(&mut self, node: usize, pkt: Packet) {
+    /// Sends a packet out of `node` towards `pkt.dst`, leaving at
+    /// `depart` (after the node's processing latency).
+    fn route_out(&mut self, node: usize, pkt: Packet, depart: Time) {
         if node_id(&self.nodes[node]) == pkt.dst {
-            // Loopback: deliver immediately.
-            self.queue.push(self.now, Event::Arrive { node, pkt });
+            // Loopback: deliver on departure.
+            self.queue.push(depart, Event::Arrive { node, pkt });
             return;
         }
         let Some(&(li, a_to_b)) = self.next_hop[node].get(&pkt.dst) else {
@@ -558,7 +564,7 @@ impl Network {
         };
         self.counters.bytes_sent.add(pkt.payload.len() as u64);
         // +42: Ethernet+IP+UDP encapsulation overhead.
-        let outcome = dir.transmit_outcome(self.now, pkt.payload.len() + 42);
+        let outcome = dir.transmit_outcome(depart, pkt.payload.len() + 42);
         let Some(arrival) = outcome.arrival else {
             self.counters.link_drops.inc();
             // Ground truth for the diagnosis engine: the sim *knows*
@@ -568,7 +574,7 @@ impl Network {
                     let from = node_id(&self.nodes[node]).to_wire();
                     let to = node_id(&self.nodes[peer]).to_wire();
                     scope.emit(
-                        self.now,
+                        depart,
                         from,
                         key,
                         ScopeEvent::FragmentDropped {
@@ -602,279 +608,184 @@ impl Network {
         self.queue.push(arrival, Event::Arrive { node: peer, pkt });
     }
 
-    /// NCP-aware switch processing (paper Fig. 3b).
-    fn switch_process(&mut self, node: usize, pkt: Packet) {
-        // Cloned before the node borrow: emissions happen while `cfg`
-        // and `stats` are still mutably borrowed.
-        let scope = self.scope.clone();
+    /// NCP-aware switch processing (paper Fig. 3b), one straight line:
+    /// parse the header once, get the engine's verdict, work out the
+    /// outcome (latency, counters, scope events, hop record, egress
+    /// targets), then stamp and route the frame once.
+    fn switch_process(&mut self, node: usize, mut pkt: Packet) {
         let NodeKind::Switch { id, cfg, stats } = &mut self.nodes[node] else {
             unreachable!("switch_process on a host");
         };
         let my_wire = NodeId::Switch(*id).to_wire();
-
-        // Previous hop before we rewrite it (for _reflect()), the flags
-        // for the NCP-R control-frame check, and the kernel id, payload
-        // length and window identity for telemetry/scope stamping.
-        let (incoming_from, incoming_flags, ncp_meta) =
-            match NcpPacket::new_checked(&pkt.payload[..]) {
-                Ok(p) => (
-                    Some(p.from()),
-                    p.flags(),
-                    Some((p.kernel(), p.total_len(), p.sender(), p.seq())),
-                ),
-                Err(_) => (None, 0, None),
-            };
-        let scope_key = ncp_meta
-            .map(|(kernel, _, sender, seq)| nctel::WindowKey::new(sender, kernel, seq))
-            .filter(|_| scope.is_some());
-
-        // NCP-R ACK/NACK frames are host-to-host control traffic: they
-        // name a kernel but must never execute it (an ACK has no data
-        // chunks). Forward them like non-NCP packets.
-        if incoming_flags & (ncp::FLAG_ACK | ncp::FLAG_NACK) != 0 {
-            stats.forwarded += 1;
-            stats.acks_forwarded += 1;
-            if let (Some(scope), Some(key)) = (&scope, scope_key) {
-                let t = self.now + FWD_LATENCY;
-                scope.emit(
-                    t,
-                    my_wire,
-                    key,
-                    ScopeEvent::SwitchForwarded { switch: my_wire },
-                );
-            }
-            self.delayed_route(node, pkt, FWD_LATENCY);
-            return;
-        }
-
-        // In-band telemetry (DESIGN.md §4.9): a frame flagged with
-        // FLAG_TELEMETRY carries a hop-record section after the encoded
-        // window. Strip it before the engine runs — no engine knows
-        // about it — then stamp our record and re-append on egress.
-        let mut pkt = pkt;
-        let mut tel_section: Option<Vec<u8>> = None;
-        if incoming_flags & ncp::FLAG_TELEMETRY != 0 {
-            if let Some((_, total, _, _)) = ncp_meta {
-                if total <= pkt.payload.len() && section_valid(&pkt.payload[total..]) {
-                    tel_section = Some(pkt.payload.split_off(total));
-                }
-            }
-        }
         let ticks_in = self.now;
-        // Replay-filter duplicate count before execution: the delta
-        // after the engine ran tells whether *this* window was
-        // suppressed as an NCP-R replay (state evolves bit-identically
-        // on every engine, so the flag does too). Tracked for in-band
-        // stamping and for the scope's DupSuppressed events alike.
-        let track_dups = (tel_section.is_some() && cfg.telemetry.is_some()) || scope_key.is_some();
+
+        // 1. The header: the previous hop (for `_reflect()`), the flags,
+        // the window length and the window identity. Not NCP: none.
+        let hdr = NcpPacket::new_checked(&pkt.payload[..]).ok().map(|p| {
+            let key = WindowKey::new(p.sender(), p.kernel(), p.seq());
+            (p.from(), p.flags(), p.total_len(), key)
+        });
+        let (flags, kernel) = hdr.map_or((0, 0), |(_, flags, _, key)| (flags, key.kernel));
+        let key = hdr.map(|(.., key)| key).filter(|_| self.scope.is_some());
+        // NCP-R ACK/NACK frames are host-to-host control traffic: they
+        // name a kernel but never execute it (an ACK has no data
+        // chunks), and pass through unstamped.
+        let control = flags & (ncp::FLAG_ACK | ncp::FLAG_NACK) != 0;
+        // In-band telemetry (DESIGN.md §4.9): a frame flagged with
+        // FLAG_TELEMETRY carries a hop-record section after the window.
+        // No engine knows about it: strip it now, re-append it stamped.
+        let section = match hdr {
+            Some((_, _, total, _))
+                if !control
+                    && flags & ncp::FLAG_TELEMETRY != 0
+                    && total <= pkt.payload.len()
+                    && section_valid(&pkt.payload[total..]) =>
+            {
+                Some(pkt.payload.split_off(total))
+            }
+            _ => None,
+        };
+        // The replay filters' duplicate count before the engine runs: a
+        // rise after it tells that *this* window was suppressed as an
+        // NCP-R replay (bit-identical on every engine).
+        let track_dups =
+            !control && ((section.is_some() && cfg.telemetry.is_some()) || key.is_some());
         let dups_before = if track_dups { cfg_dup_sum(cfg) } else { 0 };
 
-        let verdict = cfg.engine.as_mut().and_then(|e| e.process(&pkt.payload));
-        let Some(FastVerdict {
-            mut payload,
-            fwd_code,
-            fwd_label,
-            version: verdict_version,
-            passes,
-        }) = verdict
-        else {
-            // Not NCP (or no engine): plain forwarding. A stripped
-            // telemetry section is re-appended; a telemetry-aware
-            // switch stamps a forwarded-only record, one without the
-            // deploy-time identity passes it through untouched.
-            stats.forwarded += 1;
-            // A computing switch declining a well-formed, non-fragment
-            // data window means the named kernel id is not deployed
-            // here — the failure mode upgrades and multi-tenant routing
-            // expose. Count it (per switch and fabric-wide) and tell
-            // the scope; the window itself is forwarded unharmed.
-            if let (Some((kernel, ..)), Some(tel)) = (ncp_meta, cfg.telemetry.as_ref()) {
-                if cfg.engine.is_some()
-                    && incoming_flags & ncp::FLAG_FRAGMENT == 0
-                    && !tel.kernels.contains_key(&kernel)
-                {
+        // 2. The verdict. `None`: not NCP, a control frame, no engine, or
+        // declined by it — the frame is plainly forwarded.
+        let verdict = match &mut cfg.engine {
+            Some(engine) if !control => engine.process(&pkt.payload),
+            _ => None,
+        };
+
+        // 3. The outcome.
+        let tel = cfg.telemetry.as_ref();
+        let kt = tel.and_then(|tel| tel.kernels.get(&kernel)).copied();
+        let emit = |t: Time, event: ScopeEvent| {
+            if let (Some(scope), Some(key)) = (&self.scope, key) {
+                scope.emit(t, my_wire, key, event);
+            }
+        };
+        // Egress: one target, or (`None`) the `copies` overlay
+        // neighbours of `_bcast()`, read in place.
+        let (rec, mut payload, dst, copies) = match verdict {
+            Some(v) => {
+                let ticks_out = ticks_in + PIPELINE_LATENCY * v.passes as Time;
+                stats.ncp_processed += 1;
+                stats.recirculations += (v.passes - 1) as u64;
+                // A datapath that knows which version ran (a tenant mux
+                // dual-running an upgrade) overrides the static
+                // deploy-time identity.
+                let version = if v.version != 0 {
+                    v.version
+                } else {
+                    kt.map_or(0, |kt| kt.version)
+                };
+                let dup = track_dups && cfg_dup_sum(cfg) > dups_before;
+                let fwd = v.fwd_code;
+                emit(
+                    ticks_out,
+                    ScopeEvent::SwitchExecuted {
+                        switch: my_wire,
+                        version,
+                        fwd,
+                    },
+                );
+                if dup {
+                    emit(ticks_out, ScopeEvent::DupSuppressed { at: my_wire });
+                }
+                let kt = kt.unwrap_or_default();
+                let rec = HopRecord {
+                    version,
+                    stages: kt.stages,
+                    uops: kt.uops,
+                    flags: if dup { HOP_DUP_SUPPRESSED } else { 0 },
+                    ticks_out,
+                    ..HopRecord::default()
+                };
+                let (dst, copies) = match fwd {
+                    1 => {
+                        stats.reflected += 1;
+                        let back = hdr.map_or(pkt.src, |(from, ..)| NodeId::from_wire(from));
+                        (Some(back), 1)
+                    }
+                    2 => {
+                        stats.broadcast += 1;
+                        (None, cfg.bcast.len())
+                    }
+                    3 => {
+                        stats.kernel_drops += 1;
+                        return;
+                    }
+                    4 => match cfg.labels.get(&v.fwd_label) {
+                        Some(&dst) => (Some(dst), 1),
+                        None => {
+                            self.counters.unroutable.inc();
+                            return;
+                        }
+                    },
+                    // `_pass()`, or an unknown code: forward conservatively.
+                    _ => (Some(pkt.dst), 1),
+                };
+                let mut payload = v.payload;
+                NcpPacket::new_unchecked(&mut payload[..]).set_from(my_wire);
+                (rec, payload, dst, copies)
+            }
+            None => {
+                let ticks_out = ticks_in + FWD_LATENCY;
+                stats.forwarded += 1;
+                stats.acks_forwarded += u64::from(control);
+                // A computing switch declining a well-formed data window
+                // that is no fragment means the named kernel is not
+                // deployed here — the failure mode upgrades and
+                // multi-tenant routing expose. Count it; the window is
+                // forwarded unharmed.
+                let unknown = hdr.is_some() && !control && flags & ncp::FLAG_FRAGMENT == 0;
+                if unknown && cfg.engine.is_some() && tel.is_some() && kt.is_none() {
                     stats.unknown_kernel += 1;
                     self.counters.unknown_kernel.inc();
-                    if let (Some(scope), Some(key)) = (&scope, scope_key) {
-                        scope.emit(
-                            ticks_in + FWD_LATENCY,
-                            my_wire,
-                            key,
-                            ScopeEvent::UnknownKernel { switch: my_wire },
-                        );
-                    }
+                    emit(ticks_out, ScopeEvent::UnknownKernel { switch: my_wire });
                 }
+                emit(ticks_out, ScopeEvent::SwitchForwarded { switch: my_wire });
+                let rec = HopRecord {
+                    flags: HOP_FORWARDED_ONLY,
+                    ticks_out,
+                    ..HopRecord::default()
+                };
+                (rec, pkt.payload, Some(pkt.dst), 1)
             }
-            if let Some(mut section) = tel_section {
-                if let Some(tel) = cfg.telemetry.as_ref() {
-                    let rec = HopRecord {
-                        switch: tel.switch_id,
-                        kernel: ncp_meta.map(|(k, _, _, _)| k).unwrap_or(0),
-                        flags: HOP_FORWARDED_ONLY,
-                        ticks_in,
-                        ticks_out: ticks_in + FWD_LATENCY,
-                        ..HopRecord::default()
-                    };
-                    section_append(&mut section, &rec);
-                }
-                pkt.payload.extend_from_slice(&section);
-            }
-            if let (Some(scope), Some(key)) = (&scope, scope_key) {
-                scope.emit(
-                    ticks_in + FWD_LATENCY,
-                    my_wire,
-                    key,
-                    ScopeEvent::SwitchForwarded { switch: my_wire },
-                );
-            }
-            self.delayed_route(node, pkt, FWD_LATENCY);
-            return;
         };
-        stats.ncp_processed += 1;
-        stats.recirculations += (passes - 1) as u64;
-        let delay = PIPELINE_LATENCY * passes as Time;
-        let dups_after = if track_dups { cfg_dup_sum(cfg) } else { 0 };
-        if let (Some(scope), Some(key)) = (&scope, scope_key) {
-            // A datapath that knows which version ran (a tenant mux
-            // dual-running an upgrade) overrides the static deploy-time
-            // identity.
-            let version = if verdict_version != 0 {
-                verdict_version
-            } else {
-                cfg.telemetry
-                    .as_ref()
-                    .and_then(|tel| tel.kernels.get(&key.kernel).map(|kt| kt.version))
-                    .unwrap_or(0)
-            };
-            let t = ticks_in + delay;
-            scope.emit(
-                t,
-                my_wire,
-                key,
-                ScopeEvent::SwitchExecuted {
-                    switch: my_wire,
-                    version,
-                    fwd: fwd_code,
-                },
-            );
-            if dups_after > dups_before {
-                scope.emit(t, my_wire, key, ScopeEvent::DupSuppressed { at: my_wire });
-            }
-        }
 
-        if fwd_code == 3 {
-            // _drop(): consumed here; nothing to rewrite or route.
-            stats.kernel_drops += 1;
-            return;
-        }
-        // Rewrite the previous hop to ourselves.
-        {
-            let mut p = NcpPacket::new_unchecked(&mut payload[..]);
-            p.set_from(my_wire);
-        }
-        // Stamp our hop record and re-append the telemetry section.
-        // The software switch re-encodes flags from the window (dropping
-        // the telemetry bit) while the PISA deparser echoes them; restore
-        // the bit unconditionally so every engine emits identical frames.
-        if let Some(mut section) = tel_section {
-            if let Some(tel) = cfg.telemetry.as_ref() {
-                let kernel = ncp_meta.map(|(k, _, _, _)| k).unwrap_or(0);
-                let kt = tel.kernels.get(&kernel).copied().unwrap_or_default();
+        // 4. Stamp our hop record into the stripped section (a switch
+        // without a telemetry identity passes it through untouched),
+        // re-append it, and route every copy once.
+        if let Some(mut section) = section {
+            if let Some(tel) = tel {
                 let rec = HopRecord {
                     switch: tel.switch_id,
                     kernel,
-                    version: if verdict_version != 0 {
-                        verdict_version
-                    } else {
-                        kt.version
-                    },
-                    stages: kt.stages,
-                    uops: kt.uops,
-                    flags: if dups_after > dups_before {
-                        nctel::hop::HOP_DUP_SUPPRESSED
-                    } else {
-                        0
-                    },
                     ticks_in,
-                    ticks_out: ticks_in + delay,
+                    ..rec
                 };
                 section_append(&mut section, &rec);
             }
-            payload[3] |= ncp::FLAG_TELEMETRY;
             payload.extend_from_slice(&section);
         }
-
-        match fwd_code {
-            0 => {
-                // _pass(): continue towards the original destination.
-                let fwd = Packet {
-                    src: pkt.src,
-                    dst: pkt.dst,
-                    payload,
-                };
-                self.delayed_route(node, fwd, delay);
-            }
-            1 => {
-                // _reflect(): back to the previous hop.
-                stats.reflected += 1;
-                let back = incoming_from.map(NodeId::from_wire).unwrap_or(pkt.src);
-                let fwd = Packet {
-                    src: pkt.src,
-                    dst: back,
-                    payload,
-                };
-                self.delayed_route(node, fwd, delay);
-            }
-            2 => {
-                // _bcast(): all overlay neighbours.
-                stats.broadcast += 1;
-                let targets = cfg.bcast.clone();
-                for t in targets {
-                    let fwd = Packet {
-                        src: pkt.src,
-                        dst: t,
-                        payload: payload.clone(),
-                    };
-                    self.delayed_route(node, fwd, delay);
-                }
-            }
-            4 => {
-                // _pass(label).
-                let dst = cfg.labels.get(&fwd_label).copied();
-                match dst {
-                    Some(dst) => {
-                        let fwd = Packet {
-                            src: pkt.src,
-                            dst,
-                            payload,
-                        };
-                        self.delayed_route(node, fwd, delay);
-                    }
-                    None => self.counters.unroutable.inc(),
-                }
-            }
-            _ => {
-                // Unknown decision: forward conservatively.
-                let fwd = Packet {
-                    src: pkt.src,
-                    dst: pkt.dst,
-                    payload,
-                };
-                self.delayed_route(node, fwd, delay);
-            }
+        let src = pkt.src;
+        for i in 0..copies {
+            let NodeKind::Switch { cfg, .. } = &self.nodes[node] else {
+                unreachable!("switch_process on a host");
+            };
+            let dst = dst.unwrap_or_else(|| cfg.bcast[i]);
+            // The last copy takes the payload, the others clone it.
+            let payload = if i + 1 < copies {
+                payload.clone()
+            } else {
+                std::mem::take(&mut payload)
+            };
+            self.route_out(node, Packet { src, dst, payload }, rec.ticks_out);
         }
-    }
-
-    /// Routes `pkt` out of `node` after `delay` of local processing.
-    fn delayed_route(&mut self, node: usize, pkt: Packet, delay: Time) {
-        // Model processing delay by shifting the send time: we enqueue a
-        // zero-payload timer-like event via the link's queue by
-        // advancing now artificially. Simplest faithful approach:
-        // temporarily bump `now` for the transmit computation.
-        let saved = self.now;
-        self.now = saved + delay;
-        self.route_out(node, pkt);
-        self.now = saved;
     }
 
     // ------------------------------------------------------------------

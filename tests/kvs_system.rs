@@ -414,3 +414,110 @@ fn get_between_eviction_and_refill_never_reads_the_victims_value() {
         );
     }
 }
+
+#[test]
+fn write_through_during_a_fill_never_overwrites_another_slot() {
+    // Key 1 is cached in slot 0. The second GET of key 2 starts its
+    // fill: `Idx[2]` lands 50 µs later (the control-plane delay), the
+    // update window 120 µs later. A PUT of key 2 10 µs after that GET
+    // must not reach the switch before `Idx[2]` does: the kernel's
+    // server-update branch would miss the lookup and write key 2's
+    // value into slot 0, and the last GET of key 1 would read it.
+    let mut ops: Vec<KvsOp> = [1u64, 2]
+        .iter()
+        .map(|&key| KvsOp {
+            at: ms(key),
+            key,
+            put: true,
+        })
+        .collect();
+    for (at, key) in [(ms(3), 1u64), (ms(4), 1), (ms(5), 2), (ms(6), 2)] {
+        ops.push(KvsOp {
+            at,
+            key,
+            put: false,
+        });
+    }
+    ops.push(KvsOp {
+        at: ms(6) + 10_000,
+        key: 2,
+        put: true,
+    });
+    for (at, key) in [(ms(8), 1u64), (ms(9), 2)] {
+        ops.push(KvsOp {
+            at,
+            key,
+            put: false,
+        });
+    }
+    for backend in [SwitchBackend::Pisa, SwitchBackend::Simd] {
+        let mut s = setup_on(backend, true, vec![ops.clone(), vec![]]);
+        s.dep.net.run();
+        let client = s.dep.net.host_app::<KvsClient>(HostId(1)).unwrap();
+        assert_eq!(client.samples.len(), ops.len(), "{backend:?}");
+        assert_eq!(
+            client.corrupt, 0,
+            "{backend:?}: key 1's slot kept its value"
+        );
+        // Both late GETs are served by the switch, with the values the
+        // store holds.
+        let hits = client.samples.iter().filter(|x| x.from_cache).count();
+        assert_eq!(hits, 2, "{backend:?}: both keys end up cached");
+    }
+}
+
+#[test]
+fn evicting_a_key_mid_fill_never_overwrites_another_slot() {
+    // 2-slot cache, hot threshold 2. Key 1 is cached in slot 0 with a
+    // server-side popularity of 4; key 2 fills slot 1 at 11 ms. Three
+    // quick GETs of key 3 make it hotter than key 2, which is evicted
+    // before its update window is sent. That window must never go out:
+    // with `Idx[2]` removed, the kernel would write key 2's value into
+    // slot 0, and the last GET of key 1 would read it.
+    let mut ops: Vec<KvsOp> = [1u64, 2, 3]
+        .iter()
+        .map(|&key| KvsOp {
+            at: ms(key),
+            key,
+            put: true,
+        })
+        .collect();
+    let gets = [
+        (ms(5), 1u64),
+        (ms(5) + 10_000, 1),
+        (ms(5) + 20_000, 1),
+        (ms(5) + 30_000, 1),
+        (ms(9), 3),
+        (ms(10), 2),
+        (ms(11), 2),
+        (ms(11) + 10_000, 3),
+        (ms(11) + 20_000, 3),
+        (ms(11) + 30_000, 3),
+        (ms(13), 1),
+        (ms(14), 3),
+    ];
+    ops.extend(gets.iter().map(|&(at, key)| KvsOp {
+        at,
+        key,
+        put: false,
+    }));
+    for backend in [SwitchBackend::Pisa, SwitchBackend::Simd] {
+        let mut s = setup_on(backend, true, vec![ops.clone(), vec![]]);
+        let server = s.dep.net.host_app_mut::<KvsServer>(HostId(SERVER_ID));
+        let server = server.expect("server app");
+        server.cache_slots = 2;
+        server.hot_threshold = 2;
+        s.dep.net.run();
+        let server = s.dep.net.host_app::<KvsServer>(HostId(SERVER_ID)).unwrap();
+        assert_eq!(server.evictions, 1, "{backend:?}: key 3 displaces key 2");
+        assert!(!server.cached.contains_key(&2), "{backend:?}");
+        let client = s.dep.net.host_app::<KvsClient>(HostId(1)).unwrap();
+        assert_eq!(client.samples.len(), ops.len(), "{backend:?}");
+        assert_eq!(
+            client.corrupt, 0,
+            "{backend:?}: key 1's slot kept its value"
+        );
+        let hits = client.samples.iter().filter(|x| x.from_cache).count();
+        assert_eq!(hits, 2, "{backend:?}: the last GETs of keys 1 and 3 hit");
+    }
+}
