@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncl-and — the Abstract Network Description
 //!
@@ -530,7 +531,7 @@ impl PhysTopology {
     }
 
     /// BFS hop distances between all node pairs.
-    pub fn all_pairs_distances(&self) -> Vec<Vec<Option<u32>>> {
+    fn all_pairs_distances(&self) -> Vec<Vec<Option<u32>>> {
         let n = self.nodes.len();
         let mut adj: Vec<Vec<usize>> = vec![vec![]; n];
         for &(a, b) in &self.edges {

@@ -27,11 +27,6 @@ pub enum Forward {
 }
 
 impl Forward {
-    /// Whether the window survives (i.e. leaves the device again).
-    pub fn is_emitting(&self) -> bool {
-        !matches!(self, Forward::Drop)
-    }
-
     /// Compact numeric encoding used inside PHV metadata and PHV-level
     /// tests. `PassTo` targets are resolved to port numbers before this
     /// encoding is used, so it covers only the four primitive decisions.
@@ -65,15 +60,6 @@ mod tests {
     #[test]
     fn default_is_pass() {
         assert_eq!(Forward::default(), Forward::Pass);
-    }
-
-    #[test]
-    fn emitting() {
-        assert!(Forward::Pass.is_emitting());
-        assert!(Forward::Reflect.is_emitting());
-        assert!(Forward::Bcast.is_emitting());
-        assert!(Forward::PassTo(Label::new("s1")).is_emitting());
-        assert!(!Forward::Drop.is_emitting());
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub enum NodeId {
 
 impl NodeId {
     /// The bit that distinguishes switches from hosts in the wire encoding.
-    pub const SWITCH_BIT: u16 = 0x8000;
+    pub(crate) const SWITCH_BIT: u16 = 0x8000;
 
     /// Encodes this node id into the 16-bit on-wire representation.
     pub fn to_wire(self) -> u16 {
@@ -91,11 +91,6 @@ impl From<SwitchId> for NodeId {
 /// switch or host knows which kernel to execute for an arriving window.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KernelId(pub u16);
-
-/// A port of a node in the physical topology (used by the network
-/// simulator and by switch forwarding tables).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PortId(pub u16);
 
 /// An AND (Abstract Network Description) location label, e.g. `"s1"` in
 /// `_net_ _at_("s1")`. Cheap to clone; compared by string content.
@@ -163,7 +158,6 @@ macro_rules! display_id {
 display_id!(HostId, "h");
 display_id!(SwitchId, "s");
 display_id!(KernelId, "k");
-display_id!(PortId, "p");
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

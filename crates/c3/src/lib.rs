@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # c3 — the Compute Centric Communication model
 //!
@@ -27,16 +28,16 @@
 //!   register store of every engine;
 //! * [`wire`] — byte-order helpers shared by every wire format.
 
-pub mod fwd;
-pub mod ids;
+mod fwd;
+mod ids;
 pub mod ncpr;
 pub mod reg;
-pub mod value;
+mod value;
 pub mod window;
 pub mod wire;
 
 pub use fwd::Forward;
-pub use ids::{HostId, KernelId, Label, NodeId, PortId, SwitchId};
+pub use ids::{HostId, KernelId, Label, NodeId, SwitchId};
 pub use reg::{Lane, Lanes, RegArray};
 pub use value::{BinOp, ScalarType, UnOp, Value};
 pub use window::{Chunk, Mask, Window, WindowSpec};

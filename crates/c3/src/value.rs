@@ -81,7 +81,7 @@ impl ScalarType {
     }
 
     /// The C spelling of the type, used by diagnostics and P4 emission.
-    pub fn c_name(self) -> &'static str {
+    fn c_name(self) -> &'static str {
         match self {
             ScalarType::Bool => "bool",
             ScalarType::U8 => "uint8_t",

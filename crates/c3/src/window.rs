@@ -187,13 +187,6 @@ impl WindowSpec {
         self.elem_types[i].size() * self.mask.elems(i) as usize
     }
 
-    /// Total payload bytes per window across all arrays.
-    pub fn window_bytes(&self) -> usize {
-        (0..self.elem_types.len())
-            .map(|i| self.chunk_bytes(i))
-            .sum()
-    }
-
     /// How many windows `arrays` (the bytes of one array each, elements
     /// in big-endian wire order) split into, after checking that they
     /// match the spec's arity, hold whole elements, and all tile the
@@ -544,6 +537,5 @@ mod tests {
             WindowSpec::new(vec![ScalarType::U32, ScalarType::U8], Mask::new([2, 4])).unwrap();
         assert_eq!(spec.chunk_bytes(0), 8);
         assert_eq!(spec.chunk_bytes(1), 4);
-        assert_eq!(spec.window_bytes(), 12);
     }
 }

@@ -1,10 +1,8 @@
 //! Byte-order helpers shared by every wire format in the workspace.
 //!
 //! All protocol fields travel big-endian (network byte order). These
-//! helpers are deliberately panicking on short buffers in the `put_*`
-//! direction — the caller sizes the buffer — while the `get_*` direction
-//! offers both panicking accessors (for use behind a length check, the
-//! smoltcp idiom) and checked variants.
+//! helpers panic on short buffers in both directions: the caller sizes
+//! the buffer, or reads behind a length check (the smoltcp idiom).
 
 /// Reads a big-endian `u16` at `off`.
 #[inline]
@@ -16,14 +14,6 @@ pub fn get_u16(buf: &[u8], off: usize) -> u16 {
 #[inline]
 pub fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_be_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-}
-
-/// Reads a big-endian `u64` at `off`.
-#[inline]
-pub fn get_u64(buf: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[off..off + 8]);
-    u64::from_be_bytes(b)
 }
 
 /// Writes a big-endian `u16` at `off`.
@@ -38,43 +28,6 @@ pub fn put_u32(buf: &mut [u8], off: usize, v: u32) {
     buf[off..off + 4].copy_from_slice(&v.to_be_bytes());
 }
 
-/// Writes a big-endian `u64` at `off`.
-#[inline]
-pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
-    buf[off..off + 8].copy_from_slice(&v.to_be_bytes());
-}
-
-/// Checked read of a big-endian `u16`; `None` on a short buffer.
-#[inline]
-pub fn try_get_u16(buf: &[u8], off: usize) -> Option<u16> {
-    buf.get(off..off + 2)
-        .map(|s| u16::from_be_bytes([s[0], s[1]]))
-}
-
-/// Checked read of a big-endian `u32`; `None` on a short buffer.
-#[inline]
-pub fn try_get_u32(buf: &[u8], off: usize) -> Option<u32> {
-    buf.get(off..off + 4)
-        .map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-}
-
-/// The Internet checksum (RFC 1071) over `data`, used by our IPv4/UDP
-/// template headers in the software-switch backend.
-pub fn inet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,40 +38,12 @@ mod tests {
         put_u16(&mut b, 1, 0xBEEF);
         assert_eq!(b, [0, 0xBE, 0xEF, 0]);
         assert_eq!(get_u16(&b, 1), 0xBEEF);
-        assert_eq!(try_get_u16(&b, 1), Some(0xBEEF));
-        assert_eq!(try_get_u16(&b, 3), None);
     }
 
     #[test]
-    fn u32_u64_roundtrip() {
-        let mut b = [0u8; 12];
+    fn u32_roundtrip() {
+        let mut b = [0u8; 4];
         put_u32(&mut b, 0, 0xDEAD_BEEF);
-        put_u64(&mut b, 4, 0x0102_0304_0506_0708);
         assert_eq!(get_u32(&b, 0), 0xDEAD_BEEF);
-        assert_eq!(get_u64(&b, 4), 0x0102_0304_0506_0708);
-        assert_eq!(try_get_u32(&b, 9), None);
-    }
-
-    #[test]
-    fn checksum_known_vector() {
-        // RFC 1071 example: 00 01 f2 03 f4 f5 f6 f7 -> sum 0xddf2,
-        // checksum = !0xddf2 = 0x220d.
-        let data = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
-        assert_eq!(inet_checksum(&data), 0x220d);
-    }
-
-    #[test]
-    fn checksum_odd_length() {
-        // Odd trailing byte is padded with zero.
-        assert_eq!(inet_checksum(&[0xFF]), !0xFF00u16);
-    }
-
-    #[test]
-    fn checksum_verifies_to_zero() {
-        // Inserting the checksum makes the total sum verify (complement 0).
-        let mut data = vec![0x45, 0x00, 0x00, 0x1c, 0x00, 0x00, 0x00, 0x00, 0x40, 0x11];
-        let ck = inet_checksum(&data);
-        data.extend_from_slice(&ck.to_be_bytes());
-        assert_eq!(inet_checksum(&data), 0);
     }
 }

@@ -1,256 +1,13 @@
-//! Handwritten comparison artifacts.
+//! Handwritten comparison artifact.
 //!
-//! [`handwritten_netcache_pipeline`] is the paper's Fig. 1b built by
-//! hand against the raw `pisa` API — the way a P4 programmer constructs
-//! an in-network cache today: explicit PHV layout, a `CacheLookup` MAT
-//! writing hit/idx metadata, a `CacheValid` register check, and one
-//! `ReadN` register action per value word. It serves the *same NCP
-//! `query` wire format* the compiled kernel serves, so E2/E3 can compare
-//! the two implementations end to end, and E3 additionally compares
-//! code sizes: the NCL source (Fig. 5), the nclc-generated P4, and the
-//! [`handwritten_netcache_p4`] a human would write.
+//! [`handwritten_netcache_p4`] is the paper's Fig. 1b written by hand in
+//! P4-16, the way a P4 programmer writes an in-network cache today:
+//! explicit headers, a `CacheLookup` MAT writing hit/idx metadata, a
+//! `CacheValid` register check, and one `ReadN` register action per
+//! value word. E3 compares its size with the NCL source (Fig. 5) and
+//! the nclc-generated P4.
 
-use c3::{BinOp, ScalarType, Value};
-use pisa::{
-    ActionDef, ActionRef, Arg, DeparserSpec, Extract, FieldClass, MatchKind, ParserSpec, PhvLayout,
-    PipelineConfig, PrimOp, RegisterArrayDef, StageConfig, TableDef,
-};
-use std::collections::HashMap;
-
-/// Builds the handwritten NetCache-style GET pipeline.
-///
-/// `kernel_id` selects the NCP parser branch (must match the client's
-/// `query` windows); the cache holds `slots` items of `val_words` u32
-/// words. Only the GET path is implemented — exactly the scope of the
-/// paper's Fig. 1b sketch.
-pub fn handwritten_netcache_pipeline(
-    kernel_id: u16,
-    slots: usize,
-    val_words: usize,
-) -> PipelineConfig {
-    let mut layout = PhvLayout::default();
-    // NCP header (same order as the generated parser).
-    let ncp_fields = [
-        ("ncp.magic", ScalarType::U16),
-        ("ncp.version", ScalarType::U8),
-        ("ncp.flags", ScalarType::U8),
-        ("ncp.kernel", ScalarType::U16),
-        ("ncp.seq", ScalarType::U32),
-        ("ncp.sender", ScalarType::U16),
-        ("ncp.from", ScalarType::U16),
-        ("ncp.nchunks", ScalarType::U8),
-        ("ncp.ext_len", ScalarType::U8),
-    ];
-    let mut ncp = HashMap::new();
-    for (n, ty) in ncp_fields {
-        ncp.insert(n, layout.add(n, ty, FieldClass::Header));
-    }
-    // Window of `query`: key chunk desc + key, val chunk desc + words,
-    // update chunk desc + flag.
-    let mut hdr = vec![];
-    for i in 0..3 {
-        hdr.push(layout.add(format!("w.c{i}_off"), ScalarType::U32, FieldClass::Header));
-        hdr.push(layout.add(format!("w.c{i}_len"), ScalarType::U16, FieldClass::Header));
-    }
-    let key = layout.add("w.key", ScalarType::U64, FieldClass::Header);
-    let vals: Vec<_> = (0..val_words)
-        .map(|i| layout.add(format!("w.val{i}"), ScalarType::U32, FieldClass::Header))
-        .collect();
-    let update = layout.add("w.update", ScalarType::U8, FieldClass::Header);
-    // Metadata, Fig. 1b style: meta.hit, meta.idx, meta.valid.
-    let hit = layout.add("meta.hit", ScalarType::Bool, FieldClass::Metadata);
-    let idx = layout.add("meta.idx", ScalarType::U8, FieldClass::Metadata);
-    let valid = layout.add("meta.valid", ScalarType::Bool, FieldClass::Metadata);
-    let serve = layout.add("meta.serve", ScalarType::Bool, FieldClass::Metadata);
-    let is_get = layout.add("meta.is_get", ScalarType::Bool, FieldClass::Metadata);
-    let fwd_code = layout.add("meta.fwd", ScalarType::U8, FieldClass::Metadata);
-
-    // Parser/deparser.
-    let mut extracts: Vec<Extract> = ncp_fields
-        .iter()
-        .map(|(n, _)| Extract { field: ncp[n] })
-        .collect();
-    let branch: Vec<Extract> = hdr.iter().map(|&f| Extract { field: f }).collect();
-    // Payload order: key, vals, update (chunk descriptors precede all
-    // payload in NCP, so re-order: all descs already pushed above).
-    let mut payload = vec![Extract { field: key }];
-    payload.extend(vals.iter().map(|&f| Extract { field: f }));
-    payload.push(Extract { field: update });
-    // NCP carries all chunk descriptors before the payload.
-    let full_branch: Vec<Extract> = branch.into_iter().chain(payload).collect();
-    extracts.truncate(ncp_fields.len());
-    let parser = ParserSpec {
-        common: extracts,
-        verify: vec![(ncp["ncp.magic"], 0x4E43), (ncp["ncp.version"], 1)],
-        select: Some(ncp["ncp.kernel"]),
-        branches: HashMap::from([(kernel_id as u64, full_branch)]),
-    };
-    let mut deparse_fields: Vec<_> = ncp_fields.iter().map(|(n, _)| ncp[n]).collect();
-    let mut debranch: Vec<_> = hdr.clone();
-    debranch.push(key);
-    debranch.extend(vals.iter().copied());
-    debranch.push(update);
-    let deparser = DeparserSpec {
-        common: std::mem::take(&mut deparse_fields),
-        select: Some(ncp["ncp.kernel"]),
-        branches: HashMap::from([(kernel_id as u64, debranch)]),
-    };
-
-    // Stage 0: classify (GET from a client) — Fig. 1b line 8.
-    let classify = TableDef::always(
-        "Classify",
-        ActionDef {
-            name: "classify".into(),
-            ops: vec![PrimOp::Alu {
-                guard: None,
-                dst: is_get,
-                op: BinOp::Eq,
-                a: Arg::Field(update),
-                b: Arg::Const(Value::new(ScalarType::U8, 0)),
-            }],
-        },
-    );
-
-    // Stage 1: CacheLookup MAT — Fig. 1b lines 1, 3-4, 7.
-    let cache_lookup = TableDef {
-        name: "CacheLookup".into(),
-        keys: vec![(key, MatchKind::Exact)],
-        actions: vec![
-            ActionDef {
-                name: "miss".into(),
-                ops: vec![PrimOp::Mov {
-                    guard: None,
-                    dst: hit,
-                    src: Arg::Const(Value::bool(false)),
-                }],
-            },
-            ActionDef {
-                name: "CacheHit".into(),
-                ops: vec![
-                    PrimOp::Mov {
-                        guard: None,
-                        dst: hit,
-                        src: Arg::Const(Value::bool(true)),
-                    },
-                    PrimOp::Mov {
-                        guard: None,
-                        dst: idx,
-                        src: Arg::Param(0),
-                    },
-                ],
-            },
-        ],
-        entries: vec![],
-        default_action: Some(ActionRef(0)),
-        size: slots,
-    };
-
-    // Stage 2: ReadValid — Fig. 1b lines 2, 5, 9-10.
-    let read_valid = TableDef::always(
-        "CacheValid",
-        ActionDef {
-            name: "ReadValid".into(),
-            ops: vec![PrimOp::RegRead {
-                guard: Some(hit),
-                dst: valid,
-                reg: 0,
-                idx: Arg::Field(idx),
-            }],
-        },
-    );
-
-    // Stage 3: serve = hit && valid && is_get.
-    let decide = TableDef::always(
-        "Decide",
-        ActionDef {
-            name: "decide".into(),
-            ops: vec![
-                PrimOp::Alu {
-                    guard: None,
-                    dst: serve,
-                    op: BinOp::And,
-                    a: Arg::Field(hit),
-                    b: Arg::Field(valid),
-                },
-                PrimOp::Alu {
-                    guard: None,
-                    dst: serve,
-                    op: BinOp::And,
-                    a: Arg::Field(serve),
-                    b: Arg::Field(is_get),
-                },
-            ],
-        },
-    );
-
-    // Stage 4: Read0..ReadN + reflect — Fig. 1b line 11.
-    let mut read_ops = Vec::new();
-    for (i, &vf) in vals.iter().enumerate() {
-        read_ops.push(PrimOp::RegRead {
-            guard: Some(serve),
-            dst: vf,
-            reg: 1 + i as u16,
-            idx: Arg::Field(idx),
-        });
-    }
-    read_ops.push(PrimOp::Mov {
-        guard: Some(serve),
-        dst: fwd_code,
-        src: Arg::Const(Value::new(ScalarType::U8, 1)), // reflect
-    });
-    let read_value = TableDef::always(
-        "ReadValue",
-        ActionDef {
-            name: "Read0_N".into(),
-            ops: read_ops,
-        },
-    );
-
-    // Registers: Valid + one per value word (the Read0/Read1 split).
-    let mut registers = vec![RegisterArrayDef {
-        name: "Valid".into(),
-        elem: ScalarType::Bool,
-        len: slots,
-        init: vec![],
-    }];
-    for i in 0..val_words {
-        registers.push(RegisterArrayDef {
-            name: format!("Value{i}"),
-            elem: ScalarType::U32,
-            len: slots,
-            init: vec![],
-        });
-    }
-
-    PipelineConfig {
-        name: "netcache_handwritten".into(),
-        layout,
-        parser,
-        deparser,
-        stages: vec![
-            StageConfig {
-                tables: vec![classify],
-            },
-            StageConfig {
-                tables: vec![cache_lookup],
-            },
-            StageConfig {
-                tables: vec![read_valid],
-            },
-            StageConfig {
-                tables: vec![decide],
-            },
-            StageConfig {
-                tables: vec![read_value],
-            },
-        ],
-        registers,
-        fwd_code: Some(fwd_code),
-        fwd_label: None,
-    }
-}
-
-/// What the same cache looks like as handwritten P4-16 — the E3
+/// The NetCache-style GET cache as handwritten P4-16 — the E3
 /// comparison document (expanded from the paper's Fig. 1b sketch to a
 /// complete program the way NetCache's public source is).
 pub fn handwritten_netcache_p4(slots: usize, val_words: usize) -> String {
@@ -396,111 +153,6 @@ V1Switch(CacheParser(), NoChecksum(), CacheIngress(), NoEgress(),
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pisa::{Entry, MatchPattern, Pipeline, ResourceModel};
-
-    #[test]
-    fn handwritten_pipeline_loads() {
-        let cfg = handwritten_netcache_pipeline(1, 16, 8);
-        let report = cfg.report(&ResourceModel::default());
-        assert!(report.accepted(), "{:?}", report.violations);
-        Pipeline::load(cfg, ResourceModel::default()).unwrap();
-    }
-
-    #[test]
-    fn handwritten_cache_serves_gets() {
-        let cfg = handwritten_netcache_pipeline(1, 16, 4);
-        let mut pipe = Pipeline::load(cfg, ResourceModel::default()).unwrap();
-        // Control plane: key 42 → slot 2, valid, value {10,20,30,40}.
-        pipe.table_insert(
-            "CacheLookup",
-            Entry {
-                patterns: vec![MatchPattern::exact(42)],
-                action: ActionRef(1),
-                args: vec![Value::new(ScalarType::U8, 2)],
-                priority: 0,
-            },
-        )
-        .unwrap();
-        pipe.register_write("Valid", 2, Value::bool(true));
-        for (i, v) in [10u32, 20, 30, 40].iter().enumerate() {
-            pipe.register_write(&format!("Value{i}"), 2, Value::u32(*v));
-        }
-        // A GET query window for key 42 (NCP encoding via ncp crate).
-        let w = c3::Window {
-            kernel: c3::KernelId(1),
-            seq: 0,
-            sender: c3::HostId(1),
-            from: c3::NodeId::Host(c3::HostId(1)),
-            last: false,
-            chunks: vec![
-                c3::Chunk {
-                    offset: 0,
-                    data: 42u64.to_be_bytes().to_vec(),
-                },
-                c3::Chunk {
-                    offset: 0,
-                    data: vec![0; 16],
-                },
-                c3::Chunk {
-                    offset: 0,
-                    data: vec![0],
-                },
-            ],
-            ext: vec![],
-        };
-        let pkt = ncp::codec::encode_window(&w, 0);
-        let out = pipe.process(&pkt).expect("parses");
-        assert_eq!(out.fwd_code, 1, "cache hit must reflect");
-        let back = ncp::codec::decode_window(&out.packet).unwrap();
-        assert_eq!(back.chunks[1].get(ScalarType::U32, 0), Value::u32(10));
-        assert_eq!(back.chunks[1].get(ScalarType::U32, 3), Value::u32(40));
-        // A miss passes through.
-        let mut w2 = w.clone();
-        w2.chunks[0].data = 7u64.to_be_bytes().to_vec();
-        let out = pipe.process(&ncp::codec::encode_window(&w2, 0)).unwrap();
-        assert_eq!(out.fwd_code, 0);
-    }
-
-    #[test]
-    fn handwritten_cache_ignores_puts() {
-        let cfg = handwritten_netcache_pipeline(1, 8, 4);
-        let mut pipe = Pipeline::load(cfg, ResourceModel::default()).unwrap();
-        pipe.table_insert(
-            "CacheLookup",
-            Entry {
-                patterns: vec![MatchPattern::exact(42)],
-                action: ActionRef(1),
-                args: vec![Value::new(ScalarType::U8, 0)],
-                priority: 0,
-            },
-        )
-        .unwrap();
-        pipe.register_write("Valid", 0, Value::bool(true));
-        let w = c3::Window {
-            kernel: c3::KernelId(1),
-            seq: 0,
-            sender: c3::HostId(1),
-            from: c3::NodeId::Host(c3::HostId(1)),
-            last: false,
-            chunks: vec![
-                c3::Chunk {
-                    offset: 0,
-                    data: 42u64.to_be_bytes().to_vec(),
-                },
-                c3::Chunk {
-                    offset: 0,
-                    data: vec![0; 16],
-                },
-                c3::Chunk {
-                    offset: 0,
-                    data: vec![1], // PUT
-                },
-            ],
-            ext: vec![],
-        };
-        let out = pipe.process(&ncp::codec::encode_window(&w, 0)).unwrap();
-        assert_eq!(out.fwd_code, 0, "PUTs pass to the server");
-    }
 
     #[test]
     fn handwritten_p4_is_substantial() {

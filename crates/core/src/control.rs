@@ -138,7 +138,7 @@ impl ControlPlane {
     }
 
     /// The [`CtrlOp`]s realizing a map removal.
-    pub fn map_remove_ops(&self, map: &str, key: u64) -> Vec<CtrlOp> {
+    pub(crate) fn map_remove_ops(&self, map: &str, key: u64) -> Vec<CtrlOp> {
         self.map_tables
             .get(map)
             .map(|tables| {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncl-core — the NCL programming system
 //!
@@ -23,9 +24,8 @@
 //!   packed at its declared width; the kernel allocates nothing, the
 //!   hop one `Vec` per forwarded window (ROADMAP item 3(ii)) — an
 //!   alternative [`mod@deploy`] backend;
-//! * [`baseline`] — the comparison points the evaluation needs: a
-//!   handwritten NetCache-style pipeline (Fig. 1b) and host-only
-//!   AllReduce/KVS applications that use switches as plain forwarders;
+//! * [`baseline`] — the handwritten P4-16 of a NetCache-style cache
+//!   (Fig. 1b), the comparison point of E3's code-size table;
 //! * [`mc`] — the model-checking driver: every schedule-checkable lint
 //!   verdict (and a whole-program convergence obligation) adjudicated
 //!   by the `ncmc` bounded model checker against the compiled pipeline
@@ -55,11 +55,11 @@ pub mod control;
 pub mod deploy;
 pub mod fastpath;
 pub mod mc;
-pub mod mux;
+mod mux;
 pub mod nclc;
 pub mod runtime;
-pub mod tenants;
-pub mod watch;
+mod tenants;
+mod watch;
 
 pub use control::ControlPlane;
 pub use deploy::{

@@ -398,7 +398,7 @@ pub fn scenario_for(
 
 /// Adjudicates one lint diagnostic (`Ok(None)` when not
 /// schedule-checkable).
-pub fn check_diag(
+fn check_diag(
     program: &CompiledProgram,
     location: &str,
     diag: &LintDiagnostic,
@@ -416,7 +416,7 @@ pub fn check_diag(
 
 /// The whole-program convergence obligation for a location: two
 /// concurrent windows of every kernel, full fault domain.
-pub fn convergence_check(
+fn convergence_check(
     program: &CompiledProgram,
     location: &str,
     cfg: &McConfig,

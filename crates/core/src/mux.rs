@@ -61,7 +61,7 @@ impl TenantMux {
     /// Adds a tenant's datapath. `kernel_ids` are the NCP kernel ids the
     /// tenant's program registered (disjoint from every other tenant's);
     /// `version` is the ncsched-assigned version stamped on verdicts.
-    pub fn add_tenant(
+    pub(crate) fn add_tenant(
         &mut self,
         tenant: &str,
         kernel_ids: BTreeSet<u16>,
@@ -80,11 +80,6 @@ impl TenantMux {
     /// Tenants resident on this mux, in admission order.
     pub fn tenants(&self) -> Vec<&str> {
         self.slots.iter().map(|s| s.tenant.as_str()).collect()
-    }
-
-    /// The version currently serving new windows for `tenant`.
-    pub fn active_version(&self, tenant: &str) -> Option<u16> {
-        self.slot(tenant).map(|s| s.active_version)
     }
 
     /// Whether `tenant` is mid-upgrade (old version still resident).
@@ -332,7 +327,6 @@ mod tests {
             BTreeSet::from([(10, 0), (10, 2)]),
         ));
         assert!(m.is_draining("a"));
-        assert_eq!(m.active_version("a"), Some(2));
         // Drain keys execute on v1; fresh seqs on v2; tenant b untouched.
         assert_eq!(m.process(&frame(10, 0)).unwrap().version, 1);
         assert_eq!(m.process(&frame(10, 1)).unwrap().version, 2);

@@ -405,7 +405,7 @@ pub fn compile(
 mod tests {
     use super::*;
 
-    pub const ALLREDUCE_NCL: &str = r#"
+    pub(crate) const ALLREDUCE_NCL: &str = r#"
 #define DATA_LEN 64
 #define WIN_LEN 8
 _net_ _at_("s1") int accum[DATA_LEN] = {0};
@@ -429,7 +429,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
 }
 "#;
 
-    pub const ALLREDUCE_AND: &str = "
+    pub(crate) const ALLREDUCE_AND: &str = "
 hosts  worker 4
 switch s1
 link   worker* s1

@@ -33,12 +33,12 @@ use std::sync::Arc;
 /// Timer token reserved for the NCP-R retransmission clock. Invocation
 /// tokens are `(idx << 32) | (wi + 1)` with small `idx`, so the top bit
 /// is free.
-pub const RELIABLE_TIMER: u64 = 1 << 63;
+pub(crate) const RELIABLE_TIMER: u64 = 1 << 63;
 
 /// Reassembler evictions within one run that arm the flight recorder's
 /// "eviction storm" trigger (a reassembly state under this much churn
 /// is losing windows faster than the transport can repair them).
-pub const EVICTION_STORM_THRESHOLD: u64 = 8;
+pub(crate) const EVICTION_STORM_THRESHOLD: u64 = 8;
 
 /// NCP-R state of one host: the transport engine plus the bookkeeping
 /// needed to re-encode any tracked window on retransmission.
@@ -429,7 +429,7 @@ impl NclHost {
 
     /// Sets the completion predicate over the incoming bindings' host
     /// memory (e.g. "the `done` flag array reads true").
-    pub fn done_when(
+    fn done_when(
         &mut self,
         f: impl Fn(&HashMap<u16, IncomingBinding>) -> bool + 'static,
     ) -> &mut Self {
@@ -462,8 +462,9 @@ impl NclHost {
     /// window (ack-by-response), and ACK/NACK frames other
     /// applications send are parsed and retire or retransmit it too. Completion additionally requires every
     /// tracked window to be retired, so [`NclHost::done_at`] means
-    /// "delivered exactly once" — without a [`NclHost::done_when`]
-    /// predicate, that retirement alone completes the host.
+    /// "delivered exactly once" — without a completion predicate
+    /// ([`NclHost::done_on_flag`]), that retirement alone completes the
+    /// host.
     pub fn enable_reliability(&mut self, cfg: ReliableConfig) -> &mut Self {
         let r = Reliability {
             sender: RelSender::new(cfg),
@@ -664,7 +665,7 @@ impl NclHost {
     /// back both registries, so the export can never lag. Labels must
     /// make the name unique per host (include a host label) or later
     /// registrations replace earlier ones.
-    pub fn export_metrics(&self, reg: &Registry, labels: &[(&str, &str)]) {
+    pub(crate) fn export_metrics(&self, reg: &Registry, labels: &[(&str, &str)]) {
         reg.register_counter(
             &nctel::labeled("host.windows_sent", labels),
             &self.m_windows_sent,

@@ -167,8 +167,6 @@ impl FabricWatch {
             now_ns: now,
             tenants: &tenants,
             series: &series,
-            events: &[],
-            traces: &[],
         };
         let scope = &self.scope;
         let watched = &self.tenants;

@@ -4,24 +4,18 @@
 //! hash of its text, so the hash must be *stable* — identical across
 //! runs, platforms and releases — or rediscoveries stop deduplicating
 //! against committed files; `std`'s randomized `DefaultHasher` is out.
-//! This module pins the function: FNV-1a, widened to 128 bits by
-//! running two independent streams with different offset bases. (The
-//! model checker's in-memory visited-set key is a separate, word-wise
-//! hash over the state, `ncmc::System::hash`: nothing on disk carries
-//! it.)
+//! This module pins the function: 64-bit FNV-1a. (The model checker's
+//! in-memory visited-set key is a separate, word-wise hash over the
+//! state, `ncmc::System::hash`: nothing on disk carries it.)
 
-/// A 128-bit FNV-1a stream hasher with a pinned, platform-independent
+/// A 64-bit FNV-1a stream hasher with a pinned, platform-independent
 /// byte order (`write_u64` feeds little-endian bytes).
 #[derive(Clone, Copy, Debug)]
 pub struct StableHasher {
-    lo: u64,
-    hi: u64,
+    state: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// Second stream starts from a different basis so the two 64-bit
-/// halves are independent functions of the input.
-const FNV_OFFSET_HI: u64 = 0x6c62_272e_07bb_0142;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Default for StableHasher {
@@ -31,19 +25,15 @@ impl Default for StableHasher {
 }
 
 impl StableHasher {
-    /// A fresh hasher at the FNV offset bases.
+    /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
-        StableHasher {
-            lo: FNV_OFFSET,
-            hi: FNV_OFFSET_HI,
-        }
+        StableHasher { state: FNV_OFFSET }
     }
 
-    /// Feeds one byte into both streams.
+    /// Feeds one byte.
     #[inline]
-    pub fn write_u8(&mut self, b: u8) {
-        self.lo = (self.lo ^ b as u64).wrapping_mul(FNV_PRIME);
-        self.hi = (self.hi ^ b as u64).wrapping_mul(FNV_PRIME.rotate_left(1));
+    fn write_u8(&mut self, b: u8) {
+        self.state = (self.state ^ b as u64).wrapping_mul(FNV_PRIME);
     }
 
     /// Feeds a byte slice.
@@ -54,7 +44,7 @@ impl StableHasher {
     }
 
     /// Feeds a `u64` as 8 little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
+    fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
@@ -65,14 +55,9 @@ impl StableHasher {
         self.write(s.as_bytes());
     }
 
-    /// The 128-bit digest.
-    pub fn finish128(&self) -> u128 {
-        ((self.hi as u128) << 64) | self.lo as u128
-    }
-
-    /// The low 64 bits (schedule ids, file names).
+    /// The digest (schedule ids, file names).
     pub fn finish64(&self) -> u64 {
-        self.lo
+        self.state
     }
 }
 
@@ -99,19 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn streams_are_independent() {
-        let mut a = StableHasher::new();
-        let mut b = StableHasher::new();
-        a.write(b"hello");
-        b.write(b"hello");
-        assert_eq!(a.finish128(), b.finish128());
-        b.write_u8(0);
-        assert_ne!(a.finish128(), b.finish128());
-        // hi and lo must not be the same function of the input.
-        assert_ne!(a.finish128() >> 64, a.finish128() & u64::MAX as u128);
-    }
-
-    #[test]
     fn length_prefix_disambiguates() {
         let mut a = StableHasher::new();
         a.write_str("ab");
@@ -119,6 +91,6 @@ mod tests {
         let mut b = StableHasher::new();
         b.write_str("a");
         b.write_str("bc");
-        assert_ne!(a.finish128(), b.finish128());
+        assert_ne!(a.finish64(), b.finish64());
     }
 }

@@ -62,7 +62,7 @@ impl Operand {
     }
 
     /// The register, if this operand is one.
-    pub fn as_reg(&self) -> Option<RegId> {
+    pub(crate) fn as_reg(&self) -> Option<RegId> {
         match self {
             Operand::Reg(r) => Some(*r),
             Operand::Const(_) => None,
@@ -352,7 +352,7 @@ impl Inst {
 
     /// Rewrites every read operand through `f` (used by const/copy
     /// propagation).
-    pub fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {
+    pub(crate) fn map_operands(&mut self, mut f: impl FnMut(Operand) -> Operand) {
         match self {
             Inst::Bin { a, b, .. } => {
                 *a = f(*a);
@@ -387,7 +387,7 @@ impl Inst {
 
     /// Whether the instruction has effects beyond defining registers
     /// (stores, forwarding). Pure instructions are eligible for DCE.
-    pub fn has_effect(&self) -> bool {
+    pub(crate) fn has_effect(&self) -> bool {
         matches!(
             self,
             Inst::StWin { .. }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncl-ir — intermediate representation and passes of the nclc compiler
 //!
@@ -33,22 +34,20 @@
 //! steady-state allocations. The interpreter stays the oracle; the fast
 //! path must match it bit for bit (see `tests/fastpath_differential.rs`).
 
-pub mod exec;
+mod exec;
 pub mod hash;
 pub mod interp;
 pub mod ir;
 pub mod lint;
 pub mod lower;
-pub mod ncvec;
+mod ncvec;
 pub mod passes;
 pub mod version;
 
 pub use c3::RegArray;
 pub use exec::{CompiledKernel, ExecScratch};
 pub use interp::{HostMemory, Interpreter, SwitchState};
-pub use ir::{
-    ArrId, BlockId, CtrlId, Inst, KernelIr, MapId, MetaField, Module, Operand, RegId, Terminator,
-};
+pub use ir::{ArrId, CtrlId, Inst, KernelIr, MapId, MetaField, Module, Operand, RegId, Terminator};
 pub use lint::{LintCode, LintConfig, LintDiagnostic, LintLevel};
 pub use lower::{lower, LoweringConfig};
 pub use version::version_modules;

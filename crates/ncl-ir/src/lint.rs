@@ -152,14 +152,6 @@ pub struct LintConfig {
 }
 
 impl LintConfig {
-    /// Default config against a given stateful micro-op budget.
-    pub fn with_budget(reg_accesses_per_pass: usize) -> Self {
-        LintConfig {
-            reg_accesses_per_pass,
-            ..LintConfig::default()
-        }
-    }
-
     /// The effective level for a code.
     pub fn level(&self, code: LintCode) -> LintLevel {
         self.levels
@@ -190,7 +182,7 @@ pub struct LintDiagnostic {
 
 impl LintDiagnostic {
     /// Whether this finding fails compilation.
-    pub fn is_deny(&self) -> bool {
+    fn is_deny(&self) -> bool {
         self.level == LintLevel::Deny
     }
 
@@ -1407,7 +1399,13 @@ _net_ _out_ void k(unsigned *d) {
 }
 "#;
         let m = module(src, "k", &[1]);
-        let diags = lint_module(&m, &LintConfig::with_budget(2));
+        let diags = lint_module(
+            &m,
+            &LintConfig {
+                reg_accesses_per_pass: 2,
+                ..LintConfig::default()
+            },
+        );
         assert!(
             !diags
                 .iter()
@@ -1417,7 +1415,13 @@ _net_ _out_ void k(unsigned *d) {
         // The lane-split allreduce pattern stays clean under the real
         // default budget even at width 4.
         let m = module(ALLREDUCE, "k", &[4]);
-        let diags = lint_module(&m, &LintConfig::with_budget(4));
+        let diags = lint_module(
+            &m,
+            &LintConfig {
+                reg_accesses_per_pass: 4,
+                ..LintConfig::default()
+            },
+        );
         let (deny, _) = partition(diags);
         assert!(deny.is_empty(), "{deny:?}");
     }

@@ -64,7 +64,7 @@ enum SimdLevel {
 /// Smallest lane-packable body worth leaving the scalar loop for.
 /// Shorter runs stay scalar — identical results either way; this only
 /// bounds dispatch overhead.
-pub const MIN_BODY: u32 = 8;
+pub(crate) const MIN_BODY: u32 = 8;
 
 /// The host's lane width, detected once per process.
 fn level() -> SimdLevel {
@@ -175,17 +175,17 @@ mod avx2 {
     use super::*;
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn accum<L: Lane>(dst: &mut [L], src: &[u8]) {
+    pub(crate) unsafe fn accum<L: Lane>(dst: &mut [L], src: &[u8]) {
         accum_lanes(dst, src)
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn win_to_reg<L: Lane>(dst: &mut [L], src: &[u8]) {
+    pub(crate) unsafe fn win_to_reg<L: Lane>(dst: &mut [L], src: &[u8]) {
         win_to_reg_lanes(dst, src)
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn reg_to_win<L: Lane>(src: &[L], dst: &mut [u8]) {
+    pub(crate) unsafe fn reg_to_win<L: Lane>(src: &[L], dst: &mut [u8]) {
         reg_to_win_lanes(src, dst)
     }
 }

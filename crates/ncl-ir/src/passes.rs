@@ -47,7 +47,7 @@ pub fn optimize(module: &mut Module) -> OptStats {
 }
 
 /// Optimizes a single kernel to a fixpoint.
-pub fn optimize_kernel(k: &mut KernelIr) -> OptStats {
+fn optimize_kernel(k: &mut KernelIr) -> OptStats {
     let mut stats = OptStats::default();
     loop {
         stats.iterations += 1;
@@ -67,7 +67,7 @@ pub fn optimize_kernel(k: &mut KernelIr) -> OptStats {
 /// Computes immediate dominators over the reachable CFG (Cooper-Harvey-
 /// Kennedy). Returns `idom[block] = Some(parent)` with the entry its own
 /// dominator; unreachable blocks get `None`.
-pub fn dominators(k: &KernelIr) -> Vec<Option<BlockId>> {
+pub(crate) fn dominators(k: &KernelIr) -> Vec<Option<BlockId>> {
     let n = k.blocks.len();
     let rpo = k.rpo();
     let mut order = vec![usize::MAX; n];

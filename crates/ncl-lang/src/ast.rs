@@ -516,12 +516,6 @@ impl Expr {
     }
 }
 
-/// The forwarding intrinsics (and other builtin callables) recognized in
-/// kernel bodies.
-pub const INTRINSICS: &[&str] = &[
-    "_pass", "_drop", "_reflect", "_bcast", "_here", "_hash", "memcpy",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,7 +23,7 @@ struct Lexer<'s> {
 }
 
 /// Lexes `source` into tokens (terminated by [`TokenKind::Eof`]).
-pub fn lex(source: &str, file: &str) -> Result<Vec<Token>, Vec<Diagnostic>> {
+pub(crate) fn lex(source: &str, file: &str) -> Result<Vec<Token>, Vec<Diagnostic>> {
     let mut lx = Lexer {
         src: source.as_bytes(),
         file,

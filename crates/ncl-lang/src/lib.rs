@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncl-lang — the Net Compute Language frontend
 //!
@@ -21,18 +22,19 @@
 //! stdlib types, `#define` object macros and `const` globals.
 //!
 //! Entry points: [`parse`] (source → [`ast::Program`]) and
-//! [`sema::analyze`] (AST → [`sema::CheckedProgram`]).
+//! [`frontend`] (source → [`sema::CheckedProgram`], parse plus
+//! semantic analysis).
 
 pub mod ast;
 pub mod diag;
-pub mod lexer;
-pub mod parser;
+mod lexer;
+mod parser;
 pub mod sema;
-pub mod token;
+mod token;
 
 pub use ast::Program;
 pub use diag::{Diagnostic, Severity, Span};
-pub use sema::{analyze, CheckedProgram};
+pub use sema::CheckedProgram;
 
 /// Parses an NCL source file into an AST.
 ///

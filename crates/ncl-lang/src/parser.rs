@@ -14,7 +14,7 @@ use crate::token::{Token, TokenKind};
 use c3::ScalarType;
 
 /// Parses a token stream (as produced by [`crate::lexer::lex`]).
-pub fn parse_tokens(tokens: &[Token], file: &str) -> Result<Program, Vec<Diagnostic>> {
+pub(crate) fn parse_tokens(tokens: &[Token], file: &str) -> Result<Program, Vec<Diagnostic>> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,

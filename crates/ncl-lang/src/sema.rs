@@ -14,9 +14,8 @@
 //!
 //! The output, [`CheckedProgram`], is the frontend's interface to the IR
 //! lowering in `ncl-ir`: resolved globals with evaluated dimensions and
-//! initializers, kernels with parameter layouts, the window-extension
-//! layout, and a [`TypeCtx`] that lowering reuses so the two phases can
-//! never disagree about a type.
+//! initializers, kernels with parameter layouts, and the
+//! window-extension layout.
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Span};
@@ -46,7 +45,7 @@ pub enum Ty {
 
 impl Ty {
     /// The scalar type, if this is a plain scalar.
-    pub fn as_scalar(&self) -> Option<ScalarType> {
+    fn as_scalar(&self) -> Option<ScalarType> {
         match self {
             Ty::Scalar(s) => Some(*s),
             _ => None,
@@ -54,12 +53,12 @@ impl Ty {
     }
 
     /// Whether the type can appear in a boolean condition.
-    pub fn is_condition(&self) -> bool {
+    fn is_condition(&self) -> bool {
         matches!(self, Ty::Scalar(_) | Ty::Ptr(_) | Ty::OptPtr(_))
     }
 
     /// Whether this is pointer-like (a valid `memcpy` operand).
-    pub fn is_pointerish(&self) -> bool {
+    fn is_pointerish(&self) -> bool {
         matches!(self, Ty::Ptr(_) | Ty::OptPtr(_) | Ty::Row(..))
     }
 }
@@ -149,14 +148,6 @@ impl GlobalInfo {
             } => Ty::Map(*key, *value, *capacity),
         }
     }
-
-    /// Total element count for register globals (1 for scalars).
-    pub fn register_len(&self) -> Option<usize> {
-        match &self.kind {
-            GlobalKind::Register { dims, .. } => Some(dims.iter().product::<usize>().max(1)),
-            _ => None,
-        }
-    }
 }
 
 /// A checked kernel parameter.
@@ -183,8 +174,7 @@ pub struct KernelInfo {
     pub at: Option<Label>,
     /// Parameters in order.
     pub params: Vec<ParamInfo>,
-    /// The kernel body (still AST; lowering consumes it together with
-    /// the [`TypeCtx`]).
+    /// The kernel body (still AST; lowering consumes it).
     pub body: Block,
     /// Definition site.
     pub span: Span,
@@ -194,11 +184,6 @@ impl KernelInfo {
     /// The window-data (non-`_ext_`) parameters.
     pub fn window_params(&self) -> impl Iterator<Item = &ParamInfo> {
         self.params.iter().filter(|p| !p.ext)
-    }
-
-    /// Number of window-data parameters (the required mask arity).
-    pub fn window_arity(&self) -> usize {
-        self.window_params().count()
     }
 }
 
@@ -232,7 +217,7 @@ impl WindowExtLayout {
 }
 
 /// The builtin fields of the `window` struct (paper §4.2).
-pub const WINDOW_BUILTINS: &[(&str, ScalarType)] = &[
+pub(crate) const WINDOW_BUILTINS: &[(&str, ScalarType)] = &[
     ("seq", ScalarType::U32),
     ("sender", ScalarType::U16),
     ("from", ScalarType::U16),
@@ -246,7 +231,7 @@ pub const WINDOW_BUILTINS: &[(&str, ScalarType)] = &[
 ];
 
 /// The builtin fields of the `location` struct (paper §4.1).
-pub const LOCATION_BUILTINS: &[(&str, ScalarType)] = &[("id", ScalarType::U16)];
+pub(crate) const LOCATION_BUILTINS: &[(&str, ScalarType)] = &[("id", ScalarType::U16)];
 
 /// The result of semantic analysis.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -281,7 +266,7 @@ impl CheckedProgram {
 
 /// Runs semantic analysis over a parsed program. `file` labels the
 /// diagnostics.
-pub fn analyze(program: &Program, file: &str) -> Result<CheckedProgram, Vec<Diagnostic>> {
+pub(crate) fn analyze(program: &Program, file: &str) -> Result<CheckedProgram, Vec<Diagnostic>> {
     let mut cx = Checker {
         out: CheckedProgram {
             file: file.to_string(),
@@ -1650,27 +1635,6 @@ pub fn const_eval_with(e: &Expr, consts: &HashMap<String, Value>) -> Option<Valu
     }
 }
 
-/// A façade over [`CheckedProgram`] that IR lowering uses to re-derive
-/// expression types consistently with sema's rules.
-pub struct TypeCtx<'a> {
-    /// The analyzed program.
-    pub program: &'a CheckedProgram,
-}
-
-impl TypeCtx<'_> {
-    /// Resolves the builtin or extension `window.<field>` type/offset.
-    /// Builtins return `(ty, None)`; extension fields `(ty, Some(offset))`.
-    pub fn window_field(&self, field: &str) -> Option<(ScalarType, Option<usize>)> {
-        if let Some((_, ty)) = WINDOW_BUILTINS.iter().find(|(n, _)| *n == field) {
-            return Some((*ty, None));
-        }
-        self.program
-            .window_ext
-            .field(field)
-            .map(|(ty, off)| (ty, Some(off)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1744,7 +1708,11 @@ mod tests {
     fn two_dim_zero_init() {
         let p = check_ok(r#"_net_ _at_("s1") char Cache[4][8] = {{0}};"#);
         let g = p.global("Cache").unwrap();
-        assert_eq!(g.register_len(), Some(32));
+        let GlobalKind::Register { dims, init, .. } = &g.kind else {
+            panic!()
+        };
+        assert_eq!(dims, &[4, 8]);
+        assert!(init.is_empty());
     }
 
     #[test]
@@ -2064,9 +2032,9 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         let p = check_ok(FIG4);
         assert_eq!(p.kernels.len(), 2);
         let out = p.kernel("allreduce").unwrap();
-        assert_eq!(out.window_arity(), 1);
+        assert_eq!(out.window_params().count(), 1);
         let inn = p.kernel("result").unwrap();
-        assert_eq!(inn.window_arity(), 1);
+        assert_eq!(inn.window_params().count(), 1);
         assert_eq!(inn.params.len(), 3);
     }
 
@@ -2094,7 +2062,7 @@ _net_ _out_ void query(uint64_t key, char *val, bool update) {
     fn fig5_kvs_checks() {
         let p = check_ok(FIG5);
         let k = p.kernel("query").unwrap();
-        assert_eq!(k.window_arity(), 3);
+        assert_eq!(k.window_params().count(), 3);
         assert!(!k.params[0].is_ptr);
         assert!(k.params[1].is_ptr);
     }

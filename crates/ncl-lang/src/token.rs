@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A lexed token: kind plus source span.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// What was lexed.
     pub kind: TokenKind,
     /// Where it was lexed.
@@ -18,7 +18,7 @@ pub struct Token {
 /// keywords — they are reserved in kernel code, exactly like CUDA's
 /// `__global__` is in CUDA C.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier (including type names resolved later).
     Ident(String),
     /// Integer literal (value, plus whether a `u`/`U` suffix was present).
@@ -197,7 +197,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// A short printable name for error messages.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier '{s}'"),
             TokenKind::Int(v, _) => format!("integer '{v}'"),
@@ -209,7 +209,7 @@ impl TokenKind {
     }
 
     /// The literal spelling of fixed tokens.
-    pub fn glyph(&self) -> &'static str {
+    pub(crate) fn glyph(&self) -> &'static str {
         use TokenKind::*;
         match self {
             KwVoid => "void",
@@ -301,7 +301,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// Maps an identifier spelling to its keyword, if reserved.
-pub fn keyword(ident: &str) -> Option<TokenKind> {
+pub(crate) fn keyword(ident: &str) -> Option<TokenKind> {
     use TokenKind::*;
     Some(match ident {
         "void" => KwVoid,

@@ -32,7 +32,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Per-stage budgets the allocator packs against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AllocBudget {
+pub(crate) struct AllocBudget {
     /// VLIW ops per stage.
     pub ops_per_stage: usize,
     /// Tables per stage. Each map lookup is one table; each run of
@@ -45,7 +45,7 @@ pub struct AllocBudget {
 
 impl AllocBudget {
     /// Budgets from a resource model (default gateway depth).
-    pub fn from_model(m: &pisa::ResourceModel) -> Self {
+    pub(crate) fn from_model(m: &pisa::ResourceModel) -> Self {
         AllocBudget {
             ops_per_stage: m.ops_per_stage,
             tables_per_stage: m.tables_per_stage,
@@ -57,16 +57,9 @@ impl AllocBudget {
 /// The staged program: `stages[s]` lists the ops executing in stage `s`,
 /// in order.
 #[derive(Clone, PartialEq, Debug, Default)]
-pub struct StagedKernel {
+pub(crate) struct StagedKernel {
     /// Ops per stage.
     pub stages: Vec<Vec<PredInst>>,
-}
-
-impl StagedKernel {
-    /// Total op count.
-    pub fn op_count(&self) -> usize {
-        self.stages.iter().map(|s| s.len()).sum()
-    }
 }
 
 /// Ragged lists of indices in one allocation: `of(i)` is list `i`.
@@ -290,11 +283,11 @@ fn is_pred_class(p: &PredInst, reg_tys: &[c3::ScalarType]) -> bool {
 }
 
 /// Default predicate-chain depth evaluable within one stage's gateway.
-pub const GATEWAY_DEPTH: usize = 8;
+pub(crate) const GATEWAY_DEPTH: usize = 8;
 
 /// Allocation failure: the fixpoint diverged.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AllocDiverged;
+pub(crate) struct AllocDiverged;
 
 /// "No op" / "no group" in the dense op-indexed tables.
 const NONE: usize = usize::MAX;
@@ -419,7 +412,10 @@ fn fuse_groups(lin: &LinearKernel, acc: &Accesses) -> Vec<usize> {
 /// and the grouped fixpoint never settles. Staged without fused groups,
 /// such a bank lands in two stages, which the pipeline's resource
 /// report rejects (`RegisterMultiStage`) like any other overrun.
-pub fn allocate(lin: &LinearKernel, budget: &AllocBudget) -> Result<StagedKernel, AllocDiverged> {
+pub(crate) fn allocate(
+    lin: &LinearKernel,
+    budget: &AllocBudget,
+) -> Result<StagedKernel, AllocDiverged> {
     let n = lin.ops.len();
     if n == 0 {
         return Ok(StagedKernel::default());
@@ -908,7 +904,10 @@ _net_ _out_ void k(int *data) {
             reg_tys,
         };
         let staged = allocate(&lin, &budget()).unwrap();
-        assert_eq!(staged.op_count(), lin.ops.len());
+        assert_eq!(
+            staged.stages.iter().map(Vec::len).sum::<usize>(),
+            lin.ops.len()
+        );
         let stage = |p: &PredInst| stage_of(&staged, |q| q == p).expect("distinct ops");
         lin.ops.iter().map(stage).collect()
     }
@@ -1080,7 +1079,10 @@ _net_ _out_ void allreduce(int *data) {{
             let runs = (0..3).map(|_| {
                 let started = std::time::Instant::now();
                 let staged = allocate(lin, &budget()).unwrap();
-                assert_eq!(staged.op_count(), lin.ops.len());
+                assert_eq!(
+                    staged.stages.iter().map(Vec::len).sum::<usize>(),
+                    lin.ops.len()
+                );
                 started.elapsed()
             });
             runs.min().unwrap()

@@ -21,7 +21,7 @@ use ncl_ir::ir::*;
 
 /// One predicated linear instruction.
 #[derive(Clone, PartialEq, Debug)]
-pub struct PredInst {
+pub(crate) struct PredInst {
     /// Execute only when this (bool) register is true; `None` = always.
     pub guard: Option<RegId>,
     /// The instruction (never a terminator).
@@ -30,7 +30,7 @@ pub struct PredInst {
 
 /// A flattened kernel: straight-line predicated ops.
 #[derive(Clone, PartialEq, Debug)]
-pub struct LinearKernel {
+pub(crate) struct LinearKernel {
     /// Kernel name.
     pub name: String,
     /// Ops in execution order.
@@ -41,7 +41,7 @@ pub struct LinearKernel {
 
 /// Errors flattening can hit.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum FlattenError {
+pub(crate) enum FlattenError {
     /// The CFG still has a cycle (conformance should have caught it).
     Cyclic {
         /// Kernel name.
@@ -64,7 +64,10 @@ impl std::error::Error for FlattenError {}
 /// Flattens a kernel. `root` optionally guards the entry block — the
 /// codegen uses it for `kernel_id` dispatch when several kernels share
 /// one pipeline (ops that were unguarded become guarded by `root`).
-pub fn flatten(kernel: &KernelIr, root: Option<RegId>) -> Result<LinearKernel, FlattenError> {
+pub(crate) fn flatten(
+    kernel: &KernelIr,
+    root: Option<RegId>,
+) -> Result<LinearKernel, FlattenError> {
     if kernel.has_loop() {
         return Err(FlattenError::Cyclic {
             kernel: kernel.name.clone(),
@@ -249,7 +252,7 @@ pub fn flatten(kernel: &KernelIr, root: Option<RegId>) -> Result<LinearKernel, F
 /// used by tests to prove flattening preserves behaviour before stage
 /// allocation enters the picture.
 #[cfg(test)]
-pub fn execute_linear(
+fn execute_linear(
     lin: &LinearKernel,
     kernel: &KernelIr,
     window: &mut c3::Window,

@@ -83,7 +83,7 @@ struct Affine {
 
 /// Splits the module's register arrays in place and rewrites all kernel
 /// accesses. Returns the mapping for diagnostics/P4 emission.
-pub fn split_lanes(module: &mut Module) -> LaneMap {
+pub(crate) fn split_lanes(module: &mut Module) -> LaneMap {
     let mut map = LaneMap::default();
     // Gather accesses per array across all kernels.
     // access = (kernel idx, affine form or None)

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncl-p4 — code generation from NCL IR to PISA pipelines and P4
 //!
@@ -6,15 +7,15 @@
 //! optimized and versioned per location, this crate turns each module
 //! into something a switch can run:
 //!
-//! 1. [`lanes`] — **lane splitting**: register arrays accessed at
+//! 1. `lanes` — **lane splitting**: register arrays accessed at
 //!    `dyn*L + k` (the AllReduce `accum[seq*len + i]` pattern, NetCache's
 //!    multi-table value reads) split into `L` independent banks so each
 //!    bank is touched once per window in one stage — the transformation
 //!    that makes in-network aggregation fit real RMT chips.
-//! 2. [`flatten`] — **if-conversion**: the acyclic CFG becomes
+//! 2. `flatten` — **if-conversion**: the acyclic CFG becomes
 //!    straight-line predicated code (PISA pipelines have no branches;
 //!    control flow becomes per-op guards).
-//! 3. [`alloc`] — **stage allocation**: predicated ops are packed into
+//! 3. `alloc` — **stage allocation**: predicated ops are packed into
 //!    match-action stages respecting read-after-write dependencies
 //!    (writers before readers, stage-wise), the one-stage-per-register-
 //!    bank rule, and per-stage op/table budgets; programs longer than the
@@ -36,11 +37,11 @@
 //!
 //! Entry point: [`compile_module`].
 
-pub mod alloc;
+mod alloc;
 pub mod codegen;
 pub mod estimate;
-pub mod flatten;
-pub mod lanes;
+mod flatten;
+mod lanes;
 pub mod p4emit;
 mod stage;
 

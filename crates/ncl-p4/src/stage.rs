@@ -17,7 +17,7 @@ use pisa::ResourceModel;
 
 /// One outgoing kernel placed at the module's switch, staged.
 #[derive(Clone, Debug)]
-pub struct KernelStaging {
+pub(crate) struct KernelStaging {
     /// Index of the kernel in [`StagedModule::module`]'s kernel list.
     pub kernel: usize,
     /// Types of the kernel's virtual registers, the predicate registers
@@ -29,7 +29,7 @@ pub struct KernelStaging {
 
 /// A module lane-split and staged for one switch.
 #[derive(Clone, Debug)]
-pub struct StagedModule {
+pub(crate) struct StagedModule {
     /// The module after lane splitting.
     pub module: Module,
     /// How each register array was realized.
@@ -40,7 +40,7 @@ pub struct StagedModule {
 
 impl StagedModule {
     /// The staged kernels with their IR.
-    pub fn placed(&self) -> impl Iterator<Item = (&KernelIr, &KernelStaging)> {
+    pub(crate) fn placed(&self) -> impl Iterator<Item = (&KernelIr, &KernelStaging)> {
         self.kernels
             .iter()
             .map(|ks| (&self.module.kernels[ks.kernel], ks))
@@ -49,7 +49,7 @@ impl StagedModule {
 
 /// Lane-splits `module` (module-wide, so kernels agree on banks), then
 /// flattens and stage-allocates every outgoing kernel placed here.
-pub fn stage_module(
+pub(crate) fn stage_module(
     module: &Module,
     model: &ResourceModel,
     opts: &CompileOptions,

@@ -125,7 +125,7 @@ pub struct Stats {
 
 /// Exploration options.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ExploreOptions {
+pub(crate) struct ExploreOptions {
     /// Pruning mode.
     pub reduction: Reduction,
     /// When set, the DFS visits enabled steps in a deterministic
@@ -153,7 +153,7 @@ impl Default for ExploreOptions {
 #[derive(Clone, Debug)]
 pub struct Exploration {
     /// A violating schedule, if any was found (not necessarily
-    /// minimal — shrink with [`minimal_witness`]).
+    /// minimal — `minimal_witness` shrinks it).
     pub witness: Option<Schedule>,
     /// All complete terminal observations reached.
     pub terminal_obs: BTreeSet<Vec<u64>>,
@@ -185,7 +185,7 @@ struct Explorer<'a> {
 
 /// Explores the bounded schedule space of `sys` under `domain`,
 /// checking `property`.
-pub fn explore(
+pub(crate) fn explore(
     sys: &mut System,
     domain: Domain,
     property: &Property,
@@ -448,7 +448,11 @@ fn admit(records: &mut Vec<Box<[Step]>>, sleep: &[Step]) -> bool {
 /// order. Deterministic by construction — it never depends on how the
 /// witness was originally discovered, which is what makes shrunk
 /// corpus entries byte-stable.
-pub fn minimal_witness(sys: &mut System, domain: Domain, property: &Property) -> Option<Schedule> {
+pub(crate) fn minimal_witness(
+    sys: &mut System,
+    domain: Domain,
+    property: &Property,
+) -> Option<Schedule> {
     let max_states = sys.bounds().max_states;
     let init = sys.initial();
     let mut seen: HashSet<u128> = HashSet::new();

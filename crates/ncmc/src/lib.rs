@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncmc — bounded model checking for kernel × protocol schedules
 //!
@@ -34,20 +35,18 @@
 //! deployment gating) and depends only on `c3`, `pisa`, `ncp` and
 //! `ncl-ir`.
 
-pub mod cert;
-pub mod check;
-pub mod explore;
-pub mod schedule;
-pub mod system;
+mod cert;
+mod check;
+mod explore;
+mod schedule;
+mod system;
 
 pub use cert::Certificate;
 pub use check::{
     corpus_entry, corpus_file_name, plan_for, replay_violates, run_check, Check, CheckResult,
     Outcome, PropertyKind, ReplayError, WitnessReport,
 };
-pub use explore::{
-    explore, minimal_witness, Exploration, ExploreOptions, Property, Reduction, Stats,
-};
+pub use explore::{Exploration, Property, Reduction, Stats};
 pub use schedule::{Schedule, Step};
 pub use system::{Bounds, DataCopy, Domain, RespCopy, Suspended, SysState, System, WindowDef};
 
@@ -68,7 +67,7 @@ pub(crate) mod testutil {
 
     /// What the pipeline does with the parsed `u32`.
     #[derive(Clone, Copy)]
-    pub enum KernelShape {
+    pub(crate) enum KernelShape {
         /// `mirror[0] += x; total[0] = mirror[0]` — not replay-safe
         /// (duplication double-adds), torn by a split (stale total).
         Accumulate,
@@ -90,7 +89,7 @@ pub(crate) mod testutil {
     /// window between the mirror update and the publish — exactly the
     /// recirculation tear the `non-atomic-rmw` lint flags. The kernel
     /// reflects a response.
-    pub fn rmw_pipeline(shape: KernelShape) -> Pipeline {
+    pub(crate) fn rmw_pipeline(shape: KernelShape) -> Pipeline {
         let mut layout = pisa::PhvLayout::default();
         let x = layout.add("x", ScalarType::U32, FieldClass::Header);
         let fwd = layout.add("meta.fwd", ScalarType::U8, FieldClass::Metadata);
@@ -186,7 +185,7 @@ pub(crate) mod testutil {
 
     /// A scenario of `u32` windows over the kernel, one per payload,
     /// all from host 1, distinct seqs.
-    pub fn windows(payloads: &[u32]) -> Vec<WindowDef> {
+    pub(crate) fn windows(payloads: &[u32]) -> Vec<WindowDef> {
         payloads
             .iter()
             .enumerate()
@@ -202,7 +201,7 @@ pub(crate) mod testutil {
 
     /// [`windows`] sent alternately by hosts 1 and 2, so responses to
     /// different hosts are in flight together.
-    pub fn two_sender_windows(payloads: &[u32]) -> Vec<WindowDef> {
+    pub(crate) fn two_sender_windows(payloads: &[u32]) -> Vec<WindowDef> {
         let mut ws = windows(payloads);
         for (i, w) in ws.iter_mut().enumerate() {
             w.sender = 1 + (i % 2) as u16;
@@ -211,7 +210,7 @@ pub(crate) mod testutil {
     }
 
     /// System over [`rmw_pipeline`] with default bounds.
-    pub fn system(shape: KernelShape, payloads: &[u32]) -> System {
+    pub(crate) fn system(shape: KernelShape, payloads: &[u32]) -> System {
         System::new(rmw_pipeline(shape), windows(payloads), Bounds::default())
     }
 }

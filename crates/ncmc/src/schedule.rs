@@ -125,14 +125,14 @@ impl Schedule {
 
     /// Stable 64-bit hash of the schedule (content-addressed corpus
     /// file names dedup on this).
-    pub fn hash64(&self) -> u64 {
+    pub(crate) fn hash64(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write(self.render().as_bytes());
         h.finish64()
     }
 
     /// The hash as the 16-hex-digit string used in corpus file names.
-    pub fn hash16(&self) -> String {
+    pub(crate) fn hash16(&self) -> String {
         format!("{:016x}", self.hash64())
     }
 

@@ -98,25 +98,25 @@ pub struct Domain {
 
 impl Domain {
     /// Pure reorderings only.
-    pub const ORDER_ONLY: Domain = Domain {
+    pub(crate) const ORDER_ONLY: Domain = Domain {
         dups: false,
         splits: false,
         drops: false,
     };
     /// Duplication + loss (replay-safety domain).
-    pub const DUP_DROP: Domain = Domain {
+    pub(crate) const DUP_DROP: Domain = Domain {
         dups: true,
         splits: false,
         drops: true,
     };
     /// Stage splits only (RMW-atomicity domain).
-    pub const SPLIT_ONLY: Domain = Domain {
+    pub(crate) const SPLIT_ONLY: Domain = Domain {
         dups: false,
         splits: true,
         drops: false,
     };
     /// Everything (whole-program convergence domain).
-    pub const FULL: Domain = Domain {
+    pub(crate) const FULL: Domain = Domain {
         dups: true,
         splits: true,
         drops: true,
@@ -173,7 +173,7 @@ impl Clone for Suspended {
 /// Plain data; the checker forks it freely at every branch point. Its
 /// `clone_from` copies into the target's buffers (registers, protocol
 /// machines, network, suspended PHV), reallocating only a buffer too
-/// small for what it receives: that is how [`System::exec_into`]
+/// small for what it receives: that is how `System::exec_into`
 /// recycles a spent state.
 #[derive(PartialEq, Eq, Debug)]
 pub struct SysState {
@@ -511,7 +511,7 @@ impl System {
     /// # Panics
     ///
     /// As [`System::exec`].
-    pub fn exec_into(&mut self, before: &SysState, step: Step, out: &mut SysState) {
+    pub(crate) fn exec_into(&mut self, before: &SysState, step: Step, out: &mut SysState) {
         out.clone_from(before);
         self.step(before, step, out);
     }
@@ -620,7 +620,7 @@ impl System {
     }
 
     /// Executes a whole schedule from a state.
-    pub fn exec_all(&mut self, st: &SysState, schedule: &Schedule) -> SysState {
+    pub(crate) fn exec_all(&mut self, st: &SysState, schedule: &Schedule) -> SysState {
         let mut cur = st.clone();
         for &step in &schedule.steps {
             cur = self.exec(&cur, step);
@@ -744,7 +744,7 @@ impl System {
     /// windows. This is the reference set convergence properties check
     /// membership in. The first element corresponds to the canonical
     /// (scenario) order.
-    pub fn serial_references(&mut self) -> Vec<Vec<u64>> {
+    pub(crate) fn serial_references(&mut self) -> Vec<Vec<u64>> {
         let n = self.windows.len();
         let mut order: Vec<usize> = (0..n).collect();
         let mut refs = Vec::new();

@@ -14,7 +14,7 @@
 //! The steady-state send path avoids per-window allocations:
 //! [`encode_window_into`] emits header, descriptors, ext, and payload
 //! directly into a caller-supplied buffer (typically recycled through a
-//! [`BufferPool`]), and [`fragment_window_into`] writes each fragment
+//! `BufferPool`), and `fragment_window_into` writes each fragment
 //! straight into its own pooled buffer — no intermediate fragment
 //! `Window` and no encode-then-re-slice double copy. The receive path
 //! bounds memory ([`Reassembler`] caps in-flight partial windows,
@@ -31,14 +31,14 @@ use std::collections::HashMap;
 /// Default cap on windows concurrently under reassembly (satellite of
 /// the fast-path work: a peer spraying first fragments must not grow
 /// host memory without bound).
-pub const DEFAULT_MAX_PENDING: usize = 256;
+pub(crate) const DEFAULT_MAX_PENDING: usize = 256;
 
 /// Alignment (bytes) for window payload buffers. Matches the widest
 /// vector register the ncvec SIMD tier uses (one AVX2 ymm), so payload
 /// loads in the fused vector executors start on a register boundary.
 /// Alignment here is a fast-path hint — the SIMD tier uses unaligned
 /// loads and is correct either way — never a soundness requirement.
-pub const PAYLOAD_ALIGN: usize = 32;
+pub(crate) const PAYLOAD_ALIGN: usize = 32;
 
 /// Allocates a byte buffer of at least `cap` capacity whose storage
 /// starts on a [`PAYLOAD_ALIGN`] boundary.
@@ -84,7 +84,7 @@ fn fill_aligned(dst: &mut Vec<u8>, src: &[u8]) {
 /// boundary: fresh buffers come from the aligned allocator, and `put`
 /// re-homes (or drops) buffers whose mid-use regrowth moved them off it.
 #[derive(Debug)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     free: Vec<Vec<u8>>,
     max_buffers: usize,
 }
@@ -100,13 +100,13 @@ impl Default for BufferPool {
 
 impl BufferPool {
     /// An empty pool holding at most 64 recycled buffers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// An empty pool that retains at most `max_buffers` buffers;
     /// `put` drops excess buffers instead of growing without bound.
-    pub fn with_limit(max_buffers: usize) -> Self {
+    fn with_limit(max_buffers: usize) -> Self {
         BufferPool {
             free: Vec::new(),
             max_buffers,
@@ -116,7 +116,7 @@ impl BufferPool {
     /// Takes a cleared buffer from the pool (or a fresh one when empty).
     /// The returned buffer's storage starts on a [`PAYLOAD_ALIGN`]
     /// boundary.
-    pub fn get(&mut self) -> Vec<u8> {
+    pub(crate) fn get(&mut self) -> Vec<u8> {
         match self.free.pop() {
             Some(buf) => {
                 debug_assert_eq!(
@@ -135,7 +135,7 @@ impl BufferPool {
     /// [`PAYLOAD_ALIGN`] boundary is replaced by an equal-capacity
     /// aligned one (so the next `get` starts aligned *and* large enough
     /// to avoid regrowing), or dropped if the allocator refuses.
-    pub fn put(&mut self, mut buf: Vec<u8>) {
+    pub(crate) fn put(&mut self, mut buf: Vec<u8>) {
         if self.free.len() < self.max_buffers {
             if !(buf.as_ptr() as usize).is_multiple_of(PAYLOAD_ALIGN) {
                 buf = aligned_vec(buf.capacity());
@@ -147,20 +147,10 @@ impl BufferPool {
             self.free.push(buf);
         }
     }
-
-    /// Number of buffers currently pooled.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether the pool holds no recycled buffers.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
-    }
 }
 
 /// Encoded length of `w` as a single NCP packet with the given ext size.
-pub fn encoded_len(w: &Window, ext_total: usize) -> usize {
+fn encoded_len(w: &Window, ext_total: usize) -> usize {
     HEADER_LEN
         + w.chunks.len() * CHUNK_DESC_LEN
         + ext_total
@@ -277,7 +267,7 @@ pub fn decode_window_into(bytes: &[u8], w: &mut Window) -> Result<(), WireError>
 /// # Panics
 /// Panics if `mtu` is too small to carry even one element of payload
 /// next to the header.
-pub fn fragment_window_into(
+pub(crate) fn fragment_window_into(
     w: &Window,
     ext_total: usize,
     mtu: usize,
@@ -351,8 +341,8 @@ pub fn fragment_window_into(
     }
 }
 
-/// Splits a window into packets no larger than `mtu`. Allocating
-/// convenience wrapper over [`fragment_window_into`].
+/// Splits a window into packets no larger than `mtu`, each in a fresh
+/// buffer.
 pub fn fragment_window(w: &Window, ext_total: usize, mtu: usize) -> Vec<Vec<u8>> {
     let mut pool = BufferPool::with_limit(0);
     let mut out = Vec::new();
@@ -379,11 +369,11 @@ struct FragKey {
 /// before it starts) is refused with [`WireError::Inconsistent`] and
 /// dropped.
 ///
-/// Memory is bounded: at most [`DEFAULT_MAX_PENDING`] windows (override
+/// Memory is bounded: at most 256 windows (`DEFAULT_MAX_PENDING`; override
 /// with [`Reassembler::with_max_pending`]) are held mid-reassembly;
 /// inserting beyond the cap evicts the partial window untouched for the
 /// longest. Fragment piece buffers are recycled through an internal
-/// [`BufferPool`], so steady-state reassembly of same-shaped windows
+/// pool, so steady-state reassembly of same-shaped windows
 /// stops allocating.
 #[derive(Debug)]
 pub struct Reassembler {
@@ -746,11 +736,11 @@ mod tests {
         for b in out.drain(..) {
             pool.put(b);
         }
-        let pooled = pool.len();
+        let pooled = pool.free.len();
         assert!(pooled >= reference.len());
         fragment_window_into(&w, 2, 96, &mut pool, &mut out);
         assert_eq!(out, reference);
-        assert_eq!(pool.len(), pooled - reference.len());
+        assert_eq!(pool.free.len(), pooled - reference.len());
     }
 
     #[test]

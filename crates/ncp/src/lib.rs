@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncp — the Net Compute Protocol
 //!
@@ -30,11 +31,11 @@ pub mod udp;
 pub mod wire;
 
 pub use codec::{
-    decode_window, decode_window_into, encode_window, encode_window_into, encoded_len,
-    fragment_window, fragment_window_into, BufferPool, Reassembler, PAYLOAD_ALIGN,
+    decode_window, decode_window_into, encode_window, encode_window_into, fragment_window,
+    Reassembler,
 };
 pub use reliable::{Receiver, ReceiverState, ReliableConfig, Sender, SenderState};
-pub use udp::{RecvEvent, UdpEndpoint, NCP_UDP_PORT};
+pub use udp::UdpEndpoint;
 pub use wire::{
     AckRepr, NcpPacket, NcpRepr, FLAG_ACK, FLAG_FIRST_FRAG, FLAG_FRAGMENT, FLAG_LAST,
     FLAG_MORE_FRAGS, FLAG_NACK, FLAG_TELEMETRY, HEADER_LEN, MAGIC, VERSION,

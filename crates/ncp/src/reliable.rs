@@ -316,13 +316,6 @@ impl Sender {
         );
     }
 
-    /// The earliest RTO deadline across the in-flight set (`None` when
-    /// nothing is in flight). A purely-logical-clock driver (netsim,
-    /// ncmc) jumps its clock here to make the next timer fire.
-    pub fn next_deadline(&self) -> Option<Time> {
-        self.flight.values().map(|f| f.deadline).min()
-    }
-
     /// Captures the sender's protocol state — everything that decides
     /// future behavior, in canonical (sorted) order so equal states
     /// compare and hash equal. Counters, scope sinks and config are
@@ -753,9 +746,9 @@ mod tests {
         s.track(1, 0, 0);
         s.track(1, 1, 5);
         s.track(2, 0, 7); // queued (cwnd = 2)
-        let (_, _) = s.poll(100); // first RTO fires, backoff doubles
+        let (_, next) = s.poll(100); // first RTO fires, backoff doubles
         let saved = s.save();
-        assert_eq!(s.next_deadline(), Some(105));
+        assert_eq!(next, Some(105));
 
         // Timeline A, straight through.
         let mut a = Vec::new();

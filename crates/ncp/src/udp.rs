@@ -4,7 +4,7 @@
 //! send/receive: windows are encoded with [`crate::codec`], fragmented
 //! to the MTU, and reassembled on receipt; raw datagrams pass through
 //! [`UdpEndpoint::send_raw`] / [`UdpEndpoint::recv_raw`]. The endpoint
-//! is synchronous, blocking with a configurable read timeout or
+//! is synchronous, blocking with a 100 ms read timeout or
 //! non-blocking — NCP imposes no async runtime on its hosts. netsim's
 //! `NetworkBuilder::bind_udp` gives every node of a network one
 //! non-blocking endpoint and polls them all from one thread.
@@ -18,16 +18,12 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
-/// The NCP well-known UDP port (also baked into the generated P4
-/// parser's `parse_udp` state).
-pub const NCP_UDP_PORT: u16 = 9047;
-
-/// One receive attempt's outcome, classified. [`UdpEndpoint::poll_event`]
+/// One receive attempt's outcome, classified. `UdpEndpoint::poll_event`
 /// returns exactly one of these per datagram (or [`RecvEvent::Timeout`]
 /// when the socket had nothing), so callers driving the NCP-R engine can
 /// react to ACK frames and distinguish an idle link from a noisy one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecvEvent {
+pub(crate) enum RecvEvent {
     /// A complete window (possibly reassembled from fragments).
     Window(Window, SocketAddr),
     /// An NCP-R ACK/NACK frame (a bare header, never fragmented).
@@ -88,16 +84,10 @@ impl UdpEndpoint {
         self.socket.local_addr()
     }
 
-    /// Adjusts the read timeout.
-    pub fn set_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.socket.set_read_timeout(timeout)
-    }
-
     /// Switches the socket between blocking (with timeout) and
-    /// non-blocking mode. Non-blocking endpoints return
-    /// [`RecvEvent::Timeout`] immediately when no datagram is queued —
-    /// the mode to use when interleaving receives with NCP-R
-    /// retransmission polls.
+    /// non-blocking mode. Non-blocking endpoints return `Ok(None)`
+    /// immediately when no datagram is queued — the mode to use when
+    /// interleaving receives with NCP-R retransmission polls.
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         self.socket.set_nonblocking(nonblocking)
     }
@@ -143,7 +133,7 @@ impl UdpEndpoint {
     /// caller multiplexing receives with retransmission timers is never
     /// starved by a stream of noise, and ACK frames surface instead of
     /// being swallowed.
-    pub fn poll_event(&mut self) -> io::Result<RecvEvent> {
+    pub(crate) fn poll_event(&mut self) -> io::Result<RecvEvent> {
         let (n, src) = match self.socket.recv_from(&mut self.buf) {
             Ok(r) => r,
             Err(e)
@@ -173,8 +163,7 @@ impl UdpEndpoint {
     /// malformed datagrams are skipped (and counted in
     /// [`Self::malformed`]) rather than ending the wait, so a timeout
     /// is a genuine absence of traffic, not a parse failure in
-    /// disguise. ACK frames are also skipped; use [`Self::poll_event`]
-    /// to observe them.
+    /// disguise. ACK frames are also skipped.
     pub fn recv_window(&mut self) -> io::Result<Option<(Window, SocketAddr)>> {
         loop {
             match self.poll_event()? {
@@ -251,14 +240,18 @@ mod tests {
     #[test]
     fn timeout_returns_none() {
         let (_, mut b) = loopback_pair();
-        b.set_timeout(Some(Duration::from_millis(10))).unwrap();
+        b.socket
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
         assert!(b.recv_window().unwrap().is_none());
     }
 
     #[test]
     fn garbage_packets_skipped() {
         let (mut a, mut b) = loopback_pair();
-        b.set_timeout(Some(Duration::from_millis(50))).unwrap();
+        b.socket
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
         a.send_raw(b.local_addr().unwrap(), &[1, 2, 3]).unwrap();
         let w = window(&[7]);
         a.send_window(b.local_addr().unwrap(), &w).unwrap();
@@ -267,7 +260,9 @@ mod tests {
         // The skipped datagram was counted, and the subsequent timeout
         // is reported as a timeout, not conflated with the bad packet.
         assert_eq!(b.malformed(), 1);
-        b.set_timeout(Some(Duration::from_millis(10))).unwrap();
+        b.socket
+            .set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
         assert!(b.recv_window().unwrap().is_none());
         assert_eq!(b.malformed(), 1);
     }
@@ -319,7 +314,9 @@ mod tests {
         use crate::wire::{NcpRepr, FLAG_FIRST_FRAG, FLAG_FRAGMENT, FLAG_MORE_FRAGS};
         let (a, mut b) = loopback_pair();
         let b_addr = b.local_addr().unwrap();
-        b.set_timeout(Some(Duration::from_millis(200))).unwrap();
+        b.socket
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
         let fragment = |flags: u8, offset: u32, len: u16| {
             let repr = NcpRepr {
                 flags: FLAG_FRAGMENT | flags,
@@ -351,7 +348,9 @@ mod tests {
     fn ack_frames_surface_and_drive_the_reliable_engine() {
         use crate::reliable::{ReliableConfig, Sender};
         let (mut a, mut b) = loopback_pair();
-        b.set_timeout(Some(Duration::from_millis(100))).unwrap();
+        b.socket
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
         // `a` tracks a window under NCP-R, wall-clocked by the endpoint.
         let mut sender = Sender::new(ReliableConfig::default());
         let w = window(&[1, 2, 3]);
@@ -370,7 +369,9 @@ mod tests {
         .emit_into(&mut ack);
         b.send_raw(src, &ack).unwrap();
         // recv_window skips ACK frames; poll_event surfaces them.
-        a.set_timeout(Some(Duration::from_millis(100))).unwrap();
+        a.socket
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
         match a.poll_event().unwrap() {
             RecvEvent::Ack(ack, _) => {
                 assert!(!ack.nack);

@@ -28,7 +28,7 @@ pub const VERSION: u8 = 1;
 /// Fixed header length (before chunk descriptors).
 pub const HEADER_LEN: usize = 16;
 /// Bytes per chunk descriptor.
-pub const CHUNK_DESC_LEN: usize = 6;
+pub(crate) const CHUNK_DESC_LEN: usize = 6;
 
 /// Flags bit: this is the final window of the invocation.
 pub const FLAG_LAST: u8 = 0x01;
@@ -136,11 +136,6 @@ impl<T: AsRef<[u8]>> NcpPacket<T> {
         Ok(())
     }
 
-    /// Releases the inner buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// The magic field.
     pub fn magic(&self) -> u16 {
         get_u16(self.buffer.as_ref(), 0)
@@ -187,7 +182,7 @@ impl<T: AsRef<[u8]>> NcpPacket<T> {
     }
 
     /// Chunk descriptor `i`: `(array byte offset, chunk byte length)`.
-    pub fn chunk_desc(&self, i: usize) -> (u32, u16) {
+    pub(crate) fn chunk_desc(&self, i: usize) -> (u32, u16) {
         let b = self.buffer.as_ref();
         let off = HEADER_LEN + i * CHUNK_DESC_LEN;
         (get_u32(b, off), get_u16(b, off + 4))
@@ -201,7 +196,7 @@ impl<T: AsRef<[u8]>> NcpPacket<T> {
     }
 
     /// Payload bytes of chunk `i`.
-    pub fn chunk_data(&self, i: usize) -> &[u8] {
+    pub(crate) fn chunk_data(&self, i: usize) -> &[u8] {
         let b = self.buffer.as_ref();
         let mut start =
             HEADER_LEN + self.nchunks() as usize * CHUNK_DESC_LEN + self.ext_len() as usize;
@@ -231,11 +226,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> NcpPacket<T> {
     /// Sets the previous-hop field (rewritten at each NCP device).
     pub fn set_from(&mut self, v: u16) {
         put_u16(self.buffer.as_mut(), 12, v);
-    }
-
-    /// Sets the sequence number.
-    pub fn set_seq(&mut self, v: u32) {
-        put_u32(self.buffer.as_mut(), 6, v);
     }
 }
 
@@ -283,7 +273,7 @@ impl NcpRepr {
 
     /// Emits the header into `buf` (which must be at least
     /// [`NcpRepr::buffer_len`] long); payload is written by the caller
-    /// after [`Self::payload_offset`].
+    /// after the header, the chunk descriptors and the ext block.
     pub fn emit(&self, buf: &mut [u8]) {
         put_u16(buf, 0, MAGIC);
         buf[2] = VERSION;
@@ -301,11 +291,6 @@ impl NcpRepr {
         }
         let ext_start = HEADER_LEN + self.chunks.len() * CHUNK_DESC_LEN;
         buf[ext_start..ext_start + self.ext.len()].copy_from_slice(&self.ext);
-    }
-
-    /// Byte offset where the payload starts.
-    pub fn payload_offset(&self) -> usize {
-        HEADER_LEN + self.chunks.len() * CHUNK_DESC_LEN + self.ext.len()
     }
 }
 
@@ -346,9 +331,8 @@ impl AckRepr {
     }
 
     /// Emits the frame into (cleared) `buf` — exactly [`HEADER_LEN`]
-    /// bytes. `buf` is typically recycled through a
-    /// [`crate::codec::BufferPool`], so steady-state ACK traffic
-    /// allocates nothing.
+    /// bytes. `buf` is typically recycled through a buffer pool, so
+    /// steady-state ACK traffic allocates nothing.
     pub fn emit_into(&self, buf: &mut Vec<u8>) {
         buf.clear();
         buf.resize(HEADER_LEN, 0);
@@ -368,6 +352,9 @@ impl AckRepr {
 mod tests {
     use super::*;
 
+    /// Payload bytes of [`sample`]: its two chunks carry 8 + 4.
+    const SAMPLE_PAYLOAD: usize = 12;
+
     fn sample() -> Vec<u8> {
         let repr = NcpRepr {
             flags: FLAG_LAST,
@@ -380,7 +367,7 @@ mod tests {
         };
         let mut buf = vec![0u8; repr.buffer_len()];
         repr.emit(&mut buf);
-        let off = repr.payload_offset();
+        let off = buf.len() - SAMPLE_PAYLOAD;
         for (i, b) in buf[off..].iter_mut().enumerate() {
             *b = i as u8;
         }
@@ -414,7 +401,7 @@ mod tests {
         let repr = NcpRepr::parse(&p);
         let mut out = vec![0u8; repr.buffer_len()];
         repr.emit(&mut out);
-        let off = repr.payload_offset();
+        let off = out.len() - SAMPLE_PAYLOAD;
         out[off..].copy_from_slice(&buf[off..]);
         assert_eq!(out, buf);
     }
@@ -482,15 +469,12 @@ mod tests {
 
     #[test]
     fn mutators() {
-        let buf = sample();
-        let mut p = NcpPacket::new_unchecked(buf);
+        let mut buf = sample();
+        let mut p = NcpPacket::new_unchecked(&mut buf[..]);
         p.set_from(0x8002);
         p.set_flags(FLAG_LAST | FLAG_MORE_FRAGS);
-        p.set_seq(100);
-        let buf = p.into_inner();
         let p = NcpPacket::new_checked(&buf[..]).unwrap();
         assert_eq!(p.from(), 0x8002);
-        assert_eq!(p.seq(), 100);
         assert!(p.flags() & FLAG_MORE_FRAGS != 0);
     }
 }

@@ -251,11 +251,6 @@ impl PlacementPlan {
         out.push_str("]}");
         out
     }
-
-    /// Total stages reserved across the fabric.
-    pub fn total_stages(&self) -> usize {
-        self.switches.iter().map(|s| s.stages).sum()
-    }
 }
 
 /// Aggregate committed usage on one switch (all tenants, both versions
@@ -391,23 +386,6 @@ impl AdmissionController {
             }
         }
         u
-    }
-
-    /// Committed usage per switch across the whole fabric.
-    pub fn fabric_usage(&self) -> BTreeMap<String, SwitchUsage> {
-        let mut switches: BTreeMap<String, SwitchUsage> = BTreeMap::new();
-        for entry in self.tenants.values() {
-            for plan in std::iter::once(&entry.plan).chain(entry.pending.iter()) {
-                for sw in &plan.switches {
-                    let u = switches.entry(sw.switch.clone()).or_default();
-                    u.stages += sw.stages;
-                    u.sram_bytes += sw.sram_bytes;
-                    u.phv_header_bytes += sw.phv_header_bytes;
-                    u.phv_metadata_bytes += sw.phv_metadata_bytes;
-                }
-            }
-        }
-        switches
     }
 
     /// The version a tenant currently runs (pending upgrades excluded).
@@ -996,9 +974,9 @@ mod tests {
         let plan = ac.admit(&TenantSpec::new("t"), &ests).unwrap();
         assert_eq!(plan.switches[0].switch, "s1");
         assert_eq!(plan.switches[1].switch, "s2");
-        assert_eq!(plan.total_stages(), 4 + 3);
-        let usage = ac.fabric_usage();
-        assert_eq!(usage["s1"].sram_bytes, 200);
-        assert_eq!(usage["s2"].sram_bytes, 100);
+        let (s1, s2) = (ac.usage("s1"), ac.usage("s2"));
+        assert_eq!(s1.stages + s2.stages, 4 + 3);
+        assert_eq!(s1.sram_bytes, 200);
+        assert_eq!(s2.sram_bytes, 100);
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # ncsched — the multi-tenant control plane
 //!
@@ -8,16 +9,16 @@
 //! the "INC-as-a-service" layer the paper gestures at and ClickINC /
 //! NetRPC (PAPERS.md) spell out:
 //!
-//! * [`tenant`] — tenant identity and per-switch resource quotas
+//! * `tenant` — tenant identity and per-switch resource quotas
 //!   ([`TenantSpec`], [`TenantQuota`]).
-//! * [`admission`] — the [`AdmissionController`]: bin-packs candidate
+//! * `admission` — the [`AdmissionController`]: bin-packs candidate
 //!   kernels across the fabric's PISA resource pools using the resource
 //!   figures of each tenant's compiled pipelines (`ncl_p4::estimate`),
 //!   **before** anything is loaded.
 //!   Admission yields a [`PlacementPlan`]; rejection yields a
 //!   machine-readable [`CostReport`] naming the violated budget, the
 //!   offending kernel and the tenant's version.
-//! * [`upgrade`] — the hitless-upgrade state machine ([`Upgrade`]):
+//! * `upgrade` — the hitless-upgrade state machine ([`Upgrade`]):
 //!   install the new kernel version alongside the old one, route new
 //!   windows to the new version, drain the old version's in-flight
 //!   windows via the NCP-R seq/ack state, and only then reclaim its
@@ -43,9 +44,9 @@
 //! the old version still committed; quotas apply to each version's
 //! footprint separately while fabric capacity governs the transient sum.
 
-pub mod admission;
-pub mod tenant;
-pub mod upgrade;
+mod admission;
+mod tenant;
+mod upgrade;
 
 pub use admission::{
     AdmissionController, AdmissionError, BudgetKind, CostReport, KernelPlacement, PlacementPlan,

@@ -24,7 +24,7 @@ pub struct TenantQuota {
 
 impl TenantQuota {
     /// No limits — the tenant is bounded only by fabric capacity.
-    pub fn unlimited() -> Self {
+    fn unlimited() -> Self {
         TenantQuota {
             stages: usize::MAX,
             sram_bytes: usize::MAX,

@@ -31,7 +31,7 @@
 //! PISA executions of the same window stamp bit-identical records.
 
 /// Size in bytes of one encoded [`HopRecord`].
-pub const HOP_RECORD_LEN: usize = 32;
+pub(crate) const HOP_RECORD_LEN: usize = 32;
 
 /// Hop-record flag: the switch suppressed this window as an NCP-R
 /// replay (its `__nclr_dups_*` registers advanced while processing it).
@@ -79,7 +79,7 @@ impl HopRecord {
     }
 
     /// Decodes a record from `b`; `None` unless exactly
-    /// [`HOP_RECORD_LEN`] bytes with a zero reserved field.
+    /// `HOP_RECORD_LEN` (32) bytes with a zero reserved field.
     pub fn decode(b: &[u8]) -> Option<HopRecord> {
         if b.len() != HOP_RECORD_LEN || b[14] != 0 || b[15] != 0 {
             return None;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # nctel — observability for the NCL stack
 //!
@@ -7,7 +8,7 @@
 //! usable on its own (DESIGN.md §4.9):
 //!
 //! * [`metrics`] — a unified, lock-free metrics [`Registry`]:
-//!   [`Counter`]s, [`Gauge`]s and log-bucketed latency [`Histogram`]s
+//!   [`Counter`]s, [`metrics::Gauge`]s and log-bucketed latency [`Histogram`]s
 //!   with p50/p99/p999 snapshots, rendered as Prometheus text or JSON.
 //!   The scattered ad-hoc stats structs (`SenderStats`, `ReceiverStats`,
 //!   `SimStats`, the UDP malformed counter, fast-path hit/miss counts,
@@ -18,7 +19,7 @@
 //!   id+version, stage count, micro-ops executed, dup-suppression flag,
 //!   sim-time ticks in/out). The receiving host assembles the records
 //!   into [`WindowTrace`]s held in a bounded, sampled [`TraceRing`].
-//! * [`spans`] — compile-pipeline tracing: a [`Timeline`] of timed spans
+//! * `spans` — compile-pipeline tracing: a [`Timeline`] of timed spans
 //!   around parse→sema→lower→passes→lint→PISA-map→P4-emit, surfaced by
 //!   `nclc --emit timing`.
 //! * [`scope`] — **ncscope**, the layer that *interprets* the above
@@ -32,16 +33,16 @@
 //! workspace (transport, simulator, compiler, benches) can depend on it
 //! without cycles.
 
-pub mod clock;
+mod clock;
 pub mod hop;
 pub mod metrics;
 pub mod scope;
-pub mod spans;
+mod spans;
 pub mod trace;
 
 pub use clock::MonotonicClock;
-pub use hop::{HopRecord, HOP_DUP_SUPPRESSED, HOP_FORWARDED_ONLY, HOP_RECORD_LEN};
-pub use metrics::{labeled, Counter, Gauge, Histogram, Registry};
+pub use hop::{HopRecord, HOP_DUP_SUPPRESSED, HOP_FORWARDED_ONLY};
+pub use metrics::{labeled, Counter, Histogram, Registry};
 pub use scope::{Scope, ScopeEvent, SnapshotReason, WindowKey};
 pub use spans::Timeline;
 pub use trace::{TraceRing, WindowTrace};

@@ -296,22 +296,6 @@ impl Registry {
         m.insert(name.to_string(), Metric::Counter(c.clone()));
     }
 
-    /// Registers an existing gauge under `name` (see
-    /// [`Registry::register_counter`]).
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
-    pub fn register_gauge(&self, name: &str, g: &Gauge) {
-        let mut m = self.metrics.lock().unwrap();
-        if let Some(existing) = m.get(name) {
-            assert!(
-                matches!(existing, Metric::Gauge(_)),
-                "metric {name:?} already registered with a different type"
-            );
-        }
-        m.insert(name.to_string(), Metric::Gauge(g.clone()));
-    }
-
     /// Registers an existing histogram under `name` (see
     /// [`Registry::register_counter`]).
     ///
@@ -506,7 +490,7 @@ fn split_labels(name: &str) -> (&str, &str) {
 /// Rewrites a registry name into a legal Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`, and
 /// a leading digit gets an `_` prefix. Empty names become `_`.
-pub fn sanitize_prometheus_name(name: &str) -> String {
+fn sanitize_prometheus_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
@@ -885,7 +869,6 @@ mod tests {
         fresh.add(10);
         r.register_counter("x", &fresh);
         assert_eq!(r.counter_value("x"), Some(10));
-        r.register_gauge("g", &Gauge::new());
         r.register_histogram("h", &Histogram::new());
     }
 

@@ -4,7 +4,7 @@
 //! in-band hop records, compile spans); this module is the layer that
 //! *interprets* them (DESIGN.md §4.10):
 //!
-//! * [`event`] — a bounded, lock-free ring of typed [`ScopeEvent`]s,
+//! * `event` — a bounded, lock-free ring of typed [`ScopeEvent`]s,
 //!   keyed by `(sender, kernel, window seq)` so host, transport and
 //!   switch observations of one window join a single causal chain. The
 //!   cheap-clone [`Scope`] handle is attached to `NclHost`, the NCP-R
@@ -16,23 +16,22 @@
 //! * [`analysis`] — folds events + hop records into per-window
 //!   [`WindowVerdict`]s: loss-locus attribution, per-switch latency,
 //!   replay/dup heatmaps, with a deterministic text report.
-//! * [`chrome`] — a Chrome `trace_event` exporter merging compile
-//!   spans, window lifecycles and hop records into one Perfetto-openable
-//!   timeline.
+//! * `chrome` — [`chrome_trace`], a Chrome `trace_event` exporter
+//!   merging compile spans, window lifecycles and hop records into one
+//!   Perfetto-openable timeline.
 //! * [`beacon`] — a UDP side channel that serves live snapshots to the
 //!   `ncscope` CLI.
 
 pub mod analysis;
 pub mod beacon;
-pub mod chrome;
-pub mod event;
+mod chrome;
+mod event;
 pub mod json;
 
 pub use analysis::{
     diagnose, Diagnosis, DiagnosisConfig, LatencyStat, LossLocus, WindowOutcome, WindowVerdict,
-    HOP_PATH_CAP,
 };
-pub use beacon::{query, spawn_beacon, Beacon, BEACON_PROBE};
+pub use beacon::{query, spawn_beacon, Beacon};
 pub use chrome::chrome_trace;
 pub use event::{DecodedEvent, EventRing, ScopeEvent, ScopeEventRecord, WindowKey};
 pub use json::Json;
@@ -44,7 +43,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Default event-ring capacity for [`Scope::default`].
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// Why a flight-recorder snapshot was taken.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,7 +190,7 @@ impl Scope {
     /// Like [`Scope::flight_json`] but keeps only the newest
     /// `max_events` ring entries (used by the beacon to fit a UDP
     /// datagram); the cut is accounted in `events_dropped`.
-    pub fn flight_json_capped(
+    pub(crate) fn flight_json_capped(
         &self,
         reason: &str,
         now: u64,

@@ -13,7 +13,7 @@
 //!   deepest on-path switch that *witnessed* the window (hop records
 //!   seen by the receiver, `SwitchExecuted`/`SwitchForwarded` events)
 //!   against the deployed AND path, and blame the first link past that
-//!   point. Only the first [`HOP_PATH_CAP`] hops of a path are trusted;
+//!   point. Only the first `HOP_PATH_CAP` (8) hops of a path are trusted;
 //!   longer paths yield truncated verdicts rather than confident blame.
 
 use super::event::{DecodedEvent, ScopeEvent, WindowKey};
@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// Analysis trust horizon, in hops. Wire-compat tests cover telemetry
 /// sections of up to 8 hop records; beyond that the engine refuses to
 /// pin blame on a specific link.
-pub const HOP_PATH_CAP: usize = 8;
+pub(crate) const HOP_PATH_CAP: usize = 8;
 
 /// Static deployment facts the engine diagnoses against.
 #[derive(Clone, Debug, Default)]
@@ -84,7 +84,7 @@ pub struct LatencyStat {
 
 impl LatencyStat {
     /// Mean residence time in ns (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
+    fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 }
@@ -110,7 +110,7 @@ pub struct WindowVerdict {
     /// A hop record carried a kernel version other than the deployed
     /// one (window raced a redeploy).
     pub stale_version: bool,
-    /// The expected path exceeds [`HOP_PATH_CAP`]; inference was
+    /// The expected path exceeds `HOP_PATH_CAP` (8) hops; inference was
     /// confined to the trusted prefix.
     pub truncated_path: bool,
 }

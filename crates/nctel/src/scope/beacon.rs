@@ -1,7 +1,7 @@
 //! A tiny UDP beacon that serves live scope/registry snapshots to the
 //! `ncscope` CLI.
 //!
-//! Protocol: the client sends the 8-byte probe [`BEACON_PROBE`]; the
+//! Protocol: the client sends the 8-byte probe `NCSCOPE?`; the
 //! beacon replies with one datagram containing a flight-recorder JSON
 //! snapshot (reason `"on_demand"`). Replies are capped below the UDP
 //! datagram limit by truncating the event log to the newest entries —
@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The probe datagram a client sends to request a snapshot.
-pub const BEACON_PROBE: &[u8] = b"NCSCOPE?";
+pub(crate) const BEACON_PROBE: &[u8] = b"NCSCOPE?";
 
 /// Largest reply we will send (one safe UDP datagram).
 const MAX_REPLY: usize = 60_000;

@@ -161,7 +161,7 @@ impl ScopeEvent {
 
     /// Rebuilds the event from flattened words; `None` for unknown
     /// kinds (e.g. an artifact written by a newer stack).
-    pub fn unpack(kind: u8, a: u64, b: u64) -> Option<ScopeEvent> {
+    pub(crate) fn unpack(kind: u8, a: u64, b: u64) -> Option<ScopeEvent> {
         Some(match kind {
             1 => ScopeEvent::WindowSent { attempt: a as u32 },
             2 => ScopeEvent::FragmentDropped {
@@ -193,7 +193,7 @@ impl ScopeEvent {
 
     /// Stable snake_case name for the flattened `kind` code, used in
     /// JSON artifacts.
-    pub fn kind_name(kind: u8) -> &'static str {
+    pub(crate) fn kind_name(kind: u8) -> &'static str {
         match kind {
             1 => "window_sent",
             2 => "fragment_dropped",
@@ -215,7 +215,7 @@ impl ScopeEvent {
     }
 
     /// Inverse of [`ScopeEvent::kind_name`]; 0 for unknown names.
-    pub fn kind_code(name: &str) -> u8 {
+    pub(crate) fn kind_code(name: &str) -> u8 {
         match name {
             "window_sent" => 1,
             "fragment_dropped" => 2,

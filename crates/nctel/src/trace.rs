@@ -27,10 +27,10 @@ const SAMPLING_ONE: u64 = 1 << 32;
 ///
 /// Sampling is a deterministic error-accumulator (no RNG, so simulated
 /// runs stay reproducible): with `sampling = 0.25` exactly every fourth
-/// [`TraceRing::should_sample`] returns `true`. The accumulator is
-/// integer fixed-point (Q32), so long runs cannot drift the way a
-/// floating-point accumulator does, and [`TraceRing::should_sample_for`]
-/// keeps an independent accumulator per sender: with multiple senders
+/// [`TraceRing::should_sample_for`] of a sender returns `true`. The
+/// accumulator is integer fixed-point (Q32), so long runs cannot drift
+/// the way a floating-point accumulator does, and each sender has its
+/// own accumulator: with multiple senders
 /// interleaving through one ring, each sender's kept set depends only on
 /// its own window order, never on how the interleaving happened to land.
 /// When the ring is full the oldest trace is evicted and counted in
@@ -40,7 +40,6 @@ pub struct TraceRing {
     ring: VecDeque<WindowTrace>,
     cap: usize,
     sampling_fp: u64,
-    acc: u64,
     per_sender: BTreeMap<u16, u64>,
     dropped: u64,
 }
@@ -54,7 +53,6 @@ impl TraceRing {
             ring: VecDeque::new(),
             cap: cap.max(1),
             sampling_fp: (sampling.clamp(0.0, 1.0) * SAMPLING_ONE as f64).round() as u64,
-            acc: 0,
             per_sender: BTreeMap::new(),
             dropped: 0,
         }
@@ -70,16 +68,8 @@ impl TraceRing {
         }
     }
 
-    /// Advances the sampler: `true` iff the next outgoing window should
-    /// carry a telemetry section. Single shared stream; hosts emitting
-    /// windows for several senders should use
-    /// [`TraceRing::should_sample_for`] instead.
-    pub fn should_sample(&mut self) -> bool {
-        let fp = self.sampling_fp;
-        Self::advance(&mut self.acc, fp)
-    }
-
-    /// Advances `sender`'s private sampler stream. Because each sender
+    /// Advances `sender`'s sampler stream: `true` iff its next outgoing
+    /// window should carry a telemetry section. Because each sender
     /// owns its accumulator, the decision for a sender's n-th window is
     /// a pure function of `(sampling, n)` — reordering *between*
     /// senders can never change which windows are kept.
@@ -140,7 +130,7 @@ mod tests {
     #[test]
     fn sampler_is_deterministic_and_proportional() {
         let mut r = TraceRing::new(0.25, 8);
-        let hits: Vec<bool> = (0..8).map(|_| r.should_sample()).collect();
+        let hits: Vec<bool> = (0..8).map(|_| r.should_sample_for(7)).collect();
         assert_eq!(hits.iter().filter(|&&h| h).count(), 2);
         // Exactly every 4th window.
         assert_eq!(
@@ -148,9 +138,9 @@ mod tests {
             vec![false, false, false, true, false, false, false, true]
         );
         let mut all = TraceRing::new(1.0, 8);
-        assert!((0..100).all(|_| all.should_sample()));
+        assert!((0..100).all(|_| all.should_sample_for(7)));
         let mut none = TraceRing::new(0.0, 8);
-        assert!(!(0..100).any(|_| none.should_sample()));
+        assert!(!(0..100).any(|_| none.should_sample_for(7)));
     }
 
     #[test]
@@ -158,7 +148,7 @@ mod tests {
         // With a float accumulator, 0.1 accumulates representation
         // error; the Q32 accumulator keeps the kept-count exact forever.
         let mut r = TraceRing::new(0.1, 8);
-        let kept = (0..1_000_000).filter(|_| r.should_sample()).count();
+        let kept = (0..1_000_000).filter(|_| r.should_sample_for(7)).count();
         assert_eq!(kept, 100_000);
     }
 

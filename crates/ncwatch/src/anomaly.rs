@@ -13,7 +13,7 @@
 //! All arithmetic is plain IEEE f64 over identical inputs, so verdicts
 //! are deterministic across runs.
 
-/// Tuning for every [`EwmaMad`] detector an engine owns.
+/// Tuning for every `EwmaMad` detector an engine owns.
 #[derive(Clone, Copy, Debug)]
 pub struct AnomalyConfig {
     /// EWMA smoothing factor for both mean and deviation.
@@ -45,7 +45,7 @@ impl Default for AnomalyConfig {
 
 /// A flagged deviation.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Anomaly {
+pub(crate) struct Anomaly {
     /// The offending observation.
     pub value: f64,
     /// Learned baseline mean at flag time.
@@ -60,23 +60,18 @@ pub struct Anomaly {
 
 /// One series' streaming baseline.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct EwmaMad {
+pub(crate) struct EwmaMad {
     mean: f64,
     dev: f64,
     n: u64,
 }
 
 impl EwmaMad {
-    /// A fresh, empty baseline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Feeds one observation; returns the verdict *before* the
     /// baseline absorbs it (so a level shift is judged against the
     /// pre-shift baseline, then re-baselined over the following
     /// `~1/alpha` ticks — a persistent shift fires once, not forever).
-    pub fn observe(&mut self, cfg: &AnomalyConfig, x: f64) -> Option<Anomaly> {
+    pub(crate) fn observe(&mut self, cfg: &AnomalyConfig, x: f64) -> Option<Anomaly> {
         let verdict = if self.n >= cfg.warmup {
             let floor = cfg.abs_floor.max(cfg.rel_floor * self.mean.abs());
             let spread = self.dev.max(floor);
@@ -106,11 +101,6 @@ impl EwmaMad {
         self.n += 1;
         verdict
     }
-
-    /// `(mean, deviation, observations)` of the current baseline.
-    pub fn baseline(&self) -> (f64, f64, u64) {
-        (self.mean, self.dev, self.n)
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +110,7 @@ mod tests {
     #[test]
     fn warmup_never_flags() {
         let cfg = AnomalyConfig::default();
-        let mut d = EwmaMad::new();
+        let mut d = EwmaMad::default();
         for x in [0.0, 1000.0, 0.0, 1000.0, 0.0] {
             assert_eq!(d.observe(&cfg, x), None, "warmup must stay silent");
         }
@@ -129,7 +119,7 @@ mod tests {
     #[test]
     fn step_change_is_flagged_once_then_rebaselined() {
         let cfg = AnomalyConfig::default();
-        let mut d = EwmaMad::new();
+        let mut d = EwmaMad::default();
         for i in 0..50u64 {
             // Steady series with mild texture.
             let x = 100.0 + (i % 3) as f64;
@@ -158,7 +148,7 @@ mod tests {
             k: 3.0,
             ..AnomalyConfig::default()
         };
-        let mut d = EwmaMad::new();
+        let mut d = EwmaMad::default();
         for _ in 0..20 {
             d.observe(&cfg, 500.0);
         }
@@ -167,7 +157,7 @@ mod tests {
             watch_low: true,
             ..cfg
         };
-        let mut d = EwmaMad::new();
+        let mut d = EwmaMad::default();
         for _ in 0..20 {
             d.observe(&low, 500.0);
         }
@@ -180,7 +170,7 @@ mod tests {
         // Spread collapses to 0 on a constant series; the floors must
         // keep small wiggles unflagged while real excursions still fire.
         let cfg = AnomalyConfig::default();
-        let mut d = EwmaMad::new();
+        let mut d = EwmaMad::default();
         for _ in 0..30 {
             d.observe(&cfg, 8.0);
         }

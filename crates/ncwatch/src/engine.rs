@@ -28,7 +28,7 @@ use crate::slo::{Objective, SloSpec, SloTracker, SloTransition};
 pub struct WatchConfig {
     /// Evaluation cadence, simulated ns per tick (informational — the
     /// caller owns the clock and decides when to call
-    /// [`Watch::observe_tick`]).
+    /// [`Watch::observe_tick_lazy`]).
     pub tick_ns: u64,
     /// Declared objectives.
     pub slos: Vec<SloSpec>,
@@ -99,12 +99,6 @@ pub struct TickInput<'a> {
     pub tenants: &'a [TenantSample],
     /// Per-component series for the anomaly baselines.
     pub series: &'a [SeriesSample],
-    /// Current scope capture (decoded events so far). Eager — callers
-    /// on a hot path should pass `&[]` here and use
-    /// [`Watch::observe_tick_lazy`] instead.
-    pub events: &'a [DecodedEvent],
-    /// Receiver-assembled window traces so far (same eager caveat).
-    pub traces: &'a [WindowTrace],
 }
 
 /// Lazily materializes the scope capture — decoded events plus window
@@ -188,18 +182,9 @@ impl Watch {
 
     /// Runs one evaluation tick and returns the incidents it fired.
     ///
-    /// Uses the eager capture carried in `input` (`events`/`traces`).
-    /// Streaming drivers that would otherwise decode the whole scope
-    /// ring every tick should call [`Watch::observe_tick_lazy`].
-    pub fn observe_tick(&mut self, input: &TickInput) -> Vec<IncidentReport> {
-        let (events, traces) = (input.events, input.traces);
-        self.observe_tick_lazy(input, &mut || (events.to_vec(), traces.to_vec()))
-    }
-
-    /// Like [`Watch::observe_tick`], but the scope capture is pulled
-    /// from `capture` only on ticks where an SLO fires or an anomaly
-    /// flags — the common healthy tick never pays for a ring decode or
-    /// a trace clone. `input.events`/`input.traces` are ignored.
+    /// The scope capture is pulled from `capture` only on ticks where
+    /// an SLO fires or an anomaly flags — the common healthy tick never
+    /// pays for a ring decode or a trace clone.
     pub fn observe_tick_lazy(
         &mut self,
         input: &TickInput,
@@ -519,9 +504,11 @@ mod tests {
             now_ns,
             tenants,
             series: &[],
-            events: &[],
-            traces: &[],
         }
+    }
+
+    fn no_capture() -> (Vec<DecodedEvent>, Vec<WindowTrace>) {
+        (Vec::new(), Vec::new())
     }
 
     fn tenant(acked: u64, tracked: u64) -> TenantSample {
@@ -539,13 +526,15 @@ mod tests {
         // Healthy: 10 acks/tick.
         for i in 1..=12u64 {
             let t = [tenant(i * 10, i * 10)];
-            assert!(w.observe_tick(&tick(i * 100, &t)).is_empty());
+            assert!(w
+                .observe_tick_lazy(&tick(i * 100, &t), &mut no_capture)
+                .is_empty());
         }
         // Collapse: traffic still tracked, nothing acked.
         let mut incidents = Vec::new();
         for i in 13..=20u64 {
             let t = [tenant(120, i * 10)];
-            incidents.extend(w.observe_tick(&tick(i * 100, &t)));
+            incidents.extend(w.observe_tick_lazy(&tick(i * 100, &t), &mut no_capture));
         }
         assert_eq!(incidents.len(), 1, "hysteresis + cooldown → one incident");
         let inc = &incidents[0];
@@ -564,13 +553,16 @@ mod tests {
         // No traffic at all: tracked == acked == 0 throughout.
         for i in 1..=50u64 {
             let t = [tenant(0, 0)];
-            assert!(w.observe_tick(&tick(i * 100, &t)).is_empty());
+            assert!(w
+                .observe_tick_lazy(&tick(i * 100, &t), &mut no_capture)
+                .is_empty());
         }
         // Finished run: counters frozen, nothing outstanding.
         for i in 51..=100u64 {
             let t = [tenant(500, 500)];
             assert!(
-                w.observe_tick(&tick(i * 100, &t)).is_empty(),
+                w.observe_tick_lazy(&tick(i * 100, &t), &mut no_capture)
+                    .is_empty(),
                 "drained tenant flagged at tick {i}"
             );
         }
@@ -603,10 +595,10 @@ mod tests {
                 now_ns: i * 100,
                 tenants: &t,
                 series: &[],
-                events: &events,
-                traces: &[],
             };
-            incidents.extend(w.observe_tick(&input));
+            incidents.extend(
+                w.observe_tick_lazy(&input, &mut || (events.clone(), Vec::<WindowTrace>::new())),
+            );
         }
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].suspected, "switch s1 (unknown kernel)");
@@ -628,10 +620,8 @@ mod tests {
                 now_ns: i * 100,
                 tenants: &[],
                 series: &s,
-                events: &[],
-                traces: &[],
             };
-            incidents.extend(w.observe_tick(&input));
+            incidents.extend(w.observe_tick_lazy(&input, &mut no_capture));
         }
         assert!(!incidents.is_empty(), "step change must flag");
         assert_eq!(incidents[0].kind, "anomaly");
@@ -647,7 +637,7 @@ mod tests {
             for i in 1..=30u64 {
                 let acked = if i <= 12 { i * 10 } else { 120 };
                 let t = [tenant(acked, i * 10)];
-                for inc in w.observe_tick(&tick(i * 100, &t)) {
+                for inc in w.observe_tick_lazy(&tick(i * 100, &t), &mut no_capture) {
                     log.push_str(&inc.render_json());
                     log.push('\n');
                 }

@@ -9,7 +9,7 @@
 //!
 //! Three layers, bottom to top:
 //!
-//! - [`slo`] — declarative per-tenant objectives (goodput floor, p99
+//! - `slo` — declarative per-tenant objectives (goodput floor, p99
 //!   window-latency ceiling, retransmit-rate ceiling, unknown-kernel
 //!   == 0) compiled from a small spec type and evaluated over rolling
 //!   windows with **multi-rate burn-rate alerting**: an alert fires
@@ -17,12 +17,12 @@
 //!   faster than a threshold — Prometheus-style SLO burn alerts, but
 //!   fully deterministic (integer per-mille arithmetic, no wall
 //!   clock).
-//! - [`anomaly`] — EWMA mean + EWMA absolute-deviation (MAD-style)
+//! - `anomaly` — EWMA mean + EWMA absolute-deviation (MAD-style)
 //!   baselines over per-link / per-switch / per-tenant series, flagging
 //!   deviations without hand-set thresholds.
-//! - [`incident`] + [`engine`] — an alert crossing threshold triggers
+//! - `incident` + `engine` — an alert crossing threshold triggers
 //!   an automatic `ncscope` capture + [`nctel::scope::analysis::diagnose`]
-//!   run and emits a machine-readable [`incident::IncidentReport`]
+//!   run and emits a machine-readable [`IncidentReport`]
 //!   (JSON: firing SLO, burn rates, suspected component, correlated
 //!   metric exemplars, deterministic incident id).
 //!
@@ -31,12 +31,14 @@
 //! time, and every evaluation is integer or IEEE-deterministic float
 //! arithmetic over the same inputs.
 
-pub mod anomaly;
-pub mod engine;
-pub mod incident;
-pub mod slo;
+#![warn(unreachable_pub)]
 
-pub use anomaly::{Anomaly, AnomalyConfig, EwmaMad};
+mod anomaly;
+mod engine;
+mod incident;
+mod slo;
+
+pub use anomaly::AnomalyConfig;
 pub use engine::{CaptureSource, SeriesSample, TenantSample, TickInput, Watch, WatchConfig};
 pub use incident::{link_name, wire_name, IncidentReport};
 pub use slo::{BurnRates, Objective, SloSpec, SloTracker, SloTransition};

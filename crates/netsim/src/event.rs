@@ -9,11 +9,7 @@ use std::collections::BinaryHeap;
 /// Simulated time in nanoseconds since simulation start.
 pub type Time = u64;
 
-/// One nanosecond in [`Time`] units.
-pub const NANOS: Time = 1;
-/// One microsecond.
-pub const MICROS: Time = 1_000;
-/// One millisecond.
+/// One millisecond in [`Time`] units.
 pub const MILLIS: Time = 1_000_000;
 /// One second.
 pub const SECONDS: Time = 1_000_000_000;
@@ -69,7 +65,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 

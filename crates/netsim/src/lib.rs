@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # netsim — a deterministic discrete-event network simulator
 //!
@@ -14,13 +15,13 @@
 //! * [`event`] — the time-ordered event queue;
 //! * [`link`] — store-and-forward links: serialization delay from
 //!   bandwidth, propagation delay, optional deterministic loss;
-//! * [`node`] — the [`node::HostApp`] trait applications
-//!   implement, the [`node::FastDatapath`] engine contract (implemented
+//! * `node` — the [`HostApp`] trait applications
+//!   implement, the [`FastDatapath`] engine contract (implemented
 //!   here for [`pisa::Pipeline`]), and the switch configuration holding
 //!   one engine behind NCP-aware forwarding (Fig. 3b: *"A switch
 //!   executes a kernel only when the NCP protocol has been recognized"*
 //!   — everything else is forwarded untouched);
-//! * [`sim`] — topology building, BFS routing, the run loop, and the
+//! * `sim` — topology building, BFS routing, the run loop, and the
 //!   UDP socket substrate.
 //!
 //! Packets carry an explicit `(src, dst)` node pair modelling the
@@ -31,8 +32,8 @@
 
 pub mod event;
 pub mod link;
-pub mod node;
-pub mod sim;
+mod node;
+mod sim;
 
 pub use event::Time;
 pub use link::LinkSpec;

@@ -52,7 +52,7 @@ impl Default for LinkSpec {
 
 impl LinkSpec {
     /// Serialization time for `bytes`.
-    pub fn ser_time(&self, bytes: usize) -> Time {
+    fn ser_time(&self, bytes: usize) -> Time {
         (bytes as u128 * 8 * SECONDS as u128 / self.bandwidth_bps as u128) as Time
     }
 }
@@ -123,26 +123,11 @@ impl LinkDir {
         (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Attempts to transmit `bytes` at time `now`. Returns the arrival
-    /// time at the far end, or `None` when loss injection eats the
-    /// packet (which still counts the serialization — the bits were
-    /// sent). Duplication injection is only visible through
-    /// [`LinkDir::transmit_all`]; this wrapper keeps single-delivery
-    /// callers unchanged.
-    pub fn transmit(&mut self, now: Time, nbytes: usize) -> Option<Time> {
-        self.transmit_outcome(now, nbytes).arrival
-    }
-
-    /// Like [`LinkDir::transmit`], but returns up to two arrival times:
-    /// the packet itself and, when duplication injection fires, its
-    /// trailing copy.
-    pub fn transmit_all(&mut self, now: Time, nbytes: usize) -> [Option<Time>; 2] {
-        let o = self.transmit_outcome(now, nbytes);
-        [o.arrival, o.dup]
-    }
-
-    /// The full-fidelity transmit: everything `transmit`/`transmit_all`
-    /// report, plus whether (and how) loss injection fired.
+    /// Transmits `nbytes` at time `now`: the packet's arrival time at
+    /// the far end (`None` when loss injection eats it, which still
+    /// counts the serialization — the bits were sent), its trailing
+    /// copy's when duplication injection fires, and whether (and how)
+    /// loss injection fired.
     pub fn transmit_outcome(&mut self, now: Time, nbytes: usize) -> TransmitOutcome {
         let start = now.max(self.free_at);
         let ser = self.spec.ser_time(nbytes);
@@ -190,11 +175,6 @@ impl LinkDir {
             burst: false,
         }
     }
-
-    /// Queueing delay a packet sent at `now` would currently see.
-    pub fn backlog(&self, now: Time) -> Time {
-        self.free_at.saturating_sub(now)
-    }
 }
 
 #[cfg(test)]
@@ -220,13 +200,12 @@ mod tests {
             ..Default::default()
         };
         let mut dir = LinkDir::new(spec, 1);
-        let a1 = dir.transmit(0, 1250).unwrap();
-        let a2 = dir.transmit(0, 1250).unwrap();
+        let a1 = dir.transmit_outcome(0, 1250).arrival.unwrap();
+        let a2 = dir.transmit_outcome(0, 1250).arrival.unwrap();
         assert_eq!(a1, 10_000);
         assert_eq!(a2, 20_000, "second packet queues behind the first");
-        assert_eq!(dir.backlog(0), 20_000);
         // After the queue drains, no backlog.
-        let a3 = dir.transmit(50_000, 1250).unwrap();
+        let a3 = dir.transmit_outcome(50_000, 1250).arrival.unwrap();
         assert_eq!(a3, 60_000);
     }
 
@@ -238,7 +217,7 @@ mod tests {
             ..Default::default()
         };
         let mut dir = LinkDir::new(spec, 1);
-        assert_eq!(dir.transmit(0, 1250), Some(17_000));
+        assert_eq!(dir.transmit_outcome(0, 1250).arrival, Some(17_000));
     }
 
     #[test]
@@ -248,7 +227,9 @@ mod tests {
             ..Default::default()
         };
         let mut dir = LinkDir::new(spec, 1);
-        let outcomes: Vec<bool> = (0..9).map(|_| dir.transmit(0, 100).is_some()).collect();
+        let outcomes: Vec<bool> = (0..9)
+            .map(|_| dir.transmit_outcome(0, 100).arrival.is_some())
+            .collect();
         assert_eq!(
             outcomes,
             vec![true, true, false, true, true, false, true, true, false]
@@ -267,7 +248,8 @@ mod tests {
         let mut dir = LinkDir::new(spec, 1);
         let mut arrivals = Vec::new();
         for _ in 0..6 {
-            arrivals.push(dir.transmit_all(0, 1250));
+            let o = dir.transmit_outcome(0, 1250);
+            arrivals.push([o.arrival, o.dup]);
         }
         let dups: Vec<bool> = arrivals.iter().map(|a| a[1].is_some()).collect();
         assert_eq!(dups, vec![false, false, true, false, false, true]);
@@ -287,7 +269,9 @@ mod tests {
             ..Default::default()
         };
         let mut dir = LinkDir::new(spec, 1);
-        let outcomes: Vec<bool> = (0..10).map(|_| dir.transmit(0, 100).is_some()).collect();
+        let outcomes: Vec<bool> = (0..10)
+            .map(|_| dir.transmit_outcome(0, 100).arrival.is_some())
+            .collect();
         // Packet 4 triggers, packets 5 and 6 ride the burst; packet 8
         // is both a multiple of 4 and a fresh trigger.
         assert_eq!(
@@ -307,9 +291,9 @@ mod tests {
             ..Default::default()
         };
         let mut dir = LinkDir::new(spec, 1);
-        let a1 = dir.transmit(0, 100).unwrap();
-        let a2 = dir.transmit(0, 100).unwrap();
-        let a3 = dir.transmit(0, 100).unwrap();
+        let a1 = dir.transmit_outcome(0, 100).arrival.unwrap();
+        let a2 = dir.transmit_outcome(0, 100).arrival.unwrap();
+        let a3 = dir.transmit_outcome(0, 100).arrival.unwrap();
         assert!(a2 > a3, "jittered packet 2 arrives after packet 3");
         assert!(a1 < a3);
     }
@@ -322,7 +306,9 @@ mod tests {
         };
         let run = |seed: u64| -> Vec<bool> {
             let mut dir = LinkDir::new(spec, seed);
-            (0..32).map(|_| dir.transmit(0, 100).is_some()).collect()
+            (0..32)
+                .map(|_| dir.transmit_outcome(0, 100).arrival.is_some())
+                .collect()
         };
         assert_eq!(run(42), run(42), "same seed, same trace");
         let drops = run(42).iter().filter(|ok| !**ok).count();

@@ -100,7 +100,7 @@ pub trait HostApp {
 /// `(sender, kernel, seq)` plus whether the frame is NCP-R control
 /// traffic (ACK/NACK). `None` when the payload is not NCP — such
 /// packets carry no window identity and are invisible to ncscope.
-pub fn ncp_scope_key(payload: &[u8]) -> Option<(nctel::WindowKey, bool)> {
+pub(crate) fn ncp_scope_key(payload: &[u8]) -> Option<(nctel::WindowKey, bool)> {
     let p = ncp::NcpPacket::new_checked(payload).ok()?;
     let ctrl = p.flags() & (ncp::FLAG_ACK | ncp::FLAG_NACK) != 0;
     Some((nctel::WindowKey::new(p.sender(), p.kernel(), p.seq()), ctrl))
@@ -125,7 +125,8 @@ pub struct FastVerdict {
     /// the switch's static deploy-time telemetry".
     pub version: u16,
     /// Passes the window took through the engine (1 = no
-    /// recirculation); the switch charges [`PIPELINE_LATENCY`] per pass.
+    /// recirculation); the switch charges `PIPELINE_LATENCY` (600 ns)
+    /// per pass.
     pub passes: usize,
 }
 
@@ -228,10 +229,10 @@ pub struct SwitchTelemetry {
 
 /// Latency of one engine pass (~600 ns, Tofino-ish); a window that
 /// recirculates pays it once per [`FastVerdict::passes`].
-pub const PIPELINE_LATENCY: Time = 600;
+pub(crate) const PIPELINE_LATENCY: Time = 600;
 
 /// Latency of plain (non-NCP or declined) forwarding.
-pub const FWD_LATENCY: Time = 400;
+pub(crate) const FWD_LATENCY: Time = 400;
 
 /// Configuration of a simulated switch.
 #[derive(Default)]

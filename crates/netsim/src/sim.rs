@@ -903,8 +903,9 @@ fn cfg_dup_sum(cfg: &SwitchCfg) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::MICROS;
     use std::any::Any;
+
+    const MICROS: Time = 1_000;
 
     /// Echoes every payload back to the sender, once.
     struct Echo {

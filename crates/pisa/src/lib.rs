@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 //! # pisa — a behavioural simulator for protocol-independent switch
 //! architectures
@@ -24,11 +25,11 @@
 //! given, exactly like a switch runs whatever `switch.bin` it is flashed
 //! with.
 
-pub mod parser;
-pub mod phv;
-pub mod pipeline;
-pub mod resources;
-pub mod table;
+mod parser;
+mod phv;
+mod pipeline;
+mod resources;
+mod table;
 
 pub use parser::{DeparserSpec, Extract, ParserSpec};
 pub use phv::{FieldClass, FieldDecl, FieldId, Phv, PhvLayout};

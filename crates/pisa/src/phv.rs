@@ -93,7 +93,7 @@ impl PhvLayout {
     }
 
     /// A fresh PHV with every field zeroed.
-    pub fn empty_phv(&self) -> Phv {
+    pub(crate) fn empty_phv(&self) -> Phv {
         Phv {
             values: self.fields.iter().map(|f| Value::zero(f.ty)).collect(),
         }

@@ -224,8 +224,7 @@ pub struct ExecStats {
     pub recirculations: u64,
     /// Parse errors (packet dropped before the pipeline).
     pub parse_errors: u64,
-    /// Flat per-table hit counters in `(stage, table)` order; resolve
-    /// names through [`Pipeline::table_hits_for`].
+    /// Flat per-table hit counters in `(stage, table)` order.
     pub hit_counts: Vec<u64>,
 }
 
@@ -253,10 +252,8 @@ pub struct Pipeline {
     config: PipelineConfig,
     model: ResourceModel,
     registers: Vec<RegArray>,
-    /// Flat table index: names in `(stage, table)` order, parallel to
+    /// Each stage's first flat table index into
     /// [`ExecStats::hit_counts`].
-    table_names: Vec<String>,
-    /// Each stage's first flat table index.
     stage_base: Vec<usize>,
     /// Exec statistics.
     pub stats: ExecStats,
@@ -297,11 +294,6 @@ impl Pipeline {
             .iter()
             .map(|r| RegArray::new(r.elem, r.len, &r.init))
             .collect();
-        let table_names: Vec<String> = config
-            .stages
-            .iter()
-            .flat_map(|s| s.tables.iter().map(|t| t.name.clone()))
-            .collect();
         let stage_base = (config.stages.iter())
             .scan(0, |flat, s| {
                 let base = *flat;
@@ -310,14 +302,13 @@ impl Pipeline {
             })
             .collect();
         let stats = ExecStats {
-            hit_counts: vec![0; table_names.len()],
+            hit_counts: vec![0; config.stages.iter().map(|s| s.tables.len()).sum()],
             ..ExecStats::default()
         };
         Ok(Pipeline {
             config,
             model,
             registers,
-            table_names,
             stage_base,
             stats,
         })
@@ -499,16 +490,6 @@ impl Pipeline {
             });
         }
         Some((self.finish(p), traces))
-    }
-
-    /// Hit count of a named table (resolves the flat counters).
-    pub fn table_hits_for(&self, name: &str) -> u64 {
-        self.table_names
-            .iter()
-            .zip(&self.stats.hit_counts)
-            .filter(|(n, _)| n.as_str() == name)
-            .map(|(_, &c)| c)
-            .sum()
     }
 }
 
@@ -696,18 +677,6 @@ impl Pipeline {
         }
         0
     }
-
-    /// Number of entries currently installed in a table.
-    pub fn table_len(&self, table: &str) -> Option<usize> {
-        for s in &self.config.stages {
-            for t in &s.tables {
-                if t.name == table {
-                    return Some(t.entries.len());
-                }
-            }
-        }
-        None
-    }
 }
 
 /// Control-plane insert failure.
@@ -812,7 +781,7 @@ mod tests {
         assert_eq!(out2.packet, 12u32.to_be_bytes());
         assert_eq!(p.register_read("total", 0), Some(Value::u32(12)));
         assert_eq!(p.stats.packets, 2);
-        assert_eq!(p.table_hits_for("bump"), 2);
+        assert_eq!(p.stats.hit_counts, vec![2], "the one table, \"bump\"");
     }
 
     #[test]
@@ -926,7 +895,7 @@ mod tests {
             layout,
         };
         let mut p = Pipeline::load(cfg, ResourceModel::default()).unwrap();
-        assert_eq!(p.table_len("lookup"), Some(0));
+        assert_eq!(p.config.stages[0].tables[0].entries.len(), 0);
         p.table_insert(
             "lookup",
             Entry {
@@ -937,7 +906,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(p.table_len("lookup"), Some(1));
+        assert_eq!(p.config.stages[0].tables[0].entries.len(), 1);
         assert!(matches!(
             p.table_insert(
                 "nope",
@@ -951,7 +920,7 @@ mod tests {
             Err(TableInsertError::NoSuchTable(_))
         ));
         assert_eq!(p.table_remove("lookup", &[MatchPattern::exact(5)]), 1);
-        assert_eq!(p.table_len("lookup"), Some(0));
+        assert_eq!(p.config.stages[0].tables[0].entries.len(), 0);
     }
 
     #[test]
@@ -973,7 +942,7 @@ mod tests {
         assert!(rendered.contains("stage 0") && rendered.contains("bump"));
         // Stats behave identically to the untraced path.
         assert_eq!(p.stats.packets, 1);
-        assert_eq!(p.table_hits_for("bump"), 1);
+        assert_eq!(p.stats.hit_counts, vec![1], "the one table, \"bump\"");
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl MatchPattern {
     }
 
     /// Prefix length (for LPM ordering).
-    pub fn prefix_len(&self) -> u32 {
+    fn prefix_len(&self) -> u32 {
         self.mask.count_ones()
     }
 }
