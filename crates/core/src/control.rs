@@ -12,8 +12,8 @@
 //! list of deferred [`netsim::CtrlOp`]s addressed by the compiled
 //! switch's names: a host submits it mid-simulation through
 //! [`netsim::HostCtx::ctrl`], a caller applies it to any engine through
-//! [`FastDatapath::ctrl`], and the direct forms (pre-run configuration
-//! of a [`pisa::Pipeline`]) are exactly that, applied to the pipeline.
+//! [`FastDatapath::ctrl`], and the direct forms (pre-run configuration)
+//! are exactly that, applied to one engine.
 
 use c3::Value;
 use ncl_p4::CompiledSwitch;
@@ -67,21 +67,27 @@ impl ControlPlane {
 
     /// `ncl::ctrl_wr(&var, value)` — writes every compiled copy of the
     /// control variable. Returns `false` for unknown variables.
-    pub fn ctrl_wr(&self, pipe: &mut Pipeline, var: &str, value: Value) -> bool {
-        all_land(pipe, self.ctrl_wr_ops(var, value))
+    pub fn ctrl_wr(&self, engine: &mut dyn FastDatapath, var: &str, value: Value) -> bool {
+        all_land(engine, self.ctrl_wr_ops(var, value))
     }
 
     /// Inserts `key → value` into every lookup-site table of `map`.
     /// Returns `false` when the map is unknown or any table is full.
-    pub fn map_insert(&self, pipe: &mut Pipeline, map: &str, key: u64, value: Value) -> bool {
-        all_land(pipe, self.map_insert_ops(map, key, value))
+    pub fn map_insert(
+        &self,
+        engine: &mut dyn FastDatapath,
+        map: &str,
+        key: u64,
+        value: Value,
+    ) -> bool {
+        all_land(engine, self.map_insert_ops(map, key, value))
     }
 
     /// Removes `key` from every lookup-site table (cache eviction,
     /// paper §4.3: "the storage server just removes an item from the
     /// Idx map"). Returns the number of tables it was removed from.
-    pub fn map_remove(&self, pipe: &mut Pipeline, map: &str, key: u64) -> usize {
-        landed(pipe, self.map_remove_ops(map, key))
+    pub fn map_remove(&self, engine: &mut dyn FastDatapath, map: &str, key: u64) -> usize {
+        landed(engine, self.map_remove_ops(map, key))
     }
 
     // ------------------------------------------------------------------
@@ -170,14 +176,14 @@ impl ControlPlane {
 }
 
 /// Applies every op, also after a refusal; counts the ones that landed.
-fn landed(pipe: &mut Pipeline, ops: Vec<CtrlOp>) -> usize {
-    ops.iter().filter(|op| pipe.ctrl(op)).count()
+fn landed(engine: &mut dyn FastDatapath, ops: Vec<CtrlOp>) -> usize {
+    ops.iter().filter(|op| engine.ctrl(op)).count()
 }
 
 /// Whether there were ops (the name is known) and every one landed.
-fn all_land(pipe: &mut Pipeline, ops: Vec<CtrlOp>) -> bool {
+fn all_land(engine: &mut dyn FastDatapath, ops: Vec<CtrlOp>) -> bool {
     let n = ops.len();
-    n > 0 && landed(pipe, ops) == n
+    n > 0 && landed(engine, ops) == n
 }
 
 #[cfg(test)]

@@ -719,9 +719,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         let cp = ControlPlane::new(program.switch("s1").unwrap());
         let s1 = dep.switch("s1");
         let engine = dep.net.switch_fastpath_mut(s1).unwrap();
-        for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
-            assert!(engine.ctrl(&op));
-        }
+        assert!(cp.ctrl_wr(engine, "nworkers", Value::u32(3)));
 
         dep.net.run();
 

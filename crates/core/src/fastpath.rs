@@ -618,12 +618,8 @@ _net_ _out_ void k(uint64_t key) {
         let cp = ControlPlane::new(p.switch("s1").unwrap());
         let mut fp = FastPathSwitch::from_program(&p, "s1").unwrap();
 
-        for op in cp.ctrl_wr_ops("thresh", Value::u32(7)) {
-            assert!(fp.ctrl(&op));
-        }
-        for op in cp.map_insert_ops("Idx", 42, Value::new(c3::ScalarType::U8, 3)) {
-            fp.ctrl(&op);
-        }
+        assert!(cp.ctrl_wr(&mut fp, "thresh", Value::u32(7)));
+        assert!(cp.map_insert(&mut fp, "Idx", 42, Value::new(c3::ScalarType::U8, 3)));
         assert_eq!(
             fp.state.maps[0].get(&42).copied().map(|v| v.bits()),
             Some(3)
@@ -659,9 +655,7 @@ _net_ _out_ void k(uint64_t key) {
         assert_eq!(v.fwd_code, 3);
         assert!(v.payload.is_empty(), "dropped windows are not re-encoded");
         // Removal restores the pass behaviour for key 42.
-        for op in cp.map_remove_ops("Idx", 42) {
-            fp.ctrl(&op);
-        }
+        assert!(cp.map_remove(&mut fp, "Idx", 42) > 0);
         let v = fp.process_window(&encode_window(&get(0, 42), 0)).unwrap();
         assert_eq!(v.fwd_code, 0);
     }

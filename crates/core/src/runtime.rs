@@ -352,10 +352,6 @@ pub struct NclHost {
     pub windows_sent: u64,
     /// Time the completion predicate first held.
     pub done_at: Option<Time>,
-    /// Raw windows log (enable for debugging; off by default).
-    pub log_windows: bool,
-    /// The logged windows when `log_windows` is set.
-    pub window_log: Vec<Window>,
 }
 
 impl NclHost {
@@ -385,8 +381,6 @@ impl NclHost {
             windows_received: 0,
             windows_sent: 0,
             done_at: None,
-            log_windows: false,
-            window_log: Vec::new(),
         }
     }
 
@@ -827,9 +821,6 @@ impl NclHost {
                 sender: w.sender.0,
                 hops,
             });
-        }
-        if self.log_windows {
-            self.window_log.push(w.clone());
         }
         if let Some(binding) = self.incoming.get_mut(&w.kernel.0) {
             let _ = binding

@@ -68,16 +68,6 @@ impl<E> EventQueue<E> {
     pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -108,12 +98,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn peek_shows_the_earliest_time() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         q.push(7, ());
-        assert_eq!(q.peek_time(), Some(7));
-        assert_eq!(q.len(), 1);
+        q.push(3, ());
+        assert_eq!(q.peek_time(), Some(3));
     }
 
     #[test]

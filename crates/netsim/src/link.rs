@@ -58,17 +58,15 @@ impl LinkSpec {
 }
 
 /// What one [`LinkDir::transmit_outcome`] call did to a packet, in full:
-/// arrival times (if any), whether loss injection ate it, and whether
-/// that loss was part of a correlated burst. The ncscope event path
-/// needs the drop/burst facts that the `Option<Time>` API erases.
+/// arrival times (none when loss injection ate it), and whether that
+/// loss was part of a correlated burst, which the ncscope event path
+/// reports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TransmitOutcome {
     /// Arrival time at the far end (`None` when the packet was lost).
     pub arrival: Option<Time>,
     /// Trailing duplicate's arrival, when duplication injection fired.
     pub dup: Option<Time>,
-    /// Loss injection ate the packet.
-    pub dropped: bool,
     /// The drop rode an in-progress correlated loss burst (rather than
     /// being a fresh trigger).
     pub burst: bool,
@@ -134,27 +132,24 @@ impl LinkDir {
         self.free_at = start + ser;
         self.packets += 1;
         self.bytes += nbytes as u64;
-        if self.burst_left > 0 {
-            self.burst_left -= 1;
-            self.dropped += 1;
-            return TransmitOutcome {
-                arrival: None,
-                dup: None,
-                dropped: true,
-                burst: true,
-            };
-        }
-        let lost = (self.spec.drop_every > 0 && self.packets.is_multiple_of(self.spec.drop_every))
+        // A burst in progress eats the packet without a draw.
+        let burst = self.burst_left > 0;
+        let lost = burst
+            || (self.spec.drop_every > 0 && self.packets.is_multiple_of(self.spec.drop_every))
             || (self.spec.loss > 0.0 && self.next_rand() < self.spec.loss);
+        let mut out = TransmitOutcome {
+            arrival: None,
+            dup: None,
+            burst,
+        };
+        if burst {
+            self.burst_left -= 1;
+        } else if lost {
+            self.burst_left = self.spec.burst_len.saturating_sub(1);
+        }
         if lost {
             self.dropped += 1;
-            self.burst_left = self.spec.burst_len.saturating_sub(1);
-            return TransmitOutcome {
-                arrival: None,
-                dup: None,
-                dropped: true,
-                burst: false,
-            };
+            return out;
         }
         self.delivered += 1;
         let mut delay = self.spec.latency;
@@ -162,18 +157,12 @@ impl LinkDir {
             delay += self.spec.jitter;
         }
         let arrival = start + ser + delay;
-        let dup = if self.spec.dup_every > 0 && self.delivered.is_multiple_of(self.spec.dup_every) {
+        out.arrival = Some(arrival);
+        if self.spec.dup_every > 0 && self.delivered.is_multiple_of(self.spec.dup_every) {
             self.duplicated += 1;
-            Some(arrival + ser.max(1))
-        } else {
-            None
-        };
-        TransmitOutcome {
-            arrival: Some(arrival),
-            dup,
-            dropped: false,
-            burst: false,
+            out.dup = Some(arrival + ser.max(1));
         }
+        out
     }
 }
 

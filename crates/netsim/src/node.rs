@@ -72,8 +72,8 @@ impl HostCtx<'_> {
     }
 
     /// Requests an out-of-band control-plane operation against a switch.
-    /// Applied after the control-plane RTT configured on the network
-    /// (out-of-band: it does not consume data-plane bandwidth).
+    /// Applied after the 50 µs control-plane latency (out-of-band: it
+    /// does not consume data-plane bandwidth).
     pub fn ctrl(&mut self, switch: SwitchId, op: CtrlOp) {
         self.ctrl.push((switch, op));
     }
@@ -233,6 +233,9 @@ pub(crate) const PIPELINE_LATENCY: Time = 600;
 
 /// Latency of plain (non-NCP or declined) forwarding.
 pub(crate) const FWD_LATENCY: Time = 400;
+
+/// Latency of a control-plane operation (host → controller → switch).
+pub(crate) const CTRL_LATENCY: Time = 50_000;
 
 /// Configuration of a simulated switch.
 #[derive(Default)]

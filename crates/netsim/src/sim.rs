@@ -12,16 +12,17 @@
 //!
 //! One network, two substrates: [`NetworkBuilder::build`] runs the links
 //! on simulated time, [`NetworkBuilder::bind_udp`] over real UDP sockets.
-//! Everything above the link is shared; only `route_out` and
-//! [`Network::run_until`] look at the substrate. A datagram starts with
-//! a 4-byte header, the src and dst wire ids (big-endian), standing in
-//! for the IPv4 header that loopback ports cannot carry.
+//! One loop runs both, and only the private `Substrate` looks at which
+//! it is: it picks the next event and carries a packet across a link.
+//! A datagram starts with a 4-byte header, the src and dst wire ids
+//! (big-endian), standing in for the IPv4 header that loopback ports
+//! cannot carry.
 
 use crate::event::{EventQueue, Time};
 use crate::link::{LinkDir, LinkSpec};
 use crate::node::{
-    ncp_scope_key, CtrlOp, FastDatapath, HostApp, HostCtx, SwitchCfg, SwitchStats, FWD_LATENCY,
-    PIPELINE_LATENCY,
+    ncp_scope_key, CtrlOp, FastDatapath, HostApp, HostCtx, SwitchCfg, SwitchStats, CTRL_LATENCY,
+    FWD_LATENCY, PIPELINE_LATENCY,
 };
 use c3::{HostId, NodeId, SwitchId};
 use ncp::{NcpPacket, UdpEndpoint};
@@ -117,16 +118,9 @@ impl NetworkBuilder {
 
     /// Connects two nodes with a bidirectional link.
     pub fn link(&mut self, a: impl Into<NodeId>, b: impl Into<NodeId>, spec: LinkSpec) {
-        let ai = self.index_of(a.into());
-        let bi = self.index_of(b.into());
-        self.links.push((ai, bi, spec));
-    }
-
-    fn index_of(&self, n: NodeId) -> usize {
-        self.nodes
-            .iter()
-            .position(|node| node_id(node) == n)
-            .unwrap_or_else(|| panic!("unknown node {n}"))
+        let [a, b] = [a.into(), b.into()]
+            .map(|n| index(&self.nodes, n).unwrap_or_else(|| panic!("unknown node {n}")));
+        self.links.push((a, b, spec));
     }
 
     /// Finalizes the topology: computes BFS shortest-path routing and
@@ -174,11 +168,10 @@ impl NetworkBuilder {
             queue: EventQueue::new(),
             now: 0,
             started: false,
-            ctrl_latency: 50_000, // 50 µs controller RTT
             registry,
             counters,
             scope: self.scope,
-            udp: None,
+            substrate: Substrate::Simulated,
         }
     }
 
@@ -199,15 +192,70 @@ impl NetworkBuilder {
         let addrs = addrs.collect::<io::Result<_>>()?;
         let wires = self.nodes.iter().map(|n| node_id(n).to_wire()).collect();
         let mut net = self.build();
-        net.udp = Some(UdpFabric {
+        net.substrate = Substrate::Sockets(UdpFabric {
             endpoints,
             addrs,
             wires,
             in_flight: 0,
+            arrived: VecDeque::new(),
             malformed: net.registry.counter("sim.udp_malformed"),
             scope: net.scope.clone(),
         });
         Ok(net)
+    }
+}
+
+/// Where the next event comes from and where a packet that crossed a
+/// link goes: the one place the substrate is looked at.
+enum Substrate {
+    /// Simulated links: the event queue in time order.
+    Simulated,
+    /// Real sockets on the wall clock.
+    Sockets(UdpFabric),
+}
+
+impl Substrate {
+    /// The next event due by `deadline` and the time it fires at; `None`
+    /// ends the run.
+    fn next(&mut self, queue: &mut EventQueue<Event>, deadline: Time) -> Option<(Time, Event)> {
+        match self {
+            Substrate::Simulated if queue.peek_time()? <= deadline => queue.pop(),
+            Substrate::Simulated => None,
+            Substrate::Sockets(udp) => udp.next(queue, deadline),
+        }
+    }
+
+    /// Carries `pkt` from node `from` to node `to`, arriving at
+    /// `arrival` and, when the link duplicated it, once more at `dup`.
+    /// Over sockets only the copy count is used: a datagram arrives
+    /// when the kernel delivers it.
+    fn carry(
+        &mut self,
+        queue: &mut EventQueue<Event>,
+        from: usize,
+        to: usize,
+        pkt: Packet,
+        arrival: Time,
+        dup: Option<Time>,
+    ) {
+        match self {
+            Substrate::Simulated => {
+                let arrive = |pkt| Event::Arrive { node: to, pkt };
+                if let Some(dup) = dup {
+                    queue.push(dup, arrive(pkt.clone()));
+                }
+                queue.push(arrival, arrive(pkt));
+            }
+            Substrate::Sockets(udp) => udp.send(from, to, &pkt, 1 + usize::from(dup.is_some())),
+        }
+    }
+
+    /// Node `node`'s socket address, over sockets.
+    fn addr(&self, node: usize) -> Option<SocketAddr> {
+        match self {
+            Substrate::Simulated => None,
+            Substrate::Sockets(udp) => Some(udp.addrs[node]),
+        }
     }
 }
 
@@ -220,6 +268,9 @@ struct UdpFabric {
     wires: Vec<u16>,
     /// Datagrams sent and not yet received.
     in_flight: u64,
+    /// Datagrams received and not yet dispatched, as `(node, packet)`
+    /// arrivals in the order they were taken off the sockets.
+    arrived: VecDeque<(usize, Packet)>,
     /// Received datagrams dropped for a short or unknown header.
     malformed: Counter,
     scope: Option<Scope>,
@@ -236,48 +287,82 @@ impl UdpFabric {
     }
 
     /// Sends `pkt` from node `from` to node `to`'s socket, `copies` times.
+    /// Each datagram is taken off `to`'s socket right after its send, so
+    /// the socket never holds more than the datagrams loopback has not
+    /// delivered yet, however many one callback sends.
     fn send(&mut self, from: usize, to: usize, pkt: &Packet, copies: usize) {
         let [src, dst] = [pkt.src, pkt.dst].map(|n| n.to_wire().to_be_bytes());
         let datagram = [&src[..], &dst, &pkt.payload].concat();
         for _ in 0..copies {
-            if self.endpoints[from]
-                .send_raw(self.addrs[to], &datagram)
-                .is_ok()
-            {
+            let sent = self.endpoints[from].send_raw(self.addrs[to], &datagram);
+            if sent.is_ok() {
                 self.in_flight += 1;
+                self.take(to);
             }
         }
     }
 
-    /// The next datagram waiting at any node's socket, as an arrival:
-    /// `(node, packet)`. Malformed datagrams are counted and skipped.
-    fn recv(&mut self) -> Option<(usize, Packet)> {
-        for node in 0..self.endpoints.len() {
-            while let Ok(Some((mut bytes, _))) = self.endpoints[node].recv_raw() {
-                let ids = bytes
-                    .get(..UDP_HEADER)
-                    .map(|h| [[h[0], h[1]], [h[2], h[3]]].map(u16::from_be_bytes));
-                let known = |ids: &[u16; 2]| ids.iter().all(|w| self.wires.contains(w));
-                let Some([src, dst]) = ids.filter(known) else {
-                    self.malformed.inc();
-                    if let Some(scope) = &self.scope {
-                        let at = self.wires[node];
-                        let key = nctel::WindowKey::new(at, 0, 0);
-                        scope.emit(self.now(), at, key, ScopeEvent::MalformedFrame);
-                    }
-                    continue;
-                };
-                self.in_flight = self.in_flight.saturating_sub(1);
-                bytes.drain(..UDP_HEADER);
-                let pkt = Packet {
-                    src: NodeId::from_wire(src),
-                    dst: NodeId::from_wire(dst),
-                    payload: bytes,
-                };
-                return Some((node, pkt));
+    /// The next event by the wall clock: a received datagram, else a
+    /// timer or control op that is due. Idles while datagrams are in
+    /// flight or an event is pending; `None` once neither holds, or past
+    /// `deadline`.
+    fn next(&mut self, queue: &mut EventQueue<Event>, deadline: Time) -> Option<(Time, Event)> {
+        loop {
+            let now = self.now();
+            if now > deadline {
+                return None;
+            }
+            if self.arrived.is_empty() {
+                for node in 0..self.endpoints.len() {
+                    while self.take(node) {}
+                }
+            }
+            if let Some((node, pkt)) = self.arrived.pop_front() {
+                return Some((now, Event::Arrive { node, pkt }));
+            }
+            if queue.peek_time().is_some_and(|t| t <= now) {
+                return queue.pop().map(|(_, ev)| (now, ev));
+            }
+            if self.in_flight > 0 {
+                std::thread::yield_now();
+            } else if let Some(t) = queue.peek_time() {
+                let wake = t.min(deadline).saturating_sub(now);
+                std::thread::sleep(Duration::from_nanos(wake));
+            } else {
+                return None;
             }
         }
-        None
+    }
+
+    /// Takes one datagram waiting at `node`'s socket into `arrived`;
+    /// `false` when none waits. A malformed datagram is counted and
+    /// dropped.
+    fn take(&mut self, node: usize) -> bool {
+        let Ok(Some((mut bytes, _))) = self.endpoints[node].recv_raw() else {
+            return false;
+        };
+        let ids = bytes
+            .get(..UDP_HEADER)
+            .map(|h| [[h[0], h[1]], [h[2], h[3]]].map(u16::from_be_bytes));
+        let known = |ids: &[u16; 2]| ids.iter().all(|w| self.wires.contains(w));
+        let Some([src, dst]) = ids.filter(known) else {
+            self.malformed.inc();
+            if let Some(scope) = &self.scope {
+                let at = self.wires[node];
+                let key = WindowKey::new(at, 0, 0);
+                scope.emit(self.now(), at, key, ScopeEvent::MalformedFrame);
+            }
+            return true;
+        };
+        self.in_flight = self.in_flight.saturating_sub(1);
+        bytes.drain(..UDP_HEADER);
+        let pkt = Packet {
+            src: NodeId::from_wire(src),
+            dst: NodeId::from_wire(dst),
+            payload: bytes,
+        };
+        self.arrived.push_back((node, pkt));
+        true
     }
 }
 
@@ -293,6 +378,11 @@ fn node_id(n: &NodeKind) -> NodeId {
         NodeKind::Host { id, .. } => NodeId::Host(*id),
         NodeKind::Switch { id, .. } => NodeId::Switch(*id),
     }
+}
+
+/// The index of node `id` among `nodes`.
+fn index(nodes: &[NodeKind], id: NodeId) -> Option<usize> {
+    nodes.iter().position(|n| node_id(n) == id)
 }
 
 /// Point-in-time snapshot of the aggregate simulation counters (which
@@ -360,13 +450,10 @@ pub struct Network {
     queue: EventQueue<Event>,
     now: Time,
     started: bool,
-    /// Latency of control-plane operations (host → controller → switch).
-    pub ctrl_latency: Time,
     registry: Arc<Registry>,
     counters: SimCounters,
     scope: Option<Scope>,
-    /// The socket substrate; `None` runs on simulated links.
-    udp: Option<UdpFabric>,
+    substrate: Substrate,
 }
 
 impl Network {
@@ -404,8 +491,7 @@ impl Network {
     /// swap). This is the fault-injection hook ncwatch's degrading-link
     /// campaigns use. Returns `false` when no such link exists.
     pub fn set_link_spec(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> bool {
-        let idx = |id: NodeId| self.nodes.iter().position(|n| node_id(n) == id);
-        let (Some(ai), Some(bi)) = (idx(a), idx(b)) else {
+        let (Some(ai), Some(bi)) = (index(&self.nodes, a), index(&self.nodes, b)) else {
             return false;
         };
         for l in &mut self.links {
@@ -418,60 +504,17 @@ impl Network {
         false
     }
 
-    /// Runs until the event queue drains or `deadline` passes. Returns
-    /// the final time.
-    ///
-    /// Over UDP the deadline and every timer are wall-clock time since
-    /// the sockets were bound: each step delivers a datagram waiting at
-    /// any socket or, when none waits, fires a due event. The run ends
-    /// once no event is pending and every datagram sent has arrived (or
-    /// was dropped by the link model), or at the deadline.
+    /// Runs until no event is left or `deadline` passes; returns the
+    /// final time. Over UDP the deadline and every timer are wall-clock
+    /// time since the sockets were bound, and the run also waits for
+    /// every datagram sent to arrive (or be dropped by the link model).
     pub fn run_until(&mut self, deadline: Time) -> Time {
         if !self.started {
             self.started = true;
             self.queue.push(0, Event::Start);
         }
-        if self.udp.is_some() {
-            return self.run_udp(deadline);
-        }
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
-            self.now = t;
-            self.counters.events.inc();
-            self.dispatch(ev);
-        }
-        self.now
-    }
-
-    /// [`Network::run_until`] over real sockets.
-    fn run_udp(&mut self, deadline: Time) -> Time {
-        while let Some(udp) = &mut self.udp {
-            let now = udp.now();
-            if now > deadline {
-                break;
-            }
-            let ev = match udp.recv() {
-                Some((node, pkt)) => Event::Arrive { node, pkt },
-                None if self.queue.peek_time().is_some_and(|t| t <= now) => {
-                    self.queue.pop().expect("peeked").1
-                }
-                None if self.queue.is_empty() && udp.in_flight == 0 => break,
-                None => {
-                    // Idle: spin while datagrams are in flight, else sleep
-                    // until the next event.
-                    if udp.in_flight > 0 {
-                        std::thread::yield_now();
-                    } else if let Some(t) = self.queue.peek_time() {
-                        let wake = t.min(deadline).saturating_sub(now);
-                        std::thread::sleep(Duration::from_nanos(wake));
-                    }
-                    continue;
-                }
-            };
-            self.now = now.max(self.now);
+        while let Some((t, ev)) = self.substrate.next(&mut self.queue, deadline) {
+            self.now = self.now.max(t);
             self.counters.events.inc();
             self.dispatch(ev);
         }
@@ -502,13 +545,11 @@ impl Network {
             Event::Timer { node, token } => {
                 self.with_host(node, |app, ctx| app.on_timer(ctx, token));
             }
-            Event::Ctrl { switch, op } => self.apply_ctrl(switch, op),
-        }
-    }
-
-    fn apply_ctrl(&mut self, switch: SwitchId, op: CtrlOp) {
-        if let Some(engine) = self.switch_fastpath_mut(switch) {
-            engine.ctrl(&op);
+            Event::Ctrl { switch, op } => {
+                if let Some(engine) = self.switch_fastpath_mut(switch) {
+                    engine.ctrl(&op);
+                }
+            }
         }
     }
 
@@ -521,23 +562,20 @@ impl Network {
         let NodeKind::Host { id, app } = &mut self.nodes[node] else {
             return; // timers for removed/foreign nodes are ignored
         };
-        let host = *id;
-        {
-            let mut ctx = HostCtx {
-                now,
-                host,
-                out: &mut out,
-                timers: &mut timers,
-                ctrl: &mut ctrl,
-            };
-            f(app.as_mut(), &mut ctx);
-        }
+        let mut ctx = HostCtx {
+            now,
+            host: *id,
+            out: &mut out,
+            timers: &mut timers,
+            ctrl: &mut ctrl,
+        };
+        f(app.as_mut(), &mut ctx);
         for (delay, token) in timers {
             self.queue.push(now + delay, Event::Timer { node, token });
         }
         for (switch, op) in ctrl {
             self.queue
-                .push(now + self.ctrl_latency, Event::Ctrl { switch, op });
+                .push(now + CTRL_LATENCY, Event::Ctrl { switch, op });
         }
         for pkt in out {
             self.route_out(node, pkt, now);
@@ -588,24 +626,12 @@ impl Network {
             }
             return;
         };
-        if let Some(udp) = &mut self.udp {
-            if outcome.dup.is_some() {
-                self.counters.link_dups.inc();
-            }
-            udp.send(node, peer, &pkt, 1 + usize::from(outcome.dup.is_some()));
-            return;
-        }
-        if let Some(dup) = outcome.dup {
+        if outcome.dup.is_some() {
             self.counters.link_dups.inc();
-            self.queue.push(
-                dup,
-                Event::Arrive {
-                    node: peer,
-                    pkt: pkt.clone(),
-                },
-            );
         }
-        self.queue.push(arrival, Event::Arrive { node: peer, pkt });
+        let queue = &mut self.queue;
+        self.substrate
+            .carry(queue, node, peer, pkt, arrival, outcome.dup);
     }
 
     /// NCP-aware switch processing (paper Fig. 3b), one straight line:
@@ -816,6 +842,14 @@ impl Network {
         })
     }
 
+    /// The configuration of switch `id`.
+    fn switch_cfg_mut(&mut self, id: SwitchId) -> Option<&mut SwitchCfg> {
+        self.nodes.iter_mut().find_map(|n| match n {
+            NodeKind::Switch { id: sid, cfg, .. } if *sid == id => Some(&mut **cfg),
+            _ => None,
+        })
+    }
+
     /// Mutable access to a switch's engine when it is the modeled PISA
     /// pipeline (control-plane operations mid-simulation, post-run
     /// register reads).
@@ -829,10 +863,7 @@ impl Network {
         &mut self,
         id: SwitchId,
     ) -> Option<&mut (dyn FastDatapath + 'static)> {
-        self.nodes.iter_mut().find_map(|n| match n {
-            NodeKind::Switch { id: sid, cfg, .. } if *sid == id => cfg.engine.as_deref_mut(),
-            _ => None,
-        })
+        self.switch_cfg_mut(id)?.engine.as_deref_mut()
     }
 
     /// Mutable access to a switch's telemetry identity (the control
@@ -842,10 +873,7 @@ impl Network {
         &mut self,
         id: SwitchId,
     ) -> Option<&mut crate::node::SwitchTelemetry> {
-        self.nodes.iter_mut().find_map(|n| match n {
-            NodeKind::Switch { id: sid, cfg, .. } if *sid == id => cfg.telemetry.as_mut(),
-            _ => None,
-        })
+        self.switch_cfg_mut(id)?.telemetry.as_mut()
     }
 
     /// Duplicate windows suppressed by a switch's compiler-lowered
@@ -853,29 +881,18 @@ impl Network {
     /// read from its engine. A gauge over live switch state, not a sim
     /// counter.
     pub fn switch_dup_suppressed(&mut self, id: SwitchId) -> u64 {
-        self.nodes
-            .iter()
-            .find_map(|n| match n {
-                NodeKind::Switch { id: sid, cfg, .. } if *sid == id => Some(cfg_dup_sum(cfg)),
-                _ => None,
-            })
-            .unwrap_or(0)
+        self.switch_cfg_mut(id).map_or(0, |cfg| cfg_dup_sum(cfg))
     }
 
     /// The UDP socket address of `node`, when the network runs over real
     /// sockets ([`NetworkBuilder::bind_udp`]).
     pub fn udp_addr(&self, node: NodeId) -> Option<SocketAddr> {
-        let idx = self.nodes.iter().position(|n| node_id(n) == node)?;
-        Some(self.udp.as_ref()?.addrs[idx])
+        self.substrate.addr(index(&self.nodes, node)?)
     }
 
     /// Total bytes carried over a node's links, per direction, summed.
     pub fn node_ingress_bytes(&self, id: NodeId) -> u64 {
-        let idx = self
-            .nodes
-            .iter()
-            .position(|n| node_id(n) == id)
-            .expect("known node");
+        let idx = index(&self.nodes, id).expect("known node");
         self.links
             .iter()
             .map(|l| {
@@ -1077,6 +1094,65 @@ mod tests {
             (end, net.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    /// Sends `n` datagrams of 300 bytes to `dst` from `on_start`, and
+    /// counts the replies.
+    struct Burst {
+        dst: NodeId,
+        n: usize,
+        replies: usize,
+    }
+
+    impl HostApp for Burst {
+        fn on_start(&mut self, ctx: &mut HostCtx) {
+            for _ in 0..self.n {
+                ctx.send(self.dst, vec![7; 300]);
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut HostCtx, _pkt: &Packet) {
+            self.replies += 1;
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A burst sent from one callback, larger than a socket's receive
+    /// buffer holds, crosses a switch over sockets whole, and `run()`
+    /// returns once every datagram has arrived.
+    #[test]
+    fn a_socket_burst_arrives_whole_and_the_run_returns() {
+        const N: usize = 1_000;
+        let (tx, rx) = std::sync::mpsc::channel();
+        // The run has its own thread, so a run that never returns fails
+        // at the timeout below instead of hanging the test.
+        std::thread::spawn(move || {
+            let mut b = NetworkBuilder::new();
+            let dst = NodeId::Host(HostId(2));
+            let h1 = b.add_host(Box::new(Burst {
+                dst,
+                n: N,
+                replies: 0,
+            }));
+            let h2 = b.add_host(Box::new(Echo { seen: vec![] }));
+            let s1 = b.add_switch(SwitchCfg::default());
+            b.link(h1, s1, LinkSpec::default());
+            b.link(h2, s1, LinkSpec::default());
+            let mut net = b.bind_udp([127, 0, 0, 1].into()).unwrap();
+            net.run();
+            let seen = net.host_app::<Echo>(h2).unwrap().seen.len();
+            let replies = net.host_app::<Burst>(h1).unwrap().replies;
+            tx.send((seen, replies, net.stats().delivered)).unwrap();
+        });
+        let (seen, replies, delivered) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("run() returns");
+        assert_eq!((seen, replies), (N, N));
+        assert_eq!(delivered, 2 * N as u64);
     }
 
     /// A datagram shorter than the header, or naming a node the fabric

@@ -5,8 +5,10 @@
 use ncl::core::deploy::{deploy_opts, DeployOptions};
 use ncl::core::nclc::{compile, CompileConfig};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
-use ncl::model::{HostId, Label, NodeId, ScalarType, SwitchId};
-use ncl::netsim::HostApp;
+use ncl::model::{HostId, Label, NodeId, ScalarType, SwitchId, Window};
+use ncl::ncp::codec::decode_window;
+use ncl::netsim::{HostApp, HostCtx, Packet};
+use std::any::Any;
 use std::collections::HashMap;
 
 #[path = "common/engines.rs"]
@@ -84,6 +86,31 @@ fn label_wire_ids_roundtrip() {
     }
 }
 
+/// An [`NclHost`] that also keeps every window delivered to it.
+struct Logged {
+    host: NclHost,
+    windows: Vec<Window>,
+}
+
+impl HostApp for Logged {
+    fn on_start(&mut self, ctx: &mut HostCtx) {
+        self.host.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut HostCtx, pkt: &Packet) {
+        self.windows.extend(decode_window(&pkt.payload));
+        self.host.on_packet(ctx, pkt);
+    }
+    fn on_timer(&mut self, ctx: &mut HostCtx, token: u64) {
+        self.host.on_timer(ctx, token);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 /// A reflected window arrives with `from` rewritten to the switch —
 /// what the KVS client keys its hit detection on.
 #[test]
@@ -103,17 +130,21 @@ fn reflection_rewrites_previous_hop() {
             gap: 0,
         })
         .unwrap();
-    sender.log_windows = true;
+    let sender = Logged {
+        host: sender,
+        windows: vec![],
+    };
     apps.insert("a".into(), Box::new(sender));
     apps.insert("b".into(), Box::new(NclHost::new(&program)));
     let mut dep = deploy_opts(&program, apps, DeployOptions::default()).unwrap();
     dep.net.run();
     // The reflection went back to the sender, not the destination.
-    let a = dep.net.host_app::<NclHost>(HostId(1)).unwrap();
+    let a = dep.net.host_app::<Logged>(HostId(1)).unwrap();
     let b = dep.net.host_app::<NclHost>(HostId(2)).unwrap();
-    assert_eq!(a.windows_received, 1);
+    assert_eq!(a.host.windows_received, 1);
     assert_eq!(b.windows_received, 0);
-    let w = &a.window_log[0];
+    assert_eq!(a.windows.len(), 1);
+    let w = &a.windows[0];
     assert_eq!(w.from, NodeId::Switch(dep.switch("s1")));
     assert_eq!(w.chunks[0].get(ScalarType::U32, 0).bits(), 42);
 }
