@@ -10,9 +10,11 @@
 //!   (server-only baseline) — E2's comparison.
 
 use crate::control::ControlPlane;
+use c3::wire::get_u16;
 use c3::{Chunk, HostId, KernelId, NodeId, ScalarType, SwitchId, Value, Window};
-use ncp::codec::{decode_window, encode_window};
+use ncp::codec::encode_window;
 use ncp::reliable::{ReliableConfig, Sender as RelSender};
+use ncp::{NcpPacket, HEADER_LEN};
 use netsim::{HostApp, HostCtx, Packet, Time};
 use std::any::Any;
 use std::collections::HashMap;
@@ -203,6 +205,12 @@ pub struct KvsSample {
 
 /// A KVS client issuing a fixed schedule of GET/PUT operations encoded
 /// as `query` windows (the kernel of Fig. 5).
+///
+/// `schedule` must be sorted by `at`. Operation `i` goes out as window
+/// `seq = i`, and only the next operation's timer is pending at any
+/// time: each one arms its successor's. Operations that share one `at`
+/// therefore issue in schedule order, one timer event each; an
+/// out-of-order `at` issues as soon as its predecessor has.
 pub struct KvsClient {
     /// The storage server node.
     pub server: NodeId,
@@ -212,11 +220,15 @@ pub struct KvsClient {
     pub kernel: u16,
     /// Value words per item (must match the program's Cache columns).
     pub val_words: usize,
-    /// Operations to issue.
+    /// Operations to issue, sorted by `at`.
     pub schedule: Vec<KvsOp>,
     /// Completed operations.
     pub samples: Vec<KvsSample>,
-    outstanding: HashMap<u32, (Time, u64, bool)>,
+    /// Issue time of each unanswered operation, indexed by `seq`.
+    issued: Vec<Option<Time>>,
+    outstanding: usize,
+    /// The query frame's chunks, rewritten for each operation.
+    query: Vec<Chunk>,
     /// Responses whose value didn't match the expected pattern.
     pub corrupt: u64,
     /// NCP-R sender (None = fire-and-forget, the pre-NCP-R behaviour).
@@ -241,7 +253,9 @@ impl KvsClient {
             val_words,
             schedule,
             samples: Vec::new(),
-            outstanding: HashMap::new(),
+            issued: Vec::new(),
+            outstanding: 0,
+            query: Vec::new(),
             corrupt: 0,
             reliable: None,
             armed: None,
@@ -249,9 +263,9 @@ impl KvsClient {
     }
 
     /// Enables NCP-R retransmission for queries: unanswered operations
-    /// are re-sent on RTO from the `outstanding` map. Responses double
-    /// as ACKs (every query produces a same-`seq` reply), and queries
-    /// are idempotent server-side, so no replay filter is needed.
+    /// are re-sent on RTO. Responses double as ACKs (every query
+    /// produces a same-`seq` reply), and queries are idempotent
+    /// server-side, so no replay filter is needed.
     pub fn enable_retransmit(&mut self, cfg: ReliableConfig) -> &mut Self {
         self.reliable = Some(RelSender::new(cfg));
         self
@@ -264,7 +278,7 @@ impl KvsClient {
 
     /// Queries still awaiting a response.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding
     }
 
     /// Drives the NCP-R sender: re-sends due queries, re-arms the RTO
@@ -279,51 +293,49 @@ impl KvsClient {
             }
         }
         for (_, seq) in due {
-            let Some(&(_, key, put)) = self.outstanding.get(&seq) else {
-                continue;
-            };
-            let op = KvsOp { at: 0, key, put };
-            let w = self.query_window(seq, ctx.host, &op);
-            ctx.send(self.server, encode_window(&w, 0));
+            if self.issued.get(seq as usize).is_some_and(Option::is_some) {
+                self.send_query(ctx, seq);
+            }
         }
+    }
+
+    /// Encodes operation `seq`'s query and sends it to the server.
+    fn send_query(&mut self, ctx: &mut HostCtx, seq: u32) {
+        let op = self.schedule[seq as usize];
+        let val = (0..self.val_words).map(|i| {
+            if op.put {
+                Self::value_word(op.key, i)
+            } else {
+                0
+            }
+        });
+        let frame = encode_query(
+            &mut self.query,
+            self.kernel,
+            seq,
+            ctx.host,
+            op.key,
+            val,
+            op.put,
+        );
+        ctx.send(self.server, frame);
     }
 
     /// The deterministic value pattern for a key (verifiable end to
     /// end).
     pub fn value_for(key: u64, val_words: usize) -> Vec<u32> {
-        (0..val_words as u64)
-            .map(|i| (key.wrapping_mul(2654435761).wrapping_add(i)) as u32)
-            .collect()
+        (0..val_words).map(|i| Self::value_word(key, i)).collect()
     }
 
-    fn query_window(&self, seq: u32, host: HostId, op: &KvsOp) -> Window {
-        let val = if op.put {
-            Self::value_for(op.key, self.val_words)
-        } else {
-            vec![0; self.val_words]
-        };
-        Window {
-            kernel: KernelId(self.kernel),
-            seq,
-            sender: host,
-            from: NodeId::Host(host),
-            last: false,
-            chunks: vec![
-                Chunk {
-                    offset: 0,
-                    data: op.key.to_be_bytes().to_vec(),
-                },
-                Chunk {
-                    offset: 0,
-                    data: val.iter().flat_map(|v| v.to_be_bytes()).collect(),
-                },
-                Chunk {
-                    offset: 0,
-                    data: vec![op.put as u8],
-                },
-            ],
-            ext: vec![],
-        }
+    /// Word `i` of [`KvsClient::value_for`]`(key, ..)`.
+    fn value_word(key: u64, i: usize) -> u32 {
+        key.wrapping_mul(2654435761).wrapping_add(i as u64) as u32
+    }
+
+    /// Does the value chunk `val` hold `key`'s value pattern?
+    fn is_value_of(&self, val: &[u8], key: u64) -> bool {
+        (0..self.val_words)
+            .all(|i| val.get(i * 4..i * 4 + 4) == Some(&Self::value_word(key, i).to_be_bytes()[..]))
     }
 
     /// Mean latency of completed operations.
@@ -346,8 +358,9 @@ impl KvsClient {
 
 impl HostApp for KvsClient {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        for (i, op) in self.schedule.iter().enumerate() {
-            ctx.set_timer(op.at, i as u64);
+        self.issued = vec![None; self.schedule.len()];
+        if let Some(first) = self.schedule.first() {
+            ctx.set_timer(first.at, 0);
         }
     }
 
@@ -358,16 +371,18 @@ impl HostApp for KvsClient {
             return;
         }
         let i = token as usize;
-        let op = self.schedule[i];
+        if let Some(next) = self.schedule.get(i + 1) {
+            ctx.set_timer(next.at.saturating_sub(ctx.now), token + 1);
+        }
         let seq = i as u32;
-        self.outstanding.insert(seq, (ctx.now, op.key, op.put));
+        self.issued[i] = Some(ctx.now);
+        self.outstanding += 1;
         let send_now = match &mut self.reliable {
             Some(s) => s.track(self.kernel, seq, ctx.now),
             None => true,
         };
         if send_now {
-            let w = self.query_window(seq, ctx.host, &op);
-            ctx.send(self.server, encode_window(&w, 0));
+            self.send_query(ctx, seq);
         }
         if self.reliable.is_some() {
             self.pump(ctx);
@@ -375,39 +390,36 @@ impl HostApp for KvsClient {
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx, pkt: &Packet) {
-        let Ok(w) = decode_window(&pkt.payload) else {
+        let Some(resp) = QueryFrame::parse(&pkt.payload) else {
             return;
         };
         // On a shared fabric other tenants' broadcasts reach this host
         // too; their seq numbers may collide with outstanding queries.
-        if w.kernel.0 != self.kernel {
+        if resp.kernel != self.kernel {
             return;
         }
+        let seq = resp.seq;
         if let Some(s) = &mut self.reliable {
             // The response is the ACK; duplicates fall out at the
-            // `outstanding` lookup below.
-            if s.on_ack(self.kernel, w.seq) {
+            // `issued` lookup below.
+            if s.on_ack(self.kernel, seq) {
                 self.pump(ctx);
             }
         }
-        let Some((issued, key, put)) = self.outstanding.remove(&w.seq) else {
+        let Some(issued) = self.issued.get_mut(seq as usize).and_then(Option::take) else {
             return;
         };
+        self.outstanding -= 1;
+        let op = self.schedule[seq as usize];
         // Cache hits are reflections of the client's own window; server
         // responses carry the server as sender.
-        let from_cache = w.sender != self.server_host;
-        if !put {
-            let expect = Self::value_for(key, self.val_words);
-            let got: Vec<u32> = (0..self.val_words)
-                .map(|i| w.chunks[1].get(ScalarType::U32, i).bits() as u32)
-                .collect();
-            if got != expect {
-                self.corrupt += 1;
-            }
+        let from_cache = resp.sender != self.server_host;
+        if !op.put && !self.is_value_of(resp.val, op.key) {
+            self.corrupt += 1;
         }
         self.samples.push(KvsSample {
-            key,
-            put,
+            key: op.key,
+            put: op.put,
             latency: ctx.now - issued,
             from_cache,
         });
@@ -419,6 +431,85 @@ impl HostApp for KvsClient {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// Bytes per NCP chunk descriptor: `(offset u32, len u16)`, after the
+/// fixed header (see `ncp::wire`).
+const CHUNK_DESC_LEN: usize = 6;
+
+/// A `query(key, val, flag)` frame read in place. The hosts slice the
+/// three chunks out of the packet rather than decode it into a window:
+/// a decode copies each chunk into a buffer the codec wants aligned,
+/// and allocates again on every frame for a buffer it failed to align.
+struct QueryFrame<'a> {
+    kernel: u16,
+    seq: u32,
+    sender: HostId,
+    key: u64,
+    val: &'a [u8],
+    flag: bool,
+}
+
+impl<'a> QueryFrame<'a> {
+    /// `None` unless `bytes` is an NCP window of three chunks whose
+    /// first holds at least the 8-byte key and whose last is not empty.
+    fn parse(bytes: &'a [u8]) -> Option<Self> {
+        // A checked packet holds every chunk its descriptors announce.
+        let p = NcpPacket::new_checked(bytes).ok()?;
+        let len = |i: usize| get_u16(bytes, HEADER_LEN + i * CHUNK_DESC_LEN + 4) as usize;
+        if p.nchunks() != 3 || len(0) < 8 || len(2) == 0 {
+            return None;
+        }
+        let key_at = HEADER_LEN + 3 * CHUNK_DESC_LEN + p.ext_len() as usize;
+        let val_at = key_at + len(0);
+        let flag_at = val_at + len(1);
+        let key = bytes[key_at..key_at + 8].try_into().expect("8 bytes");
+        Some(QueryFrame {
+            kernel: p.kernel(),
+            seq: p.seq(),
+            sender: HostId(p.sender()),
+            key: u64::from_be_bytes(key),
+            val: &bytes[val_at..flag_at],
+            flag: bytes[flag_at] != 0,
+        })
+    }
+}
+
+/// Encodes the `query(key, val, flag)` window `seq` from `host`,
+/// writing its three chunks into `chunks`, whose buffers it reuses. The
+/// client's query, the server's GET reply and PUT ack (`flag` false)
+/// and its cache update (`flag` true) are all this one frame.
+fn encode_query(
+    chunks: &mut Vec<Chunk>,
+    kernel: u16,
+    seq: u32,
+    host: HostId,
+    key: u64,
+    val: impl Iterator<Item = u32>,
+    flag: bool,
+) -> Vec<u8> {
+    chunks.resize_with(3, || Chunk {
+        offset: 0,
+        data: Vec::new(),
+    });
+    for c in chunks.iter_mut() {
+        c.data.clear();
+    }
+    chunks[0].data.extend_from_slice(&key.to_be_bytes());
+    chunks[1].data.extend(val.flat_map(u32::to_be_bytes));
+    chunks[2].data.push(flag as u8);
+    let w = Window {
+        kernel: KernelId(kernel),
+        seq,
+        sender: host,
+        from: NodeId::Host(host),
+        last: false,
+        chunks: std::mem::take(chunks),
+        ext: Vec::new(),
+    };
+    let frame = encode_window(&w, 0);
+    *chunks = w.chunks;
+    frame
 }
 
 /// The storage server: owns all values, answers GET misses, applies
@@ -452,6 +543,8 @@ pub struct KvsServer {
     /// window is built from `store` when the timer fires.
     pending_updates: HashMap<u64, (u64, NodeId)>,
     next_token: u64,
+    /// The reply frame's chunks, rewritten for each reply.
+    frame: Vec<Chunk>,
 }
 
 impl KvsServer {
@@ -479,32 +572,28 @@ impl KvsServer {
             evictions: 0,
             pending_updates: HashMap::new(),
             next_token: 1 << 48,
+            frame: Vec::new(),
         }
     }
 
-    fn response_window(&self, host: HostId, seq: u32, key: u64, val: &[u32]) -> Window {
-        Window {
-            kernel: KernelId(self.kernel),
-            seq,
-            sender: host,
-            from: NodeId::Host(host),
-            last: false,
-            chunks: vec![
-                Chunk {
-                    offset: 0,
-                    data: key.to_be_bytes().to_vec(),
-                },
-                Chunk {
-                    offset: 0,
-                    data: val.iter().flat_map(|v| v.to_be_bytes()).collect(),
-                },
-                Chunk {
-                    offset: 0,
-                    data: vec![0], // update = false: "server GET response"
-                },
-            ],
-            ext: vec![],
-        }
+    /// The server's `query` window for `key` under `seq`, carrying the
+    /// stored value. A key never stored reads as zeros in a reply
+    /// (`update` false) and as an empty value in a cache update
+    /// (`update` true: update=1, from=SERVER), which writes Cache+Valid
+    /// in the data plane and is dropped by the kernel.
+    fn reply(&mut self, host: HostId, seq: u32, key: u64, update: bool) -> Vec<u8> {
+        let stored = self.store.get(&key);
+        let zeros = if stored.is_none() && !update {
+            self.val_words
+        } else {
+            0
+        };
+        let val = stored
+            .into_iter()
+            .flatten()
+            .copied()
+            .chain(std::iter::repeat_n(0, zeros));
+        encode_query(&mut self.frame, self.kernel, seq, host, key, val, update)
     }
 
     /// Queues the switch-cache fill for `key`: Idx insert now (control
@@ -571,52 +660,36 @@ impl KvsServer {
         self.pending_updates.insert(token, (key, client));
         ctx.set_timer(120_000, token); // > 2× the 50 µs controller RTT
     }
-
-    /// The update window (update=1, from=SERVER) carrying the stored
-    /// value of `key`: it writes Cache+Valid in the data plane and is
-    /// dropped by the kernel.
-    fn update_window(&self, host: HostId, key: u64) -> Vec<u8> {
-        let val = self.store.get(&key).cloned().unwrap_or_default();
-        let mut w = self.response_window(host, u32::MAX, key, &val);
-        w.chunks[2].data[0] = 1; // update = true
-        encode_window(&w, 0)
-    }
 }
 
 impl HostApp for KvsServer {
     fn on_packet(&mut self, ctx: &mut HostCtx, pkt: &Packet) {
-        let Ok(w) = decode_window(&pkt.payload) else {
+        let Some(q) = QueryFrame::parse(&pkt.payload) else {
             return;
         };
-        if w.kernel.0 != self.kernel {
+        if q.kernel != self.kernel {
             return;
         }
-        let key = w.chunks[0].get(ScalarType::U64, 0).bits();
-        let put = w.chunks[2].get(ScalarType::U8, 0).is_truthy();
-        let client = NodeId::Host(w.sender);
+        let (key, seq, client) = (q.key, q.seq, NodeId::Host(q.sender));
         self.served += 1;
-        if put {
-            let val: Vec<u32> = (0..self.val_words)
-                .map(|i| w.chunks[1].get(ScalarType::U32, i).bits() as u32)
-                .collect();
-            self.store.insert(key, val.clone());
+        if q.flag {
+            let val = self.store.entry(key).or_default();
+            val.clear();
+            let words = q.val.chunks_exact(4).take(self.val_words);
+            val.extend(words.map(|w| u32::from_be_bytes(w.try_into().expect("4 bytes"))));
             // PUT ack to the client.
-            let ack = self.response_window(ctx.host, w.seq, key, &val);
-            ctx.send(client, encode_window(&ack, 0));
+            let ack = self.reply(ctx.host, seq, key, false);
+            ctx.send(client, ack);
             // Write-through to an existing cache entry; a pending fill
             // carries the new value itself.
             let filling = self.pending_updates.values().any(|&(k, _)| k == key);
             if self.cached.contains_key(&key) && !filling {
-                ctx.send(client, self.update_window(ctx.host, key));
+                let update = self.reply(ctx.host, u32::MAX, key, true);
+                ctx.send(client, update);
             }
         } else {
-            let val = self
-                .store
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| vec![0; self.val_words]);
-            let resp = self.response_window(ctx.host, w.seq, key, &val);
-            ctx.send(client, encode_window(&resp, 0));
+            let resp = self.reply(ctx.host, seq, key, false);
+            ctx.send(client, resp);
             // Hot-item detection (simplified: popularity counter).
             let pop = self.popularity.entry(key).or_insert(0);
             *pop += 1;
@@ -628,7 +701,8 @@ impl HostApp for KvsServer {
 
     fn on_timer(&mut self, ctx: &mut HostCtx, token: u64) {
         if let Some((key, dst)) = self.pending_updates.remove(&token) {
-            ctx.send(dst, self.update_window(ctx.host, key));
+            let update = self.reply(ctx.host, u32::MAX, key, true);
+            ctx.send(dst, update);
         }
     }
 

@@ -840,13 +840,10 @@ impl HostApp for NclHost {
                 self.launch(ctx, i);
             } else if gap == 0 {
                 ctx.set_timer(start, (i as u64) << 32);
-            } else {
-                // Paced: schedule per-window timers from `start`;
-                // tokens encode (invocation, window + 1).
-                for wi in 0..self.outs[i].windows {
-                    let token = ((i as u64) << 32) | (wi as u64 + 1);
-                    ctx.set_timer(start + gap * wi as Time, token);
-                }
+            } else if self.outs[i].windows > 0 {
+                // Paced: one timer pending per invocation, the first at
+                // `start`; tokens encode (invocation, window + 1).
+                ctx.set_timer(start, ((i as u64) << 32) | 1);
             }
         }
     }
@@ -902,7 +899,10 @@ impl HostApp for NclHost {
             self.launch(ctx, idx);
             return;
         }
-        // Paced single window.
+        // Paced single window; it arms the next one `gap` later.
+        if wi < self.outs[idx].windows {
+            ctx.set_timer(self.outs[idx].inv.gap, token + 1);
+        }
         if let Some(w) = self.cut(ctx.host, idx, wi as u32 - 1) {
             self.send_first(ctx, idx, &w);
         }

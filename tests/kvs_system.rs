@@ -8,8 +8,10 @@ use ncl::core::apps::{kvs_source, KvsClient, KvsOp, KvsServer};
 use ncl::core::control::ControlPlane;
 use ncl::core::deploy::{deploy_opts, DeployOptions, SwitchBackend};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram};
-use ncl::model::{HostId, NodeId};
-use ncl::netsim::HostApp;
+use ncl::model::{HostId, NodeId, ScalarType};
+use ncl::ncp::codec::decode_window;
+use ncl::netsim::{HostApp, HostCtx, Packet};
+use std::any::Any;
 use std::collections::HashMap;
 
 const VAL_WORDS: usize = 8;
@@ -520,4 +522,92 @@ fn evicting_a_key_mid_fill_never_overwrites_another_slot() {
         let hits = client.samples.iter().filter(|x| x.from_cache).count();
         assert_eq!(hits, 2, "{backend:?}: the last GETs of keys 1 and 3 hit");
     }
+}
+
+/// A KVS server that records every query it receives, `(seq, key)` in
+/// arrival order, before answering it.
+struct RecordingServer {
+    inner: KvsServer,
+    seen: Vec<(u32, u64)>,
+}
+
+impl HostApp for RecordingServer {
+    fn on_packet(&mut self, ctx: &mut HostCtx, pkt: &Packet) {
+        if let Ok(w) = decode_window(&pkt.payload) {
+            self.seen
+                .push((w.seq, w.chunks[0].get(ScalarType::U64, 0).bits()));
+        }
+        self.inner.on_packet(ctx, pkt);
+    }
+
+    fn on_timer(&mut self, ctx: &mut HostCtx, token: u64) {
+        self.inner.on_timer(ctx, token);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn a_schedule_issues_every_op_once_in_schedule_order() {
+    // 5,000 GETs, four to each `at`, through the compiled kernel with no
+    // cache management: every one misses at the switch and reaches the
+    // server. Each op goes out exactly once, as window `seq` = its
+    // schedule index, and ops that share an `at` reach the switch (and
+    // behind it the server) in schedule order.
+    let schedule: Vec<KvsOp> = (0..5_000u64)
+        .map(|i| KvsOp {
+            at: (i / 4) * 20_000,
+            key: 1 + i % 50,
+            put: false,
+        })
+        .collect();
+    let program = program();
+    let kernel = program.kernel_ids["query"];
+    let server_node = NodeId::Host(HostId(SERVER_ID));
+    let mut server = KvsServer::new(kernel, VAL_WORDS, None, None, SLOTS);
+    for key in 1..=50 {
+        server
+            .store
+            .insert(key, KvsClient::value_for(key, VAL_WORDS));
+    }
+    let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
+    for (name, ops) in [("client1", schedule.clone()), ("client2", vec![])] {
+        let client = KvsClient::new(server_node, HostId(SERVER_ID), kernel, VAL_WORDS, ops);
+        apps.insert(name.to_string(), Box::new(client));
+    }
+    apps.insert(
+        "server".to_string(),
+        Box::new(RecordingServer {
+            inner: server,
+            seen: Vec::new(),
+        }),
+    );
+    let opts = DeployOptions {
+        backend: SwitchBackend::Simd,
+        ..DeployOptions::default()
+    };
+    let mut dep = deploy_opts(&program, apps, opts).expect("deploys");
+    dep.net.run();
+
+    let server = dep
+        .net
+        .host_app::<RecordingServer>(HostId(SERVER_ID))
+        .unwrap();
+    let want: Vec<(u32, u64)> = schedule
+        .iter()
+        .enumerate()
+        .map(|(i, op)| (i as u32, op.key))
+        .collect();
+    let first_diff = server.seen.iter().zip(&want).position(|(a, b)| a != b);
+    assert_eq!(first_diff, None, "queries arrive out of schedule order");
+    assert_eq!(server.seen.len(), want.len(), "every op is sent once");
+    let client = dep.net.host_app::<KvsClient>(HostId(1)).unwrap();
+    assert_eq!(client.samples.len(), schedule.len());
+    assert_eq!(client.outstanding(), 0);
+    assert_eq!(client.corrupt, 0);
 }
