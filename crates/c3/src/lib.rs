@@ -26,9 +26,11 @@
 //!   (`_pass` / `_drop` / `_reflect` / `_bcast`);
 //! * [`RegArray`] — device memory packed at its declared width, the one
 //!   register store of every engine;
-//! * [`wire`] — byte-order helpers shared by every wire format.
+//! * [`wire`] — byte-order helpers shared by every wire format;
+//! * [`IdMap`] — the fixed-hash map of every per-packet lookup.
 
 mod fwd;
+mod idmap;
 mod ids;
 pub mod ncpr;
 pub mod reg;
@@ -37,6 +39,7 @@ pub mod window;
 pub mod wire;
 
 pub use fwd::Forward;
+pub use idmap::{IdHasher, IdMap};
 pub use ids::{HostId, KernelId, Label, NodeId, SwitchId};
 pub use reg::{Lane, Lanes, RegArray};
 pub use value::{BinOp, ScalarType, UnOp, Value};

@@ -11,7 +11,7 @@
 
 use crate::control::ControlPlane;
 use c3::wire::get_u16;
-use c3::{Chunk, HostId, KernelId, NodeId, ScalarType, SwitchId, Value, Window};
+use c3::{Chunk, HostId, IdMap, KernelId, NodeId, ScalarType, SwitchId, Value, Window};
 use ncp::codec::encode_window;
 use ncp::reliable::{ReliableConfig, Sender as RelSender};
 use ncp::{NcpPacket, HEADER_LEN};
@@ -530,18 +530,18 @@ pub struct KvsServer {
     /// GETs a key needs before the server caches it.
     pub hot_threshold: u32,
     /// The backing store.
-    pub store: HashMap<u64, Vec<u32>>,
+    pub store: IdMap<u64, Vec<u32>>,
     /// key → slot for cached keys.
-    pub cached: HashMap<u64, u8>,
+    pub cached: IdMap<u64, u8>,
     next_slot: usize,
-    popularity: HashMap<u64, u32>,
+    popularity: IdMap<u64, u32>,
     /// Windows answered by the server (the "server load" E2 measures).
     pub served: u64,
     /// Cache evictions performed.
     pub evictions: u64,
     /// Pending cache fills `(timer token → key, dst)`: their update
     /// window is built from `store` when the timer fires.
-    pending_updates: HashMap<u64, (u64, NodeId)>,
+    pending_updates: IdMap<u64, (u64, NodeId)>,
     next_token: u64,
     /// The reply frame's chunks, rewritten for each reply.
     frame: Vec<Chunk>,
@@ -564,13 +564,13 @@ impl KvsServer {
             control,
             cache_slots,
             hot_threshold: 2,
-            store: HashMap::new(),
-            cached: HashMap::new(),
+            store: IdMap::default(),
+            cached: IdMap::default(),
             next_slot: 0,
-            popularity: HashMap::new(),
+            popularity: IdMap::default(),
             served: 0,
             evictions: 0,
-            pending_updates: HashMap::new(),
+            pending_updates: IdMap::default(),
             next_token: 1 << 48,
             frame: Vec::new(),
         }

@@ -20,7 +20,7 @@
 use crate::fastpath::FastPathSwitch;
 use crate::mc::{model_check_switch, McConfig, McReport};
 use crate::nclc::CompiledProgram;
-use c3::{HostId, Label, NodeId, SwitchId};
+use c3::{HostId, IdMap, Label, NodeId, SwitchId};
 use ncl_and::{AndKind, AndNode, Overlay};
 use ncl_ir::CompiledKernel;
 use nctel::{Registry, Scope, ScopeEvent, SnapshotReason, WindowKey};
@@ -51,10 +51,8 @@ pub enum SwitchBackend {
     /// register arrays (the ncvec tier, compiled with AVX2 on detecting
     /// hosts, portable lanes elsewhere). A run that does not pack falls
     /// back to the scalar micro-op loops, bit-identically. No backend
-    /// lowers at deploy time. Kernel execution allocates nothing; the
-    /// switch hop still builds one `Vec` per forwarded window (0.25 to
-    /// 0.99 allocations per window depending on the drop share —
-    /// ROADMAP item 3(ii)).
+    /// lowers at deploy time. In steady state a switch hop allocates
+    /// nothing: each verdict is encoded into the frame received before.
     Simd,
 }
 
@@ -439,7 +437,7 @@ pub(crate) struct SwitchLoad {
     pub engine: Option<Box<dyn FastDatapath>>,
     /// Per-kernel static hop-record fields; `None` leaves the switch
     /// passing telemetry sections through unstamped.
-    pub kernels: Option<HashMap<u16, KernelTelemetry>>,
+    pub kernels: Option<IdMap<u16, KernelTelemetry>>,
 }
 
 /// The options of [`DeployOptions`] that shape the fabric itself,

@@ -11,8 +11,10 @@
 //! Window processing then runs the linear micro-op program against the
 //! location's persistent [`SwitchState`] with a reusable [`ExecScratch`]
 //! and the zero-copy NCP codec ([`decode_window_into`] /
-//! [`encode_window_into`]), so the steady state allocates only the
-//! outgoing packet buffer.
+//! [`encode_window_into`]). Inside a network the verdict is encoded
+//! into the frame received before it
+//! ([`FastDatapath::process_frame`]), so the steady state allocates
+//! nothing; [`FastPathSwitch::process_window`] returns a fresh buffer.
 //!
 //! It plugs into the simulator as a [`netsim::FastDatapath`]
 //! (see [`crate::deploy::SwitchBackend::Simd`]) and serves as the
@@ -22,7 +24,7 @@
 //! windows, and register state.
 
 use crate::nclc::CompiledProgram;
-use c3::{Forward, Label, Value, Window};
+use c3::{Forward, IdMap, Label, Value, Window};
 use ncl_ir::ir::{CtrlId, MapId};
 use ncl_ir::{CompiledKernel, ExecScratch, SwitchState};
 use ncp::codec::{decode_window_into, encode_window_into};
@@ -38,12 +40,15 @@ pub struct FastPathSwitch {
     /// NCP kernel id → the program's lowered kernel (placement checks
     /// hoisted for this location), shared with every other switch built
     /// from the program on the same tier.
-    kernels: HashMap<u16, Arc<CompiledKernel>>,
+    kernels: IdMap<u16, Arc<CompiledKernel>>,
     /// The location's persistent device state.
     pub state: SwitchState,
     scratch: ExecScratch,
     /// Decoded-window scratch, reused across packets.
     win: Window,
+    /// The buffer the next verdict is encoded into: the frame received
+    /// before it (see [`FastDatapath::process_frame`]).
+    spare: Vec<u8>,
     ext_total: usize,
     ctrl_by_name: HashMap<String, CtrlId>,
     /// Compiled register-copy name → ctrl (deferred control ops arrive
@@ -155,6 +160,7 @@ impl FastPathSwitch {
                 chunks: Vec::new(),
                 ext: Vec::new(),
             },
+            spare: Vec::new(),
             ext_total: program.checked.window_ext.size(),
             ctrl_by_name,
             ctrl_by_copy,
@@ -176,21 +182,34 @@ impl FastPathSwitch {
     /// `None` for non-NCP traffic, fragments (switches compute only on
     /// single-packet windows, paper §6), unknown kernels, and execution
     /// errors — the switch then plainly forwards the original packet.
+    /// The verdict's frame is a fresh buffer; inside a network,
+    /// [`FastDatapath::process_frame`] recycles the received ones.
     pub fn process_window(&mut self, payload: &[u8]) -> Option<FastVerdict> {
+        let mut out = Vec::new();
+        let (fwd_code, fwd_label) = self.execute(payload, &mut out)?;
+        Some(verdict(out, fwd_code, fwd_label))
+    }
+
+    /// [`FastPathSwitch::process_window`]'s work, the frame written into
+    /// `out` (cleared first; left empty on `_drop()`). Returns the
+    /// forwarding code and label.
+    fn execute(&mut self, payload: &[u8], out: &mut Vec<u8>) -> Option<(u8, u16)> {
         let (kid, flags, total) = match NcpPacket::new_checked(payload) {
             Ok(p) => (p.kernel(), p.flags(), p.total_len()),
             Err(_) => return None,
         };
-        if flags & (FLAG_FRAGMENT | FLAG_ACK | FLAG_NACK) != 0 || !self.kernels.contains_key(&kid) {
-            self.misses.inc();
-            return None;
-        }
+        let kernel = match self.kernels.get(&kid) {
+            Some(k) if flags & (FLAG_FRAGMENT | FLAG_ACK | FLAG_NACK) == 0 => k,
+            _ => {
+                self.misses.inc();
+                return None;
+            }
+        };
         if decode_window_into(payload, &mut self.win).is_err() {
             self.misses.inc();
             return None;
         }
         self.windows.inc();
-        let kernel = &self.kernels[&kid];
         let fwd = match kernel.run_outgoing(&mut self.win, &mut self.state, &mut self.scratch) {
             Ok(f) => f,
             Err(_) => {
@@ -205,19 +224,13 @@ impl FastPathSwitch {
             Forward::Drop => (3, 0),
             Forward::PassTo(l) => (4, self.label_wires.get(l).copied().unwrap_or(0)),
         };
-        let mut out = Vec::new();
+        out.clear();
         if fwd_code != 3 {
-            encode_window_into(&self.win, self.ext_total, &mut out);
+            encode_window_into(&self.win, self.ext_total, out);
             NcpPacket::new_unchecked(&mut out[..]).set_flags(flags);
             out.extend_from_slice(payload.get(total..).unwrap_or_default());
         }
-        Some(FastVerdict {
-            payload: out,
-            fwd_code,
-            fwd_label,
-            version: 0,
-            passes: 1,
-        })
+        Some((fwd_code, fwd_label))
     }
 
     /// Windows executed by the compiled cache (executor hits).
@@ -280,9 +293,37 @@ impl FastPathSwitch {
     }
 }
 
+/// A one-pass verdict carrying `payload`.
+fn verdict(payload: Vec<u8>, fwd_code: u8, fwd_label: u16) -> FastVerdict {
+    FastVerdict {
+        payload,
+        fwd_code,
+        fwd_label,
+        version: 0,
+        passes: 1,
+    }
+}
+
 impl FastDatapath for FastPathSwitch {
     fn process(&mut self, payload: &[u8]) -> Option<FastVerdict> {
         self.process_window(payload)
+    }
+
+    /// Encodes the verdict into the frame received before this one and
+    /// keeps this frame for the next verdict, so a forwarded window
+    /// allocates nothing once the buffers are large enough.
+    fn process_frame(&mut self, frame: Vec<u8>) -> Result<FastVerdict, Vec<u8>> {
+        let mut out = std::mem::take(&mut self.spare);
+        match self.execute(&frame, &mut out) {
+            Some((fwd_code, fwd_label)) => {
+                self.spare = frame;
+                Ok(verdict(out, fwd_code, fwd_label))
+            }
+            None => {
+                self.spare = out;
+                Err(frame)
+            }
+        }
     }
 
     /// Resolves only the names the compiled switch uses, the ones

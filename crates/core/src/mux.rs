@@ -140,14 +140,11 @@ impl TenantMux {
     fn slot(&self, tenant: &str) -> Option<&TenantSlot> {
         self.slots.iter().find(|s| s.tenant == tenant)
     }
-}
 
-impl FastDatapath for TenantMux {
-    /// Routes by kernel-id ownership, preferring the old version for
-    /// drain-set windows. Declines (`None`) non-NCP frames and kernel
-    /// ids no tenant owns — the switch then plainly forwards them (and
-    /// counts the unknown-kernel case).
-    fn process(&mut self, payload: &[u8]) -> Option<FastVerdict> {
+    /// The datapath that runs `payload` and the version it runs:
+    /// the owning tenant's old version for drain-set windows, its
+    /// active one otherwise.
+    fn engine_for(&mut self, payload: &[u8]) -> Option<(&mut (dyn FastDatapath + 'static), u16)> {
         let (kernel, seq) = match ncp::NcpPacket::new_checked(payload) {
             Ok(p) => (p.kernel(), p.seq()),
             Err(_) => return None,
@@ -158,18 +155,36 @@ impl FastDatapath for TenantMux {
             .find(|s| s.kernel_ids.contains(&kernel))?;
         if let Some(old) = &mut slot.old {
             if old.drain.contains(&(kernel, seq)) {
-                let mut v = old.dp.process(payload)?;
-                if v.version == 0 {
-                    v.version = old.version;
-                }
-                return Some(v);
+                return Some((old.dp.as_mut(), old.version));
             }
         }
-        let mut v = slot.active.process(payload)?;
-        if v.version == 0 {
-            v.version = slot.active_version;
-        }
-        Some(v)
+        Some((slot.active.as_mut(), slot.active_version))
+    }
+}
+
+/// `v`, stamped with `version` unless its datapath named one.
+fn stamped(mut v: FastVerdict, version: u16) -> FastVerdict {
+    if v.version == 0 {
+        v.version = version;
+    }
+    v
+}
+
+impl FastDatapath for TenantMux {
+    /// Routes by kernel-id ownership, preferring the old version for
+    /// drain-set windows. Declines (`None`) non-NCP frames and kernel
+    /// ids no tenant owns — the switch then plainly forwards them (and
+    /// counts the unknown-kernel case).
+    fn process(&mut self, payload: &[u8]) -> Option<FastVerdict> {
+        let (dp, version) = self.engine_for(payload)?;
+        dp.process(payload).map(|v| stamped(v, version))
+    }
+
+    fn process_frame(&mut self, frame: Vec<u8>) -> Result<FastVerdict, Vec<u8>> {
+        let Some((dp, version)) = self.engine_for(&frame) else {
+            return Err(frame);
+        };
+        dp.process_frame(frame).map(|v| stamped(v, version))
     }
 
     /// First-match control routing in admission order (both versions of

@@ -16,7 +16,7 @@
 //!   host memory (the `while (!done)` loop of the paper's Fig. 4).
 
 use crate::nclc::CompiledProgram;
-use c3::{HostId, KernelId, Mask, NodeId, ScalarType, Value, Window, WindowSpec};
+use c3::{HostId, IdMap, KernelId, Mask, NodeId, ScalarType, Value, Window, WindowSpec};
 use ncl_ir::{CompiledKernel, ExecScratch, HostMemory};
 use ncp::codec::{encode_window, Reassembler};
 use ncp::reliable::SenderStats;
@@ -49,14 +49,14 @@ struct Reliability {
     /// tracked window from (`seq` is its window index). Retransmission
     /// re-encodes from the application arrays, so no per-window byte
     /// copies are retained.
-    wire_index: HashMap<(u16, u32), usize>,
+    wire_index: IdMap<(u16, u32), usize>,
     /// Earliest armed RTO timer (suppresses redundant timer events).
     armed: Option<Time>,
     /// `(kernel id, seq)` → first wire transmission time, retired on
     /// ack. Feeds the end-to-end ack-latency histogram (the window
     /// clock ncwatch's p99 SLOs read) without touching the NCP-R
     /// sender's checkpointable state.
-    first_sent: HashMap<(u16, u32), Time>,
+    first_sent: IdMap<(u16, u32), Time>,
     /// First-send → ack latency, ns. Registered as
     /// `ncpr.sender.ack_latency_ns`.
     m_ack_latency: nctel::Histogram,
@@ -311,7 +311,7 @@ pub struct IncomingBinding {
 }
 
 /// Completion predicate over the incoming bindings' host memory.
-pub type DonePredicate = Box<dyn Fn(&HashMap<u16, IncomingBinding>) -> bool>;
+pub type DonePredicate = Box<dyn Fn(&IdMap<u16, IncomingBinding>) -> bool>;
 
 /// The libncrt host application.
 ///
@@ -322,7 +322,7 @@ pub struct NclHost {
     runtimes: HashMap<String, KernelRuntime>,
     ext_total: usize,
     outs: Vec<QueuedOut>,
-    incoming: HashMap<u16, IncomingBinding>,
+    incoming: IdMap<u16, IncomingBinding>,
     done_when: Option<DonePredicate>,
     reliable: Option<Reliability>,
     reassembler: Reassembler,
@@ -364,7 +364,7 @@ impl NclHost {
             runtimes: kernel_runtimes(program),
             ext_total: program.checked.window_ext.size(),
             outs: Vec::new(),
-            incoming: HashMap::new(),
+            incoming: IdMap::default(),
             done_when: None,
             reliable: None,
             reassembler: Reassembler::new(),
@@ -425,7 +425,7 @@ impl NclHost {
     /// memory (e.g. "the `done` flag array reads true").
     fn done_when(
         &mut self,
-        f: impl Fn(&HashMap<u16, IncomingBinding>) -> bool + 'static,
+        f: impl Fn(&IdMap<u16, IncomingBinding>) -> bool + 'static,
     ) -> &mut Self {
         self.done_when = Some(Box::new(f));
         self
@@ -463,9 +463,9 @@ impl NclHost {
         let r = Reliability {
             sender: RelSender::new(cfg),
             receiver: RelReceiver::new(),
-            wire_index: HashMap::new(),
+            wire_index: IdMap::default(),
             armed: None,
-            first_sent: HashMap::new(),
+            first_sent: IdMap::default(),
             m_ack_latency: nctel::Histogram::new(),
         };
         r.sender.attach_metrics(&self.registry, "ncpr.sender");

@@ -42,7 +42,7 @@ use crate::mux::TenantMux;
 use crate::nclc::{CompiledProgram, ModuleEstimate};
 use crate::runtime::NclHost;
 use crate::watch::{FabricWatch, FabricWatchParts};
-use c3::{HostId, Label, NodeId, SwitchId};
+use c3::{HostId, IdMap, Label, NodeId, SwitchId};
 use ncl_and::AndKind;
 use ncsched::{AdmissionController, AdmissionError, CostReport, TenantSpec, Upgrade};
 use nctel::{Registry, Scope};
@@ -376,7 +376,7 @@ pub fn deploy_tenants(
             let label = n.label.as_str();
             let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
             let mut mux = TenantMux::new();
-            let mut tel_kernels = HashMap::new();
+            let mut tel_kernels = IdMap::default();
             for (ti, t) in admitted.iter().enumerate() {
                 let version = 1u16;
                 let load = switch_engine(backend, &t.program, label, version, model);

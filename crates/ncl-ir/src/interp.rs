@@ -13,8 +13,7 @@
 //!   `Fwd` wins.
 
 use crate::ir::*;
-use c3::{Forward, Label, RegArray, ScalarType, Value, Window};
-use std::collections::HashMap;
+use c3::{Forward, IdMap, Label, RegArray, ScalarType, Value, Window};
 
 /// Runtime switch state for one device: register arrays, control
 /// variables, map contents, and the device's identity. The `Default`
@@ -26,7 +25,7 @@ pub struct SwitchState {
     /// Control variable values, indexed by [`CtrlId`].
     pub ctrls: Vec<Value>,
     /// Map contents (key bits → value), indexed by [`MapId`].
-    pub maps: Vec<HashMap<u64, Value>>,
+    pub maps: Vec<IdMap<u64, Value>>,
     /// Map capacities (inserts beyond capacity are rejected).
     pub map_caps: Vec<usize>,
     /// The device's numeric id (`location.id`).
@@ -53,7 +52,7 @@ impl SwitchState {
             })
             .collect();
         let ctrls = module.ctrls.iter().map(|c| c.init).collect();
-        let maps = module.maps.iter().map(|_| HashMap::new()).collect();
+        let maps = module.maps.iter().map(|_| IdMap::default()).collect();
         let map_caps = module.maps.iter().map(|m| m.capacity).collect();
         SwitchState {
             registers,

@@ -25,8 +25,7 @@ use crate::wire::{
     NcpPacket, WireError, CHUNK_DESC_LEN, FLAG_FIRST_FRAG, FLAG_FRAGMENT, FLAG_LAST,
     FLAG_MORE_FRAGS, HEADER_LEN, MAGIC, VERSION,
 };
-use c3::{Chunk, HostId, KernelId, NodeId, Window};
-use std::collections::HashMap;
+use c3::{Chunk, HostId, IdMap, KernelId, NodeId, Window};
 
 /// Default cap on windows concurrently under reassembly (satellite of
 /// the fast-path work: a peer spraying first fragments must not grow
@@ -63,12 +62,12 @@ fn aligned_vec(cap: usize) -> Vec<u8> {
     rejects.pop().unwrap_or_default()
 }
 
-/// Clears `dst` and refills it with `src`, guaranteeing the refilled
-/// storage starts on a [`PAYLOAD_ALIGN`] boundary. Reuses `dst`'s
-/// allocation when it is already aligned and large enough — the
-/// steady-state decode path — and swaps in an aligned buffer otherwise.
+/// Clears `dst` and refills it with `src`. Reuses `dst`'s allocation
+/// whenever it is large enough — the steady-state decode path — even
+/// off the [`PAYLOAD_ALIGN`] boundary, since alignment is only a hint;
+/// a buffer that must grow is replaced by one drawn aligned.
 fn fill_aligned(dst: &mut Vec<u8>, src: &[u8]) {
-    if dst.capacity() < src.len() || !(dst.as_ptr() as usize).is_multiple_of(PAYLOAD_ALIGN) {
+    if dst.capacity() < src.len() {
         *dst = aligned_vec(src.len());
     }
     dst.clear();
@@ -377,7 +376,7 @@ struct FragKey {
 /// stops allocating.
 #[derive(Debug)]
 pub struct Reassembler {
-    partial: HashMap<FragKey, Partial>,
+    partial: IdMap<FragKey, Partial>,
     max_pending: usize,
     /// Monotone push counter, for staleness ranking.
     tick: u64,
@@ -388,7 +387,7 @@ pub struct Reassembler {
 impl Default for Reassembler {
     fn default() -> Self {
         Reassembler {
-            partial: HashMap::new(),
+            partial: IdMap::default(),
             max_pending: DEFAULT_MAX_PENDING,
             tick: 0,
             evictions: 0,

@@ -34,8 +34,9 @@
 //! [`Sender::restore`] (and the [`Receiver`] pair) and replays shrunk
 //! counterexamples exactly.
 
+use c3::IdMap;
 use nctel::{Counter, Registry, Scope, ScopeEvent, WindowKey};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Nanosecond timestamps, matching netsim's `Time`.
 pub type Time = u64;
@@ -110,7 +111,7 @@ struct InFlight {
 #[derive(Debug)]
 pub struct Sender {
     cfg: ReliableConfig,
-    flight: HashMap<Key, InFlight>,
+    flight: IdMap<Key, InFlight>,
     /// Launch-ready windows the cwnd has not admitted yet, FIFO.
     queue: VecDeque<Key>,
     /// Current congestion window.
@@ -137,7 +138,7 @@ impl Sender {
         Sender {
             cwnd: cfg.cwnd.max(1),
             cfg,
-            flight: HashMap::new(),
+            flight: IdMap::default(),
             queue: VecDeque::new(),
             acks_since_grow: 0,
             tracked: Counter::new(),
@@ -543,7 +544,7 @@ pub struct ReceiverStats {
 /// Receiver half of NCP-R: duplicate suppression at the host edge.
 #[derive(Debug, Default)]
 pub struct Receiver {
-    state: HashMap<(u16, u16), DeliveryState>,
+    state: IdMap<(u16, u16), DeliveryState>,
     /// nctel counters (detached until [`Receiver::attach_metrics`]).
     delivered: Counter,
     duplicates: Counter,

@@ -9,7 +9,7 @@
 
 use crate::event::Time;
 use crate::sim::Packet;
-use c3::{HostId, NodeId, SwitchId, Value};
+use c3::{HostId, IdMap, NodeId, SwitchId, Value};
 use std::any::Any;
 use std::collections::HashMap;
 
@@ -138,6 +138,12 @@ pub trait FastDatapath {
     /// Processes one payload. `None` means "not NCP traffic I compute
     /// on" — the switch plainly forwards the original packet.
     fn process(&mut self, payload: &[u8]) -> Option<FastVerdict>;
+    /// [`FastDatapath::process`] on a frame the caller gives up, so the
+    /// verdict's payload can reuse its buffer (or one the engine kept
+    /// from an earlier frame). A declined frame comes back unchanged.
+    fn process_frame(&mut self, frame: Vec<u8>) -> Result<FastVerdict, Vec<u8>> {
+        self.process(&frame).ok_or(frame)
+    }
     /// Applies a control-plane operation addressed by the names the
     /// compiled switch uses (register copies, lane banks, lookup
     /// tables); `false` when the target is unknown to this engine or
@@ -224,7 +230,7 @@ pub struct SwitchTelemetry {
     /// The switch id stamped into hop records.
     pub switch_id: u16,
     /// Per-kernel static record fields.
-    pub kernels: HashMap<u16, KernelTelemetry>,
+    pub kernels: IdMap<u16, KernelTelemetry>,
 }
 
 /// Latency of one engine pass (~600 ns, Tofino-ish); a window that

@@ -24,13 +24,13 @@ use crate::node::{
     ncp_scope_key, CtrlOp, FastDatapath, HostApp, HostCtx, SwitchCfg, SwitchStats, CTRL_LATENCY,
     FWD_LATENCY, PIPELINE_LATENCY,
 };
-use c3::{HostId, NodeId, SwitchId};
+use c3::{HostId, IdMap, NodeId, SwitchId};
 use ncp::{NcpPacket, UdpEndpoint};
 use nctel::hop::{
     section_append, section_valid, HopRecord, HOP_DUP_SUPPRESSED, HOP_FORWARDED_ONLY,
 };
 use nctel::{Counter, Registry, Scope, ScopeEvent, WindowKey};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{IpAddr, SocketAddr};
 use std::sync::Arc;
@@ -140,7 +140,7 @@ impl NetworkBuilder {
             });
         }
         // All-pairs next hop by BFS from every destination.
-        let mut next_hop: Vec<HashMap<NodeId, (usize, bool)>> = vec![HashMap::new(); n];
+        let mut next_hop: Vec<IdMap<NodeId, (usize, bool)>> = vec![IdMap::default(); n];
         for dst in 0..n {
             let dst_id = node_id(&self.nodes[dst]);
             let mut dist = vec![usize::MAX; n];
@@ -166,6 +166,7 @@ impl NetworkBuilder {
             links,
             next_hop,
             queue: EventQueue::new(),
+            outbox: Outbox::default(),
             now: 0,
             started: false,
             registry,
@@ -434,6 +435,14 @@ impl SimCounters {
     }
 }
 
+/// The buffers a [`HostCtx`] fills during one host callback.
+#[derive(Default)]
+struct Outbox {
+    out: Vec<Packet>,
+    timers: Vec<(Time, u64)>,
+    ctrl: Vec<(SwitchId, CtrlOp)>,
+}
+
 enum Event {
     Start,
     Arrive { node: usize, pkt: Packet },
@@ -446,8 +455,11 @@ enum Event {
 pub struct Network {
     nodes: Vec<NodeKind>,
     links: Vec<RuntimeLink>,
-    next_hop: Vec<HashMap<NodeId, (usize, bool)>>,
+    next_hop: Vec<IdMap<NodeId, (usize, bool)>>,
     queue: EventQueue<Event>,
+    /// What a host callback sent, armed and requested, drained after
+    /// it returns; kept across callbacks so they allocate nothing.
+    outbox: Outbox,
     now: Time,
     started: bool,
     registry: Arc<Registry>,
@@ -555,31 +567,31 @@ impl Network {
 
     /// Runs a host callback and flushes its sends/timers.
     fn with_host(&mut self, node: usize, f: impl FnOnce(&mut dyn HostApp, &mut HostCtx)) {
-        let mut out = Vec::new();
-        let mut timers = Vec::new();
-        let mut ctrl = Vec::new();
         let now = self.now;
         let NodeKind::Host { id, app } = &mut self.nodes[node] else {
             return; // timers for removed/foreign nodes are ignored
         };
+        let Outbox { out, timers, ctrl } = &mut self.outbox;
         let mut ctx = HostCtx {
             now,
             host: *id,
-            out: &mut out,
-            timers: &mut timers,
-            ctrl: &mut ctrl,
+            out,
+            timers,
+            ctrl,
         };
         f(app.as_mut(), &mut ctx);
-        for (delay, token) in timers {
+        for (delay, token) in timers.drain(..) {
             self.queue.push(now + delay, Event::Timer { node, token });
         }
-        for (switch, op) in ctrl {
+        for (switch, op) in ctrl.drain(..) {
             self.queue
                 .push(now + CTRL_LATENCY, Event::Ctrl { switch, op });
         }
-        for pkt in out {
+        let mut out = std::mem::take(&mut self.outbox.out);
+        for pkt in out.drain(..) {
             self.route_out(node, pkt, now);
         }
+        self.outbox.out = out;
     }
 
     /// Sends a packet out of `node` towards `pkt.dst`, leaving at
@@ -679,9 +691,18 @@ impl Network {
         let dups_before = if track_dups { cfg_dup_sum(cfg) } else { 0 };
 
         // 2. The verdict. `None`: not NCP, a control frame, no engine, or
-        // declined by it — the frame is plainly forwarded.
+        // declined by it — the frame is plainly forwarded. The engine
+        // takes the frame, so its verdict can reuse the buffer.
         let verdict = match &mut cfg.engine {
-            Some(engine) if !control => engine.process(&pkt.payload),
+            Some(engine) if !control => {
+                match engine.process_frame(std::mem::take(&mut pkt.payload)) {
+                    Ok(v) => Some(v),
+                    Err(frame) => {
+                        pkt.payload = frame;
+                        None
+                    }
+                }
+            }
             _ => None,
         };
 

@@ -196,14 +196,16 @@ fn run(tel: bool) -> Run {
     let h3 = b.add_host(Box::<Host>::default());
     let telemetry = tel.then(|| SwitchTelemetry {
         switch_id: TEL_SWITCH,
-        kernels: HashMap::from([(
+        kernels: [(
             KERNEL,
             KernelTelemetry {
                 version: 3,
                 stages: 2,
                 uops: 11,
             },
-        )]),
+        )]
+        .into_iter()
+        .collect(),
     });
     let s1 = b.add_switch(SwitchCfg {
         engine: Some(Box::<Script>::default()),

@@ -1,5 +1,7 @@
-//! Allocation budgets of three hot loops: the PISA packet pass, one
-//! state of an ncmc search, and one operation of the Fig. 5 KVS.
+//! Allocation budgets of the hot loops: the PISA packet pass, one
+//! state of an ncmc search, one operation of the Fig. 5 KVS, a window
+//! the software switch forwards inside a run, and a decode into a
+//! scratch window.
 //!
 //! This file is its own test binary so that its counting
 //! `#[global_allocator]` sees nothing but these tests. The counters are
@@ -12,13 +14,20 @@ use ncl::core::control::ControlPlane;
 use ncl::core::deploy::{deploy_opts, DeployOptions, SwitchBackend};
 use ncl::core::mc::{model_check_switch, scenario_for, McConfig};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram, LintCode, ReplayFilter};
-use ncl::model::{HostId, NodeId};
+use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
+use ncl::core::FastPathSwitch;
+use ncl::model::{Chunk, HostId, KernelId, NodeId, ScalarType, Value, Window};
+use ncl::ncp::codec::{decode_window_into, encode_window};
 use ncl::ncp::ReliableConfig;
-use ncl::netsim::HostApp;
+use ncl::netsim::{
+    CtrlOp, FastDatapath, FastVerdict, HostApp, LinkSpec, NetworkBuilder, SwitchCfg,
+};
 use ncl::pisa::{Pipeline, ResourceModel};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Forwards to the system allocator and counts the calling thread's
 /// allocations.
@@ -221,15 +230,17 @@ fn kvs_allocs_per_op(cached: bool) -> f64 {
 }
 
 /// The KVS hosts reuse their frames' buffers, read incoming frames in
-/// place and keep one timer pending per client: a GET served by the
-/// switch costs at most 4.5 allocations and one the server answers at
-/// most 7.5, netsim's per-callback buffers included (4 and 7 counted).
-/// With a fresh window per frame, decoded values, a map of outstanding
-/// ops and every op's timer armed at the start they cost 14–21 and
-/// 26–58, varying with where the allocator placed the decode buffers.
+/// place and keep one timer pending per client; netsim keeps its
+/// per-callback buffers and the software switch encodes into a
+/// recycled frame. What is left is the one frame each host sends: a
+/// GET served by the switch costs at most 1.5 allocations and one the
+/// server answers at most 2.5 (1 and 2 counted). With fresh callback
+/// buffers and a fresh switch output per window they cost 4 and 7;
+/// with a fresh window per frame, decoded values, a map of outstanding
+/// ops and every op's timer armed at the start, 14–21 and 26–58.
 #[test]
 fn a_kvs_op_costs_a_bounded_number_of_allocations() {
-    for (cached, budget) in [(true, 4.5), (false, 7.5)] {
+    for (cached, budget) in [(true, 1.5), (false, 2.5)] {
         let per_op = kvs_allocs_per_op(cached);
         let what = if cached { "hit" } else { "miss" };
         println!("kvs {what}: {per_op:.2} allocations per op");
@@ -238,4 +249,169 @@ fn a_kvs_op_costs_a_bounded_number_of_allocations() {
             "{per_op:.2} allocations per {what} (budget {budget})"
         );
     }
+}
+
+/// A software switch whose `process_frame` calls are counted: the
+/// windows it forwarded, and the allocations made by the calls after
+/// the first `skip`.
+struct CountedSwitch {
+    fp: FastPathSwitch,
+    skip: u64,
+    calls: u64,
+    /// (allocations, windows forwarded), shared with the test.
+    seen: Rc<Cell<(u64, u64)>>,
+}
+
+impl FastDatapath for CountedSwitch {
+    fn process(&mut self, payload: &[u8]) -> Option<FastVerdict> {
+        self.fp.process(payload)
+    }
+
+    fn process_frame(&mut self, frame: Vec<u8>) -> Result<FastVerdict, Vec<u8>> {
+        let (verdict, allocs) = counted(|| self.fp.process_frame(frame));
+        self.calls += 1;
+        let allocs = if self.calls > self.skip { allocs } else { 0 };
+        let forwarded = verdict.as_ref().is_ok_and(|v| v.fwd_code != 3);
+        let (a, w) = self.seen.get();
+        self.seen.set((a + allocs, w + u64::from(forwarded)));
+        verdict
+    }
+
+    fn ctrl(&mut self, op: &CtrlOp) -> bool {
+        self.fp.ctrl(op)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Inside `net.run()` the software switch encodes each verdict into
+/// the frame it received before, so once the first windows have sized
+/// its buffers, an AllReduce window it aggregates, drops or broadcasts
+/// allocates nothing (one fresh output buffer per forwarded window
+/// before).
+#[test]
+fn a_window_the_software_switch_forwards_in_a_run_allocates_nothing() {
+    const WORKERS: u16 = 4;
+    const DATA: usize = 1024;
+    const WIN: usize = 16;
+    let and = format!("hosts worker {WORKERS}\nswitch s1\nlink worker* s1\n");
+    let mut cfg = CompileConfig::default();
+    cfg.masks.insert("allreduce".into(), vec![WIN as u16]);
+    cfg.masks.insert("result".into(), vec![WIN as u16]);
+    let program = compile(&allreduce_source(DATA, WIN), &and, &cfg).expect("allreduce compiles");
+    let kid = program.kernel_ids["allreduce"];
+    let mut fp = FastPathSwitch::from_program(&program, "s1").expect("s1 has a module");
+    assert!(fp.ctrl_wr("nworkers", Value::new(ScalarType::U32, WORKERS.into())));
+
+    let mut b = NetworkBuilder::new();
+    let workers: Vec<NodeId> = (1..=WORKERS)
+        .map(|w| {
+            let mut host = NclHost::new(&program);
+            host.out(OutInvocation {
+                kernel: "allreduce".into(),
+                arrays: vec![TypedArray::from_i32(&vec![w.into(); DATA])],
+                dest: NodeId::Host(HostId(w % WORKERS + 1)),
+                start: 0,
+                gap: 0,
+            })
+            .expect("the arrays fit the window spec");
+            host.bind_incoming(
+                &program,
+                "allreduce",
+                "result",
+                &[(ScalarType::I32, DATA), (ScalarType::Bool, 1)],
+            )
+            .expect("result binds");
+            host.done_on_flag(kid, 1);
+            NodeId::Host(b.add_host(Box::new(host)))
+        })
+        .collect();
+    let seen = Rc::new(Cell::new((0, 0)));
+    let s1 = b.add_switch(SwitchCfg {
+        engine: Some(Box::new(CountedSwitch {
+            fp,
+            skip: u64::from(WORKERS),
+            calls: 0,
+            seen: Rc::clone(&seen),
+        })),
+        bcast: workers.clone(),
+        ..SwitchCfg::default()
+    });
+    for &w in &workers {
+        b.link(w, s1, LinkSpec::default());
+    }
+    let mut net = b.build();
+    net.run();
+
+    for w in 1..=WORKERS {
+        let host = net.host_app::<NclHost>(HostId(w)).expect("worker");
+        assert!(host.done_at.is_some(), "worker {w} has the sums");
+    }
+    let (allocs, forwarded) = seen.get();
+    let windows = (DATA / WIN) as u64;
+    assert_eq!(forwarded, windows, "one broadcast per window");
+    assert_eq!(
+        allocs,
+        0,
+        "{allocs} allocations over {} counted windows",
+        windows * u64::from(WORKERS) - u64::from(WORKERS)
+    );
+}
+
+/// A buffer of `cap` bytes whose storage starts off the 32-byte
+/// boundary the codec prefers for payloads.
+fn off_boundary(cap: usize) -> Vec<u8> {
+    let mut draws = Vec::new();
+    loop {
+        let v: Vec<u8> = Vec::with_capacity(cap);
+        if (v.as_ptr() as usize) % 32 != 0 {
+            return v;
+        }
+        assert!(
+            draws.len() < 64,
+            "the allocator only returns 32-byte-aligned blocks"
+        );
+        draws.push(v);
+    }
+}
+
+/// Payload alignment is a hint: a decode into a scratch window whose
+/// chunk buffers are large enough but off the boundary reuses them
+/// (it drew about ten fresh buffers per chunk, every frame, before).
+#[test]
+fn a_decode_into_large_enough_unaligned_buffers_allocates_nothing() {
+    let window = |seq: u32| Window {
+        kernel: KernelId(3),
+        seq,
+        sender: HostId(1),
+        from: NodeId::Host(HostId(1)),
+        last: false,
+        chunks: (0..3)
+            .map(|c| Chunk {
+                offset: c * 64,
+                data: vec![seq as u8 ^ c as u8; 64],
+            })
+            .collect(),
+        ext: Vec::new(),
+    };
+    let mut scratch = window(0);
+    for chunk in &mut scratch.chunks {
+        chunk.data = off_boundary(64);
+    }
+    let before: Vec<*const u8> = scratch.chunks.iter().map(|c| c.data.as_ptr()).collect();
+    for seq in 1..=8 {
+        let bytes = encode_window(&window(seq), 0);
+        let (decoded, allocs) = counted(|| decode_window_into(&bytes, &mut scratch));
+        decoded.expect("the frame decodes");
+        assert_eq!(allocs, 0, "window {seq}: {allocs} allocations");
+        assert_eq!(scratch, window(seq));
+    }
+    let after: Vec<*const u8> = scratch.chunks.iter().map(|c| c.data.as_ptr()).collect();
+    assert_eq!(before, after, "the chunk buffers were kept");
 }
