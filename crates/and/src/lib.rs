@@ -7,12 +7,15 @@
 //! application's functional components: an *overlay* of labelled hosts
 //! and switches with logical connectivity. Kernels and switch memory
 //! reference AND labels through `_at_("label")`; `_bcast()` targets the
-//! overlay neighbours of the executing location; `_pass("label")`
-//! forwards towards a labelled component.
+//! executing location's fan-out set ([`Overlay::bcast_targets`]);
+//! `_pass("label")` forwards towards a labelled component.
 //!
 //! This crate provides:
 //!
-//! * [`parse`] — the AND file format (line-based, `#` comments):
+//! * [`parse`] — the AND file format (line-based, `#` comments), with
+//!   one line per node (`host <label>`, `hosts <prefix> <n>`,
+//!   `switch <label>`, `server <label>`) or per link (`link <a> <b>`,
+//!   where `prefix*` matches every label with that prefix):
 //!
 //!   ```text
 //!   # AllReduce: workers around one ToR switch
@@ -21,14 +24,20 @@
 //!   link   worker* s1      # every worker to s1
 //!   ```
 //!
+//!   A `server` is a kernel location on the host side of the fabric: a
+//!   machine hung off a switch that runs the location's kernels in
+//!   software on the windows addressed to it. The same program placed
+//!   `_at_("s1")` aggregates in the ToR under `switch s1`, and in a
+//!   parameter server under `switch tor`, `server s1`, `link s1 tor`;
+//!
 //! * [`Overlay`] — the validated overlay graph with label→id
 //!   assignment (the ids `location.id` reads and `_pass(label)`
-//!   encodes);
+//!   encodes; servers are numbered with the switches);
 //! * [`embed`](Overlay::embed) — mapping the overlay onto a physical
 //!   topology (the paper defers this to systems like HIRE; we implement
 //!   a distance-minimizing greedy embedding for E7).
 
-use c3::Label;
+use c3::{HostId, Label, NodeId, SwitchId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -39,6 +48,26 @@ pub enum AndKind {
     Host,
     /// A programmable switch.
     Switch,
+    /// A server: a kernel location on the host side of the fabric,
+    /// numbered with the switches and run by the software switch.
+    Server,
+}
+
+impl AndKind {
+    /// Whether kernels and switch memory can be placed here: a switch
+    /// or a server.
+    pub fn is_location(self) -> bool {
+        self != AndKind::Host
+    }
+
+    /// The kind of physical node this one occupies: a server is a host
+    /// machine.
+    fn machine(self) -> AndKind {
+        match self {
+            AndKind::Server => AndKind::Host,
+            kind => kind,
+        }
+    }
 }
 
 /// One overlay node.
@@ -46,10 +75,22 @@ pub enum AndKind {
 pub struct AndNode {
     /// The AND label.
     pub label: Label,
-    /// Host or switch.
+    /// Host, switch or server.
     pub kind: AndKind,
-    /// Numeric id (dense, assigned in declaration order per kind).
+    /// Numeric id, dense and assigned in declaration order: hosts count
+    /// from 1, and switches and servers share a second count from 1.
     pub id: u16,
+}
+
+impl AndNode {
+    /// The network node this overlay node deploys as: a location, switch
+    /// or server, is a switch node.
+    pub fn node_id(&self) -> NodeId {
+        match self.kind {
+            AndKind::Host => NodeId::Host(HostId(self.id)),
+            AndKind::Switch | AndKind::Server => NodeId::Switch(SwitchId(self.id)),
+        }
+    }
 }
 
 /// A parsed and validated overlay.
@@ -140,21 +181,16 @@ pub fn parse(source: &str) -> Result<Overlay, AndError> {
         if by_label.contains_key(&label) {
             return Err(AndError::Duplicate { label });
         }
-        let id = match kind {
-            AndKind::Host => {
-                *next_host += 1;
-                *next_host
-            }
-            AndKind::Switch => {
-                *next_switch += 1;
-                *next_switch
-            }
+        let next = match kind {
+            AndKind::Host => next_host,
+            AndKind::Switch | AndKind::Server => next_switch,
         };
+        *next += 1;
         by_label.insert(label.clone(), overlay.nodes.len());
         overlay.nodes.push(AndNode {
             label: Label::new(label),
             kind,
-            id,
+            id: *next,
         });
         Ok(())
     };
@@ -169,22 +205,21 @@ pub fn parse(source: &str) -> Result<Overlay, AndError> {
         let cmd = parts.next().expect("nonempty");
         let args: Vec<&str> = parts.collect();
         match (cmd, args.as_slice()) {
-            ("host", [name]) => add_node(
-                &mut overlay,
-                &mut by_label,
-                name.to_string(),
-                AndKind::Host,
-                &mut next_host,
-                &mut next_switch,
-            )?,
-            ("switch", [name]) => add_node(
-                &mut overlay,
-                &mut by_label,
-                name.to_string(),
-                AndKind::Switch,
-                &mut next_host,
-                &mut next_switch,
-            )?,
+            ("host" | "switch" | "server", [name]) => {
+                let kind = match cmd {
+                    "host" => AndKind::Host,
+                    "switch" => AndKind::Switch,
+                    _ => AndKind::Server,
+                };
+                add_node(
+                    &mut overlay,
+                    &mut by_label,
+                    name.to_string(),
+                    kind,
+                    &mut next_host,
+                    &mut next_switch,
+                )?
+            }
             ("hosts", [prefix, count]) => {
                 let n: usize = count.parse().map_err(|_| AndError::Syntax {
                     line,
@@ -208,7 +243,7 @@ pub fn parse(source: &str) -> Result<Overlay, AndError> {
                 return Err(AndError::Syntax {
                     line,
                     message: format!(
-                        "expected 'host <name>', 'switch <name>', \
+                        "expected 'host <name>', 'switch <name>', 'server <name>', \
                          'hosts <prefix> <n>' or 'link <a> <b>', found '{text}'"
                     ),
                 })
@@ -275,14 +310,7 @@ impl Overlay {
             seen[0] = true;
             let mut count = 1;
             while let Some(x) = q.pop_front() {
-                for &(a, b) in &self.edges {
-                    let peer = if a == x {
-                        b
-                    } else if b == x {
-                        a
-                    } else {
-                        continue;
-                    };
+                for peer in self.neighbours(x) {
                     if !seen[peer] {
                         seen[peer] = true;
                         count += 1;
@@ -307,52 +335,73 @@ impl Overlay {
         self.nodes.iter().filter(|n| n.kind == AndKind::Switch)
     }
 
+    /// All kernel locations, switches and servers, in declaration order.
+    pub fn locations(&self) -> impl Iterator<Item = &AndNode> {
+        self.nodes.iter().filter(|n| n.kind.is_location())
+    }
+
     /// All host nodes.
     pub fn hosts(&self) -> impl Iterator<Item = &AndNode> {
         self.nodes.iter().filter(|n| n.kind == AndKind::Host)
     }
 
-    /// Overlay neighbours of a node (the `_bcast()` fan-out set).
-    pub fn neighbours(&self, label: &str) -> Vec<&AndNode> {
+    /// The indices of a node's overlay neighbours, in declaration order.
+    fn neighbours(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        self.edges.iter().filter_map(move |&(a, b)| {
+            if a == idx {
+                Some(b)
+            } else if b == idx {
+                Some(a)
+            } else {
+                None
+            }
+        })
+    }
+
+    /// The `_bcast()` fan-out set of a location, in declaration order. A
+    /// switch reaches its overlay neighbours. A server reaches the hosts
+    /// of its rack: the host neighbours of the switches it links to,
+    /// each once.
+    pub fn bcast_targets(&self, label: &str) -> Vec<&AndNode> {
         let Some(idx) = self.nodes.iter().position(|n| n.label.as_str() == label) else {
             return vec![];
         };
-        self.edges
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == idx {
-                    Some(&self.nodes[b])
-                } else if b == idx {
-                    Some(&self.nodes[a])
-                } else {
-                    None
-                }
-            })
-            .collect()
+        let mut targets: Vec<usize> = if self.nodes[idx].kind == AndKind::Server {
+            self.neighbours(idx)
+                .filter(|&s| self.nodes[s].kind == AndKind::Switch)
+                .flat_map(|s| self.neighbours(s))
+                .filter(|&h| self.nodes[h].kind == AndKind::Host)
+                .collect()
+        } else {
+            self.neighbours(idx).collect()
+        };
+        targets.sort_unstable();
+        targets.dedup();
+        targets.into_iter().map(|i| &self.nodes[i]).collect()
     }
 
     /// Label → numeric id map (for `_pass(label)` encoding).
     pub fn label_ids(&self) -> HashMap<Label, u16> {
         self.nodes
             .iter()
-            .map(|n| {
-                let wire = match n.kind {
-                    AndKind::Host => n.id,
-                    AndKind::Switch => n.id | 0x8000,
-                };
-                (n.label.clone(), wire)
-            })
+            .map(|n| (n.label.clone(), n.node_id().to_wire()))
             .collect()
     }
 
     /// Embeds the overlay into a physical topology: assigns each overlay
-    /// node a distinct physical node of the same kind, greedily
+    /// node a distinct physical node of its machine kind (a server takes
+    /// a host), greedily
     /// minimizing the summed physical path length over overlay edges.
     ///
     /// Returns `overlay index → physical index`.
     pub fn embed(&self, phys: &PhysTopology) -> Result<Vec<usize>, AndError> {
-        let want_switches = self.switches().count();
-        let want_hosts = self.hosts().count();
+        let want = |kind| {
+            self.nodes
+                .iter()
+                .filter(|n| n.kind.machine() == kind)
+                .count()
+        };
+        let (want_switches, want_hosts) = (want(AndKind::Switch), want(AndKind::Host));
         let have_switches = phys.nodes.iter().filter(|k| **k == AndKind::Switch).count();
         let have_hosts = phys.nodes.iter().filter(|k| **k == AndKind::Host).count();
         if want_switches > have_switches || want_hosts > have_hosts {
@@ -369,15 +418,9 @@ impl Overlay {
         let mut used: HashSet<usize> = HashSet::new();
         // Order overlay nodes by degree (most constrained first).
         let mut order: Vec<usize> = (0..n).collect();
-        let degree = |i: usize| {
-            self.edges
-                .iter()
-                .filter(|&&(a, b)| a == i || b == i)
-                .count()
-        };
-        order.sort_by_key(|&i| std::cmp::Reverse(degree(i)));
+        order.sort_by_key(|&i| std::cmp::Reverse(self.neighbours(i).count()));
         for &ov in &order {
-            let kind = self.nodes[ov].kind;
+            let kind = self.nodes[ov].kind.machine();
             // Choose the free physical node minimizing distance to the
             // already-placed neighbours.
             let mut best: Option<(u64, usize)> = None;
@@ -387,14 +430,7 @@ impl Overlay {
                 }
                 let mut cost = 0u64;
                 let mut feasible = true;
-                for &(a, b) in &self.edges {
-                    let peer = if a == ov {
-                        b
-                    } else if b == ov {
-                        a
-                    } else {
-                        continue;
-                    };
+                for peer in self.neighbours(ov) {
                     if let Some(pp) = assignment[peer] {
                         match dist[pi][pp] {
                             Some(d) => cost += d as u64,
@@ -443,24 +479,14 @@ impl Overlay {
         used: &mut HashSet<usize>,
     ) {
         let node_cost = |ov: usize, at: usize, assignment: &[usize]| -> u64 {
-            self.edges
-                .iter()
-                .filter_map(|&(a, b)| {
-                    let peer = if a == ov {
-                        b
-                    } else if b == ov {
-                        a
-                    } else {
-                        return None;
-                    };
-                    Some(dist[at][assignment[peer]].unwrap_or(u32::MAX) as u64)
-                })
+            self.neighbours(ov)
+                .map(|peer| dist[at][assignment[peer]].unwrap_or(u32::MAX) as u64)
                 .sum()
         };
         for _ in 0..16 {
             let mut improved = false;
             for ov in 0..self.nodes.len() {
-                let kind = self.nodes[ov].kind;
+                let kind = self.nodes[ov].kind.machine();
                 let cur = assignment[ov];
                 let cur_cost = node_cost(ov, cur, assignment);
                 let mut best = (cur_cost, cur);
@@ -580,7 +606,7 @@ link   worker* s1
     #[test]
     fn bcast_neighbours() {
         let o = parse(ALLREDUCE_AND).unwrap();
-        let n = o.neighbours("s1");
+        let n = o.bcast_targets("s1");
         assert_eq!(n.len(), 4);
         assert!(n.iter().all(|x| x.kind == AndKind::Host));
     }
@@ -608,7 +634,58 @@ link   server s1
 ";
         let o = parse(src).unwrap();
         assert_eq!(o.hosts().count(), 4);
-        assert_eq!(o.neighbours("s1").len(), 4);
+        assert_eq!(o.bcast_targets("s1").len(), 4);
+    }
+
+    /// The parameter-server placement of E1: the same `s1`, now a
+    /// server hung off a plain ToR.
+    const PS_AND: &str = "
+hosts  worker 3
+switch tor
+server s1
+link   worker* tor
+link   s1 tor
+";
+
+    #[test]
+    fn servers_are_locations_numbered_with_the_switches() {
+        let o = parse(PS_AND).unwrap();
+        let s1 = o.node("s1").unwrap();
+        assert_eq!((s1.kind, s1.id), (AndKind::Server, 2));
+        assert_eq!(o.node("tor").unwrap().id, 1);
+        assert_eq!(s1.node_id(), NodeId::Switch(SwitchId(2)));
+        assert_eq!(o.label_ids()[&Label::new("s1")], 2 | 0x8000);
+        let locations: Vec<&str> = o.locations().map(|n| n.label.as_str()).collect();
+        assert_eq!(locations, ["tor", "s1"]);
+        assert_eq!(o.switches().count(), 1);
+        assert_eq!(o.hosts().count(), 3);
+    }
+
+    #[test]
+    fn a_server_bcasts_to_its_rack() {
+        let o = parse(PS_AND).unwrap();
+        let rack: Vec<&str> = o
+            .bcast_targets("s1")
+            .iter()
+            .map(|n| n.label.as_str())
+            .collect();
+        assert_eq!(rack, ["worker1", "worker2", "worker3"]);
+        // A switch keeps its overlay neighbours, the server among them.
+        assert_eq!(o.bcast_targets("tor").len(), 4);
+    }
+
+    #[test]
+    fn a_server_embeds_on_a_host_machine() {
+        let o = parse(PS_AND).unwrap();
+        let phys = PhysTopology::spine_leaf(1, 1, 4);
+        let assignment = o.embed(&phys).unwrap();
+        let s1 = o
+            .nodes
+            .iter()
+            .position(|n| n.kind == AndKind::Server)
+            .unwrap();
+        assert_eq!(phys.nodes[assignment[s1]], AndKind::Host);
+        assert_eq!(o.embedding_cost(&phys, &assignment), 4);
     }
 
     #[test]

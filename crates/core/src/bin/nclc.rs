@@ -8,10 +8,12 @@
 //!
 //! Takes an NCL C/C++ program and an AND file and produces "a program
 //! for every switch in the AND file" (paper §3.2): `<location>.p4` for
-//! inspection plus a resource report. `--emit ir` dumps the optimized
-//! per-location IR and `--emit trace` pushes a zero-filled test window
-//! through each compiled pipeline, printing the per-stage execution
-//! trace (the debugging aids the paper lists as future work, §6).
+//! inspection plus a resource report. A server location is built for
+//! the software target only; the report names it so. `--emit ir` dumps
+//! the optimized per-location IR and `--emit trace` pushes a zero-filled
+//! test window through each compiled pipeline, printing the per-stage
+//! execution trace (the debugging aids the paper lists as future work,
+//! §6).
 //! Any other `--emit` value is refused.
 //!
 //! Static analysis (`ncl-lint`) runs on every compile: switch-state
@@ -29,6 +31,7 @@
 //! obligation is adjudicated with a shrunk counterexample schedule or a
 //! bounded-absence certificate (DESIGN.md §4.13).
 
+use ncl_and::AndKind;
 use ncl_core::nclc::{compile, CompileConfig, LintCode, LintLevel, NclcError};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -240,6 +243,16 @@ fn main() -> ExitCode {
             }
         }
     }
+    if wants("report") {
+        for n in program.overlay.nodes.iter() {
+            if n.kind == AndKind::Server {
+                println!(
+                    "{}: software target (no pipeline, no stage budget)",
+                    n.label
+                );
+            }
+        }
+    }
     if wants("trace") {
         for (label, compiled) in &program.switches {
             let Ok(mut pipe) =
@@ -330,7 +343,7 @@ fn main() -> ExitCode {
     if wants("ir") {
         let locations: Vec<_> = program
             .overlay
-            .switches()
+            .locations()
             .map(|s| ncl_ir::version::LocationInfo {
                 label: s.label.clone(),
                 id: s.id,

@@ -13,8 +13,11 @@
 //! switch's names: a host submits it mid-simulation through
 //! [`netsim::HostCtx::ctrl`], a caller applies it to any engine through
 //! [`FastDatapath::ctrl`], and the direct forms (pre-run configuration)
-//! are exactly that, applied to one engine.
+//! are exactly that, applied to one engine. A server location has no
+//! compiled switch: [`ControlPlane::at`] addresses it by the source-level
+//! names, which its software switch resolves.
 
+use crate::nclc::CompiledProgram;
 use c3::Value;
 use ncl_p4::CompiledSwitch;
 use netsim::{CtrlOp, FastDatapath};
@@ -38,6 +41,24 @@ impl ControlPlane {
             lane_banks: compiled.lane_banks.clone(),
             array_lens: compiled.array_lens.clone(),
         }
+    }
+
+    /// The handle for location `label` of `program`: the compiled
+    /// switch's names, or at a location built for the software target
+    /// only (a server) the source-level names. `None` for a label
+    /// without a module.
+    pub fn at(program: &CompiledProgram, label: &str) -> Option<Self> {
+        if let Some(compiled) = program.switch(label) {
+            return Some(Self::new(compiled));
+        }
+        let module = program.module(label)?;
+        let own = |name: &String| (name.clone(), vec![name.clone()]);
+        Some(ControlPlane {
+            map_tables: module.maps.iter().map(|m| own(&m.name)).collect(),
+            ctrl_regs: module.ctrls.iter().map(|c| own(&c.name)).collect(),
+            lane_banks: Default::default(),
+            array_lens: Default::default(),
+        })
     }
 
     /// The compiled register and slot holding element `idx` of a

@@ -11,8 +11,10 @@
 //! mapping (one physical node per overlay node, one link per overlay
 //! edge), each switch loaded with the engine for its compiled module,
 //! `_bcast()` fan-out and `_pass(label)` targets resolved from the
-//! overlay. [`crate::deploy_tenants`] places several programs on one
-//! simulated fabric; every entry point goes through the same lint
+//! overlay. A server location is a switch node of the network that runs
+//! the software switch, whatever the [`SwitchBackend`]: windows reach it
+//! because their destination is its node. [`crate::deploy_tenants`]
+//! places several programs on one simulated fabric; every entry point goes through the same lint
 //! gate (`lint_gate`), the same model-check gate (`mc_gate`), the same
 //! engine selection (`switch_engine`, the only place a [`SwitchBackend`]
 //! becomes an engine) and the same fabric builder (`build_fabric`).
@@ -114,6 +116,14 @@ pub enum DeployError {
         /// The shrunk counterexample schedule (ncmc schedule syntax).
         schedule: String,
     },
+    /// The model-check gate ([`DeployOptions::model_check`]) was asked
+    /// to certify a server location. ncmc checks the PISA pipeline, and
+    /// a server runs the software switch, so the deployment is refused
+    /// rather than run uncertified.
+    Uncertifiable {
+        /// The server label.
+        label: String,
+    },
     /// [`deploy_udp`] could not bind a node's loopback socket.
     Bind(std::io::Error),
 }
@@ -153,6 +163,11 @@ impl std::fmt::Display for DeployError {
                 )?;
                 write!(f, "{schedule}")
             }
+            DeployError::Uncertifiable { label } => write!(
+                f,
+                "model check cannot certify server '{label}': it runs the software \
+                 switch, and ncmc checks the PISA pipeline"
+            ),
             DeployError::Bind(e) => write!(f, "binding a loopback UDP socket failed: {e}"),
         }
     }
@@ -209,8 +224,9 @@ impl Default for DeployOptions {
 }
 
 /// The expected switch path of a window sent from host label `from` to
-/// host label `to`: the wire ids of the switches along the overlay's
-/// shortest path, in traversal order. This is the `expected_path` input
+/// label `to`: the wire ids of the locations (switches and servers)
+/// along the overlay's shortest path, in traversal order, so a path to
+/// a server ends at the server. This is the `expected_path` input
 /// of the diagnosis engine's last-witness inference
 /// ([`nctel::scope::analysis`]) — the deployment maps overlay edges
 /// 1:1 onto physical links, so the AND shortest path *is* the route.
@@ -256,8 +272,8 @@ pub fn and_switch_path(program: &CompiledProgram, from: &str, to: &str) -> Vec<u
     path.into_iter()
         .skip(1)
         .chain(std::iter::once(dst))
-        .filter(|&i| nodes[i].kind == AndKind::Switch)
-        .map(|i| NodeId::Switch(SwitchId(nodes[i].id)).to_wire())
+        .filter(|&i| nodes[i].kind.is_location())
+        .map(|i| nodes[i].node_id().to_wire())
         .collect()
 }
 
@@ -272,19 +288,20 @@ fn module_version(program: &CompiledProgram, label: &str) -> u16 {
         .map_or(0, |i| i as u16 + 1)
 }
 
-/// The kernel versions this program deploys, per `(switch wire id,
-/// kernel id)` — the diagnosis engine's reference for flagging stale
-/// hop records after a redeploy ([`nctel::scope::analysis`]).
+/// The kernel versions this program deploys, per `(location wire id,
+/// kernel id)`, servers included — the diagnosis engine's reference for
+/// flagging stale hop records after a redeploy
+/// ([`nctel::scope::analysis`]).
 pub fn deployed_versions(program: &CompiledProgram) -> BTreeMap<(u16, u16), u16> {
     let mut out = BTreeMap::new();
     for (label, module) in &program.modules {
         let Some(n) = program.overlay.node(label.as_str()) else {
             continue;
         };
-        if n.kind != AndKind::Switch {
+        if !n.kind.is_location() {
             continue;
         }
-        let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+        let wire = n.node_id().to_wire();
         let version = module_version(program, label.as_str());
         for k in &module.kernels {
             if let Some(&id) = program.kernel_ids.get(&k.name) {
@@ -319,7 +336,7 @@ pub(crate) fn lint_gate(
     }
     lint_denied.inc();
     if let Some(scope) = scope {
-        let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+        let wire = n.node_id().to_wire();
         scope.emit(
             0,
             wire,
@@ -344,7 +361,9 @@ pub(crate) fn lint_gate(
 /// schedule-checkable lint warning and the convergence obligation are
 /// adjudicated against the compiled pipeline. A convergence witness
 /// means a concrete fault schedule computes a wrong answer, so the
-/// module is refused with the schedule in hand. Counts
+/// module is refused with the schedule in hand. A location that hosts
+/// no kernel has nothing to check, and a server asked to be checked is
+/// refused with [`DeployError::Uncertifiable`]. Counts
 /// `deploy.mc_checked` per checked module and `deploy.mc_denied` per
 /// refusal; returns the report (`None` when unchecked).
 pub(crate) fn mc_gate(
@@ -358,9 +377,15 @@ pub(crate) fn mc_gate(
     let mc_checked = registry.counter("deploy.mc_checked");
     let mc_denied = registry.counter("deploy.mc_denied");
     let label = n.label.as_str();
-    let Some(cfg) = cfg.filter(|_| program.module(label).is_some()) else {
+    let hosts_kernels = program.kernels_at(label).is_some_and(|k| !k.is_empty());
+    let Some(cfg) = cfg.filter(|_| hosts_kernels) else {
         return Ok(None);
     };
+    if n.kind == AndKind::Server {
+        return Err(DeployError::Uncertifiable {
+            label: label.to_string(),
+        });
+    }
     let report = model_check_switch(program, label, cfg).map_err(|e| DeployError::Load {
         label: label.to_string(),
         error: e.to_string(),
@@ -382,9 +407,11 @@ pub(crate) fn mc_gate(
 /// Builds the engine `backend` names for `program` at switch `label`:
 /// the modeled PISA pipeline, loaded under `model`, or the software
 /// switch over the kernels nclc lowered for the location
-/// ([`CompiledProgram::switch_kernels`]) — no engine for a label without
-/// a switch build. This is the only place a [`SwitchBackend`] becomes an
-/// engine; everything after it sees one [`FastDatapath`]. Alongside
+/// ([`CompiledProgram::switch_kernels`]) — no engine for a label that
+/// hosts no kernel, nor on PISA for one without a switch build. A server
+/// always gets the software switch: nclc built it for no other target.
+/// This is the only place a [`SwitchBackend`] becomes an engine;
+/// everything after it sees one [`FastDatapath`]. Alongside
 /// come the static hop-record fields every engine stamps identically —
 /// the given kernel `version`, PISA `stages` from the backend's resource
 /// report, and the lowered kernel's interpreter-equivalent step count
@@ -400,16 +427,22 @@ pub(crate) fn switch_engine(
     version: u16,
     model: ResourceModel,
 ) -> Result<SwitchLoad, DeployError> {
+    let server = program
+        .overlay
+        .node(label)
+        .is_some_and(|n| n.kind == AndKind::Server);
+    let kernels = program.kernels_at(label);
     let engine: Option<Box<dyn FastDatapath>> = match (backend, program.switch(label)) {
-        (SwitchBackend::Simd, _) => FastPathSwitch::from_program(program, label)
-            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
+        _ if kernels.is_none_or(|k| k.is_empty()) => None,
         (SwitchBackend::Pisa, Some(c)) => Some(Box::new(
             Pipeline::load(c.pipeline.clone(), model).map_err(|e| DeployError::Load {
                 label: label.to_string(),
                 error: e.to_string(),
             })?,
         )),
-        (SwitchBackend::Pisa, None) => None,
+        (SwitchBackend::Pisa, None) if !server => None,
+        _ => FastPathSwitch::from_program(program, label)
+            .map(|fp| Box::new(fp) as Box<dyn FastDatapath>),
     };
     let stages = program
         .switch(label)
@@ -424,10 +457,9 @@ pub(crate) fn switch_engine(
             },
         )
     };
-    let kernels = program.kernels_at(label).into_iter().flatten();
     Ok(SwitchLoad {
         engine,
-        kernels: Some(kernels.map(telemetry).collect()),
+        kernels: Some(kernels.into_iter().flatten().map(telemetry).collect()),
     })
 }
 
@@ -451,8 +483,9 @@ pub(crate) struct FabricOptions<'a> {
 
 /// Maps `overlay` onto a network topology, the identity mapping: one
 /// node per overlay node in AND declaration order (so netsim ids equal
-/// AND ids), one link per overlay edge. `host_app` supplies each host's
-/// application and `switch_load` each switch's engine; the first error
+/// AND ids, a server being a switch node), one link per overlay edge.
+/// `host_app` supplies each host's application and `switch_load` each
+/// switch's engine; the first error
 /// either returns stops the build. `label_ids` resolves `_pass(label)`
 /// targets. Counts `deploy.hosts_loaded` / `deploy.switches_loaded` on
 /// the registry, which [`Network::metrics`] exposes after the build.
@@ -492,20 +525,16 @@ pub(crate) fn build_fabric<E>(
                 debug_assert_eq!(id, HostId(n.id), "AND/netsim host id agreement");
                 nodes.insert(n.label.clone(), NodeId::Host(id));
             }
-            AndKind::Switch => {
+            AndKind::Switch | AndKind::Server => {
                 let load = switch_load(n)?;
-                let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+                let wire = n.node_id().to_wire();
                 let id = b.add_switch(SwitchCfg {
                     engine: load.engine,
                     labels: labels.clone(),
-                    // `_bcast()`: overlay neighbours of this switch.
                     bcast: overlay
-                        .neighbours(n.label.as_str())
+                        .bcast_targets(n.label.as_str())
                         .iter()
-                        .map(|peer| match peer.kind {
-                            AndKind::Host => NodeId::Host(HostId(peer.id)),
-                            AndKind::Switch => NodeId::Switch(SwitchId(peer.id)),
-                        })
+                        .map(|peer| peer.node_id())
                         .collect(),
                     telemetry: load.kernels.map(|kernels| SwitchTelemetry {
                         switch_id: wire,
@@ -647,7 +676,7 @@ _net_ _at_("s1") int accum[DATA_LEN] = {0};
 _net_ _at_("s1") unsigned count[DATA_LEN/WIN_LEN] = {0};
 _net_ _at_("s1") _ctrl_ unsigned nworkers;
 
-_net_ _out_ void allreduce(int *data) {
+_net_ _out_ _at_("s1") void allreduce(int *data) {
     unsigned base = window.seq * window.len;
     for (unsigned i = 0; i < window.len; ++i)
         accum[base + i] += data[i];
@@ -664,18 +693,25 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
 }
 "#;
     const AND: &str = "hosts worker 3\nswitch s1\nlink worker* s1\n";
+    /// The same workers, with `s1` on a server behind a plain ToR.
+    const PS_AND: &str = "hosts worker 3\nswitch tor\nserver s1\nlink worker* tor\nlink s1 tor\n";
 
-    /// The paper's Fig. 4 running end to end on the simulated network:
-    /// three workers, in-network aggregation, broadcast of results.
-    /// Runs under either switch engine; the assertions are identical —
-    /// the system-level differential check between the PISA model and
-    /// the software switch.
-    fn run_allreduce(backend: SwitchBackend) {
+    fn compile_allreduce(and: &str) -> CompiledProgram {
         let mut cfg = CompileConfig::default();
         cfg.masks.insert("allreduce".into(), vec![4]);
         cfg.masks.insert("result".into(), vec![4]);
-        let program = compile(ALLREDUCE, AND, &cfg).expect("compiles");
+        compile(ALLREDUCE, and, &cfg).expect("compiles")
+    }
+
+    /// The paper's Fig. 4 running end to end on the simulated network:
+    /// three workers, aggregation at `s1`, broadcast of results. Runs
+    /// under either switch engine and either placement of `s1`; the
+    /// assertions are identical — the system-level differential check
+    /// between the PISA model and the software switch.
+    fn run_allreduce(and: &str, backend: SwitchBackend) -> Deployment {
+        let program = compile_allreduce(and);
         let kid = program.kernel_ids["allreduce"];
+        let s1_node = program.overlay.node("s1").unwrap().node_id();
 
         let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
         for w in 1..=3u16 {
@@ -685,9 +721,8 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
             host.out(OutInvocation {
                 kernel: "allreduce".into(),
                 arrays: vec![TypedArray::from_i32(&data)],
-                // Destination routes through s1; the kernel bcasts or
-                // drops before it ever arrives.
-                dest: NodeId::Host(HostId(w % 3 + 1)),
+                // The kernel at `s1` bcasts or drops every window.
+                dest: s1_node,
                 start: 0,
                 gap: 0,
             })
@@ -714,7 +749,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
 
         // Control plane: nworkers = 3, the same deferred ops on either
         // engine.
-        let cp = ControlPlane::new(program.switch("s1").unwrap());
+        let cp = ControlPlane::at(&program, "s1").unwrap();
         let s1 = dep.switch("s1");
         let engine = dep.net.switch_fastpath_mut(s1).unwrap();
         assert!(cp.ctrl_wr(engine, "nworkers", Value::u32(3)));
@@ -743,18 +778,75 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
         // Ingress at the switch ≈ 3× what one worker sent — the INC
         // bandwidth win E1 measures.
         assert!(dep.net.node_ingress_bytes(NodeId::Switch(s1)) > 0);
+        assert_eq!(dep.net.stats().unroutable, 0);
+        dep
     }
 
     #[test]
     fn allreduce_full_system() {
-        run_allreduce(SwitchBackend::Pisa);
+        run_allreduce(AND, SwitchBackend::Pisa);
     }
 
     /// Same workload, same assertions, software switch — fused vector
     /// runs execute through width-specialized lane loops (or AVX2).
     #[test]
     fn allreduce_full_system_simd() {
-        run_allreduce(SwitchBackend::Simd);
+        run_allreduce(AND, SwitchBackend::Simd);
+    }
+
+    /// A server runs the software switch whichever backend the
+    /// deployment names, and the ToR that hosts no kernel forwards.
+    #[test]
+    fn a_server_runs_the_software_switch_on_either_backend() {
+        for backend in [SwitchBackend::Pisa, SwitchBackend::Simd] {
+            let mut dep = run_allreduce(PS_AND, backend);
+            let (s1, tor) = (dep.switch("s1"), dep.switch("tor"));
+            let engine = dep.net.switch_fastpath_mut(s1).unwrap();
+            assert!(engine.as_any().is::<FastPathSwitch>(), "{backend:?}");
+            assert!(dep.net.switch_fastpath_mut(tor).is_none(), "{backend:?}");
+        }
+    }
+
+    /// The diagnosis engine's expected path to a server ends at the
+    /// server, and the server's kernels are deployed versions.
+    #[test]
+    fn a_server_is_on_the_expected_path_and_versioned() {
+        let program = compile_allreduce(PS_AND);
+        let (tor, s1) = (NodeId::Switch(SwitchId(1)), NodeId::Switch(SwitchId(2)));
+        let path = and_switch_path(&program, "worker1", "s1");
+        assert_eq!(path, [tor.to_wire(), s1.to_wire()]);
+        assert_eq!(
+            and_switch_path(&program, "worker1", "worker2"),
+            [tor.to_wire()]
+        );
+        let kid = program.kernel_ids["allreduce"];
+        let version = module_version(&program, "s1");
+        let want = BTreeMap::from([((s1.to_wire(), kid), version)]);
+        assert_eq!(deployed_versions(&program), want);
+    }
+
+    /// ncmc checks PISA pipelines, so a model-checked deployment refuses
+    /// a server instead of running it uncertified.
+    #[test]
+    fn model_check_refuses_a_server() {
+        let program = compile_allreduce(PS_AND);
+        let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
+        for w in 1..=3u16 {
+            apps.insert(format!("worker{w}"), Box::new(NclHost::new(&program)));
+        }
+        let registry = Arc::new(Registry::new());
+        let opts = DeployOptions {
+            model_check: Some(McConfig::default()),
+            registry: registry.clone(),
+            ..Default::default()
+        };
+        match deploy_opts(&program, apps, opts) {
+            Err(DeployError::Uncertifiable { label }) => assert_eq!(label, "s1"),
+            Err(other) => panic!("expected Uncertifiable, got {other:?}"),
+            Ok(_) => panic!("a model-checked deployment ran a server"),
+        }
+        // The ToR hosts no kernel: nothing was checked there.
+        assert_eq!(registry.counter_value("deploy.mc_checked"), Some(0));
     }
 
     /// The deploy-time lint gate is independent of the compile-time one:
@@ -763,10 +855,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
     #[test]
     fn lint_denied_module_cannot_deploy() {
         use crate::nclc::{LintCode, LintLevel};
-        let mut cfg = CompileConfig::default();
-        cfg.masks.insert("allreduce".into(), vec![4]);
-        cfg.masks.insert("result".into(), vec![4]);
-        let mut program = compile(ALLREDUCE, AND, &cfg).expect("compiles under default levels");
+        let mut program = compile_allreduce(AND);
         // ALLREDUCE has no replay filter, so its RMWs warn by default;
         // deny them after the fact.
         program
@@ -801,10 +890,7 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {
 
     #[test]
     fn missing_app_rejected() {
-        let mut cfg = CompileConfig::default();
-        cfg.masks.insert("allreduce".into(), vec![4]);
-        cfg.masks.insert("result".into(), vec![4]);
-        let program = compile(ALLREDUCE, AND, &cfg).unwrap();
+        let program = compile_allreduce(AND);
         let apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
         assert!(matches!(
             deploy_opts(&program, apps, DeployOptions::default()),

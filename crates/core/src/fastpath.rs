@@ -92,6 +92,8 @@ impl FastPathSwitch {
     /// names, as [`crate::control::ControlPlane`] emits them; the
     /// source-level names go through [`FastPathSwitch::ctrl_wr`],
     /// [`FastPathSwitch::map_insert`] and [`FastPathSwitch::register_read`].
+    /// A location without a compiled switch (a server) has no backend
+    /// names, so its ops address the source-level ones.
     pub fn from_program_with(program: &CompiledProgram, label: &str, simd: bool) -> Option<Self> {
         let module = program.module(label)?;
         let mut state = SwitchState::from_module(module);
@@ -146,6 +148,11 @@ impl FastPathSwitch {
                     map_by_table.extend(tables.iter().map(|t| (t.clone(), m)));
                 }
             }
+        } else {
+            ctrl_by_copy = ctrl_by_name.clone();
+            map_by_table = map_by_name.clone();
+            let whole = |(name, &r): (&String, &usize)| (name.clone(), (r, 0, 1));
+            reg_by_bank = reg_by_name.iter().map(whole).collect();
         }
         Some(FastPathSwitch {
             kernels,

@@ -5,10 +5,13 @@
 //! host side is every `_in_` kernel lowered once to the micro-op program
 //! libncrt runs, and each switch program is a loadable PISA pipeline
 //! plus its P4-16 source, and the location's kernels lowered once to the
-//! micro-op programs the software switch loads.
+//! micro-op programs the software switch loads. A server location
+//! (`server <label>` in the AND) gets the lowered kernels only: it is
+//! built for the software target, linted like a switch, and has no
+//! pipeline, P4 source or resource figures.
 
 use c3::Label;
-use ncl_and::{AndError, Overlay};
+use ncl_and::{AndError, AndKind, AndNode, Overlay};
 use ncl_ir::ir::Module;
 pub use ncl_ir::lint::{LintCode, LintConfig, LintDiagnostic, LintLevel};
 pub use ncl_ir::lower::ReplayFilter;
@@ -81,10 +84,11 @@ pub struct CompiledProgram {
     pub incoming: HashMap<String, Arc<CompiledKernel>>,
     /// The AND overlay.
     pub overlay: Overlay,
-    /// Compiled artifacts per switch location.
+    /// Compiled artifacts per switch location (servers have none).
     pub switches: Vec<(Label, CompiledSwitch)>,
-    /// The versioned IR module per switch location — the same IR the
-    /// backend compiled and the input of the deploy-time lint gate.
+    /// The versioned IR module per location, switch or server — the
+    /// same IR the backend compiled and the input of the deploy-time
+    /// lint gate.
     pub modules: Vec<(Label, Module)>,
     /// Every kernel of each location's versioned module, by NCP kernel
     /// id, lowered once ([`CompiledKernel::compile_for`]) to the
@@ -301,12 +305,13 @@ pub fn compile(
         .collect();
     let label_ids = overlay.label_ids();
 
-    // Versioning per AND switch + backend per location.
-    let locations: Vec<LocationInfo> = overlay
-        .switches()
-        .map(|s| LocationInfo {
-            label: s.label.clone(),
-            id: s.id,
+    // Versioning per AND location + backend per location.
+    let nodes: Vec<&AndNode> = overlay.locations().collect();
+    let locations: Vec<LocationInfo> = nodes
+        .iter()
+        .map(|n| LocationInfo {
+            label: n.label.clone(),
+            id: n.id,
         })
         .collect();
     let versions = timings.time("version", || version_modules(&generic, &locations));
@@ -325,16 +330,19 @@ pub fn compile(
     let mut switch_kernels = Vec::new();
     let mut lints = Vec::new();
     let mut estimates = Vec::new();
-    for (loc, module) in locations.iter().zip(versions) {
+    for (n, module) in nodes.iter().zip(versions) {
+        let label = &n.label;
         // Static analysis gate: hazard/replay findings plus the resource
         // violations of the pipeline built for this switch. A denied
         // finding means the kernel must not reach a switch.
         let mut diags = timings.time("lint", || ncl_ir::lint::lint_module(&module, &lint_cfg));
         // Conformance, staging, codegen and the resource report, run
         // once. A failed build leaves no figures; its error waits until
-        // the lint gate has spoken.
-        let build = timings.time("stage", || ModuleBuild::new(&module, &cfg.model, &opts));
-        if let Ok(build) = &build {
+        // the lint gate has spoken. A server is built for the software
+        // target only: conformance, but no pipeline and no stage budget.
+        let build = (n.kind == AndKind::Switch)
+            .then(|| timings.time("stage", || ModuleBuild::new(&module, &cfg.model, &opts)));
+        if let Some(Ok(build)) = &build {
             timings.time("estimate", || {
                 let level = lint_cfg.level(LintCode::ResourceOverrun);
                 if level == LintLevel::Allow {
@@ -354,19 +362,28 @@ pub fn compile(
         let (deny, warns) = ncl_ir::lint::partition(diags);
         if !deny.is_empty() {
             return Err(NclcError::Lint {
-                location: loc.label.clone(),
+                location: label.clone(),
                 diagnostics: deny,
             });
         }
         let backend_error = |error| NclcError::Backend {
-            location: loc.label.clone(),
+            location: label.clone(),
             error,
         };
-        let build = build.map_err(backend_error)?;
-        let estimate = build.estimate.clone();
-        let compiled = timings
-            .time("backend", || build.finish())
-            .map_err(backend_error)?;
+        if let Some(build) = build {
+            let build = build.map_err(backend_error)?;
+            let estimate = build.estimate.clone();
+            let compiled = timings
+                .time("backend", || build.finish())
+                .map_err(backend_error)?;
+            switches.push((label.clone(), compiled));
+            estimates.push((label.clone(), estimate));
+        } else {
+            let errors = ncl_ir::passes::conformance(&module);
+            if !errors.is_empty() {
+                return Err(backend_error(CompileError::Conformance(errors)));
+            }
+        }
         let kernels = timings.time("kernels", || {
             module
                 .kernels
@@ -377,11 +394,9 @@ pub fn compile(
                 })
                 .collect()
         });
-        switches.push((loc.label.clone(), compiled));
-        switch_kernels.push((loc.label.clone(), kernels));
-        modules.push((loc.label.clone(), module));
-        lints.push((loc.label.clone(), warns));
-        estimates.push((loc.label.clone(), estimate));
+        switch_kernels.push((label.clone(), kernels));
+        modules.push((label.clone(), module));
+        lints.push((label.clone(), warns));
     }
 
     Ok(CompiledProgram {
@@ -507,6 +522,42 @@ _net_ _out_ void k(int *data) {
         c.model = ResourceModel::tiny();
         let err = compile(src, ALLREDUCE_AND, &c).unwrap_err();
         assert!(matches!(err, NclcError::Backend { .. }), "{err}");
+    }
+
+    /// A server is built for the software target only: no pipeline and
+    /// no resource gate, even for memory no chip could hold. It is
+    /// linted and lowered like a switch.
+    #[test]
+    fn a_server_gets_no_pipeline_however_large() {
+        let src = r#"
+_net_ _at_("ps") int a[65536] = {0};
+_net_ _out_ _at_("ps") void k(int *data) {
+    for (unsigned i = 0; i < 64; ++i) a[i] += data[i];
+}
+"#;
+        let and = "hosts w 2\nswitch tor\nserver ps\nlink w* tor\nlink ps tor\n";
+        let mut c = CompileConfig::default();
+        c.masks.insert("k".into(), vec![64]);
+        c.model = ResourceModel::tiny();
+        let p = compile(src, and, &c).expect("a server has no stage budget");
+        assert!(p.switch("ps").is_none() && p.estimate("ps").is_none());
+        assert!(p.module("ps").is_some() && p.lints.iter().any(|(l, _)| l.as_str() == "ps"));
+        assert_eq!(p.kernels_at("ps").map(|k| k.len()), Some(1));
+        // The same memory in a switch is refused, and so is a kernel
+        // versioned to the server that touches memory placed elsewhere.
+        assert!(compile(src, &and.replace("server ps", "switch ps"), &c).is_err());
+        let spmd = r#"
+_net_ _at_("tor") int b[4] = {0};
+_net_ _out_ void k(int *data) { b[0] += data[0]; }
+"#;
+        c.model = ResourceModel::default();
+        match compile(spmd, and, &c).unwrap_err() {
+            NclcError::Backend {
+                location,
+                error: CompileError::Conformance(_),
+            } => assert_eq!(location.as_str(), "ps"),
+            other => panic!("expected a conformance error at the server, got: {other}"),
+        }
     }
 
     #[test]

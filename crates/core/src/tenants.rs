@@ -31,7 +31,8 @@
 //! Only the software switch ([`SwitchBackend::Simd`]) multiplexes. The
 //! modeled PISA pipeline cannot host two independently compiled
 //! programs in one pipeline object, so [`SwitchBackend::Pisa`] is
-//! rejected up front.
+//! rejected up front. A server location runs on the mux like a switch;
+//! it holds no pipeline, so admission charges it nothing.
 
 use crate::deploy::{
     build_fabric, lint_gate, mc_gate, switch_engine, DeployError, DeployOptions, FabricOptions,
@@ -374,7 +375,7 @@ pub fn deploy_tenants(
         },
         |n| {
             let label = n.label.as_str();
-            let wire = NodeId::Switch(SwitchId(n.id)).to_wire();
+            let wire = n.node_id().to_wire();
             let mut mux = TenantMux::new();
             let mut tel_kernels = IdMap::default();
             for (ti, t) in admitted.iter().enumerate() {
@@ -433,7 +434,7 @@ fn switch_estimates(program: &CompiledProgram) -> BTreeMap<String, ModuleEstimat
         .collect()
 }
 
-/// Runs the deploy-time gates over every switch module of `program`,
+/// Runs the deploy-time gates over every location module of `program`,
 /// which would deploy as `version`: the lint gate ([`lint_gate`]), then
 /// the model-check gate ([`mc_gate`]) when `model_check` asks for it.
 fn gate_all(
@@ -447,7 +448,7 @@ fn gate_all(
         .overlay
         .nodes
         .iter()
-        .filter(|n| n.kind == AndKind::Switch)
+        .filter(|n| n.kind.is_location())
         .try_for_each(|n| {
             lint_gate(program, n, version, registry, scope)?;
             mc_gate(program, n, model_check, registry).map(drop)
@@ -773,6 +774,54 @@ mod tests {
                 assert_eq!(mem.arrays[0].get(i), Value::i32(sum), "worker {w} elem {i}");
             }
         }
+    }
+
+    /// A server location runs on the software mux like a switch, and
+    /// admission charges it nothing: it holds no pipeline.
+    #[test]
+    fn a_server_runs_on_the_mux() {
+        let and = "hosts worker 3\nswitch tor\nserver s1\nlink worker* tor\nlink s1 tor\n";
+        let mut cfg = CompileConfig::default();
+        cfg.masks.insert("allreduce".into(), vec![4]);
+        cfg.masks.insert("result".into(), vec![4]);
+        let program = compile(&allreduce_source(16, 4), and, &cfg).expect("compiles");
+        let cp = ControlPlane::at(&program, "s1").expect("s1 has a module");
+        let s1_node = program.overlay.node("s1").unwrap().node_id();
+        let kid = program.kernel_ids["allreduce"];
+        let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
+        for w in 1..=3u16 {
+            let mut host = NclHost::new(&program);
+            host.out(OutInvocation {
+                kernel: "allreduce".into(),
+                arrays: vec![TypedArray::from_i32(&[w as i32; 16])],
+                dest: s1_node,
+                start: 0,
+                gap: 0,
+            })
+            .unwrap();
+            let ext = [(ScalarType::I32, 16), (ScalarType::Bool, 1)];
+            host.bind_incoming(&program, "allreduce", "result", &ext)
+                .unwrap();
+            host.done_on_flag(kid, 1);
+            apps.insert(format!("worker{w}"), Box::new(host));
+        }
+        let tenant = TenantDeploy {
+            spec: TenantSpec::new("t"),
+            program,
+            apps,
+        };
+        let opts = DeployOptions {
+            backend: SwitchBackend::Simd,
+            ..DeployOptions::default()
+        };
+        let mut dep = deploy_tenants(vec![tenant], opts).expect("deploys");
+        let mux = dep.mux_mut("s1").expect("the server is multiplexed");
+        for op in cp.ctrl_wr_ops("nworkers", Value::u32(3)) {
+            assert!(mux.ctrl_for("t", &op));
+        }
+        dep.net.run();
+        assert_tenant_sums(&dep.net, kid, 1, 3, 6);
+        assert_eq!(dep.controller.usage("s1").stages, 0);
     }
 
     /// Two tenants, one switch: both allreduces complete with their own

@@ -69,6 +69,32 @@ fn compiles_and_emits_p4() {
     assert!(stdout.contains("  count: "), "{stdout}");
 }
 
+/// A server location has no pipeline: no P4 file, and the report names
+/// it as built for the software target.
+#[test]
+fn a_server_is_reported_as_a_software_target() {
+    let dir = tmpdir("server");
+    let placed = PROG.replace("_out_ void", "_out_ _at_(\"s1\") void");
+    let prog = write(&dir, "prog.ncl", &placed);
+    let and = "host a\nhost b\nswitch tor\nserver s1\nlink a tor\nlink b tor\nlink s1 tor\n";
+    let and = write(&dir, "net.and", and);
+    let out = dir.join("out");
+    let result = nclc()
+        .arg(&prog)
+        .args(["--and"])
+        .arg(&and)
+        .args([
+            "--mask", "count=1", "--emit", "p4", "--emit", "report", "-o",
+        ])
+        .arg(&out)
+        .output()
+        .expect("runs");
+    let stdout = String::from_utf8_lossy(&result.stdout);
+    assert!(result.status.success(), "{stdout}");
+    assert!(stdout.contains("s1: software target"), "{stdout}");
+    assert!(out.join("tor.p4").exists() && !out.join("s1.p4").exists());
+}
+
 #[test]
 fn unknown_emit_values_are_refused() {
     let dir = tmpdir("emit");

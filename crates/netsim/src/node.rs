@@ -251,8 +251,10 @@ pub struct SwitchCfg {
     pub engine: Option<Box<dyn FastDatapath>>,
     /// `_pass(label)` target resolution: label id → node.
     pub labels: HashMap<u16, NodeId>,
-    /// `_bcast()` targets — the overlay neighbours one hop away from
-    /// this location in the AND (paper §4.1).
+    /// `_bcast()` targets — the AND fan-out set of this location
+    /// (paper §4.1): a switch's overlay neighbours, or the hosts of a
+    /// server's rack. Each copy is routed, so a target may be several
+    /// hops away.
     pub bcast: Vec<NodeId>,
     /// In-band telemetry identity; `None` disables hop stamping.
     pub telemetry: Option<SwitchTelemetry>,

@@ -598,8 +598,13 @@ impl Network {
     /// `depart` (after the node's processing latency).
     fn route_out(&mut self, node: usize, pkt: Packet, depart: Time) {
         if node_id(&self.nodes[node]) == pkt.dst {
-            // Loopback: deliver on departure.
-            self.queue.push(depart, Event::Arrive { node, pkt });
+            // Loopback: a host gets its own packet on departure. A switch
+            // forwarding a packet to itself would process it again, and
+            // again, forever: the packet has nowhere to go.
+            match self.nodes[node] {
+                NodeKind::Host { .. } => self.queue.push(depart, Event::Arrive { node, pkt }),
+                NodeKind::Switch { .. } => self.counters.unroutable.inc(),
+            }
             return;
         }
         let Some(&(li, a_to_b)) = self.next_hop[node].get(&pkt.dst) else {
@@ -1067,6 +1072,25 @@ mod tests {
         let mut net = b.build();
         net.run();
         assert_eq!(net.stats().unroutable, 1);
+    }
+
+    /// A packet addressed to the switch it reaches has nowhere to go:
+    /// the switch drops it as unroutable rather than process it again.
+    #[test]
+    fn a_packet_for_a_switch_stops_at_the_switch() {
+        let mut b = NetworkBuilder::new();
+        let h1 = b.add_host(Box::new(Pinger {
+            dst: NodeId::Switch(SwitchId(1)),
+            replies: 0,
+        }));
+        let s1 = b.add_switch(SwitchCfg::default());
+        b.link(h1, s1, LinkSpec::default());
+        let mut net = b.build();
+        net.run_until(10 * crate::event::MILLIS);
+        let st = net.stats();
+        assert_eq!((st.delivered, st.unroutable), (0, 1));
+        assert_eq!(net.switch_stats(s1).unwrap().forwarded, 1);
+        assert!(st.events < 10, "{} events", st.events);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! (`benchmark/`), not this binary's.
 
 use c3::{Chunk, HostId, KernelId, NodeId, ScalarType, Value, Window};
-use ncl_core::apps::{
-    allreduce_source, kvs_source, KvsClient, KvsOp, KvsServer, PsServer, PsWorker,
-};
+use ncl_core::apps::{allreduce_source, kvs_source, KvsClient, KvsOp, KvsServer};
 use ncl_core::baseline::handwritten_netcache_p4;
 use ncl_core::control::ControlPlane;
 use ncl_core::deploy::{deploy_opts, DeployOptions};
@@ -25,7 +23,7 @@ use ncl_p4::p4emit::effective_lines;
 use ncl_p4::{compile_module, CompileOptions};
 use ncp::codec::{encode_window, fragment_window};
 use ncp::ReliableConfig;
-use netsim::{HostApp, LinkSpec, NetworkBuilder, SwitchCfg};
+use netsim::{HostApp, LinkSpec};
 use pisa::ResourceModel;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -73,11 +71,14 @@ fn rule(width: usize) {
 
 // ---------------------------------------------------------------- scenarios
 
-/// One Fig. 4 AllReduce run on a one-switch star.
+/// One Fig. 4 AllReduce run on a star: `s1` is its switch (INC), or a
+/// server hung off the plain switch `tor` (the parameter server, PS).
 struct ArRun {
     nworkers: usize,
     elements: usize,
     win: usize,
+    /// Place `s1` on a server rather than in the switch.
+    server: bool,
     /// NCP-R on: replay filter in the switch, reliable window transport
     /// on every worker, tuned to the topology — RTO a few× the loaded
     /// RTT (µs-scale links) and an initial window deep enough to keep
@@ -95,6 +96,7 @@ impl ArRun {
             nworkers,
             elements,
             win,
+            server: false,
             reliable: false,
             link: LinkSpec::default(),
             sampling: None,
@@ -109,14 +111,18 @@ struct ArResult {
     completion: u64,
     /// Bytes offered to links in total.
     bytes_on_wire: u64,
-    /// Bytes into the aggregation point (switch or PS host).
+    /// Bytes into the aggregation point (switch or server).
     aggregator_ingress: u64,
+    /// netsim events the run took.
+    events: u64,
     retransmits: u64,
     /// Duplicates suppressed by the in-switch replay filter.
     switch_dups: u64,
     /// Window traces assembled across workers, and their hop records.
     traces: u64,
     hop_records: u64,
+    /// Micro-ops the hop records count, summed.
+    hop_uops: u64,
 }
 
 fn run_allreduce(run: ArRun) -> ArResult {
@@ -128,7 +134,11 @@ fn run_allreduce(run: ArRun) -> ArResult {
     } = run;
     let slots = elements / win;
     let src = allreduce_source(elements, win);
-    let and = format!("hosts worker {nworkers}\nswitch s1\nlink worker* s1\n");
+    let and = if run.server {
+        format!("hosts worker {nworkers}\nswitch tor\nserver s1\nlink worker* tor\nlink s1 tor\n")
+    } else {
+        format!("hosts worker {nworkers}\nswitch s1\nlink worker* s1\n")
+    };
     let mut cfg = CompileConfig::default();
     cfg.masks.insert("allreduce".into(), vec![win as u16]);
     cfg.masks.insert("result".into(), vec![win as u16]);
@@ -142,6 +152,8 @@ fn run_allreduce(run: ArRun) -> ArResult {
     }
     let program = compile(&src, &and, &cfg).expect("allreduce compiles");
     let kid = program.kernel_ids["allreduce"];
+    // Workers address the aggregation point, switch or server.
+    let s1_node = program.overlay.node("s1").expect("s1").node_id();
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     for w in 1..=nworkers as u16 {
         let mut host = NclHost::new(&program);
@@ -149,7 +161,7 @@ fn run_allreduce(run: ArRun) -> ArResult {
         host.out(OutInvocation {
             kernel: "allreduce".into(),
             arrays: vec![TypedArray::from_i32(&data)],
-            dest: NodeId::Host(HostId(w % nworkers as u16 + 1)),
+            dest: s1_node,
             start: 0,
             gap: 0,
         })
@@ -183,59 +195,38 @@ fn run_allreduce(run: ArRun) -> ArResult {
         ..Default::default()
     };
     let mut dep = deploy_opts(&program, apps, opts).expect("deploys");
-    let cp = ControlPlane::new(program.switch("s1").unwrap());
+    let cp = ControlPlane::at(&program, "s1").expect("s1 has a module");
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
-        dep.net.switch_pipeline_mut(s1).unwrap(),
+        dep.net.switch_fastpath_mut(s1).unwrap(),
         "nworkers",
         Value::u32(nworkers as u32),
     );
     dep.net.run();
     let mut r = ArResult {
         bytes_on_wire: dep.net.stats().bytes_sent,
-        aggregator_ingress: dep.net.node_ingress_bytes(NodeId::Switch(s1)),
+        aggregator_ingress: dep.net.node_ingress_bytes(s1_node),
+        events: dep.net.stats().events,
         switch_dups: dep.net.switch_dup_suppressed(s1),
         ..ArResult::default()
     };
+    let n = nworkers as i32;
     for w in 1..=nworkers as u16 {
         let host = dep.net.host_app_mut::<NclHost>(HostId(w)).expect("worker");
         r.completion = r.completion.max(host.done_at.expect("completed"));
         r.retransmits += host.sender_stats().map_or(0, |s| s.retransmits);
+        let sums = &host.memory(kid).expect("bound").arrays[0];
+        for i in 0..elements {
+            let want = n * i as i32 + n * (n + 1) / 2;
+            assert_eq!(sums.get(i), Value::i32(want), "worker {w} element {i}");
+        }
         for t in host.take_traces() {
             r.traces += 1;
             r.hop_records += t.hops.len() as u64;
+            r.hop_uops += t.hops.iter().map(|h| h.uops as u64).sum::<u64>();
         }
     }
     r
-}
-
-/// The parameter-server baseline (E1, host arm).
-fn run_allreduce_ps(nworkers: usize, elements: usize, win: usize) -> ArResult {
-    let mut b = NetworkBuilder::new();
-    let ps_node = NodeId::Host(HostId(nworkers as u16 + 1));
-    let mut worker_ids = Vec::new();
-    for w in 1..=nworkers as u16 {
-        let data: Vec<i32> = (0..elements as i32).map(|i| i + w as i32).collect();
-        let id = b.add_host(Box::new(PsWorker::new(ps_node, data, win)));
-        worker_ids.push(NodeId::Host(id));
-    }
-    let ps = b.add_host(Box::new(PsServer::new(worker_ids)));
-    let sw = b.add_switch(SwitchCfg::default());
-    for w in 1..=nworkers as u16 + 1 {
-        b.link(HostId(w), sw, LinkSpec::default());
-    }
-    let mut net = b.build();
-    net.run();
-    let done = |w| net.host_app::<PsWorker>(HostId(w)).expect("worker").done_at;
-    ArResult {
-        completion: (1..=nworkers as u16)
-            .map(|w| done(w).expect("completed"))
-            .max()
-            .expect("workers"),
-        bytes_on_wire: net.stats().bytes_sent,
-        aggregator_ingress: net.node_ingress_bytes(NodeId::Host(ps)),
-        ..ArResult::default()
-    }
 }
 
 struct KvsResult {
@@ -340,9 +331,9 @@ fn run_kvs(
 
 // ---------------------------------------------------------------- tables
 
-/// E1 — Fig. 4 AllReduce: in-network aggregation vs the
-/// parameter-server baseline, over worker count, array size and window
-/// length.
+/// E1 — Fig. 4 AllReduce: in-network aggregation vs the same program
+/// placed on a parameter server, over worker count, array size and
+/// window length.
 fn e1_allreduce() {
     let win = 8usize;
     let us = |ns: u64| ns as f64 / 1000.0;
@@ -360,7 +351,10 @@ fn e1_allreduce() {
     for n in [2usize, 4, 8, 16, 32] {
         let elements = 16 * 1024;
         let inc = run_allreduce(ArRun::new(n, elements, win));
-        let ps = run_allreduce_ps(n, elements, win);
+        let ps = run_allreduce(ArRun {
+            server: true,
+            ..ArRun::new(n, elements, win)
+        });
         let speedup = ps.completion as f64 / inc.completion as f64;
         println!(
             "{:>8} {:>12.1} {:>12.1} {:>8.2}x {:>14.1} {:>14.1}",
@@ -395,7 +389,10 @@ fn e1_allreduce() {
     );
     for elements in [256usize, 1024, 4096, 16 * 1024, 64 * 1024] {
         let inc = run_allreduce(ArRun::new(8, elements, win));
-        let ps = run_allreduce_ps(8, elements, win);
+        let ps = run_allreduce(ArRun {
+            server: true,
+            ..ArRun::new(8, elements, win)
+        });
         println!(
             "{:>10} {:>12.1} {:>12.1} {:>8.2}x {:>14.1} {:>14.1}",
             elements,
@@ -900,16 +897,17 @@ fn e10_reliability() {
     let overhead = 100.0 * (1.0 - base.completion as f64 / clean.completion as f64);
     println!("-- reliability overhead at 0% loss --");
     println!(
-        "{:>16} {:>12} {:>14} {:>12}",
-        "arm", "compl µs", "wire KiB", "goodput Gb/s"
+        "{:>16} {:>12} {:>14} {:>12} {:>10}",
+        "arm", "compl µs", "wire KiB", "goodput Gb/s", "events"
     );
     for (name, r) in [("fire-and-forget", &base), ("NCP-R", &clean)] {
         println!(
-            "{:>16} {:>12.1} {:>14.1} {:>12.3}",
+            "{:>16} {:>12.1} {:>14.1} {:>12.3} {:>10}",
             name,
             r.completion as f64 / 1000.0,
             r.bytes_on_wire as f64 / 1024.0,
             payload * 8.0 / r.completion as f64,
+            r.events,
         );
     }
     println!("goodput overhead: {overhead:.1}%  (budget ≤ 15%)");
@@ -923,8 +921,8 @@ fn e10_reliability() {
 
     println!("\n-- loss sweep (NCP-R, duplication every 6th, 30 µs reorder jitter) --");
     println!(
-        "{:>8} {:>12} {:>10} {:>12} {:>12}",
-        "loss %", "compl µs", "slowdown", "retransmits", "switch dups"
+        "{:>8} {:>12} {:>10} {:>12} {:>12} {:>10}",
+        "loss %", "compl µs", "slowdown", "retransmits", "switch dups", "events"
     );
     let mut completions = Vec::new();
     for loss in [0.0f64, 0.01, 0.05, 0.10] {
@@ -941,12 +939,13 @@ fn e10_reliability() {
         };
         let r = reliable(link);
         println!(
-            "{:>8.0} {:>12.1} {:>9.2}x {:>12} {:>12}",
+            "{:>8.0} {:>12.1} {:>9.2}x {:>12} {:>12} {:>10}",
             loss * 100.0,
             r.completion as f64 / 1000.0,
             r.completion as f64 / clean.completion as f64,
             r.retransmits,
             r.switch_dups,
+            r.events,
         );
         assert_eq!(loss > 0.0, r.retransmits > 0 && r.switch_dups > 0);
         completions.push(r.completion);
@@ -989,27 +988,29 @@ fn e11_telemetry() {
     // Goodput ∝ payload / completion; payload is identical across arms,
     // so the goodput overhead is the completion-time stretch.
     let overhead = |t: u64| 100.0 * (1.0 - arms[0].completion as f64 / t as f64);
-    rule(74);
+    rule(96);
     println!(
-        "{:>14} {:>12} {:>12} {:>10} {:>10} {:>10}",
-        "arm", "compl µs", "wire KiB", "overhead%", "traces", "hops"
+        "{:>14} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "arm", "compl µs", "wire KiB", "overhead%", "traces", "hops", "uops", "events"
     );
-    rule(74);
+    rule(96);
     for (name, r) in ["sampling 0.0", "sampling 0.5", "sampling 1.0"]
         .iter()
         .zip(&arms)
     {
         println!(
-            "{:>14} {:>12.1} {:>12.1} {:>10.2} {:>10} {:>10}",
+            "{:>14} {:>12.1} {:>12.1} {:>10.2} {:>10} {:>10} {:>10} {:>10}",
             name,
             r.completion as f64 / 1000.0,
             r.bytes_on_wire as f64 / 1024.0,
             overhead(r.completion),
             r.traces,
-            r.hop_records
+            r.hop_records,
+            r.hop_uops,
+            r.events
         );
     }
-    rule(74);
+    rule(96);
     let full = overhead(arms[2].completion);
     println!("\ngoodput overhead at sampling 1.0, 0% loss = {full:.2}% (budget <= 5%)");
     // The gate itself is tests/ncscope.rs::

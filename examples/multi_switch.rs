@@ -80,8 +80,8 @@ fn main() {
     for (ov, pi) in assignment.iter().enumerate() {
         let node = &program.overlay.nodes[ov];
         let kind = match phys.nodes[*pi] {
-            AndKind::Host => "host",
             AndKind::Switch => "switch",
+            _ => "host",
         };
         println!("  {} → physical {kind} #{pi}", node.label);
     }

@@ -1,33 +1,45 @@
 //! Full-system integration test of the paper's Fig. 4 AllReduce:
 //! N workers around a ToR switch, in-network aggregation with the
-//! compiled kernel, result broadcast, compared against the
-//! parameter-server baseline on the same topology.
+//! compiled kernel, result broadcast, compared against the same program
+//! placed on a parameter server behind the ToR.
 
-use ncl::core::apps::{allreduce_source, PsServer, PsWorker};
+use ncl::core::apps::allreduce_source;
 use ncl::core::control::ControlPlane;
 use ncl::core::deploy::{deploy_opts, DeployOptions, Deployment};
 use ncl::core::nclc::{compile, CompileConfig, CompiledProgram};
 use ncl::core::runtime::{NclHost, OutInvocation, TypedArray};
 use ncl::model::{HostId, NodeId, ScalarType, Value};
-use ncl::netsim::{HostApp, LinkSpec, NetworkBuilder, SwitchCfg};
+use ncl::netsim::HostApp;
 use std::collections::HashMap;
 
-fn worker_and(n: usize) -> String {
-    format!("hosts worker {n}\nswitch s1\nlink worker* s1\n")
+/// `s1` in the workers' switch: in-network aggregation.
+const IN_SWITCH: &str = "switch s1\nlink worker* s1";
+/// `s1` on a server hung off a plain ToR: the parameter server.
+const ON_SERVER: &str = "switch tor\nserver s1\nlink worker* tor\nlink s1 tor";
+
+fn worker_and(n: usize, placement: &str) -> String {
+    format!("hosts worker {n}\n{placement}\n")
 }
 
-fn program(nworkers: usize, data_len: usize, win: usize) -> CompiledProgram {
+fn program(and: &str, data_len: usize, win: usize) -> CompiledProgram {
     let src = allreduce_source(data_len, win);
     let mut cfg = CompileConfig::default();
     cfg.masks.insert("allreduce".into(), vec![win as u16]);
     cfg.masks.insert("result".into(), vec![win as u16]);
-    compile(&src, &worker_and(nworkers), &cfg).expect("compiles")
+    compile(&src, and, &cfg).expect("compiles")
 }
 
-/// Runs the in-network AllReduce; returns (deployment, kernel id).
+/// Runs the AllReduce in the switch; returns (deployment, kernel id).
 fn run_inc(nworkers: usize, data_len: usize, win: usize) -> (Deployment, u16) {
-    let program = program(nworkers, data_len, win);
+    run(nworkers, data_len, win, IN_SWITCH)
+}
+
+/// Runs the AllReduce with `s1` placed as `placement` declares; the
+/// workers address `s1`, switch or server.
+fn run(nworkers: usize, data_len: usize, win: usize, placement: &str) -> (Deployment, u16) {
+    let program = program(&worker_and(nworkers, placement), data_len, win);
     let kid = program.kernel_ids["allreduce"];
+    let s1_node = program.overlay.node("s1").unwrap().node_id();
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     for w in 1..=nworkers as u16 {
         let mut host = NclHost::new(&program);
@@ -35,7 +47,7 @@ fn run_inc(nworkers: usize, data_len: usize, win: usize) -> (Deployment, u16) {
         host.out(OutInvocation {
             kernel: "allreduce".into(),
             arrays: vec![TypedArray::from_i32(&data)],
-            dest: NodeId::Host(HostId(w % nworkers as u16 + 1)),
+            dest: s1_node,
             start: 0,
             gap: 0,
         })
@@ -51,10 +63,10 @@ fn run_inc(nworkers: usize, data_len: usize, win: usize) -> (Deployment, u16) {
         apps.insert(format!("worker{w}"), Box::new(host));
     }
     let mut dep = deploy_opts(&program, apps, DeployOptions::default()).expect("deploys");
-    let cp = ControlPlane::new(program.switch("s1").unwrap());
+    let cp = ControlPlane::at(&program, "s1").unwrap();
     let s1 = dep.switch("s1");
     cp.ctrl_wr(
-        dep.net.switch_pipeline_mut(s1).unwrap(),
+        dep.net.switch_fastpath_mut(s1).unwrap(),
         "nworkers",
         Value::u32(nworkers as u32),
     );
@@ -62,29 +74,30 @@ fn run_inc(nworkers: usize, data_len: usize, win: usize) -> (Deployment, u16) {
     (dep, kid)
 }
 
-/// Element-wise expected sum for `run_inc`'s data pattern.
-fn expected(nworkers: usize, data_len: usize) -> Vec<i64> {
-    (0..data_len as i64)
-        .map(|i| (1..=nworkers as i64).map(|w| i + w).sum())
-        .collect()
+/// Asserts every worker holds the exact element-wise sum of `run`'s
+/// data pattern; returns the last completion time.
+fn assert_exact(dep: &Deployment, kid: u16, nworkers: usize, data_len: usize) -> u64 {
+    let mut done = 0;
+    for w in 1..=nworkers as u16 {
+        let host = dep.net.host_app::<NclHost>(HostId(w)).unwrap();
+        done = done.max(
+            host.done_at
+                .unwrap_or_else(|| panic!("worker {w} incomplete")),
+        );
+        let mem = host.memory(kid).unwrap();
+        for i in 0..data_len {
+            let want: i64 = (1..=nworkers as i64).map(|w| i as i64 + w).sum();
+            let got = mem.arrays[0].get(i).as_i128() as i64;
+            assert_eq!(got, want, "worker {w} element {i}");
+        }
+    }
+    done
 }
 
 #[test]
 fn four_workers_reduce_correctly() {
     let (dep, kid) = run_inc(4, 64, 8);
-    let want = expected(4, 64);
-    for w in 1..=4u16 {
-        let host = dep.net.host_app::<NclHost>(HostId(w)).unwrap();
-        assert!(host.done_at.is_some(), "worker {w} incomplete");
-        let mem = host.memory(kid).unwrap();
-        for (i, expect) in want.iter().enumerate() {
-            assert_eq!(
-                mem.arrays[0].get(i).as_i128() as i64,
-                *expect,
-                "worker {w} element {i}"
-            );
-        }
-    }
+    assert_exact(&dep, kid, 4, 64);
 }
 
 #[test]
@@ -115,55 +128,15 @@ fn ingress_to_egress_asymmetry_shows_the_aggregation_win() {
 
 #[test]
 fn inc_beats_parameter_server_latency() {
-    // The E1 headline shape as a hard assertion: identical star
-    // topology and slot sizes; in-network aggregation completes before
-    // the host-based parameter server.
-    let n = 8;
-    let data_len = 256;
-    let win = 8;
-    let (dep, _) = run_inc(n, data_len, win);
-    let inc_done = (1..=n as u16)
-        .map(|w| {
-            dep.net
-                .host_app::<NclHost>(HostId(w))
-                .unwrap()
-                .done_at
-                .expect("completed")
-        })
-        .max()
-        .unwrap();
-
-    // Baseline: workers + dedicated PS host through a plain switch.
-    let mut b = NetworkBuilder::new();
-    let ps_node = NodeId::Host(HostId(n as u16 + 1));
-    let mut worker_ids = Vec::new();
-    for w in 1..=n as u16 {
-        let data: Vec<i32> = (0..data_len as i32).map(|i| i + w as i32).collect();
-        let id = b.add_host(Box::new(PsWorker::new(ps_node, data, win)));
-        worker_ids.push(NodeId::Host(id));
-    }
-    b.add_host(Box::new(PsServer::new(worker_ids)));
-    let s = b.add_switch(SwitchCfg::default());
-    for w in 1..=n as u16 + 1 {
-        b.link(HostId(w), s, LinkSpec::default());
-    }
-    let mut net = b.build();
-    net.run();
-    let ps_done = (1..=n as u16)
-        .map(|w| {
-            net.host_app::<PsWorker>(HostId(w))
-                .unwrap()
-                .done_at
-                .expect("baseline completed")
-        })
-        .max()
-        .unwrap();
-    // Baseline correctness first.
-    let want = expected(n, data_len);
-    let w1 = net.host_app::<PsWorker>(HostId(1)).unwrap();
-    for (i, expect) in want.iter().enumerate() {
-        assert_eq!(w1.result[i] as i64, *expect, "baseline element {i}");
-    }
+    // The E1 headline shape as a hard assertion: one program, the same
+    // workers and windows; aggregating in the switch completes before
+    // aggregating on a server behind it, and both sums are exact.
+    let (n, data_len, win) = (8, 256, 8);
+    let done = |placement| {
+        let (dep, kid) = run(n, data_len, win, placement);
+        assert_exact(&dep, kid, n, data_len)
+    };
+    let (inc_done, ps_done) = (done(IN_SWITCH), done(ON_SERVER));
     assert!(
         inc_done < ps_done,
         "INC {inc_done} ns should beat PS {ps_done} ns"
@@ -177,7 +150,7 @@ fn multiple_rounds_reuse_switch_state() {
     let n = 3;
     let data_len = 32;
     let win = 8;
-    let program = program(n, data_len, win);
+    let program = program(&worker_and(n, IN_SWITCH), data_len, win);
     let kid = program.kernel_ids["allreduce"];
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     for w in 1..=n as u16 {
@@ -268,8 +241,8 @@ _net_ _in_ void result(int *data, _ext_ int *hdata, _ext_ bool *done) {{
     use ncl::core::nclc::{LintCode, LintLevel};
     cfg.lint_levels
         .insert(LintCode::NonAtomicRmw, LintLevel::Warn);
-    let program =
-        compile(&src, &worker_and(n), &cfg).unwrap_or_else(|e| panic!("corrected kernel: {e}"));
+    let program = compile(&src, &worker_and(n, IN_SWITCH), &cfg)
+        .unwrap_or_else(|e| panic!("corrected kernel: {e}"));
     let kid = program.kernel_ids["allreduce"];
     let mut apps: HashMap<String, Box<dyn HostApp>> = HashMap::new();
     for w in 1..=n as u16 {

@@ -89,7 +89,7 @@ fn allreduce_expected(filtered: bool) -> Vec<String> {
     if !filtered {
         for array in ["accum", "count"] {
             out.push(format!(
-                "Warn replay-unsafe-no-filter allreduce/{array} @8:18 kernel 'allreduce' \
+                "Warn replay-unsafe-no-filter allreduce/{array} @8:29 kernel 'allreduce' \
                  updates '{array}' non-idempotently with no replay filter {NO_FILTER}"
             ));
         }
